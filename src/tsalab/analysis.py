@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .treestack import ROOT, Address, format_address
 from .tsa import (
+    ReplayMismatch,
     RunTrace,
     SearchOptions,
     accepts,
@@ -252,7 +253,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
         replay_ok = (final.pos == len(word)
                      and final.state in trace_w.tsa.finals
                      and final.ts.pointer == ROOT)
-    except Exception:
+    except ReplayMismatch:
         replay_ok = False
 
     accepted = True

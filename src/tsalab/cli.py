@@ -20,6 +20,7 @@ from . import analysis, convert, fixtures, langlab, mcfg
 from .treestack import format_address, parse_address, render_tree_stack
 from .tsa import (
     BudgetExceeded,
+    NotApplicable,
     RunTrace,
     SearchOptions,
     Tsa,
@@ -146,7 +147,7 @@ def cmd_trace(args) -> int:
             try:
                 step(tsa, args.word, final, t)
                 applicable.append(t.name or "?")
-            except Exception:
+            except NotApplicable:
                 pass
         done = final.pos == len(args.word) and final.state in tsa.finals
         if not applicable and not done:

@@ -23,6 +23,7 @@ from .tsa import (
     ParseError,
     Transition,
     Tsa,
+    read_machine,
 )
 
 BOTTOM = "@"
@@ -486,59 +487,10 @@ def ks_stuck_prefix(tsa: Tsa | None = None) -> list[int]:
 
 def parse_pda(text: str) -> Pda:
     """Parse the line-based PDA file format; '-' in a push means s = eps."""
-    states: list[str] = []
-    stack: list[str] = []
-    alphabet: list[str] = []
-    initial = None
-    finals: list[str] = []
-    raw_trans = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        comment = None
-        if "#" in raw:
-            raw, comment = raw.split("#", 1)
-            comment = comment.strip() or None
-        line = raw.strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "pda":
-                raise ParseError("expected 'pda' header", lineno)
-            saw_header = True
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: ...', got {line!r}", lineno)
-        key, rest = line.split(":", 1)
-        key = key.strip()
-        toks = rest.split()
-        if key == "states":
-            states.extend(toks)
-        elif key == "initial":
-            if len(toks) != 1:
-                raise ParseError("initial takes one state", lineno)
-            initial = toks[0]
-        elif key == "final":
-            finals.extend(toks)
-        elif key == "stack":
-            if BOTTOM in toks:
-                raise ParseError("@ is implicit in the stack alphabet", lineno)
-            stack.extend(toks)
-        elif key == "alphabet":
-            for tok in toks:
-                if len(tok) != 1:
-                    raise ParseError(f"alphabet letters must be single characters, got {tok!r}", lineno)
-            alphabet.extend(toks)
-        elif key == "trans":
-            raw_trans.append((lineno, toks, comment))
-        else:
-            raise ParseError(f"unknown section {key!r}", lineno)
-    if not saw_header:
-        raise ParseError("missing 'pda' header", 1)
-    if initial is None:
-        raise ParseError("missing initial state", 1)
-
+    lists, initial, raw_trans = read_machine(text, "pda", extra=("stack",))
+    states, stack, alphabet, finals = (lists[k] for k in ("states", "stack", "alphabet", "final"))
     state_set = set(states)
-    gamma = set(stack) | {BOTTOM}
+    gamma = set(stack)  # pushed and popped symbols; the bottom is only ever a top
     delta = []
     for lineno, toks, name in raw_trans:
         if len(toks) < 4:
@@ -553,7 +505,7 @@ def parse_pda(text: str) -> Pda:
         act_toks = toks[2:-1]
         if act_toks[0] == "push" and len(act_toks) == 3:
             z, s = act_toks[1], act_toks[2]
-            if z not in gamma:
+            if z not in gamma and z != BOTTOM:
                 raise ParseError(f"unknown stack symbol {z!r}", lineno)
             pushed = None if s == "-" else s
             if pushed is not None and pushed not in gamma:

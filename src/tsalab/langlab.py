@@ -21,6 +21,8 @@ from .tsa import (
     SearchOptions,
     Transition,
     Tsa,
+    UnknownState,
+    read_machine,
     shortest_accepted,
 )
 
@@ -551,46 +553,20 @@ def f2f2_T() -> Fsa:
 # FSA file format: mirrors the TSA format minus predicates/instructions
 
 def parse_fsa(text: str) -> Fsa:
-    states: list[str] = []
-    alphabet: list[str] = []
-    initial = None
-    finals: list[str] = []
+    lists, initial, raw_trans = read_machine(text, "fsa", letters=False)
+    states, alphabet = lists["states"], lists["alphabet"]
     delta: list[tuple[str, str | None, str]] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        line = raw.strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "fsa":
-                raise ParseError("expected 'fsa' header", lineno)
-            saw_header = True
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: ...', got {line!r}", lineno)
-        key, rest = line.split(":", 1)
-        toks = rest.split()
-        key = key.strip()
-        if key == "states":
-            states.extend(toks)
-        elif key == "initial":
-            initial = toks[0]
-        elif key == "final":
-            finals.extend(toks)
-        elif key == "alphabet":
-            alphabet.extend(toks)
-        elif key == "trans":
-            if len(toks) != 3:
-                raise ParseError("transition needs: src letter dst", lineno)
-            src, sym, dst = toks
-            delta.append((src, None if sym == "eps" else sym, dst))
-        else:
-            raise ParseError(f"unknown section {key!r}", lineno)
-    if initial is None:
-        raise ParseError("missing initial state", 1)
-    return Fsa(tuple(states), tuple(alphabet), tuple(delta), initial, frozenset(finals))
+    for lineno, toks, _ in raw_trans:
+        if len(toks) != 3:
+            raise ParseError("transition needs: src letter dst", lineno)
+        src, sym, dst = toks
+        for q in (src, dst):
+            if q not in states:
+                raise UnknownState(f"unknown state {q!r}", lineno)
+        if sym != "eps" and sym not in alphabet:
+            raise ParseError(f"letter {sym!r} not in alphabet", lineno)
+        delta.append((src, None if sym == "eps" else sym, dst))
+    return Fsa(tuple(states), tuple(alphabet), tuple(delta), initial, frozenset(lists["final"]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .tsa import ParseError
+from .tsa import ParseError, read_sections
 
 # tokens of this shape are always variables in head fields
 _VAR_PATTERN = re.compile(r"[xy][0-9]+")
@@ -94,30 +94,13 @@ def parse_mcfg(text: str) -> Mcfg:
     A head token is a variable iff the rule's body declares it."""
     start = None
     raw_rules: list[tuple[int, str]] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        line = raw.strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "mcfg":
-                raise ParseError("expected 'mcfg' header", lineno)
-            saw_header = True
-            continue
-        if ":" not in line:
-            raise ParseError(f"expected 'key: ...', got {line!r}", lineno)
-        key, rest = line.split(":", 1)
-        key = key.strip()
+    for lineno, key, rest, _ in read_sections(text, "mcfg"):
         if key == "start":
             start = rest.strip()
         elif key == "rule":
             raw_rules.append((lineno, rest.strip()))
         else:
             raise ParseError(f"unknown section {key!r}", lineno)
-    if not saw_header:
-        raise ParseError("missing 'mcfg' header", 1)
     if start is None:
         raise ParseError("missing start nonterminal", 1)
 

@@ -9,6 +9,7 @@ golden-trace tests depend on that.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -260,10 +261,33 @@ def default_max_vertices(word_len: int) -> int:
     return 16 * (word_len + 1)
 
 
-def _accepting(tsa: Tsa, cfg: Configuration, w_len: int, opts: SearchOptions) -> bool:
-    if cfg.pos != w_len or cfg.state not in tsa.finals:
-        return False
-    return opts.accept_mode == "any" or cfg.ts.pointer == ROOT
+# instruction kinds as small ints for the search's inner loop
+_ID, _PUSH, _UP, _DOWN, _SET = range(5)
+_KIND_CODE = {"id": _ID, "push": _PUSH, "up": _UP, "down": _DOWN, "set": _SET}
+
+
+def _entry_hash(a, b) -> int:
+    """Hash of one (address id, label or count) entry.  A tree's hash and a
+    vfb map's hash are the XOR of their entries' hashes (Zobrist style), so a
+    step updates them in O(1); equal hashes are always re-checked exactly."""
+    return hash((a, b))
+
+
+def _search_table(tsa: Tsa, proper_only: bool) -> dict[str, list[tuple]]:
+    """Delta by source state as flat tuples (delta index, letter, predicate
+    label or None, kind code, child index, new label, target, stationary
+    flag); the flag is only set when proper_only forbids two in a row.
+    Cached: the automaton is immutable."""
+    cache = tsa.__dict__.setdefault("_search_tables", {})
+    table = cache.get(proper_only)
+    if table is None:
+        table = {q: [(tidx, t.inp, t.pred.label if t.pred.kind == "eq" else None,
+                      _KIND_CODE[t.instr.kind], t.instr.n, t.instr.label, t.dst,
+                      proper_only and t.is_stationary_eps())
+                     for tidx, t in out]
+                 for q, out in tsa.outgoing().items()}
+        cache[proper_only] = table
+    return table
 
 
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
@@ -272,31 +296,56 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     Breadth-first over configurations, children in delta order, with
     memoisation on (state, position, tree stack[, vfb][, properness bit]);
     the witness is therefore the lexicographically least shortest run.
+    Inside the search an address is an int id interned per search by
+    (parent id, child index), a tree stack is an {id: label} dict plus a
+    pointer id, and the vfb counts are an {id: count} dict.  The memo key
+    holds XOR hashes of the tree and of the vfb counts, kept up to date
+    incrementally; a hash hit compares the dicts exactly, so the
+    memoisation is exact.  Address tuples are rebuilt only for the witness.
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
-    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, len(w))
-    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(len(w))
+    return _search(tsa, w, len(w), opts)
+
+
+def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
+    """Find an accepting run over *some* word of length <= max_len.
+
+    Same search as `accepts`, but reading transitions extend the word
+    instead of matching a fixed one.  Used for emptiness-style questions
+    (e.g. the rational-subset pipeline).
+    """
+    return _search(tsa, None, max_len, opts)
+
+
+def _search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
+    """The BFS core behind `accepts` (w given, max_len == len(w)) and
+    `shortest_accepted` (w None: read any word of length <= max_len)."""
+    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, max_len)
+    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
+    free = w is None
+    k = opts.k
+    root_only = opts.accept_mode == "root"
+    finals = tsa.finals
+    eh = _entry_hash
 
     init = initial_configuration(tsa)
-    if _accepting(tsa, init, len(w), opts):
-        return RunTrace(tsa, w, [], init)
+    if init.state in finals and (free or max_len == 0):
+        return RunTrace(tsa, "" if free else w, [], init)
 
-    def key(cfg: Configuration, was_stat: bool):
-        parts = [cfg.state, cfg.pos, cfg.ts.key()]
-        if opts.k is not None:
-            parts.append(cfg.vfb)
-        if opts.proper_only:
-            parts.append(was_stat)
-        return tuple(parts)
-
-    # arena of (configuration, parent node index, delta index, stationary flag)
-    nodes: list[tuple[Configuration, int, int, bool]] = [(init, -1, -1, False)]
-    visited = {key(init, False)}
+    by_src = _search_table(tsa, opts.proper_only)
+    ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
+    up_of = [-1]  # parent id per id; the root is id 0
+    addr_of = [ROOT]  # address tuple per id
+    # arena of (state, pos, {id: label}, pointer id, {id: vfb count} or None
+    # when k is None, tree hash, vfb hash, stationary flag, parent node,
+    # delta index)
+    nodes = [(init.state, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
+    seen = {(init.state, 0, 0, 0, 0, False): 0}  # memo key -> first node
+    more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
     frontier = [0]
     depth = 0
     cut = False
-    by_src = tsa.outgoing()
 
     while frontier:
         if depth >= max_steps:
@@ -305,133 +354,125 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
         depth += 1
         next_frontier: list[int] = []
         for node_idx in frontier:
-            cfg, _, _, was_stat = nodes[node_idx]
-            for tidx, t in by_src[cfg.state]:
-                if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
-                    continue
-                if not pred_eval(cfg.ts, t.pred):
-                    continue
-                if not instr_applicable(cfg.ts, t.instr):
-                    continue
-                stat = t.is_stationary_eps()
-                if opts.proper_only and was_stat and stat:
-                    continue
-                ts = ts_apply(cfg.ts, t.instr)
-                vfb = cfg.vfb
-                if t.instr.kind in ("push", "up"):
-                    vfb = _bump_vfb(vfb, ts.pointer)
-                    if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
+            state, pos, dom, ptr, vfb, th, vh, was_stat, _, _ = nodes[node_idx]
+            lab = dom[ptr]
+            letter = None if free or pos >= max_len else w[pos]
+            for tidx, inp, plab, kind, n, nlab, dst, stat in by_src[state]:
+                if inp is not None:
+                    if free:
+                        if pos >= max_len:
+                            cut = True
+                            continue
+                    elif inp != letter:
                         continue
-                if len(ts) > max_vertices:
+                if plab is not None and plab != lab:
+                    continue
+                if was_stat and stat:
+                    continue
+                ndom, nptr, nth = dom, ptr, th
+                if kind == _PUSH:
+                    nptr = ids.get((ptr, n))
+                    if nptr is None:
+                        nptr = ids[(ptr, n)] = len(up_of)
+                        up_of.append(ptr)
+                        addr_of.append(addr_of[ptr] + (n,))
+                    elif nptr in dom:
+                        continue
+                    ndom = dom.copy()
+                    ndom[nptr] = nlab
+                    nth = th ^ eh(nptr, nlab)
+                elif kind == _UP:
+                    nptr = ids.get((ptr, n))
+                    if nptr is None or nptr not in dom:
+                        continue
+                elif kind == _ID:
+                    pass
+                elif ptr == 0:  # down and set need a non-root pointer
+                    continue
+                elif kind == _DOWN:
+                    nptr = up_of[ptr]
+                else:
+                    ndom = dom.copy()
+                    ndom[ptr] = nlab
+                    nth = th ^ eh(ptr, lab) ^ eh(ptr, nlab)
+                nvfb, nvh = vfb, vh
+                if k is not None and (kind == _PUSH or kind == _UP):
+                    c = vfb.get(nptr, 0) + 1
+                    if c > k:
+                        continue
+                    nvfb = vfb.copy()
+                    nvfb[nptr] = c
+                    nvh = vh ^ eh(nptr, c)
+                    if c > 1:
+                        nvh ^= eh(nptr, c - 1)
+                if len(ndom) > max_vertices:
                     cut = True
                     continue
-                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
-                kk = key(nxt, stat)
-                if kk in visited:
+                npos = pos if inp is None else pos + 1
+                key = (dst, npos, nth, nptr, nvh, stat)
+                me = len(nodes)
+                first = seen.get(key)
+                if first is None:
+                    seen[key] = me
+                elif _seen_exactly(nodes, first, more.get(key), ndom, nvfb):
                     continue
-                visited.add(kk)
-                nodes.append((nxt, node_idx, tidx, stat))
-                me = len(nodes) - 1
-                if _accepting(tsa, nxt, len(w), opts):
-                    return _trace_from_arena(tsa, w, nodes, me)
+                else:
+                    more.setdefault(key, []).append(me)
+                nodes.append((dst, npos, ndom, nptr, nvfb, nth, nvh, stat, node_idx, tidx))
+                if dst in finals and (free or npos == max_len) and (nptr == 0 or not root_only):
+                    return _witness(tsa, w, nodes, me, addr_of, init)
                 next_frontier.append(me)
         frontier = next_frontier
 
     return NotFound("budget" if cut else "exhausted")
 
 
-def _trace_from_arena(tsa, w, nodes, idx) -> RunTrace:
-    steps = []
+def _seen_exactly(nodes, first, later, dom, vfb) -> bool:
+    """Whether a node under the same memo key has this exact tree and vfb
+    map; state, position, pointer and stationary flag are in the key."""
+    for j in (first, *later) if later else (first,):
+        node = nodes[j]
+        if (node[2] is dom or node[2] == dom) and node[4] == vfb:
+            return True
+    return False
+
+
+def _witness(tsa, w, nodes, idx, addr_of, init) -> RunTrace:
+    """The run ending at arena node idx, with tuple addresses.  Steps that
+    keep the tree share it, as moves do in `step`; the vfb counts are
+    rebuilt from the run, as the search keeps them only under k."""
+    path = []
     while idx > 0:
-        cfg, parent, tidx, _ = nodes[idx]
-        steps.append((tidx, cfg))
-        idx = parent
-    steps.reverse()
-    return RunTrace(tsa, w, steps, nodes[0][0])
-
-
-def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
-    """Find an accepting run over *some* word of length <= max_len.
-
-    Same BFS discipline as `accepts`, but reading transitions extend the
-    word instead of matching a fixed one.  Used for emptiness-style
-    questions (e.g. the rational-subset pipeline).
-    """
-    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, max_len)
-    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
-
-    init = initial_configuration(tsa)
-
-    def key(cfg: Configuration, was_stat: bool):
-        parts = [cfg.state, cfg.pos, cfg.ts.key()]
-        if opts.k is not None:
-            parts.append(cfg.vfb)
-        if opts.proper_only:
-            parts.append(was_stat)
-        return tuple(parts)
-
-    def accepting(cfg):
-        if cfg.state not in tsa.finals:
-            return False
-        return opts.accept_mode == "any" or cfg.ts.pointer == ROOT
-
-    if accepting(init):
-        return RunTrace(tsa, "", [], init)
-
-    nodes: list[tuple[Configuration, int, int, bool, str]] = [(init, -1, -1, False, "")]
-    visited = {key(init, False)}
-    frontier = [0]
-    depth = 0
-    cut = False
-    by_src = tsa.outgoing()
-    while frontier:
-        if depth >= max_steps:
-            cut = True
-            break
-        depth += 1
-        next_frontier = []
-        for node_idx in frontier:
-            cfg, _, _, was_stat, word = nodes[node_idx]
-            for tidx, t in by_src[cfg.state]:
-                if t.inp is not None and cfg.pos >= max_len:
-                    cut = True
-                    continue
-                if not pred_eval(cfg.ts, t.pred):
-                    continue
-                if not instr_applicable(cfg.ts, t.instr):
-                    continue
-                stat = t.is_stationary_eps()
-                if opts.proper_only and was_stat and stat:
-                    continue
-                ts = ts_apply(cfg.ts, t.instr)
-                vfb = cfg.vfb
-                if t.instr.kind in ("push", "up"):
-                    vfb = _bump_vfb(vfb, ts.pointer)
-                    if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
-                        continue
-                if len(ts) > max_vertices:
-                    cut = True
-                    continue
-                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
-                kk = key(nxt, stat)
-                if kk in visited:
-                    continue
-                visited.add(kk)
-                nw = word if t.inp is None else word + t.inp
-                nodes.append((nxt, node_idx, tidx, stat, nw))
-                me = len(nodes) - 1
-                if accepting(nxt):
-                    steps = []
-                    idx = me
-                    while idx > 0:
-                        c, parent, ti, _, _ = nodes[idx]
-                        steps.append((ti, c))
-                        idx = parent
-                    steps.reverse()
-                    return RunTrace(tsa, nw, steps, init)
-                next_frontier.append(me)
-        frontier = next_frontier
-    return NotFound("budget" if cut else "exhausted")
+        path.append(nodes[idx])
+        idx = path[-1][8]
+    path.reverse()
+    steps = []
+    letters = []
+    counts: dict[int, int] = {}  # id -> vfb count
+    addrs: list[Address] = []  # counted addresses, sorted
+    order: list[int] = []  # their ids, in the same order
+    vfb = init.vfb
+    ts = init.ts
+    prev_dom, prev_ptr = nodes[0][2], 0
+    for state, pos, dom, ptr, _, _, _, _, _, tidx in path:
+        addr = addr_of[ptr]
+        if dom is not prev_dom:  # push or set: one label changed, at ptr
+            ts = ts._rewritten(addr, dom[ptr], addr)
+        elif ptr != prev_ptr:
+            ts = ts._moved(addr)
+        prev_dom, prev_ptr = dom, ptr
+        t = tsa.delta[tidx]
+        if t.instr.kind in ("push", "up"):
+            if ptr not in counts:
+                i = bisect.bisect(addrs, addr)
+                addrs.insert(i, addr)
+                order.insert(i, ptr)
+            counts[ptr] = counts.get(ptr, 0) + 1
+            vfb = tuple(zip(addrs, map(counts.__getitem__, order)))
+        if t.inp is not None:
+            letters.append(t.inp)
+        steps.append((tidx, Configuration(state, ts, pos, vfb)))
+    return RunTrace(tsa, "".join(letters) if w is None else w, steps, init)
 
 
 def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
@@ -686,60 +727,74 @@ def _parse_index(tok: str, line: int) -> int:
     return n
 
 
-def parse_tsa(text: str) -> Tsa:
-    """Parse the line-based TSA file format (see the README); '#' starts a
-    comment, and a trailing comment on a trans line names the transition."""
-    states: list[str] = []
-    labels: list[str] = []
-    alphabet: list[str] = []
-    initial = None
-    finals: list[str] = []
-    raw_trans: list[tuple[int, list[str], str | None]] = []
+def read_sections(text: str, header: str) -> list[tuple[int, str, str, str | None]]:
+    """The reader shared by the line-based file formats: a header line,
+    then `key: rest` lines; '#' starts a comment.  Returns (line number,
+    key, rest, comment or None) per line."""
+    out = []
     saw_header = False
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        comment = None
-        if "#" in raw:
-            raw, comment = raw.split("#", 1)
-            comment = comment.strip() or None
+        raw, _, comment = raw.partition("#")
         line = raw.strip()
         if not line:
             continue
         if not saw_header:
-            if line != "tsa":
-                raise ParseError("expected 'tsa' header", lineno)
+            if line != header:
+                raise ParseError(f"expected '{header}' header", lineno)
             saw_header = True
-            continue
-        if ":" not in line:
+        elif ":" not in line:
             raise ParseError(f"expected 'key: ...', got {line!r}", lineno)
-        key, rest = line.split(":", 1)
-        key = key.strip()
+        else:
+            key, rest = line.split(":", 1)
+            out.append((lineno, key.strip(), rest, comment.strip() or None))
+    if not saw_header:
+        raise ParseError(f"missing '{header}' header", 1)
+    return out
+
+
+def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: bool = True):
+    """The sections the TSA, PDA and FSA formats share.  Returns (lists,
+    initial, trans): lists maps states, final, alphabet and each extra key
+    (labels, stack; '@' is implicit there) to its tokens, and trans holds
+    (line, tokens, comment) per transition.  The initial and final states
+    are checked against the declared ones; with `letters`, alphabet
+    symbols must be single characters."""
+    lists: dict[str, list[str]] = {key: [] for key in ("states", "final", "alphabet", *extra)}
+    named: list[tuple[int, str]] = []  # (line, state) for initial and finals
+    initial = None
+    trans = []
+    for lineno, key, rest, comment in read_sections(text, header):
         toks = rest.split()
-        if key == "states":
-            states.extend(toks)
+        if key == "trans":
+            trans.append((lineno, toks, comment))
         elif key == "initial":
             if len(toks) != 1:
                 raise ParseError("initial takes one state", lineno)
             initial = toks[0]
-        elif key == "final":
-            finals.extend(toks)
-        elif key == "labels":
-            labels.extend(toks)
-        elif key == "alphabet":
-            for tok in toks:
-                if len(tok) != 1:
-                    raise ParseError(f"alphabet letters must be single characters, got {tok!r}", lineno)
-            alphabet.extend(toks)
-        elif key == "trans":
-            raw_trans.append((lineno, toks, comment))
-        else:
+            named.append((lineno, initial))
+        elif key not in lists:
             raise ParseError(f"unknown section {key!r}", lineno)
-
-    if not saw_header:
-        raise ParseError("missing 'tsa' header", 1)
+        elif key in extra and ROOT_LABEL in toks:
+            raise ParseError(f"{ROOT_LABEL} is implicit and cannot be declared in {key}", lineno)
+        elif key == "alphabet" and letters and (long := [tok for tok in toks if len(tok) != 1]):
+            raise ParseError(f"alphabet letters must be single characters, got {long[0]!r}", lineno)
+        else:
+            lists[key].extend(toks)
+            if key == "final":
+                named += [(lineno, q) for q in toks]
     if initial is None:
         raise ParseError("missing initial state", 1)
+    for lineno, q in named:
+        if q not in lists["states"]:
+            raise UnknownState(f"unknown state {q!r}", lineno)
+    return lists, initial, trans
 
+
+def parse_tsa(text: str) -> Tsa:
+    """Parse the line-based TSA file format (see the README); '#' starts a
+    comment, and a trailing comment on a trans line names the transition."""
+    lists, initial, raw_trans = read_machine(text, "tsa", extra=("labels",))
+    states, labels, alphabet, finals = (lists[k] for k in ("states", "labels", "alphabet", "final"))
     state_set = set(states)
     label_set = set(labels)
     delta = []

@@ -1,0 +1,203 @@
+"""Reference search: a plain tuple-keyed breadth-first search with the
+contract of `accepts` and `shortest_accepted`.
+
+Every step rebuilds the tree stack through `ts_apply`, keeps the
+visit-from-below counts as a sorted tuple and memoises on the canonical
+`TreeStack.key()`, so a step costs time in the size of the tree.  It is
+slow but plain; test_search_core.py checks the interned-address search
+core against it configuration by configuration.
+"""
+
+from __future__ import annotations
+
+from tsalab.treestack import ROOT, instr_applicable, pred_eval, ts_apply
+from tsalab.tsa import (
+    Configuration,
+    NotFound,
+    RunTrace,
+    SearchOptions,
+    Tsa,
+    default_max_steps,
+    default_max_vertices,
+    initial_configuration,
+)
+
+
+def _bump_vfb(vfb: tuple, addr) -> tuple:
+    d = dict(vfb)
+    d[addr] = d.get(addr, 0) + 1
+    return tuple(sorted(d.items()))
+
+
+def _accepting(tsa: Tsa, cfg: Configuration, w_len: int, opts: SearchOptions) -> bool:
+    if cfg.pos != w_len or cfg.state not in tsa.finals:
+        return False
+    return opts.accept_mode == "any" or cfg.ts.pointer == ROOT
+
+
+def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
+    """Search for an accepting run of `tsa` on `w`.
+
+    Breadth-first over configurations, children in delta order, with
+    memoisation on (state, position, tree stack[, vfb][, properness bit]);
+    the witness is therefore the lexicographically least shortest run.
+    NotFound("budget") means the search was cut off, NotFound("exhausted")
+    that the bounded space was fully explored.
+    """
+    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, len(w))
+    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(len(w))
+
+    init = initial_configuration(tsa)
+    if _accepting(tsa, init, len(w), opts):
+        return RunTrace(tsa, w, [], init)
+
+    def key(cfg: Configuration, was_stat: bool):
+        parts = [cfg.state, cfg.pos, cfg.ts.key()]
+        if opts.k is not None:
+            parts.append(cfg.vfb)
+        if opts.proper_only:
+            parts.append(was_stat)
+        return tuple(parts)
+
+    # arena of (configuration, parent node index, delta index, stationary flag)
+    nodes: list[tuple[Configuration, int, int, bool]] = [(init, -1, -1, False)]
+    visited = {key(init, False)}
+    frontier = [0]
+    depth = 0
+    cut = False
+    by_src = tsa.outgoing()
+
+    while frontier:
+        if depth >= max_steps:
+            cut = True
+            break
+        depth += 1
+        next_frontier: list[int] = []
+        for node_idx in frontier:
+            cfg, _, _, was_stat = nodes[node_idx]
+            for tidx, t in by_src[cfg.state]:
+                if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
+                    continue
+                if not pred_eval(cfg.ts, t.pred):
+                    continue
+                if not instr_applicable(cfg.ts, t.instr):
+                    continue
+                stat = t.is_stationary_eps()
+                if opts.proper_only and was_stat and stat:
+                    continue
+                ts = ts_apply(cfg.ts, t.instr)
+                vfb = cfg.vfb
+                if t.instr.kind in ("push", "up"):
+                    vfb = _bump_vfb(vfb, ts.pointer)
+                    if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
+                        continue
+                if len(ts) > max_vertices:
+                    cut = True
+                    continue
+                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
+                kk = key(nxt, stat)
+                if kk in visited:
+                    continue
+                visited.add(kk)
+                nodes.append((nxt, node_idx, tidx, stat))
+                me = len(nodes) - 1
+                if _accepting(tsa, nxt, len(w), opts):
+                    return _trace_from_arena(tsa, w, nodes, me)
+                next_frontier.append(me)
+        frontier = next_frontier
+
+    return NotFound("budget" if cut else "exhausted")
+
+
+def _trace_from_arena(tsa, w, nodes, idx) -> RunTrace:
+    steps = []
+    while idx > 0:
+        cfg, parent, tidx, _ = nodes[idx]
+        steps.append((tidx, cfg))
+        idx = parent
+    steps.reverse()
+    return RunTrace(tsa, w, steps, nodes[0][0])
+
+
+def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
+    """Find an accepting run over *some* word of length <= max_len.
+
+    Same BFS discipline as `accepts`, but reading transitions extend the
+    word instead of matching a fixed one.  Used for emptiness-style
+    questions (e.g. the rational-subset pipeline).
+    """
+    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, max_len)
+    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
+
+    init = initial_configuration(tsa)
+
+    def key(cfg: Configuration, was_stat: bool):
+        parts = [cfg.state, cfg.pos, cfg.ts.key()]
+        if opts.k is not None:
+            parts.append(cfg.vfb)
+        if opts.proper_only:
+            parts.append(was_stat)
+        return tuple(parts)
+
+    def accepting(cfg):
+        if cfg.state not in tsa.finals:
+            return False
+        return opts.accept_mode == "any" or cfg.ts.pointer == ROOT
+
+    if accepting(init):
+        return RunTrace(tsa, "", [], init)
+
+    nodes: list[tuple[Configuration, int, int, bool, str]] = [(init, -1, -1, False, "")]
+    visited = {key(init, False)}
+    frontier = [0]
+    depth = 0
+    cut = False
+    by_src = tsa.outgoing()
+    while frontier:
+        if depth >= max_steps:
+            cut = True
+            break
+        depth += 1
+        next_frontier = []
+        for node_idx in frontier:
+            cfg, _, _, was_stat, word = nodes[node_idx]
+            for tidx, t in by_src[cfg.state]:
+                if t.inp is not None and cfg.pos >= max_len:
+                    cut = True
+                    continue
+                if not pred_eval(cfg.ts, t.pred):
+                    continue
+                if not instr_applicable(cfg.ts, t.instr):
+                    continue
+                stat = t.is_stationary_eps()
+                if opts.proper_only and was_stat and stat:
+                    continue
+                ts = ts_apply(cfg.ts, t.instr)
+                vfb = cfg.vfb
+                if t.instr.kind in ("push", "up"):
+                    vfb = _bump_vfb(vfb, ts.pointer)
+                    if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
+                        continue
+                if len(ts) > max_vertices:
+                    cut = True
+                    continue
+                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
+                kk = key(nxt, stat)
+                if kk in visited:
+                    continue
+                visited.add(kk)
+                nw = word if t.inp is None else word + t.inp
+                nodes.append((nxt, node_idx, tidx, stat, nw))
+                me = len(nodes) - 1
+                if accepting(nxt):
+                    steps = []
+                    idx = me
+                    while idx > 0:
+                        c, parent, ti, _, _ = nodes[idx]
+                        steps.append((ti, c))
+                        idx = parent
+                    steps.reverse()
+                    return RunTrace(tsa, nw, steps, init)
+                next_frontier.append(me)
+        frontier = next_frontier
+    return NotFound("budget" if cut else "exhausted")

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import abcd_oracle, abcd_word, crossing_recorder
 
+import tsalab.analysis as analysis_mod
 from tsalab.analysis import (
     ArityMismatch,
     EmptyLevel1,
@@ -28,7 +29,7 @@ from tsalab.analysis import (
 from tsalab.convert import fixture_wpz_tsa
 from tsalab.fixtures import abcd_tsa, astar_tsa, updown_demo_run, updown_demo_tsa
 from tsalab.langlab import oracle
-from tsalab.tsa import SearchOptions, accepts, replay
+from tsalab.tsa import ReplayMismatch, SearchOptions, accepts, replay
 
 K2 = SearchOptions(k=2)
 
@@ -183,6 +184,26 @@ def test_swap_mismatch_raises(abcd_traces):
     with pytest.raises(HistoryMismatch):
         # interior STAR vertex vs HASH leaf carry different arrays
         single_swap(abcd_traces[2], (1,), abcd_traces[2], (1, 1, 1))
+
+
+def test_swap_replay_mismatch_clears_replay_ok(abcd_traces, monkeypatch):
+    def jammed(tsa, word, idxs):
+        raise ReplayMismatch(1, "PredicateFails")
+
+    monkeypatch.setattr(analysis_mod, "replay", jammed)
+    rep = single_swap(abcd_traces[1], (1,), abcd_traces[2], (1,))
+    assert rep.accepted and not rep.spliced_replay_ok
+
+
+def test_swap_replay_bug_propagates(abcd_traces, monkeypatch):
+    # only a replay mismatch means "the splice does not replay"; anything
+    # else is a bug and must not be reported as a failed splice
+    def broken(tsa, word, idxs):
+        raise RuntimeError("bug in replay")
+
+    monkeypatch.setattr(analysis_mod, "replay", broken)
+    with pytest.raises(RuntimeError, match="bug in replay"):
+        single_swap(abcd_traces[1], (1,), abcd_traces[2], (1,))
 
 
 def test_swap_exhaustive_m_le_4(abcd_traces):

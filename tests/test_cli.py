@@ -1,3 +1,4 @@
+import importlib
 import io
 import subprocess
 import sys
@@ -77,6 +78,21 @@ def test_trace_golden_ks_stuck():
     lines = out.splitlines()
     assert len(lines) == 9  # header + initial + 6 steps + STUCK
     assert lines[-1] == "STUCK state=S pointer=1.2 label=t pos=3"
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("tsalab.cli", ("trace", "ks", "--word", "ttTtTT", "--follow", "s1.@,s2,s1.t,s2,s7,s5")),
+    ("tsalab.suites", ("suite", "ks")),
+])
+def test_stuck_check_lets_step_bugs_propagate(module, argv, monkeypatch):
+    # the stuck-run checks treat NotApplicable as "does not apply"; any
+    # other exception from step is a bug and must surface
+    def broken(*args):
+        raise RuntimeError("bug in step")
+
+    monkeypatch.setattr(importlib.import_module(module), "step", broken)
+    with pytest.raises(RuntimeError, match="bug in step"):
+        run_cli(*argv)
 
 
 def test_trace_byte_identical_across_runs():

@@ -19,6 +19,7 @@ from tsalab.convert import (
 from tsalab.fixtures import abcd_tsa
 from tsalab.tsa import (
     NotApplicable,
+    ParseError,
     SearchOptions,
     accepts,
     replay,
@@ -52,6 +53,14 @@ def test_pda_never_pops_bottom():
         PdaAction("pop", "@")
     with pytest.raises(ValueError):
         PdaAction("push", "t", "@")
+
+
+@pytest.mark.parametrize("action", ["push t @", "pop @", "push X t"])
+def test_pda_file_bad_stack_symbol(action):
+    text = f"pda\nstates: q\ninitial: q\nfinal: q\nstack: t\nalphabet: t\ntrans: q t {action} q\n"
+    with pytest.raises(ParseError) as exc:
+        parse_pda(text)
+    assert exc.value.line == 7
 
 
 def test_pda_file_round_trip():

@@ -33,7 +33,7 @@ from tsalab.langlab import (
     unary_lengths,
     wp_f2xf2,
 )
-from tsalab.tsa import SearchOptions, accepts, enumerate_words
+from tsalab.tsa import ParseError, SearchOptions, UnknownState, accepts, enumerate_words
 
 
 # -- Parikh ------------------------------------------------------------------
@@ -245,6 +245,18 @@ def test_fsa_file_format():
     f = parse_fsa(text)
     assert fsa_accepts(f, "t") and fsa_accepts(f, "ttt")
     assert not fsa_accepts(f, "") and not fsa_accepts(f, "T")
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("fsa\ninitial:\n", ParseError, 2),  # no initial state given
+    ("fsa\nstates: s0\ninitial: s0\nfinal: s1\n", UnknownState, 4),
+    ("fsa\nstates: s0\ninitial: s0\nalphabet: t\ntrans: s0 t s9\n", UnknownState, 5),
+    ("fsa\nstates: s0\ninitial: s0\nalphabet: t\ntrans: s0 T s0\n", ParseError, 5),
+])
+def test_fsa_parse_errors_carry_line_numbers(text, error, line):
+    with pytest.raises(error) as exc:
+        parse_fsa(text)
+    assert exc.value.line == line
 
 
 def test_eps_free_preserves_language():

@@ -1,0 +1,133 @@
+"""Differential tests: the interned-address search core against the
+tuple-keyed reference search in reference_search.py.
+
+Both must return the same result for every query: the same witness,
+configuration by configuration, or the same NotFound reason.
+"""
+
+import itertools
+
+import pytest
+
+from conftest import abcd_word, words_upto
+
+import tsalab.tsa as tsa_mod
+from tsalab.convert import fixture_ks_tsa, fixture_wpz_tsa
+from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
+from tsalab.tsa import SearchOptions, accepts, shortest_accepted
+
+from reference_search import ref_accepts, ref_shortest_accepted
+
+
+MACHINES = {
+    "abcd": abcd_tsa,
+    "anbmcndm": anbmcndm_tsa,
+    "updown": updown_demo_tsa,
+    "wpz": fixture_wpz_tsa,
+    "a-star": astar_tsa,
+    "ks": fixture_ks_tsa,
+}
+
+OPTIONS = {
+    "default": SearchOptions(),
+    "k1": SearchOptions(k=1),
+    "k2": SearchOptions(k=2),
+    "proper": SearchOptions(proper_only=True),
+    "k2-proper": SearchOptions(k=2, proper_only=True),
+    "any": SearchOptions(accept_mode="any"),
+    "k2-steps": SearchOptions(k=2, max_steps=6),
+    "vertices": SearchOptions(max_vertices=3),
+}
+
+# all words up to this length; the updown machine has eight letters, so
+# beyond length 4 it only gets the words built from its demo word
+MAX_LEN = {"updown": 4}
+DEMO = "abcdefgh"
+
+
+def outcome(res):
+    """Everything a search result promises, in a comparable form."""
+    if not res:
+        return ("NotFound", res.reason)
+    return ("RunTrace", res.word, res.initial, res.steps)
+
+
+def words_for(name, tsa):
+    yield from words_upto("".join(tsa.alphabet), MAX_LEN.get(name, 6))
+    if name == "updown":
+        for i, j in itertools.combinations(range(len(DEMO) + 1), 2):
+            yield DEMO[:i] + DEMO[j:]  # the demo word with one gap cut out
+            yield DEMO[i:j]
+
+
+def diff_accepts(tsa, words, opts):
+    reasons = set()
+    for w in words:
+        got, want = accepts(tsa, w, opts), ref_accepts(tsa, w, opts)
+        assert outcome(got) == outcome(want), (w, opts)
+        reasons.add(outcome(got)[0] if got else got.reason)
+    return reasons
+
+
+@pytest.mark.parametrize("opt_name", list(OPTIONS))
+@pytest.mark.parametrize("name", list(MACHINES))
+def test_accepts_matches_reference(name, opt_name):
+    tsa = MACHINES[name]()
+    reasons = diff_accepts(tsa, words_for(name, tsa), OPTIONS[opt_name])
+    if opt_name in ("k2-steps", "vertices") and name in ("abcd", "anbmcndm", "wpz"):
+        assert "budget" in reasons  # the tight budgets really cut searches off
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_deep_members_match_reference(k):
+    opts = SearchOptions(k=k)
+    words = []
+    for m in range(41):
+        w = abcd_word(m)
+        words += [w, w[1:], w + "d"]
+    assert diff_accepts(abcd_tsa(), words, opts) >= {"RunTrace", "exhausted"}
+    words = []
+    for n, m in [(n, n) for n in range(0, 41, 4)] + [(40, 1), (1, 40), (13, 29)]:
+        w = "a" * n + "b" * m + "c" * n + "d" * m
+        words += [w, w[:-1]]
+    assert diff_accepts(anbmcndm_tsa(), words, opts) >= {"RunTrace", "exhausted"}
+
+
+@pytest.mark.parametrize("opt_name", list(OPTIONS))
+def test_shortest_accepted_matches_reference(opt_name):
+    opts = OPTIONS[opt_name]
+    for make in MACHINES.values():
+        tsa = make()
+        for max_len in range(7):
+            got = shortest_accepted(tsa, max_len, opts)
+            want = ref_shortest_accepted(tsa, max_len, opts)
+            assert outcome(got) == outcome(want), (tsa.initial, max_len)
+
+
+def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
+    queries = [(name, w, opts)
+               for name in ("abcd", "anbmcndm", "wpz")
+               for w in words_upto("".join(MACHINES[name]().alphabet), 4)
+               for opts in (OPTIONS["default"], OPTIONS["k2"], OPTIONS["proper"])]
+    queries += [("abcd", abcd_word(m), OPTIONS["k2"]) for m in range(1, 9)]
+    queries += [("wpz", "t" * n + "T" * n, OPTIONS["default"]) for n in range(1, 6)]
+    machines = {name: make() for name, make in MACHINES.items()}
+    expected = [outcome(accepts(machines[n], w, o)) for n, w, o in queries]
+    expected_short = [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()]
+
+    distinct = 0
+    seen_exactly = tsa_mod._seen_exactly
+
+    def counting(*args):
+        nonlocal distinct
+        same = seen_exactly(*args)
+        distinct += not same
+        return same
+
+    # every entry hashes to 0, so configurations that differ only in their
+    # tree or vfb counts share one memo key
+    monkeypatch.setattr(tsa_mod, "_entry_hash", lambda a, b: 0)
+    monkeypatch.setattr(tsa_mod, "_seen_exactly", counting)
+    assert [outcome(accepts(machines[n], w, o)) for n, w, o in queries] == expected
+    assert [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()] == expected_short
+    assert distinct > 0  # configurations told apart only by the exact check

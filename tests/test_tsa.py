@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
 
+from tsalab.convert import fixture_wpz_pda, parse_pda, render_pda
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, astar_tsa
+from tsalab.langlab import parse_fsa
 from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
     BadIndex,
     NotApplicable,
+    ParseError,
     ReplayMismatch,
     SearchOptions,
     Transition,
     Tsa,
+    UnknownState,
     accepts,
     degree,
     enumerate_words,
@@ -53,6 +58,50 @@ def test_parse_bad_index():
     text = "tsa\nstates: q0 q1\ninitial: q0\nfinal: q1\nlabels: X\nalphabet: a\ntrans: q0 a true up 0 q1\n"
     with pytest.raises(BadIndex):
         parse_tsa(text)
+
+
+HEAD = "tsa\nstates: q0 q1\ninitial: q0\nalphabet: a\n"
+
+
+@pytest.mark.parametrize("text, error, line", [
+    (HEAD + "final: q1 q7\nlabels: X\n", UnknownState, 5),  # undeclared final
+    (HEAD + "final: q1\nlabels: X @\n", ParseError, 6),  # @ is the root's label
+    ("tsa\nstates: q0\ninitial: q9\n", UnknownState, 3),  # undeclared initial
+    ("tsa\nstates: q0\ninitial:\n", ParseError, 3),
+])
+def test_parse_tsa_errors_carry_line_numbers(text, error, line):
+    with pytest.raises(error) as exc:
+        parse_tsa(text)
+    assert exc.value.line == line
+
+
+MACHINE_FILES = [
+    (parse_tsa, ABCD_FILE),
+    (parse_pda, render_pda(fixture_wpz_pda())),
+    (parse_fsa, "fsa\nstates: u v\ninitial: u\nfinal: v\nalphabet: a b\ntrans: u a v\ntrans: v eps u\n"),
+]
+MUTANTS = ["", "@", "eps", "#", ":", "-", "0", "-1", "x9", "push", "up", "eq", "true", "trans:"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MACHINE_FILES),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 2),
+                          st.sampled_from(MUTANTS)), min_size=1, max_size=3))
+def test_mutated_machine_files_raise_only_parse_errors(which, edits):
+    parse, text = which
+    toks = text.replace("\n", " \n ").split(" ")
+    for pos, op, tok in edits:
+        i = pos % len(toks)
+        if op == 0:
+            del toks[i]
+        elif op == 1:
+            toks.insert(i, tok)
+        else:
+            toks[i] = toks[(pos // 7) % len(toks)]  # a token from elsewhere in the file
+    try:
+        parse(" ".join(toks))
+    except ParseError as e:
+        assert e.line is not None
 
 
 def test_render_parse_round_trip():
