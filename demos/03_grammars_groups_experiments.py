@@ -1,7 +1,8 @@
 """Grammars, group word problems and the experiment suites.
 
-Multiple context-free grammars rewrite tuples of strings; their bounded
-enumerations double as membership oracles.  Pushdown automata translate
+Multiple context-free grammars rewrite tuples of strings; they are
+enumerated to a length bound, and membership is decided by a chart over
+span tuples.  Pushdown automata translate
 to tree stack machines that never move up, and word problems of groups
 plug into a bounded rational-subset membership pipeline.  The gap test
 and the direct-product experiment reproduce the negative results at desk
@@ -18,6 +19,7 @@ from tsalab import (
     fixture_wpz_tsa,
     gap_check,
     mcfg_enumerate,
+    mcfg_member,
     parse_mcfg,
     pda_accepts,
     pda_to_tsa1,
@@ -25,11 +27,13 @@ from tsalab import (
     regex_to_fsa,
 )
 from tsalab.langlab import WPZ_ALPHABET, unary_lengths
-from tsalab.mcfg import EXAMPLE_ANBMCNDM
+from tsalab.mcfg import EXAMPLE_ANBMCNDM, EXAMPLE_WPZ
 
-print("Grammar enumeration (tuple rewriting, bounded):")
+print("Grammar enumeration (tuple rewriting, bounded) and chart membership:")
 g = parse_mcfg(EXAMPLE_ANBMCNDM)
 print("  a^n b^m c^n d^m up to length 6:", sorted(mcfg_enumerate(g, 6), key=len))
+wpz = parse_mcfg(EXAMPLE_WPZ)
+print("  the integer word problem grammar derives (tT)^32:", mcfg_member(wpz, "tT" * 32))
 
 print("\nThe integer word problem as a pushdown automaton, translated to a")
 print("tree stack machine with no up moves:")

@@ -5,8 +5,9 @@ library with a stable, line-oriented output format:
     (Transition | State | Tree stack | Input read) with the tree stack in
     its canonical text rendering.
 
-Exit codes for run/trace: 0 accept, 1 reject, 2 budget cut.  The env var
-TSALAB_MAX_STEPS overrides the default step budget.
+Exit codes for run/trace: 0 accept, 1 reject, 2 budget cut; every command
+exits 3 on a malformed input file, with one `tsalab: line N: ...` line on
+stderr.  The env var TSALAB_MAX_STEPS overrides the default step budget.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .treestack import format_address, parse_address, render_tree_stack
 from .tsa import (
     BudgetExceeded,
     NotApplicable,
+    ParseError,
     RunTrace,
     SearchOptions,
     Tsa,
@@ -570,7 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as e:
+        print(f"tsalab: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

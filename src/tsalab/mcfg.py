@@ -1,15 +1,17 @@
 """Multiple context-free grammars: ranked nonterminals rewriting tuples
-of strings, bottom-up enumeration to a length bound, membership at desk
-scale, and productive-nonterminal emptiness.
+of strings, bottom-up enumeration to a length bound, chart membership
+over span tuples, and productive-nonterminal emptiness.
 
 Semantics is substitution-then-drop: a body variable may go unused in the
-head ("at most once"), in which case its value is deleted.
+head ("at most once"), in which case its value is deleted.  Enumeration
+and membership first rewrite such deleting rules away (`non_deleting`).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .tsa import ParseError, read_sections
@@ -18,7 +20,7 @@ from .tsa import ParseError, read_sections
 _VAR_PATTERN = re.compile(r"[xy][0-9]+")
 
 
-class McfgError(Exception):
+class McfgError(ParseError):
     pass
 
 
@@ -65,22 +67,27 @@ class Mcfg:
         return dict(self.ranks)[nt]
 
 
-def _validate_rule(rule: McfgRule, ranks: dict[str, int]):
+def _validate_rule(rule: McfgRule, ranks: dict[str, int], lineno: int):
     if len(rule.head_args) != ranks[rule.head]:
         raise RankMismatch(
-            f"{rule.head} declared rank {ranks[rule.head]}, rule has {len(rule.head_args)} fields")
+            f"{rule.head} declared rank {ranks[rule.head]}, rule has {len(rule.head_args)} fields",
+            lineno)
     vars_ = rule.variables()
     if len(vars_) != len(set(vars_)):
-        raise VariableReused(f"body variables not pairwise distinct in {rule}")
+        raise VariableReused(f"body variables not pairwise distinct in {rule}", lineno)
     for nt, vs in rule.body:
         if len(vs) != ranks[nt]:
-            raise RankMismatch(f"{nt} used with {len(vs)} variables, rank is {ranks[nt]}")
-    used = [tok for argument in rule.head_args for kind, tok in argument if kind == "v"]
+            raise RankMismatch(f"{nt} used with {len(vs)} variables, rank is {ranks[nt]}", lineno)
+    used = _head_variables(rule)
     if len(used) != len(set(used)):
-        raise VariableReused(f"variable used twice in the head of {rule}")
+        raise VariableReused(f"variable used twice in the head of {rule}", lineno)
     undeclared = set(used) - set(vars_)
     if undeclared:
-        raise McfgError(f"undeclared variables {sorted(undeclared)} in {rule}")
+        raise McfgError(f"undeclared variables {sorted(undeclared)} in {rule}", lineno)
+
+
+def _head_variables(rule: McfgRule) -> list[str]:
+    return [tok for argument in rule.head_args for kind, tok in argument if kind == "v"]
 
 
 def rank(mcfg: Mcfg) -> int:
@@ -93,10 +100,11 @@ def parse_mcfg(text: str) -> Mcfg:
     with whitespace-separated tokens inside fields and empty fields for eps.
     A head token is a variable iff the rule's body declares it."""
     start = None
+    start_line = 1
     raw_rules: list[tuple[int, str]] = []
     for lineno, key, rest, _ in read_sections(text, "mcfg"):
         if key == "start":
-            start = rest.strip()
+            start, start_line = rest.strip(), lineno
         elif key == "rule":
             raw_rules.append((lineno, rest.strip()))
         else:
@@ -149,7 +157,7 @@ def parse_mcfg(text: str) -> Mcfg:
                 if tok in declared_vars:
                     toks.append(("v", tok))
                 elif _VAR_PATTERN.fullmatch(tok):
-                    raise McfgError(f"line {lineno}: variable {tok!r} not bound by the body")
+                    raise McfgError(f"variable {tok!r} not bound by the body", lineno)
                 else:
                     toks.append(("t", tok))
                     if tok not in terminals:
@@ -159,18 +167,18 @@ def parse_mcfg(text: str) -> Mcfg:
         for nt, arity in [(head, len(head_args))] + [(n, len(vs)) for n, vs in body]:
             if nt in ranks:
                 if ranks[nt] != arity:
-                    raise RankMismatch(f"line {lineno}: {nt} used with ranks {ranks[nt]} and {arity}")
+                    raise RankMismatch(f"{nt} used with ranks {ranks[nt]} and {arity}", lineno)
             else:
                 ranks[nt] = arity
-        rules.append(rule)
+        rules.append((lineno, rule))
 
     if start not in ranks:
-        raise ParseError(f"start nonterminal {start!r} has no rules", 1)
+        raise ParseError(f"start nonterminal {start!r} has no rules", start_line)
     if ranks[start] != 1:
-        raise RankMismatch(f"start nonterminal must have rank 1, has {ranks[start]}")
-    for rule in rules:
-        _validate_rule(rule, ranks)
-    return Mcfg(tuple(ranks.items()), tuple(terminals), tuple(rules), start)
+        raise RankMismatch(f"start nonterminal must have rank 1, has {ranks[start]}", start_line)
+    for lineno, rule in rules:
+        _validate_rule(rule, ranks, lineno)
+    return Mcfg(tuple(ranks.items()), tuple(terminals), tuple(rule for _, rule in rules), start)
 
 
 def _apply_rule(rule: McfgRule, values: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
@@ -185,7 +193,9 @@ def _apply_rule(rule: McfgRule, values: dict[str, tuple[str, ...]]) -> tuple[str
 
 def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str, ...]]]:
     """Least fixpoint of the rules over value tuples of total length at
-    most the bound, iterating rules in file order until stable."""
+    most the bound, iterating rules in file order until stable.  The bound
+    also cuts components that a deleting rule drops later; `mcfg_enumerate`
+    avoids that by enumerating the `non_deleting` grammar."""
     values: dict[str, set[tuple[str, ...]]] = {nt: set() for nt, _ in mcfg.ranks}
     changed = True
     while changed:
@@ -212,14 +222,198 @@ def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str,
     return values
 
 
+def non_deleting(mcfg: Mcfg) -> Mcfg:
+    """An equivalent grammar in which every body variable occurs in the
+    head (Seki et al. 1991, Lemma 2.2); `mcfg` itself when no rule deletes.
+
+    Its nonterminals are the pairs (A, components of A that are kept)
+    reachable from the start symbol.  A pair keeping every component keeps
+    the name A; any other is named like `A[1,3]` (1-based components).  A
+    body occurrence whose components are all dropped becomes the condition
+    that its nonterminal is productive.  Every component of a tuple derived
+    in the result is a substring of the word derived from it, so a bound
+    on the word length bounds every tuple."""
+    if all(set(_head_variables(rule)) == set(rule.variables()) for rule in mcfg.rules):
+        return mcfg
+    ranks = dict(mcfg.ranks)
+    productive = productive_nonterminals(mcfg)
+    rules_of: dict[str, list[McfgRule]] = defaultdict(list)
+    for rule in mcfg.rules:
+        rules_of[rule.head].append(rule)
+    taken = set(ranks)
+    names: dict[tuple[str, tuple[int, ...]], str] = {}
+    todo: list[tuple[str, tuple[int, ...]]] = []
+
+    def name(nt: str, kept: tuple[int, ...]) -> str:
+        if (nt, kept) not in names:
+            new = nt
+            if len(kept) < ranks[nt]:
+                new = f"{nt}[{','.join(str(c + 1) for c in kept)}]"
+                while new in taken:
+                    new += "'"
+                taken.add(new)
+            names[nt, kept] = new
+            todo.append((nt, kept))
+        return names[nt, kept]
+
+    name(mcfg.start, (0,))
+    rules = []
+    for nt, kept in todo:  # grows while it is walked
+        for rule in rules_of[nt]:
+            head_args = tuple(rule.head_args[c] for c in kept)
+            used = {tok for argument in head_args for kind, tok in argument if kind == "v"}
+            body = []
+            for b, vs in rule.body:
+                sub = tuple(c for c, v in enumerate(vs) if v in used)
+                if sub:
+                    body.append((name(b, sub), tuple(vs[c] for c in sub)))
+                elif b not in productive:
+                    break
+            else:
+                rules.append(McfgRule(names[nt, kept], head_args, tuple(body)))
+    ranks_out = tuple((new, len(kept)) for (_, kept), new in names.items())
+    return Mcfg(ranks_out, mcfg.terminals, tuple(rules), mcfg.start)
+
+
 def mcfg_enumerate(mcfg: Mcfg, max_total_len: int) -> set[str]:
     """All words of the grammar with length <= the bound."""
-    values = derivable_tuples(mcfg, max_total_len)
-    return {tup[0] for tup in values[mcfg.start]}
+    g = non_deleting(mcfg)
+    values = derivable_tuples(g, max_total_len)
+    return {tup[0] for tup in values[g.start]}
+
+
+# A non-deleting rule compiled for `mcfg_member`: head nonterminal, body
+# nonterminals, head arguments and join plans.  A slot is a body variable
+# as (body position, component).  Each head argument is its leading
+# terminals plus (slot, terminals that follow it) pairs.  `plans[p]` orders
+# the other body positions for an item that fills position p: each step
+# (position, component, anchor slot, gap, side) looks the component up by
+# its start, gap characters after the anchor ends (side "start"); by its
+# end, gap characters before the anchor starts ("end"); or among all items
+# of the nonterminal (None).  A namedtuple, because defining a dataclass
+# adds about a millisecond to every import of this module.
+_ChartRule = namedtuple("_ChartRule", "head body args plans")
+
+
+def _chart_rule(rule: McfgRule) -> _ChartRule:
+    slot = {v: (p, c) for p, (_, vs) in enumerate(rule.body) for c, v in enumerate(vs)}
+    args = []
+    adjacent = []  # (slot a, slot b, gap): b starts gap characters after a ends
+    for argument in rule.head_args:
+        pre, parts = "", []
+        for kind, tok in argument:
+            if kind == "v":
+                parts.append((slot[tok], ""))
+            elif parts:
+                parts[-1] = (parts[-1][0], parts[-1][1] + tok)
+            else:
+                pre += tok
+        args.append((pre, tuple(parts)))
+        adjacent += [(a, b, len(gap)) for (a, gap), (b, _) in zip(parts, parts[1:])]
+    n = len(rule.body)
+    plans = []
+    for p in range(n):
+        bound, plan = {p}, []
+        while len(bound) < n:
+            step = (min(set(range(n)) - bound), 0, None, 0, None)
+            for a, b, gap in adjacent:
+                if a[0] in bound and b[0] not in bound:
+                    step = (b[0], b[1], a, gap, "start")
+                    break
+                if b[0] in bound and a[0] not in bound:
+                    step = (a[0], a[1], b, gap, "end")
+                    break
+            plan.append(step)
+            bound.add(step[0])
+        plans.append(tuple(plan))
+    return _ChartRule(rule.head, tuple(nt for nt, _ in rule.body), tuple(args), tuple(plans))
 
 
 def mcfg_member(mcfg: Mcfg, w: str) -> bool:
-    return w in mcfg_enumerate(mcfg, len(w))
+    """Whether the grammar derives w: an agenda-driven chart over span
+    tuples (Seki et al. 1991; Kallmeyer 2010), polynomial in |w|
+    for a fixed grammar.
+
+    An item (A, ((i1, j1), ..., (ir, jr))) records that A derives the
+    tuple (w[i1:j1], ..., w[ir:jr]).  Body-less rules are the axioms.  A
+    rule fires when all its body items are in the chart; its head
+    arguments are then matched against w, terminals as substrings.  The
+    chart indexes items by (A, component, start) and (A, component, end),
+    so a join looks up only the items adjacent to the one that fired it.
+    Deleting rules are first rewritten by `non_deleting`."""
+    g = non_deleting(mcfg)
+    rules = [_chart_rule(rule) for rule in g.rules]
+    triggers: dict[str, list[tuple[_ChartRule, int]]] = defaultdict(list)
+    for rule in rules:
+        for p, nt in enumerate(rule.body):
+            triggers[nt].append((rule, p))
+    by_start: dict[tuple[str, int, int], list] = defaultdict(list)
+    by_end: dict[tuple[str, int, int], list] = defaultdict(list)
+    by_nt: dict[str, list] = defaultdict(list)
+    occurrences: dict[str, list[tuple[int, int]]] = {}
+    seen: set = set()
+    agenda: list = []
+
+    def constant(s: str) -> list[tuple[int, int]]:
+        if s not in occurrences:
+            occurrences[s] = [(i, i + len(s)) for i in range(len(w) - len(s) + 1)
+                              if w.startswith(s, i)]
+        return occurrences[s]
+
+    def conclude(rule: _ChartRule, spans: list) -> None:
+        options = []
+        for pre, parts in rule.args:
+            if not parts:
+                options.append(constant(pre))
+                continue
+            (p, c), _ = parts[0]
+            start = spans[p][c][0] - len(pre)
+            if start < 0 or not w.startswith(pre, start):
+                return
+            pos = start + len(pre)
+            for (p, c), post in parts:
+                i, j = spans[p][c]
+                if i != pos or not w.startswith(post, j):
+                    return
+                pos = j + len(post)
+            options.append(((start, pos),))
+        for head_spans in itertools.product(*options):
+            item = (rule.head, head_spans)
+            if item not in seen:
+                seen.add(item)
+                agenda.append(item)
+
+    def join(rule: _ChartRule, plan: tuple, k: int, spans: list) -> None:
+        if k == len(plan):
+            conclude(rule, spans)
+            return
+        q, c, anchor, gap, side = plan[k]
+        nt = rule.body[q]
+        if side == "start":
+            found = by_start.get((nt, c, spans[anchor[0]][anchor[1]][1] + gap), ())
+        elif side == "end":
+            found = by_end.get((nt, c, spans[anchor[0]][anchor[1]][0] - gap), ())
+        else:
+            found = by_nt.get(nt, ())
+        for item_spans in found:
+            spans[q] = item_spans
+            join(rule, plan, k + 1, spans)
+
+    for rule in rules:
+        if not rule.body:
+            conclude(rule, [])
+    goal = (g.start, ((0, len(w)),))
+    while agenda and goal not in seen:
+        nt, item_spans = agenda.pop()
+        for c, (i, j) in enumerate(item_spans):
+            by_start[nt, c, i].append(item_spans)
+            by_end[nt, c, j].append(item_spans)
+        by_nt[nt].append(item_spans)
+        for rule, p in triggers.get(nt, ()):
+            spans = [None] * len(rule.body)
+            spans[p] = item_spans
+            join(rule, rule.plans[p], 0, spans)
+    return goal in seen
 
 
 def productive_nonterminals(mcfg: Mcfg) -> set[str]:
@@ -258,4 +452,14 @@ rule: Q(,) <-
 rule: P(a x1, c x2) <- P(x1, x2)
 rule: Q(b x1, d x2) <- Q(x1, x2)
 rule: S(x1 y1 x2 y2) <- P(x1, x2), Q(y1, y2)
+"""
+
+# the word problem of Z = <t>, T = t^-1: words with as many t as T
+EXAMPLE_WPZ = """\
+mcfg
+start: S
+rule: S() <-
+rule: S(t x1 T) <- S(x1)
+rule: S(T x1 t) <- S(x1)
+rule: S(x1 y1) <- S(x1), S(y1)
 """

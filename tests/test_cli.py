@@ -136,6 +136,30 @@ def test_mcfg_commands(tmp_path):
     assert code == 0 and "result=nonempty" in out
 
 
+def test_mcfg_member_deleting_grammar(tmp_path):
+    g = tmp_path / "del.mcfg"
+    g.write_text("mcfg\nstart: S\nrule: T(a, b) <-\nrule: S(x1) <- T(x1, x2)\n")
+    code, out = run_cli("mcfg", "member", str(g), "--word", "a")
+    assert code == 0 and "result=yes" in out
+
+
+@pytest.mark.parametrize("argv, name, text, line", [
+    (["mcfg", "member", "{}", "--word", "ab"], "bad.mcfg",
+     "mcfg\nstart: S\nrule: S(a) <-\nrule: S(x1 x1) <- S(x1)\n", 4),
+    (["mcfg", "enumerate", "{}", "--max-len", "2"], "bad.mcfg",
+     "mcfg\nstart: S\nrule: S(a, b) <-\n", 2),
+    (["run", "{}", "--word", "ab"], "bad.tsa",
+     "tsa\nstates: q\ninitial: q\nfinal: r\nalphabet: a\n", 4),
+])
+def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main([a.format(path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"tsalab: line {line}: ") and err.count("\n") == 1
+
+
 def test_analyze_updown_factorise_history():
     code, out = run_cli("analyze", "updown", "updown", "--word", "abcdefgh",
                         "--vertex", "1.1")

@@ -6,6 +6,7 @@ from conftest import abcd_oracle, abcd_word, words_upto
 from tsalab.convert import fixture_wpz_pda, parse_pda, render_pda
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, astar_tsa
 from tsalab.langlab import parse_fsa
+from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
 from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
     BadIndex,
@@ -79,6 +80,8 @@ MACHINE_FILES = [
     (parse_tsa, ABCD_FILE),
     (parse_pda, render_pda(fixture_wpz_pda())),
     (parse_fsa, "fsa\nstates: u v\ninitial: u\nfinal: v\nalphabet: a b\ntrans: u a v\ntrans: v eps u\n"),
+    (parse_mcfg, EXAMPLE_ABCD),
+    (parse_mcfg, EXAMPLE_ANBMCNDM),
 ]
 MUTANTS = ["", "@", "eps", "#", ":", "-", "0", "-1", "x9", "push", "up", "eq", "true", "trans:"]
 
