@@ -5,9 +5,10 @@ library with a stable, line-oriented output format:
     (Transition | State | Tree stack | Input read) with the tree stack in
     its canonical text rendering.
 
-Exit codes for run/trace: 0 accept, 1 reject, 2 budget cut; every command
-exits 3 on a malformed input file, with one `tsalab: line N: ...` line on
-stderr.  The env var TSALAB_MAX_STEPS overrides the default step budget.
+Exit codes: 0 accept, 1 reject, 2 budget cut; every command exits 3 on
+bad input (a usage error, a missing or malformed file, an unknown name),
+with one `tsalab: ...` line on stderr.  The env var TSALAB_MAX_STEPS
+overrides the default step budget.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, convert, fixtures, langlab, mcfg
+from . import analysis, convert, fixtures, langlab, mcfg, suites
 from .treestack import format_address, parse_address, render_tree_stack
 from .tsa import (
     BudgetExceeded,
-    NotApplicable,
     ParseError,
     RunTrace,
     SearchOptions,
     Tsa,
     accepts,
+    applicable_transitions,
+    default_max_steps,
+    default_max_vertices,
     degree,
     enumerate_words,
     is_standardised,
@@ -35,7 +38,6 @@ from .tsa import (
     render_tsa,
     replay,
     standardise,
-    step,
     visited_from_below_counts,
 )
 
@@ -49,6 +51,15 @@ FIXTURE_TSAS = {
 }
 
 
+class BadInput(Exception):
+    """Input the command cannot use; main prints it and exits 3."""
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise BadInput(message)
+
+
 def load_tsa(source: str) -> Tsa:
     """A machine argument is a file path or a built-in fixture name."""
     p = Path(source)
@@ -56,13 +67,16 @@ def load_tsa(source: str) -> Tsa:
         return parse_tsa(p.read_text())
     if source in FIXTURE_TSAS:
         return FIXTURE_TSAS[source]()
-    raise SystemExit(f"error: no such file or fixture: {source}")
+    raise BadInput(f"no such file or fixture: {source}")
 
 
 def search_options(args) -> SearchOptions:
     max_steps = getattr(args, "max_steps", None)
-    if max_steps is None and os.environ.get("TSALAB_MAX_STEPS"):
-        max_steps = int(os.environ["TSALAB_MAX_STEPS"])
+    env = os.environ.get("TSALAB_MAX_STEPS")
+    if max_steps is None and env:
+        if not env.isdigit():
+            raise BadInput(f"TSALAB_MAX_STEPS must be a number, got {env!r}")
+        max_steps = int(env)
     return SearchOptions(
         k=getattr(args, "k", None),
         accept_mode=getattr(args, "accept_mode", "root"),
@@ -73,8 +87,6 @@ def search_options(args) -> SearchOptions:
 
 
 def describe_options(opts: SearchOptions, word_len: int, tsa: Tsa) -> list[str]:
-    from .tsa import default_max_steps, default_max_vertices
-
     steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, word_len)
     verts = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(word_len)
     return [
@@ -140,19 +152,12 @@ def cmd_trace(args) -> int:
         try:
             idxs = [by_name[n] for n in names]
         except KeyError as e:
-            raise SystemExit(f"error: unknown transition name {e}")
+            raise BadInput(f"unknown transition name {e}") from None
         tr = replay(tsa, args.word, idxs)
         print(trace_table(tr))
         final = tr.final()
-        applicable = []
-        for t in tsa.delta:
-            try:
-                step(tsa, args.word, final, t)
-                applicable.append(t.name or "?")
-            except NotApplicable:
-                pass
         done = final.pos == len(args.word) and final.state in tsa.finals
-        if not applicable and not done:
+        if not done and not applicable_transitions(tsa, args.word, final):
             print(f"STUCK state={final.state} pointer={format_address(final.ts.pointer)} "
                   f"label={final.ts.pointer_label} pos={final.pos}")
         return 0 if done else 1
@@ -179,7 +184,7 @@ def cmd_enumerate(args) -> int:
     if budget:
         block.append("budget_hit=" + " ".join(budget[:20]))
     emit(args, f"{len(words)} word(s)", block)
-    return 1 if budget else 0
+    return 2 if budget else 0
 
 
 def cmd_standardise(args) -> int:
@@ -345,8 +350,6 @@ def cmd_fixtures(args) -> int:
     if args.name == "wpz" and args.pda:
         print(convert.render_pda(convert.fixture_wpz_pda()), end="")
         return 0
-    if args.name not in FIXTURE_TSAS:
-        raise SystemExit(f"error: unknown fixture {args.name!r}")
     print(render_tsa(FIXTURE_TSAS[args.name]()), end="")
     return 0
 
@@ -363,11 +366,13 @@ def cmd_experiment(args) -> int:
         emit(args, "pass" if rep.ok else "fail", block)
         return 0 if rep.ok else 1
     if args.experiment_cmd == "gaps":
-        family = args.family
-        alpha = None
-        if family.startswith("alpha:"):
-            family, alpha = "alpha", float(args.family.split(":", 1)[1])
-        lengths = langlab.unary_lengths(family, args.n, alpha=alpha)
+        family, alpha = args.family, None
+        try:
+            if family.startswith("alpha:"):
+                family, alpha = "alpha", float(family.split(":", 1)[1])
+            lengths = langlab.unary_lengths(family, args.n, alpha=alpha)
+        except ValueError as e:
+            raise BadInput(f"bad family {args.family!r}: {e}") from None
         rep = langlab.gap_check(lengths, args.m_max)
         block = ["command=experiment.gaps", f"family={args.family}",
                  f"samples={len(lengths)}", f"m_max={args.m_max}",
@@ -375,20 +380,8 @@ def cmd_experiment(args) -> int:
         emit(args, rep.verdict, block)
         return 0
     if args.experiment_cmd in ("sm", "ambm"):
-        if args.experiment_cmd == "sm":
-            # pump all 2m+1 letters of S_m in lockstep: v takes the odd-index
-            # letters, s the even ones, the last v going unpaired
-            orc = langlab.oracle("s_m", m=args.m)
-            k = args.m + 1
-            v = [orc.alphabet[2 * j] for j in range(k)]
-            s = [orc.alphabet[2 * j + 1] if 2 * j + 1 < len(orc.alphabet) else "" for j in range(k)]
-            u = [""] * (k + 1)
-            w = [""] * k
-        else:
-            # seed at ab, pump both block letters together
-            orc = langlab.oracle("ambm_n")
-            u, v, w, s = ["a", ""], ["a"], ["b"], ["b"]
-        rep = analysis.weak_pump_verify(orc, u, v, w, s, args.i_max)
+        pattern = suites.pump_pattern(args.experiment_cmd, getattr(args, "m", 2))
+        rep = analysis.weak_pump_verify(*pattern, args.i_max)
         block = [f"command=experiment.{args.experiment_cmd}",
                  f"i_max={args.i_max}",
                  f"result={'pass' if rep.all_ok else 'fail'}"]
@@ -404,8 +397,8 @@ def cmd_rational(args) -> int:
     fsa = langlab.regex_to_fsa(args.regex, wp.alphabet)
     pairing = langlab.WPZ_ALPHABET if set(wp.alphabet) == {"t", "T"} else None
     if pairing is None:
-        raise SystemExit("error: only the t/T group alphabet is built in; "
-                         "supply a wp machine over t T")
+        raise BadInput("only the t/T group alphabet is built in; "
+                       "supply a wp machine over t T")
     ans = langlab.rational_membership(wp, fsa, args.word, pairing, max_len=args.budget)
     block = ["command=rational", f"word={args.word}", f"regex={args.regex}",
              f"budget={args.budget}", f"verdict={ans.verdict}"]
@@ -418,17 +411,14 @@ def cmd_rational(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from . import suites
-
-    ok = suites.run_suite(args.name)
-    return 0 if ok else 1
+    return 0 if suites.run_suite(args.name) else 1
 
 
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tsalab", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = Parser(prog="tsalab", description=__doc__,
+               formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--porcelain", action="store_true",
                    help="machine-readable output only")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -564,19 +554,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rational)
 
     sp = sub.add_parser("suite", help="named acceptance bundles")
-    sp.add_argument("name")
+    sp.add_argument("name", choices=sorted(suites.SUITES) + ["all"])
     sp.set_defaults(func=cmd_suite)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as e:
+    except (BadInput, ParseError) as e:
         print(f"tsalab: {e}", file=sys.stderr)
-        return 3
+    except OSError as e:
+        if e.filename is None:  # not a file the user named, e.g. a closed pipe
+            raise
+        print(f"tsalab: {e.filename}: {e.strerror}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

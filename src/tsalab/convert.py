@@ -23,7 +23,10 @@ from .tsa import (
     ParseError,
     Transition,
     Tsa,
+    default_max_steps,
+    default_max_vertices,
     read_machine,
+    writable,
 )
 
 BOTTOM = "@"
@@ -143,9 +146,9 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     deterministic given delta order, shortest witness, NotFound carries
     "budget" or "exhausted"."""
     if max_steps is None:
-        max_steps = 64 * (len(w) + 1) * max(1, len(pda.states))
+        max_steps = default_max_steps(pda, len(w))
     if max_stack is None:
-        max_stack = 16 * (len(w) + 1)
+        max_stack = default_max_vertices(len(w))
     init = pda_initial(pda)
 
     def accepting(cfg):
@@ -525,11 +528,11 @@ def parse_pda(text: str) -> Pda:
 
 def render_pda(pda: Pda) -> str:
     lines = ["pda"]
-    lines.append("states: " + " ".join(pda.states))
+    lines.append("states: " + writable("state", pda.states))
     lines.append("initial: " + pda.initial)
     lines.append("final: " + " ".join(sorted(pda.finals)))
-    lines.append("stack: " + " ".join(pda.stack))
-    lines.append("alphabet: " + " ".join(pda.alphabet))
+    lines.append("stack: " + writable("stack symbol", pda.stack))
+    lines.append("alphabet: " + writable("letter", pda.alphabet))
     for t in pda.delta:
         inp = t.inp if t.inp is not None else "eps"
         line = f"trans: {t.src} {inp} {t.action} {t.dst}"

@@ -147,7 +147,7 @@ def astar_tsa() -> Tsa:
     )
     return Tsa(
         states=("p0", "p1"),
-        labels=("#",),
+        labels=("X",),
         alphabet=("a",),
         initial="p0",
         delta=delta,

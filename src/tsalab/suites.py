@@ -1,48 +1,67 @@
-"""Named check bundles behind `tsalab suite <name>`: each runs a slice of
-the acceptance criteria at desk scale and prints one pass/fail line per
-check.  The ks bundle reports the stuck simulation branch faithfully and
-also states what exhaustive search actually finds (see the README note on
-the published machine)."""
+"""The acceptance checks, in one place.  `tsalab suite <name>` runs the
+named bundle of check groups and prints one pass/fail line per check;
+tests/test_acceptance.py runs the same groups and asserts every record.
+A check group returns (label, ok, note) records.  The ks bundle reports
+the stuck simulation branch faithfully and also states what exhaustive
+search actually finds (see the README note on the published machine)."""
 
 from __future__ import annotations
 
 import itertools
 
 from . import analysis, convert, fixtures, langlab
-from .tsa import NotApplicable, SearchOptions, accepts, enumerate_words, replay, step
+from .tsa import (
+    SearchOptions,
+    accepts,
+    applicable_transitions,
+    enumerate_words,
+    is_k_restricted,
+    replay,
+)
+
+Record = tuple[str, bool, str]
+
+K2 = SearchOptions(k=2)
+ANY = SearchOptions(accept_mode="any")
+
+# the published transition tables of the two golden witnesses
+ABCD_M2_NAMES = ["s1", "s1", "s2", "s3", "s4", "s4", "s5",
+                 "s6", "s6", "s7", "s8", "s8", "s9"]
+WPZ_TTTTTT_NAMES = ["s0", "s'1@", "s'2", "s'1t", "s'2", "s''5", "s''7", "s'3t",
+                    "s'4t", "s'2", "s''5", "s''7", "s''5", "s''6", "s''7", "s'f", "s''f"]
 
 
-def _check(label: str, ok: bool, note: str = "") -> bool:
-    print(f"{'PASS' if ok else 'FAIL'}  {label}" + (f"  ({note})" if note else ""))
-    return ok
+def abcd_word(m: int) -> str:
+    return "a" * m + "b" * m + "c" * m + "d" * m
 
 
-def suite_abcd() -> bool:
+def abcd_witnesses() -> list[Record]:
+    """Criterion 1: 2-restricted root runs for m <= 6; the m = 2 table."""
     tsa = fixtures.abcd_tsa()
-    opts = SearchOptions(k=2)
-    ok = True
-    for m in range(7):
-        w = "a" * m + "b" * m + "c" * m + "d" * m
-        res = accepts(tsa, w, opts)
-        good = bool(res) and res.final().ts.pointer == ()
-        ok &= _check(f"abcd accepts m={m} at the root, 2-restricted", good)
-    res = accepts(tsa, "aabbccdd", opts)
-    ok &= _check("m=2 run is s1 s1 s2 s3 s4 s4 s5 s6 s6 s7 s8 s8 s9",
-                 res.names() == ["s1", "s1", "s2", "s3", "s4", "s4", "s5",
-                                 "s6", "s6", "s7", "s8", "s8", "s9"])
-    sample = enumerate_words(tsa, 4, opts)
-    ok &= _check("enumeration to length 4 is {eps, abcd}", sample == {"", "abcd"})
-    return ok
+    runs = [accepts(tsa, abcd_word(m), K2) for m in range(7)]
+    out = [(f"abcd accepts m={m} at the root, 2-restricted",
+            bool(res) and res.final().ts.pointer == () and is_k_restricted(res, 2), "")
+           for m, res in enumerate(runs)]
+    out.append(("m=2 run is " + " ".join(ABCD_M2_NAMES),
+                bool(runs[2]) and runs[2].names() == ABCD_M2_NAMES, ""))
+    return out
 
 
-def suite_wpz() -> bool:
+def abcd_enumeration() -> list[Record]:
+    return [("enumeration to length 4 is {eps, abcd}",
+             enumerate_words(fixtures.abcd_tsa(), 4, K2) == {"", "abcd"}, "")]
+
+
+def wpz_golden() -> list[Record]:
+    """Criterion 7: the translated machine's witness for ttTtTT."""
+    res = accepts(convert.fixture_wpz_tsa(), "ttTtTT")
+    return [("ttTtTT accepted by the printed 17-transition sequence",
+             bool(res) and res.names() == WPZ_TTTTTT_NAMES, "")]
+
+
+def wpz_counting() -> list[Record]:
     tsa = convert.fixture_wpz_tsa()
     pda = convert.fixture_wpz_pda()
-    golden = ["s0", "s'1@", "s'2", "s'1t", "s'2", "s''5", "s''7", "s'3t",
-              "s'4t", "s'2", "s''5", "s''7", "s''5", "s''6", "s''7", "s'f", "s''f"]
-    res = accepts(tsa, "ttTtTT")
-    ok = _check("ttTtTT accepted by the printed 17-transition sequence",
-                bool(res) and res.names() == golden)
     agree = True
     for n in range(7):
         for tup in itertools.product("tT", repeat=n):
@@ -50,143 +69,148 @@ def suite_wpz() -> bool:
             want = tup.count("t") == tup.count("T")
             agree &= bool(convert.pda_accepts(pda, w)) == want
             agree &= bool(accepts(tsa, w)) == want
-    ok &= _check("pda and converted tsa match the counting oracle to length 6", agree)
-    return ok
+    return [("pda and converted tsa match the counting oracle to length 6", agree, "")]
 
 
-def suite_ks() -> bool:
+def ks_stuck() -> list[Record]:
+    """Criterion 8: the published prefix jams with nothing applicable."""
     tsa = convert.fixture_ks_tsa()
-    prefix = convert.ks_stuck_prefix(tsa)
-    tr = replay(tsa, "ttTtTT", prefix)
-    final = tr.final()
-    applicable = []
-    for t in tsa.delta:
-        try:
-            step(tsa, "ttTtTT", final, t)
-            applicable.append(t.name)
-        except NotApplicable:
-            pass
-    ok = _check("stack-simulation branch jams after ttT at (S, 1.2, t)",
-                final.state == "S" and final.ts.pointer == (1, 2)
-                and final.ts.pointer_label == "t" and final.pos == 3
-                and not applicable)
-    res = accepts(tsa, "ttTtTT", SearchOptions(accept_mode="any"))
-    ok &= _check("exhaustive search rejects ttTtTT", not res,
-                 "the published machine actually accepts via a non-simulation "
-                 "branch; the jam above is what the stuck-run table shows")
-    return ok
+    final = replay(tsa, "ttTtTT", convert.ks_stuck_prefix(tsa)).final()
+    jammed = (final.state, final.ts.pointer, final.ts.pointer_label, final.pos) \
+        == ("S", (1, 2), "t", 3)
+    return [("stack-simulation branch jams after ttT at (S, 1.2, t)",
+             jammed and not applicable_transitions(tsa, "ttTtTT", final), "")]
 
 
-def suite_f2f2() -> bool:
-    rep = langlab.f2f2_experiment(2, 2)
-    ok = _check("membership == cancellation equations == equal exponents (n,m <= 2)",
-                not rep.mismatches)
-    ok &= _check("erased members are exactly the block words (n,m <= 2)",
-                 rep.psi_image == rep.psi_expected)
-    return ok
+def ks_whole_word() -> list[Record]:
+    """Criterion 8 as stated; it does not hold (see the README)."""
+    res = accepts(convert.fixture_ks_tsa(), "ttTtTT", ANY)
+    return [("exhaustive search rejects ttTtTT", not res,
+             "the published machine actually accepts via a non-simulation "
+             "branch; the jam above is what the stuck-run table shows")]
 
 
-def suite_gaps() -> bool:
-    ok = _check("powers of two diverge (m <= 50)",
-                langlab.gap_check(langlab.unary_lengths("pow2", 20), 50).divergent)
-    ok &= _check("squares diverge (m <= 50)",
-                 langlab.gap_check(langlab.unary_lengths("square", 50), 50).divergent)
-    ok &= _check("constant gaps stay inconclusive",
-                 not langlab.gap_check(list(range(3, 90, 3)), 50).divergent)
-    return ok
+def f2f2_checks(rep: langlab.F2F2Report) -> list[Record]:
+    """Criterion 9, judged on a report of any size."""
+    size = f"n <= {rep.n_max}, m <= {rep.m_max}"
+    return [
+        (f"membership == cancellation equations == equal exponents ({size})",
+         not rep.mismatches, ""),
+        (f"one member per exponent pair ({size})",
+         rep.members == rep.n_max * rep.m_max, f"{rep.members} members"),
+        (f"erased members are exactly the block words ({size})",
+         rep.psi_image == rep.psi_expected, ""),
+    ]
 
 
-def suite_sm() -> bool:
-    # pump all five letters of S_2 in lockstep: a^i b^i c^i d^i e^i
-    orc = langlab.oracle("s_m", m=2)
-    rep = analysis.weak_pump_verify(
-        orc, ["", "", "", ""], ["a", "c", "e"], ["", "", ""], ["b", "d", ""], 4)
-    return _check("S_2 weak pumping holds for i <= 4", rep.all_ok)
+def f2f2_small() -> list[Record]:
+    # the acceptance test runs (3, 3), which takes tens of seconds
+    return f2f2_checks(langlab.f2f2_experiment(2, 2))
 
 
-def suite_ambm() -> bool:
-    orc = langlab.oracle("ambm_n")
-    good = analysis.weak_pump_verify(orc, ["a", ""], ["a"], ["b"], ["b"], 4)
-    ok = _check("block language pumps a and b together for i <= 4", good.all_ok)
+def gap_checks() -> list[Record]:
+    """Criterion 10."""
+    out = []
+    for family, n, what in (("pow2", 20, "powers of two"), ("square", 50, "squares")):
+        rep = langlab.gap_check(langlab.unary_lengths(family, n), 50)
+        out.append((f"{what} diverge (m <= 50)",
+                    rep.divergent and None not in rep.thresholds.values(), ""))
+    rep = langlab.gap_check(list(range(3, 300, 3)), 50)
+    out.append(("constant gaps stay inconclusive", rep.verdict == "inconclusive", ""))
+    return out
+
+
+def pump_pattern(name: str, m: int = 2):
+    """(oracle, u, v, w, s) for `weak_pump_verify`: "sm" pumps all 2m+1
+    letters of S_m in lockstep; otherwise "ambm" seeds at ab and pumps
+    both block letters together."""
+    if name == "sm":
+        # v takes the odd-index letters, s the even ones, the last v unpaired
+        orc = langlab.oracle("s_m", m=m)
+        k = m + 1
+        v = [orc.alphabet[2 * j] for j in range(k)]
+        s = [orc.alphabet[2 * j + 1] if 2 * j + 1 < len(orc.alphabet) else "" for j in range(k)]
+        return orc, [""] * (k + 1), v, [""] * k, s
+    return langlab.oracle("ambm_n"), ["a", ""], ["a"], ["b"], ["b"]
+
+
+def sm_pumps() -> list[Record]:
+    rep = analysis.weak_pump_verify(*pump_pattern("sm", 2), 4)
+    return [("S_2 weak pumping holds for i <= 4", rep.all_ok, "")]
+
+
+def ambm_pumps() -> list[Record]:
+    orc, *factors = pump_pattern("ambm")
+    good = analysis.weak_pump_verify(orc, *factors, 4)
     bad = analysis.weak_pump_verify(orc, ["a", "b"], ["ab"], [""], [""], 2)
-    ok &= _check("mixed-letter factor fails at i=2", bad.first_failure() == 2)
-    return ok
+    return [("block language pumps a and b together for i <= 4", good.all_ok, ""),
+            ("mixed-letter factor fails at i=2", bad.first_failure() == 2, "")]
 
 
-def suite_swap() -> bool:
+def swap_splices() -> list[Record]:
+    """Criterion 4: splices of equal-array vertices, m <= 4, at least 100."""
     tsa = fixtures.abcd_tsa()
     opts = SearchOptions(k=2, proper_only=True)
-    traces = {m: accepts(tsa, "a" * m + "b" * m + "c" * m + "d" * m, opts)
-              for m in range(1, 4)}
-    ok = True
-    pairs = 0
-    for m1, t1 in traces.items():
-        for m2, t2 in traces.items():
-            for v1 in sorted(t1.final().ts.dom):
-                for v2 in sorted(t2.final().ts.dom):
-                    if not v1 or not v2:
-                        continue
-                    try:
-                        h1 = analysis.history_array(t1, v1)
-                        h2 = analysis.history_array(t2, v2)
-                    except analysis.AnalysisError:
-                        continue
-                    if h1 != h2:
-                        continue
-                    rep = analysis.single_swap(t1, v1, t2, v2)
-                    pairs += 1
-                    ok &= rep.accepted and rep.spliced_replay_ok
-    return _check(f"all {pairs} same-array splices across m <= 3 are accepted", ok)
+    runs = [accepts(tsa, abcd_word(m), opts) for m in range(5)]
+    arrays = [(tr, v, analysis.history_array(tr, v))
+              for tr in runs for v in sorted(tr.final().ts.dom) if v]
+    ok, pairs = True, 0
+    for (t1, v1, h1), (t2, v2, h2) in itertools.product(arrays, repeat=2):
+        if h1 == h2:
+            rep = analysis.single_swap(t1, v1, t2, v2)
+            ok &= rep.accepted and rep.spliced_replay_ok
+            pairs += 1
+    return [(f"all {pairs} same-array splices across m <= 4 are accepted",
+             ok and pairs >= 100, "")]
 
 
-def suite_pump() -> bool:
+def pump_checks() -> list[Record]:
+    """Criterion 12."""
     ast = fixtures.astar_tsa()
-    tr = accepts(ast, "aaaaa", SearchOptions(accept_mode="any"))
-    res = analysis.find_pumpable(tr, 1, SearchOptions(accept_mode="any"))
+    res = analysis.find_pumpable(accepts(ast, "aaaaa", ANY), 1, ANY)
     bound = len(ast.labels) * len(ast.states)
-    ok = _check("a* witness pumps with 1 <= |y| <= |C||Q|",
-                res is not None and 1 <= len(res.y) <= bound and all(res.verified.values()))
     tsa = fixtures.abcd_tsa()
-    quiet = True
-    for m in range(4):
-        w = "a" * m + "b" * m + "c" * m + "d" * m
-        tr = accepts(tsa, w, SearchOptions(k=2))
-        quiet &= analysis.find_pumpable(tr, 1) is None
-    ok &= _check("abcd witnesses have no long stationary stretch", quiet)
-    return ok
+    quiet = all(analysis.find_pumpable(accepts(tsa, abcd_word(m), K2), 1) is None
+                for m in range(4))
+    return [("a* witness pumps with 1 <= |y| <= |C||Q| at i = 0, 2, 3",
+             res is not None and 1 <= len(res.y) <= bound
+             and res.verified == {0: True, 2: True, 3: True}, ""),
+            ("abcd witnesses have no long stationary stretch (m <= 3)", quiet, "")]
 
 
-def suite_level1() -> bool:
-    tsa = fixtures.abcd_tsa()
-    tr = accepts(tsa, "aabbccdd", SearchOptions(k=2))
+def level1_checks() -> list[Record]:
+    tr = accepts(fixtures.abcd_tsa(), "aabbccdd", K2)
     l1 = analysis.level1_arrays(tr)
-    ok = _check("level-1 rows for the m=2 run are l=(1,7) m=(5,11) n=(1,1)",
-                l1.ls == (1, 7) and l1.ms == (5, 11) and l1.ns == (1, 1))
     u1 = analysis.up_down_vector(tr, (1,))
-    ok &= _check("columns tagged with child 1 equal the vertex-1 up-down vector",
-                 l1.restricted_to_child(1) == u1.pairs)
-    return ok
+    return [("level-1 rows for the m=2 run are l=(1,7) m=(5,11) n=(1,1)",
+             l1.ls == (1, 7) and l1.ms == (5, 11) and l1.ns == (1, 1), ""),
+            ("columns tagged with child 1 equal the vertex-1 up-down vector",
+             l1.restricted_to_child(1) == u1.pairs, "")]
 
 
 SUITES = {
-    "abcd": suite_abcd,
-    "wpz": suite_wpz,
-    "ks": suite_ks,
-    "f2f2": suite_f2f2,
-    "gaps": suite_gaps,
-    "sm": suite_sm,
-    "ambm": suite_ambm,
-    "swap": suite_swap,
-    "pump": suite_pump,
-    "level1": suite_level1,
+    "abcd": (abcd_witnesses, abcd_enumeration),
+    "wpz": (wpz_golden, wpz_counting),
+    "ks": (ks_stuck, ks_whole_word),
+    "f2f2": (f2f2_small,),
+    "gaps": (gap_checks,),
+    "sm": (sm_pumps,),
+    "ambm": (ambm_pumps,),
+    "swap": (swap_splices,),
+    "pump": (pump_checks,),
+    "level1": (level1_checks,),
 }
 
 
 def run_suite(name: str) -> bool:
+    """Print the records of bundle `name` (or of every bundle, for "all");
+    True when all of them pass."""
     if name == "all":
         return all([run_suite(n) for n in SUITES])
-    if name not in SUITES:
-        raise SystemExit(f"error: unknown suite {name!r}; "
-                         f"choose from {', '.join(sorted(SUITES))} or all")
     print(f"== suite {name} ==")
-    return SUITES[name]()
+    ok = True
+    for group in SUITES[name]:
+        for label, passed, note in group():
+            print(f"{'PASS' if passed else 'FAIL'}  {label}" + (f"  ({note})" if note else ""))
+            ok &= passed
+    return ok

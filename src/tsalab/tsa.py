@@ -194,6 +194,20 @@ def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
     return Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
 
 
+def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transition]:
+    """The transitions of delta that `step` can apply at cfg, in delta
+    order.  Only NotApplicable means "does not apply": any other exception
+    from step is a bug and propagates."""
+    out = []
+    for t in tsa.delta:
+        try:
+            step(tsa, w, cfg, t)
+        except NotApplicable:
+            continue
+        out.append(t)
+    return out
+
+
 @dataclass
 class RunTrace:
     """A recorded run: the word, the initial configuration and, per step,
@@ -254,10 +268,13 @@ class SearchOptions:
             raise ValueError("accept_mode must be 'root' or 'any'")
 
 
-def default_max_steps(tsa: Tsa, word_len: int) -> int:
-    return 64 * (word_len + 1) * max(1, len(tsa.states))
+def default_max_steps(machine, word_len: int) -> int:
+    """Step budget of a TSA or PDA search."""
+    return 64 * (word_len + 1) * max(1, len(machine.states))
+
 
 def default_max_vertices(word_len: int) -> int:
+    """Tree-size budget of a TSA search; stack-height budget of a PDA's."""
     return 16 * (word_len + 1)
 
 
@@ -831,14 +848,24 @@ def parse_tsa(text: str) -> Tsa:
                tuple(delta), frozenset(finals))
 
 
+def writable(kind: str, symbols) -> str:
+    """Symbols joined for one line of a machine file.  A symbol the line
+    format cannot carry (empty, or holding '#' or whitespace) raises
+    ValueError rather than vanishing on the way back in."""
+    for sym in symbols:
+        if not sym or "#" in sym or any(ch.isspace() for ch in sym):
+            raise ValueError(f"{kind} {sym!r} cannot be written to a machine file")
+    return " ".join(symbols)
+
+
 def render_tsa(tsa: Tsa) -> str:
     """Serialise a Tsa in the file format; parse_tsa(render_tsa(a)) == a."""
     lines = ["tsa"]
-    lines.append("states: " + " ".join(tsa.states))
+    lines.append("states: " + writable("state", tsa.states))
     lines.append("initial: " + tsa.initial)
     lines.append("final: " + " ".join(sorted(tsa.finals)))
-    lines.append("labels: " + " ".join(tsa.labels))
-    lines.append("alphabet: " + " ".join(tsa.alphabet))
+    lines.append("labels: " + writable("label", tsa.labels))
+    lines.append("alphabet: " + writable("letter", tsa.alphabet))
     for t in tsa.delta:
         inp = t.inp if t.inp is not None else "eps"
         line = f"trans: {t.src} {inp} {t.pred} {t.instr} {t.dst}"

@@ -1,4 +1,3 @@
-import importlib
 import io
 import subprocess
 import sys
@@ -7,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import tsalab.tsa as tsa_mod
 from tsalab.cli import main
 from tsalab.mcfg import EXAMPLE_ABCD
 
@@ -80,17 +80,24 @@ def test_trace_golden_ks_stuck():
     assert lines[-1] == "STUCK state=S pointer=1.2 label=t pos=3"
 
 
-@pytest.mark.parametrize("module, argv", [
-    ("tsalab.cli", ("trace", "ks", "--word", "ttTtTT", "--follow", "s1.@,s2,s1.t,s2,s7,s5")),
-    ("tsalab.suites", ("suite", "ks")),
-])
-def test_stuck_check_lets_step_bugs_propagate(module, argv, monkeypatch):
-    # the stuck-run checks treat NotApplicable as "does not apply"; any
-    # other exception from step is a bug and must surface
-    def broken(*args):
-        raise RuntimeError("bug in step")
+@pytest.mark.parametrize("argv", [
+    ("trace", "ks", "--word", "ttTtTT", "--follow", "s1.@,s2,s1.t,s2,s7,s5"),
+    ("suite", "ks"),
+], ids=["trace-follow", "suite-ks"])
+def test_stuck_check_lets_step_bugs_propagate(argv, monkeypatch):
+    # the stuck-run check (tsa.applicable_transitions) treats NotApplicable
+    # as "does not apply"; any other exception from step is a bug and must
+    # surface.  The broken step still applies what applies, so the replay
+    # of the prefix succeeds and only the stuck check meets the bug.
+    real = tsa_mod.step
 
-    monkeypatch.setattr(importlib.import_module(module), "step", broken)
+    def broken(*args):
+        try:
+            return real(*args)
+        except tsa_mod.NotApplicable:
+            raise RuntimeError("bug in step") from None
+
+    monkeypatch.setattr(tsa_mod, "step", broken)
     with pytest.raises(RuntimeError, match="bug in step"):
         run_cli(*argv)
 
@@ -105,6 +112,12 @@ def test_enumerate_command():
     code, out = run_cli("enumerate", "abcd", "--max-len", "8", "--k", "2")
     assert code == 0
     assert "word=eps" in out and "word=abcd" in out and "word=aabbccdd" in out
+
+
+def test_enumerate_budget_exit_two():
+    code, out = run_cli("enumerate", "abcd", "--max-len", "4", "--max-steps", "3")
+    assert code == 2
+    assert "budget_hit=" in out
 
 
 def test_standardise_command(tmp_path):
@@ -158,6 +171,31 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"tsalab: line {line}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mcfg", "member", "{missing}", "--word", "a"],
+    ["convert", "pda2tsa", "{missing}"],
+    ["analyze", "upsets", "abcd", "--words-file", "{missing}"],
+    ["run", "{missing}", "--word", "a"],  # neither a file nor a fixture
+    ["suite", "nope"],
+    ["trace", "ks", "--word", "tT", "--follow", "s1.@,nope"],
+    ["experiment", "gaps", "--family", "alpha:x"],
+    ["experiment", "gaps", "--family", "cubes"],
+    ["run", "abcd"],  # usage error: --word is required
+    ["frobnicate"],
+])
+def test_bad_input_exits_three(tmp_path, capsys, argv):
+    code = main([a.format(missing=tmp_path / "missing") for a in argv])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("tsalab: ") and err.count("\n") == 1
+
+
+def test_bad_max_steps_env_exits_three(monkeypatch, capsys):
+    monkeypatch.setenv("TSALAB_MAX_STEPS", "many")
+    assert main(["run", "abcd", "--word", "abcd"]) == 3
+    assert capsys.readouterr().err.startswith("tsalab: TSALAB_MAX_STEPS")
 
 
 def test_analyze_updown_factorise_history():

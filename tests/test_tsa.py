@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
 
-from tsalab.convert import fixture_wpz_pda, parse_pda, render_pda
-from tsalab.fixtures import ABCD_FILE, abcd_tsa, astar_tsa
+from tsalab.convert import fixture_ks_tsa, fixture_wpz_pda, fixture_wpz_tsa, parse_pda, render_pda
+from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
 from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
@@ -84,6 +84,7 @@ MACHINE_FILES = [
     (parse_mcfg, EXAMPLE_ANBMCNDM),
 ]
 MUTANTS = ["", "@", "eps", "#", ":", "-", "0", "-1", "x9", "push", "up", "eq", "true", "trans:"]
+RENDER = {parse_tsa: render_tsa, parse_pda: render_pda}
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,14 +103,26 @@ def test_mutated_machine_files_raise_only_parse_errors(which, edits):
         else:
             toks[i] = toks[(pos // 7) % len(toks)]  # a token from elsewhere in the file
     try:
-        parse(" ".join(toks))
+        machine = parse(" ".join(toks))
     except ParseError as e:
         assert e.line is not None
+        return
+    if parse in RENDER:
+        assert parse(RENDER[parse](machine)) == machine
 
 
 def test_render_parse_round_trip():
-    tsa = abcd_tsa()
-    assert parse_tsa(render_tsa(tsa)) == tsa
+    for fixture in (abcd_tsa, anbmcndm_tsa, updown_demo_tsa, astar_tsa,
+                    fixture_wpz_tsa, fixture_ks_tsa):
+        for tsa in (fixture(), standardise(fixture())):
+            assert parse_tsa(render_tsa(tsa)) == tsa, fixture.__name__
+
+
+@pytest.mark.parametrize("label", ["#", "a#b", "two words", ""])
+def test_render_refuses_symbols_the_format_cannot_carry(label):
+    tsa = Tsa(("q",), (label,), ("a",), "q", (), frozenset({"q"}))
+    with pytest.raises(ValueError, match="cannot be written"):
+        render_tsa(tsa)
 
 
 def test_step_first_push():
