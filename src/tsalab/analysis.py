@@ -100,7 +100,7 @@ def up_down_vector(trace: RunTrace, nu: Address) -> UpDownVector:
     """Indices of the transitions crossing the edge (parent(nu), nu)."""
     _check_trace(trace)
     if nu == ROOT or nu not in trace.final().ts.dom:
-        raise VertexNotInFinalTree(format_address(nu))
+        raise VertexNotInFinalTree(f"{format_address(nu)} is not a non-root vertex of the run's final tree")
     parent = nu[:-1]
     rho = _pointers(trace)
     ups = [j for j in range(1, len(rho)) if rho[j - 1] == parent and rho[j] == nu]

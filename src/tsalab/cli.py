@@ -6,8 +6,9 @@ library with a stable, line-oriented output format:
     its canonical text rendering.
 
 Exit codes: 0 accept, 1 reject, 2 budget cut; every command exits 3 on
-bad input (a usage error, a missing or malformed file, an unknown name),
-with one `tsalab: ...` line on stderr.  The env var TSALAB_MAX_STEPS
+bad input (a usage error, a missing or malformed file, an unknown name, a
+machine the command cannot take, a bad vertex), with one `tsalab: ...`
+line on stderr.  The env var TSALAB_MAX_STEPS
 overrides the default step budget.
 """
 
@@ -222,15 +223,14 @@ def cmd_mcfg(args) -> int:
         emit(args, "member" if ok else "not a member",
              ["command=mcfg.member", f"word={args.word}", f"result={'yes' if ok else 'no'}"])
         return 0 if ok else 1
-    if args.mcfg_cmd == "empty":
-        prod = mcfg.productive_nonterminals(g)
-        empty = g.start not in prod
-        block = ["command=mcfg.empty",
-                 "productive=" + " ".join(sorted(prod)),
-                 f"result={'empty' if empty else 'nonempty'}"]
-        emit(args, "empty" if empty else "nonempty", block)
-        return 0
-    raise SystemExit("unknown mcfg command")
+    # empty
+    prod = mcfg.productive_nonterminals(g)
+    empty = g.start not in prod
+    block = ["command=mcfg.empty",
+             "productive=" + " ".join(sorted(prod)),
+             f"result={'empty' if empty else 'nonempty'}"]
+    emit(args, "empty" if empty else "nonempty", block)
+    return 0
 
 
 def _witness(tsa, word, args):
@@ -239,8 +239,16 @@ def _witness(tsa, word, args):
                          max_vertices=opts.max_vertices, proper_only=True)
     res = accepts(tsa, word, opts)
     if not res:
-        raise SystemExit(f"error: no proper witness run for {word!r} ({res.reason})")
+        print(f"tsalab: no proper witness run for {word!r} ({res.reason})", file=sys.stderr)
+        raise SystemExit(2 if res.reason == "budget" else 1)
     return res
+
+
+def _address(text: str):
+    try:
+        return parse_address(text)
+    except ValueError as e:
+        raise BadInput(e) from None
 
 
 def cmd_analyze(args) -> int:
@@ -248,7 +256,7 @@ def cmd_analyze(args) -> int:
     sub = args.analyze_cmd
     if sub in ("updown", "factorise", "history"):
         trace = _witness(tsa, args.word, args)
-        nu = parse_address(args.vertex)
+        nu = _address(args.vertex)
         block = [f"command=analyze.{sub}", f"word={args.word}", f"vertex={args.vertex}"]
         if sub == "updown":
             udv = analysis.up_down_vector(trace, nu)
@@ -299,8 +307,7 @@ def cmd_analyze(args) -> int:
     if sub == "swap":
         t1 = _witness(tsa, args.word1, args)
         t2 = _witness(tsa, args.word2, args)
-        rep = analysis.single_swap(t1, parse_address(args.vertex1),
-                                   t2, parse_address(args.vertex2))
+        rep = analysis.single_swap(t1, _address(args.vertex1), t2, _address(args.vertex2))
         block = ["command=analyze.swap",
                  f"word={rep.word}",
                  f"accepted={'yes' if rep.accepted else 'no:' + (rep.search_reason or '')}",
@@ -320,18 +327,17 @@ def cmd_analyze(args) -> int:
                                              for n, ok in sorted(res.verified.items()))]
         emit(args, None, block)
         return 0
-    if sub == "bounds":
-        trace = _witness(tsa, args.word, args)
-        rep = analysis.check_atv_bounds(trace, args.mu)
-        block = ["command=analyze.bounds", f"word={args.word}", f"mu={args.mu}", f"k={rep.k}"]
-        for row in rep.vertices:
-            block.append(f"vertex={format_address(row.vertex)} kind={row.kind} "
-                         f"letters={row.letters} bound={row.bound} "
-                         f"ok={'yes' if row.ok else 'no'}")
-        block.append(f"all_ok={'yes' if rep.all_ok else 'no'}")
-        emit(args, None, block)
-        return 0 if rep.all_ok else 1
-    raise SystemExit("unknown analyze command")
+    # bounds
+    trace = _witness(tsa, args.word, args)
+    rep = analysis.check_atv_bounds(trace, args.mu)
+    block = ["command=analyze.bounds", f"word={args.word}", f"mu={args.mu}", f"k={rep.k}"]
+    for row in rep.vertices:
+        block.append(f"vertex={format_address(row.vertex)} kind={row.kind} "
+                     f"letters={row.letters} bound={row.bound} "
+                     f"ok={'yes' if row.ok else 'no'}")
+    block.append(f"all_ok={'yes' if rep.all_ok else 'no'}")
+    emit(args, None, block)
+    return 0 if rep.all_ok else 1
 
 
 def cmd_convert(args) -> int:
@@ -339,11 +345,10 @@ def cmd_convert(args) -> int:
         pda = convert.parse_pda(Path(args.file).read_text())
         print(render_tsa(convert.pda_to_tsa1(pda, root_drain=args.root_drain)), end="")
         return 0
-    if args.convert_cmd == "tsa2pda":
-        tsa = load_tsa(args.file)
-        print(convert.render_pda(convert.tsa1_to_pda(tsa)), end="")
-        return 0
-    raise SystemExit("unknown convert command")
+    # tsa2pda
+    tsa = load_tsa(args.file)
+    print(convert.render_pda(convert.tsa1_to_pda(tsa)), end="")
+    return 0
 
 
 def cmd_fixtures(args) -> int:
@@ -379,17 +384,16 @@ def cmd_experiment(args) -> int:
                  f"verdict={rep.verdict}"]
         emit(args, rep.verdict, block)
         return 0
-    if args.experiment_cmd in ("sm", "ambm"):
-        pattern = suites.pump_pattern(args.experiment_cmd, getattr(args, "m", 2))
-        rep = analysis.weak_pump_verify(*pattern, args.i_max)
-        block = [f"command=experiment.{args.experiment_cmd}",
-                 f"i_max={args.i_max}",
-                 f"result={'pass' if rep.all_ok else 'fail'}"]
-        for i, word, ok in rep.results:
-            block.append(f"i={i} word={word if word else 'eps'} member={'yes' if ok else 'no'}")
-        emit(args, "pass" if rep.all_ok else "fail", block)
-        return 0 if rep.all_ok else 1
-    raise SystemExit("unknown experiment")
+    # sm, ambm
+    pattern = suites.pump_pattern(args.experiment_cmd, getattr(args, "m", 2))
+    rep = analysis.weak_pump_verify(*pattern, args.i_max)
+    block = [f"command=experiment.{args.experiment_cmd}",
+             f"i_max={args.i_max}",
+             f"result={'pass' if rep.all_ok else 'fail'}"]
+    for i, word, ok in rep.results:
+        block.append(f"i={i} word={word if word else 'eps'} member={'yes' if ok else 'no'}")
+    emit(args, "pass" if rep.all_ok else "fail", block)
+    return 0 if rep.all_ok else 1
 
 
 def cmd_rational(args) -> int:
@@ -564,7 +568,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (BadInput, ParseError) as e:
+    except (BadInput, ParseError, convert.NotOneTsa, analysis.VertexNotInFinalTree) as e:
         print(f"tsalab: {e}", file=sys.stderr)
     except OSError as e:
         if e.filename is None:  # not a file the user named, e.g. a closed pipe

@@ -21,15 +21,15 @@ from .treestack import (
 from .tsa import (
     NotFound,
     ParseError,
+    SearchOptions,
     Transition,
     Tsa,
-    default_max_steps,
-    default_max_vertices,
+    _search,
+    name_comment,
     read_machine,
+    search_rows,
     writable,
 )
-
-BOTTOM = "@"
 
 
 class NotOneTsa(Exception):
@@ -49,9 +49,9 @@ class PdaAction:
     def __post_init__(self):
         if self.kind not in ("push", "pop"):
             raise ValueError(f"bad action kind {self.kind!r}")
-        if self.kind == "pop" and self.top == BOTTOM:
+        if self.kind == "pop" and self.top == ROOT_LABEL:
             raise ValueError("pop never targets the bottom symbol")
-        if self.kind == "push" and self.pushed == BOTTOM:
+        if self.kind == "push" and self.pushed == ROOT_LABEL:
             raise ValueError("push never adds the bottom symbol")
 
     def __str__(self):
@@ -84,7 +84,7 @@ class Pda:
 
     def __post_init__(self):
         states = set(self.states)
-        gamma = set(self.stack) | {BOTTOM}
+        gamma = set(self.stack) | {ROOT_LABEL}
         if self.initial not in states or not self.finals <= states:
             raise ValueError("undeclared initial or final state")
         for t in self.delta:
@@ -119,78 +119,37 @@ class PdaTrace:
         return self.steps[-1][1] if self.steps else self.initial
 
 
-def pda_initial(pda: Pda) -> PdaConfig:
-    return PdaConfig(pda.initial, (BOTTOM,), 0)
-
-
-def pda_step(pda: Pda, w: str, cfg: PdaConfig, t: PdaTransition) -> PdaConfig | None:
-    """Apply one transition, or None if it is not applicable."""
-    if cfg.state != t.src:
-        return None
-    if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
-        return None
-    top = cfg.stack[-1]
-    act = t.action
-    if act.top != top:
-        return None
+def _move(act: PdaAction) -> tuple:
+    """An action as a move on the stack's path: (predicate label,
+    instruction kind, child index, new label)."""
     if act.kind == "pop":
-        stack = cfg.stack[:-1]
-    else:
-        stack = cfg.stack if act.pushed is None else cfg.stack + (act.pushed,)
-    return PdaConfig(t.dst, stack, cfg.pos + (0 if t.inp is None else 1))
+        return act.top, "pop", None, None
+    if act.pushed is None:
+        return act.top, "id", None, None
+    return act.top, "push", 1, act.pushed
 
 
 def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
                 max_stack: int | None = None) -> PdaTrace | NotFound:
-    """BFS acceptance search mirroring the TSA engine's contract:
-    deterministic given delta order, shortest witness, NotFound carries
-    "budget" or "exhausted"."""
-    if max_steps is None:
-        max_steps = default_max_steps(pda, len(w))
-    if max_stack is None:
-        max_stack = default_max_vertices(len(w))
-    init = pda_initial(pda)
-
-    def accepting(cfg):
-        return cfg.pos == len(w) and cfg.state in pda.finals
-
-    if accepting(init):
-        return PdaTrace(pda, w, [], init)
-    nodes = [(init, -1, -1)]
-    visited = {init}
-    frontier = [0]
-    depth = 0
-    cut = False
-    while frontier:
-        if depth >= max_steps:
-            cut = True
-            break
-        depth += 1
-        nxt_frontier = []
-        for ni in frontier:
-            cfg = nodes[ni][0]
-            for tidx, t in enumerate(pda.delta):
-                nxt = pda_step(pda, w, cfg, t)
-                if nxt is None or nxt in visited:
-                    continue
-                if len(nxt.stack) > max_stack:
-                    cut = True
-                    continue
-                visited.add(nxt)
-                nodes.append((nxt, ni, tidx))
-                me = len(nodes) - 1
-                if accepting(nxt):
-                    steps = []
-                    idx = me
-                    while idx > 0:
-                        c, parent, ti = nodes[idx]
-                        steps.append((ti, c))
-                        idx = parent
-                    steps.reverse()
-                    return PdaTrace(pda, w, steps, init)
-                nxt_frontier.append(me)
-        frontier = nxt_frontier
-    return NotFound("budget" if cut else "exhausted")
+    """Search for an accepting run of `pda` on `w`, with the TSA search core
+    (`tsa._search`) on a tree that is one path: the stack, bottom at the
+    root.  `push z s` pushes s to child 1 under eq z, `push z -` is id under
+    eq z, and `pop t` moves down under eq t, deleting the vertex it leaves.
+    So the contract is the TSA one: deterministic given delta order, the
+    lexicographically least shortest witness, NotFound carrying "budget" or
+    "exhausted".  max_steps bounds the run length and max_stack the stack
+    height, bottom included; they default to the TSA search's step and
+    vertex budgets."""
+    moves = (_move(t.action) for t in pda.delta)
+    found = _search(pda, search_rows(pda, moves), w, len(w),
+                    SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
+    if isinstance(found, NotFound):
+        return found
+    # the path's vertices are inserted bottom first and only the top is
+    # ever deleted, so a tree's labels in insertion order are its stack
+    steps = [(tidx, PdaConfig(state, tuple(dom.values()), pos))
+             for state, pos, dom, *_, tidx in found[0][1:]]
+    return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
 
 
 def box(symbol: str) -> str:
@@ -208,7 +167,7 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
     """
     if any(t.instr.kind == "up" for t in tsa.delta):
         raise NotOneTsa("source automaton contains an up transition")
-    gamma = tuple(tsa.labels) + (BOTTOM,)
+    gamma = tuple(tsa.labels) + (ROOT_LABEL,)
     nonbottom = tuple(tsa.labels)
 
     out: list[PdaTransition] = []
@@ -238,11 +197,11 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
             if kind == "push":
                 emit(PdaTransition(t.src, t.inp, PdaAction("push", z, t.instr.label), t.dst))
             elif kind == "down":
-                if z == BOTTOM:
+                if z == ROOT_LABEL:
                     continue  # down with the pointer at the root never fires
                 emit(PdaTransition(t.src, t.inp, PdaAction("pop", z), t.dst))
             elif kind == "set":
-                if z == BOTTOM:
+                if z == ROOT_LABEL:
                     continue  # set at the root never fires
                 mid = tag(t.dst, z)
                 emit(PdaTransition(t.src, t.inp, PdaAction("pop", z), mid))
@@ -268,7 +227,7 @@ def pda_to_tsa1(pda: Pda, root_drain: bool = False) -> Tsa:
     down/id drain is appended after the finals so acceptance happens at
     the root (the any-mode language is unchanged).
     """
-    gamma = tuple(pda.stack) + (BOTTOM,)
+    gamma = tuple(pda.stack) + (ROOT_LABEL,)
     labels = tuple(pda.stack) + tuple(box(g) for g in gamma)
     collisions = set(pda.stack) & {box(g) for g in gamma}
     if collisions:
@@ -291,7 +250,7 @@ def pda_to_tsa1(pda: Pda, root_drain: bool = False) -> Tsa:
             out.append(t)
 
     emit(Transition(pda.initial, None, pred_eq(ROOT_LABEL),
-                    instr_push(1, box(BOTTOM)), pda.initial, name="s0"))
+                    instr_push(1, box(ROOT_LABEL)), pda.initial, name="s0"))
 
     for pidx, t in enumerate(pda.delta, start=1):
         act = t.action
@@ -358,7 +317,7 @@ def simulation_run(pda: Pda, tsa: Tsa, ptrace: PdaTrace) -> tuple[list[int], lis
     cfg = initial_configuration(tsa)
     out: list[int] = []
     cfg, idx = apply(cfg, pda.initial, None, pred_eq(ROOT_LABEL),
-                     instr_push(1, box(BOTTOM)), pda.initial)
+                     instr_push(1, box(ROOT_LABEL)), pda.initial)
     out.append(idx)
     checkpoints: list[tuple[str, str]] = []
     for (tidx, pcfg) in ptrace.steps:
@@ -434,7 +393,7 @@ def fixture_wpz_tsa() -> Tsa:
     trimmed = replace(pda, delta=pda.delta[:-1])  # drop the final eps-push
     base = pda_to_tsa1(trimmed)
     delta = list(base.delta)
-    delta.append(Transition("q", None, pred_eq(box(BOTTOM)), instr_down(), "q"))
+    delta.append(Transition("q", None, pred_eq(box(ROOT_LABEL)), instr_down(), "q"))
     delta.append(Transition("q", None, pred_eq(ROOT_LABEL), instr_id(), "qf"))
     states = tuple(base.states) + ("qf",)
     tsa = Tsa(states, base.labels, base.alphabet, base.initial,
@@ -508,7 +467,7 @@ def parse_pda(text: str) -> Pda:
         act_toks = toks[2:-1]
         if act_toks[0] == "push" and len(act_toks) == 3:
             z, s = act_toks[1], act_toks[2]
-            if z not in gamma and z != BOTTOM:
+            if z not in gamma and z != ROOT_LABEL:
                 raise ParseError(f"unknown stack symbol {z!r}", lineno)
             pushed = None if s == "-" else s
             if pushed is not None and pushed not in gamma:
@@ -535,8 +494,5 @@ def render_pda(pda: Pda) -> str:
     lines.append("alphabet: " + writable("letter", pda.alphabet))
     for t in pda.delta:
         inp = t.inp if t.inp is not None else "eps"
-        line = f"trans: {t.src} {inp} {t.action} {t.dst}"
-        if t.name:
-            line += f"  # {t.name}"
-        lines.append(line)
+        lines.append(f"trans: {t.src} {inp} {t.action} {t.dst}{name_comment(t.name)}")
     return "\n".join(lines) + "\n"

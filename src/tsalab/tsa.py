@@ -140,17 +140,6 @@ class Tsa:
         t = self.delta[idx]
         return t.name if t.name else f"#{idx + 1}"
 
-    def outgoing(self) -> dict[str, list[tuple[int, "Transition"]]]:
-        """Delta indexed by source state, preserving file order.  Cached:
-        the automaton is immutable."""
-        cached = self.__dict__.get("_outgoing")
-        if cached is None:
-            cached = {q: [] for q in self.states}
-            for tidx, t in enumerate(self.delta):
-                cached[t.src].append((tidx, t))
-            object.__setattr__(self, "_outgoing", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -278,9 +267,10 @@ def default_max_vertices(word_len: int) -> int:
     return 16 * (word_len + 1)
 
 
-# instruction kinds as small ints for the search's inner loop
-_ID, _PUSH, _UP, _DOWN, _SET = range(5)
-_KIND_CODE = {"id": _ID, "push": _PUSH, "up": _UP, "down": _DOWN, "set": _SET}
+# instruction kinds as small ints for the search's inner loop; "pop" is a
+# PDA's: down, deleting the vertex it leaves (the top of a one-path tree)
+_ID, _PUSH, _UP, _DOWN, _SET, _POP = range(6)
+_KIND_CODE = {"id": _ID, "push": _PUSH, "up": _UP, "down": _DOWN, "set": _SET, "pop": _POP}
 
 
 def _entry_hash(a, b) -> int:
@@ -290,21 +280,30 @@ def _entry_hash(a, b) -> int:
     return hash((a, b))
 
 
-def _search_table(tsa: Tsa, proper_only: bool) -> dict[str, list[tuple]]:
-    """Delta by source state as flat tuples (delta index, letter, predicate
-    label or None, kind code, child index, new label, target, stationary
-    flag); the flag is only set when proper_only forbids two in a row.
-    Cached: the automaton is immutable."""
-    cache = tsa.__dict__.setdefault("_search_tables", {})
-    table = cache.get(proper_only)
-    if table is None:
-        table = {q: [(tidx, t.inp, t.pred.label if t.pred.kind == "eq" else None,
-                      _KIND_CODE[t.instr.kind], t.instr.n, t.instr.label, t.dst,
-                      proper_only and t.is_stationary_eps())
-                     for tidx, t in out]
-                 for q, out in tsa.outgoing().items()}
-        cache[proper_only] = table
-    return table
+def search_rows(machine, moves, proper_only: bool = False) -> dict[str, list[tuple]]:
+    """machine.delta by source state as the flat tuples `_search` reads:
+    (delta index, letter, predicate label or None, kind code, child index,
+    new label, target, stationary flag).  `moves` gives one (predicate label
+    or None, instruction kind, child index, new label) per transition; the
+    kinds are a TSA's plus "pop".  The flag is only set when proper_only
+    forbids two stationary eps steps in a row.  Cached on the machine:
+    machines are immutable."""
+    cache = machine.__dict__.setdefault("_search_rows", {})
+    rows = cache.get(proper_only)
+    if rows is None:
+        rows = {q: [] for q in machine.states}
+        for tidx, (t, (plab, kind, n, nlab)) in enumerate(zip(machine.delta, moves)):
+            stat = proper_only and t.inp is None and kind in ("id", "set")
+            rows[t.src].append((tidx, t.inp, plab, _KIND_CODE[kind], n, nlab, t.dst, stat))
+        cache[proper_only] = rows
+    return rows
+
+
+def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
+    """`_search` on a TSA, with the witness as a RunTrace."""
+    moves = ((t.pred.label, t.instr.kind, t.instr.n, t.instr.label) for t in tsa.delta)
+    found = _search(tsa, search_rows(tsa, moves, opts.proper_only), w, max_len, opts)
+    return found if isinstance(found, NotFound) else _witness(tsa, w, *found)
 
 
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
@@ -322,7 +321,7 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
-    return _search(tsa, w, len(w), opts)
+    return _tsa_search(tsa, w, len(w), opts)
 
 
 def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
@@ -332,33 +331,34 @@ def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOption
     instead of matching a fixed one.  Used for emptiness-style questions
     (e.g. the rational-subset pipeline).
     """
-    return _search(tsa, None, max_len, opts)
+    return _tsa_search(tsa, None, max_len, opts)
 
 
-def _search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
-    """The BFS core behind `accepts` (w given, max_len == len(w)) and
-    `shortest_accepted` (w None: read any word of length <= max_len)."""
-    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, max_len)
+def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions):
+    """The BFS core behind `accepts` (w given, max_len == len(w)),
+    `shortest_accepted` (w None: read any word of length <= max_len) and
+    `convert.pda_accepts`.  `machine` has initial, finals and states; `rows`
+    is its delta from `search_rows`.  Returns NotFound, or the arena nodes
+    from the initial one to the first accepting one together with the
+    address tuple per interned id."""
+    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(machine, max_len)
     max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
     free = w is None
     k = opts.k
     root_only = opts.accept_mode == "root"
-    finals = tsa.finals
+    finals = machine.finals
     eh = _entry_hash
 
-    init = initial_configuration(tsa)
-    if init.state in finals and (free or max_len == 0):
-        return RunTrace(tsa, "" if free else w, [], init)
-
-    by_src = _search_table(tsa, opts.proper_only)
     ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
     up_of = [-1]  # parent id per id; the root is id 0
     addr_of = [ROOT]  # address tuple per id
     # arena of (state, pos, {id: label}, pointer id, {id: vfb count} or None
     # when k is None, tree hash, vfb hash, stationary flag, parent node,
     # delta index)
-    nodes = [(init.state, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
-    seen = {(init.state, 0, 0, 0, 0, False): 0}  # memo key -> first node
+    nodes = [(machine.initial, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
+    if machine.initial in finals and (free or max_len == 0):
+        return nodes, addr_of
+    seen = {(machine.initial, 0, 0, 0, 0, False): 0}  # memo key -> first node
     more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
     frontier = [0]
     depth = 0
@@ -374,7 +374,7 @@ def _search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTr
             state, pos, dom, ptr, vfb, th, vh, was_stat, _, _ = nodes[node_idx]
             lab = dom[ptr]
             letter = None if free or pos >= max_len else w[pos]
-            for tidx, inp, plab, kind, n, nlab, dst, stat in by_src[state]:
+            for tidx, inp, plab, kind, n, nlab, dst, stat in rows[state]:
                 if inp is not None:
                     if free:
                         if pos >= max_len:
@@ -404,14 +404,19 @@ def _search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTr
                         continue
                 elif kind == _ID:
                     pass
-                elif ptr == 0:  # down and set need a non-root pointer
+                elif ptr == 0:  # down, set and pop need a non-root pointer
                     continue
                 elif kind == _DOWN:
                     nptr = up_of[ptr]
-                else:
+                elif kind == _SET:
                     ndom = dom.copy()
                     ndom[ptr] = nlab
                     nth = th ^ eh(ptr, lab) ^ eh(ptr, nlab)
+                else:  # pop: the pointer is the top of a one-path tree
+                    nptr = up_of[ptr]
+                    ndom = dom.copy()
+                    del ndom[ptr]
+                    nth = th ^ eh(ptr, lab)
                 nvfb, nvh = vfb, vh
                 if k is not None and (kind == _PUSH or kind == _UP):
                     c = vfb.get(nptr, 0) + 1
@@ -437,7 +442,11 @@ def _search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTr
                     more.setdefault(key, []).append(me)
                 nodes.append((dst, npos, ndom, nptr, nvfb, nth, nvh, stat, node_idx, tidx))
                 if dst in finals and (free or npos == max_len) and (nptr == 0 or not root_only):
-                    return _witness(tsa, w, nodes, me, addr_of, init)
+                    path = []
+                    while me >= 0:
+                        path.append(nodes[me])
+                        me = nodes[me][8]
+                    return path[::-1], addr_of
                 next_frontier.append(me)
         frontier = next_frontier
 
@@ -454,15 +463,11 @@ def _seen_exactly(nodes, first, later, dom, vfb) -> bool:
     return False
 
 
-def _witness(tsa, w, nodes, idx, addr_of, init) -> RunTrace:
-    """The run ending at arena node idx, with tuple addresses.  Steps that
-    keep the tree share it, as moves do in `step`; the vfb counts are
-    rebuilt from the run, as the search keeps them only under k."""
-    path = []
-    while idx > 0:
-        path.append(nodes[idx])
-        idx = path[-1][8]
-    path.reverse()
+def _witness(tsa, w, path, addr_of) -> RunTrace:
+    """The run along an arena path from `_search`, with tuple addresses.
+    Steps that keep the tree share it, as moves do in `step`; the vfb
+    counts are rebuilt from the run, as the search keeps them only under k."""
+    init = initial_configuration(tsa)
     steps = []
     letters = []
     counts: dict[int, int] = {}  # id -> vfb count
@@ -470,8 +475,8 @@ def _witness(tsa, w, nodes, idx, addr_of, init) -> RunTrace:
     order: list[int] = []  # their ids, in the same order
     vfb = init.vfb
     ts = init.ts
-    prev_dom, prev_ptr = nodes[0][2], 0
-    for state, pos, dom, ptr, _, _, _, _, _, tidx in path:
+    prev_dom, prev_ptr = path[0][2], 0
+    for state, pos, dom, ptr, _, _, _, _, _, tidx in path[1:]:
         addr = addr_of[ptr]
         if dom is not prev_dom:  # push or set: one label changed, at ptr
             ts = ts._rewritten(addr, dom[ptr], addr)
@@ -858,6 +863,17 @@ def writable(kind: str, symbols) -> str:
     return " ".join(symbols)
 
 
+def name_comment(name: str | None) -> str:
+    """The comment that names a transition at the end of its trans line, or
+    '' for no name.  A name that would not read back the same (empty, with
+    leading or trailing whitespace, or spanning lines) raises ValueError."""
+    if name is None:
+        return ""
+    if name.strip() != name or name.splitlines() != [name]:
+        raise ValueError(f"transition name {name!r} cannot be written to a machine file")
+    return f"  # {name}"
+
+
 def render_tsa(tsa: Tsa) -> str:
     """Serialise a Tsa in the file format; parse_tsa(render_tsa(a)) == a."""
     lines = ["tsa"]
@@ -868,8 +884,5 @@ def render_tsa(tsa: Tsa) -> str:
     lines.append("alphabet: " + writable("letter", tsa.alphabet))
     for t in tsa.delta:
         inp = t.inp if t.inp is not None else "eps"
-        line = f"trans: {t.src} {inp} {t.pred} {t.instr} {t.dst}"
-        if t.name:
-            line += f"  # {t.name}"
-        lines.append(line)
+        lines.append(f"trans: {t.src} {inp} {t.pred} {t.instr} {t.dst}{name_comment(t.name)}")
     return "\n".join(lines) + "\n"

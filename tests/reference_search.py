@@ -1,21 +1,25 @@
-"""Reference search: a plain tuple-keyed breadth-first search with the
-contract of `accepts` and `shortest_accepted`.
+"""Reference searches: a plain tuple-keyed breadth-first search with the
+contract of `accepts` and `shortest_accepted`, and a plain PDA search with
+the contract of `pda_accepts`.
 
-Every step rebuilds the tree stack through `ts_apply`, keeps the
+Every TSA step rebuilds the tree stack through `ts_apply`, keeps the
 visit-from-below counts as a sorted tuple and memoises on the canonical
-`TreeStack.key()`, so a step costs time in the size of the tree.  It is
-slow but plain; test_search_core.py checks the interned-address search
-core against it configuration by configuration.
+`TreeStack.key()`, so a step costs time in the size of the tree.  The PDA
+search keeps the stack as a tuple and memoises on whole configurations.
+Both are slow but plain; test_search_core.py checks the interned-address
+search core against them configuration by configuration.
 """
 
 from __future__ import annotations
 
-from tsalab.treestack import ROOT, instr_applicable, pred_eval, ts_apply
+from tsalab.convert import Pda, PdaConfig, PdaTrace, PdaTransition
+from tsalab.treestack import ROOT, ROOT_LABEL, instr_applicable, pred_eval, ts_apply
 from tsalab.tsa import (
     Configuration,
     NotFound,
     RunTrace,
     SearchOptions,
+    Transition,
     Tsa,
     default_max_steps,
     default_max_vertices,
@@ -27,6 +31,11 @@ def _bump_vfb(vfb: tuple, addr) -> tuple:
     d = dict(vfb)
     d[addr] = d.get(addr, 0) + 1
     return tuple(sorted(d.items()))
+
+
+def _outgoing(tsa: Tsa) -> dict[str, list[tuple[int, Transition]]]:
+    """Delta indexed by source state, preserving file order."""
+    return {q: [(tidx, t) for tidx, t in enumerate(tsa.delta) if t.src == q] for q in tsa.states}
 
 
 def _accepting(tsa: Tsa, cfg: Configuration, w_len: int, opts: SearchOptions) -> bool:
@@ -65,7 +74,7 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
     frontier = [0]
     depth = 0
     cut = False
-    by_src = tsa.outgoing()
+    by_src = _outgoing(tsa)
 
     while frontier:
         if depth >= max_steps:
@@ -152,7 +161,7 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
     frontier = [0]
     depth = 0
     cut = False
-    by_src = tsa.outgoing()
+    by_src = _outgoing(tsa)
     while frontier:
         if depth >= max_steps:
             cut = True
@@ -200,4 +209,74 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
                     return RunTrace(tsa, nw, steps, init)
                 next_frontier.append(me)
         frontier = next_frontier
+    return NotFound("budget" if cut else "exhausted")
+
+
+def pda_step(pda: Pda, w: str, cfg: PdaConfig, t: PdaTransition) -> PdaConfig | None:
+    """Apply one transition, or None if it is not applicable."""
+    if cfg.state != t.src:
+        return None
+    if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
+        return None
+    top = cfg.stack[-1]
+    act = t.action
+    if act.top != top:
+        return None
+    if act.kind == "pop":
+        stack = cfg.stack[:-1]
+    else:
+        stack = cfg.stack if act.pushed is None else cfg.stack + (act.pushed,)
+    return PdaConfig(t.dst, stack, cfg.pos + (0 if t.inp is None else 1))
+
+
+def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
+                    max_stack: int | None = None) -> PdaTrace | NotFound:
+    """BFS acceptance search mirroring the TSA engine's contract:
+    deterministic given delta order, shortest witness, NotFound carries
+    "budget" or "exhausted"."""
+    if max_steps is None:
+        max_steps = default_max_steps(pda, len(w))
+    if max_stack is None:
+        max_stack = default_max_vertices(len(w))
+    init = PdaConfig(pda.initial, (ROOT_LABEL,), 0)
+
+    def accepting(cfg):
+        return cfg.pos == len(w) and cfg.state in pda.finals
+
+    if accepting(init):
+        return PdaTrace(pda, w, [], init)
+    nodes = [(init, -1, -1)]
+    visited = {init}
+    frontier = [0]
+    depth = 0
+    cut = False
+    while frontier:
+        if depth >= max_steps:
+            cut = True
+            break
+        depth += 1
+        nxt_frontier = []
+        for ni in frontier:
+            cfg = nodes[ni][0]
+            for tidx, t in enumerate(pda.delta):
+                nxt = pda_step(pda, w, cfg, t)
+                if nxt is None or nxt in visited:
+                    continue
+                if len(nxt.stack) > max_stack:
+                    cut = True
+                    continue
+                visited.add(nxt)
+                nodes.append((nxt, ni, tidx))
+                me = len(nodes) - 1
+                if accepting(nxt):
+                    steps = []
+                    idx = me
+                    while idx > 0:
+                        c, parent, ti = nodes[idx]
+                        steps.append((ti, c))
+                        idx = parent
+                    steps.reverse()
+                    return PdaTrace(pda, w, steps, init)
+                nxt_frontier.append(me)
+        frontier = nxt_frontier
     return NotFound("budget" if cut else "exhausted")

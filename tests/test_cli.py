@@ -184,6 +184,9 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "gaps", "--family", "cubes"],
     ["run", "abcd"],  # usage error: --word is required
     ["frobnicate"],
+    ["convert", "tsa2pda", "abcd"],  # not a 1-TSA: it has up transitions
+    ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "x.y"],
+    ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "7"],  # not in the tree
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
     code = main([a.format(missing=tmp_path / "missing") for a in argv])
@@ -210,6 +213,17 @@ def test_analyze_updown_factorise_history():
                         "--vertex", "1.1")
     assert code == 0
     assert "labels=c2 c3 c3 c6" in out and "states=q2 q5 q4 q0" in out
+
+
+@pytest.mark.parametrize("word, max_steps, code", [
+    ("aabbccdd", "3", 2),  # budget cut
+    ("aabbccd", "1000", 1),  # exhausted
+])
+def test_analyze_without_witness_exit_code(capsys, word, max_steps, code):
+    argv = ["analyze", "updown", "abcd", "--word", word, "--vertex", "1", "--max-steps", max_steps]
+    assert run_cli(*argv)[0] == code
+    err = capsys.readouterr().err
+    assert err.startswith("tsalab: no proper witness") and err.count("\n") == 1
 
 
 def test_analyze_report_golden():
@@ -277,12 +291,13 @@ def test_convert_round_trip(tmp_path):
     assert pda_accepts(pda, "tT") and not pda_accepts(pda, "tt", max_steps=200)
 
 
-def test_convert_tsa2pda_rejects_up(tmp_path):
+def test_convert_tsa2pda_rejects_up(tmp_path, capsys):
     code, out = run_cli("fixtures", "abcd")
     f = tmp_path / "abcd.tsa"
     f.write_text(out)
-    with pytest.raises(Exception):
-        run_cli("convert", "tsa2pda", str(f))
+    assert main(["convert", "tsa2pda", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tsalab: ") and err.count("\n") == 1
 
 
 def test_fixtures_parseable(tmp_path):

@@ -1,22 +1,32 @@
-"""Differential tests: the interned-address search core against the
-tuple-keyed reference search in reference_search.py.
+"""Differential tests: the interned-address search core, behind `accepts`,
+`shortest_accepted` and `pda_accepts`, against the plain reference
+searches in reference_search.py.
 
 Both must return the same result for every query: the same witness,
 configuration by configuration, or the same NotFound reason.
 """
 
 import itertools
+import random
 
 import pytest
 
 from conftest import abcd_word, words_upto
 
 import tsalab.tsa as tsa_mod
-from tsalab.convert import fixture_ks_tsa, fixture_wpz_tsa
+from tsalab.convert import (
+    fixture_ks_tsa,
+    fixture_wpz_pda,
+    fixture_wpz_tsa,
+    parse_pda,
+    pda_accepts,
+    pda_to_tsa1,
+    tsa1_to_pda,
+)
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.tsa import SearchOptions, accepts, shortest_accepted
 
-from reference_search import ref_accepts, ref_shortest_accepted
+from reference_search import ref_accepts, ref_pda_accepts, ref_shortest_accepted
 
 
 MACHINES = {
@@ -38,6 +48,38 @@ OPTIONS = {
     "k2-steps": SearchOptions(k=2, max_steps=6),
     "vertices": SearchOptions(max_vertices=3),
 }
+
+# a^n b^n with stack symbols guessed on the way up: several stack symbols,
+# eps pushes of a symbol and of nothing, and eps pops
+AMBIGUOUS_PDA = """pda
+states: q r f
+initial: q
+final: f
+stack: A B C
+alphabet: a b
+trans: q a push @ A q
+trans: q a push A A q
+trans: q a push A B q
+trans: q a push B B q
+trans: q eps push B C q
+trans: q b push C - r
+trans: q eps push A - r
+trans: q eps push B - r
+trans: r eps pop C r
+trans: r b pop A r
+trans: r b pop B r
+trans: r eps pop B r
+trans: r eps push @ - f
+trans: q eps push @ - f
+"""
+
+PDAS = {
+    "wpz": fixture_wpz_pda,
+    "wpz-round-trip": lambda: tsa1_to_pda(pda_to_tsa1(fixture_wpz_pda())),
+    "ambiguous": lambda: parse_pda(AMBIGUOUS_PDA),
+}
+
+PDA_BUDGETS = {"default": {}, "steps": {"max_steps": 5}, "stack": {"max_stack": 3}}
 
 # all words up to this length; the updown machine has eight letters, so
 # beyond length 4 it only gets the words built from its demo word
@@ -78,6 +120,35 @@ def test_accepts_matches_reference(name, opt_name):
         assert "budget" in reasons  # the tight budgets really cut searches off
 
 
+def diff_pda_accepts(pda, words, budgets):
+    reasons = set()
+    for w in words:
+        got, want = pda_accepts(pda, w, **budgets), ref_pda_accepts(pda, w, **budgets)
+        assert outcome(got) == outcome(want), (w, budgets)
+        reasons.add(outcome(got)[0] if got else got.reason)
+    return reasons
+
+
+@pytest.mark.parametrize("name", list(PDAS))
+def test_pda_accepts_matches_reference(name):
+    pda = PDAS[name]()
+    reasons = set()
+    for budgets in PDA_BUDGETS.values():
+        reasons |= diff_pda_accepts(pda, words_upto("".join(pda.alphabet), 8), budgets)
+    assert reasons == {"RunTrace", "exhausted", "budget"}
+
+
+def test_pda_accepts_long_words_match_reference():
+    rng = random.Random(5)
+    words = []
+    for n in [200] * 8 + [400] * 8:
+        letters = ["t", "T"] * (n // 2)
+        rng.shuffle(letters)
+        words.append("".join(letters))
+    words[1::2] = [w[:-1] + {"t": "T", "T": "t"}[w[-1]] for w in words[1::2]]  # unbalanced
+    assert diff_pda_accepts(fixture_wpz_pda(), words, {}) == {"RunTrace", "exhausted"}
+
+
 @pytest.mark.parametrize("k", [None, 2])
 def test_deep_members_match_reference(k):
     opts = SearchOptions(k=k)
@@ -114,6 +185,12 @@ def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     machines = {name: make() for name, make in MACHINES.items()}
     expected = [outcome(accepts(machines[n], w, o)) for n, w, o in queries]
     expected_short = [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()]
+    pdas = {name: make() for name, make in PDAS.items()}
+    pda_queries = [(name, w, budgets)
+                   for name, pda in pdas.items()
+                   for w in words_upto("".join(pda.alphabet), 5)
+                   for budgets in PDA_BUDGETS.values()]
+    expected_pda = [outcome(ref_pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries]
 
     distinct = 0
     seen_exactly = tsa_mod._seen_exactly
@@ -131,3 +208,6 @@ def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     assert [outcome(accepts(machines[n], w, o)) for n, w, o in queries] == expected
     assert [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()] == expected_short
     assert distinct > 0  # configurations told apart only by the exact check
+    tsa_distinct = distinct
+    assert [outcome(pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries] == expected_pda
+    assert distinct > tsa_distinct  # stacks of one height told apart the same way

@@ -3,7 +3,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
 
-from tsalab.convert import fixture_ks_tsa, fixture_wpz_pda, fixture_wpz_tsa, parse_pda, render_pda
+from tsalab.convert import (
+    Pda,
+    PdaAction,
+    PdaTransition,
+    fixture_ks_tsa,
+    fixture_wpz_pda,
+    fixture_wpz_tsa,
+    parse_pda,
+    render_pda,
+)
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
@@ -118,11 +127,22 @@ def test_render_parse_round_trip():
             assert parse_tsa(render_tsa(tsa)) == tsa, fixture.__name__
 
 
-@pytest.mark.parametrize("label", ["#", "a#b", "two words", ""])
-def test_render_refuses_symbols_the_format_cannot_carry(label):
-    tsa = Tsa(("q",), (label,), ("a",), "q", (), frozenset({"q"}))
+UNWRITABLE = [(label, None) for label in ("#", "a#b", "two words", "")]
+UNWRITABLE += [("X", name) for name in (" s1 ", "s1 ", "", "s1\ns2")]
+
+
+@pytest.mark.parametrize("label, name", UNWRITABLE,
+                         ids=[label if name is None else f"name={name!r}" for label, name in UNWRITABLE])
+def test_render_refuses_symbols_the_format_cannot_carry(label, name):
+    t = Transition("q", "a", PRED_TRUE, instr_id(), "q", name=name)
+    tsa = Tsa(("q",), (label,), ("a",), "q", (t,), frozenset({"q"}))
     with pytest.raises(ValueError, match="cannot be written"):
         render_tsa(tsa)
+    if name is not None:
+        p = PdaTransition("q", "a", PdaAction("push", "@", "A"), "q", name=name)
+        pda = Pda(("q",), ("a",), ("A",), "q", (p,), frozenset({"q"}))
+        with pytest.raises(ValueError, match="cannot be written"):
+            render_pda(pda)
 
 
 def test_step_first_push():
