@@ -10,7 +10,7 @@ root; that is the setting in which the definitions make sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .treestack import ROOT, Address, format_address
@@ -186,20 +186,14 @@ class HistoryArray:
 def _history_from_pairs(trace: RunTrace, nu: Address,
                         pairs: Sequence[tuple[int, int]]) -> HistoryArray:
     configs = trace.configurations()
-    labels = []
+    labels = []  # (c1u, c1d, ..., csu, csd)
     states = []
     for l, m in pairs:
         labels.append(configs[l].ts.label_at(nu))
         labels.append(configs[m].ts.label_at(nu))
         states.append(configs[l].state)
         states.append(configs[m].state)
-    # interleave as (c1u, c1d, ..., csu, csd)
-    out_labels = []
-    out_states = []
-    for j in range(len(pairs)):
-        out_labels.extend(labels[2 * j: 2 * j + 2])
-        out_states.extend(states[2 * j: 2 * j + 2])
-    return HistoryArray(tuple(out_labels), tuple(out_states))
+    return HistoryArray(tuple(labels), tuple(states))
 
 
 def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
@@ -218,8 +212,7 @@ class SwapReport:
 
 def single_swap(trace_w: RunTrace, nu: Address,
                 trace_w2: RunTrace, nu2: Address,
-                opts: SearchOptions | None = None,
-                verify: bool = True) -> SwapReport:
+                opts: SearchOptions | None = None) -> SwapReport:
     """Swap the u-factors of trace_w at nu for those of trace_w2 at nu2.
 
     Requires equal history arrays; returns the spliced word together with
@@ -256,14 +249,8 @@ def single_swap(trace_w: RunTrace, nu: Address,
     except ReplayMismatch:
         replay_ok = False
 
-    accepted = True
-    reason = None
-    if verify:
-        opts = opts or SearchOptions()
-        res = accepts(trace_w.tsa, word, opts)
-        accepted = bool(res)
-        reason = None if res else res.reason
-    return SwapReport(word, h1, accepted, reason, replay_ok)
+    res = accepts(trace_w.tsa, word, opts or SearchOptions())
+    return SwapReport(word, h1, bool(res), None if res else res.reason, replay_ok)
 
 
 @dataclass(frozen=True)
@@ -317,9 +304,7 @@ class EmpiricalUpSet:
 def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None) -> EmpiricalUpSet:
     """Run every word, then file each non-root vertex's u-tuple under its
     history array.  Witness runs are proper (the definitions require it)."""
-    base = opts or SearchOptions()
-    opts = SearchOptions(k=base.k, accept_mode="root", max_steps=base.max_steps,
-                         max_vertices=base.max_vertices, proper_only=True)
+    opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     for w in words:
         res = accepts(tsa, w, opts)
@@ -368,8 +353,7 @@ def _stationary_segments(trace: RunTrace):
 
 
 def find_pumpable(trace: RunTrace, m: int,
-                  opts: SearchOptions | None = None,
-                  verify_exponents: Sequence[int] = (0, 2, 3)) -> PumpResult | None:
+                  opts: SearchOptions | None = None) -> PumpResult | None:
     """Extract a pumpable factor from a long stationary stretch.
 
     If the pointer rests at one vertex for more than m*|C|*|Q| consecutive
@@ -402,13 +386,9 @@ def find_pumpable(trace: RunTrace, m: int,
         x = trace.word[: pos[j1]]
         y = trace.word[pos[j1]: pos[jm]]
         z = trace.word[pos[jm]:]
-        verified = {}
-        opts = opts or SearchOptions(accept_mode="any")
-        for n in verify_exponents:
-            w = x + y * n + z
-            local = SearchOptions(k=opts.k, accept_mode=opts.accept_mode,
-                                  proper_only=opts.proper_only)
-            verified[n] = bool(accepts(tsa, w, local))
+        # each pumped word gets the default budgets for its own length
+        local = replace(opts or SearchOptions(accept_mode="any"), max_steps=None, max_vertices=None)
+        verified = {n: bool(accepts(tsa, x + y * n + z, local)) for n in (0, 2, 3)}
         return PumpResult(x, y, z, nu, verified)
     return None
 

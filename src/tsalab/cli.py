@@ -7,8 +7,8 @@ library with a stable, line-oriented output format:
 
 Exit codes: 0 accept, 1 reject, 2 budget cut; every command exits 3 on
 bad input (a usage error, a missing or malformed file, an unknown name, a
-machine the command cannot take, a bad vertex), with one `tsalab: ...`
-line on stderr.  The env var TSALAB_MAX_STEPS
+machine, run or parameter the command cannot take, a bad vertex), with one
+`tsalab: ...` line on stderr.  The env var TSALAB_MAX_STEPS
 overrides the default step budget.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, convert, fixtures, langlab, mcfg, suites
@@ -234,9 +235,7 @@ def cmd_mcfg(args) -> int:
 
 
 def _witness(tsa, word, args):
-    opts = search_options(args)
-    opts = SearchOptions(k=opts.k, accept_mode="root", max_steps=opts.max_steps,
-                         max_vertices=opts.max_vertices, proper_only=True)
+    opts = replace(search_options(args), accept_mode="root", proper_only=True)
     res = accepts(tsa, word, opts)
     if not res:
         print(f"tsalab: no proper witness run for {word!r} ({res.reason})", file=sys.stderr)
@@ -315,6 +314,8 @@ def cmd_analyze(args) -> int:
         emit(args, f"swapped word {rep.word}", block)
         return 0 if rep.accepted else 1
     if sub == "pump":
+        if args.m < 1:
+            raise BadInput(f"--m must be >= 1, got {args.m}")
         trace = _witness(tsa, args.word, args)
         res = analysis.find_pumpable(trace, args.m)
         block = ["command=analyze.pump", f"word={args.word}", f"m={args.m}"]
@@ -328,6 +329,8 @@ def cmd_analyze(args) -> int:
         emit(args, None, block)
         return 0
     # bounds
+    if degree(tsa).value == 0:
+        raise BadInput("bounds assume positive degree (at least one push)")
     trace = _witness(tsa, args.word, args)
     rep = analysis.check_atv_bounds(trace, args.mu)
     block = ["command=analyze.bounds", f"word={args.word}", f"mu={args.mu}", f"k={rep.k}"]
@@ -568,7 +571,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (BadInput, ParseError, convert.NotOneTsa, analysis.VertexNotInFinalTree) as e:
+    except (BadInput, ParseError, convert.NotOneTsa, analysis.VertexNotInFinalTree,
+            analysis.EmptyLevel1, langlab.AlphabetMismatch) as e:
         print(f"tsalab: {e}", file=sys.stderr)
     except OSError as e:
         if e.filename is None:  # not a file the user named, e.g. a closed pipe

@@ -148,7 +148,7 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     # the path's vertices are inserted bottom first and only the top is
     # ever deleted, so a tree's labels in insertion order are its stack
     steps = [(tidx, PdaConfig(state, tuple(dom.values()), pos))
-             for state, pos, dom, *_, tidx in found[0][1:]]
+             for state, pos, dom, *_, tidx in found[1:]]
     return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
 
 

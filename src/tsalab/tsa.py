@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .treestack import (
-    ROOT,
     ROOT_LABEL,
     Address,
     Instruction,
@@ -151,18 +150,17 @@ class Configuration:
     pos: int
     vfb: tuple[tuple[Address, int], ...]
 
-    def vfb_map(self) -> dict[Address, int]:
-        return dict(self.vfb)
-
 
 def initial_configuration(tsa: Tsa) -> Configuration:
     return Configuration(tsa.initial, ts_init(), 0, ())
 
 
 def _bump_vfb(vfb: tuple, addr: Address) -> tuple:
-    d = dict(vfb)
-    d[addr] = d.get(addr, 0) + 1
-    return tuple(sorted(d.items()))
+    """The sorted (address, count) tuple with addr's count one higher."""
+    i = bisect.bisect_left(vfb, (addr,))
+    if i < len(vfb) and vfb[i][0] == addr:
+        return vfb[:i] + ((addr, vfb[i][1] + 1),) + vfb[i + 1:]
+    return vfb[:i] + ((addr, 1),) + vfb[i:]
 
 
 def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
@@ -300,10 +298,17 @@ def search_rows(machine, moves, proper_only: bool = False) -> dict[str, list[tup
 
 
 def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
-    """`_search` on a TSA, with the witness as a RunTrace."""
+    """`_search` on a TSA.  The witness is the arena path re-executed by
+    `replay`, so a search-core bug raises ReplayMismatch rather than
+    returning a run the step semantics do not allow."""
     moves = ((t.pred.label, t.instr.kind, t.instr.n, t.instr.label) for t in tsa.delta)
     found = _search(tsa, search_rows(tsa, moves, opts.proper_only), w, max_len, opts)
-    return found if isinstance(found, NotFound) else _witness(tsa, w, *found)
+    if isinstance(found, NotFound):
+        return found
+    tidxs = [node[9] for node in found[1:]]
+    if w is None:  # the word is the letters the run reads
+        w = "".join(tsa.delta[i].inp or "" for i in tidxs)
+    return replay(tsa, w, tidxs)
 
 
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
@@ -317,7 +322,8 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     pointer id, and the vfb counts are an {id: count} dict.  The memo key
     holds XOR hashes of the tree and of the vfb counts, kept up to date
     incrementally; a hash hit compares the dicts exactly, so the
-    memoisation is exact.  Address tuples are rebuilt only for the witness.
+    memoisation is exact.  The witness is the arena path re-executed by
+    `replay`.
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
@@ -339,8 +345,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions):
     `shortest_accepted` (w None: read any word of length <= max_len) and
     `convert.pda_accepts`.  `machine` has initial, finals and states; `rows`
     is its delta from `search_rows`.  Returns NotFound, or the arena nodes
-    from the initial one to the first accepting one together with the
-    address tuple per interned id."""
+    from the initial one to the first accepting one."""
     max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(machine, max_len)
     max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
     free = w is None
@@ -351,13 +356,12 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions):
 
     ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
     up_of = [-1]  # parent id per id; the root is id 0
-    addr_of = [ROOT]  # address tuple per id
     # arena of (state, pos, {id: label}, pointer id, {id: vfb count} or None
     # when k is None, tree hash, vfb hash, stationary flag, parent node,
     # delta index)
     nodes = [(machine.initial, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
     if machine.initial in finals and (free or max_len == 0):
-        return nodes, addr_of
+        return nodes
     seen = {(machine.initial, 0, 0, 0, 0, False): 0}  # memo key -> first node
     more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
     frontier = [0]
@@ -392,7 +396,6 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions):
                     if nptr is None:
                         nptr = ids[(ptr, n)] = len(up_of)
                         up_of.append(ptr)
-                        addr_of.append(addr_of[ptr] + (n,))
                     elif nptr in dom:
                         continue
                     ndom = dom.copy()
@@ -446,7 +449,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions):
                     while me >= 0:
                         path.append(nodes[me])
                         me = nodes[me][8]
-                    return path[::-1], addr_of
+                    return path[::-1]
                 next_frontier.append(me)
         frontier = next_frontier
 
@@ -461,40 +464,6 @@ def _seen_exactly(nodes, first, later, dom, vfb) -> bool:
         if (node[2] is dom or node[2] == dom) and node[4] == vfb:
             return True
     return False
-
-
-def _witness(tsa, w, path, addr_of) -> RunTrace:
-    """The run along an arena path from `_search`, with tuple addresses.
-    Steps that keep the tree share it, as moves do in `step`; the vfb
-    counts are rebuilt from the run, as the search keeps them only under k."""
-    init = initial_configuration(tsa)
-    steps = []
-    letters = []
-    counts: dict[int, int] = {}  # id -> vfb count
-    addrs: list[Address] = []  # counted addresses, sorted
-    order: list[int] = []  # their ids, in the same order
-    vfb = init.vfb
-    ts = init.ts
-    prev_dom, prev_ptr = path[0][2], 0
-    for state, pos, dom, ptr, _, _, _, _, _, tidx in path[1:]:
-        addr = addr_of[ptr]
-        if dom is not prev_dom:  # push or set: one label changed, at ptr
-            ts = ts._rewritten(addr, dom[ptr], addr)
-        elif ptr != prev_ptr:
-            ts = ts._moved(addr)
-        prev_dom, prev_ptr = dom, ptr
-        t = tsa.delta[tidx]
-        if t.instr.kind in ("push", "up"):
-            if ptr not in counts:
-                i = bisect.bisect(addrs, addr)
-                addrs.insert(i, addr)
-                order.insert(i, ptr)
-            counts[ptr] = counts.get(ptr, 0) + 1
-            vfb = tuple(zip(addrs, map(counts.__getitem__, order)))
-        if t.inp is not None:
-            letters.append(t.inp)
-        steps.append((tidx, Configuration(state, ts, pos, vfb)))
-    return RunTrace(tsa, "".join(letters) if w is None else w, steps, init)
 
 
 def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
@@ -552,13 +521,9 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
 
 
 def visited_from_below_counts(trace: RunTrace) -> dict[Address, int]:
-    """How many times each address was entered from its parent (push/up)."""
-    counts: dict[Address, int] = {}
-    for tidx, cfg in trace.steps:
-        if trace.tsa.delta[tidx].instr.kind in ("push", "up"):
-            addr = cfg.ts.pointer
-            counts[addr] = counts.get(addr, 0) + 1
-    return counts
+    """How many times each address was entered from its parent (push/up):
+    the final configuration's vfb counts, which `step` keeps."""
+    return dict(trace.final().vfb)
 
 
 def is_k_restricted(trace: RunTrace, k: int) -> bool:
@@ -658,17 +623,8 @@ def standardise(tsa: Tsa) -> Tsa:
 
 
 def is_standardised(tsa: Tsa) -> bool:
-    have = {t.core() for t in tsa.delta}
-    for t1 in tsa.delta:
-        if not t1.is_stationary_eps():
-            continue
-        for t2 in tsa.delta:
-            if not t2.is_stationary_eps() or t1.dst != t2.src:
-                continue
-            t3 = _compose_stationary(t1, t2)
-            if t3 is not None and t3.core() not in have:
-                return False
-    return True
+    """Whether delta is closed already: standardising adds nothing."""
+    return len(standardise(tsa).delta) == len(tsa.delta)
 
 
 def is_proper(trace: RunTrace) -> bool:

@@ -187,6 +187,10 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["convert", "tsa2pda", "abcd"],  # not a 1-TSA: it has up transitions
     ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "x.y"],
     ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "7"],  # not in the tree
+    ["analyze", "level1", "astar", "--word", ""],  # the run never leaves the root
+    ["analyze", "bounds", "astar", "--word", "a"],  # degree 0: no push
+    ["analyze", "pump", "astar", "--word", "aaa", "--m", "0"],
+    ["rational", "--wp", "wpz", "--regex", "a", "--word", "T"],  # 'a' is not a group letter
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
     code = main([a.format(missing=tmp_path / "missing") for a in argv])

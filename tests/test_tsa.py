@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
+from reference_search import _bump_vfb as ref_bump_vfb
 
 from tsalab.convert import (
     Pda,
@@ -18,6 +19,7 @@ from tsalab.langlab import parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
 from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
+    _bump_vfb,
     BadIndex,
     NotApplicable,
     ParseError,
@@ -254,10 +256,47 @@ def test_enumerate_empty_word_only():
     assert enumerate_words(abcd_tsa(), 0, K2) == {""}
 
 
+def recount_vfb(trace):
+    """The visit-from-below counts recounted from the run's push and up
+    steps: the reference for the counts `step` keeps."""
+    counts = {}
+    for tidx, cfg in trace.steps:
+        if trace.tsa.delta[tidx].instr.kind in ("push", "up"):
+            addr = cfg.ts.pointer
+            counts[addr] = counts.get(addr, 0) + 1
+    return counts
+
+
+# a walk over addresses: into a child, over to a sibling, back to an
+# address already visited, or back to the root
+_vfb_moves = st.lists(st.tuples(st.sampled_from(["child", "sibling", "again", "root"]),
+                                st.integers(1, 40)), max_size=60)
+
+
+@given(_vfb_moves)
+def test_bump_vfb_matches_sorted_dict_rebuild(moves):
+    vfb = ref = ()
+    seen = [()]
+    addr = ()
+    for move, n in moves:
+        if move == "child":
+            addr = addr + (n % 3 + 1,)
+        elif move == "sibling" and addr:
+            addr = addr[:-1] + (n % 3 + 1,)
+        elif move == "again":
+            addr = seen[n % len(seen)]
+        elif move == "root":
+            addr = ()
+        seen.append(addr)
+        vfb, ref = _bump_vfb(vfb, addr), ref_bump_vfb(ref, addr)
+        assert vfb == ref
+
+
 def test_vfb_counts_on_table_run():
     res = accepts(abcd_tsa(), "aabbccdd", K2)
     counts = visited_from_below_counts(res)
     assert counts == {(1,): 2, (1, 1): 2, (1, 1, 1): 2}
+    assert counts == recount_vfb(res)
     assert is_k_restricted(res, 2)
     assert not is_k_restricted(res, 1)
 
@@ -273,6 +312,7 @@ def test_witnesses_up_to_12_are_2_restricted():
     for m in range(4):  # lengths 0, 4, 8, 12
         res = accepts(tsa, abcd_word(m), K2)
         assert res and is_k_restricted(res, 2)
+        assert visited_from_below_counts(res) == recount_vfb(res)
 
 
 def test_degree():
