@@ -11,10 +11,12 @@ root; that is the setting in which the definitions make sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .treestack import ROOT, Address, format_address
 from .tsa import (
+    Configuration,
     ReplayMismatch,
     RunTrace,
     SearchOptions,
@@ -96,28 +98,32 @@ class UpDownVector:
         return tuple(x for pair in self.pairs for x in pair)
 
 
+def _crossings(trace: RunTrace) -> dict[Address, list[tuple[int, int]]]:
+    """Every up-down vector of the run from one walk over the pointer path.
+
+    A step that lengthens the pointer address opens a pair (l, _) at the
+    vertex it enters; one that shortens it closes the open pair at the
+    vertex it leaves with m = step - 1.  The open pairs are the edges from
+    the root to the pointer, so they form a stack.  Keys are the vertices
+    entered from below: the non-root vertices of the final tree.  The
+    trace must have passed `_check_trace`, so every pair is closed."""
+    out: dict[Address, list[tuple[int, int]]] = {}
+    rho = _pointers(trace)
+    opened = []
+    for j in range(1, len(rho)):
+        if len(rho[j]) > len(rho[j - 1]):
+            opened.append(j)
+        elif len(rho[j]) < len(rho[j - 1]):
+            out.setdefault(rho[j - 1], []).append((opened.pop(), j - 1))
+    return out
+
+
 def up_down_vector(trace: RunTrace, nu: Address) -> UpDownVector:
     """Indices of the transitions crossing the edge (parent(nu), nu)."""
     _check_trace(trace)
-    if nu == ROOT or nu not in trace.final().ts.dom:
+    pairs = _crossings(trace).get(nu)
+    if pairs is None:
         raise VertexNotInFinalTree(f"{format_address(nu)} is not a non-root vertex of the run's final tree")
-    parent = nu[:-1]
-    rho = _pointers(trace)
-    ups = [j for j in range(1, len(rho)) if rho[j - 1] == parent and rho[j] == nu]
-    downs = [j for j in range(1, len(rho)) if rho[j - 1] == nu and rho[j] == parent]
-    if len(ups) != len(downs):
-        raise TraceNotAtRoot("unbalanced edge crossings; run did not return")
-    pairs = []
-    for l, m_next in zip(ups, downs):
-        m = m_next - 1
-        if not l <= m:
-            raise AnalysisError("crossing order violated")
-        pairs.append((l, m))
-    for (l1, m1), (l2, _) in zip(pairs, pairs[1:]):
-        if not m1 < l2:
-            raise AnalysisError("crossing order violated")
-    if pairs and pairs[-1][1] >= len(trace.steps):
-        raise AnalysisError("last down must not be the final step")
     return UpDownVector(tuple(pairs))
 
 
@@ -145,9 +151,7 @@ class NuFactorisation:
         return self.w0 + "".join(u + w for u, (_, w) in zip(us, self.parts))
 
 
-def _factorise(trace: RunTrace, pairs: Sequence[tuple[int, int]]) -> NuFactorisation:
-    pos = _positions(trace)
-    w = trace.word
+def _factorise(w: str, pos: Sequence[int], pairs: Sequence[tuple[int, int]]) -> NuFactorisation:
     s = len(pairs)
     w0 = w[: pos[pairs[0][0]]]
     parts = []
@@ -161,7 +165,7 @@ def _factorise(trace: RunTrace, pairs: Sequence[tuple[int, int]]) -> NuFactorisa
 
 def nu_factorisation(trace: RunTrace, nu: Address) -> NuFactorisation:
     udv = up_down_vector(trace, nu)
-    return _factorise(trace, udv.pairs)
+    return _factorise(trace.word, _positions(trace), udv.pairs)
 
 
 @dataclass(frozen=True)
@@ -183,9 +187,8 @@ class HistoryArray:
         return "(" + " ".join(self.labels) + " | " + " ".join(self.states) + ")"
 
 
-def _history_from_pairs(trace: RunTrace, nu: Address,
+def _history_from_pairs(configs: Sequence[Configuration], nu: Address,
                         pairs: Sequence[tuple[int, int]]) -> HistoryArray:
-    configs = trace.configurations()
     labels = []  # (c1u, c1d, ..., csu, csd)
     states = []
     for l, m in pairs:
@@ -198,7 +201,7 @@ def _history_from_pairs(trace: RunTrace, nu: Address,
 
 def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
     udv = up_down_vector(trace, nu)
-    return _history_from_pairs(trace, nu, udv.pairs)
+    return _history_from_pairs(trace.configurations(), nu, udv.pairs)
 
 
 @dataclass
@@ -221,17 +224,17 @@ def single_swap(trace_w: RunTrace, nu: Address,
     """
     if trace_w.tsa is not trace_w2.tsa and trace_w.tsa != trace_w2.tsa:
         raise AnalysisError("runs must come from the same automaton")
-    h1 = history_array(trace_w, nu)
-    h2 = history_array(trace_w2, nu2)
+    v1 = up_down_vector(trace_w, nu).pairs
+    v2 = up_down_vector(trace_w2, nu2).pairs
+    h1 = _history_from_pairs(trace_w.configurations(), nu, v1)
+    h2 = _history_from_pairs(trace_w2.configurations(), nu2, v2)
     if h1 != h2:
         raise HistoryMismatch(f"{h1} != {h2}")
-    f1 = nu_factorisation(trace_w, nu)
-    f2 = nu_factorisation(trace_w2, nu2)
+    f1 = _factorise(trace_w.word, _positions(trace_w), v1)
+    f2 = _factorise(trace_w2.word, _positions(trace_w2), v2)
     word = f1.substitute(f2.u_tuple())
 
     # explicit splice: follow R up to each arrival, then R' strictly above
-    v1 = up_down_vector(trace_w, nu).pairs
-    v2 = up_down_vector(trace_w2, nu2).pairs
     idx1 = trace_w.transition_indices()
     idx2 = trace_w2.transition_indices()
     spliced: list[int] = []
@@ -303,7 +306,8 @@ class EmpiricalUpSet:
 
 def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None) -> EmpiricalUpSet:
     """Run every word, then file each non-root vertex's u-tuple under its
-    history array.  Witness runs are proper (the definitions require it)."""
+    history array, all read off one crossing pass per witness.  Witness
+    runs are proper (the definitions require it)."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     for w in words:
@@ -312,13 +316,12 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
             out.budget_failures.append(w)
             continue
         out.traces[w] = res
-        tree = res.final().ts
-        for nu in sorted(tree.dom):
-            if nu == ROOT:
-                continue
-            h = history_array(res, nu)
-            us = nu_factorisation(res, nu).u_tuple()
-            out.insert(h, us, w, nu)
+        _check_trace(res)
+        configs = res.configurations()
+        pos = [c.pos for c in configs]
+        for nu, pairs in sorted(_crossings(res).items()):
+            h = _history_from_pairs(configs, nu, pairs)
+            out.insert(h, _factorise(w, pos, pairs).u_tuple(), w, nu)
     return out
 
 
@@ -411,18 +414,6 @@ class AtvBoundsReport:
     lambda_singular: list[Address] | None = None
 
 
-def _letters_at_vertices(trace: RunTrace) -> dict[Address, int]:
-    """Letters read by stationary transitions, attributed to the vertex
-    the pointer rested at."""
-    counts: dict[Address, int] = {}
-    rho = _pointers(trace)
-    for j, (tidx, _) in enumerate(trace.steps, start=1):
-        t = trace.tsa.delta[tidx]
-        if t.inp is not None and t.instr.kind in ("id", "set"):
-            counts[rho[j - 1]] = counts.get(rho[j - 1], 0) + 1
-    return counts
-
-
 def check_atv_bounds(trace: RunTrace, mu: int,
                      marks: "set[int] | MarkedWord | None" = None,
                      lam: int | None = None) -> AtvBoundsReport:
@@ -443,12 +434,15 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     C, Q = len(tsa.labels), len(tsa.states)
     pos = _positions(trace)
 
-    # strong condition first
+    # strong condition first; the stationary factors also give the letters
+    # read at each vertex
     seg_threshold = mu * C * Q
+    letters_at: dict[Address, int] = {}
     for a, b, nu in _stationary_segments(trace):
         letters = pos[b] - pos[a - 1]
         if letters > seg_threshold:
             raise StrongConditionViolated(nu)
+        letters_at[nu] = letters_at.get(nu, 0) + letters
 
     counts = visited_from_below_counts(trace)
     k = max(counts.values(), default=0)
@@ -457,7 +451,6 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     for a in tree.dom:
         if a != ROOT:
             children[a[:-1]] += 1
-    letters_at = _letters_at_vertices(trace)
 
     rows = []
     for nu in sorted(tree.dom):
@@ -473,26 +466,15 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     singular = None
     if marks is not None and lam is not None:
         if isinstance(marks, MarkedWord):
-            marks = set(marks.marks)
-        rho = _pointers(trace)
-        singular = []
-        for nu in sorted(tree.dom):
-            if nu == ROOT:
-                outside = 0  # every letter is read inside T_root
-            else:
-                depth = len(nu)
-                outside = 0
-                for j, (tidx, _) in enumerate(trace.steps, start=1):
-                    t = trace.tsa.delta[tidx]
-                    if t.inp is None:
-                        continue
-                    if pos[j] - 1 not in marks:
-                        continue
-                    inside = rho[j - 1][:depth] == nu and rho[j][:depth] == nu
-                    if not inside:
-                        outside += 1
-            if outside < lam:
-                singular.append(nu)
+            marks = marks.marks
+        # marked letters read inside T_nu are those of its u factors,
+        # w[pos[l]:pos[m]]; `before[i]` counts the marked letters before i
+        before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))
+        cross = _crossings(trace)
+        cross[ROOT] = [(0, len(trace.steps))]  # every letter is read inside T_root
+        singular = [nu for nu in sorted(tree.dom)
+                    if before[-1] - sum(before[pos[m]] - before[pos[l]]
+                                        for l, m in cross[nu]) < lam]
 
     return AtvBoundsReport(k, mu, rows, all(r.ok for r in rows), singular)
 
@@ -597,37 +579,14 @@ class Level1Arrays:
 
 def level1_arrays(trace: RunTrace) -> Level1Arrays:
     _check_trace(trace)
-    rho = _pointers(trace)
-    ls = []
-    ms = []
-    ns = []
-    j = 1
-    r = len(trace.steps)
-    while j <= r:
-        if rho[j - 1] == ROOT and rho[j] != ROOT:
-            l = j
-            child = rho[j][0]
-            y = j
-            while y < r and rho[y + 1] != ROOT:
-                y += 1
-            # rho[y+1] == ROOT (runs end at the root, so every excursion returns)
-            ls.append(l)
-            ms.append(y)
-            ns.append(child)
-            j = y + 2
-        else:
-            j += 1
-    if not ls:
+    cols = sorted((l, m, nu[0]) for nu, pairs in _crossings(trace).items() if len(nu) == 1
+                  for l, m in pairs)
+    if not cols:
         raise EmptyLevel1("the run never leaves the root")
-    pairs = list(zip(ls, ms))
-    fact = _factorise(trace, pairs)
+    ls, ms, ns = zip(*cols)
     configs = trace.configurations()
-    labels = []
-    states = []
-    children = []
-    for l, m, n in zip(ls, ms, ns):
-        labels.extend((configs[l].ts.label_at((n,)), configs[m].ts.label_at((n,))))
-        states.extend((configs[l].state, configs[m].state))
-        children.extend((n, n))
-    return Level1Arrays(tuple(ls), tuple(ms), tuple(ns), fact,
-                        tuple(labels), tuple(states), tuple(children))
+    history = [_history_from_pairs(configs, (n,), [(l, m)]) for l, m, n in cols]
+    return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(trace), list(zip(ls, ms))),
+                        tuple(x for h in history for x in h.labels),
+                        tuple(x for h in history for x in h.states),
+                        tuple(n for n in ns for _ in (0, 1)))

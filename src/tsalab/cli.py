@@ -62,6 +62,18 @@ class Parser(argparse.ArgumentParser):
         raise BadInput(message)
 
 
+def at_least(lo: int):
+    """An argparse type: an int no smaller than `lo`, so that a count
+    flag out of range is a usage error (exit 3) and not a run."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    count.__name__ = "int"  # argparse names the type in "invalid int value"
+    return count
+
+
 def load_tsa(source: str) -> Tsa:
     """A machine argument is a file path or a built-in fixture name."""
     p = Path(source)
@@ -250,6 +262,13 @@ def _address(text: str):
         raise BadInput(e) from None
 
 
+def _factor_lines(f: analysis.NuFactorisation) -> list[str]:
+    lines = [f"w0={f.w0 or 'eps'}"]
+    for j, (u, w) in enumerate(f.parts, start=1):
+        lines += [f"u{j}={u or 'eps'}", f"w{j}={w or 'eps'}"]
+    return lines
+
+
 def cmd_analyze(args) -> int:
     tsa = load_tsa(args.machine)
     sub = args.analyze_cmd
@@ -261,11 +280,7 @@ def cmd_analyze(args) -> int:
             udv = analysis.up_down_vector(trace, nu)
             block.append("updown=" + " ".join(str(i) for i in udv.flat()))
         elif sub == "factorise":
-            f = analysis.nu_factorisation(trace, nu)
-            block.append(f"w0={f.w0 or 'eps'}")
-            for j, (u, w) in enumerate(f.parts, start=1):
-                block.append(f"u{j}={u or 'eps'}")
-                block.append(f"w{j}={w or 'eps'}")
+            block += _factor_lines(analysis.nu_factorisation(trace, nu))
         else:
             h = analysis.history_array(trace, nu)
             block.append("labels=" + " ".join(h.labels))
@@ -278,11 +293,8 @@ def cmd_analyze(args) -> int:
         block = ["command=analyze.level1", f"word={args.word}",
                  "l=" + " ".join(map(str, l1.ls)),
                  "m=" + " ".join(map(str, l1.ms)),
-                 "n=" + " ".join(map(str, l1.ns)),
-                 f"w0={l1.factorisation.w0 or 'eps'}"]
-        for j, (u, w) in enumerate(l1.factorisation.parts, start=1):
-            block.append(f"u{j}={u or 'eps'}")
-            block.append(f"w{j}={w or 'eps'}")
+                 "n=" + " ".join(map(str, l1.ns))]
+        block += _factor_lines(l1.factorisation)
         block.append("labels=" + " ".join(l1.history_labels))
         block.append("states=" + " ".join(l1.history_states))
         block.append("children=" + " ".join(map(str, l1.history_children)))
@@ -314,8 +326,6 @@ def cmd_analyze(args) -> int:
         emit(args, f"swapped word {rep.word}", block)
         return 0 if rep.accepted else 1
     if sub == "pump":
-        if args.m < 1:
-            raise BadInput(f"--m must be >= 1, got {args.m}")
         trace = _witness(tsa, args.word, args)
         res = analysis.find_pumpable(trace, args.m)
         block = ["command=analyze.pump", f"word={args.word}", f"m={args.m}"]
@@ -511,12 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap = asub.add_parser("pump")
     ap.add_argument("machine")
     add_search_flags(ap)
-    ap.add_argument("--m", type=int, default=1)
+    ap.add_argument("--m", type=at_least(1), default=1)
     ap.set_defaults(func=cmd_analyze)
     ap = asub.add_parser("bounds")
     ap.add_argument("machine")
     add_search_flags(ap)
-    ap.add_argument("--mu", type=int, default=1)
+    ap.add_argument("--mu", type=at_least(1), default=1)
     ap.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("convert", help="PDA <-> 1-TSA translations")
@@ -537,20 +547,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("experiment", help="reproducible experiment bundles")
     esub = sp.add_subparsers(dest="experiment_cmd", required=True)
     ef = esub.add_parser("f2f2")
-    ef.add_argument("--n-max", dest="n_max", type=int, default=3)
-    ef.add_argument("--m-max", dest="m_max", type=int, default=3)
+    ef.add_argument("--n-max", dest="n_max", type=at_least(1), default=3)
+    ef.add_argument("--m-max", dest="m_max", type=at_least(1), default=3)
     ef.set_defaults(func=cmd_experiment)
     eg = esub.add_parser("gaps")
     eg.add_argument("--family", required=True,
                     help="pow2 | square | nlogn | alpha:<a>")
-    eg.add_argument("--n", type=int, default=30)
-    eg.add_argument("--m-max", dest="m_max", type=int, default=50)
+    eg.add_argument("--n", type=at_least(1), default=30)
+    eg.add_argument("--m-max", dest="m_max", type=at_least(1), default=50)
     eg.set_defaults(func=cmd_experiment)
     for name in ("sm", "ambm"):
         ex = esub.add_parser(name)
         if name == "sm":
-            ex.add_argument("--m", type=int, default=2)
-        ex.add_argument("--i-max", dest="i_max", type=int, default=5)
+            ex.add_argument("--m", type=at_least(1), default=2)
+        ex.add_argument("--i-max", dest="i_max", type=at_least(0), default=5)
         ex.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("rational", help="bounded rational-subset membership")

@@ -117,6 +117,8 @@ def gap_check(lengths: Sequence[int], m_max: int) -> GapReport:
     language cannot be semi-linear.  The verdict never claims more than
     the sample shows."""
     ls = list(lengths)
+    if not ls or m_max < 1:
+        raise ValueError("need at least one length and m_max >= 1")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("lengths must be strictly increasing")
     gaps = [b - a for a, b in zip(ls, ls[1:])]
@@ -347,7 +349,6 @@ def type_p(word: str, p: int, scheme: str = "ambm", zero_bound: int | None = Non
         return _is_block(word, "a", "b") or _is_block(word, "b", "a")
     if zero_bound is None:
         raise ValueError("type 0 in the 'abm' scheme needs zero_bound")
-    runs = _runs(word)
     if word.count("a") != 1:
         return False
     s = len(word.split("a")[0])

@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import abcd_oracle, abcd_word, crossing_recorder
+from conftest import (
+    abcd_oracle,
+    abcd_word,
+    anbmcndm_oracle,
+    counting_wpz_oracle,
+    crossing_recorder,
+    words_upto,
+)
 
 import tsalab.analysis as analysis_mod
 from tsalab.analysis import (
@@ -17,6 +24,7 @@ from tsalab.analysis import (
     check_U_switchable,
     check_atv_bounds,
     collect_upsets,
+    mark_all,
     find_pumpable,
     history_array,
     level1_arrays,
@@ -27,7 +35,7 @@ from tsalab.analysis import (
     weak_pump_verify,
 )
 from tsalab.convert import fixture_wpz_tsa
-from tsalab.fixtures import abcd_tsa, astar_tsa, updown_demo_run, updown_demo_tsa
+from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_run, updown_demo_tsa
 from tsalab.langlab import oracle
 from tsalab.tsa import ReplayMismatch, SearchOptions, accepts, replay
 
@@ -492,3 +500,181 @@ def test_level1_two_root_children():
         assert l1.restricted_to_child(n) == up_down_vector(tr, (n,)).pairs
     # column pairs carry their branch in the third row
     assert l1.history_children == (1, 1, 2, 2, 1, 1, 2, 2)
+
+
+# -- every vertex of every witness, against references that scan the run ------
+#
+# The analyses read all up-down vectors off one crossing pass.  Here each
+# result is rebuilt from the pointer path by the independent recorder, and
+# the bounds report by the whole-run scans it replaced.
+
+PROPER_K2 = SearchOptions(k=2, proper_only=True)
+WITNESS_FIXTURES = {
+    "abcd": (abcd_tsa, abcd_oracle, PROPER_K2),
+    "anbmcndm": (anbmcndm_tsa, anbmcndm_oracle, PROPER_K2),
+    "wpz": (fixture_wpz_tsa, counting_wpz_oracle, SearchOptions(proper_only=True)),
+}
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    """name -> {word: proper witness} for every member up to length 6."""
+    out = {}
+    for name, (make, member, opts) in WITNESS_FIXTURES.items():
+        tsa = make()
+        out[name] = {}
+        for w in words_upto("".join(tsa.alphabet), 6):
+            if member(w):
+                tr = accepts(tsa, w, opts)
+                assert tr, (name, w)
+                out[name][w] = tr
+    return out
+
+
+def two_visit_reader_trace():
+    """A run that reads letters with the pointer resting at (1,) on both of
+    its visits from below: the fixtures above read only while moving."""
+    from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_up
+    from tsalab.tsa import Transition, Tsa
+
+    T = Transition
+    tsa = Tsa(("q0", "q1", "q2", "q3", "q4"), ("x",), ("a", "b"), "q0",
+              (T("q0", None, PRED_TRUE, instr_push(1, "x"), "q1"),
+               T("q1", "a", PRED_TRUE, instr_id(), "q1"),
+               T("q1", None, PRED_TRUE, instr_down(), "q2"),
+               T("q2", None, PRED_TRUE, instr_up(1), "q3"),
+               T("q3", "b", PRED_TRUE, instr_id(), "q3"),
+               T("q3", None, PRED_TRUE, instr_down(), "q4")),
+              frozenset({"q4"}))
+    return accepts(tsa, "aabbb", SearchOptions(proper_only=True))
+
+
+@pytest.fixture(scope="module")
+def all_traces(witnesses, demo_trace):
+    return ([tr for runs in witnesses.values() for tr in runs.values()]
+            + [demo_trace, two_visit_reader_trace()])
+
+
+def test_two_visit_reader_counts_both_visits():
+    tr = two_visit_reader_trace()
+    assert up_down_vector(tr, (1,)).pairs == ((1, 3), (5, 8))
+    assert nu_factorisation(tr, (1,)).u_tuple() == ("aa", "bbb")
+    assert ref_letters_at_vertices(tr) == {(1,): 5}
+
+
+def ref_pairs(trace, nu):
+    flat = crossing_recorder([c.ts.pointer for c in trace.configurations()], nu)
+    return tuple(zip(flat[::2], flat[1::2]))
+
+
+def ref_u_tuple(trace, nu):
+    pos = [c.pos for c in trace.configurations()]
+    return tuple(trace.word[pos[l]: pos[m]] for l, m in ref_pairs(trace, nu))
+
+
+def ref_columns(trace, nu, pairs):
+    configs = trace.configurations()
+    return [(configs[i].ts.label_at(nu), configs[i].state) for pair in pairs for i in pair]
+
+
+def ref_letters_at_vertices(trace):
+    """Letters read by stationary transitions, attributed to the vertex
+    the pointer rested at, one step at a time."""
+    counts = {}
+    rho = [c.ts.pointer for c in trace.configurations()]
+    for j, (tidx, _) in enumerate(trace.steps, start=1):
+        t = trace.tsa.delta[tidx]
+        if t.inp is not None and t.instr.kind in ("id", "set"):
+            counts[rho[j - 1]] = counts.get(rho[j - 1], 0) + 1
+    return counts
+
+
+def ref_lambda_singular(trace, marks, lam):
+    """Vertices outside whose subtree fewer than lam marked letters are
+    read, by testing both pointer ends of every reading step."""
+    rho = [c.ts.pointer for c in trace.configurations()]
+    pos = [c.pos for c in trace.configurations()]
+    singular = []
+    for nu in sorted(trace.final().ts.dom):
+        outside = 0
+        if nu != ():
+            depth = len(nu)
+            for j, (tidx, _) in enumerate(trace.steps, start=1):
+                if trace.tsa.delta[tidx].inp is None or pos[j] - 1 not in marks:
+                    continue
+                if not (rho[j - 1][:depth] == nu and rho[j][:depth] == nu):
+                    outside += 1
+        if outside < lam:
+            singular.append(nu)
+    return singular
+
+
+def test_every_vertex_matches_recorder(all_traces):
+    checked = 0
+    for tr in all_traces:
+        pos = [c.pos for c in tr.configurations()]
+        for nu in sorted(tr.final().ts.dom):
+            if nu == ():
+                with pytest.raises(VertexNotInFinalTree):
+                    up_down_vector(tr, nu)
+                continue
+            pairs = ref_pairs(tr, nu)
+            assert up_down_vector(tr, nu).pairs == pairs, (tr.word, nu)
+            f = nu_factorisation(tr, nu)
+            assert f.u_tuple() == ref_u_tuple(tr, nu)
+            assert f.w0 == tr.word[: pos[pairs[0][0]]]
+            assert f.word() == tr.word
+            h = history_array(tr, nu)
+            assert h.columns() == ref_columns(tr, nu, pairs)
+            checked += 1
+    assert checked > 200
+
+
+def test_level1_every_witness_matches_recorder(all_traces):
+    for tr in all_traces:
+        children = sorted({nu for nu in tr.final().ts.dom if len(nu) == 1})
+        cols = sorted((l, m, nu) for nu in children for l, m in ref_pairs(tr, nu))
+        if not cols:
+            with pytest.raises(EmptyLevel1):
+                level1_arrays(tr)
+            continue
+        l1 = level1_arrays(tr)
+        assert list(zip(l1.ls, l1.ms, l1.ns)) == [(l, m, nu[0]) for l, m, nu in cols]
+        want = [col for l, m, nu in cols for col in ref_columns(tr, nu, [(l, m)])]
+        assert list(zip(l1.history_labels, l1.history_states)) == want
+        assert l1.history_children == tuple(nu[0] for _, _, nu in cols for _ in "lm")
+        assert l1.factorisation.word() == tr.word
+
+
+def test_bounds_report_every_witness_matches_scans(all_traces):
+    rng = random.Random(11)
+    for tr in all_traces:
+        mu = max(1, len(tr.word))  # no stationary factor can be too long
+        letters = ref_letters_at_vertices(tr)
+        rep = check_atv_bounds(tr, mu)
+        assert {r.vertex: r.letters for r in rep.vertices} == {
+            nu: letters.get(nu, 0) for nu in tr.final().ts.dom}
+        marksets = [set(mark_all(tr.word).marks),
+                    {i for i in range(len(tr.word)) if rng.random() < 0.5}]
+        for marks in marksets:
+            for lam in range(4):
+                rep = check_atv_bounds(tr, mu, marks, lam)
+                assert rep.lambda_singular == ref_lambda_singular(tr, marks, lam), \
+                    (tr.word, sorted(marks), lam)
+
+
+def test_collect_upsets_matches_per_vertex_reference(witnesses):
+    for name, runs in witnesses.items():
+        make, _, opts = WITNESS_FIXTURES[name]
+        ups = collect_upsets(make(), sorted(runs), opts)
+        assert not ups.budget_failures and set(ups.traces) == set(runs)
+        entries, provenance = {}, {}
+        for w, tr in sorted(ups.traces.items()):
+            for nu in sorted(tr.final().ts.dom)[1:]:
+                h = history_array(tr, nu)
+                us = ref_u_tuple(tr, nu)
+                assert h.columns() == ref_columns(tr, nu, ref_pairs(tr, nu))
+                entries.setdefault(h, set()).add(us)
+                provenance.setdefault((h, us), []).append((w, nu))
+        assert ups.entries == entries
+        assert ups.provenance == provenance

@@ -190,6 +190,16 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["analyze", "level1", "astar", "--word", ""],  # the run never leaves the root
     ["analyze", "bounds", "astar", "--word", "a"],  # degree 0: no push
     ["analyze", "pump", "astar", "--word", "aaa", "--m", "0"],
+    ["analyze", "bounds", "abcd", "--word", "abcd", "--mu", "-1"],
+    ["experiment", "gaps", "--family", "pow2", "--n", "0"],
+    ["experiment", "gaps", "--family", "pow2", "--m-max", "0"],
+    ["experiment", "sm", "--m", "-1"],
+    ["experiment", "sm", "--m", "0"],
+    ["experiment", "sm", "--i-max", "-1"],
+    ["experiment", "ambm", "--i-max", "-1"],
+    ["experiment", "f2f2", "--n-max", "0"],
+    ["experiment", "f2f2", "--m-max", "0"],
+    ["experiment", "sm", "--m", "two"],  # not a number at all
     ["rational", "--wp", "wpz", "--regex", "a", "--word", "T"],  # 'a' is not a group letter
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):

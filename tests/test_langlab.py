@@ -93,6 +93,15 @@ def test_gap_requires_increasing():
         gap_check([1, 1, 2], 3)
 
 
+def test_gap_rejects_empty_sample_and_no_thresholds():
+    # an empty sample has no first length; with m_max < 1 every threshold
+    # holds vacuously and the verdict would claim divergence from nothing
+    with pytest.raises(ValueError):
+        gap_check([], 3)
+    with pytest.raises(ValueError):
+        gap_check([2, 4, 8], 0)
+
+
 def test_unary_lengths_families():
     assert unary_lengths("pow2", 5) == [2, 4, 8, 16, 32]
     assert unary_lengths("square", 4) == [1, 4, 9, 16]
