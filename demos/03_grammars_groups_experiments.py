@@ -31,7 +31,7 @@ from tsalab.mcfg import EXAMPLE_ANBMCNDM, EXAMPLE_WPZ
 
 print("Grammar enumeration (tuple rewriting, bounded) and chart membership:")
 g = parse_mcfg(EXAMPLE_ANBMCNDM)
-print("  a^n b^m c^n d^m up to length 6:", sorted(mcfg_enumerate(g, 6), key=len))
+print("  a^n b^m c^n d^m up to length 6:", sorted(mcfg_enumerate(g, 6), key=lambda w: (len(w), w)))
 wpz = parse_mcfg(EXAMPLE_WPZ)
 print("  the integer word problem grammar derives (tT)^32:", mcfg_member(wpz, "tT" * 32))
 

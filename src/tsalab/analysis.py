@@ -214,8 +214,7 @@ class SwapReport:
 
 
 def single_swap(trace_w: RunTrace, nu: Address,
-                trace_w2: RunTrace, nu2: Address,
-                opts: SearchOptions | None = None) -> SwapReport:
+                trace_w2: RunTrace, nu2: Address) -> SwapReport:
     """Swap the u-factors of trace_w at nu for those of trace_w2 at nu2.
 
     Requires equal history arrays; returns the spliced word together with
@@ -229,7 +228,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
     h1 = _history_from_pairs(trace_w.configurations(), nu, v1)
     h2 = _history_from_pairs(trace_w2.configurations(), nu2, v2)
     if h1 != h2:
-        raise HistoryMismatch(f"{h1} != {h2}")
+        raise HistoryMismatch(f"history arrays differ: {h1} != {h2}")
     f1 = _factorise(trace_w.word, _positions(trace_w), v1)
     f2 = _factorise(trace_w2.word, _positions(trace_w2), v2)
     word = f1.substitute(f2.u_tuple())
@@ -252,7 +251,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
     except ReplayMismatch:
         replay_ok = False
 
-    res = accepts(trace_w.tsa, word, opts or SearchOptions())
+    res = accepts(trace_w.tsa, word, SearchOptions())
     return SwapReport(word, h1, bool(res), None if res else res.reason, replay_ok)
 
 

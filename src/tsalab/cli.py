@@ -247,7 +247,7 @@ def cmd_mcfg(args) -> int:
 
 
 def _witness(tsa, word, args):
-    opts = replace(search_options(args), accept_mode="root", proper_only=True)
+    opts = replace(search_options(args), proper_only=True)
     res = accepts(tsa, word, opts)
     if not res:
         print(f"tsalab: no proper witness run for {word!r} ({res.reason})", file=sys.stderr)
@@ -444,21 +444,25 @@ def build_parser() -> argparse.ArgumentParser:
         if word:
             sp.add_argument("--word", required=True)
         sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--accept-mode", dest="accept_mode",
-                        choices=("root", "any"), default="root")
         sp.add_argument("--max-steps", dest="max_steps", type=int, default=None)
         sp.add_argument("--max-vertices", dest="max_vertices", type=int, default=None)
+
+    def add_mode_flags(sp):  # analyze always takes a proper run to the root
+        sp.add_argument("--accept-mode", dest="accept_mode",
+                        choices=("root", "any"), default="root")
         sp.add_argument("--proper", action="store_true")
 
     sp = sub.add_parser("run", help="search for an accepting run")
     sp.add_argument("machine")
     add_search_flags(sp)
+    add_mode_flags(sp)
     sp.add_argument("--trace", action="store_true")
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("trace", help="print the witness run as a table")
     sp.add_argument("machine")
     add_search_flags(sp)
+    add_mode_flags(sp)
     sp.add_argument("--follow", default=None,
                     help="comma-separated transition names to replay instead of searching")
     sp.set_defaults(func=cmd_trace)
@@ -467,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("machine")
     sp.add_argument("--max-len", type=int, required=True)
     add_search_flags(sp, word=False)
+    add_mode_flags(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("standardise", help="close delta under stationary composition")
@@ -582,7 +587,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (BadInput, ParseError, convert.NotOneTsa, analysis.VertexNotInFinalTree,
-            analysis.EmptyLevel1, langlab.AlphabetMismatch) as e:
+            analysis.EmptyLevel1, analysis.HistoryMismatch, analysis.StrongConditionViolated,
+            langlab.AlphabetMismatch, langlab.UnknownLetter) as e:
         print(f"tsalab: {e}", file=sys.stderr)
     except OSError as e:
         if e.filename is None:  # not a file the user named, e.g. a closed pipe

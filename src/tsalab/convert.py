@@ -25,10 +25,9 @@ from .tsa import (
     Transition,
     Tsa,
     _search,
-    name_comment,
     read_machine,
+    render_machine,
     search_rows,
-    writable,
 )
 
 
@@ -451,21 +450,10 @@ def parse_pda(text: str) -> Pda:
     """Parse the line-based PDA file format; '-' in a push means s = eps."""
     lists, initial, raw_trans = read_machine(text, "pda", extra=("stack",))
     states, stack, alphabet, finals = (lists[k] for k in ("states", "stack", "alphabet", "final"))
-    state_set = set(states)
     gamma = set(stack)  # pushed and popped symbols; the bottom is only ever a top
     delta = []
-    for lineno, toks, name in raw_trans:
-        if len(toks) < 4:
-            raise ParseError("transition needs: src input action dst", lineno)
-        src, inp_tok = toks[0], toks[1]
-        dst = toks[-1]
-        if src not in state_set or dst not in state_set:
-            raise ParseError(f"unknown state in {' '.join(toks)!r}", lineno)
-        inp = None if inp_tok == "eps" else inp_tok
-        if inp is not None and inp not in alphabet:
-            raise ParseError(f"input letter {inp!r} not in alphabet", lineno)
-        act_toks = toks[2:-1]
-        if act_toks[0] == "push" and len(act_toks) == 3:
+    for lineno, src, inp, act_toks, dst, name in raw_trans:
+        if len(act_toks) == 3 and act_toks[0] == "push":
             z, s = act_toks[1], act_toks[2]
             if z not in gamma and z != ROOT_LABEL:
                 raise ParseError(f"unknown stack symbol {z!r}", lineno)
@@ -473,7 +461,7 @@ def parse_pda(text: str) -> Pda:
             if pushed is not None and pushed not in gamma:
                 raise ParseError(f"unknown stack symbol {s!r}", lineno)
             action = PdaAction("push", z, pushed)
-        elif act_toks[0] == "pop" and len(act_toks) == 2:
+        elif len(act_toks) == 2 and act_toks[0] == "pop":
             tsym = act_toks[1]
             if tsym not in gamma:
                 raise ParseError(f"unknown stack symbol {tsym!r}", lineno)
@@ -486,13 +474,6 @@ def parse_pda(text: str) -> Pda:
 
 
 def render_pda(pda: Pda) -> str:
-    lines = ["pda"]
-    lines.append("states: " + writable("state", pda.states))
-    lines.append("initial: " + pda.initial)
-    lines.append("final: " + " ".join(sorted(pda.finals)))
-    lines.append("stack: " + writable("stack symbol", pda.stack))
-    lines.append("alphabet: " + writable("letter", pda.alphabet))
-    for t in pda.delta:
-        inp = t.inp if t.inp is not None else "eps"
-        lines.append(f"trans: {t.src} {inp} {t.action} {t.dst}{name_comment(t.name)}")
-    return "\n".join(lines) + "\n"
+    """Serialise a Pda in the file format; parse_pda(render_pda(p)) == p,
+    and a Pda the format cannot carry raises ValueError."""
+    return render_machine(pda, "pda", ("stack", pda.stack), lambda t: str(t.action), parse_pda)

@@ -21,7 +21,6 @@ from .tsa import (
     SearchOptions,
     Transition,
     Tsa,
-    UnknownState,
     read_machine,
     shortest_accepted,
 )
@@ -73,9 +72,6 @@ def tokenize(word: str | Sequence[str], alphabet: Sequence[str] | None = None) -
 class ParikhVector:
     alphabet: tuple[str, ...]
     counts: tuple[int, ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.alphabet, self.counts))
 
     def __add__(self, other: "ParikhVector") -> "ParikhVector":
         if self.alphabet != other.alphabet:
@@ -555,19 +551,13 @@ def f2f2_T() -> Fsa:
 
 def parse_fsa(text: str) -> Fsa:
     lists, initial, raw_trans = read_machine(text, "fsa", letters=False)
-    states, alphabet = lists["states"], lists["alphabet"]
     delta: list[tuple[str, str | None, str]] = []
-    for lineno, toks, _ in raw_trans:
-        if len(toks) != 3:
+    for lineno, src, sym, mid, dst, _ in raw_trans:
+        if mid:
             raise ParseError("transition needs: src letter dst", lineno)
-        src, sym, dst = toks
-        for q in (src, dst):
-            if q not in states:
-                raise UnknownState(f"unknown state {q!r}", lineno)
-        if sym != "eps" and sym not in alphabet:
-            raise ParseError(f"letter {sym!r} not in alphabet", lineno)
-        delta.append((src, None if sym == "eps" else sym, dst))
-    return Fsa(tuple(states), tuple(alphabet), tuple(delta), initial, frozenset(lists["final"]))
+        delta.append((src, sym, dst))
+    return Fsa(tuple(lists["states"]), tuple(lists["alphabet"]), tuple(delta), initial,
+               frozenset(lists["final"]))
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +632,14 @@ class RationalAnswer:
 
 
 def rational_membership(wp_tsa: Tsa, fsa: Fsa, w: str, pairing: GroupAlphabet,
-                        max_len: int = 12,
-                        opts: SearchOptions | None = None) -> RationalAnswer:
+                        max_len: int = 12) -> RationalAnswer:
     """Does the group element of w lie in the rational subset the FSA
     describes?  Searches WP x (B . w^{-1}) for any accepted word up to
     max_len: a witness proves yes; otherwise the answer is unknown, since
     the search is a bounded stand-in for a grammar-level emptiness test."""
     bw = eps_free(build_Bw(fsa, w, pairing))
     product = tsa_fsa_product(wp_tsa, bw)
-    opts = opts or SearchOptions()
-    res = shortest_accepted(product, max_len, opts)
+    res = shortest_accepted(product, max_len, SearchOptions())
     if res:
         from .tsa import replay_trace
 

@@ -67,23 +67,16 @@ class Mcfg:
         return dict(self.ranks)[nt]
 
 
-def _validate_rule(rule: McfgRule, ranks: dict[str, int], lineno: int):
-    if len(rule.head_args) != ranks[rule.head]:
-        raise RankMismatch(
-            f"{rule.head} declared rank {ranks[rule.head]}, rule has {len(rule.head_args)} fields",
-            lineno)
+def _validate_rule(rule: McfgRule, lineno: int):
+    """The rule checks the parse loop leaves over: it fixes every
+    nonterminal's arity, and a head token is a variable only if the body
+    binds it."""
     vars_ = rule.variables()
     if len(vars_) != len(set(vars_)):
         raise VariableReused(f"body variables not pairwise distinct in {rule}", lineno)
-    for nt, vs in rule.body:
-        if len(vs) != ranks[nt]:
-            raise RankMismatch(f"{nt} used with {len(vs)} variables, rank is {ranks[nt]}", lineno)
     used = _head_variables(rule)
     if len(used) != len(set(used)):
         raise VariableReused(f"variable used twice in the head of {rule}", lineno)
-    undeclared = set(used) - set(vars_)
-    if undeclared:
-        raise McfgError(f"undeclared variables {sorted(undeclared)} in {rule}", lineno)
 
 
 def _head_variables(rule: McfgRule) -> list[str]:
@@ -177,7 +170,7 @@ def parse_mcfg(text: str) -> Mcfg:
     if ranks[start] != 1:
         raise RankMismatch(f"start nonterminal must have rank 1, has {ranks[start]}", start_line)
     for lineno, rule in rules:
-        _validate_rule(rule, ranks, lineno)
+        _validate_rule(rule, lineno)
     return Mcfg(tuple(ranks.items()), tuple(terminals), tuple(rule for _, rule in rules), start)
 
 

@@ -211,9 +211,6 @@ class RunTrace:
     def __bool__(self):
         return True  # an empty accepting run is still a result
 
-    def transitions(self) -> list[Transition]:
-        return [self.tsa.delta[i] for i, _ in self.steps]
-
     def transition_indices(self) -> list[int]:
         return [i for i, _ in self.steps]
 
@@ -733,18 +730,21 @@ def read_sections(text: str, header: str) -> list[tuple[int, str, str, str | Non
 def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: bool = True):
     """The sections the TSA, PDA and FSA formats share.  Returns (lists,
     initial, trans): lists maps states, final, alphabet and each extra key
-    (labels, stack; '@' is implicit there) to its tokens, and trans holds
-    (line, tokens, comment) per transition.  The initial and final states
-    are checked against the declared ones; with `letters`, alphabet
-    symbols must be single characters."""
+    (labels, stack; '@' is implicit there) to its tokens.  The initial and
+    final states are checked against the declared ones; with `letters`,
+    alphabet symbols must be single characters.  trans yields (line, src,
+    inp, middle tokens, dst, name) per transition, inp None for eps and name
+    the line's comment, checking each line as it goes, so that errors come
+    in file order: at least three tokens, a declared source and target, and
+    an input that is eps or an alphabet letter."""
     lists: dict[str, list[str]] = {key: [] for key in ("states", "final", "alphabet", *extra)}
     named: list[tuple[int, str]] = []  # (line, state) for initial and finals
     initial = None
-    trans = []
+    raw_trans = []
     for lineno, key, rest, comment in read_sections(text, header):
         toks = rest.split()
         if key == "trans":
-            trans.append((lineno, toks, comment))
+            raw_trans.append((lineno, toks, comment))
         elif key == "initial":
             if len(toks) != 1:
                 raise ParseError("initial takes one state", lineno)
@@ -762,10 +762,51 @@ def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: b
                 named += [(lineno, q) for q in toks]
     if initial is None:
         raise ParseError("missing initial state", 1)
+    states = set(lists["states"])
     for lineno, q in named:
-        if q not in lists["states"]:
+        if q not in states:
             raise UnknownState(f"unknown state {q!r}", lineno)
-    return lists, initial, trans
+
+    def transitions():
+        for lineno, toks, name in raw_trans:
+            if len(toks) < 3:
+                raise ParseError("transition needs: src input ... dst", lineno)
+            src, inp, *mid, dst = toks
+            for q in (src, dst):
+                if q not in states:
+                    raise UnknownState(f"unknown state {q!r}", lineno)
+            if inp != "eps" and inp not in lists["alphabet"]:
+                raise ParseError(f"input letter {inp!r} not in alphabet", lineno)
+            yield lineno, src, None if inp == "eps" else inp, mid, dst, name
+    return lists, initial, transitions()
+
+
+def render_machine(machine, header: str, extra: tuple[str, tuple[str, ...]], middle, parse) -> str:
+    """The writer of the TSA and PDA formats: the header, the shared
+    sections with the `extra` (key, symbols) section before the alphabet,
+    and one trans line per transition, `middle(t)` between its input and
+    its target and its name as a trailing comment.  The text is read back
+    with `parse`; a machine that does not read back equal raises
+    ValueError rather than changing on the way back in."""
+    key, symbols = extra
+    lines = [header,
+             "states: " + " ".join(machine.states),
+             "initial: " + machine.initial,
+             "final: " + " ".join(sorted(machine.finals)),
+             f"{key}: " + " ".join(symbols),
+             "alphabet: " + " ".join(machine.alphabet)]
+    for t in machine.delta:
+        inp = t.inp if t.inp is not None else "eps"
+        name = f"  # {t.name}" if t.name is not None else ""
+        lines.append(f"trans: {t.src} {inp} {middle(t)} {t.dst}{name}")
+    text = "\n".join(lines) + "\n"
+    try:
+        problem = None if parse(text) == machine else "it reads back as a different machine"
+    except ParseError as e:
+        problem = str(e)
+    if problem:
+        raise ValueError(f"this {header} cannot be written to a machine file: {problem}")
+    return text
 
 
 def parse_tsa(text: str) -> Tsa:
@@ -773,22 +814,11 @@ def parse_tsa(text: str) -> Tsa:
     comment, and a trailing comment on a trans line names the transition."""
     lists, initial, raw_trans = read_machine(text, "tsa", extra=("labels",))
     states, labels, alphabet, finals = (lists[k] for k in ("states", "labels", "alphabet", "final"))
-    state_set = set(states)
     label_set = set(labels)
     delta = []
-    for lineno, toks, name in raw_trans:
-        if len(toks) < 4:
+    for lineno, src, inp, mid, dst, name in raw_trans:
+        if not mid:
             raise ParseError("transition needs: src input pred instr dst", lineno)
-        src, inp_tok = toks[0], toks[1]
-        dst = toks[-1]
-        if src not in state_set:
-            raise UnknownState(f"unknown state {src!r}", lineno)
-        if dst not in state_set:
-            raise UnknownState(f"unknown state {dst!r}", lineno)
-        inp = None if inp_tok == "eps" else inp_tok
-        if inp is not None and inp not in alphabet:
-            raise ParseError(f"input letter {inp!r} not in alphabet", lineno)
-        mid = toks[2:-1]
         if mid[0] == "true":
             pred = PRED_TRUE
             instr_toks = mid[1:]
@@ -809,36 +839,8 @@ def parse_tsa(text: str) -> Tsa:
                tuple(delta), frozenset(finals))
 
 
-def writable(kind: str, symbols) -> str:
-    """Symbols joined for one line of a machine file.  A symbol the line
-    format cannot carry (empty, or holding '#' or whitespace) raises
-    ValueError rather than vanishing on the way back in."""
-    for sym in symbols:
-        if not sym or "#" in sym or any(ch.isspace() for ch in sym):
-            raise ValueError(f"{kind} {sym!r} cannot be written to a machine file")
-    return " ".join(symbols)
-
-
-def name_comment(name: str | None) -> str:
-    """The comment that names a transition at the end of its trans line, or
-    '' for no name.  A name that would not read back the same (empty, with
-    leading or trailing whitespace, or spanning lines) raises ValueError."""
-    if name is None:
-        return ""
-    if name.strip() != name or name.splitlines() != [name]:
-        raise ValueError(f"transition name {name!r} cannot be written to a machine file")
-    return f"  # {name}"
-
-
 def render_tsa(tsa: Tsa) -> str:
-    """Serialise a Tsa in the file format; parse_tsa(render_tsa(a)) == a."""
-    lines = ["tsa"]
-    lines.append("states: " + writable("state", tsa.states))
-    lines.append("initial: " + tsa.initial)
-    lines.append("final: " + " ".join(sorted(tsa.finals)))
-    lines.append("labels: " + writable("label", tsa.labels))
-    lines.append("alphabet: " + writable("letter", tsa.alphabet))
-    for t in tsa.delta:
-        inp = t.inp if t.inp is not None else "eps"
-        lines.append(f"trans: {t.src} {inp} {t.pred} {t.instr} {t.dst}{name_comment(t.name)}")
-    return "\n".join(lines) + "\n"
+    """Serialise a Tsa in the file format; parse_tsa(render_tsa(a)) == a,
+    and a Tsa the format cannot carry raises ValueError."""
+    return render_machine(tsa, "tsa", ("labels", tsa.labels),
+                          lambda t: f"{t.pred} {t.instr}", parse_tsa)

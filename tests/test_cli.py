@@ -55,6 +55,22 @@ def test_env_var_budget(monkeypatch):
     monkeypatch.delenv("TSALAB_MAX_STEPS")
 
 
+WRITER_GOLDENS = [(["fixtures", n], f"fixture_{n}.tsa")
+                  for n in ("abcd", "anbmcndm", "updown", "astar", "wpz", "ks")]
+WRITER_GOLDENS += [
+    (["fixtures", "wpz", "--pda"], "fixture_wpz.pda"),
+    (["convert", "pda2tsa", "--root-drain", str(GOLDEN / "fixture_wpz.pda")],
+     "wpz_pda2tsa_root_drain.tsa"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", WRITER_GOLDENS, ids=[g for _, g in WRITER_GOLDENS])
+def test_writers_match_goldens(argv, golden):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_trace_golden_abcd():
     code, out = run_cli("trace", "abcd", "--word", "aabbccdd", "--k", "2")
     assert code == 0
@@ -201,9 +217,17 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "f2f2", "--m-max", "0"],
     ["experiment", "sm", "--m", "two"],  # not a number at all
     ["rational", "--wp", "wpz", "--regex", "a", "--word", "T"],  # 'a' is not a group letter
+    ["analyze", "swap", "abcd", "--k", "2", "--word1", "aabbccdd", "--vertex1", "1",
+     "--word2", "aabbccdd", "--vertex2", "1.1.1"],  # the two vertices' history arrays differ
+    ["rational", "--wp", "wpz", "--regex", "t+", "--word", "x"],  # 'x' is not a group letter
+    ["analyze", "bounds", "{stationary}", "--word", "aaaaaaaaaa", "--mu", "1"],
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
-    code = main([a.format(missing=tmp_path / "missing") for a in argv])
+    stationary = tmp_path / "stationary.tsa"  # reads a^n with id at vertex 1
+    stationary.write_text("tsa\nstates: p q r\ninitial: p\nfinal: r\nlabels: X\nalphabet: a\n"
+                          "trans: p eps true push 1 X q\ntrans: q a true id q\n"
+                          "trans: q eps eq X down r\n")
+    code = main([a.format(missing=tmp_path / "missing", stationary=stationary) for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("tsalab: ") and err.count("\n") == 1
@@ -262,8 +286,7 @@ def test_analyze_swap():
 
 
 def test_analyze_pump():
-    code, out = run_cli("analyze", "pump", "astar", "--word", "aaaaa",
-                        "--accept-mode", "any", "--m", "1")
+    code, out = run_cli("analyze", "pump", "astar", "--word", "aaaaa", "--m", "1")
     assert code == 0
     assert "y=a" in out and "verified=0:yes 2:yes 3:yes" in out
 

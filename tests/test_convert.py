@@ -21,6 +21,7 @@ from tsalab.tsa import (
     NotApplicable,
     ParseError,
     SearchOptions,
+    UnknownState,
     accepts,
     replay,
     step,
@@ -59,6 +60,14 @@ def test_pda_never_pops_bottom():
 def test_pda_file_bad_stack_symbol(action):
     text = f"pda\nstates: q\ninitial: q\nfinal: q\nstack: t\nalphabet: t\ntrans: q t {action} q\n"
     with pytest.raises(ParseError) as exc:
+        parse_pda(text)
+    assert exc.value.line == 7
+
+
+@pytest.mark.parametrize("trans", ["q9 t pop t q", "q t pop t q9"])
+def test_pda_file_unknown_state(trans):
+    text = f"pda\nstates: q\ninitial: q\nfinal: q\nstack: t\nalphabet: t\ntrans: {trans}\n"
+    with pytest.raises(UnknownState) as exc:
         parse_pda(text)
     assert exc.value.line == 7
 

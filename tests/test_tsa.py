@@ -129,22 +129,36 @@ def test_render_parse_round_trip():
             assert parse_tsa(render_tsa(tsa)) == tsa, fixture.__name__
 
 
-UNWRITABLE = [(label, None) for label in ("#", "a#b", "two words", "")]
-UNWRITABLE += [("X", name) for name in (" s1 ", "s1 ", "", "s1\ns2")]
+def tsa_with(label="X", letter="a", name=None):
+    t = Transition("q", letter, PRED_TRUE, instr_id(), "q", name=name)
+    return Tsa(("q",), (label,), (letter,), "q", (t,), frozenset({"q"}))
 
 
-@pytest.mark.parametrize("label, name", UNWRITABLE,
-                         ids=[label if name is None else f"name={name!r}" for label, name in UNWRITABLE])
-def test_render_refuses_symbols_the_format_cannot_carry(label, name):
-    t = Transition("q", "a", PRED_TRUE, instr_id(), "q", name=name)
-    tsa = Tsa(("q",), (label,), ("a",), "q", (t,), frozenset({"q"}))
-    with pytest.raises(ValueError, match="cannot be written"):
-        render_tsa(tsa)
-    if name is not None:
-        p = PdaTransition("q", "a", PdaAction("push", "@", "A"), "q", name=name)
-        pda = Pda(("q",), ("a",), ("A",), "q", (p,), frozenset({"q"}))
+def pda_with(symbol="A", letter="a", name=None):
+    # '@' may only be declared: no action pushes the bottom symbol
+    action = PdaAction("push", "@", symbol if symbol != "@" else None)
+    p = PdaTransition("q", letter, action, "q", name=name)
+    return Pda(("q",), (letter,), (symbol,), "q", (p,), frozenset({"q"}))
+
+
+UNWRITABLE = [(label, [(render_tsa, tsa_with(label=label))])
+              for label in ("#", "a#b", "two words", "")]
+UNWRITABLE += [(f"name={name!r}", [(render_tsa, tsa_with(name=name)),
+                                   (render_pda, pda_with(name=name))])
+               for name in (" s1 ", "s1 ", "", "s1\ns2")]
+UNWRITABLE += [
+    ("stack=-", [(render_pda, pda_with(symbol="-"))]),  # '-' in a push means "nothing"
+    ("stack=@", [(render_pda, pda_with(symbol="@"))]),  # the implicit bottom symbol
+    ("tsa letter=ab", [(render_tsa, tsa_with(letter="ab"))]),
+    ("pda letter=ab", [(render_pda, pda_with(letter="ab"))]),
+]
+
+
+@pytest.mark.parametrize("machines", [m for _, m in UNWRITABLE], ids=[i for i, _ in UNWRITABLE])
+def test_render_refuses_symbols_the_format_cannot_carry(machines):
+    for render, machine in machines:
         with pytest.raises(ValueError, match="cannot be written"):
-            render_pda(pda)
+            render(machine)
 
 
 def test_step_first_push():
