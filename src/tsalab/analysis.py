@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .treestack import ROOT, Address, format_address
+from .treestack import ROOT, Address, InputError, format_address
 from .tsa import (
     Configuration,
     ReplayMismatch,
@@ -28,39 +28,35 @@ from .tsa import (
 )
 
 
-class AnalysisError(Exception):
+class TraceNotProper(InputError):
     pass
 
 
-class TraceNotProper(AnalysisError):
+class TraceNotAtRoot(InputError):
     pass
 
 
-class TraceNotAtRoot(AnalysisError):
+class VertexNotInFinalTree(InputError):
     pass
 
 
-class VertexNotInFinalTree(AnalysisError):
+class HistoryMismatch(InputError):
     pass
 
 
-class HistoryMismatch(AnalysisError):
+class EmptyLevel1(InputError):
     pass
 
 
-class EmptyLevel1(AnalysisError):
+class ArityMismatch(InputError):
     pass
 
 
-class ArityMismatch(AnalysisError):
+class ZeroPumpVolume(InputError):
     pass
 
 
-class ZeroPumpVolume(AnalysisError):
-    pass
-
-
-class StrongConditionViolated(AnalysisError):
+class StrongConditionViolated(InputError):
     def __init__(self, vertex):
         self.vertex = vertex
         super().__init__(f"stationary factor too long at {format_address(vertex)}")
@@ -222,7 +218,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
     must succeed when the arrays match.
     """
     if trace_w.tsa is not trace_w2.tsa and trace_w.tsa != trace_w2.tsa:
-        raise AnalysisError("runs must come from the same automaton")
+        raise InputError("runs must come from the same automaton")
     v1 = up_down_vector(trace_w, nu).pairs
     v2 = up_down_vector(trace_w2, nu2).pairs
     h1 = _history_from_pairs(trace_w.configurations(), nu, v1)
@@ -290,7 +286,8 @@ class EmpiricalUpSet:
     entries: dict[HistoryArray, set[tuple[str, ...]]] = field(default_factory=dict)
     provenance: dict[tuple[HistoryArray, tuple[str, ...]], list[tuple[str, Address]]] = field(default_factory=dict)
     traces: dict[str, RunTrace] = field(default_factory=dict)
-    budget_failures: list[str] = field(default_factory=list)
+    budget_failures: list[str] = field(default_factory=list)  # search cut by a budget
+    rejected: list[str] = field(default_factory=list)  # no proper root run exists
 
     def insert(self, h: HistoryArray, us: tuple[str, ...], word: str, nu: Address):
         self.entries.setdefault(h, set()).add(us)
@@ -306,16 +303,17 @@ class EmpiricalUpSet:
 def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None) -> EmpiricalUpSet:
     """Run every word, then file each non-root vertex's u-tuple under its
     history array, all read off one crossing pass per witness.  Witness
-    runs are proper (the definitions require it)."""
+    runs are proper (the definitions require it); a word without one goes
+    to `budget_failures` or `rejected` by the reason its search stopped."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     for w in words:
         res = accepts(tsa, w, opts)
         if not res:
-            out.budget_failures.append(w)
+            (out.budget_failures if res.reason == "budget" else out.rejected).append(w)
             continue
         out.traces[w] = res
-        _check_trace(res)
+        assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
         pos = [c.pos for c in configs]
         for nu, pairs in sorted(_crossings(res).items()):
@@ -364,7 +362,7 @@ def find_pumpable(trace: RunTrace, m: int,
     is the pump.  Returns None when no stretch is long enough.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InputError("m must be >= 1")
     _check_trace(trace)
     tsa = trace.tsa
     threshold = m * len(tsa.labels) * len(tsa.states)
@@ -429,7 +427,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     tsa = trace.tsa
     D = degree(tsa).value
     if D == 0:
-        raise ValueError("bounds assume positive degree (at least one push)")
+        raise InputError("bounds assume positive degree (at least one push)")
     C, Q = len(tsa.labels), len(tsa.states)
     pos = _positions(trace)
 

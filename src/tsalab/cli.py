@@ -8,8 +8,9 @@ library with a stable, line-oriented output format:
 Exit codes: 0 accept, 1 reject, 2 budget cut; every command exits 3 on
 bad input (a usage error, a missing or malformed file, an unknown name, a
 machine, run or parameter the command cannot take, a bad vertex), with one
-`tsalab: ...` line on stderr.  The env var TSALAB_MAX_STEPS
-overrides the default step budget.
+`tsalab: ...` line on stderr.  Every such refusal is an `InputError` or a
+missing file; any other exception is a bug and propagates.  The env var
+TSALAB_MAX_STEPS overrides the default step budget.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, convert, fixtures, langlab, mcfg, suites
-from .treestack import format_address, parse_address, render_tree_stack
+from .treestack import ROOT, InputError, format_address, parse_address, render_tree_stack
 from .tsa import (
     BudgetExceeded,
-    ParseError,
+    ReplayMismatch,
     RunTrace,
     SearchOptions,
     Tsa,
@@ -34,7 +35,9 @@ from .tsa import (
     default_max_vertices,
     degree,
     enumerate_words,
+    is_proper,
     is_standardised,
+    make_root_accepting,
     normalize_child_indices,
     parse_tsa,
     render_tsa,
@@ -53,13 +56,9 @@ FIXTURE_TSAS = {
 }
 
 
-class BadInput(Exception):
-    """Input the command cannot use; main prints it and exits 3."""
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise BadInput(message)
+        raise InputError(message)
 
 
 def at_least(lo: int):
@@ -81,7 +80,7 @@ def load_tsa(source: str) -> Tsa:
         return parse_tsa(p.read_text())
     if source in FIXTURE_TSAS:
         return FIXTURE_TSAS[source]()
-    raise BadInput(f"no such file or fixture: {source}")
+    raise InputError(f"no such file or fixture: {source}")
 
 
 def search_options(args) -> SearchOptions:
@@ -89,7 +88,7 @@ def search_options(args) -> SearchOptions:
     env = os.environ.get("TSALAB_MAX_STEPS")
     if max_steps is None and env:
         if not env.isdigit():
-            raise BadInput(f"TSALAB_MAX_STEPS must be a number, got {env!r}")
+            raise InputError(f"TSALAB_MAX_STEPS must be a number, got {env!r}")
         max_steps = int(env)
     return SearchOptions(
         k=getattr(args, "k", None),
@@ -110,6 +109,12 @@ def describe_options(opts: SearchOptions, word_len: int, tsa: Tsa) -> list[str]:
         f"max_vertices={verts}",
         f"proper_only={str(opts.proper_only).lower()}",
     ]
+
+
+def search_exit(reason: str) -> int:
+    """The exit code of a search that found no run: 2 if a budget cut it
+    off, 1 if it exhausted the space (reject)."""
+    return 2 if reason == "budget" else 1
 
 
 def trace_table(trace: RunTrace) -> str:
@@ -153,7 +158,7 @@ def cmd_run(args) -> int:
         return 0
     block.append(f"result=reject:{res.reason}")
     emit(args, f"reject ({res.reason})", block)
-    return 2 if res.reason == "budget" else 1
+    return search_exit(res.reason)
 
 
 def cmd_trace(args) -> int:
@@ -166,8 +171,11 @@ def cmd_trace(args) -> int:
         try:
             idxs = [by_name[n] for n in names]
         except KeyError as e:
-            raise BadInput(f"unknown transition name {e}") from None
-        tr = replay(tsa, args.word, idxs)
+            raise InputError(f"unknown transition name {e}") from None
+        try:
+            tr = replay(tsa, args.word, idxs)
+        except ReplayMismatch as e:
+            raise InputError(f"--follow {names[e.step_index - 1]} does not apply: {e}") from None
         print(trace_table(tr))
         final = tr.final()
         done = final.pos == len(args.word) and final.state in tsa.finals
@@ -181,7 +189,7 @@ def cmd_trace(args) -> int:
         print(trace_table(res))
         return 0
     print(f"result=reject:{res.reason}")
-    return 2 if res.reason == "budget" else 1
+    return search_exit(res.reason)
 
 
 def cmd_enumerate(args) -> int:
@@ -251,15 +259,9 @@ def _witness(tsa, word, args):
     res = accepts(tsa, word, opts)
     if not res:
         print(f"tsalab: no proper witness run for {word!r} ({res.reason})", file=sys.stderr)
-        raise SystemExit(2 if res.reason == "budget" else 1)
+        raise SystemExit(search_exit(res.reason))
+    assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
     return res
-
-
-def _address(text: str):
-    try:
-        return parse_address(text)
-    except ValueError as e:
-        raise BadInput(e) from None
 
 
 def _factor_lines(f: analysis.NuFactorisation) -> list[str]:
@@ -274,7 +276,7 @@ def cmd_analyze(args) -> int:
     sub = args.analyze_cmd
     if sub in ("updown", "factorise", "history"):
         trace = _witness(tsa, args.word, args)
-        nu = _address(args.vertex)
+        nu = parse_address(args.vertex)
         block = [f"command=analyze.{sub}", f"word={args.word}", f"vertex={args.vertex}"]
         if sub == "updown":
             udv = analysis.up_down_vector(trace, nu)
@@ -313,12 +315,15 @@ def cmd_analyze(args) -> int:
                 block.append("  u=(" + ", ".join(x or "eps" for x in t) + ")")
         if ups.budget_failures:
             block.append("budget_failures=" + " ".join(ups.budget_failures))
+        if ups.rejected:
+            block.append("rejected=" + " ".join(ups.rejected))
         emit(args, f"{len(ups.entries)} distinct history array(s)", block)
         return 0
     if sub == "swap":
         t1 = _witness(tsa, args.word1, args)
         t2 = _witness(tsa, args.word2, args)
-        rep = analysis.single_swap(t1, _address(args.vertex1), t2, _address(args.vertex2))
+        rep = analysis.single_swap(t1, parse_address(args.vertex1),
+                                   t2, parse_address(args.vertex2))
         block = ["command=analyze.swap",
                  f"word={rep.word}",
                  f"accepted={'yes' if rep.accepted else 'no:' + (rep.search_reason or '')}",
@@ -340,7 +345,7 @@ def cmd_analyze(args) -> int:
         return 0
     # bounds
     if degree(tsa).value == 0:
-        raise BadInput("bounds assume positive degree (at least one push)")
+        raise InputError("bounds assume positive degree (at least one push)")
     trace = _witness(tsa, args.word, args)
     rep = analysis.check_atv_bounds(trace, args.mu)
     block = ["command=analyze.bounds", f"word={args.word}", f"mu={args.mu}", f"k={rep.k}"]
@@ -356,7 +361,8 @@ def cmd_analyze(args) -> int:
 def cmd_convert(args) -> int:
     if args.convert_cmd == "pda2tsa":
         pda = convert.parse_pda(Path(args.file).read_text())
-        print(render_tsa(convert.pda_to_tsa1(pda, root_drain=args.root_drain)), end="")
+        tsa = convert.pda_to_tsa1(pda)
+        print(render_tsa(make_root_accepting(tsa) if args.root_drain else tsa), end="")
         return 0
     # tsa2pda
     tsa = load_tsa(args.file)
@@ -385,12 +391,12 @@ def cmd_experiment(args) -> int:
         return 0 if rep.ok else 1
     if args.experiment_cmd == "gaps":
         family, alpha = args.family, None
-        try:
-            if family.startswith("alpha:"):
+        if family.startswith("alpha:"):
+            try:
                 family, alpha = "alpha", float(family.split(":", 1)[1])
-            lengths = langlab.unary_lengths(family, args.n, alpha=alpha)
-        except ValueError as e:
-            raise BadInput(f"bad family {args.family!r}: {e}") from None
+            except ValueError as e:
+                raise InputError(f"bad family {args.family!r}: {e}") from None
+        lengths = langlab.unary_lengths(family, args.n, alpha=alpha)
         rep = langlab.gap_check(lengths, args.m_max)
         block = ["command=experiment.gaps", f"family={args.family}",
                  f"samples={len(lengths)}", f"m_max={args.m_max}",
@@ -414,7 +420,7 @@ def cmd_rational(args) -> int:
     fsa = langlab.regex_to_fsa(args.regex, wp.alphabet)
     pairing = langlab.WPZ_ALPHABET if set(wp.alphabet) == {"t", "T"} else None
     if pairing is None:
-        raise BadInput("only the t/T group alphabet is built in; "
+        raise InputError("only the t/T group alphabet is built in; "
                        "supply a wp machine over t T")
     ans = langlab.rational_membership(wp, fsa, args.word, pairing, max_len=args.budget)
     block = ["command=rational", f"word={args.word}", f"regex={args.regex}",
@@ -424,7 +430,7 @@ def cmd_rational(args) -> int:
     if ans.reason:
         block.append(f"reason={ans.reason}")
     emit(args, ans.verdict, block)
-    return 0 if ans.verdict == "yes" else 1
+    return 0 if ans.verdict == "yes" else search_exit(ans.reason)
 
 
 def cmd_suite(args) -> int:
@@ -443,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search_flags(sp, word=True):
         if word:
             sp.add_argument("--word", required=True)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-        sp.add_argument("--max-vertices", dest="max_vertices", type=int, default=None)
+        sp.add_argument("--k", type=at_least(0), default=None)
+        sp.add_argument("--max-steps", dest="max_steps", type=at_least(0), default=None)
+        sp.add_argument("--max-vertices", dest="max_vertices", type=at_least(1), default=None)
 
     def add_mode_flags(sp):  # analyze always takes a proper run to the root
         sp.add_argument("--accept-mode", dest="accept_mode",
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="all accepted words up to a length")
     sp.add_argument("machine")
-    sp.add_argument("--max-len", type=int, required=True)
+    sp.add_argument("--max-len", type=at_least(0), required=True)
     add_search_flags(sp, word=False)
     add_mode_flags(sp)
     sp.set_defaults(func=cmd_enumerate)
@@ -487,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = sp.add_subparsers(dest="mcfg_cmd", required=True)
     me = msub.add_parser("enumerate")
     me.add_argument("grammar")
-    me.add_argument("--max-len", type=int, required=True)
+    me.add_argument("--max-len", type=at_least(0), required=True)
     me.set_defaults(func=cmd_mcfg)
     mm = msub.add_parser("member")
     mm.add_argument("grammar")
@@ -512,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = asub.add_parser("upsets")
     ap.add_argument("machine")
     ap.add_argument("--words-file", dest="words_file", required=True)
-    ap.add_argument("--show", type=int, default=5)
+    ap.add_argument("--show", type=at_least(0), default=5)
     add_search_flags(ap, word=False)
     ap.set_defaults(func=cmd_analyze)
     ap = asub.add_parser("swap")
@@ -572,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wp", required=True, help="word-problem machine (file or fixture)")
     sp.add_argument("--regex", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--budget", type=int, default=12)
+    sp.add_argument("--budget", type=at_least(0), default=12)
     sp.set_defaults(func=cmd_rational)
 
     sp = sub.add_parser("suite", help="named acceptance bundles")
@@ -586,9 +592,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (BadInput, ParseError, convert.NotOneTsa, analysis.VertexNotInFinalTree,
-            analysis.EmptyLevel1, analysis.HistoryMismatch, analysis.StrongConditionViolated,
-            langlab.AlphabetMismatch, langlab.UnknownLetter) as e:
+    except InputError as e:
         print(f"tsalab: {e}", file=sys.stderr)
     except OSError as e:
         if e.filename is None:  # not a file the user named, e.g. a closed pipe

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from .treestack import (
     PRED_TRUE,
     ROOT_LABEL,
+    InputError,
     instr_down,
     instr_id,
     instr_push,
@@ -31,7 +32,7 @@ from .tsa import (
 )
 
 
-class NotOneTsa(Exception):
+class NotOneTsa(InputError):
     """The source automaton has an up transition, so it is not a 1-TSA."""
 
 
@@ -219,18 +220,17 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
     )
 
 
-def pda_to_tsa1(pda: Pda, root_drain: bool = False) -> Tsa:
+def pda_to_tsa1(pda: Pda) -> Tsa:
     """Translate a PDA into a 1-TSA simulating it on a branching tree.
 
-    The output never contains an up instruction.  With root_drain=True a
-    down/id drain is appended after the finals so acceptance happens at
-    the root (the any-mode language is unchanged).
+    The output never contains an up instruction; its any-mode language
+    is the root-mode language of `make_root_accepting` of it.
     """
     gamma = tuple(pda.stack) + (ROOT_LABEL,)
     labels = tuple(pda.stack) + tuple(box(g) for g in gamma)
     collisions = set(pda.stack) & {box(g) for g in gamma}
     if collisions:
-        raise ValueError(f"stack symbols collide with box labels: {collisions}")
+        raise InputError(f"stack symbols collide with box labels: {collisions}")
 
     extra_states: list[str] = []
 
@@ -278,7 +278,7 @@ def pda_to_tsa1(pda: Pda, root_drain: bool = False) -> Tsa:
             emit(Transition(t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst,
                             name=f"p{pidx}.*"))
 
-    tsa = Tsa(
+    return Tsa(
         states=tuple(pda.states) + tuple(extra_states),
         labels=labels,
         alphabet=tuple(pda.alphabet),
@@ -286,11 +286,6 @@ def pda_to_tsa1(pda: Pda, root_drain: bool = False) -> Tsa:
         delta=tuple(out),
         finals=pda.finals,
     )
-    if root_drain:
-        from .tsa import make_root_accepting
-
-        tsa = make_root_accepting(tsa)
-    return tsa
 
 
 def simulation_run(pda: Pda, tsa: Tsa, ptrace: PdaTrace) -> tuple[list[int], list[tuple[str, str]]]:
@@ -475,5 +470,5 @@ def parse_pda(text: str) -> Pda:
 
 def render_pda(pda: Pda) -> str:
     """Serialise a Pda in the file format; parse_pda(render_pda(p)) == p,
-    and a Pda the format cannot carry raises ValueError."""
+    and a Pda the format cannot carry raises InputError."""
     return render_machine(pda, "pda", ("stack", pda.stack), lambda t: str(t.action), parse_pda)

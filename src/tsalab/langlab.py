@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .treestack import InputError
 from .tsa import (
     ParseError,
     RunTrace,
@@ -26,15 +27,11 @@ from .tsa import (
 )
 
 
-class LanglabError(Exception):
+class UnknownLetter(InputError):
     pass
 
 
-class UnknownLetter(LanglabError):
-    pass
-
-
-class AlphabetMismatch(LanglabError):
+class AlphabetMismatch(InputError):
     pass
 
 
@@ -114,9 +111,9 @@ def gap_check(lengths: Sequence[int], m_max: int) -> GapReport:
     the sample shows."""
     ls = list(lengths)
     if not ls or m_max < 1:
-        raise ValueError("need at least one length and m_max >= 1")
+        raise InputError("need at least one length and m_max >= 1")
     if any(b <= a for a, b in zip(ls, ls[1:])):
-        raise ValueError("lengths must be strictly increasing")
+        raise InputError("lengths must be strictly increasing")
     gaps = [b - a for a, b in zip(ls, ls[1:])]
     thresholds: dict[int, int | None] = {}
     for m in range(1, m_max + 1):
@@ -138,14 +135,15 @@ def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[i
     if family == "square":
         return [n * n for n in range(1, n_max + 1)]
     if family == "alpha":
-        if alpha is None or alpha <= 1:
-            raise ValueError("alpha family needs alpha > 1")
-        vals = sorted({int(n ** alpha) for n in range(1, n_max + 1)})
-        return vals
+        if alpha is None or not alpha > 1:  # also refuses nan
+            raise InputError("alpha family needs alpha > 1")
+        try:
+            return sorted({int(n ** alpha) for n in range(1, n_max + 1)})
+        except OverflowError:
+            raise InputError(f"n ** alpha overflows for alpha={alpha}, n <= {n_max}") from None
     if family == "nlogn":
-        vals = sorted({int(n * math.log(n)) for n in range(2, n_max + 2)})
-        return vals
-    raise ValueError(f"unknown family {family!r}")
+        return sorted({int(n * math.log(n)) for n in range(2, n_max + 2)})
+    raise InputError(f"bad family {family!r}: unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ ROOT: Address = ()
 ROOT_LABEL = "@"
 
 
+class InputError(ValueError):
+    """The caller's input cannot be used: a malformed file, or a machine,
+    run, vertex or parameter outside a tool's side conditions.  The CLI
+    turns it into one `tsalab: ...` line and exit 3; every other exception
+    is a bug or an internal signal and propagates."""
+
+
 class TreeStackError(Exception):
     """An instruction or query was not applicable to this tree stack."""
 
@@ -33,7 +40,7 @@ class PointerAtRoot(TreeStackError):
     pass
 
 
-class AddressMissing(TreeStackError):
+class AddressMissing(InputError):
     pass
 
 
@@ -264,9 +271,9 @@ def parse_address(text: str) -> Address:
     try:
         parts = tuple(int(p) for p in text.split("."))
     except ValueError:
-        raise ValueError(f"bad address {text!r}") from None
+        raise InputError(f"bad address {text!r}") from None
     if any(i < 1 for i in parts) or not parts:
-        raise ValueError(f"bad address {text!r}")
+        raise InputError(f"bad address {text!r}")
     return parts
 
 

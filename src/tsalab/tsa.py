@@ -17,6 +17,7 @@ from typing import Sequence
 from .treestack import (
     ROOT_LABEL,
     Address,
+    InputError,
     Instruction,
     Predicate,
     PRED_TRUE,
@@ -34,11 +35,7 @@ from .treestack import (
 )
 
 
-class TsaError(Exception):
-    pass
-
-
-class ParseError(TsaError):
+class ParseError(InputError):
     """Raised on malformed machine files; carries the 1-based line number."""
 
     def __init__(self, message, line=None):
@@ -60,7 +57,7 @@ class BadIndex(ParseError):
     pass
 
 
-class NotApplicable(TsaError):
+class NotApplicable(Exception):
     """A transition does not apply to a configuration; .reason says why."""
 
     def __init__(self, reason):
@@ -68,13 +65,13 @@ class NotApplicable(TsaError):
         super().__init__(reason)
 
 
-class ReplayMismatch(TsaError):
+class ReplayMismatch(Exception):
     def __init__(self, step_index, reason):
         self.step_index = step_index
         super().__init__(f"step {step_index}: {reason}")
 
 
-class BudgetExceeded(TsaError):
+class BudgetExceeded(Exception):
     """Enumeration hit the search budget on at least one word."""
 
     def __init__(self, words, budget_words):
@@ -787,7 +784,7 @@ def render_machine(machine, header: str, extra: tuple[str, tuple[str, ...]], mid
     and one trans line per transition, `middle(t)` between its input and
     its target and its name as a trailing comment.  The text is read back
     with `parse`; a machine that does not read back equal raises
-    ValueError rather than changing on the way back in."""
+    InputError rather than changing on the way back in."""
     key, symbols = extra
     lines = [header,
              "states: " + " ".join(machine.states),
@@ -805,7 +802,7 @@ def render_machine(machine, header: str, extra: tuple[str, tuple[str, ...]], mid
     except ParseError as e:
         problem = str(e)
     if problem:
-        raise ValueError(f"this {header} cannot be written to a machine file: {problem}")
+        raise InputError(f"this {header} cannot be written to a machine file: {problem}")
     return text
 
 
@@ -841,6 +838,6 @@ def parse_tsa(text: str) -> Tsa:
 
 def render_tsa(tsa: Tsa) -> str:
     """Serialise a Tsa in the file format; parse_tsa(render_tsa(a)) == a,
-    and a Tsa the format cannot carry raises ValueError."""
+    and a Tsa the format cannot carry raises InputError."""
     return render_machine(tsa, "tsa", ("labels", tsa.labels),
                           lambda t: f"{t.pred} {t.instr}", parse_tsa)

@@ -253,6 +253,14 @@ def test_collect_upsets_empty():
     assert ups.entries == {}
 
 
+def test_collect_upsets_keeps_rejected_words_apart_from_budget_cuts():
+    ups = collect_upsets(abcd_tsa(), ["ab", abcd_word(1)], K2)
+    assert ups.rejected == ["ab"] and not ups.budget_failures
+    assert set(ups.traces) == {abcd_word(1)}
+    cut = collect_upsets(abcd_tsa(), [abcd_word(2)], SearchOptions(k=2, max_steps=3))
+    assert cut.budget_failures == [abcd_word(2)] and not cut.rejected
+
+
 def test_upsets_share_key_and_provenance_replays():
     from tsalab.tsa import replay_trace
 

@@ -1,4 +1,6 @@
+import importlib
 import io
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -6,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import tsalab
 import tsalab.tsa as tsa_mod
 from tsalab.cli import main
+from tsalab.treestack import InputError, TreeStackError
 from tsalab.mcfg import EXAMPLE_ABCD
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,16 +225,91 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
      "--word2", "aabbccdd", "--vertex2", "1.1.1"],  # the two vertices' history arrays differ
     ["rational", "--wp", "wpz", "--regex", "t+", "--word", "x"],  # 'x' is not a group letter
     ["analyze", "bounds", "{stationary}", "--word", "aaaaaaaaaa", "--mu", "1"],
+    ["convert", "pda2tsa", "{box}"],  # stack symbol [t] is the box label of t
+    ["convert", "tsa2pda", "{dash}"],  # stack symbol - would be written as "push nothing"
+    ["trace", "ks", "--word", "ttTtTT", "--follow", "s2"],  # s2 does not apply first
+    ["trace", "abcd", "--word", "ab", "--follow", "s1,s1"],
+    ["enumerate", "abcd", "--max-len", "-1"],
+    ["mcfg", "enumerate", "{grammar}", "--max-len", "-1"],
+    ["run", "abcd", "--word", "ab", "--max-steps", "-1"],
+    ["run", "abcd", "--word", "ab", "--max-vertices", "0"],  # the root alone is one vertex
+    ["run", "abcd", "--word", "ab", "--k", "-1"],
+    ["analyze", "upsets", "abcd", "--words-file", "{words}", "--show", "-1"],
+    ["rational", "--wp", "wpz", "--regex", "t+", "--word", "T", "--budget", "-1"],
+    ["experiment", "gaps", "--family", "alpha:nan"],
+    ["experiment", "gaps", "--family", "alpha:inf"],
+    ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
-    stationary = tmp_path / "stationary.tsa"  # reads a^n with id at vertex 1
-    stationary.write_text("tsa\nstates: p q r\ninitial: p\nfinal: r\nlabels: X\nalphabet: a\n"
-                          "trans: p eps true push 1 X q\ntrans: q a true id q\n"
-                          "trans: q eps eq X down r\n")
-    code = main([a.format(missing=tmp_path / "missing", stationary=stationary) for a in argv])
+    files = {
+        "stationary": ("stationary.tsa",  # reads a^n with id at vertex 1
+                       "tsa\nstates: p q r\ninitial: p\nfinal: r\nlabels: X\nalphabet: a\n"
+                       "trans: p eps true push 1 X q\ntrans: q a true id q\n"
+                       "trans: q eps eq X down r\n"),
+        "box": ("box.pda", "pda\nstates: q\ninitial: q\nfinal: q\nstack: t [t]\nalphabet: t\n"
+                           "trans: q t push @ t q\n"),
+        "dash": ("dash.tsa", "tsa\nstates: q\ninitial: q\nfinal: q\nlabels: -\nalphabet: t\n"
+                             "trans: q t true push 1 - q\n"),
+        "grammar": ("abcd.mcfg", EXAMPLE_ABCD),
+        "words": ("words.txt", "abcd\n"),
+    }
+    paths = {"missing": tmp_path / "missing"}
+    for key, (name, text) in files.items():
+        paths[key] = tmp_path / name
+        paths[key].write_text(text)
+    code = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("tsalab: ") and err.count("\n") == 1
+
+
+def test_refusals_share_one_base():
+    # main catches InputError alone, so every refusal derives from it; the
+    # other exceptions signal a step that does not apply or a bug and must
+    # keep propagating
+    signals = (tsa_mod.NotApplicable, tsa_mod.ReplayMismatch, tsa_mod.BudgetExceeded,
+               TreeStackError)
+    classes = [obj for info in pkgutil.iter_modules(tsalab.__path__)
+               for obj in vars(importlib.import_module(f"tsalab.{info.name}")).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("tsalab.")]
+    assert len(classes) > 20
+    for cls in classes:
+        assert issubclass(cls, InputError) or issubclass(cls, signals), cls
+        assert not (issubclass(cls, InputError) and issubclass(cls, signals)), cls
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("tsalab.langlab.unary_lengths", ("experiment", "gaps", "--family", "alpha:1.5")),
+    ("tsalab.cli.accepts", ("run", "abcd", "--word", "abcd")),
+    ("tsalab.cli.parse_address", ("analyze", "updown", "abcd", "--word", "abcd",
+                                  "--vertex", "1")),
+], ids=["gaps", "run", "address"])
+def test_plain_value_error_propagates(target, argv, monkeypatch):
+    # only an InputError is the caller's fault; a plain ValueError from
+    # inside a command is a bug and must surface, not become exit 3
+    def broken(*args, **kwargs):
+        raise ValueError("bug in command")
+
+    monkeypatch.setattr(target, broken)
+    with pytest.raises(ValueError, match="bug in command"):
+        main(list(argv))
+
+
+def test_witness_outside_the_search_contract_is_a_bug(monkeypatch):
+    # analyze asks for a proper run to the root; a witness that is not one is
+    # a search bug and must surface, not become exit 3 via TraceNotProper
+    monkeypatch.setattr("tsalab.cli.is_proper", lambda trace: False)
+    with pytest.raises(AssertionError):
+        main(["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "1"])
+
+
+def test_analyze_upsets_reports_rejected_words(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("ab\nabcd\n")
+    code, out = run_cli("analyze", "upsets", "abcd", "--words-file", str(words), "--k", "2")
+    assert code == 0
+    assert "rejected=ab" in out.splitlines() and "budget_failures=" not in out
 
 
 def test_bad_max_steps_env_exits_three(monkeypatch, capsys):
@@ -373,7 +452,7 @@ def test_rational_command():
     assert code == 0 and "verdict=yes" in out and "witness=ttTT" in out
     code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "T",
                         "--budget", "8")
-    assert code == 1 and "verdict=unknown" in out
+    assert code == 2 and "verdict=unknown" in out and "reason=budget" in out
 
 
 def test_suite_unknown_name():
