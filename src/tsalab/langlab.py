@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .treestack import InputError
@@ -38,23 +39,13 @@ class AlphabetMismatch(InputError):
 # ---------------------------------------------------------------------------
 # tokens
 
+_TOKEN = re.compile(r".'?", re.S)
+
+
 def tokenize(word: str | Sequence[str], alphabet: Sequence[str] | None = None) -> tuple[str, ...]:
     """Split a word into letters; a letter is a character plus an optional
     trailing apostrophe.  Sequences are passed through unchanged."""
-    if not isinstance(word, str):
-        toks = tuple(word)
-    else:
-        toks = []
-        i = 0
-        while i < len(word):
-            ch = word[i]
-            if i + 1 < len(word) and word[i + 1] == "'":
-                toks.append(ch + "'")
-                i += 2
-            else:
-                toks.append(ch)
-                i += 1
-        toks = tuple(toks)
+    toks = tuple(_TOKEN.findall(word)) if isinstance(word, str) else tuple(word)
     if alphabet is not None:
         bad = [t for t in toks if t not in alphabet]
         if bad:
@@ -153,9 +144,11 @@ def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[i
 class GroupAlphabet:
     letters: tuple[str, ...]
     pairing: tuple[tuple[str, str], ...]  # letter -> inverse letter
+    _inverse: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pair = dict(self.pairing)
+        object.__setattr__(self, "_inverse", pair)
         for x in self.letters:
             if x not in pair or pair[x] not in self.letters:
                 raise ValueError(f"pairing not total at {x!r}")
@@ -165,7 +158,7 @@ class GroupAlphabet:
                 raise ValueError("pairing must be an involution")
 
     def inverse(self, letter: str) -> str:
-        return dict(self.pairing)[letter]
+        return self._inverse[letter]
 
     def inverse_word(self, word: str | Sequence[str]) -> tuple[str, ...]:
         toks = tokenize(word, self.letters)
@@ -182,14 +175,7 @@ WPZ_ALPHABET = group_alphabet(("t", "T"))
 F2F2_ALPHABET = group_alphabet(("a", "a'"), ("b", "b'"), ("c", "c'"), ("d", "d'"))
 
 
-def free_reduce(tokens: Iterable[str], pairing: dict[str, str]) -> tuple[str, ...]:
-    stack: list[str] = []
-    for tok in tokens:
-        if stack and pairing.get(tok) == stack[-1]:
-            stack.pop()
-        else:
-            stack.append(tok)
-    return tuple(stack)
+_F2F2_INVERSE = F2F2_ALPHABET._inverse
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +298,16 @@ def oracle(name: str, **params) -> WordOracle:
 
 def wp_f2xf2(word: str | Sequence[str]) -> bool:
     """Identity test in the direct product of two rank-2 free groups:
-    project onto the {a,b} and {c,d} components and freely reduce each."""
-    toks = tokenize(word, F2F2_ALPHABET.letters)
-    pairing = dict(F2F2_ALPHABET.pairing)
-    # letter counts must balance before any reduction can reach the identity
-    for x, y in (("a", "a'"), ("b", "b'"), ("c", "c'"), ("d", "d'")):
-        if toks.count(x) != toks.count(y):
-            return False
-    ab = [t for t in toks if t[0] in "ab"]
-    cd = [t for t in toks if t[0] in "cd"]
-    return not free_reduce(ab, pairing) and not free_reduce(cd, pairing)
+    freely reduce the {a,b} and {c,d} projections, each on its own stack."""
+    ab: list[str] = []
+    cd: list[str] = []
+    for tok in tokenize(word, F2F2_ALPHABET.letters):
+        stack = ab if tok[0] in "ab" else cd
+        if stack and stack[-1] == _F2F2_INVERSE[tok]:
+            stack.pop()
+        else:
+            stack.append(tok)
+    return not ab and not cd
 
 
 def type_p(word: str, p: int, scheme: str = "ambm", zero_bound: int | None = None) -> bool:
@@ -676,20 +662,31 @@ class F2F2Report:
         return not self.mismatches and self.psi_image == self.psi_expected
 
 
-def _t_word_tokens(xs, ys, ps, qs) -> list[str]:
-    """The test word with block exponents xs, ys (positive part) and
-    ps, qs (inverse part); ps has one more entry than qs."""
-    toks: list[str] = []
-    for x, y in zip(xs, ys):
-        toks.extend(["c", "a"] * x)
-        toks.extend(["d", "b"] * y)
-    toks.extend(["b'"] * ps[0])
-    for j, q in enumerate(qs):
-        toks.extend(["d'", "a'"] * q)
-        if j + 1 < len(qs):
-            toks.extend(["c'", "b'"] * ps[j + 1])
-    toks.extend(["c'"] * ps[-1])
-    return toks
+def _free_reduces_runs(runs: Iterable[tuple[str, int]]) -> bool:
+    """Does a run-length word reduce to the identity?  Each run is
+    (generator, signed exponent); runs of one generator merge on the
+    stack and cancel when their exponents sum to zero."""
+    stack: list[tuple[str, int]] = []
+    for gen, e in runs:
+        if stack and stack[-1][0] == gen:
+            e += stack.pop()[1]
+            if not e:
+                continue
+        stack.append((gen, e))
+    return not stack
+
+
+def _wp_blocks(xs, ys, ps, qs) -> bool:
+    """wp_f2xf2 of the test word with block exponents xs, ys (positive
+    part) and ps, qs (inverse part, ps one entry longer), computed on its
+    two projections as run-length words:
+    a^x1 b^y1 ... b'^p0 a'^q1 b'^p1 ... a'^qt  and
+    c^x1 d^y1 ... d'^q1 c'^p1 ... d'^qt c'^pt."""
+    ab = [r for x, y in zip(xs, ys) for r in (("a", x), ("b", y))]
+    cd = [r for x, y in zip(xs, ys) for r in (("c", x), ("d", y))]
+    ab += [r for p, q in zip(ps[:-1], qs) for r in (("b", -p), ("a", -q))]
+    cd += [r for q, p in zip(qs, ps[1:]) for r in (("d", -q), ("c", -p))]
+    return _free_reduces_runs(ab) and _free_reduces_runs(cd)
 
 
 def _eqs_hold(xs, ys, ps, qs) -> bool:
@@ -705,32 +702,51 @@ def _eqs_hold(xs, ys, ps, qs) -> bool:
     return eq1 and eq2
 
 
+def _grouped(tuples: Iterable[tuple], key: Callable[[tuple], int]) -> dict[int, list[tuple]]:
+    """The tuples grouped by key, each group in the order given."""
+    out: dict[int, list[tuple]] = {}
+    for tup in tuples:
+        out.setdefault(key(tup), []).append(tup)
+    return out
+
+
 def f2f2_experiment(n_max: int = 3, m_max: int = 3) -> F2F2Report:
     """Enumerate the test words with up to n_max blocks per segment and
     exponents up to m_max; check that word-problem membership coincides
     with the cancellation equations and with all exponents being equal,
     and that erasing everything but a, b maps the members onto the
-    two-parameter block language."""
+    two-parameter block language.
+
+    The letter exponent sums of a test word are sum(xs) for a and c,
+    sum(ys) for b and d, sum(qs) for a' and d', sum(ps[:-1]) for b' and
+    sum(ps[1:]) for c'.  Unless all five are equal the word is not the
+    identity, and neither other predicate holds (each forces them equal),
+    so such tuples agree and are only counted.  The balanced ones are
+    visited in the order of the full enumeration."""
     exps = range(1, m_max + 1)
-    total = 0
+    sizes = range(1, n_max + 1)
+    total = sum(len(exps) ** (2 * n + 2 * t + 1) for n in sizes for t in sizes)
+    by_sum = {n: _grouped(itertools.product(exps, repeat=n), sum) for n in sizes}
+    ps_by_sum = {t: _grouped((ps for ps in itertools.product(exps, repeat=t + 1)
+                              if sum(ps[:-1]) == sum(ps[1:])), lambda ps: sum(ps[1:]))
+                 for t in sizes}
     members = 0
     mismatches = []
     psi_image: set[str] = set()
-    for n in range(1, n_max + 1):
-        for t in range(1, n_max + 1):
+    for n in sizes:
+        for t in sizes:
             for xs in itertools.product(exps, repeat=n):
-                for ys in itertools.product(exps, repeat=n):
-                    for ps in itertools.product(exps, repeat=t + 1):
-                        for qs in itertools.product(exps, repeat=t):
-                            total += 1
-                            toks = _t_word_tokens(xs, ys, ps, qs)
-                            wp = wp_f2xf2(toks)
+                s = sum(xs)
+                for ys in by_sum[n].get(s, ()):
+                    for ps in ps_by_sum[t].get(s, ()):
+                        for qs in by_sum[t].get(s, ()):
+                            wp = _wp_blocks(xs, ys, ps, qs)
                             eqs = _eqs_hold(xs, ys, ps, qs)
                             all_equal = len({*xs, *ys, *ps, *qs}) == 1 and n == t
                             if not (wp == eqs == all_equal):
                                 mismatches.append(((n, t, xs, ys, ps, qs), wp, eqs, all_equal))
                             if wp:
                                 members += 1
-                                psi_image.add(erasing_hom(toks, F2F2_PSI))
+                                psi_image.add("".join("a" * x + "b" * y for x, y in zip(xs, ys)))
     expected = {("a" * m + "b" * m) * n for m in range(1, m_max + 1) for n in range(1, n_max + 1)}
     return F2F2Report(n_max, m_max, total, members, mismatches, psi_image, expected)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import counting_wpz_oracle, words_upto
+from reference_f2f2 import all_tuples, ref_f2f2_experiment, ref_tokenize, t_word_tokens
 
 from tsalab.convert import fixture_wpz_tsa
 from tsalab.fixtures import abcd_tsa
@@ -229,6 +230,16 @@ def test_tokenize():
         tokenize("xy", alphabet=("a", "b"))
 
 
+@given(st.text(alphabet="abcd'x\n", max_size=20))
+def test_tokenize_matches_index_loop(word):
+    assert tokenize(word) == ref_tokenize(word)
+    if set(ref_tokenize(word)) <= set(F2F2_ALPHABET.letters):
+        assert tokenize(word, F2F2_ALPHABET.letters) == ref_tokenize(word)
+    else:
+        with pytest.raises(UnknownLetter):
+            tokenize(word, F2F2_ALPHABET.letters)
+
+
 # -- FSA and regex --------------------------------------------------------------
 
 def test_regex_basic():
@@ -432,9 +443,38 @@ def test_f2f2_experiment_small():
 
 def test_f2f2_member_word_structure():
     # uniform exponents are members; a single bumped exponent is not
-    from tsalab.langlab import _eqs_hold, _t_word_tokens
+    from tsalab.langlab import _eqs_hold
 
-    member = _t_word_tokens((2, 2), (2, 2), (2, 2, 2), (2, 2))
+    member = t_word_tokens((2, 2), (2, 2), (2, 2, 2), (2, 2))
     assert wp_f2xf2(member) and _eqs_hold((2, 2), (2, 2), (2, 2, 2), (2, 2))
-    bumped = _t_word_tokens((2, 2), (2, 2), (2, 2, 2), (1, 2))
+    bumped = t_word_tokens((2, 2), (2, 2), (2, 2, 2), (1, 2))
     assert not wp_f2xf2(bumped) and not _eqs_hold((2, 2), (2, 2), (2, 2, 2), (1, 2))
+
+
+# the degenerate sizes have no test words: a closed form for the count
+# must not turn a negative m_max into (-1)**k
+@pytest.mark.parametrize("n_max,m_max", [(2, 2), (3, 2), (2, 3), (1, 1),
+                                         (0, 3), (3, 0), (2, -1), (-1, 2)])
+def test_f2f2_experiment_matches_token_reference(n_max, m_max):
+    assert vars(f2f2_experiment(n_max, m_max)) == vars(ref_f2f2_experiment(n_max, m_max))
+
+
+def test_f2f2_balance_lemma():
+    """A test word whose letter exponent sums differ satisfies none of the
+    three predicates; the experiment only counts such words.  Balance of
+    the letters is balance of the five exponent sums it groups by."""
+    from tsalab.langlab import _eqs_hold, _wp_blocks
+
+    unbalanced = 0
+    for n, t, xs, ys, ps, qs in all_tuples(2, 2):
+        toks = t_word_tokens(xs, ys, ps, qs)
+        wp = wp_f2xf2(toks)
+        assert _wp_blocks(xs, ys, ps, qs) == wp
+        balanced = all(toks.count(x) == toks.count(x + "'") for x in "abcd")
+        assert balanced == (sum(xs) == sum(ys) == sum(qs) == sum(ps[:-1]) == sum(ps[1:]))
+        if not balanced:
+            unbalanced += 1
+            assert not wp
+            assert not _eqs_hold(xs, ys, ps, qs)
+            assert not (len({*xs, *ys, *ps, *qs}) == 1 and n == t)
+    assert 0 < unbalanced < 800
