@@ -224,7 +224,9 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
     """Translate a PDA into a 1-TSA simulating it on a branching tree.
 
     The output never contains an up instruction; its any-mode language
-    is the root-mode language of `make_root_accepting` of it.
+    is the root-mode language of `make_root_accepting` of it.  The
+    intermediate states of a push or pop are named by its target, so moves
+    from one state to different targets do not share them.
     """
     gamma = tuple(pda.stack) + (ROOT_LABEL,)
     labels = tuple(pda.stack) + tuple(box(g) for g in gamma)
@@ -255,8 +257,8 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
         act = t.action
         if act.kind == "push" and act.pushed is not None:
             z, s = act.top, act.pushed
-            up_ = tag(t.src, "u")
-            st_ = tag(t.src, s)
+            up_ = tag(t.dst, "u")
+            st_ = tag(t.dst, s)
             emit(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_,
                             name=f"p{pidx}.1"))
             emit(Transition(up_, None, pred_eq(s), instr_push(1, box(s)), t.dst,
@@ -267,7 +269,7 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
                             name=f"p{pidx}.4"))
         elif act.kind == "pop":
             y = act.top
-            dn = tag(t.src, "d")
+            dn = tag(t.dst, "d")
             emit(Transition(t.src, t.inp, pred_eq(box(y)), instr_down(), dn,
                             name=f"p{pidx}.5"))
             emit(Transition(dn, None, pred_eq(box(y)), instr_down(), dn,
@@ -319,7 +321,7 @@ def simulation_run(pda: Pda, tsa: Tsa, ptrace: PdaTrace) -> tuple[list[int], lis
         act = t.action
         if act.kind == "push" and act.pushed is not None:
             z, s = act.top, act.pushed
-            up_, st_ = tag(t.src, "u"), tag(t.src, s)
+            up_, st_ = tag(t.dst, "u"), tag(t.dst, s)
             if cfg.ts.pointer + (1,) not in cfg.ts.dom:
                 steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_)]
             else:
@@ -333,7 +335,7 @@ def simulation_run(pda: Pda, tsa: Tsa, ptrace: PdaTrace) -> tuple[list[int], lis
                 out.append(idx)
         elif act.kind == "pop":
             y = act.top
-            dn = tag(t.src, "d")
+            dn = tag(t.dst, "d")
             cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(y)), instr_down(), dn)
             out.append(idx)
             while cfg.ts.pointer_label == box(y):

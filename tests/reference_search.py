@@ -1,26 +1,33 @@
 """Reference searches: a plain tuple-keyed breadth-first search with the
-contract of `accepts` and `shortest_accepted`, and a plain PDA search with
-the contract of `pda_accepts`.
+contract of `accepts` and `shortest_accepted`, a plain PDA search with the
+contract of `pda_accepts`, and `enumerate_words` as one `accepts` search
+per word.
 
 Every TSA step rebuilds the tree stack through `ts_apply`, keeps the
 visit-from-below counts as a sorted tuple and memoises on the canonical
 `TreeStack.key()`, so a step costs time in the size of the tree.  The PDA
 search keeps the stack as a tuple and memoises on whole configurations.
 Both are slow but plain; test_search_core.py checks the interned-address
-search core against them configuration by configuration.
+search core against them configuration by configuration.  The enumeration
+runs `accepts` once per word, the plain form of the core's walk over read
+prefixes; test_search_core.py diffs the two word list by word list.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from tsalab.convert import Pda, PdaConfig, PdaTrace, PdaTransition
 from tsalab.treestack import ROOT, ROOT_LABEL, instr_applicable, pred_eval, ts_apply
 from tsalab.tsa import (
+    BudgetExceeded,
     Configuration,
     NotFound,
     RunTrace,
     SearchOptions,
     Transition,
     Tsa,
+    accepts,
     default_max_steps,
     default_max_vertices,
     initial_configuration,
@@ -280,3 +287,23 @@ def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
                 nxt_frontier.append(me)
         frontier = nxt_frontier
     return NotFound("budget" if cut else "exhausted")
+
+
+def ref_enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> set[str]:
+    """All words of length <= max_len accepted within the budgets, by
+    per-word search.  Raises BudgetExceeded (carrying the partial result)
+    if any per-word search was cut off rather than exhausted.
+    """
+    found = set()
+    budget_words = []
+    for n in range(max_len + 1):
+        for tup in itertools.product(tsa.alphabet, repeat=n):
+            w = "".join(tup)
+            res = accepts(tsa, w, opts)
+            if res:
+                found.add(w)
+            elif res.reason == "budget":
+                budget_words.append(w)
+    if budget_words:
+        raise BudgetExceeded(found, budget_words)
+    return found

@@ -129,6 +129,28 @@ def test_round_trip_language_desk_scale():
         assert bool(pda_accepts(back, w)) == want, w
 
 
+# pushes and a pop from p0 to different targets: intermediate states named
+# by the source would let the b-push's ladder end in p0 and read the a-pop
+SPLIT_TARGETS_PDA = """pda
+states: p0 p1
+initial: p0
+final: p1
+stack: X
+alphabet: a b
+trans: p0 b push @ X p1
+trans: p0 a push X X p0
+trans: p0 a pop X p1
+"""
+
+
+def test_pda_to_tsa1_keeps_targets_apart():
+    pda = parse_pda(SPLIT_TARGETS_PDA)
+    tsa = pda_to_tsa1(pda)
+    assert not pda_accepts(pda, "ba")
+    for w in words_upto("ab", 4):
+        assert bool(accepts(tsa, w, ANY)) == bool(pda_accepts(pda, w)), w
+
+
 def test_converted_witnesses_are_1_restricted():
     tsa = pda_to_tsa1(fixture_wpz_pda())
     for w in words_upto("tT", 6):

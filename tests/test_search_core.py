@@ -1,9 +1,10 @@
 """Differential tests: the interned-address search core, behind `accepts`,
-`shortest_accepted` and `pda_accepts`, against the plain reference
-searches in reference_search.py.
+`shortest_accepted`, `pda_accepts` and `enumerate_words`, against the
+plain reference searches in reference_search.py.
 
 Both must return the same result for every query: the same witness,
-configuration by configuration, or the same NotFound reason.
+configuration by configuration, or the same NotFound reason; for an
+enumeration, the same words and the same budget words in the same order.
 """
 
 import itertools
@@ -24,9 +25,10 @@ from tsalab.convert import (
     tsa1_to_pda,
 )
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
-from tsalab.tsa import SearchOptions, accepts, shortest_accepted
+from tsalab.langlab import eps_free, parse_fsa, regex_to_fsa, tsa_fsa_product
+from tsalab.tsa import BudgetExceeded, SearchOptions, accepts, enumerate_words, shortest_accepted
 
-from reference_search import ref_accepts, ref_pda_accepts, ref_shortest_accepted
+from reference_search import ref_accepts, ref_enumerate_words, ref_pda_accepts, ref_shortest_accepted
 
 
 MACHINES = {
@@ -175,6 +177,50 @@ def test_shortest_accepted_matches_reference(opt_name):
             assert outcome(got) == outcome(want), (tsa.initial, max_len)
 
 
+UNIVERSAL_FSA = ("fsa\nstates: u\ninitial: u\nfinal: u\nalphabet: a b c d\n"
+                 "trans: u a u\ntrans: u b u\ntrans: u c u\ntrans: u d u\n")
+
+# abcd intersected with regular languages, as in test_langlab.py
+PRODUCTS = {
+    "abcd-blocks": lambda: tsa_fsa_product(abcd_tsa(), eps_free(regex_to_fsa("a*b*c*d*", "abcd"))),
+    "abcd-a-plus": lambda: tsa_fsa_product(abcd_tsa(), eps_free(regex_to_fsa("a+", "abcd"))),
+    "abcd-universal": lambda: tsa_fsa_product(abcd_tsa(), parse_fsa(UNIVERSAL_FSA)),
+}
+
+# budgets small enough to cut some of the searches off
+ENUMERATE_OPTIONS = {
+    **OPTIONS,
+    "steps5": SearchOptions(max_steps=5),
+    "steps12": SearchOptions(max_steps=12),
+    "vertices2": SearchOptions(max_vertices=2),
+    "vertices3": SearchOptions(max_vertices=3),
+}
+
+# the longest words enumerated, by alphabet size, so that the per-word
+# reference stays cheap
+ENUMERATE_MAX_LEN = {1: 7, 2: 7, 4: 5, 8: 3}
+
+
+def enumeration(enumerate_fn, tsa, max_len, opts):
+    """The words found and, in order, the words cut off by a budget."""
+    try:
+        return enumerate_fn(tsa, max_len, opts), None
+    except BudgetExceeded as e:
+        return e.words, e.budget_words
+
+
+@pytest.mark.parametrize("name", list(MACHINES) + list(PRODUCTS))
+def test_enumerate_words_matches_reference(name):
+    tsa = {**MACHINES, **PRODUCTS}[name]()
+    max_len = ENUMERATE_MAX_LEN[len(tsa.alphabet)]
+    cut = False
+    for opt_name, opts in ENUMERATE_OPTIONS.items():
+        got = enumeration(enumerate_words, tsa, max_len, opts)
+        assert got == enumeration(ref_enumerate_words, tsa, max_len, opts), opt_name
+        cut |= got[1] is not None
+    assert cut  # some budget words were listed and compared
+
+
 def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     queries = [(name, w, opts)
                for name in ("abcd", "anbmcndm", "wpz")
@@ -185,6 +231,7 @@ def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     machines = {name: make() for name, make in MACHINES.items()}
     expected = [outcome(accepts(machines[n], w, o)) for n, w, o in queries]
     expected_short = [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()]
+    expected_words = [enumerate_words(m, 4, OPTIONS["k2"]) for m in machines.values()]
     pdas = {name: make() for name, make in PDAS.items()}
     pda_queries = [(name, w, budgets)
                    for name, pda in pdas.items()
@@ -207,6 +254,7 @@ def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     monkeypatch.setattr(tsa_mod, "_seen_exactly", counting)
     assert [outcome(accepts(machines[n], w, o)) for n, w, o in queries] == expected
     assert [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()] == expected_short
+    assert [enumerate_words(m, 4, OPTIONS["k2"]) for m in machines.values()] == expected_words
     assert distinct > 0  # configurations told apart only by the exact check
     tsa_distinct = distinct
     assert [outcome(pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries] == expected_pda

@@ -357,6 +357,20 @@ def test_normalize_child_indices():
             == enumerate_words(norm, 8, SearchOptions(accept_mode="any")))
 
 
+def test_normalize_child_indices_drops_unusable_up():
+    # `up 1` can never fire, since only `push 2` exists; renumbering that
+    # push to 1 must not let the `up 1` reach the pushed child
+    tsa = parse_tsa("tsa\nstates: q0 q1 q2\ninitial: q0\nfinal: q2\nlabels: A\n"
+                    "alphabet: a\n"
+                    "trans: q0 eps true push 2 A q1\n"
+                    "trans: q1 eps true down q1\n"
+                    "trans: q1 a eq @ up 1 q2\n")
+    norm = normalize_child_indices(tsa)
+    assert not accepts(tsa, "a")
+    assert not accepts(norm, "a")
+    assert [t.instr.kind for t in norm.delta] == ["push", "down"]
+
+
 def _toy(delta):
     states = sorted({t.src for t in delta} | {t.dst for t in delta} | {"q1"})
     labels = tuple(sorted({t.pred.label for t in delta if t.pred.kind == "eq" and t.pred.label != "@"}
