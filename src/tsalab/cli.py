@@ -117,6 +117,16 @@ def search_exit(reason: str) -> int:
     return 2 if reason == "budget" else 1
 
 
+def show(word: str) -> str:
+    """A word as the porcelain block writes it: the empty word is `eps`."""
+    return word or "eps"
+
+
+def word_lines(words) -> list[str]:
+    """`word=` lines for a set of words, shortest first, then alphabetically."""
+    return [f"word={show(w)}" for w in sorted(words, key=lambda w: (len(w), w))]
+
+
 def trace_table(trace: RunTrace) -> str:
     rows = [("Transition", "State", "Tree stack", "Input read")]
     rows.append(("-", trace.initial.state, render_tree_stack(trace.initial.ts), "-"))
@@ -146,7 +156,8 @@ def cmd_run(args) -> int:
     tsa = load_tsa(args.machine)
     opts = search_options(args)
     res = accepts(tsa, args.word, opts)
-    block = [f"command=run", f"word={args.word}"] + describe_options(opts, len(args.word), tsa)
+    block = (["command=run", f"word={show(args.word)}"]
+             + describe_options(opts, len(args.word), tsa))
     if res:
         block.append("result=accept")
         block.append("steps=" + " ".join(res.names()))
@@ -202,9 +213,10 @@ def cmd_enumerate(args) -> int:
         words, budget = e.words, e.budget_words
     block = (["command=enumerate", f"max_len={args.max_len}"]
              + describe_options(opts, args.max_len, tsa))
-    block += [f"word={w if w else 'eps'}" for w in sorted(words, key=lambda w: (len(w), w))]
+    block += word_lines(words)
     if budget:
-        block.append("budget_hit=" + " ".join(budget[:20]))
+        block.append(f"budget_words={len(budget)}")
+        block.append("budget_hit=" + " ".join(map(show, budget[:20])))
     emit(args, f"{len(words)} word(s)", block)
     return 2 if budget else 0
 
@@ -236,13 +248,13 @@ def cmd_mcfg(args) -> int:
     if args.mcfg_cmd == "enumerate":
         words = mcfg.mcfg_enumerate(g, args.max_len)
         block = ["command=mcfg.enumerate", f"max_len={args.max_len}"]
-        block += [f"word={w if w else 'eps'}" for w in sorted(words, key=lambda w: (len(w), w))]
+        block += word_lines(words)
         emit(args, f"{len(words)} word(s)", block)
         return 0
     if args.mcfg_cmd == "member":
         ok = mcfg.mcfg_member(g, args.word)
         emit(args, "member" if ok else "not a member",
-             ["command=mcfg.member", f"word={args.word}", f"result={'yes' if ok else 'no'}"])
+             ["command=mcfg.member", f"word={show(args.word)}", f"result={'yes' if ok else 'no'}"])
         return 0 if ok else 1
     # empty
     prod = mcfg.productive_nonterminals(g)
@@ -265,9 +277,9 @@ def _witness(tsa, word, args):
 
 
 def _factor_lines(f: analysis.NuFactorisation) -> list[str]:
-    lines = [f"w0={f.w0 or 'eps'}"]
+    lines = [f"w0={show(f.w0)}"]
     for j, (u, w) in enumerate(f.parts, start=1):
-        lines += [f"u{j}={u or 'eps'}", f"w{j}={w or 'eps'}"]
+        lines += [f"u{j}={show(u)}", f"w{j}={show(w)}"]
     return lines
 
 
@@ -277,7 +289,7 @@ def cmd_analyze(args) -> int:
     if sub in ("updown", "factorise", "history"):
         trace = _witness(tsa, args.word, args)
         nu = parse_address(args.vertex)
-        block = [f"command=analyze.{sub}", f"word={args.word}", f"vertex={args.vertex}"]
+        block = [f"command=analyze.{sub}", f"word={show(args.word)}", f"vertex={args.vertex}"]
         if sub == "updown":
             udv = analysis.up_down_vector(trace, nu)
             block.append("updown=" + " ".join(str(i) for i in udv.flat()))
@@ -292,7 +304,7 @@ def cmd_analyze(args) -> int:
     if sub == "level1":
         trace = _witness(tsa, args.word, args)
         l1 = analysis.level1_arrays(trace)
-        block = ["command=analyze.level1", f"word={args.word}",
+        block = ["command=analyze.level1", f"word={show(args.word)}",
                  "l=" + " ".join(map(str, l1.ls)),
                  "m=" + " ".join(map(str, l1.ms)),
                  "n=" + " ".join(map(str, l1.ns))]
@@ -312,7 +324,7 @@ def cmd_analyze(args) -> int:
             block.append(f"  tuples={len(tuples)} max_total_len="
                          f"{max(sum(map(len, t)) for t in tuples)}")
             for t in tuples[: args.show]:
-                block.append("  u=(" + ", ".join(x or "eps" for x in t) + ")")
+                block.append("  u=(" + ", ".join(map(show, t)) + ")")
         if ups.budget_failures:
             block.append("budget_failures=" + " ".join(ups.budget_failures))
         if ups.rejected:
@@ -325,7 +337,7 @@ def cmd_analyze(args) -> int:
         rep = analysis.single_swap(t1, parse_address(args.vertex1),
                                    t2, parse_address(args.vertex2))
         block = ["command=analyze.swap",
-                 f"word={rep.word}",
+                 f"word={show(rep.word)}",
                  f"accepted={'yes' if rep.accepted else 'no:' + (rep.search_reason or '')}",
                  f"splice_replay={'ok' if rep.spliced_replay_ok else 'failed'}"]
         emit(args, f"swapped word {rep.word}", block)
@@ -333,11 +345,11 @@ def cmd_analyze(args) -> int:
     if sub == "pump":
         trace = _witness(tsa, args.word, args)
         res = analysis.find_pumpable(trace, args.m)
-        block = ["command=analyze.pump", f"word={args.word}", f"m={args.m}"]
+        block = ["command=analyze.pump", f"word={show(args.word)}", f"m={args.m}"]
         if res is None:
             block.append("result=none")
         else:
-            block += [f"x={res.x or 'eps'}", f"y={res.y or 'eps'}", f"z={res.z or 'eps'}",
+            block += [f"x={show(res.x)}", f"y={show(res.y)}", f"z={show(res.z)}",
                       f"vertex={format_address(res.vertex)}",
                       "verified=" + " ".join(f"{n}:{'yes' if ok else 'no'}"
                                              for n, ok in sorted(res.verified.items()))]
@@ -348,7 +360,7 @@ def cmd_analyze(args) -> int:
         raise InputError("bounds assume positive degree (at least one push)")
     trace = _witness(tsa, args.word, args)
     rep = analysis.check_atv_bounds(trace, args.mu)
-    block = ["command=analyze.bounds", f"word={args.word}", f"mu={args.mu}", f"k={rep.k}"]
+    block = ["command=analyze.bounds", f"word={show(args.word)}", f"mu={args.mu}", f"k={rep.k}"]
     for row in rep.vertices:
         block.append(f"vertex={format_address(row.vertex)} kind={row.kind} "
                      f"letters={row.letters} bound={row.bound} "
@@ -410,7 +422,7 @@ def cmd_experiment(args) -> int:
              f"i_max={args.i_max}",
              f"result={'pass' if rep.all_ok else 'fail'}"]
     for i, word, ok in rep.results:
-        block.append(f"i={i} word={word if word else 'eps'} member={'yes' if ok else 'no'}")
+        block.append(f"i={i} word={show(word)} member={'yes' if ok else 'no'}")
     emit(args, "pass" if rep.all_ok else "fail", block)
     return 0 if rep.all_ok else 1
 
@@ -423,10 +435,10 @@ def cmd_rational(args) -> int:
         raise InputError("only the t/T group alphabet is built in; "
                        "supply a wp machine over t T")
     ans = langlab.rational_membership(wp, fsa, args.word, pairing, max_len=args.budget)
-    block = ["command=rational", f"word={args.word}", f"regex={args.regex}",
+    block = ["command=rational", f"word={show(args.word)}", f"regex={args.regex}",
              f"budget={args.budget}", f"verdict={ans.verdict}"]
     if ans.witness is not None:
-        block.append(f"witness={ans.witness}")
+        block.append(f"witness={show(ans.witness)}")
     if ans.reason:
         block.append(f"reason={ans.reason}")
     emit(args, ans.verdict, block)

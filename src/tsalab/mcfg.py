@@ -13,6 +13,7 @@ import itertools
 import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .tsa import ParseError, read_sections
 
@@ -174,45 +175,106 @@ def parse_mcfg(text: str) -> Mcfg:
     return Mcfg(tuple(ranks.items()), tuple(terminals), tuple(rule for _, rule in rules), start)
 
 
-def _apply_rule(rule: McfgRule, values: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
-    out = []
+def _bounded_rule(rule: McfgRule) -> tuple:
+    """The rule compiled for `derivable_tuples`: its head nonterminal, the
+    number of terminal letters in its head, one (nonterminal, kept
+    components) pool key per body position, and its head arguments as
+    pieces, each a terminal string or a (body position, component) slot."""
+    slot = {v: (p, c) for p, (_, vs) in enumerate(rule.body) for c, v in enumerate(vs)}
+    kept: list[list[int]] = [[] for _ in rule.body]
+    args, const = [], 0
     for argument in rule.head_args:
-        parts = []
+        pieces = []
         for kind, tok in argument:
-            parts.append(values[tok] if kind == "v" else tok)
-        out.append("".join(parts))
-    return tuple(out)
+            if kind == "v":
+                pieces.append(slot[tok])
+                kept[slot[tok][0]].append(slot[tok][1])
+            else:
+                pieces.append(tok)
+                const += len(tok)
+        args.append(tuple(pieces))
+    body = tuple((nt, tuple(sorted(cs))) for (nt, _), cs in zip(rule.body, kept))
+    return rule.head, const, body, tuple(args)
+
+
+_weight = itemgetter(0)  # of a (weight, tuple) pool entry
 
 
 def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str, ...]]]:
     """Least fixpoint of the rules over value tuples of total length at
-    most the bound, iterating rules in file order until stable.  The bound
-    also cuts components that a deleting rule drops later; `mcfg_enumerate`
-    avoids that by enumerating the `non_deleting` grammar."""
+    most the bound (Seki et al. 1991), with every nonterminal a key.
+
+    It is computed semi-naively (Bancilhon & Ramakrishnan 1986): round r
+    fires a rule only on body combinations that take a tuple first derived
+    in round r-1.  The positions before that one take older tuples and the
+    positions after it take any, so no combination is joined twice.  A
+    tuple adds to the head only the letters of the components the head
+    keeps, so each pool is sorted by those, and a join stops at the first
+    tuple that no longer fits in the bound less the rule's own letters.
+    The bound also cuts components that a deleting rule drops later;
+    `mcfg_enumerate` avoids that by enumerating the `non_deleting`
+    grammar."""
     values: dict[str, set[tuple[str, ...]]] = {nt: set() for nt, _ in mcfg.ranks}
-    changed = True
-    while changed:
-        changed = False
-        for rule in mcfg.rules:
-            if not rule.body:
-                tup = _apply_rule(rule, {})
-                if sum(len(x) for x in tup) <= max_total_len and tup not in values[rule.head]:
-                    values[rule.head].add(tup)
-                    changed = True
-                continue
-            pools = [sorted(values[nt]) for nt, _ in rule.body]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                env: dict[str, tuple[str, ...]] = {}
-                for (nt, vs), tup in zip(rule.body, combo):
-                    for v, val in zip(vs, tup):
-                        env[v] = val
-                out = _apply_rule(rule, env)
-                if sum(len(x) for x in out) <= max_total_len and out not in values[rule.head]:
-                    values[rule.head].add(out)
-                    changed = True
+    newest: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in values}
+    rules = []
+    for head, const, body, args in map(_bounded_rule, mcfg.rules):
+        if body:
+            rules.append((head, const, body, args))
+        elif const <= max_total_len:
+            tup = tuple("".join(arg) for arg in args)
+            if tup not in values[head]:
+                values[head].add(tup)
+                newest[head].append(tup)
+    # a pool is a list of (weight, tuple) pairs in order of weight; per
+    # pool key, the tuples older than the last round
+    older = {key: [] for _, _, body, _ in rules for key in body}
+    while any(newest[nt] for nt, _ in older):  # else no join has a new tuple
+        fresh: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in values}
+        pools = {}  # pool key -> (older, newest, all)
+        for key, old in older.items():
+            nt, kept = key
+            new = sorted([(sum(len(tup[c]) for c in kept), tup) for tup in newest[nt]],
+                         key=_weight)
+            # sorting the two sorted runs only merges them
+            pools[key] = (old, new, sorted(old + new, key=_weight) if new else old)
+        for head, const, body, args in rules:
+            for i in range(len(body)):
+                chosen = [pools[key][0 if p < i else 1 if p == i else 2]
+                          for p, key in enumerate(body)]
+                if all(chosen):
+                    _bounded_join(args, chosen, max_total_len - const, values[head], fresh[head])
+        older = {key: pool[2] for key, pool in pools.items()}
+        newest = fresh
     return values
+
+
+def _bounded_join(args: tuple, pools: list, budget: int, seen: set, found: list):
+    """Add to `seen` and `found` the head tuples (built from the head
+    arguments `args`) not in `seen` of every combination of one entry per
+    pool whose weights sum to at most the budget; each pool is sorted by
+    weight."""
+    n = len(pools)
+    rest = [0] * n  # the least weight the later positions add
+    for k in range(n - 2, -1, -1):
+        rest[k] = rest[k + 1] + pools[k + 1][0][0]
+    combo = [()] * n
+
+    def walk(k, left):
+        limit = left - rest[k]
+        for weight, tup in pools[k]:
+            if weight > limit:
+                break
+            combo[k] = tup
+            if k + 1 < n:
+                walk(k + 1, left - weight)
+                continue
+            out = tuple("".join([piece if isinstance(piece, str) else combo[piece[0]][piece[1]]
+                                 for piece in arg]) for arg in args)
+            if out not in seen:
+                seen.add(out)
+                found.append(out)
+
+    walk(0, budget)
 
 
 def non_deleting(mcfg: Mcfg) -> Mcfg:

@@ -135,9 +135,19 @@ def test_enumerate_command():
 
 
 def test_enumerate_budget_exit_two():
-    code, out = run_cli("enumerate", "abcd", "--max-len", "4", "--max-steps", "3")
+    code, out = run_cli("--porcelain", "enumerate", "abcd", "--max-len", "4",
+                        "--max-steps", "3")
     assert code == 2
-    assert "budget_hit=" in out
+    assert out == (GOLDEN / "enumerate_abcd_budget.txt").read_text()
+    # every word up to length 4 over abcd is cut off: 1 + 4 + 16 + 64 + 256
+    assert "budget_words=341" in out.splitlines()
+    assert out.splitlines()[-1].startswith("budget_hit=eps a b ")
+
+
+def test_run_shows_empty_word_as_eps():
+    code, out = run_cli("--porcelain", "run", "astar", "--word", "")
+    assert code == 0
+    assert out.splitlines()[:2] == ["command=run", "word=eps"]
 
 
 def test_standardise_command(tmp_path):
@@ -167,6 +177,14 @@ def test_mcfg_commands(tmp_path):
     assert code == 1
     code, out = run_cli("mcfg", "empty", str(g))
     assert code == 0 and "result=nonempty" in out
+
+
+def test_mcfg_member_shows_empty_word_as_eps(tmp_path):
+    g = tmp_path / "g.mcfg"
+    g.write_text(EXAMPLE_ABCD)
+    code, out = run_cli("--porcelain", "mcfg", "member", str(g), "--word", "")
+    assert code == 0
+    assert out.splitlines() == ["command=mcfg.member", "word=eps", "result=yes"]
 
 
 def test_mcfg_member_deleting_grammar(tmp_path):

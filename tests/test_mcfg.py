@@ -4,6 +4,7 @@ import time
 import pytest
 
 from conftest import abcd_oracle, anbmcndm_oracle, counting_wpz_oracle, words_upto
+from reference_mcfg import ref_derivable_tuples
 
 from tsalab.mcfg import (
     EXAMPLE_ABCD,
@@ -30,7 +31,8 @@ DELETING = "mcfg\nstart: S\nrule: T(a, b) <-\nrule: S(x1) <- T(x1, x2)\n"
 
 def reference_member(g, w):
     """Membership by enumerating every word up to |w| and looking w up:
-    the exponential path that the chart recogniser replaced."""
+    the path that the chart recogniser replaced, whose cost grows with the
+    number of words up to |w| (exponential in |w| on WP(Z))."""
     return w in mcfg_enumerate(g, len(w))
 
 
@@ -296,3 +298,33 @@ def test_chart_decides_long_wpz_words():
     assert mcfg_member(g, w)
     assert not mcfg_member(g, w[:31] + w[32:])
     assert time.perf_counter() - start < 1.0
+
+
+# grammar text or _random_grammar seed -> largest bound
+FIXPOINT_CASES = {"abcd": (EXAMPLE_ABCD, 10), "anbmcndm": (EXAMPLE_ANBMCNDM, 10),
+                  "deleting": (DELETING, 10), "wpz": (EXAMPLE_WPZ, 8)}
+FIXPOINT_CASES.update({f"random{seed}": (seed, 6) for seed in range(40)})
+
+
+@pytest.mark.parametrize("case", FIXPOINT_CASES)
+def test_derivable_tuples_matches_reference(case):
+    source, top = FIXPOINT_CASES[case]
+    if isinstance(source, str):
+        grammars = [parse_mcfg(source)]
+    else:  # a random grammar both raw and in its non-deleting form
+        raw = _random_grammar(random.Random(source))
+        grammars = [raw, non_deleting(raw)]
+    for g in grammars:
+        for bound in range(top + 1):
+            assert derivable_tuples(g, bound) == ref_derivable_tuples(g, bound), \
+                (bound, [str(r) for r in g.rules])
+
+
+def test_enumerate_wpz_to_length_12():
+    # about 20 s with the naive fixpoint of tests/reference_mcfg.py
+    g = parse_mcfg(EXAMPLE_WPZ)
+    start = time.perf_counter()
+    got = mcfg_enumerate(g, 12)
+    assert time.perf_counter() - start < 2.0
+    want = {w for w in words_upto("tT", 12) if counting_wpz_oracle(w)}
+    assert len(want) == 1275 and got == want
