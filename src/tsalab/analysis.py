@@ -21,6 +21,7 @@ from .tsa import (
     RunTrace,
     SearchOptions,
     accepts,
+    accepts_each,
     degree,
     is_proper,
     replay,
@@ -304,11 +305,16 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
     """Run every word, then file each non-root vertex's u-tuple under its
     history array, all read off one crossing pass per witness.  Witness
     runs are proper (the definitions require it); a word without one goes
-    to `budget_failures` or `rejected` by the reason its search stopped."""
+    to `budget_failures` or `rejected` by the reason its search stopped.
+    The runs come from one walk over the prefixes of the words
+    (`accepts_each`), each word under the budgets of its own length, and
+    are the runs `accepts` gives."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
+    words = list(words)
+    runs = accepts_each(tsa, words, opts)
     for w in words:
-        res = accepts(tsa, w, opts)
+        res = runs[w]
         if not res:
             (out.budget_failures if res.reason == "budget" else out.rejected).append(w)
             continue

@@ -330,7 +330,7 @@ def cmd_analyze(args) -> int:
         if ups.rejected:
             block.append("rejected=" + " ".join(ups.rejected))
         emit(args, f"{len(ups.entries)} distinct history array(s)", block)
-        return 0
+        return 2 if ups.budget_failures else 0
     if sub == "swap":
         t1 = _witness(tsa, args.word1, args)
         t2 = _witness(tsa, args.word2, args)

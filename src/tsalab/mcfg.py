@@ -179,25 +179,27 @@ def _bounded_rule(rule: McfgRule) -> tuple:
     """The rule compiled for `derivable_tuples`: its head nonterminal, the
     number of terminal letters in its head, one (nonterminal, kept
     components) pool key per body position, and its head arguments as
-    pieces, each a terminal string or a (body position, component) slot."""
+    pieces, each a terminal string or a (body position, index among that
+    position's kept components) slot."""
     slot = {v: (p, c) for p, (_, vs) in enumerate(rule.body) for c, v in enumerate(vs)}
-    kept: list[list[int]] = [[] for _ in rule.body]
+    used = {tok for argument in rule.head_args for kind, tok in argument if kind == "v"}
+    kept = [[c for c, v in enumerate(vs) if v in used] for _, vs in rule.body]
     args, const = [], 0
     for argument in rule.head_args:
         pieces = []
         for kind, tok in argument:
             if kind == "v":
-                pieces.append(slot[tok])
-                kept[slot[tok][0]].append(slot[tok][1])
+                p, c = slot[tok]
+                pieces.append((p, kept[p].index(c)))
             else:
                 pieces.append(tok)
                 const += len(tok)
         args.append(tuple(pieces))
-    body = tuple((nt, tuple(sorted(cs))) for (nt, _), cs in zip(rule.body, kept))
+    body = tuple((nt, tuple(cs)) for (nt, _), cs in zip(rule.body, kept))
     return rule.head, const, body, tuple(args)
 
 
-_weight = itemgetter(0)  # of a (weight, tuple) pool entry
+_weight = itemgetter(0)  # of a (weight, projection) pool entry
 
 
 def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str, ...]]]:
@@ -208,9 +210,10 @@ def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str,
     fires a rule only on body combinations that take a tuple first derived
     in round r-1.  The positions before that one take older tuples and the
     positions after it take any, so no combination is joined twice.  A
-    tuple adds to the head only the letters of the components the head
-    keeps, so each pool is sorted by those, and a join stops at the first
-    tuple that no longer fits in the bound less the rule's own letters.
+    tuple adds to the head only the components the head keeps, so a pool
+    holds each distinct projection onto those once, sorted by its letters,
+    and a join stops at the first projection that no longer fits in the
+    bound less the rule's own letters.
     The bound also cuts components that a deleting rule drops later;
     `mcfg_enumerate` avoids that by enumerating the `non_deleting`
     grammar."""
@@ -225,16 +228,24 @@ def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str,
             if tup not in values[head]:
                 values[head].add(tup)
                 newest[head].append(tup)
-    # a pool is a list of (weight, tuple) pairs in order of weight; per
-    # pool key, the tuples older than the last round
+    # a pool is a list of (weight, projection) pairs in order of weight,
+    # one per distinct projection of a tuple onto the kept components; per
+    # pool key, the projections older than the last round
     older = {key: [] for _, _, body, _ in rules for key in body}
+    ranks = dict(mcfg.ranks)
+    projected = {key: set() for key in older if len(key[1]) < ranks[key[0]]}
     while any(newest[nt] for nt, _ in older):  # else no join has a new tuple
         fresh: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in values}
         pools = {}  # pool key -> (older, newest, all)
         for key, old in older.items():
             nt, kept = key
-            new = sorted([(sum(len(tup[c]) for c in kept), tup) for tup in newest[nt]],
-                         key=_weight)
+            tuples = newest[nt]
+            if key in projected:  # distinct tuples can share a projection
+                seen = projected[key]
+                tuples = [p for p in dict.fromkeys(tuple(tup[c] for c in kept) for tup in tuples)
+                          if p not in seen]
+                seen.update(tuples)
+            new = sorted([(sum(map(len, tup)), tup) for tup in tuples], key=_weight)
             # sorting the two sorted runs only merges them
             pools[key] = (old, new, sorted(old + new, key=_weight) if new else old)
         for head, const, body, args in rules:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .treestack import (
     ROOT_LABEL,
@@ -339,41 +339,144 @@ def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOption
 
 
 class _Walk:
-    """The read prefixes of one `enumerate_words` length, as a trie: a
-    prefix id is interned by (parent id, letter), and "" is id 0.  `_search`
-    in walk mode fills `accepted` (prefix id -> arena path to its first
-    accepting node) and `cut` (the prefix ids where a budget cut
-    happened)."""
+    """The targets of one `_search` walk and their read prefixes, as a
+    trie: a prefix id is interned by (parent id, letter), "" is id 0, and
+    only prefixes of targets are interned.  The targets are every word of
+    length <= max_len over the machine's alphabet, or, given `words`, those
+    words.  Each length n keeps the budgets of `accepts` on a word of
+    length n: `steps[n]` and `vertices[n]`.
 
-    def __init__(self):
+    `pending[p]` counts the targets through prefix p (p included) that
+    have no witness yet; `_search` drops a prefix once it reaches 0.
+    `reach[p]` is the length of the longest target through p; a node at p
+    whose tree or depth is over that length's budgets is in no target's
+    search, and `_search` drops it.  `_search` fills `accepted` (target
+    prefix id -> arena path to its witness) and `cut` (prefix id -> the
+    lengths n whose search a budget cut at that prefix)."""
+
+    def __init__(self, machine, opts: SearchOptions, max_len: int,
+                 words: Iterable[str] | None = None):
+        self.max_len = max_len
+        self.steps = [opts.max_steps if opts.max_steps is not None
+                      else default_max_steps(machine, n) for n in range(max_len + 1)]
+        self.vertices = [opts.max_vertices if opts.max_vertices is not None
+                         else default_max_vertices(n) for n in range(max_len + 1)]
+        self.step_ends: dict[int, list[int]] = {}  # depth -> lengths whose step budget ends there
+        for n, s in enumerate(self.steps):
+            self.step_ends.setdefault(s, []).append(n)
+        self.every = words is None
+        if self.every:  # the targets through a prefix of length m
+            a = len(machine.alphabet)
+            self.through = [sum(a ** j for j in range(max_len - m + 1)) for m in range(max_len + 1)]
         self.words = [""]  # prefix per id
+        self.up = [-1]  # parent id per id
+        self.target = [self.every]
+        self.pending = [self.through[0] if self.every else 0]
+        self.reach = [max_len if self.every else 0]
+        self.vcap = [self.vertices[0]]  # vertex budget of the prefix's own length
         self.kids: dict[tuple[int, str], int] = {}
         self.accepted: dict[int, list[tuple]] = {}
-        self.cut: set[int] = set()
+        self.cut: dict[int, set[int]] = {}
+        for w in dict.fromkeys(words or ()):
+            p = 0
+            self.pending[0] += 1
+            self.reach[0] = max(self.reach[0], len(w))
+            for x in w:
+                p = self.kids.get((p, x)) or self._intern(p, x)
+                self.pending[p] += 1
+                self.reach[p] = max(self.reach[p], len(w))
+            self.target[p] = True
 
-    def child(self, p: int, letter: str) -> int:
-        c = self.kids.get((p, letter))
-        if c is None:
-            c = self.kids[(p, letter)] = len(self.words)
-            self.words.append(self.words[p] + letter)
+    def _intern(self, p: int, letter: str) -> int:
+        c = self.kids[(p, letter)] = len(self.words)
+        u = self.words[p] + letter
+        self.words.append(u)
+        self.up.append(p)
+        self.target.append(self.every)
+        self.pending.append(self.through[len(u)] if self.every else 0)
+        self.reach.append(self.max_len if self.every else 0)
+        self.vcap.append(self.vertices[len(u)])
         return c
 
-    def budget_words(self, alphabet: Sequence[str], n: int, found: set[str]) -> list[str]:
-        """The words of length n outside `found` that have a cut prefix,
-        themselves included, in itertools.product order."""
+    def child(self, p: int, letter: str) -> int | None:
+        """The id of prefix p + letter, or None if no target without a
+        witness goes through it."""
+        c = self.kids.get((p, letter))
+        if c is None:
+            if not self.every or len(self.words[p]) >= self.max_len:
+                return None
+            c = self._intern(p, letter)
+        return c if self.pending[c] else None
+
+    def takes(self, p: int, depth: int, size: int) -> bool:
+        """Whether an accepting node at prefix p, at this depth and with a
+        tree of this size, is the witness of target p: p has none yet and
+        the node is inside the budgets of p's length."""
+        if not self.target[p] or p in self.accepted:
+            return False
+        n = len(self.words[p])
+        return depth <= self.steps[n] and size <= self.vertices[n]
+
+    def accept(self, p: int, path: list[tuple]) -> None:
+        self.accepted[p] = path
+        while p >= 0:
+            self.pending[p] -= 1
+            p = self.up[p]
+
+    def vertex_cut(self, p: int, size: int) -> bool:
+        """Record a step to a tree of `size` vertices at prefix p as a cut
+        for every length through p whose vertex budget that exceeds.  True
+        if it exceeds them all, so no search keeps the node.  A step that
+        n's search never takes, its parent being over n's budgets, repeats
+        a cut for n already recorded on a prefix of p, so it changes no
+        word's answer."""
+        for n in range(len(self.words[p]), self.reach[p] + 1):
+            if self.vertices[n] < size:
+                self.cut.setdefault(p, set()).add(n)
+        return size > self.vertices[self.reach[p]]
+
+    def step_cut(self, nodes, frontier: list[int], depth: int) -> list[int]:
+        """Record the step-budget cut of every length whose budget ends at
+        this depth on the prefixes of the frontier nodes, and return the
+        frontier without the nodes that no longer count for any length.
+        A cut for n at a node over n's vertex budget repeats the vertex cut
+        on its path, and no length-n word goes through a prefix longer than
+        n, so neither changes a word's answer."""
+        for n in self.step_ends[depth]:
+            for i in frontier:
+                self.cut.setdefault(nodes[i][1], set()).add(n)
+        return [i for i in frontier if self.steps[self.reach[nodes[i][1]]] > depth]
+
+    def was_cut(self, w: str) -> bool:
+        """Whether the search of target w was cut at w or a prefix of it."""
+        ids = [0]
+        for x in w:
+            ids.append(self.kids[(ids[-1], x)])
+        return any(len(w) in self.cut.get(p, ()) for p in ids)
+
+    def budget_words(self, alphabet: Sequence[str], found: set[str]) -> list[str]:
+        """The words outside `found` whose search was cut at them or a
+        prefix, by length, each length in itertools.product order.  For a
+        walk over every word up to max_len."""
         out = []
-        stack = [0] if self.cut else []
-        while stack:
-            p = stack.pop()
-            u = self.words[p]
-            if p in self.cut:
-                out += [v for v in (u + "".join(tup) for tup in
-                                    itertools.product(alphabet, repeat=n - len(u)))
-                        if v not in found]
-            elif len(u) < n:
-                stack += [c for c in (self.kids.get((p, x)) for x in reversed(alphabet))
-                          if c is not None]
+        for n in range(self.max_len + 1):
+            stack = [0] if self.cut else []
+            while stack:
+                p = stack.pop()
+                u = self.words[p]
+                if n in self.cut.get(p, ()):
+                    out += [v for v in (u + "".join(tup) for tup in
+                                        itertools.product(alphabet, repeat=n - len(u)))
+                            if v not in found]
+                elif len(u) < n:
+                    stack += [c for c in (self.kids.get((p, x)) for x in reversed(alphabet))
+                              if c is not None]
         return out
+
+    def witnesses(self, tsa: Tsa) -> dict[str, RunTrace]:
+        """Every accepted target's witness, re-executed by `replay`."""
+        return {self.words[p]: replay(tsa, self.words[p], [node[9] for node in path[1:]])
+                for p, path in self.accepted.items()}
 
 
 def _arena_path(nodes, me: int) -> list[tuple]:
@@ -387,22 +490,29 @@ def _arena_path(nodes, me: int) -> list[tuple]:
 def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, walk: _Walk | None = None):
     """The BFS core behind `accepts` (w given, max_len == len(w)),
     `shortest_accepted` (w None: read any word of length <= max_len),
-    `convert.pda_accepts` and `enumerate_words` (w None and a `walk`: read
-    any word of length max_len).  `machine` has initial, finals and states;
-    `rows` is its delta from `search_rows`.  Returns NotFound, or the arena
-    nodes from the initial one to the first accepting one.
+    `convert.pda_accepts`, and `enumerate_words` and `accepts_each` (w None
+    and a `walk` whose longest target has length max_len: read toward its
+    targets).  `machine` has initial, finals and states; `rows` is its
+    delta from `search_rows`.  Returns NotFound, or the arena nodes from
+    the initial one to the first accepting one.
 
     In walk mode a node's position is a prefix id of `walk`, so the BFS is
-    over (configuration, read prefix) pairs and a prefix with no node
-    prunes every word below it.  Every word with prefix u meets the same
-    configurations at positions <= |u|, at the same depths, in its own
-    search, so the first accepting node of a prefix of length max_len is
-    that word's witness, and a budget cut is recorded on the prefix where
-    it happened.  The search runs to its end and returns None."""
+    over (configuration, read prefix) pairs, and a reading step extends a
+    prefix only toward a target without a witness.  Every target with
+    prefix u meets the same configurations at positions <= |u|, at the
+    same depths, in its own search, so one walk answers all targets.  It
+    runs under the budgets of the longest target, and a node counts for
+    length n only while its depth and tree fit n's budgets.  A TSA tree
+    never shrinks, so such a node lies on a path that fits them too and
+    is in the search of every length-n word through its prefix.  So a
+    target's witness is its first accepting node that fits its length, and
+    each budget cut is recorded on a (prefix, length) pair where that
+    length's search would make it.  The walk returns None."""
     max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(machine, max_len)
     max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
     free = w is None
-    words = walk.words if walk is not None else None
+    if walk is not None:
+        words, pending, vcap = walk.words, walk.pending, walk.vcap
     k = opts.k
     root_only = opts.accept_mode == "root"
     finals = machine.finals
@@ -414,11 +524,12 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     # count} or None when k is None, tree hash, vfb hash, stationary flag,
     # parent node, delta index)
     nodes = [(machine.initial, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
-    if machine.initial in finals and (max_len == 0 or free and walk is None):
+    if machine.initial in finals:
         if walk is None:
-            return nodes
-        walk.accepted[0] = nodes
-        return None
+            if max_len == 0 or free:
+                return nodes
+        elif walk.target[0]:  # no budget applies to the initial configuration
+            walk.accept(0, nodes[:1])
     seen = {(machine.initial, 0, 0, 0, 0, False): 0}  # memo key -> first node
     more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
     frontier = [0]
@@ -426,15 +537,17 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     cut = False
 
     while frontier:
+        if walk is not None and depth in walk.step_ends:
+            frontier = walk.step_cut(nodes, frontier, depth)
         if depth >= max_steps:
             cut = True
-            if walk is not None:
-                walk.cut.update(nodes[i][1] for i in frontier)
             break
         depth += 1
         next_frontier: list[int] = []
         for node_idx in frontier:
             state, pos, dom, ptr, vfb, th, vh, was_stat, _, _ = nodes[node_idx]
+            if walk is not None and not pending[pos]:
+                continue  # every target through this prefix has its witness
             lab = dom[ptr]
             if free:
                 letter = None
@@ -454,6 +567,14 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                     continue
                 if was_stat and stat:
                     continue
+                if inp is None:
+                    npos = pos
+                elif walk is None:
+                    npos = pos + 1
+                else:
+                    npos = walk.child(pos, inp)
+                    if npos is None:
+                        continue
                 ndom, nptr, nth = dom, ptr, th
                 if kind == _PUSH:
                     nptr = ids.get((ptr, n))
@@ -494,16 +615,11 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                     nvh = vh ^ eh(nptr, c)
                     if c > 1:
                         nvh ^= eh(nptr, c - 1)
-                if inp is None:
-                    npos = pos
-                elif walk is None:
-                    npos = pos + 1
-                else:
-                    npos = walk.child(pos, inp)
-                if len(ndom) > max_vertices:
-                    cut = True
-                    if walk is not None:
-                        walk.cut.add(npos)
+                if walk is None:
+                    if len(ndom) > max_vertices:
+                        cut = True
+                        continue
+                elif len(ndom) > vcap[npos] and walk.vertex_cut(npos, len(ndom)):
                     continue
                 key = (dst, npos, nth, nptr, nvh, stat)
                 me = len(nodes)
@@ -515,18 +631,16 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 else:
                     more.setdefault(key, []).append(me)
                 nodes.append((dst, npos, ndom, nptr, nvfb, nth, nvh, stat, node_idx, tidx))
-                if dst in finals and (nptr == 0 or not root_only) and (
-                        npos == max_len if not free
-                        else walk is None or len(words[npos]) == max_len):
+                if dst in finals and (nptr == 0 or not root_only):
                     if walk is None:
-                        return _arena_path(nodes, me)
-                    walk.accepted.setdefault(npos, _arena_path(nodes, me))
-                    continue
+                        if free or npos == max_len:
+                            return _arena_path(nodes, me)
+                    elif walk.takes(npos, depth, len(ndom)):
+                        walk.accept(npos, _arena_path(nodes, me))
+                        if not pending[npos]:
+                            continue
                 next_frontier.append(me)
         frontier = next_frontier
-        if walk is not None and walk.accepted:
-            # an accepted word's own search has stopped
-            frontier = [i for i in frontier if nodes[i][1] not in walk.accepted]
 
     if walk is not None:
         return None
@@ -581,28 +695,42 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     """All words of length <= max_len that `accepts` accepts within the
     budgets.  Raises BudgetExceeded (carrying the partial result) if the
     search of any word would be cut off rather than exhausted; it lists
-    those words in itertools.product order.
+    those words by length, each length in itertools.product order.
 
-    One breadth-first walk over (configuration, read prefix) pairs per
-    length n, since the default budgets depend on n: `_search` in walk
-    mode.  A prefix that no configuration reaches prunes all its words,
-    and each accepted word's witness is re-executed by `replay`.  The walk
-    holds the configurations of all live prefixes of one length at once,
-    so it needs more memory than one search per word: on wpz at max_len 8,
-    15.5 MB traced (tracemalloc) against 1.2 MB.
+    One breadth-first walk over (configuration, read prefix) pairs with
+    every word up to max_len as a target, each under the budgets of its
+    own length: `_search` in walk mode.  A prefix that no configuration
+    reaches prunes all its words, and each accepted word's witness is
+    re-executed by `replay`.  The walk holds the configurations of all live
+    prefixes at once, so it needs more memory than one search per word: on
+    wpz at max_len 8, 15.2 MB traced (tracemalloc).
     """
-    rows = _tsa_rows(tsa, opts)
-    found: set[str] = set()
-    budget_words: list[str] = []
-    for n in range(max_len + 1):
-        walk = _Walk()
-        _search(tsa, rows, None, n, opts, walk)
-        for p, path in walk.accepted.items():
-            found.add(replay(tsa, walk.words[p], [node[9] for node in path[1:]]).word)
-        budget_words += walk.budget_words(tsa.alphabet, n, found)
+    walk = _Walk(tsa, opts, max_len)
+    _search(tsa, _tsa_rows(tsa, opts), None, max_len, opts, walk)
+    found = set(walk.witnesses(tsa))
+    budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
         raise BudgetExceeded(found, budget_words)
     return found
+
+
+def accepts_each(tsa: Tsa, words: Iterable[str],
+                 opts: SearchOptions = SearchOptions()) -> dict[str, RunTrace | NotFound]:
+    """`accepts(tsa, w, opts)` for every word w of `words`, from one
+    breadth-first walk over (configuration, read prefix) pairs whose
+    reading steps follow the prefixes of the words: `_search` in walk
+    mode, each word under the budgets of its own length.  Each witness is
+    re-executed by `replay`.  The walk holds the configurations of all
+    live prefixes at once, so it needs more memory than one search per
+    word, less what the words' shared prefixes share."""
+    words = list(dict.fromkeys(words))
+    if not words:
+        return {}
+    walk = _Walk(tsa, opts, max(map(len, words)), words)
+    _search(tsa, _tsa_rows(tsa, opts), None, walk.max_len, opts, walk)
+    found = walk.witnesses(tsa)
+    return {w: found[w] if w in found else NotFound("budget" if walk.was_cut(w) else "exhausted")
+            for w in words}
 
 
 def visited_from_below_counts(trace: RunTrace) -> dict[Address, int]:

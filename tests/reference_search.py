@@ -9,14 +9,17 @@ visit-from-below counts as a sorted tuple and memoises on the canonical
 search keeps the stack as a tuple and memoises on whole configurations.
 Both are slow but plain; test_search_core.py checks the interned-address
 search core against them configuration by configuration.  The enumeration
-runs `accepts` once per word, the plain form of the core's walk over read
-prefixes; test_search_core.py diffs the two word list by word list.
+and the up-set collection run `accepts` once per word, the plain form of
+the core's walk over read prefixes; test_search_core.py diffs the two
+word list by word list.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
+from tsalab.analysis import EmpiricalUpSet, _crossings, _factorise, _history_from_pairs
 from tsalab.convert import Pda, PdaConfig, PdaTrace, PdaTransition
 from tsalab.treestack import ROOT, ROOT_LABEL, instr_applicable, pred_eval, ts_apply
 from tsalab.tsa import (
@@ -31,6 +34,7 @@ from tsalab.tsa import (
     default_max_steps,
     default_max_vertices,
     initial_configuration,
+    is_proper,
 )
 
 
@@ -307,3 +311,22 @@ def ref_enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOpti
     if budget_words:
         raise BudgetExceeded(found, budget_words)
     return found
+
+
+def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> EmpiricalUpSet:
+    """`collect_upsets` with one `accepts` search per word."""
+    opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
+    out = EmpiricalUpSet()
+    for w in words:
+        res = accepts(tsa, w, opts)
+        if not res:
+            (out.budget_failures if res.reason == "budget" else out.rejected).append(w)
+            continue
+        out.traces[w] = res
+        assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
+        configs = res.configurations()
+        pos = [c.pos for c in configs]
+        for nu, pairs in sorted(_crossings(res).items()):
+            h = _history_from_pairs(configs, nu, pairs)
+            out.insert(h, _factorise(w, pos, pairs).u_tuple(), w, nu)
+    return out

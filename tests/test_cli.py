@@ -330,6 +330,15 @@ def test_analyze_upsets_reports_rejected_words(tmp_path):
     assert "rejected=ab" in out.splitlines() and "budget_failures=" not in out
 
 
+def test_analyze_upsets_exits_two_on_a_budget_cut(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("abcd aabbccdd ab\n")
+    code, out = run_cli("analyze", "upsets", "abcd", "--words-file", str(words), "--k", "2",
+                        "--max-steps", "3")
+    assert code == 2
+    assert "budget_failures=abcd aabbccdd ab" in out.splitlines()
+
+
 def test_bad_max_steps_env_exits_three(monkeypatch, capsys):
     monkeypatch.setenv("TSALAB_MAX_STEPS", "many")
     assert main(["run", "abcd", "--word", "abcd"]) == 3

@@ -26,9 +26,26 @@ from tsalab.convert import (
 )
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import eps_free, parse_fsa, regex_to_fsa, tsa_fsa_product
-from tsalab.tsa import BudgetExceeded, SearchOptions, accepts, enumerate_words, shortest_accepted
+from tsalab.analysis import collect_upsets
+from tsalab.tsa import (
+    BudgetExceeded,
+    SearchOptions,
+    accepts,
+    default_max_vertices,
+    enumerate_words,
+    parse_tsa,
+    render_tsa,
+    shortest_accepted,
+)
 
-from reference_search import ref_accepts, ref_enumerate_words, ref_pda_accepts, ref_shortest_accepted
+from reference_search import (
+    ref_accepts,
+    ref_collect_upsets,
+    ref_enumerate_words,
+    ref_pda_accepts,
+    ref_shortest_accepted,
+)
+from strategies import random_tsas
 
 
 MACHINES = {
@@ -219,6 +236,91 @@ def test_enumerate_words_matches_reference(name):
         assert got == enumeration(ref_enumerate_words, tsa, max_len, opts), opt_name
         cut |= got[1] is not None
     assert cut  # some budget words were listed and compared
+
+
+def upsets(collect, tsa, words, opts):
+    """Everything an up-set collection promises, in a comparable form."""
+    ups = collect(tsa, words, opts)
+    return ({w: outcome(tr) for w, tr in ups.traces.items()}, ups.entries, ups.provenance,
+            ups.budget_failures, ups.rejected)
+
+
+# the option sets of collect_upsets, which forces proper root runs
+UPSET_OPTIONS = ("default", "k1", "k2", "k2-steps", "vertices")
+
+
+@pytest.mark.parametrize("name", list(MACHINES))
+def test_collect_upsets_matches_reference(name):
+    tsa = MACHINES[name]()
+    words = list(words_for(name, tsa))
+    words += words[::7]  # a word listed twice is filed twice
+    for opt_name in UPSET_OPTIONS:
+        opts = OPTIONS[opt_name]
+        got = upsets(collect_upsets, tsa, words, opts)
+        assert got == upsets(ref_collect_upsets, tsa, words, opts), opt_name
+
+
+# Random machines (tests/strategies.py).  Every option set bounds both
+# budgets: an unbounded random machine can grow its tree on eps steps until
+# memory runs out.
+RANDOM_OPTIONS = {
+    "plain": SearchOptions(max_steps=10, max_vertices=4),
+    "k1": SearchOptions(k=1, max_steps=10, max_vertices=4),
+    "proper-any": SearchOptions(proper_only=True, accept_mode="any", max_steps=8, max_vertices=3),
+    "k2-tight": SearchOptions(k=2, max_steps=4, max_vertices=2),
+}
+
+
+def test_enumerate_words_matches_reference_on_random_machines():
+    kinds = set()
+    for tsa in random_tsas(13, 1200):
+        for opt_name, opts in RANDOM_OPTIONS.items():
+            got = enumeration(enumerate_words, tsa, 4, opts)
+            assert got == enumeration(ref_enumerate_words, tsa, 4, opts), (opt_name, render_tsa(tsa))
+            kinds.add((bool(got[0]), got[1] is not None))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_collect_upsets_matches_reference_on_random_machines():
+    words = list(words_upto("ab", 4))
+    words = words[::-1] + words[::5]  # any order, some words twice
+    kinds = set()
+    for tsa in random_tsas(14, 800):
+        for opt_name, opts in RANDOM_OPTIONS.items():
+            got = upsets(collect_upsets, tsa, words, opts)
+            assert got == upsets(ref_collect_upsets, tsa, words, opts), (opt_name, render_tsa(tsa))
+            kinds.add((bool(got[0]), bool(got[3])))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+PUSHES = 33
+
+
+def padded_tsa():
+    """Every accepting run pushes 33 vertices on eps steps, reads its
+    word in place and drains back to the root.  Its tree of 34 vertices is
+    over `default_max_vertices(n)` for n <= 1 and inside it for n >= 2."""
+    lines = ["tsa", "states: " + " ".join(f"q{i}" for i in range(PUSHES + 1)) + " d f",
+             "initial: q0", "final: f", "labels: A", "alphabet: a b"]
+    lines += [f"trans: q{i} eps true push 1 A q{i + 1}" for i in range(PUSHES)]
+    lines += [f"trans: q{PUSHES} a true id q{PUSHES}", f"trans: q{PUSHES} b true id q{PUSHES}",
+              f"trans: q{PUSHES} eps eq A down d", "trans: d eps eq A down d",
+              "trans: d eps eq @ id f"]
+    return parse_tsa("\n".join(lines) + "\n")
+
+
+def test_budgets_depend_on_the_word_length():
+    assert default_max_vertices(1) < PUSHES + 1 <= default_max_vertices(2)
+    tsa = padded_tsa()
+    short = ["", "a", "b"]
+    longer = ["".join(t) for n in (2, 3) for t in itertools.product("ab", repeat=n)]
+    got = enumeration(enumerate_words, tsa, 3, SearchOptions())
+    assert got == (set(longer), short)
+    assert got == enumeration(ref_enumerate_words, tsa, 3, SearchOptions())
+    words = short + longer
+    got = upsets(collect_upsets, tsa, words, None)
+    assert got[3] == short and not got[4] and set(got[0]) == set(longer)
+    assert got == upsets(ref_collect_upsets, tsa, words, None)
 
 
 def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
