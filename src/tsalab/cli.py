@@ -46,16 +46,6 @@ from .tsa import (
     visited_from_below_counts,
 )
 
-FIXTURE_TSAS = {
-    "abcd": fixtures.abcd_tsa,
-    "anbmcndm": fixtures.anbmcndm_tsa,
-    "updown": fixtures.updown_demo_tsa,
-    "astar": fixtures.astar_tsa,
-    "wpz": convert.fixture_wpz_tsa,
-    "ks": convert.fixture_ks_tsa,
-}
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
@@ -78,8 +68,8 @@ def load_tsa(source: str) -> Tsa:
     p = Path(source)
     if p.exists():
         return parse_tsa(p.read_text())
-    if source in FIXTURE_TSAS:
-        return FIXTURE_TSAS[source]()
+    if source in fixtures.TSA_FILES:
+        return parse_tsa(fixtures.TSA_FILES[source])
     raise InputError(f"no such file or fixture: {source}")
 
 
@@ -383,10 +373,12 @@ def cmd_convert(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.name == "wpz" and args.pda:
-        print(convert.render_pda(convert.fixture_wpz_pda()), end="")
-        return 0
-    print(render_tsa(FIXTURE_TSAS[args.name]()), end="")
+    if not args.pda:
+        print(render_tsa(parse_tsa(fixtures.TSA_FILES[args.name])), end="")
+    elif args.name in fixtures.PDA_FILES:
+        print(convert.render_pda(convert.parse_pda(fixtures.PDA_FILES[args.name])), end="")
+    else:
+        raise InputError(f"fixture {args.name} has no PDA")
     return 0
 
 
@@ -563,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     ct.set_defaults(func=cmd_convert)
 
     sp = sub.add_parser("fixtures", help="print a built-in machine")
-    sp.add_argument("name", choices=sorted(FIXTURE_TSAS) + ["wpz"])
-    sp.add_argument("--pda", action="store_true", help="wpz: print the PDA instead")
+    sp.add_argument("name", choices=sorted(fixtures.TSA_FILES))
+    sp.add_argument("--pda", action="store_true", help="print the PDA instead (wpz only)")
     sp.set_defaults(func=cmd_fixtures)
 
     sp = sub.add_parser("experiment", help="reproducible experiment bundles")

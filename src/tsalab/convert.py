@@ -1,6 +1,10 @@
-"""Pushdown automata and the two translations between PDAs and 1-TSAs
-(tree stack automata with no up instruction), plus the integer word
-problem fixtures and the stuck-run regression machine.
+"""Pushdown automata, the PDA file format and the two translations
+between PDAs and 1-TSAs (tree stack automata with no up instruction).
+
+It also holds, as machine-file texts, the built-in machines tied to the
+PDA translation: the PDA for the integer word problem WP(Z), its 1-TSA
+and the earlier literature's ks machine with its stuck-run prefix.
+`fixtures` holds the other built-in machines and the name table.
 
 Box labels: the tree vertex recording that the simulated stack top is
 ``g`` is labelled ``[g]``; plain stack symbols keep their own names.
@@ -8,10 +12,9 @@ Box labels: the tree vertex recording that the simulated stack top is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .treestack import (
-    PRED_TRUE,
     ROOT_LABEL,
     InputError,
     instr_down,
@@ -26,6 +29,7 @@ from .tsa import (
     Transition,
     Tsa,
     _search,
+    parse_tsa,
     read_machine,
     render_machine,
     search_rows,
@@ -290,155 +294,6 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
     )
 
 
-def simulation_run(pda: Pda, tsa: Tsa, ptrace: PdaTrace) -> tuple[list[int], list[tuple[str, str]]]:
-    """Build the step-for-step simulation of a PDA trace on the translated
-    machine, per the construction: a push goes via the two-transition
-    ladder when the child slot is free and via the sidestep triple when an
-    earlier pop left it occupied; a pop descends through box vertices.
-
-    Returns the delta indices and, per simulated PDA step, the pair
-    (pointer label afterwards, box of the simulated stack top), which the
-    locality invariant requires to be equal."""
-    from .tsa import initial_configuration, step as tsa_step
-
-    by_core = {t.core(): i for i, t in enumerate(tsa.delta)}
-
-    def tag(q, suffix):
-        return f"{q}^({suffix})"
-
-    def apply(cfg, src, inp, pred, instr, dst):
-        idx = by_core[(src, inp, pred, instr, dst)]
-        return tsa_step(tsa, ptrace.word, cfg, tsa.delta[idx]), idx
-
-    cfg = initial_configuration(tsa)
-    out: list[int] = []
-    cfg, idx = apply(cfg, pda.initial, None, pred_eq(ROOT_LABEL),
-                     instr_push(1, box(ROOT_LABEL)), pda.initial)
-    out.append(idx)
-    checkpoints: list[tuple[str, str]] = []
-    for (tidx, pcfg) in ptrace.steps:
-        t = pda.delta[tidx]
-        act = t.action
-        if act.kind == "push" and act.pushed is not None:
-            z, s = act.top, act.pushed
-            up_, st_ = tag(t.dst, "u"), tag(t.dst, s)
-            if cfg.ts.pointer + (1,) not in cfg.ts.dom:
-                steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_)]
-            else:
-                # an earlier pop stranded a vertex in the child-1 slot;
-                # sidestep through child 2 before climbing
-                steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(2, box(z)), st_),
-                         (st_, None, pred_eq(box(z)), instr_push(1, s), up_)]
-            steps.append((up_, None, pred_eq(s), instr_push(1, box(s)), t.dst))
-            for args in steps:
-                cfg, idx = apply(cfg, *args)
-                out.append(idx)
-        elif act.kind == "pop":
-            y = act.top
-            dn = tag(t.dst, "d")
-            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(y)), instr_down(), dn)
-            out.append(idx)
-            while cfg.ts.pointer_label == box(y):
-                cfg, idx = apply(cfg, dn, None, pred_eq(box(y)), instr_down(), dn)
-                out.append(idx)
-            cfg, idx = apply(cfg, dn, None, pred_eq(y), instr_down(), t.dst)
-            out.append(idx)
-        else:  # push(z, eps)
-            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst)
-            out.append(idx)
-        checkpoints.append((cfg.ts.pointer_label, box(pcfg.stack[-1])))
-    return out, checkpoints
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def fixture_wpz_pda() -> Pda:
-    """PDA for the word problem of the integers over {t, T}."""
-    A = PdaAction
-    delta = (
-        PdaTransition("q", "t", A("push", "@", "t"), "q", name="t@"),
-        PdaTransition("q", "t", A("push", "t", "t"), "q", name="tt"),
-        PdaTransition("q", "T", A("push", "@", "T"), "q", name="T@"),
-        PdaTransition("q", "T", A("push", "T", "T"), "q", name="TT"),
-        PdaTransition("q", "t", A("pop", "T"), "q", name="popT"),
-        PdaTransition("q", "T", A("pop", "t"), "q", name="popt"),
-        PdaTransition("q", None, A("push", "@", None), "qf", name="fin"),
-    )
-    return Pda(("q", "qf"), ("t", "T"), ("t", "T"), "q", delta, frozenset({"qf"}))
-
-
-WPZ_NAMES = [
-    "s0",
-    "s'1@", "s'2", "s'3@", "s'4@",
-    "s'1t", "s'3t", "s'4t",
-    "s''1@", "s''2", "s''3@", "s''4@",
-    "s''1T", "s''3T", "s''4T",
-    "s'5", "s'6", "s'7",
-    "s''5", "s''6", "s''7",
-    "s'f", "s''f",
-]
-
-
-def fixture_wpz_tsa() -> Tsa:
-    """The 1-TSA for WP(Z) from the translation, with the final eps-push
-    replaced by the root-returning pair so that acceptance happens at the
-    root pointing at @."""
-    pda = fixture_wpz_pda()
-    trimmed = replace(pda, delta=pda.delta[:-1])  # drop the final eps-push
-    base = pda_to_tsa1(trimmed)
-    delta = list(base.delta)
-    delta.append(Transition("q", None, pred_eq(box(ROOT_LABEL)), instr_down(), "q"))
-    delta.append(Transition("q", None, pred_eq(ROOT_LABEL), instr_id(), "qf"))
-    states = tuple(base.states) + ("qf",)
-    tsa = Tsa(states, base.labels, base.alphabet, base.initial,
-              tuple(delta), frozenset({"qf"}))
-    named = tuple(replace(t, name=WPZ_NAMES[i]) for i, t in enumerate(tsa.delta))
-    return replace(tsa, delta=named)
-
-
-def fixture_ks_tsa() -> Tsa:
-    """The earlier literature's 1-TSA for WP(Z), with noteq expanded into
-    its three eq variants.  Its natural stack simulation jams on ttTtTT
-    (see ks_stuck_prefix)."""
-    T = Transition
-    BOX = "&"
-    delta = (
-        T("S", "t", pred_eq("t"), instr_push(1, BOX), "qt", name="s1.t"),
-        T("S", "t", pred_eq("@"), instr_push(1, BOX), "qt", name="s1.@"),
-        T("S", "t", pred_eq(BOX), instr_push(1, BOX), "qt", name="s1.&"),
-        T("qt", None, PRED_TRUE, instr_push(2, "t"), "S", name="s2"),
-        T("S", "T", pred_eq("T"), instr_push(1, BOX), "qT", name="s3.T"),
-        T("S", "T", pred_eq("@"), instr_push(1, BOX), "qT", name="s3.@"),
-        T("S", "T", pred_eq(BOX), instr_push(1, BOX), "qT", name="s3.&"),
-        T("qT", None, PRED_TRUE, instr_push(2, "T"), "S", name="s4"),
-        T("S", None, pred_eq(BOX), instr_down(), "S", name="s5"),
-        T("S", "t", pred_eq("T"), instr_down(), "S", name="s6"),
-        T("S", "T", pred_eq("t"), instr_down(), "S", name="s7"),
-        T("S", None, pred_eq("@"), instr_id(), "qf", name="s8"),
-    )
-    return Tsa(
-        states=("S", "qt", "qT", "qf"),
-        labels=("t", "T", BOX),
-        alphabet=("t", "T"),
-        initial="S",
-        delta=delta,
-        finals=frozenset({"qf"}),
-    )
-
-
-KS_STUCK_PREFIX = ["s1.@", "s2", "s1.t", "s2", "s7", "s5"]
-
-
-def ks_stuck_prefix(tsa: Tsa | None = None) -> list[int]:
-    """Delta indices of the six-transition prefix that jams the stack
-    simulation on ttTtTT (the published stuck-run table)."""
-    tsa = tsa or fixture_ks_tsa()
-    by_name = {t.name: i for i, t in enumerate(tsa.delta)}
-    return [by_name[n] for n in KS_STUCK_PREFIX]
-
-
 # ---------------------------------------------------------------------------
 # PDA file format
 
@@ -474,3 +329,109 @@ def render_pda(pda: Pda) -> str:
     """Serialise a Pda in the file format; parse_pda(render_pda(p)) == p,
     and a Pda the format cannot carry raises InputError."""
     return render_machine(pda, "pda", ("stack", pda.stack), lambda t: str(t.action), parse_pda)
+
+
+# ---------------------------------------------------------------------------
+# fixtures: the WP(Z) PDA, its 1-TSA and the ks machine as machine files
+
+
+WPZ_PDA_FILE = """\
+pda
+states: q qf
+initial: q
+final: qf
+stack: t T
+alphabet: t T
+trans: q t push @ t q  # t@
+trans: q t push t t q  # tt
+trans: q T push @ T q  # T@
+trans: q T push T T q  # TT
+trans: q t pop T q  # popT
+trans: q T pop t q  # popt
+trans: q eps push @ - qf  # fin
+"""
+
+# The 1-TSA for WP(Z): pda_to_tsa1 of WPZ_PDA_FILE without its final
+# eps-push (fin), then the root-returning pair s'f, s''f in its place, so
+# that acceptance happens at the root pointing at @.
+WPZ_TSA_FILE = """\
+tsa
+states: q qf q^(u) q^(t) q^(T) q^(d)
+initial: q
+final: qf
+labels: t T [t] [T] [@]
+alphabet: t T
+trans: q eps eq @ push 1 [@] q  # s0
+trans: q t eq [@] push 1 t q^(u)  # s'1@
+trans: q^(u) eps eq t push 1 [t] q  # s'2
+trans: q t eq [@] push 2 [@] q^(t)  # s'3@
+trans: q^(t) eps eq [@] push 1 t q^(u)  # s'4@
+trans: q t eq [t] push 1 t q^(u)  # s'1t
+trans: q t eq [t] push 2 [t] q^(t)  # s'3t
+trans: q^(t) eps eq [t] push 1 t q^(u)  # s'4t
+trans: q T eq [@] push 1 T q^(u)  # s''1@
+trans: q^(u) eps eq T push 1 [T] q  # s''2
+trans: q T eq [@] push 2 [@] q^(T)  # s''3@
+trans: q^(T) eps eq [@] push 1 T q^(u)  # s''4@
+trans: q T eq [T] push 1 T q^(u)  # s''1T
+trans: q T eq [T] push 2 [T] q^(T)  # s''3T
+trans: q^(T) eps eq [T] push 1 T q^(u)  # s''4T
+trans: q t eq [T] down q^(d)  # s'5
+trans: q^(d) eps eq [T] down q^(d)  # s'6
+trans: q^(d) eps eq T down q  # s'7
+trans: q T eq [t] down q^(d)  # s''5
+trans: q^(d) eps eq [t] down q^(d)  # s''6
+trans: q^(d) eps eq t down q  # s''7
+trans: q eps eq [@] down q  # s'f
+trans: q eps eq @ id qf  # s''f
+"""
+
+# The earlier literature's 1-TSA for WP(Z), with noteq expanded into its
+# three eq variants.  Its natural stack simulation jams on ttTtTT (see
+# ks_stuck_prefix).
+KS_FILE = """\
+tsa
+states: S qt qT qf
+initial: S
+final: qf
+labels: t T &
+alphabet: t T
+trans: S t eq t push 1 & qt  # s1.t
+trans: S t eq @ push 1 & qt  # s1.@
+trans: S t eq & push 1 & qt  # s1.&
+trans: qt eps true push 2 t S  # s2
+trans: S T eq T push 1 & qT  # s3.T
+trans: S T eq @ push 1 & qT  # s3.@
+trans: S T eq & push 1 & qT  # s3.&
+trans: qT eps true push 2 T S  # s4
+trans: S eps eq & down S  # s5
+trans: S t eq T down S  # s6
+trans: S T eq t down S  # s7
+trans: S eps eq @ id qf  # s8
+"""
+
+
+def fixture_wpz_pda() -> Pda:
+    """PDA for the word problem of the integers over {t, T}."""
+    return parse_pda(WPZ_PDA_FILE)
+
+
+def fixture_wpz_tsa() -> Tsa:
+    """The 1-TSA for WP(Z), accepting at the root (WPZ_TSA_FILE)."""
+    return parse_tsa(WPZ_TSA_FILE)
+
+
+def fixture_ks_tsa() -> Tsa:
+    """The earlier literature's 1-TSA for WP(Z) (KS_FILE)."""
+    return parse_tsa(KS_FILE)
+
+
+KS_STUCK_PREFIX = ["s1.@", "s2", "s1.t", "s2", "s7", "s5"]
+
+
+def ks_stuck_prefix(tsa: Tsa | None = None) -> list[int]:
+    """Delta indices of the six-transition prefix that jams the stack
+    simulation on ttTtTT (the published stuck-run table)."""
+    tsa = tsa or fixture_ks_tsa()
+    by_name = {t.name: i for i, t in enumerate(tsa.delta)}
+    return [by_name[n] for n in KS_STUCK_PREFIX]

@@ -948,9 +948,10 @@ def read_sections(text: str, header: str) -> list[tuple[int, str, str, str | Non
 def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: bool = True):
     """The sections the TSA, PDA and FSA formats share.  Returns (lists,
     initial, trans): lists maps states, final, alphabet and each extra key
-    (labels, stack; '@' is implicit there) to its tokens.  The initial and
-    final states are checked against the declared ones; with `letters`,
-    alphabet symbols must be single characters.  trans yields (line, src,
+    (labels, stack; '@' is implicit there) to its tokens.  A state, symbol
+    or letter declared twice is refused, and the initial and final states
+    are checked against the declared ones; with `letters`, alphabet
+    symbols must be single characters.  trans yields (line, src,
     inp, middle tokens, dst, name) per transition, inp None for eps and name
     the line's comment, checking each line as it goes, so that errors come
     in file order: at least three tokens, a declared source and target, and
@@ -974,10 +975,14 @@ def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: b
             raise ParseError(f"{ROOT_LABEL} is implicit and cannot be declared in {key}", lineno)
         elif key == "alphabet" and letters and (long := [tok for tok in toks if len(tok) != 1]):
             raise ParseError(f"alphabet letters must be single characters, got {long[0]!r}", lineno)
-        else:
+        elif key == "final":
             lists[key].extend(toks)
-            if key == "final":
-                named += [(lineno, q) for q in toks]
+            named += [(lineno, q) for q in toks]
+        else:
+            for tok in toks:
+                if tok in lists[key]:
+                    raise ParseError(f"{tok!r} is declared twice in {key}", lineno)
+                lists[key].append(tok)
     if initial is None:
         raise ParseError("missing initial state", 1)
     states = set(lists["states"])

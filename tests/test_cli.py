@@ -257,6 +257,7 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "gaps", "--family", "alpha:nan"],
     ["experiment", "gaps", "--family", "alpha:inf"],
     ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
+    ["fixtures", "abcd", "--pda"],  # only wpz has a PDA
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
     files = {
@@ -450,6 +451,13 @@ def test_fixtures_parseable(tmp_path):
         code, out = run_cli("fixtures", name)
         assert code == 0
         parse_tsa(out)
+
+
+def test_fixtures_help_lists_each_name_once():
+    code, out = run_cli("fixtures", "--help")
+    assert code == 0
+    choices = out[out.index("{") + 1:out.index("}")].split(",")
+    assert choices == ["abcd", "anbmcndm", "astar", "ks", "updown", "wpz"]
 
 
 def test_experiment_gaps():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import counting_wpz_oracle, words_upto
@@ -17,12 +19,15 @@ from tsalab.convert import (
     tsa1_to_pda,
 )
 from tsalab.fixtures import abcd_tsa
+from tsalab.treestack import ROOT_LABEL, instr_down, instr_id, instr_push, pred_eq
 from tsalab.tsa import (
     NotApplicable,
     ParseError,
     SearchOptions,
+    Transition,
     UnknownState,
     accepts,
+    initial_configuration,
     replay,
     step,
     visited_from_below_counts,
@@ -62,6 +67,13 @@ def test_pda_file_bad_stack_symbol(action):
     with pytest.raises(ParseError) as exc:
         parse_pda(text)
     assert exc.value.line == 7
+
+
+def test_pda_file_stack_symbol_declared_twice():
+    text = "pda\nstates: q\ninitial: q\nfinal: q\nstack: t T t\nalphabet: t\n"
+    with pytest.raises(ParseError) as exc:
+        parse_pda(text)
+    assert exc.value.line == 5
 
 
 @pytest.mark.parametrize("trans", ["q9 t pop t q", "q t pop t q9"])
@@ -164,12 +176,67 @@ def test_converted_witnesses_are_1_restricted():
         assert accepts(tsa, w, SearchOptions(accept_mode="any", k=1))
 
 
+def simulation_run(pda, tsa, ptrace):
+    """Build the step-for-step simulation of a PDA trace on the translated
+    machine, per the construction: a push goes via the two-transition
+    ladder when the child slot is free and via the sidestep triple when an
+    earlier pop left it occupied; a pop descends through box vertices.
+
+    Returns the delta indices and, per simulated PDA step, the pair
+    (pointer label afterwards, box of the simulated stack top), which the
+    locality invariant requires to be equal."""
+    by_core = {t.core(): i for i, t in enumerate(tsa.delta)}
+
+    def tag(q, suffix):
+        return f"{q}^({suffix})"
+
+    def apply(cfg, src, inp, pred, instr, dst):
+        idx = by_core[(src, inp, pred, instr, dst)]
+        return step(tsa, ptrace.word, cfg, tsa.delta[idx]), idx
+
+    cfg = initial_configuration(tsa)
+    out: list[int] = []
+    cfg, idx = apply(cfg, pda.initial, None, pred_eq(ROOT_LABEL),
+                     instr_push(1, box(ROOT_LABEL)), pda.initial)
+    out.append(idx)
+    checkpoints: list[tuple[str, str]] = []
+    for (tidx, pcfg) in ptrace.steps:
+        t = pda.delta[tidx]
+        act = t.action
+        if act.kind == "push" and act.pushed is not None:
+            z, s = act.top, act.pushed
+            up_, st_ = tag(t.dst, "u"), tag(t.dst, s)
+            if cfg.ts.pointer + (1,) not in cfg.ts.dom:
+                steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_)]
+            else:
+                # an earlier pop stranded a vertex in the child-1 slot;
+                # sidestep through child 2 before climbing
+                steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(2, box(z)), st_),
+                         (st_, None, pred_eq(box(z)), instr_push(1, s), up_)]
+            steps.append((up_, None, pred_eq(s), instr_push(1, box(s)), t.dst))
+            for args in steps:
+                cfg, idx = apply(cfg, *args)
+                out.append(idx)
+        elif act.kind == "pop":
+            y = act.top
+            dn = tag(t.dst, "d")
+            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(y)), instr_down(), dn)
+            out.append(idx)
+            while cfg.ts.pointer_label == box(y):
+                cfg, idx = apply(cfg, dn, None, pred_eq(box(y)), instr_down(), dn)
+                out.append(idx)
+            cfg, idx = apply(cfg, dn, None, pred_eq(y), instr_down(), t.dst)
+            out.append(idx)
+        else:  # push(z, eps)
+            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst)
+            out.append(idx)
+        checkpoints.append((cfg.ts.pointer_label, box(pcfg.stack[-1])))
+    return out, checkpoints
+
+
 def test_simulation_locality():
     # after each simulated stack step the pointer rests on the box vertex
     # recording the simulated stack top (instrumented replay)
-    from tsalab.convert import simulation_run
-    from tsalab.tsa import replay
-
     pda = fixture_wpz_pda()
     tsa = pda_to_tsa1(pda)
     for w in ["", "tT", "ttTT", "ttTtTT", "tTtTtT", "tttTTT", "tTtTttTT"]:
@@ -181,6 +248,19 @@ def test_simulation_locality():
         assert final.pos == len(w) and final.state in tsa.finals, w
         for got, want in checkpoints:
             assert got == want, w
+
+
+def test_wpz_fixture_is_the_translation_with_a_root_drain():
+    # pda_to_tsa1 of the wpz PDA without its final eps-push, then the pair
+    # that returns to the root and accepts there
+    pda = fixture_wpz_pda()
+    base = pda_to_tsa1(replace(pda, delta=pda.delta[:-1]))
+    drain = (Transition("q", None, pred_eq(box(ROOT_LABEL)), instr_down(), "q"),
+             Transition("q", None, pred_eq(ROOT_LABEL), instr_id(), "qf"))
+    tsa = fixture_wpz_tsa()
+    assert [t.core() for t in tsa.delta] == [t.core() for t in base.delta + drain]
+    assert (tsa.states, tsa.labels, tsa.alphabet, tsa.initial, tsa.finals) == (
+        base.states, base.labels, base.alphabet, base.initial, base.finals)
 
 
 def test_wpz_fixture_structure_matches_printed_machine():
