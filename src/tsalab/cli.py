@@ -31,8 +31,6 @@ from .tsa import (
     Tsa,
     accepts,
     applicable_transitions,
-    default_max_steps,
-    default_max_vertices,
     degree,
     enumerate_words,
     is_proper,
@@ -42,6 +40,7 @@ from .tsa import (
     parse_tsa,
     render_tsa,
     replay,
+    search_budgets,
     standardise,
     visited_from_below_counts,
 )
@@ -90,8 +89,7 @@ def search_options(args) -> SearchOptions:
 
 
 def describe_options(opts: SearchOptions, word_len: int, tsa: Tsa) -> list[str]:
-    steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, word_len)
-    verts = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(word_len)
+    steps, verts = search_budgets(tsa, opts, word_len)
     return [
         f"k={opts.k if opts.k is not None else 'none'}",
         f"accept_mode={opts.accept_mode}",

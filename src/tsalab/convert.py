@@ -23,12 +23,14 @@ from .treestack import (
     pred_eq,
 )
 from .tsa import (
+    Names,
     NotFound,
     ParseError,
     SearchOptions,
     Transition,
     Tsa,
     _search,
+    check_machine,
     parse_tsa,
     read_machine,
     render_machine,
@@ -87,15 +89,10 @@ class Pda:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states = set(self.states)
+        check_machine(self.states, self.alphabet, self.initial, self.finals,
+                      ((t.src, t.inp, t.dst) for t in self.delta))
         gamma = set(self.stack) | {ROOT_LABEL}
-        if self.initial not in states or not self.finals <= states:
-            raise ValueError("undeclared initial or final state")
         for t in self.delta:
-            if t.src not in states or t.dst not in states:
-                raise ValueError(f"undeclared endpoint in {t}")
-            if t.inp is not None and t.inp not in self.alphabet:
-                raise ValueError(f"input {t.inp!r} not in alphabet")
             if t.action.top not in gamma:
                 raise ValueError(f"stack symbol {t.action.top!r} not declared")
             if t.action.pushed is not None and t.action.pushed not in gamma:
@@ -161,34 +158,30 @@ def box(symbol: str) -> str:
     return f"[{symbol}]"
 
 
+def _first_per_core(transitions) -> tuple:
+    """The transitions without repeats: the first of each core(), in order."""
+    out = {}
+    for t in transitions:
+        out.setdefault(t.core(), t)
+    return tuple(out.values())
+
+
 def tsa1_to_pda(tsa: Tsa) -> Pda:
     """Translate a 1-TSA into a PDA over Gamma = C + bottom.
 
     eq/true x push/down/set/id each expand per the eight scheme rules; a
-    set becomes a pop into a tagged intermediate state followed by
-    eps-pushes.  Transitions whose predicate pins the root label but whose
-    instruction needs a non-root pointer can never fire and are dropped.
+    set becomes a pop into an intermediate state `q^(z)` (from `Names`,
+    primed if the TSA already has that name) followed by eps-pushes.
+    Transitions whose predicate pins the root label but whose instruction
+    needs a non-root pointer can never fire and are dropped.
     """
     if any(t.instr.kind == "up" for t in tsa.delta):
         raise NotOneTsa("source automaton contains an up transition")
     gamma = tuple(tsa.labels) + (ROOT_LABEL,)
     nonbottom = tuple(tsa.labels)
 
+    names = Names(tsa.states)
     out: list[PdaTransition] = []
-    seen = set()
-    extra_states: list[str] = []
-
-    def tag(q, z):
-        name = f"{q}^({z})"
-        if name not in extra_states:
-            extra_states.append(name)
-        return name
-
-    def emit(t):
-        if t.core() not in seen:
-            seen.add(t.core())
-            out.append(t)
-
     for t in tsa.delta:
         kind = t.instr.kind
         if t.pred.kind == "eq":
@@ -199,27 +192,27 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
             zs = gamma
         for z in zs:
             if kind == "push":
-                emit(PdaTransition(t.src, t.inp, PdaAction("push", z, t.instr.label), t.dst))
+                out.append(PdaTransition(t.src, t.inp, PdaAction("push", z, t.instr.label), t.dst))
             elif kind == "down":
                 if z == ROOT_LABEL:
                     continue  # down with the pointer at the root never fires
-                emit(PdaTransition(t.src, t.inp, PdaAction("pop", z), t.dst))
+                out.append(PdaTransition(t.src, t.inp, PdaAction("pop", z), t.dst))
             elif kind == "set":
                 if z == ROOT_LABEL:
                     continue  # set at the root never fires
-                mid = tag(t.dst, z)
-                emit(PdaTransition(t.src, t.inp, PdaAction("pop", z), mid))
+                mid = names.tag((t.dst, z), f"{t.dst}^({z})")
+                out.append(PdaTransition(t.src, t.inp, PdaAction("pop", z), mid))
                 for y in gamma:
-                    emit(PdaTransition(mid, None, PdaAction("push", y, t.instr.label), t.dst))
+                    out.append(PdaTransition(mid, None, PdaAction("push", y, t.instr.label), t.dst))
             else:  # id
-                emit(PdaTransition(t.src, t.inp, PdaAction("push", z, None), t.dst))
+                out.append(PdaTransition(t.src, t.inp, PdaAction("push", z, None), t.dst))
 
     return Pda(
-        states=tuple(tsa.states) + tuple(extra_states),
+        states=(*tsa.states, *names.added),
         alphabet=tuple(tsa.alphabet),
         stack=nonbottom,
         initial=tsa.initial,
-        delta=tuple(out),
+        delta=_first_per_core(out),
         finals=tsa.finals,
     )
 
@@ -230,7 +223,8 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
     The output never contains an up instruction; its any-mode language
     is the root-mode language of `make_root_accepting` of it.  The
     intermediate states of a push or pop are named by its target, so moves
-    from one state to different targets do not share them.
+    from one state to different targets do not share them, and come from
+    `Names`, so a name the PDA already uses gets a prime.
     """
     gamma = tuple(pda.stack) + (ROOT_LABEL,)
     labels = tuple(pda.stack) + tuple(box(g) for g in gamma)
@@ -238,58 +232,43 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
     if collisions:
         raise InputError(f"stack symbols collide with box labels: {collisions}")
 
-    extra_states: list[str] = []
-
-    def tag(q, suffix):
-        name = f"{q}^({suffix})"
-        if name not in extra_states:
-            extra_states.append(name)
-        return name
-
-    out: list[Transition] = []
-    seen = set()
-
-    def emit(t):
-        if t.core() not in seen:
-            seen.add(t.core())
-            out.append(t)
-
-    emit(Transition(pda.initial, None, pred_eq(ROOT_LABEL),
-                    instr_push(1, box(ROOT_LABEL)), pda.initial, name="s0"))
+    names = Names(pda.states)
+    out = [Transition(pda.initial, None, pred_eq(ROOT_LABEL),
+                      instr_push(1, box(ROOT_LABEL)), pda.initial, name="s0")]
 
     for pidx, t in enumerate(pda.delta, start=1):
         act = t.action
         if act.kind == "push" and act.pushed is not None:
             z, s = act.top, act.pushed
-            up_ = tag(t.dst, "u")
-            st_ = tag(t.dst, s)
-            emit(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_,
-                            name=f"p{pidx}.1"))
-            emit(Transition(up_, None, pred_eq(s), instr_push(1, box(s)), t.dst,
-                            name=f"p{pidx}.2"))
-            emit(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(2, box(z)), st_,
-                            name=f"p{pidx}.3"))
-            emit(Transition(st_, None, pred_eq(box(z)), instr_push(1, s), up_,
-                            name=f"p{pidx}.4"))
+            up_ = names.tag((t.dst, "u"), f"{t.dst}^(u)")
+            st_ = names.tag((t.dst, "push", s), f"{t.dst}^({s})")
+            out.append(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_,
+                                  name=f"p{pidx}.1"))
+            out.append(Transition(up_, None, pred_eq(s), instr_push(1, box(s)), t.dst,
+                                  name=f"p{pidx}.2"))
+            out.append(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(2, box(z)), st_,
+                                  name=f"p{pidx}.3"))
+            out.append(Transition(st_, None, pred_eq(box(z)), instr_push(1, s), up_,
+                                  name=f"p{pidx}.4"))
         elif act.kind == "pop":
             y = act.top
-            dn = tag(t.dst, "d")
-            emit(Transition(t.src, t.inp, pred_eq(box(y)), instr_down(), dn,
-                            name=f"p{pidx}.5"))
-            emit(Transition(dn, None, pred_eq(box(y)), instr_down(), dn,
-                            name=f"p{pidx}.6"))
-            emit(Transition(dn, None, pred_eq(y), instr_down(), t.dst,
-                            name=f"p{pidx}.7"))
+            dn = names.tag((t.dst, "d"), f"{t.dst}^(d)")
+            out.append(Transition(t.src, t.inp, pred_eq(box(y)), instr_down(), dn,
+                                  name=f"p{pidx}.5"))
+            out.append(Transition(dn, None, pred_eq(box(y)), instr_down(), dn,
+                                  name=f"p{pidx}.6"))
+            out.append(Transition(dn, None, pred_eq(y), instr_down(), t.dst,
+                                  name=f"p{pidx}.7"))
         else:  # push(z, eps)
-            emit(Transition(t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst,
-                            name=f"p{pidx}.*"))
+            out.append(Transition(t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst,
+                                  name=f"p{pidx}.*"))
 
     return Tsa(
-        states=tuple(pda.states) + tuple(extra_states),
+        states=(*pda.states, *names.added),
         labels=labels,
         alphabet=tuple(pda.alphabet),
         initial=pda.initial,
-        delta=tuple(out),
+        delta=_first_per_core(out),
         finals=pda.finals,
     )
 

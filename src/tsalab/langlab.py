@@ -18,11 +18,13 @@ from typing import Callable, Iterable, Sequence
 
 from .treestack import InputError
 from .tsa import (
+    Names,
     ParseError,
     RunTrace,
     SearchOptions,
     Transition,
     Tsa,
+    check_machine,
     read_machine,
     shortest_accepted,
 )
@@ -355,14 +357,7 @@ class Fsa:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states = set(self.states)
-        if self.initial not in states or not self.finals <= states:
-            raise ValueError("undeclared initial or final state")
-        for src, sym, dst in self.delta:
-            if src not in states or dst not in states:
-                raise ValueError(f"undeclared endpoint in {(src, sym, dst)}")
-            if sym is not None and sym not in self.alphabet:
-                raise ValueError(f"letter {sym!r} not in alphabet")
+        check_machine(self.states, self.alphabet, self.initial, self.finals, self.delta)
 
     def has_eps(self) -> bool:
         return any(sym is None for _, sym, _ in self.delta)
@@ -551,29 +546,28 @@ def tsa_fsa_product(tsa: Tsa, fsa: Fsa) -> Tsa:
     """Intersection automaton: FSA tracks the letters the TSA reads.
 
     The FSA must be eps-free; the tree stack component is untouched, so
-    k-restricted witnesses stay k-restricted."""
+    k-restricted witnesses stay k-restricted.  The state of the pair (q, f)
+    is `q&f`, primed by `Names` if another pair already has that name."""
     if fsa.has_eps():
         raise ValueError("run eps_free() on the FSA first")
     if set(fsa.alphabet) != set(tsa.alphabet):
         raise AlphabetMismatch(f"tsa alphabet {tsa.alphabet} != fsa alphabet {fsa.alphabet}")
 
-    def pair(q, f):
-        return f"{q}&{f}"
-
-    states = tuple(pair(q, f) for q in tsa.states for f in fsa.states)
+    names = Names()
+    pair = {(q, f): names.new(f"{q}&{f}") for q in tsa.states for f in fsa.states}
     delta = []
     for t in tsa.delta:
         if t.inp is None:
             for f in fsa.states:
-                delta.append(Transition(pair(t.src, f), None, t.pred, t.instr,
-                                        pair(t.dst, f), name=t.name))
+                delta.append(Transition(pair[t.src, f], None, t.pred, t.instr,
+                                        pair[t.dst, f], name=t.name))
         else:
             for src, sym, dst in fsa.delta:
                 if sym == t.inp:
-                    delta.append(Transition(pair(t.src, src), t.inp, t.pred, t.instr,
-                                            pair(t.dst, dst), name=t.name))
-    finals = frozenset(pair(q, f) for q in tsa.finals for f in fsa.finals)
-    return Tsa(states, tsa.labels, tsa.alphabet, pair(tsa.initial, fsa.initial),
+                    delta.append(Transition(pair[t.src, src], t.inp, t.pred, t.instr,
+                                            pair[t.dst, dst], name=t.name))
+    finals = frozenset(pair[q, f] for q in tsa.finals for f in fsa.finals)
+    return Tsa(tuple(names.added), tsa.labels, tsa.alphabet, pair[tsa.initial, fsa.initial],
                tuple(delta), finals)
 
 
@@ -581,29 +575,21 @@ def build_Bw(fsa: Fsa, w: str | Sequence[str], pairing: GroupAlphabet) -> Fsa:
     """Attach a path reading the inverse word of w after the accept state:
     L(B_w) = L(B) . w^{-1}.  The automaton is first normalised to a single
     final state via eps edges."""
-    states = list(fsa.states)
+    names = Names(fsa.states)
     delta = list(fsa.delta)
-
-    def fresh(base):
-        name = base
-        while name in states:
-            name += "'"
-        states.append(name)
-        return name
-
     if len(fsa.finals) == 1:
         final = next(iter(fsa.finals))
     else:
-        final = fresh("F")
+        final = names.new("F")
         for f in sorted(fsa.finals):
             delta.append((f, None, final))
 
     cur = final
     for tok in pairing.inverse_word(w):
-        nxt = fresh("w")
+        nxt = names.new("w")
         delta.append((cur, tok, nxt))
         cur = nxt
-    return Fsa(tuple(states), fsa.alphabet, tuple(delta), fsa.initial,
+    return Fsa((*fsa.states, *names.added), fsa.alphabet, tuple(delta), fsa.initial,
                frozenset({cur}))
 
 

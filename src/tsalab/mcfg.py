@@ -15,7 +15,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .tsa import ParseError, read_sections
+from .tsa import Names, ParseError, read_sections
 
 # tokens of this shape are always variables in head fields
 _VAR_PATTERN = re.compile(r"[xy][0-9]+")
@@ -294,7 +294,8 @@ def non_deleting(mcfg: Mcfg) -> Mcfg:
 
     Its nonterminals are the pairs (A, components of A that are kept)
     reachable from the start symbol.  A pair keeping every component keeps
-    the name A; any other is named like `A[1,3]` (1-based components).  A
+    the name A; any other is named like `A[1,3]` (1-based components),
+    primed by `tsa.Names` if the grammar already has that name.  A
     body occurrence whose components are all dropped becomes the condition
     that its nonterminal is productive.  Every component of a tuple derived
     in the result is a substring of the word derived from it, so a bound
@@ -306,19 +307,14 @@ def non_deleting(mcfg: Mcfg) -> Mcfg:
     rules_of: dict[str, list[McfgRule]] = defaultdict(list)
     for rule in mcfg.rules:
         rules_of[rule.head].append(rule)
-    taken = set(ranks)
+    invented = Names(ranks)
     names: dict[tuple[str, tuple[int, ...]], str] = {}
     todo: list[tuple[str, tuple[int, ...]]] = []
 
     def name(nt: str, kept: tuple[int, ...]) -> str:
         if (nt, kept) not in names:
-            new = nt
-            if len(kept) < ranks[nt]:
-                new = f"{nt}[{','.join(str(c + 1) for c in kept)}]"
-                while new in taken:
-                    new += "'"
-                taken.add(new)
-            names[nt, kept] = new
+            names[nt, kept] = (nt if len(kept) == ranks[nt] else
+                               invented.new(f"{nt}[{','.join(str(c + 1) for c in kept)}]"))
             todo.append((nt, kept))
         return names[nt, kept]
 

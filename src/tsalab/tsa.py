@@ -104,6 +104,53 @@ class Transition:
         return f"{self.src} {inp} {self.pred} {self.instr} {self.dst}"
 
 
+def check_machine(states: Sequence[str], alphabet: Sequence[str], initial: str,
+                  finals: frozenset[str], edges: Iterable[tuple[str, str | None, str]]) -> None:
+    """The well-formedness that Tsa, Pda and Fsa share, as ValueError: no
+    state declared twice, declared initial and final states, and every edge
+    (source, letter or None for eps, target) joining declared states and
+    reading a letter of the alphabet."""
+    declared = set(states)
+    if len(declared) < len(states):
+        twice = next(q for i, q in enumerate(states) if q in states[:i])
+        raise ValueError(f"state {twice!r} is declared twice")
+    if initial not in declared:
+        raise ValueError(f"initial state {initial!r} not declared")
+    if not finals <= declared:
+        raise ValueError(f"final states {sorted(finals - declared)} not declared")
+    for src, inp, dst in edges:
+        if src not in declared or dst not in declared:
+            raise ValueError(f"transition endpoint not declared: {src} -> {dst}")
+        if inp is not None and inp not in alphabet:
+            raise ValueError(f"input letter {inp!r} not in alphabet")
+
+
+class Names:
+    """The one naming rule of the constructions that add states or
+    nonterminals to a machine or grammar.  `taken` holds every name in use.
+    `new(base)` adds primes to base until the name is free; `tag(key, base)`
+    does the same once per key, so a key asked again gets the same name.
+    `added` lists the names made, in the order they were made."""
+
+    def __init__(self, taken: Iterable[str] = ()):
+        self.taken = set(taken)
+        self.added: list[str] = []
+        self.tags: dict = {}
+
+    def new(self, base: str) -> str:
+        name = base
+        while name in self.taken:
+            name += "'"
+        self.taken.add(name)
+        self.added.append(name)
+        return name
+
+    def tag(self, key, base: str) -> str:
+        if key not in self.tags:
+            self.tags[key] = self.new(base)
+        return self.tags[key]
+
+
 @dataclass(frozen=True)
 class Tsa:
     states: tuple[str, ...]
@@ -114,19 +161,12 @@ class Tsa:
     finals: frozenset[str]
 
     def __post_init__(self):
-        states = set(self.states)
+        check_machine(self.states, self.alphabet, self.initial, self.finals,
+                      ((t.src, t.inp, t.dst) for t in self.delta))
         labels = set(self.labels)
         if ROOT_LABEL in labels:
             raise ValueError("@ is reserved for the root and cannot be in C")
-        if self.initial not in states:
-            raise ValueError(f"initial state {self.initial} not declared")
-        if not self.finals <= states:
-            raise ValueError("final states must be declared states")
         for t in self.delta:
-            if t.src not in states or t.dst not in states:
-                raise ValueError(f"transition endpoint not declared: {t}")
-            if t.inp is not None and t.inp not in self.alphabet:
-                raise ValueError(f"input letter {t.inp!r} not in alphabet")
             if t.pred.kind == "eq" and t.pred.label != ROOT_LABEL and t.pred.label not in labels:
                 raise ValueError(f"predicate label {t.pred.label!r} not declared")
             if t.instr.label is not None and t.instr.label not in labels:
@@ -259,6 +299,13 @@ def default_max_vertices(word_len: int) -> int:
     return 16 * (word_len + 1)
 
 
+def search_budgets(machine, opts: SearchOptions, word_len: int) -> tuple[int, int]:
+    """(steps, vertices): the budgets of a search on a word of this length,
+    the options' own or else the defaults."""
+    return (opts.max_steps if opts.max_steps is not None else default_max_steps(machine, word_len),
+            opts.max_vertices if opts.max_vertices is not None else default_max_vertices(word_len))
+
+
 # instruction kinds as small ints for the search's inner loop; "pop" is a
 # PDA's: down, deleting the vertex it leaves (the top of a one-path tree)
 _ID, _PUSH, _UP, _DOWN, _SET, _POP = range(6)
@@ -357,10 +404,9 @@ class _Walk:
     def __init__(self, machine, opts: SearchOptions, max_len: int,
                  words: Iterable[str] | None = None):
         self.max_len = max_len
-        self.steps = [opts.max_steps if opts.max_steps is not None
-                      else default_max_steps(machine, n) for n in range(max_len + 1)]
-        self.vertices = [opts.max_vertices if opts.max_vertices is not None
-                         else default_max_vertices(n) for n in range(max_len + 1)]
+        budgets = [search_budgets(machine, opts, n) for n in range(max_len + 1)]
+        self.steps = [s for s, _ in budgets]
+        self.vertices = [v for _, v in budgets]
         self.step_ends: dict[int, list[int]] = {}  # depth -> lengths whose step budget ends there
         for n, s in enumerate(self.steps):
             self.step_ends.setdefault(s, []).append(n)
@@ -508,8 +554,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     target's witness is its first accepting node that fits its length, and
     each budget cut is recorded on a (prefix, length) pair where that
     length's search would make it.  The walk returns None."""
-    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(machine, max_len)
-    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
+    max_steps, max_vertices = search_budgets(machine, opts, max_len)
     free = w is None
     if walk is not None:
         words, pending, vcap = walk.words, walk.pending, walk.vcap
@@ -861,27 +906,17 @@ def make_root_accepting(tsa: Tsa) -> Tsa:
     down/id transitions are added, so visit-from-below counts are unchanged
     and the root-mode language equals the old any-mode language.
     """
-    states = list(tsa.states)
-    taken = set(states)
-
-    def fresh(base):
-        name = base
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        states.append(name)
-        return name
-
+    names = Names(tsa.states)
     delta = list(tsa.delta)
     new_finals = []
     for f in sorted(tsa.finals):
-        dn = fresh(f + "_dn")
-        ok = fresh(f + "_ok")
+        dn = names.new(f + "_dn")
+        ok = names.new(f + "_ok")
         delta.append(Transition(f, None, PRED_TRUE, instr_id(), dn))
         delta.append(Transition(dn, None, PRED_TRUE, instr_down(), dn))
         delta.append(Transition(dn, None, pred_eq(ROOT_LABEL), instr_id(), ok))
         new_finals.append(ok)
-    return Tsa(tuple(states), tsa.labels, tsa.alphabet, tsa.initial,
+    return Tsa((*tsa.states, *names.added), tsa.labels, tsa.alphabet, tsa.initial,
                tuple(delta), frozenset(new_finals))
 
 

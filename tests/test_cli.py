@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import pkgutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import tsalab
 import tsalab.tsa as tsa_mod
 from tsalab.cli import main
 from tsalab.treestack import InputError, TreeStackError
-from tsalab.mcfg import EXAMPLE_ABCD
+from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_WPZ
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,65 @@ def test_writers_match_goldens(argv, golden):
     code, out = run_cli(*argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+# word lists for `analyze upsets`: every wpz word of length 1-6, and three
+# abcd words whose searches a 3-step budget cuts
+WORD_FILES = {
+    "wpz_words": "\n".join("".join(p) for n in range(1, 7)
+                           for p in itertools.product("tT", repeat=n)) + "\n",
+    "abcd_words": "abcd aabbccdd ab\n",
+}
+PORCELAIN_GOLDENS = [
+    (["enumerate", "abcd", "--k", "2", "--max-len", "8"], "enumerate_abcd.txt", 0),
+    (["enumerate", "anbmcndm", "--k", "2", "--max-len", "8"], "enumerate_anbmcndm.txt", 0),
+    (["enumerate", "wpz", "--max-len", "8"], "enumerate_wpz.txt", 0),
+    (["analyze", "upsets", "wpz", "--words-file", "{wpz_words}"], "upsets_wpz.txt", 0),
+    (["analyze", "upsets", "abcd", "--k", "2", "--words-file", "{abcd_words}",
+      "--max-steps", "3"], "upsets_abcd_budget.txt", 2),
+]
+
+
+@pytest.mark.parametrize("argv, golden, code", PORCELAIN_GOLDENS,
+                         ids=[g for _, g, _ in PORCELAIN_GOLDENS])
+def test_porcelain_matches_goldens(tmp_path, argv, golden, code):
+    paths = {}
+    for key, text in WORD_FILES.items():
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text)
+    got, out = run_cli("--porcelain", *(a.format(**paths) for a in argv))
+    assert got == code
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_run_by_name_matches_run_on_the_golden_file():
+    by_name = run_cli("--porcelain", "run", "wpz", "--word", "ttTtTT")
+    by_file = run_cli("--porcelain", "run", str(GOLDEN / "fixture_wpz.tsa"), "--word", "ttTtTT")
+    assert by_name[0] == 0 and by_file == by_name
+
+
+def test_mcfg_enumerate_wpz_grammar_to_length_12(tmp_path):
+    # the README's example command
+    grammar = tmp_path / "wpz.mcfg"
+    grammar.write_text(EXAMPLE_WPZ)
+    code, out = run_cli("--porcelain", "mcfg", "enumerate", str(grammar), "--max-len", "12")
+    assert code == 0
+    assert sum(line.startswith("word=") for line in out.splitlines()) == 1275
+
+
+def test_experiment_f2f2_at_its_default_size():
+    code, out = run_cli("--porcelain", "experiment", "f2f2")
+    assert code == 0
+    lines = out.splitlines()
+    for want in ("words=2012283", "members=9", "mismatches=0", "result=pass"):
+        assert want in lines
+
+
+def test_suite_all_fails_only_the_ks_claim():
+    code, out = run_cli("suite", "all")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and "exhaustive search rejects ttTtTT" in fails[0]
 
 
 def test_trace_golden_abcd():
@@ -433,6 +493,19 @@ def test_convert_round_trip(tmp_path):
 
     pda = parse_pda(back)
     assert pda_accepts(pda, "tT") and not pda_accepts(pda, "tt", max_steps=200)
+
+
+def test_convert_pda2tsa_primes_a_state_the_pda_uses(tmp_path):
+    # the pop ladder's state q^(u) is also a PDA state; the writer used to
+    # read back a repeated state and refuse the machine (exit 3)
+    from tsalab.tsa import parse_tsa
+
+    f = tmp_path / "tagged.pda"
+    f.write_text("pda\nstates: q q^(u)\ninitial: q\nfinal: q^(u)\nstack: t\nalphabet: t\n"
+                 "trans: q t push @ t q\ntrans: q t pop t q^(u)\n")
+    code, out = run_cli("convert", "pda2tsa", str(f))
+    assert code == 0
+    assert parse_tsa(out).states == ("q", "q^(u)", "q^(u)'", "q^(t)", "q^(u)^(d)")
 
 
 def test_convert_tsa2pda_rejects_up(tmp_path, capsys):

@@ -28,6 +28,7 @@ from tsalab.tsa import (
     UnknownState,
     accepts,
     initial_configuration,
+    parse_tsa,
     replay,
     step,
     visited_from_below_counts,
@@ -161,6 +162,49 @@ def test_pda_to_tsa1_keeps_targets_apart():
     assert not pda_accepts(pda, "ba")
     for w in words_upto("ab", 4):
         assert bool(accepts(tsa, w, ANY)) == bool(pda_accepts(pda, w)), w
+
+
+# a PDA state named like the pop ladder's state: unprimed, the two merge
+# and the translation reads `t` straight into the final state
+TAG_NAMED_PDA = """pda
+states: q q^(u)
+initial: q
+final: q^(u)
+stack: t
+alphabet: t
+trans: q t push @ t q
+trans: q t pop t q^(u)
+"""
+
+
+def test_pda_to_tsa1_primes_a_name_the_pda_uses():
+    pda = parse_pda(TAG_NAMED_PDA)
+    tsa = pda_to_tsa1(pda)
+    assert not pda_accepts(pda, "t")
+    for w in words_upto("t", 4):
+        assert bool(accepts(tsa, w, ANY)) == bool(pda_accepts(pda, w)), w
+    assert tsa.states == ("q", "q^(u)", "q^(u)'", "q^(t)", "q^(u)^(d)")
+
+
+# the set ladder's state of p under A is p^(A), which the TSA already has
+SET_TAG_TSA = """tsa
+states: q0 q1 p p^(A)
+initial: q0
+final: p^(A)
+labels: A B
+alphabet: a b
+trans: q0 a true push 1 A q1
+trans: q1 b eq A set B p
+"""
+
+
+def test_tsa1_to_pda_primes_a_name_the_tsa_uses():
+    tsa = parse_tsa(SET_TAG_TSA)
+    pda = tsa1_to_pda(tsa)
+    assert not accepts(tsa, "ab", ANY)
+    for w in words_upto("ab", 3):
+        assert bool(pda_accepts(pda, w)) == bool(accepts(tsa, w, ANY)), w
+    assert pda.states == ("q0", "q1", "p", "p^(A)", "p^(A)'")
 
 
 def test_converted_witnesses_are_1_restricted():

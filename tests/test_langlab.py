@@ -34,7 +34,16 @@ from tsalab.langlab import (
     unary_lengths,
     wp_f2xf2,
 )
-from tsalab.tsa import ParseError, SearchOptions, UnknownState, accepts, enumerate_words
+from tsalab.tsa import (
+    ParseError,
+    SearchOptions,
+    UnknownState,
+    accepts,
+    enumerate_words,
+    parse_tsa,
+)
+
+ANY_MODE = SearchOptions(accept_mode="any")
 
 
 # -- Parikh ------------------------------------------------------------------
@@ -336,6 +345,20 @@ def test_product_soundness_both_components():
     for w in words_upto("abcd", 6):
         both = bool(accepts(tsa, w, SearchOptions(k=2))) and fsa_accepts(f, w)
         assert bool(accepts(prod, w, SearchOptions(k=2))) == both, w
+
+
+def test_product_primes_a_pair_name_already_made():
+    # (a&b, c) and (a, b&c) are both `a&b&c`: unprimed, the product merges
+    # the final pair with the initial one and accepts the empty word
+    tsa = parse_tsa("tsa\nstates: a a&b\ninitial: a\nfinal: a&b\nlabels: X\n"
+                    "alphabet: x y\ntrans: a x true id a&b\n")
+    fsa = parse_fsa("fsa\nstates: b&c c\ninitial: b&c\nfinal: c\nalphabet: x y\n"
+                    "trans: b&c x c\ntrans: c y c\n")
+    prod = tsa_fsa_product(tsa, fsa)
+    for w in words_upto("xy", 4):
+        both = bool(accepts(tsa, w, ANY_MODE)) and fsa_accepts(fsa, w)
+        assert bool(accepts(prod, w, ANY_MODE)) == both, w
+    assert prod.states == ("a&b&c", "a&c", "a&b&b&c", "a&b&c'")
 
 
 def test_product_preserves_k_restriction():

@@ -15,7 +15,7 @@ from tsalab.convert import (
     render_pda,
 )
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
-from tsalab.langlab import parse_fsa
+from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
 from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
@@ -88,6 +88,40 @@ def test_parse_tsa_errors_carry_line_numbers(text, error, line):
     with pytest.raises(error) as exc:
         parse_tsa(text)
     assert exc.value.line == line
+
+
+def _tsa(states, initial, finals, edges):
+    delta = tuple(Transition(src, inp, PRED_TRUE, instr_id(), dst) for src, inp, dst in edges)
+    return Tsa(states, ("X",), ("a",), initial, delta, frozenset(finals))
+
+
+def _pda(states, initial, finals, edges):
+    delta = tuple(PdaTransition(src, inp, PdaAction("push", "@", None), dst)
+                  for src, inp, dst in edges)
+    return Pda(states, ("a",), ("A",), initial, delta, frozenset(finals))
+
+
+def _fsa(states, initial, finals, edges):
+    return Fsa(states, ("a",), tuple(edges), initial, frozenset(finals))
+
+
+ILL_FORMED = {
+    "state-twice": ((("q", "p", "q"), "q", {"q"}, ()), "'q' is declared twice"),
+    "initial": ((("q",), "r", {"q"}, ()), "initial state 'r' not declared"),
+    "final": ((("q",), "q", {"r"}, ()), r"final states \['r'\] not declared"),
+    "endpoint": ((("q",), "q", {"q"}, [("q", "a", "r")]), "endpoint not declared"),
+    "letter": ((("q",), "q", {"q"}, [("q", "b", "q")]), "input letter 'b' not in alphabet"),
+}
+
+
+@pytest.mark.parametrize("make", [_tsa, _pda, _fsa], ids=["tsa", "pda", "fsa"])
+@pytest.mark.parametrize("parts, message", ILL_FORMED.values(), ids=ILL_FORMED)
+def test_machines_share_one_well_formedness_check(make, parts, message):
+    # Tsa, Pda and Fsa validate through tsa.check_machine; a state declared
+    # twice would otherwise merge with itself in every construction
+    with pytest.raises(ValueError, match=message):
+        make(*parts)
+    make(("q", "p"), "q", {"q"}, [("q", "a", "p"), ("p", None, "q")])  # well formed
 
 
 MACHINE_FILES = [
