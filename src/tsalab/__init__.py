@@ -83,7 +83,6 @@ from .convert import (
 from .langlab import (
     Fsa,
     GroupAlphabet,
-    LinearSet,
     ParikhVector,
     WordOracle,
     build_Bw,

@@ -75,18 +75,6 @@ def parikh(word: str | Sequence[str], alphabet: Sequence[str]) -> ParikhVector:
     return ParikhVector(alpha, tuple(toks.count(a) for a in alpha))
 
 
-@dataclass(frozen=True)
-class LinearSet:
-    """Base vector plus period vectors; a data carrier for reports only."""
-
-    base: tuple[int, ...]
-    periods: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.base) or any(x < 0 for v in self.periods for x in v):
-            raise ValueError("entries must be non-negative")
-
-
 @dataclass
 class GapReport:
     verdict: str  # "gap-divergent (sample)" | "inconclusive"

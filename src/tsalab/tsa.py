@@ -319,26 +319,58 @@ def _entry_hash(a, b) -> int:
     return hash((a, b))
 
 
-def search_rows(machine, moves, proper_only: bool = False) -> dict[str, list[tuple]]:
-    """machine.delta by source state as the flat tuples `_search` reads:
-    (delta index, letter, predicate label or None, kind code, child index,
-    new label, target, stationary flag).  `moves` gives one (predicate label
-    or None, instruction kind, child index, new label) per transition; the
-    kinds are a TSA's plus "pop".  The flag is only set when proper_only
-    forbids two stationary eps steps in a row.  Cached on the machine:
+class Dispatch(dict):
+    """A machine's delta as the rows `_search` reads, keyed by (control
+    state, pointer label, letter key).  A row is (delta index, letter or
+    None for eps, predicate label or None, kind code, child index, new
+    label, target, stationary flag); `by_state` lists every row of each
+    state in delta order.  The letter key is the next letter of a fixed
+    word, which keeps the eps rows and the rows that read that letter;
+    END, which keeps the eps rows, at the end of a fixed word or of the
+    room to read; or ANY_LETTER, which keeps every row, for free reading.
+    Each entry holds exactly the rows of its state whose letter and
+    predicate can match, in delta order, and is built the first time it is
+    asked for.  `readers` holds the states with a reading row."""
+
+    END = None
+    ANY_LETTER = ""  # no letter is the empty string
+
+    def __init__(self, by_state: dict[str, list[tuple]], readers: frozenset[str]):
+        super().__init__()
+        self.by_state = by_state
+        self.readers = readers
+
+    def __missing__(self, key):
+        state, lab, letter = key
+        free = letter == self.ANY_LETTER
+        rows = self[key] = []
+        for row in self.by_state[state]:
+            inp, plab = row[1], row[2]
+            if (plab is None or plab == lab) and (inp is None or free or inp == letter):
+                rows.append(row)
+        return rows
+
+
+def search_rows(machine, moves, proper_only: bool = False) -> Dispatch:
+    """machine.delta as the `Dispatch` table `_search` reads.  `moves`
+    gives one (predicate label or None, instruction kind, child index, new
+    label) per transition; the kinds are a TSA's plus "pop".  The
+    stationary flag is only set when proper_only forbids two stationary eps
+    steps in a row.  Cached on the machine, one table per proper_only:
     machines are immutable."""
     cache = machine.__dict__.setdefault("_search_rows", {})
-    rows = cache.get(proper_only)
-    if rows is None:
+    table = cache.get(proper_only)
+    if table is None:
         rows = {q: [] for q in machine.states}
         for tidx, (t, (plab, kind, n, nlab)) in enumerate(zip(machine.delta, moves)):
             stat = proper_only and t.inp is None and kind in ("id", "set")
             rows[t.src].append((tidx, t.inp, plab, _KIND_CODE[kind], n, nlab, t.dst, stat))
-        cache[proper_only] = rows
-    return rows
+        readers = frozenset(t.src for t in machine.delta if t.inp is not None)
+        table = cache[proper_only] = Dispatch(rows, readers)
+    return table
 
 
-def _tsa_rows(tsa: Tsa, opts: SearchOptions) -> dict[str, list[tuple]]:
+def _tsa_rows(tsa: Tsa, opts: SearchOptions) -> Dispatch:
     moves = ((t.pred.label, t.instr.kind, t.instr.n, t.instr.label) for t in tsa.delta)
     return search_rows(tsa, moves, opts.proper_only)
 
@@ -362,13 +394,15 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     Breadth-first over configurations, children in delta order, with
     memoisation on (state, position, tree stack[, vfb][, properness bit]);
     the witness is therefore the lexicographically least shortest run.
-    Inside the search an address is an int id interned per search by
-    (parent id, child index), a tree stack is an {id: label} dict plus a
-    pointer id, and the vfb counts are an {id: count} dict.  The memo key
-    holds XOR hashes of the tree and of the vfb counts, kept up to date
-    incrementally; a hash hit compares the dicts exactly, so the
-    memoisation is exact.  The witness is the arena path re-executed by
-    `replay`.
+    A configuration's children come from the machine's `Dispatch` table:
+    the transitions of its state whose letter and predicate match the next
+    letter and the pointer's label, in delta order.  Inside the search an
+    address is an int id interned per search by (parent id, child index),
+    a tree stack is an {id: label} dict plus a pointer id, and the vfb
+    counts are an {id: count} dict.  The memo key holds XOR hashes of the
+    tree and of the vfb counts, kept up to date incrementally; a hash hit
+    compares the dicts exactly, so the memoisation is exact.  The witness
+    is the arena path re-executed by `replay`.
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
@@ -398,8 +432,9 @@ class _Walk:
     `reach[p]` is the length of the longest target through p; a node at p
     whose tree or depth is over that length's budgets is in no target's
     search, and `_search` drops it.  `_search` fills `accepted` (target
-    prefix id -> arena path to its witness) and `cut` (prefix id -> the
-    lengths n whose search a budget cut at that prefix)."""
+    prefix id -> its witness's steps, each an (arena node id, delta index)
+    pair) and `cut` (prefix id -> the lengths n whose search a budget cut
+    at that prefix)."""
 
     def __init__(self, machine, opts: SearchOptions, max_len: int,
                  words: Iterable[str] | None = None):
@@ -421,7 +456,7 @@ class _Walk:
         self.reach = [max_len if self.every else 0]
         self.vcap = [self.vertices[0]]  # vertex budget of the prefix's own length
         self.kids: dict[tuple[int, str], int] = {}
-        self.accepted: dict[int, list[tuple]] = {}
+        self.accepted: dict[int, list[tuple[int, int]]] = {}
         self.cut: dict[int, set[int]] = {}
         for w in dict.fromkeys(words or ()):
             p = 0
@@ -463,8 +498,8 @@ class _Walk:
         n = len(self.words[p])
         return depth <= self.steps[n] and size <= self.vertices[n]
 
-    def accept(self, p: int, path: list[tuple]) -> None:
-        self.accepted[p] = path
+    def accept(self, p: int, run: list[tuple[int, int]]) -> None:
+        self.accepted[p] = run
         while p >= 0:
             self.pending[p] -= 1
             p = self.up[p]
@@ -520,15 +555,21 @@ class _Walk:
         return out
 
     def witnesses(self, tsa: Tsa) -> dict[str, RunTrace]:
-        """Every accepted target's witness, re-executed by `replay`."""
-        return {self.words[p]: replay(tsa, self.words[p], [node[9] for node in path[1:]])
-                for p, path in self.accepted.items()}
+        """Every accepted target's witness: its arena path re-executed
+        through `step` by `_execute`, with the arena node ids as step ids.
+        So each arena node is executed once, and witnesses with a common
+        prefix share its Configurations.  An arena node's read prefix is a
+        prefix of every target through it, so its step reads the same
+        letter for each of them."""
+        traces = _execute(tsa, [(self.words[p], run) for p, run in self.accepted.items()])
+        return {trace.word: trace for trace in traces}
 
 
-def _arena_path(nodes, me: int) -> list[tuple]:
+def _arena_path(nodes, me: int) -> list[int]:
+    """The arena node ids from the initial node to node me."""
     path = []
     while me >= 0:
-        path.append(nodes[me])
+        path.append(me)
         me = nodes[me][8]
     return path[::-1]
 
@@ -539,8 +580,13 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     `convert.pda_accepts`, and `enumerate_words` and `accepts_each` (w None
     and a `walk` whose longest target has length max_len: read toward its
     targets).  `machine` has initial, finals and states; `rows` is its
-    delta from `search_rows`.  Returns NotFound, or the arena nodes from
-    the initial one to the first accepting one.
+    `Dispatch` table from `search_rows`, so a node scans only the rows
+    whose letter and predicate match, keyed by its state, its pointer's
+    label and its letter key: the next letter of w, END, or ANY_LETTER
+    while a free search has room to read.  Without that room a free search
+    outside walk mode counts as cut off at every node whose state has a
+    reading row, before any predicate is tested.  Returns NotFound, or the
+    arena nodes from the initial one to the first accepting one.
 
     In walk mode a node's position is a prefix id of `walk`, so the BFS is
     over (configuration, read prefix) pairs, and a reading step extends a
@@ -562,6 +608,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     root_only = opts.accept_mode == "root"
     finals = machine.finals
     eh = _entry_hash
+    readers, END, ANY_LETTER = rows.readers, rows.END, rows.ANY_LETTER
 
     ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
     up_of = [-1]  # parent id per id; the root is id 0
@@ -574,7 +621,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
             if max_len == 0 or free:
                 return nodes
         elif walk.target[0]:  # no budget applies to the initial configuration
-            walk.accept(0, nodes[:1])
+            walk.accept(0, [])
     seen = {(machine.initial, 0, 0, 0, 0, False): 0}  # memo key -> first node
     more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
     frontier = [0]
@@ -594,22 +641,15 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
             if walk is not None and not pending[pos]:
                 continue  # every target through this prefix has its witness
             lab = dom[ptr]
-            if free:
-                letter = None
-                room = (pos if walk is None else len(words[pos])) < max_len
+            if not free:
+                letter = w[pos] if pos < max_len else END
+            elif (pos if walk is None else len(words[pos])) < max_len:
+                letter = ANY_LETTER
             else:
-                letter = w[pos] if pos < max_len else None
-            for tidx, inp, plab, kind, n, nlab, dst, stat in rows[state]:
-                if inp is not None:
-                    if free:
-                        if not room:
-                            if walk is None:
-                                cut = True
-                            continue
-                    elif inp != letter:
-                        continue
-                if plab is not None and plab != lab:
-                    continue
+                letter = END
+                if walk is None and state in readers:
+                    cut = True  # a reading row, whatever its predicate, meets the length bound
+            for tidx, inp, _, kind, n, nlab, dst, stat in rows[state, lab, letter]:
                 if was_stat and stat:
                     continue
                 if inp is None:
@@ -679,9 +719,9 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 if dst in finals and (nptr == 0 or not root_only):
                     if walk is None:
                         if free or npos == max_len:
-                            return _arena_path(nodes, me)
+                            return [nodes[i] for i in _arena_path(nodes, me)]
                     elif walk.takes(npos, depth, len(ndom)):
-                        walk.accept(npos, _arena_path(nodes, me))
+                        walk.accept(npos, [(i, nodes[i][9]) for i in _arena_path(nodes, me)[1:]])
                         if not pending[npos]:
                             continue
                 next_frontier.append(me)
@@ -702,23 +742,42 @@ def _seen_exactly(nodes, first, later, dom, vfb) -> bool:
     return False
 
 
+def _execute(tsa: Tsa, runs: Iterable[tuple[str, Iterable[tuple[object, int]]]]) -> list[RunTrace]:
+    """Re-execute runs from the initial configuration through `step`.  A
+    run is (word, steps), each step a (step id, delta index) pair; a step id
+    names one step from one configuration, so runs that share a step id
+    share its step: it is executed once, by the first run that has it, and
+    the later ones take its Configuration.  Raises ReplayMismatch at the
+    first step that does not apply, numbered from 1 along its run."""
+    init = initial_configuration(tsa)
+    done: dict = {}  # step id -> the configuration it produced
+    traces = []
+    for word, run in runs:
+        cfg = init
+        steps = []
+        for j, (sid, tidx) in enumerate(run, start=1):
+            nxt = done.get(sid)
+            if nxt is None:
+                if not 0 <= tidx < len(tsa.delta):
+                    raise ReplayMismatch(j, f"no transition #{tidx + 1}")
+                try:
+                    nxt = done[sid] = step(tsa, word, cfg, tsa.delta[tidx])
+                except NotApplicable as e:
+                    raise ReplayMismatch(j, e.reason) from None
+            cfg = nxt
+            steps.append((tidx, cfg))
+        traces.append(RunTrace(tsa, word, steps, init))
+    return traces
+
+
 def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
-    """Re-execute a transition index sequence from the initial configuration.
+    """Re-execute a transition index sequence from the initial configuration:
+    `_execute` on one run, whose steps share nothing.
 
     Raises ReplayMismatch at the first inapplicable step; the final
     configuration is trace.final().
     """
-    cfg = initial_configuration(tsa)
-    steps = []
-    for j, tidx in enumerate(tidx_seq, start=1):
-        if not 0 <= tidx < len(tsa.delta):
-            raise ReplayMismatch(j, f"no transition #{tidx + 1}")
-        try:
-            cfg = step(tsa, word, cfg, tsa.delta[tidx])
-        except NotApplicable as e:
-            raise ReplayMismatch(j, e.reason) from None
-        steps.append((tidx, cfg))
-    return RunTrace(tsa, word, steps, initial_configuration(tsa))
+    return _execute(tsa, [(word, enumerate(tidx_seq))])[0]
 
 
 def replay_trace(trace: RunTrace) -> Configuration:
@@ -745,10 +804,11 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     One breadth-first walk over (configuration, read prefix) pairs with
     every word up to max_len as a target, each under the budgets of its
     own length: `_search` in walk mode.  A prefix that no configuration
-    reaches prunes all its words, and each accepted word's witness is
-    re-executed by `replay`.  The walk holds the configurations of all live
-    prefixes at once, so it needs more memory than one search per word: on
-    wpz at max_len 8, 15.2 MB traced (tracemalloc).
+    reaches prunes all its words, and the accepted words' witnesses are
+    re-executed by `_Walk.witnesses`, each arena node once.  The walk
+    holds the configurations of all live prefixes at once, so it needs more
+    memory than one search per word: on wpz at max_len 8, 15.8 MB traced
+    (tracemalloc).
     """
     walk = _Walk(tsa, opts, max_len)
     _search(tsa, _tsa_rows(tsa, opts), None, max_len, opts, walk)
@@ -764,10 +824,12 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     """`accepts(tsa, w, opts)` for every word w of `words`, from one
     breadth-first walk over (configuration, read prefix) pairs whose
     reading steps follow the prefixes of the words: `_search` in walk
-    mode, each word under the budgets of its own length.  Each witness is
-    re-executed by `replay`.  The walk holds the configurations of all
-    live prefixes at once, so it needs more memory than one search per
-    word, less what the words' shared prefixes share."""
+    mode, each word under the budgets of its own length.  The witnesses
+    are re-executed by `_Walk.witnesses`, each arena node once, so
+    witnesses with a common prefix share its Configurations.  The walk
+    holds the configurations of all live prefixes at once, so it needs
+    more memory than one search per word, less what the words' shared
+    prefixes share."""
     words = list(dict.fromkeys(words))
     if not words:
         return {}

@@ -12,7 +12,6 @@ from tsalab.langlab import (
     F2F2_ALPHABET,
     F2F2_PSI,
     GroupAlphabet,
-    LinearSet,
     UnknownLetter,
     WPZ_ALPHABET,
     build_Bw,
@@ -69,12 +68,6 @@ def test_parikh_unknown_letter():
 def test_parikh_additive(u, v):
     alpha = ("a", "b")
     assert (parikh(u, alpha) + parikh(v, alpha)).counts == parikh(u + v, alpha).counts
-
-
-def test_linear_set_validation():
-    LinearSet((1, 1), ((1, 1),))
-    with pytest.raises(ValueError):
-        LinearSet((-1, 0))
 
 
 # -- gap checks ---------------------------------------------------------------

@@ -29,12 +29,15 @@ from tsalab.langlab import eps_free, parse_fsa, regex_to_fsa, tsa_fsa_product
 from tsalab.analysis import collect_upsets
 from tsalab.tsa import (
     BudgetExceeded,
+    ReplayMismatch,
     SearchOptions,
     accepts,
+    accepts_each,
     default_max_vertices,
     enumerate_words,
     parse_tsa,
     render_tsa,
+    replay,
     shortest_accepted,
 )
 
@@ -45,7 +48,7 @@ from reference_search import (
     ref_pda_accepts,
     ref_shortest_accepted,
 )
-from strategies import random_tsas
+from strategies import random_pdas, random_tsas
 
 
 MACHINES = {
@@ -361,3 +364,177 @@ def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
     tsa_distinct = distinct
     assert [outcome(pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries] == expected_pda
     assert distinct > tsa_distinct  # stacks of one height told apart the same way
+
+
+# The length bound of `shortest_accepted` cuts the search off (`budget`) at
+# a node whose state has any reading transition, before that transition's
+# predicate is tested: here q1's only reading transition tests eq B under a
+# pointer labelled A.  A search that tested the predicate first would
+# answer `exhausted`.
+LENGTH_BOUND_TSA = """tsa
+states: q0 q1 qf
+initial: q0
+final: qf
+labels: A B
+alphabet: a
+trans: q0 eps true push 1 A q1
+trans: q1 a eq B id qf
+"""
+
+
+def test_length_bound_cut_comes_before_the_predicate():
+    tsa = parse_tsa(LENGTH_BOUND_TSA)
+    for opts in (SearchOptions(), SearchOptions(accept_mode="any"), SearchOptions(k=1)):
+        got = shortest_accepted(tsa, 0, opts)
+        assert outcome(got) == ("NotFound", "budget")
+        assert outcome(got) == outcome(ref_shortest_accepted(tsa, 0, opts))
+        # a fixed word has no length bound to meet
+        assert outcome(accepts(tsa, "", opts)) == ("NotFound", "exhausted")
+        assert outcome(ref_accepts(tsa, "", opts)) == ("NotFound", "exhausted")
+
+
+# State q interleaves eq and true predicates with reading and eps
+# transitions.  Each of q's transitions from 1 to 3 starts one accepting run
+# of length 2 on "a" (0 never applies at the root), so the witness is the
+# run that starts with whichever of them comes first in delta order.
+DELTA_ORDER_Q = [
+    "q a eq A id f  # 0",
+    "q eps eq @ push 1 A p  # 1",
+    "q a true id r  # 2",
+    "q eps true push 2 B p  # 3",
+]
+DELTA_ORDER_REST = [
+    "p a eq A id f  # 1",
+    "p a eq B id f  # 3",
+    "r eps true id f  # 2",
+]
+
+
+def delta_order_tsa(q_rows):
+    lines = ["tsa", "states: q p r f", "initial: q", "final: f", "labels: A B", "alphabet: a"]
+    return parse_tsa("\n".join(lines + ["trans: " + row for row in (*q_rows, *DELTA_ORDER_REST)])
+                     + "\n")
+
+
+def test_witness_follows_delta_order_among_equal_runs():
+    opts = SearchOptions(accept_mode="any")
+    for q_rows in itertools.permutations(DELTA_ORDER_Q):
+        tsa = delta_order_tsa(q_rows)
+        first = next(row[-1] for row in q_rows if not row.endswith("0"))
+        on_a = ref_accepts(tsa, "a", opts)
+        for got, want in ((accepts(tsa, "a", opts), on_a),
+                          (accepts_each(tsa, ["a"], opts)["a"], on_a),
+                          (shortest_accepted(tsa, 1, opts), ref_shortest_accepted(tsa, 1, opts))):
+            assert outcome(got) == outcome(want)
+            assert [name[-1] for name in got.names()] == [first, first]
+
+
+# Random machines against the references, query by query.  Both sides have
+# the same budgets, so every answer is compared, budget cuts included.
+
+def test_accepts_and_shortest_accepted_match_reference_on_random_machines():
+    words = list(words_upto("ab", 3))
+    kinds = set()
+    for tsa in random_tsas(15, 1000):
+        for opt_name, opts in RANDOM_OPTIONS.items():
+            for w in words:
+                got = accepts(tsa, w, opts)
+                assert outcome(got) == outcome(ref_accepts(tsa, w, opts)), (w, opt_name, render_tsa(tsa))
+                kinds.add(outcome(got)[0] if got else got.reason)
+            for max_len in range(4):
+                got = shortest_accepted(tsa, max_len, opts)
+                want = ref_shortest_accepted(tsa, max_len, opts)
+                assert outcome(got) == outcome(want), (max_len, opt_name, render_tsa(tsa))
+                kinds.add(("shortest", outcome(got)[0] if got else got.reason))
+    assert kinds == {"RunTrace", "exhausted", "budget",
+                     ("shortest", "RunTrace"), ("shortest", "exhausted"), ("shortest", "budget")}
+
+
+def test_pda_accepts_matches_reference_on_random_machines():
+    words = list(words_upto("ab", 4))
+    reasons = set()
+    for pda in random_pdas(16, 1000):
+        for budgets in ({"max_steps": 10, "max_stack": 4}, {"max_steps": 6, "max_stack": 3}):
+            reasons |= diff_pda_accepts(pda, words, budgets)
+    assert reasons == {"RunTrace", "exhausted", "budget"}
+
+
+# The walk re-executes each arena node once and shares its configuration
+# among the witnesses through it; each witness must still be the run that
+# `replay` makes of its word and transition indices.
+
+def walk_witnesses(monkeypatch, call):
+    """The witnesses a walk re-executes while `call()` runs."""
+    made = {}
+    witnesses = tsa_mod._Walk.witnesses
+
+    def recording(walk, tsa):
+        out = witnesses(walk, tsa)
+        made.update(out)
+        return out
+
+    monkeypatch.setattr(tsa_mod._Walk, "witnesses", recording)
+    call()
+    monkeypatch.undo()
+    return made
+
+
+def assert_replays(tsa, traces):
+    for w, trace in traces.items():
+        assert outcome(trace) == outcome(replay(tsa, w, trace.transition_indices())), w
+
+
+def test_shared_witnesses_equal_replay_on_wpz(monkeypatch):
+    tsa = fixture_wpz_tsa()
+    made = walk_witnesses(monkeypatch, lambda: enumerate_words(tsa, 8))
+    assert len(made) == 99
+    assert_replays(tsa, made)
+    steps = [cfg for trace in made.values() for _, cfg in trace.steps]
+    assert len({id(cfg) for cfg in steps}) < len(steps)  # shared prefixes ran once
+    each = accepts_each(tsa, sorted(made)[::-1])
+    assert_replays(tsa, each)
+    assert {w: outcome(t) for w, t in each.items()} == {w: outcome(t) for w, t in made.items()}
+
+
+def test_shared_witnesses_equal_replay_on_random_machines(monkeypatch):
+    words = list(words_upto("ab", 4))
+    accepted = 0
+    for tsa in random_tsas(17, 300):
+        for opts in RANDOM_OPTIONS.values():
+            made = walk_witnesses(monkeypatch, lambda: enumeration(enumerate_words, tsa, 4, opts))
+            assert_replays(tsa, made)
+            each = {w: t for w, t in accepts_each(tsa, words[::-1], opts).items() if t}
+            assert_replays(tsa, each)
+            assert set(each) == set(made)
+            accepted += len(made)
+    assert accepted > 0
+
+
+def test_tampered_shared_step_raises_where_replay_does():
+    tsa = fixture_wpz_tsa()
+    opts = SearchOptions()
+    walk = tsa_mod._Walk(tsa, opts, 6)
+    tsa_mod._search(tsa, tsa_mod._tsa_rows(tsa, opts), None, 6, opts, walk)
+    runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its steps
+    on = {}  # arena node id -> the words whose witness steps through it
+    for w, run in runs.items():
+        for node, _ in run:
+            on.setdefault(node, []).append(w)
+    # the deepest arena node on more than one witness, past the first step
+    depth = {node: j for run in runs.values() for j, (node, _) in enumerate(run, start=1)}
+    shared = max((node for node, words in on.items() if len(words) > 1 and depth[node] > 1),
+                 key=depth.get)
+    j = depth[shared]
+    # a transition from another state cannot apply at the tampered node
+    src = tsa.delta[runs[on[shared][0]][j - 2][1]].dst
+    bad = next(i for i, t in enumerate(tsa.delta) if t.src != src)
+    for w in on[shared]:
+        runs[w][j - 1] = (shared, bad)
+    with pytest.raises(ReplayMismatch) as shared_error:
+        walk.witnesses(tsa)
+    assert shared_error.value.step_index == j
+    for w in on[shared]:
+        with pytest.raises(ReplayMismatch) as replay_error:
+            replay(tsa, w, [tidx for _, tidx in runs[w]])
+        assert replay_error.value.step_index == j
+        assert str(replay_error.value) == str(shared_error.value)
