@@ -583,27 +583,29 @@ def build_Bw(fsa: Fsa, w: str | Sequence[str], pairing: GroupAlphabet) -> Fsa:
 
 @dataclass
 class RationalAnswer:
-    verdict: str  # "yes" | "unknown"
+    """The answer of `rational_membership`, with the witness word and its
+    run on the product for yes, and the search's NotFound reason otherwise."""
+
+    verdict: str  # "yes" | "no" | "unknown"
     witness: str | None = None
     trace: RunTrace | None = None
-    reason: str | None = None  # for unknown: "budget" | "exhausted"
+    reason: str | None = None  # for no and unknown: "exhausted" | "budget"
 
 
 def rational_membership(wp_tsa: Tsa, fsa: Fsa, w: str, pairing: GroupAlphabet,
                         max_len: int = 12) -> RationalAnswer:
     """Does the group element of w lie in the rational subset the FSA
     describes?  Searches WP x (B . w^{-1}) for any accepted word up to
-    max_len: a witness proves yes; otherwise the answer is unknown, since
-    the search is a bounded stand-in for a grammar-level emptiness test."""
+    max_len.  A witness proves yes.  An exhausted search proves no: no step,
+    vertex or length-bound cut happened, and the length bound cuts at every
+    reading state it reaches, so the product's language is empty.  A budget
+    cut leaves the answer unknown."""
     bw = eps_free(build_Bw(fsa, w, pairing))
     product = tsa_fsa_product(wp_tsa, bw)
     res = shortest_accepted(product, max_len, SearchOptions())
     if res:
-        from .tsa import replay_trace
-
-        replay_trace(res)  # a yes answer must come with a replaying witness
         return RationalAnswer("yes", witness=res.word, trace=res)
-    return RationalAnswer("unknown", reason=res.reason)
+    return RationalAnswer("no" if res.reason == "exhausted" else "unknown", reason=res.reason)
 
 
 # ---------------------------------------------------------------------------

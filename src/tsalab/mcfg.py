@@ -64,9 +64,6 @@ class Mcfg:
     rules: tuple[McfgRule, ...]
     start: str
 
-    def rank_of(self, nt: str) -> int:
-        return dict(self.ranks)[nt]
-
 
 def _validate_rule(rule: McfgRule, lineno: int):
     """The rule checks the parse loop leaves over: it fixes every

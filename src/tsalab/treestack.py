@@ -199,24 +199,12 @@ def ts_init() -> TreeStack:
     return TreeStack({ROOT: ROOT_LABEL}, ROOT, _validate=False)
 
 
-def instr_applicable(ts: TreeStack, instr: Instruction) -> bool:
-    """Cheap applicability test; mirrors ts_apply without building anything."""
-    k = instr.kind
-    if k == "id":
-        return True
-    if k == "push":
-        return ts.pointer + (instr.n,) not in ts.dom
-    if k == "up":
-        return ts.pointer + (instr.n,) in ts.dom
-    # down / set both need a non-root pointer
-    return ts.pointer != ROOT
-
-
 def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
     """Apply one instruction, returning a new tree stack.
 
     Raises PushTargetExists / UpTargetMissing / PointerAtRoot when the
-    partial function is undefined; no instruction ever removes a vertex.
+    partial function is undefined, the one applicability rule (`tsa.step`
+    turns them into NotApplicable); no instruction ever removes a vertex.
     """
     k = instr.kind
     if k == "id":

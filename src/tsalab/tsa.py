@@ -22,7 +22,7 @@ from .treestack import (
     Predicate,
     PRED_TRUE,
     TreeStack,
-    instr_applicable,
+    TreeStackError,
     instr_down,
     instr_id,
     instr_push,
@@ -201,7 +201,9 @@ def _bump_vfb(vfb: tuple, addr: Address) -> tuple:
 
 
 def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
-    """Apply one transition; raises NotApplicable with the failing check."""
+    """Apply one transition; raises NotApplicable with the failing check:
+    "state mismatch", "input mismatch", "PredicateFails", or
+    "InstructionFails" where `ts_apply` refuses the instruction."""
     if cfg.state != t.src:
         raise NotApplicable("state mismatch")
     if t.inp is not None:
@@ -209,9 +211,10 @@ def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
             raise NotApplicable("input mismatch")
     if not pred_eval(cfg.ts, t.pred):
         raise NotApplicable("PredicateFails")
-    if not instr_applicable(cfg.ts, t.instr):
-        raise NotApplicable("InstructionFails")
-    ts = ts_apply(cfg.ts, t.instr)
+    try:
+        ts = ts_apply(cfg.ts, t.instr)
+    except TreeStackError:
+        raise NotApplicable("InstructionFails") from None
     vfb = cfg.vfb
     if t.instr.kind in ("push", "up"):
         vfb = _bump_vfb(vfb, ts.pointer)
@@ -323,9 +326,10 @@ class Dispatch(dict):
     """A machine's delta as the rows `_search` reads, keyed by (control
     state, pointer label, letter key).  A row is (delta index, letter or
     None for eps, predicate label or None, kind code, child index, new
-    label, target, stationary flag); `by_state` lists every row of each
-    state in delta order.  The letter key is the next letter of a fixed
-    word, which keeps the eps rows and the rows that read that letter;
+    label, target, stationary-eps flag); the flag is set on every eps row
+    with id or set, whatever the search's options.  `by_state` lists every
+    row of each state in delta order.  The letter key is the next letter of
+    a fixed word, which keeps the eps rows and the rows that read that letter;
     END, which keeps the eps rows, at the end of a fixed word or of the
     room to read; or ANY_LETTER, which keeps every row, for free reading.
     Each entry holds exactly the rows of its state whose letter and
@@ -351,35 +355,34 @@ class Dispatch(dict):
         return rows
 
 
-def search_rows(machine, moves, proper_only: bool = False) -> Dispatch:
+def search_rows(machine, moves) -> Dispatch:
     """machine.delta as the `Dispatch` table `_search` reads.  `moves`
     gives one (predicate label or None, instruction kind, child index, new
-    label) per transition; the kinds are a TSA's plus "pop".  The
-    stationary flag is only set when proper_only forbids two stationary eps
-    steps in a row.  Cached on the machine, one table per proper_only:
-    machines are immutable."""
-    cache = machine.__dict__.setdefault("_search_rows", {})
-    table = cache.get(proper_only)
+    label) per transition; the kinds are a TSA's plus "pop".  Cached on
+    the machine, one table for every search on it, since machines are
+    immutable and `_search` ignores the stationary-eps flags unless
+    proper_only is set."""
+    table = machine.__dict__.get("_search_rows")
     if table is None:
         rows = {q: [] for q in machine.states}
         for tidx, (t, (plab, kind, n, nlab)) in enumerate(zip(machine.delta, moves)):
-            stat = proper_only and t.inp is None and kind in ("id", "set")
+            stat = t.inp is None and kind in ("id", "set")
             rows[t.src].append((tidx, t.inp, plab, _KIND_CODE[kind], n, nlab, t.dst, stat))
         readers = frozenset(t.src for t in machine.delta if t.inp is not None)
-        table = cache[proper_only] = Dispatch(rows, readers)
+        table = machine.__dict__["_search_rows"] = Dispatch(rows, readers)
     return table
 
 
-def _tsa_rows(tsa: Tsa, opts: SearchOptions) -> Dispatch:
+def _tsa_rows(tsa: Tsa) -> Dispatch:
     moves = ((t.pred.label, t.instr.kind, t.instr.n, t.instr.label) for t in tsa.delta)
-    return search_rows(tsa, moves, opts.proper_only)
+    return search_rows(tsa, moves)
 
 
 def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
     """`_search` on a TSA.  The witness is the arena path re-executed by
     `replay`, so a search-core bug raises ReplayMismatch rather than
     returning a run the step semantics do not allow."""
-    found = _search(tsa, _tsa_rows(tsa, opts), w, max_len, opts)
+    found = _search(tsa, _tsa_rows(tsa), w, max_len, opts)
     if isinstance(found, NotFound):
         return found
     tidxs = [node[9] for node in found[1:]]
@@ -605,6 +608,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     if walk is not None:
         words, pending, vcap = walk.words, walk.pending, walk.vcap
     k = opts.k
+    proper = opts.proper_only
     root_only = opts.accept_mode == "root"
     finals = machine.finals
     eh = _entry_hash
@@ -613,8 +617,8 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
     up_of = [-1]  # parent id per id; the root is id 0
     # arena of (state, pos or prefix id, {id: label}, pointer id, {id: vfb
-    # count} or None when k is None, tree hash, vfb hash, stationary flag,
-    # parent node, delta index)
+    # count} or None when k is None, tree hash, vfb hash, stationary flag if
+    # proper, parent node, delta index)
     nodes = [(machine.initial, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
     if machine.initial in finals:
         if walk is None:
@@ -706,6 +710,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                         continue
                 elif len(ndom) > vcap[npos] and walk.vertex_cut(npos, len(ndom)):
                     continue
+                stat = stat and proper
                 key = (dst, npos, nth, nptr, nvh, stat)
                 me = len(nodes)
                 first = seen.get(key)
@@ -781,18 +786,23 @@ def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
 
 
 def replay_trace(trace: RunTrace) -> Configuration:
-    """Replay a RunTrace, checking each recorded configuration matches."""
-    cfg = initial_configuration(trace.tsa)
-    for j, (tidx, recorded) in enumerate(trace.steps, start=1):
-        try:
-            cfg = step(trace.tsa, trace.word, cfg, trace.tsa.delta[tidx])
-        except NotApplicable as e:
-            raise ReplayMismatch(j, e.reason) from None
+    """`replay` of a RunTrace's transition indices, checked against its
+    recorded configurations; returns the final configuration.  Raises
+    ReplayMismatch at the first step that does not apply or differs from
+    its record, or at the last step if the run leaves the word unread."""
+    tidxs = trace.transition_indices()
+    try:
+        again, failed = replay(trace.tsa, trace.word, tidxs), None
+    except ReplayMismatch as e:  # a step before it may differ from its record
+        again, failed = replay(trace.tsa, trace.word, tidxs[:e.step_index - 1]), e
+    for j, ((_, recorded), (_, cfg)) in enumerate(zip(trace.steps, again.steps), start=1):
         if cfg != recorded:
             raise ReplayMismatch(j, "recorded configuration differs")
-    if cfg.pos != len(trace.word):
+    if failed:
+        raise failed
+    if again.final().pos != len(trace.word):
         raise ReplayMismatch(len(trace.steps), "word not fully consumed")
-    return cfg
+    return again.final()
 
 
 def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> set[str]:
@@ -811,7 +821,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     (tracemalloc).
     """
     walk = _Walk(tsa, opts, max_len)
-    _search(tsa, _tsa_rows(tsa, opts), None, max_len, opts, walk)
+    _search(tsa, _tsa_rows(tsa), None, max_len, opts, walk)
     found = set(walk.witnesses(tsa))
     budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
@@ -834,7 +844,7 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     if not words:
         return {}
     walk = _Walk(tsa, opts, max(map(len, words)), words)
-    _search(tsa, _tsa_rows(tsa, opts), None, walk.max_len, opts, walk)
+    _search(tsa, _tsa_rows(tsa), None, walk.max_len, opts, walk)
     found = walk.witnesses(tsa)
     return {w: found[w] if w in found else NotFound("budget" if walk.was_cut(w) else "exhausted")
             for w in words}

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from tsalab.analysis import EmpiricalUpSet, _crossings, _factorise, _history_from_pairs
 from tsalab.convert import Pda, PdaConfig, PdaTrace, PdaTransition
-from tsalab.treestack import ROOT, ROOT_LABEL, instr_applicable, pred_eval, ts_apply
+from tsalab.treestack import ROOT, ROOT_LABEL, TreeStackError, pred_eval, ts_apply
 from tsalab.tsa import (
     BudgetExceeded,
     Configuration,
@@ -42,6 +42,14 @@ def _bump_vfb(vfb: tuple, addr) -> tuple:
     d = dict(vfb)
     d[addr] = d.get(addr, 0) + 1
     return tuple(sorted(d.items()))
+
+
+def _applied(ts, instr):
+    """ts_apply, or None where the instruction does not apply."""
+    try:
+        return ts_apply(ts, instr)
+    except TreeStackError:
+        return None
 
 
 def _outgoing(tsa: Tsa) -> dict[str, list[tuple[int, Transition]]]:
@@ -100,12 +108,12 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
                     continue
                 if not pred_eval(cfg.ts, t.pred):
                     continue
-                if not instr_applicable(cfg.ts, t.instr):
+                ts = _applied(cfg.ts, t.instr)
+                if ts is None:
                     continue
                 stat = t.is_stationary_eps()
                 if opts.proper_only and was_stat and stat:
                     continue
-                ts = ts_apply(cfg.ts, t.instr)
                 vfb = cfg.vfb
                 if t.instr.kind in ("push", "up"):
                     vfb = _bump_vfb(vfb, ts.pointer)
@@ -187,12 +195,12 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
                     continue
                 if not pred_eval(cfg.ts, t.pred):
                     continue
-                if not instr_applicable(cfg.ts, t.instr):
+                ts = _applied(cfg.ts, t.instr)
+                if ts is None:
                     continue
                 stat = t.is_stationary_eps()
                 if opts.proper_only and was_stat and stat:
                     continue
-                ts = ts_apply(cfg.ts, t.instr)
                 vfb = cfg.vfb
                 if t.instr.kind in ("push", "up"):
                     vfb = _bump_vfb(vfb, ts.pointer)

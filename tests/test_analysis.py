@@ -18,6 +18,7 @@ from tsalab.analysis import (
     EmptyLevel1,
     HistoryMismatch,
     StrongConditionViolated,
+    TraceNotAtRoot,
     TraceNotProper,
     VertexNotInFinalTree,
     ZeroPumpVolume,
@@ -114,6 +115,19 @@ def test_updown_requires_proper(demo_trace):
               frozenset({"q2"}))
     tr = replay(imp, "a", [0, 1, 2])
     with pytest.raises(TraceNotProper):
+        up_down_vector(tr, (1,))
+
+
+def test_updown_requires_the_run_to_end_at_the_root():
+    from tsalab.treestack import PRED_TRUE, instr_push
+    from tsalab.tsa import Transition, Tsa
+
+    tsa = Tsa(("q0", "q1"), ("x",), ("a",), "q0",
+              (Transition("q0", "a", PRED_TRUE, instr_push(1, "x"), "q1"),),
+              frozenset({"q1"}))
+    tr = accepts(tsa, "a", SearchOptions(accept_mode="any"))
+    assert tr and tr.final().ts.pointer == (1,)
+    with pytest.raises(TraceNotAtRoot):
         up_down_vector(tr, (1,))
 
 

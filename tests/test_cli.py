@@ -561,6 +561,8 @@ def test_rational_command():
     code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "T",
                         "--budget", "8")
     assert code == 2 and "verdict=unknown" in out and "reason=budget" in out
+    code, out = run_cli("--porcelain", "rational", "--wp", "wpz", "--regex", "tT", "--word", "t")
+    assert code == 1 and "verdict=no\nreason=exhausted\n" in out
 
 
 def test_suite_unknown_name():

@@ -423,7 +423,15 @@ def test_rational_unknown_T(wpz_tsa):
     B = regex_to_fsa("t+", ("t", "T"))
     ans = rational_membership(wpz_tsa, B, "T", WPZ_ALPHABET, max_len=8)
     assert ans.verdict == "unknown"
-    assert ans.reason in ("budget", "exhausted")
+    assert ans.reason == "budget"
+
+
+def test_rational_no_when_the_search_is_exhausted(wpz_tsa):
+    # tT is the identity and t is not, so no word of the product exists,
+    # and the search sees every configuration it can reach
+    B = regex_to_fsa("tT", ("t", "T"))
+    ans = rational_membership(wpz_tsa, B, "t", WPZ_ALPHABET)
+    assert (ans.verdict, ans.reason, ans.witness) == ("no", "exhausted", None)
 
 
 def test_rational_universal(wpz_tsa):

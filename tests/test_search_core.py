@@ -514,7 +514,7 @@ def test_tampered_shared_step_raises_where_replay_does():
     tsa = fixture_wpz_tsa()
     opts = SearchOptions()
     walk = tsa_mod._Walk(tsa, opts, 6)
-    tsa_mod._search(tsa, tsa_mod._tsa_rows(tsa, opts), None, 6, opts, walk)
+    tsa_mod._search(tsa, tsa_mod._tsa_rows(tsa), None, 6, opts, walk)
     runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its steps
     on = {}  # arena node id -> the words whose witness steps through it
     for w, run in runs.items():
@@ -538,3 +538,17 @@ def test_tampered_shared_step_raises_where_replay_does():
             replay(tsa, w, [tidx for _, tidx in runs[w]])
         assert replay_error.value.step_index == j
         assert str(replay_error.value) == str(shared_error.value)
+
+
+def test_searches_with_any_options_share_one_dispatch_table():
+    tsa = abcd_tsa()
+    enumerate_words(tsa, 4, SearchOptions(k=2))
+    table = tsa_mod._tsa_rows(tsa)
+    entries = dict(table)
+    collect_upsets(tsa, [abcd_word(1), abcd_word(2)], SearchOptions(k=2))  # proper runs
+    assert tsa_mod._tsa_rows(tsa) is table
+    assert entries and all(table[key] is rows for key, rows in entries.items())
+    # every eps row that keeps the pointer carries its flag, whatever the options
+    rows = [row for q in tsa.states for row in table.by_state[q]]
+    assert [row[7] for row in rows] == [tsa.delta[row[0]].is_stationary_eps() for row in rows]
+    assert any(row[7] for row in rows)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
 from reference_search import _bump_vfb as ref_bump_vfb
+from strategies import random_tsas
 
 from tsalab.convert import (
     Pda,
@@ -17,18 +20,21 @@ from tsalab.convert import (
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
-from tsalab.treestack import PRED_TRUE, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
+from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
     _bump_vfb,
     BadIndex,
+    Configuration,
     NotApplicable,
     ParseError,
     ReplayMismatch,
+    RunTrace,
     SearchOptions,
     Transition,
     Tsa,
     UnknownState,
     accepts,
+    applicable_transitions,
     degree,
     enumerate_words,
     initial_configuration,
@@ -222,6 +228,49 @@ def test_step_predicate_fails():
         step(tsa, "b", cfg, tsa.delta[3])  # s4 wants eq STAR, root is @
 
 
+STEP_TSA = parse_tsa("""tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: X
+alphabet: a
+trans: q0 a true id q1
+trans: q0 eps eq X id q1
+trans: q0 eps true push 1 X q1
+trans: q0 eps true up 1 q1
+trans: q0 eps true down q1
+trans: q0 eps true set X q1
+""")
+AT_ROOT = initial_configuration(STEP_TSA)
+ABOVE_CHILD = Configuration("q0", TreeStack({(): "@", (1,): "X"}, ()), 0, ())  # pointer at the root
+
+
+@pytest.mark.parametrize("word, cfg, tidx, reason", [
+    ("a", replace(AT_ROOT, state="q1"), 0, "state mismatch"),
+    ("", AT_ROOT, 0, "input mismatch"),
+    ("", AT_ROOT, 1, "PredicateFails"),
+    ("", ABOVE_CHILD, 2, "InstructionFails"),  # push onto an existing child
+    ("", AT_ROOT, 3, "InstructionFails"),  # up to a missing child
+    ("", AT_ROOT, 4, "InstructionFails"),  # down at the root
+    ("", AT_ROOT, 5, "InstructionFails"),  # set at the root
+])
+def test_step_refusal_reasons(word, cfg, tidx, reason):
+    with pytest.raises(NotApplicable) as e:
+        step(STEP_TSA, word, cfg, STEP_TSA.delta[tidx])
+    assert e.value.reason == reason
+
+
+def test_applicable_transitions_let_no_tree_stack_error_out():
+    assert applicable_transitions(STEP_TSA, "a", AT_ROOT) == [STEP_TSA.delta[0], STEP_TSA.delta[2]]
+    assert applicable_transitions(STEP_TSA, "", ABOVE_CHILD) == [STEP_TSA.delta[3]]
+    # every transition at every configuration three steps from the start
+    for tsa in random_tsas(5, 200):
+        layer = [(w, initial_configuration(tsa)) for w in ("", "a", "ab")]
+        for _ in range(3):
+            layer = [(w, step(tsa, w, cfg, t)) for w, cfg in layer
+                     for t in applicable_transitions(tsa, w, cfg)][:50]
+
+
 def test_replay_table_sequence():
     tsa = abcd_tsa()
     seq = [0, 0, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8]
@@ -244,6 +293,27 @@ def test_replay_bad_last_step():
     with pytest.raises(ReplayMismatch) as e:
         replay(tsa, "aabbccdd", seq)
     assert e.value.step_index == 13
+
+
+def test_replay_trace_reports_the_first_bad_step():
+    tsa = abcd_tsa()
+    good = accepts(tsa, "aabbccdd", K2)
+    steps = good.steps
+    other = steps[0][1]
+    wrong_cfg = steps[:3] + [(steps[3][0], other)] + steps[4:]
+    wrong_last = steps[:-1] + [(7, steps[-1][1])]  # s8 again instead of s9
+    cases = [
+        (wrong_cfg, "aabbccdd", 4, "recorded configuration differs"),
+        (wrong_last, "aabbccdd", 13, "input mismatch"),
+        (wrong_cfg[:-1] + wrong_last[-1:], "aabbccdd", 4, "recorded configuration differs"),
+        (steps[:5], "aabbccdd", 5, "word not fully consumed"),
+        (steps[:3] + [(99, other)], "aabbccdd", 4, "no transition #100"),
+    ]
+    for bad, word, index, reason in cases:
+        with pytest.raises(ReplayMismatch) as e:
+            replay_trace(RunTrace(tsa, word, bad, good.initial))
+        assert (e.value.step_index, str(e.value)) == (index, f"step {index}: {reason}")
+    assert replay_trace(good) == good.final()
 
 
 def test_accepts_matches_table():
