@@ -23,6 +23,7 @@ from .tsa import (
     accepts,
     accepts_each,
     degree,
+    is_accepting_run,
     is_proper,
     replay,
     visited_from_below_counts,
@@ -241,10 +242,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
         prev = m
     spliced.extend(idx1[prev:])
     try:
-        final = replay(trace_w.tsa, word, spliced).final()
-        replay_ok = (final.pos == len(word)
-                     and final.state in trace_w.tsa.finals
-                     and final.ts.pointer == ROOT)
+        replay_ok = is_accepting_run(replay(trace_w.tsa, word, spliced))
     except ReplayMismatch:
         replay_ok = False
 

@@ -33,6 +33,7 @@ from .tsa import (
     applicable_transitions,
     degree,
     enumerate_words,
+    is_accepting_run,
     is_proper,
     make_root_accepting,
     normalize_child_indices,
@@ -75,9 +76,10 @@ def search_options(args) -> SearchOptions:
     max_steps = getattr(args, "max_steps", None)
     env = os.environ.get("TSALAB_MAX_STEPS")
     if max_steps is None and env:
-        if not env.isdigit():
-            raise InputError(f"TSALAB_MAX_STEPS must be a number, got {env!r}")
-        max_steps = int(env)
+        try:  # parsed as --max-steps is
+            max_steps = at_least(0)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InputError(f"TSALAB_MAX_STEPS must be a number, got {env!r}") from None
     return SearchOptions(
         k=getattr(args, "k", None),
         accept_mode=getattr(args, "accept_mode", "root"),
@@ -180,7 +182,8 @@ def cmd_trace(args) -> int:
         if not done and not applicable_transitions(tsa, args.word, final):
             print(f"STUCK state={final.state} pointer={format_address(final.ts.pointer)} "
                   f"label={final.ts.pointer_label} pos={final.pos}")
-        return 0 if done else 1
+        opts = SearchOptions(k=args.k, accept_mode=args.accept_mode, proper_only=args.proper)
+        return 0 if is_accepting_run(tr, opts) else 1
     opts = search_options(args)
     res = accepts(tsa, args.word, opts)
     if res:

@@ -15,7 +15,7 @@ from .tsa import (
     accepts,
     applicable_transitions,
     enumerate_words,
-    is_k_restricted,
+    is_accepting_run,
     replay,
 )
 
@@ -40,7 +40,7 @@ def abcd_witnesses() -> list[Record]:
     tsa = fixtures.abcd_tsa()
     runs = [accepts(tsa, abcd_word(m), K2) for m in range(7)]
     out = [(f"abcd accepts m={m} at the root, 2-restricted",
-            bool(res) and res.final().ts.pointer == () and is_k_restricted(res, 2), "")
+            bool(res) and is_accepting_run(res, K2), "")
            for m, res in enumerate(runs)]
     out.append(("m=2 run is " + " ".join(ABCD_M2_NAMES),
                 bool(runs[2]) and runs[2].names() == ABCD_M2_NAMES, ""))

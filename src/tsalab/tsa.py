@@ -9,12 +9,13 @@ golden-trace tests depend on that.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .treestack import (
+    ROOT,
     ROOT_LABEL,
     Address,
     InputError,
@@ -179,25 +180,16 @@ class Tsa:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Search state: control state, tree stack, input position, and the
-    per-vertex count of visits from below (push or up arrivals)."""
+    """A point of a run: control state, tree stack and input position.  The
+    visits from below are read off a whole run by `visited_from_below_counts`."""
 
     state: str
     ts: TreeStack
     pos: int
-    vfb: tuple[tuple[Address, int], ...]
 
 
 def initial_configuration(tsa: Tsa) -> Configuration:
-    return Configuration(tsa.initial, ts_init(), 0, ())
-
-
-def _bump_vfb(vfb: tuple, addr: Address) -> tuple:
-    """The sorted (address, count) tuple with addr's count one higher."""
-    i = bisect.bisect_left(vfb, (addr,))
-    if i < len(vfb) and vfb[i][0] == addr:
-        return vfb[:i] + ((addr, vfb[i][1] + 1),) + vfb[i + 1:]
-    return vfb[:i] + ((addr, 1),) + vfb[i:]
+    return Configuration(tsa.initial, ts_init(), 0)
 
 
 def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
@@ -215,10 +207,7 @@ def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
         ts = ts_apply(cfg.ts, t.instr)
     except TreeStackError:
         raise NotApplicable("InstructionFails") from None
-    vfb = cfg.vfb
-    if t.instr.kind in ("push", "up"):
-        vfb = _bump_vfb(vfb, ts.pointer)
-    return Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
+    return Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1))
 
 
 def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transition]:
@@ -851,14 +840,24 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
 
 
 def visited_from_below_counts(trace: RunTrace) -> dict[Address, int]:
-    """How many times each address was entered from its parent (push/up):
-    the final configuration's vfb counts, which `step` keeps."""
-    return dict(trace.final().vfb)
+    """How many times the run entered each address from its parent: the
+    steps that lengthen the pointer address (push or up), counted by the
+    address entered, in address order."""
+    rho = [c.ts.pointer for c in trace.configurations()]
+    return dict(sorted(Counter(b for a, b in zip(rho, rho[1:]) if len(b) > len(a)).items()))
 
 
 def is_k_restricted(trace: RunTrace, k: int) -> bool:
-    counts = visited_from_below_counts(trace)
-    return all(c <= k for c in counts.values())
+    return all(c <= k for c in visited_from_below_counts(trace).values())
+
+
+def is_accepting_run(trace: RunTrace, opts: SearchOptions = SearchOptions()) -> bool:
+    """Whether this run is one that `accepts` may return under opts, budgets aside."""
+    final = trace.final()
+    return (final.pos == len(trace.word) and final.state in trace.tsa.finals
+            and (opts.accept_mode == "any" or final.ts.pointer == ROOT)
+            and (opts.k is None or is_k_restricted(trace, opts.k))
+            and (not opts.proper_only or is_proper(trace)))
 
 
 @dataclass(frozen=True)

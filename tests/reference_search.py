@@ -4,14 +4,15 @@ contract of `pda_accepts`, and `enumerate_words` as one `accepts` search
 per word.
 
 Every TSA step rebuilds the tree stack through `ts_apply`, keeps the
-visit-from-below counts as a sorted tuple and memoises on the canonical
-`TreeStack.key()`, so a step costs time in the size of the tree.  The PDA
-search keeps the stack as a tuple and memoises on whole configurations.
-Both are slow but plain; test_search_core.py checks the interned-address
-search core against them configuration by configuration.  The enumeration
-and the up-set collection run `accepts` once per word, the plain form of
-the core's walk over read prefixes; test_search_core.py diffs the two
-word list by word list.
+visit-from-below counts as a sorted tuple in each arena node, beside its
+`Configuration`, and memoises on the canonical `TreeStack.key()`, so a
+step costs time in the size of the tree.  The PDA search keeps the stack
+as a tuple and memoises on whole configurations.  Both are slow but
+plain; test_search_core.py checks the interned-address search core
+against them configuration by configuration.  The enumeration and the
+up-set collection run `accepts` once per word, the plain form of the
+core's walk over read prefixes; test_search_core.py diffs the two word
+list by word list.
 """
 
 from __future__ import annotations
@@ -79,17 +80,17 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
     if _accepting(tsa, init, len(w), opts):
         return RunTrace(tsa, w, [], init)
 
-    def key(cfg: Configuration, was_stat: bool):
+    def key(cfg: Configuration, vfb: tuple, was_stat: bool):
         parts = [cfg.state, cfg.pos, cfg.ts.key()]
         if opts.k is not None:
-            parts.append(cfg.vfb)
+            parts.append(vfb)
         if opts.proper_only:
             parts.append(was_stat)
         return tuple(parts)
 
-    # arena of (configuration, parent node index, delta index, stationary flag)
-    nodes: list[tuple[Configuration, int, int, bool]] = [(init, -1, -1, False)]
-    visited = {key(init, False)}
+    # arena of (configuration, vfb, parent node index, delta index, stationary flag)
+    nodes: list[tuple[Configuration, tuple, int, int, bool]] = [(init, (), -1, -1, False)]
+    visited = {key(init, (), False)}
     frontier = [0]
     depth = 0
     cut = False
@@ -102,7 +103,7 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
         depth += 1
         next_frontier: list[int] = []
         for node_idx in frontier:
-            cfg, _, _, was_stat = nodes[node_idx]
+            cfg, cfg_vfb, _, _, was_stat = nodes[node_idx]
             for tidx, t in by_src[cfg.state]:
                 if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
                     continue
@@ -114,7 +115,7 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
                 stat = t.is_stationary_eps()
                 if opts.proper_only and was_stat and stat:
                     continue
-                vfb = cfg.vfb
+                vfb = cfg_vfb
                 if t.instr.kind in ("push", "up"):
                     vfb = _bump_vfb(vfb, ts.pointer)
                     if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
@@ -122,12 +123,12 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
                 if len(ts) > max_vertices:
                     cut = True
                     continue
-                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
-                kk = key(nxt, stat)
+                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1))
+                kk = key(nxt, vfb, stat)
                 if kk in visited:
                     continue
                 visited.add(kk)
-                nodes.append((nxt, node_idx, tidx, stat))
+                nodes.append((nxt, vfb, node_idx, tidx, stat))
                 me = len(nodes) - 1
                 if _accepting(tsa, nxt, len(w), opts):
                     return _trace_from_arena(tsa, w, nodes, me)
@@ -140,7 +141,7 @@ def ref_accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunT
 def _trace_from_arena(tsa, w, nodes, idx) -> RunTrace:
     steps = []
     while idx > 0:
-        cfg, parent, tidx, _ = nodes[idx]
+        cfg, _, parent, tidx, _ = nodes[idx]
         steps.append((tidx, cfg))
         idx = parent
     steps.reverse()
@@ -159,10 +160,10 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
 
     init = initial_configuration(tsa)
 
-    def key(cfg: Configuration, was_stat: bool):
+    def key(cfg: Configuration, vfb: tuple, was_stat: bool):
         parts = [cfg.state, cfg.pos, cfg.ts.key()]
         if opts.k is not None:
-            parts.append(cfg.vfb)
+            parts.append(vfb)
         if opts.proper_only:
             parts.append(was_stat)
         return tuple(parts)
@@ -175,8 +176,8 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
     if accepting(init):
         return RunTrace(tsa, "", [], init)
 
-    nodes: list[tuple[Configuration, int, int, bool, str]] = [(init, -1, -1, False, "")]
-    visited = {key(init, False)}
+    nodes: list[tuple[Configuration, tuple, int, int, bool, str]] = [(init, (), -1, -1, False, "")]
+    visited = {key(init, (), False)}
     frontier = [0]
     depth = 0
     cut = False
@@ -188,7 +189,7 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
         depth += 1
         next_frontier = []
         for node_idx in frontier:
-            cfg, _, _, was_stat, word = nodes[node_idx]
+            cfg, cfg_vfb, _, _, was_stat, word = nodes[node_idx]
             for tidx, t in by_src[cfg.state]:
                 if t.inp is not None and cfg.pos >= max_len:
                     cut = True
@@ -201,7 +202,7 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
                 stat = t.is_stationary_eps()
                 if opts.proper_only and was_stat and stat:
                     continue
-                vfb = cfg.vfb
+                vfb = cfg_vfb
                 if t.instr.kind in ("push", "up"):
                     vfb = _bump_vfb(vfb, ts.pointer)
                     if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
@@ -209,19 +210,19 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
                 if len(ts) > max_vertices:
                     cut = True
                     continue
-                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1), vfb)
-                kk = key(nxt, stat)
+                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1))
+                kk = key(nxt, vfb, stat)
                 if kk in visited:
                     continue
                 visited.add(kk)
                 nw = word if t.inp is None else word + t.inp
-                nodes.append((nxt, node_idx, tidx, stat, nw))
+                nodes.append((nxt, vfb, node_idx, tidx, stat, nw))
                 me = len(nodes) - 1
                 if accepting(nxt):
                     steps = []
                     idx = me
                     while idx > 0:
-                        c, parent, ti, _, _ = nodes[idx]
+                        c, _, parent, ti, _, _ = nodes[idx]
                         steps.append((ti, c))
                         idx = parent
                     steps.reverse()

@@ -160,6 +160,62 @@ def test_trace_golden_ks_stuck():
     assert lines[-1] == "STUCK state=S pointer=1.2 label=t pos=3"
 
 
+# machines whose followed runs end in a final state with the word read:
+# off the root, and after two stationary eps steps in a row
+FOLLOW_MACHINES = {
+    "offroot": """tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: X
+alphabet: a
+trans: q0 a true push 1 X q1  # p
+""",
+    "stationary": """tsa
+states: q0 q1 q2
+initial: q0
+final: q2
+alphabet: a
+trans: q0 eps true id q1  # e1
+trans: q1 eps true id q2  # e2
+""",
+}
+ABCD_M2 = "s1,s1,s2,s3,s4,s4,s5,s6,s6,s7,s8,s8,s9"
+
+
+def machine_arg(tmp_path, machine: str) -> str:
+    if machine not in FOLLOW_MACHINES:
+        return machine
+    path = tmp_path / f"{machine}.tsa"
+    path.write_text(FOLLOW_MACHINES[machine])
+    return str(path)
+
+
+@pytest.mark.parametrize("machine, word, follow, flags, code", [
+    ("offroot", "a", "p", [], 1),
+    ("offroot", "a", "p", ["--accept-mode", "any"], 0),
+    ("abcd", "aabbccdd", ABCD_M2, [], 0),
+    ("abcd", "aabbccdd", ABCD_M2, ["--k", "2"], 0),
+    ("abcd", "aabbccdd", ABCD_M2, ["--k", "1"], 1),
+    ("stationary", "", "e1,e2", [], 0),
+    ("stationary", "", "e1,e2", ["--proper"], 1),
+])
+def test_follow_exits_as_run_does(tmp_path, machine, word, follow, flags, code):
+    machine = machine_arg(tmp_path, machine)
+    got, out = run_cli("trace", machine, "--word", word, "--follow", follow, *flags)
+    assert got == code and "STUCK" not in out  # the run is not stuck, only not accepted
+    assert run_cli("run", machine, "--word", word, *flags)[0] == code
+
+
+@pytest.mark.parametrize("machine, argv, line", [
+    ("abcd", ["--word", "aabbccdd", "--k", "2"], "max_vfb=2"),
+    ("offroot", ["--word", "a", "--accept-mode", "any"], "max_vfb=1"),  # ends at vertex 1
+])
+def test_run_porcelain_reports_max_vfb(tmp_path, machine, argv, line):
+    code, out = run_cli("--porcelain", "run", machine_arg(tmp_path, machine), *argv)
+    assert code == 0 and line in out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ("trace", "ks", "--word", "ttTtTT", "--follow", "s1.@,s2,s1.t,s2,s7,s5"),
     ("suite", "ks"),
@@ -401,9 +457,10 @@ def test_analyze_upsets_exits_two_on_a_budget_cut(tmp_path):
 
 
 def test_bad_max_steps_env_exits_three(monkeypatch, capsys):
-    monkeypatch.setenv("TSALAB_MAX_STEPS", "many")
-    assert main(["run", "abcd", "--word", "abcd"]) == 3
-    assert capsys.readouterr().err.startswith("tsalab: TSALAB_MAX_STEPS")
+    for value in ("many", "²", "-3"):  # ² passes str.isdigit, not int()
+        monkeypatch.setenv("TSALAB_MAX_STEPS", value)
+        assert main(["run", "abcd", "--word", "abcd"]) == 3, value
+        assert capsys.readouterr().err.startswith("tsalab: TSALAB_MAX_STEPS"), value
 
 
 def test_analyze_updown_factorise_history():

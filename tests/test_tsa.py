@@ -1,10 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import abcd_oracle, abcd_word, words_upto
-from reference_search import _bump_vfb as ref_bump_vfb
 from strategies import random_tsas
 
 from tsalab.convert import (
@@ -22,7 +22,6 @@ from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
 from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
-    _bump_vfb,
     BadIndex,
     Configuration,
     NotApplicable,
@@ -38,6 +37,7 @@ from tsalab.tsa import (
     degree,
     enumerate_words,
     initial_configuration,
+    is_accepting_run,
     is_k_restricted,
     is_proper,
     is_standardised,
@@ -211,7 +211,7 @@ def test_step_first_push():
     assert nxt.state == "q0"
     assert nxt.ts.dom == {(): "@", (1,): "STAR"}
     assert nxt.pos == 1
-    assert nxt.vfb == (((1,), 1),)
+    assert visited_from_below_counts(RunTrace(tsa, "aabbccdd", [(0, nxt)], cfg)) == {(1,): 1}
 
 
 def test_step_self_loop_id():
@@ -242,7 +242,7 @@ trans: q0 eps true down q1
 trans: q0 eps true set X q1
 """)
 AT_ROOT = initial_configuration(STEP_TSA)
-ABOVE_CHILD = Configuration("q0", TreeStack({(): "@", (1,): "X"}, ()), 0, ())  # pointer at the root
+ABOVE_CHILD = Configuration("q0", TreeStack({(): "@", (1,): "X"}, ()), 0)  # pointer at the root
 
 
 @pytest.mark.parametrize("word, cfg, tidx, reason", [
@@ -379,38 +379,14 @@ def test_enumerate_empty_word_only():
 
 def recount_vfb(trace):
     """The visit-from-below counts recounted from the run's push and up
-    steps: the reference for the counts `step` keeps."""
+    steps, by the address each enters: the reference for the counts that
+    `visited_from_below_counts` reads off the pointer path."""
     counts = {}
     for tidx, cfg in trace.steps:
         if trace.tsa.delta[tidx].instr.kind in ("push", "up"):
             addr = cfg.ts.pointer
             counts[addr] = counts.get(addr, 0) + 1
     return counts
-
-
-# a walk over addresses: into a child, over to a sibling, back to an
-# address already visited, or back to the root
-_vfb_moves = st.lists(st.tuples(st.sampled_from(["child", "sibling", "again", "root"]),
-                                st.integers(1, 40)), max_size=60)
-
-
-@given(_vfb_moves)
-def test_bump_vfb_matches_sorted_dict_rebuild(moves):
-    vfb = ref = ()
-    seen = [()]
-    addr = ()
-    for move, n in moves:
-        if move == "child":
-            addr = addr + (n % 3 + 1,)
-        elif move == "sibling" and addr:
-            addr = addr[:-1] + (n % 3 + 1,)
-        elif move == "again":
-            addr = seen[n % len(seen)]
-        elif move == "root":
-            addr = ()
-        seen.append(addr)
-        vfb, ref = _bump_vfb(vfb, addr), ref_bump_vfb(ref, addr)
-        assert vfb == ref
 
 
 def test_vfb_counts_on_table_run():
@@ -434,6 +410,72 @@ def test_witnesses_up_to_12_are_2_restricted():
         res = accepts(tsa, abcd_word(m), K2)
         assert res and is_k_restricted(res, 2)
         assert visited_from_below_counts(res) == recount_vfb(res)
+
+
+# one push that never returns: the only run on "a" ends at vertex 1
+OFF_ROOT = parse_tsa("""tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: X
+alphabet: a
+trans: q0 a true push 1 X q1  # p
+""")
+# two stationary eps steps in a row: the only run on "" is not proper
+TWO_STATIONARY = parse_tsa("""tsa
+states: q0 q1 q2
+initial: q0
+final: q2
+alphabet: a
+trans: q0 eps true id q1
+trans: q1 eps true id q2
+""")
+
+
+def test_vfb_counts_arrivals_that_never_return():
+    res = accepts(OFF_ROOT, "a", SearchOptions(accept_mode="any"))
+    assert res.final().ts.pointer == (1,)
+    assert visited_from_below_counts(res) == {(1,): 1} == recount_vfb(res)
+
+
+ABCD_M2_RUN = [0, 0, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7, 8]  # s1 s1 s2 s3 s4 s4 s5 s6 s6 s7 s8 s8 s9
+
+
+@pytest.mark.parametrize("tsa, word, run, opts, accepting", [
+    (OFF_ROOT, "a", [0], SearchOptions(), False),  # ends off the root
+    (OFF_ROOT, "a", [0], SearchOptions(accept_mode="any"), True),
+    (OFF_ROOT, "a", [0], SearchOptions(accept_mode="any", k=0), False),
+    (OFF_ROOT, "aa", [0], SearchOptions(accept_mode="any"), False),  # word not read
+    (abcd_tsa(), "aabbccdd", ABCD_M2_RUN, SearchOptions(), True),
+    (abcd_tsa(), "aabbccdd", ABCD_M2_RUN, K2, True),
+    (abcd_tsa(), "aabbccdd", ABCD_M2_RUN, SearchOptions(k=1), False),
+    (abcd_tsa(), "aabbccdd", ABCD_M2_RUN[:-1], SearchOptions(), False),  # q3 is not final
+    (TWO_STATIONARY, "", [0, 1], SearchOptions(), True),
+    (TWO_STATIONARY, "", [0, 1], SearchOptions(proper_only=True), False),
+])
+def test_is_accepting_run_keeps_the_search_options(tsa, word, run, opts, accepting):
+    assert is_accepting_run(replay(tsa, word, run), opts) == accepting
+
+
+def test_derived_counts_match_the_recount_on_random_machines():
+    words = list(words_upto("ab", 4))
+    seen = set()
+    for tsa in random_tsas(18, 400):
+        for k, mode in itertools.product((None, 2), ("root", "any")):
+            opts = SearchOptions(k=k, accept_mode=mode, max_steps=16, max_vertices=6)
+            for w in words:
+                res = accepts(tsa, w, opts)
+                if not res:
+                    continue
+                counts = visited_from_below_counts(res)
+                assert counts == recount_vfb(res) and list(counts) == sorted(counts), render_tsa(tsa)
+                assert is_accepting_run(res, opts), render_tsa(tsa)
+                assert k is None or is_k_restricted(res, k), render_tsa(tsa)
+                seen.add((k, mode, res.final().ts.pointer == (), max(counts.values(), default=0)))
+    # witnesses under every option set, any-mode ones off the root, and
+    # unrestricted ones that enter a vertex three times
+    assert {(k, mode) for k, mode, _, _ in seen} == set(itertools.product((None, 2), ("root", "any")))
+    assert (2, "any", False, 2) in seen and (None, "root", True, 3) in seen
 
 
 def test_degree():
