@@ -140,7 +140,10 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     lexicographically least shortest witness, NotFound carrying "budget" or
     "exhausted".  max_steps bounds the run length and max_stack the stack
     height, bottom included; they default to the TSA search's step and
-    vertex budgets."""
+    vertex budgets.  As in `accepts`, a configuration whose state can
+    neither read the next letter nor accept through eps moves is dropped
+    when no budget can cut off anything below it, which changes no
+    answer."""
     moves = (_move(t.action) for t in pda.delta)
     found = _search(pda, search_rows(pda, moves), w, len(w),
                     SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))

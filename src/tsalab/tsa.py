@@ -323,15 +323,34 @@ class Dispatch(dict):
     room to read; or ANY_LETTER, which keeps every row, for free reading.
     Each entry holds exactly the rows of its state whose letter and
     predicate can match, in delta order, and is built the first time it is
-    asked for.  `readers` holds the states with a reading row."""
+    asked for.  `readers` holds the states with a reading row.
+
+    For a fixed letter key, a letter or END, the table also looks ahead.  A
+    state is dead for the key when no eps path of the control graph,
+    predicates ignored, reaches a row reading that letter or, at END, a
+    final state; `live(letter)` holds the states that are not.  No run from
+    a dead state reads on or accepts.  A dead state's region, the states
+    its eps rows reach, is bounded when those rows form a DAG apart from
+    self-loops that at each state all move down (or pop) or all move up;
+    `ahead(state, letter)` is then (r, p), the region's state count and the
+    most pushes on one of its paths, and otherwise None.  In an entry for a
+    fixed letter key each row carries, as a last field, its target's
+    `ahead` if it reads eps and None if it reads; in an ANY_LETTER entry
+    every row carries None."""
 
     END = None
     ANY_LETTER = ""  # no letter is the empty string
 
-    def __init__(self, by_state: dict[str, list[tuple]], readers: frozenset[str]):
+    def __init__(self, by_state: dict[str, list[tuple]], readers: frozenset[str],
+                 finals: frozenset[str]):
         super().__init__()
         self.by_state = by_state
         self.readers = readers
+        self.finals = finals
+        self.eps_moves = {q: [(row[3], row[6]) for row in rows if row[1] is None]
+                          for q, rows in by_state.items()}  # state -> (kind code, target)
+        self.lives: dict[str | None, frozenset[str]] = {}  # letter key -> live(letter)
+        self.bounds: dict[str, tuple[int, int] | None] = {}  # dead state -> its region's (r, p)
 
     def __missing__(self, key):
         state, lab, letter = key
@@ -340,8 +359,70 @@ class Dispatch(dict):
         for row in self.by_state[state]:
             inp, plab = row[1], row[2]
             if (plab is None or plab == lab) and (inp is None or free or inp == letter):
-                rows.append(row)
+                rows.append((*row, None if free or inp is not None else self.ahead(row[6], letter)))
         return rows
+
+    def live(self, letter: str | None) -> frozenset[str]:
+        """The states from which an eps path reaches a row reading `letter`
+        or, for END, a final state."""
+        live = self.lives.get(letter)
+        if live is None:
+            goal = self.finals if letter == self.END else {
+                q for q, rows in self.by_state.items() if any(row[1] == letter for row in rows)}
+            into: dict[str, list[str]] = {}  # eps predecessors
+            for q, moves in self.eps_moves.items():
+                for _, dst in moves:
+                    into.setdefault(dst, []).append(q)
+            found, todo = set(goal), list(goal)
+            while todo:
+                for q in into.get(todo.pop(), ()):
+                    if q not in found:
+                        found.add(q)
+                        todo.append(q)
+            live = self.lives[letter] = frozenset(found)
+        return live
+
+    def ahead(self, state: str, letter: str | None) -> tuple[int, int] | None:
+        """(r, p) if `state` is dead for this letter key and its region is
+        bounded, else None."""
+        if state in self.live(letter):
+            return None
+        if state not in self.bounds:
+            self.bounds[state] = self._region_bound(state)
+        return self.bounds[state]
+
+    def _region_bound(self, start: str) -> tuple[int, int] | None:
+        """(state count, most pushes on one path) of the eps rows reachable
+        from start, or None if they are not a DAG with harmless self-loops."""
+        moves = self.eps_moves
+        region, todo = {start}, [start]
+        while todo:
+            for _, dst in moves[todo.pop()]:
+                if dst not in region:
+                    region.add(dst)
+                    todo.append(dst)
+        into = dict.fromkeys(region, 0)  # in-degree without self-loops
+        for q in region:
+            loops = {kind for kind, dst in moves[q] if dst == q}
+            if not (loops <= {_DOWN, _POP} or loops <= {_UP}):
+                return None  # push, id or set, or down and up, may loop without end
+            for _, dst in moves[q]:
+                if dst != q:
+                    into[dst] += 1
+        order = [q for q in region if not into[q]]  # topological, by Kahn's algorithm
+        for q in order:
+            for _, dst in moves[q]:
+                if dst != q:
+                    into[dst] -= 1
+                    if not into[dst]:
+                        order.append(dst)
+        if len(order) < len(region):
+            return None  # an eps cycle through two or more states
+        pushes: dict[str, int] = {}
+        for q in reversed(order):
+            pushes[q] = max(((kind == _PUSH) + pushes[dst] for kind, dst in moves[q] if dst != q),
+                            default=0)
+        return len(region), pushes[start]
 
 
 def search_rows(machine, moves) -> Dispatch:
@@ -358,7 +439,7 @@ def search_rows(machine, moves) -> Dispatch:
             stat = t.inp is None and kind in ("id", "set")
             rows[t.src].append((tidx, t.inp, plab, _KIND_CODE[kind], n, nlab, t.dst, stat))
         readers = frozenset(t.src for t in machine.delta if t.inp is not None)
-        table = machine.__dict__["_search_rows"] = Dispatch(rows, readers)
+        table = machine.__dict__["_search_rows"] = Dispatch(rows, readers, machine.finals)
     return table
 
 
@@ -393,8 +474,13 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     a tree stack is an {id: label} dict plus a pointer id, and the vfb
     counts are an {id: count} dict.  The memo key holds XOR hashes of the
     tree and of the vfb counts, kept up to date incrementally; a hash hit
-    compares the dicts exactly, so the memoisation is exact.  The witness
-    is the arena path re-executed by `replay`.
+    compares the dicts exactly, so the memoisation is exact.  A child that
+    enters a dead region, a part of the control graph from which no eps
+    path reads the next letter (or, at the end of the word, reaches a final
+    state), is dropped when no budget can cut off anything below it, so
+    every witness and every NotFound reason is the one the plain search
+    gives (`_search`).  The witness is the arena path re-executed by
+    `replay`.
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
@@ -566,7 +652,8 @@ def _arena_path(nodes, me: int) -> list[int]:
     return path[::-1]
 
 
-def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, walk: _Walk | None = None):
+def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, walk: _Walk | None = None,
+            look_ahead: bool = True):
     """The BFS core behind `accepts` (w given, max_len == len(w)),
     `shortest_accepted` (w None: read any word of length <= max_len),
     `convert.pda_accepts`, and `enumerate_words` and `accepts_each` (w None
@@ -591,9 +678,29 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     is in the search of every length-n word through its prefix.  So a
     target's witness is its first accepting node that fits its length, and
     each budget cut is recorded on a (prefix, length) pair where that
-    length's search would make it.  The walk returns None."""
+    length's search would make it.  The walk returns None.
+
+    With a fixed word (`accepts`, `pda_accepts`) and `look_ahead`, a child
+    that an eps row takes into a dead state (see `Dispatch`) whose region
+    is bounded by (r, p) is dropped when its tree of s vertices has
+    s + p <= max_vertices and its depth d has d + r(s + p + 1) < max_steps.
+    No run from it reads on or accepts, and its descendants keep its
+    position, hold at most s + p vertices and lie fewer than r(s + p) steps
+    deeper (each of the r states is left after at most s + p - 1
+    self-loops), so none of them meets a budget.  Deadness depends only on
+    state and position, so dead and live configurations never share a memo
+    key, and the live ones, every witness among them, are those of the
+    search without dropping.  Only a step cut can differ: a dead
+    configuration first met below a dropped one may be met again later
+    along another path, too deep to drop, and reach the step budget from
+    there.  So a search that has dropped a child and reaches max_steps is
+    run again without the look-ahead.  A free search never drops a child:
+    its length bound and the walk's per-length budgets are cuts of their
+    own."""
     max_steps, max_vertices = search_budgets(machine, opts, max_len)
     free = w is None
+    look_ahead = look_ahead and not free
+    pruned = False
     if walk is not None:
         words, pending, vcap = walk.words, walk.pending, walk.vcap
     k = opts.k
@@ -625,6 +732,8 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
         if walk is not None and depth in walk.step_ends:
             frontier = walk.step_cut(nodes, frontier, depth)
         if depth >= max_steps:
+            if pruned:  # a dead configuration may have been met late: ask without pruning
+                return _search(machine, rows, w, max_len, opts, look_ahead=False)
             cut = True
             break
         depth += 1
@@ -642,7 +751,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 letter = END
                 if walk is None and state in readers:
                     cut = True  # a reading row, whatever its predicate, meets the length bound
-            for tidx, inp, _, kind, n, nlab, dst, stat in rows[state, lab, letter]:
+            for tidx, inp, _, kind, n, nlab, dst, stat, ahead in rows[state, lab, letter]:
                 if was_stat and stat:
                     continue
                 if inp is None:
@@ -697,6 +806,11 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                     if len(ndom) > max_vertices:
                         cut = True
                         continue
+                    if ahead is not None and look_ahead:
+                        r, p = ahead  # dst is dead here: drop it if no budget can cut below it
+                        if len(ndom) + p <= max_vertices and depth + r * (len(ndom) + p + 1) < max_steps:
+                            pruned = True
+                            continue
                 elif len(ndom) > vcap[npos] and walk.vertex_cut(npos, len(ndom)):
                     continue
                 stat = stat and proper

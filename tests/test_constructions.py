@@ -1,21 +1,30 @@
-"""Random differentials of the constructions that add states: each one's
-language against the language it should have, on every word over {a, b}
-up to length 4.  An answer counts only when no search was cut by its
-budget.  The machines come from tests/strategies.py with state names in
-the constructions' own shapes, so a new name that is not checked against
-the old ones merges two states and shows up as a mismatch.
+"""Random differentials of the constructions: each one's language against
+the language it should have, on every word over {a, b} up to length 4.
+An answer counts only when no search was cut by its budget.  For the
+constructions that add states, the machines come from tests/strategies.py
+with state names in the constructions' own shapes, so a new name that is
+not checked against the old ones merges two states and shows up as a
+mismatch.  `normalize_child_indices` and `standardise` change only
+transitions.
 
 `tsa1_to_pda` is left out: it treats a TSA's `down` as a pop, which
 changes the language of machines that push into a slot again."""
 
 import random
+from dataclasses import replace
 
 from conftest import words_upto
 from strategies import random_fsa, random_pdas, random_tsas
 
 from tsalab.convert import pda_accepts, pda_to_tsa1
 from tsalab.langlab import fsa_accepts, tsa_fsa_product
-from tsalab.tsa import SearchOptions, accepts_each, make_root_accepting
+from tsalab.tsa import (
+    SearchOptions,
+    accepts_each,
+    make_root_accepting,
+    normalize_child_indices,
+    standardise,
+)
 
 WORDS = list(words_upto("ab", 4))
 
@@ -75,3 +84,30 @@ def test_tsa_fsa_product_is_the_intersection_on_random_machines():
                 for w, known in verdicts(tsa, opts).items()}
         accepted += compare(verdicts(prod, opts), want)
     assert accepted > 1000 and primed > 50
+
+
+def test_normalize_child_indices_keeps_the_language_of_random_tsas():
+    opts = SearchOptions(max_steps=10, max_vertices=4)
+    accepted = renumbered = 0
+    for tsa in random_tsas(4, 1000):
+        norm = normalize_child_indices(tsa)
+        renumbered += norm != tsa
+        accepted += compare(verdicts(norm, opts), verdicts(tsa, opts))
+    assert accepted > 800 and renumbered > 400
+
+
+def test_standardise_keeps_the_language_and_needs_only_proper_runs_on_random_tsas():
+    opts = SearchOptions(max_steps=10, max_vertices=4)
+    proper_opts = replace(opts, proper_only=True)
+    accepted = proper = changed = 0
+    for tsa in random_tsas(5, 1000):
+        std = standardise(tsa)
+        changed += std != tsa
+        want = verdicts(tsa, opts)
+        accepted += compare(verdicts(std, opts), want)
+        # closed under composing stationary eps pairs, it accepts its
+        # language with runs that never take two such steps in a row.  The
+        # table has no composite for `eq c` then `true` with `set`, so a
+        # machine whose words need that pair fails this; none of these does.
+        proper +=compare(verdicts(std, proper_opts), want)
+    assert accepted > 800 and proper > 800 and changed > 25

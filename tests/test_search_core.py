@@ -552,3 +552,175 @@ def test_searches_with_any_options_share_one_dispatch_table():
     rows = [row for q in tsa.states for row in table.by_state[q]]
     assert [row[7] for row in rows] == [tsa.delta[row[0]].is_stationary_eps() for row in rows]
     assert any(row[7] for row in rows)
+
+
+# The dead-region look-ahead.  A state is dead for a letter key when no eps
+# path reaches a row reading that letter (or, at the end of the word, a
+# final state).  `accepts` and `pda_accepts` drop a configuration entering
+# a dead state's bounded region only when no budget can cut below it:
+# `size + p <= max_vertices` and `depth + r * (size + p + 1) < max_steps`.
+
+def dead_region_tsa(region):
+    """q reads `a` only under eq A, which never holds at the root; its eps
+    push enters d, which is dead for `a`.  `region` lists d's eps rows, on
+    the states d, e and any others they name."""
+    states = dict.fromkeys(["q", "d", "e", "f"] + [row.split()[-1] for row in region])
+    lines = ["tsa", "states: " + " ".join(states), "initial: q", "final: f", "labels: A B",
+             "alphabet: a", "trans: q a eq A id f", "trans: q eps true push 1 A d"]
+    return parse_tsa("\n".join(lines + ["trans: " + row for row in region]) + "\n")
+
+
+# d pushes once more on its way to e: r = 2, p = 1, and d is entered at
+# depth 1 with a tree of 2 vertices
+PUSHING_REGION = ["d eps true push 1 B e"]
+
+PUSHING_PDA = """pda
+states: q d e f
+initial: q
+final: f
+stack: A B
+alphabet: a
+trans: q a pop A f
+trans: q eps push @ A d
+trans: d eps push A B e
+"""
+
+
+def test_dead_region_that_pushes_is_kept_under_a_tight_vertex_budget():
+    tsa = dead_region_tsa(PUSHING_REGION)
+    table = tsa_mod._tsa_rows(tsa)
+    assert table.ahead("d", "a") == (2, 1) and table.ahead("q", "a") is None
+    for vertices in (2, 3, 4):  # the tree of 2 vertices, 2 + p, and more
+        opts = SearchOptions(max_vertices=vertices)
+        want = "budget" if vertices < 3 else "exhausted"
+        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+    pda = parse_pda(PUSHING_PDA)
+    for stack in (2, 3, 4):
+        want = "budget" if stack < 3 else "exhausted"
+        assert outcome(pda_accepts(pda, "a", max_stack=stack)) == ("NotFound", want)
+        assert outcome(ref_pda_accepts(pda, "a", max_stack=stack)) == ("NotFound", want)
+
+
+def test_dead_region_is_kept_under_a_tight_step_budget():
+    tsa = dead_region_tsa(PUSHING_REGION)
+    pda = parse_pda(PUSHING_PDA)
+    for steps in range(1, 12):
+        opts = SearchOptions(max_steps=steps)
+        want = "budget" if steps < 3 else "exhausted"  # e is reached at depth 2
+        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+        assert outcome(pda_accepts(pda, "a", max_steps=steps)) == ("NotFound", want)
+        assert outcome(ref_pda_accepts(pda, "a", max_steps=steps)) == ("NotFound", want)
+
+
+# d's eps rows and its region's (r, p), or None where the region may run
+# without end, so that it is never pruned
+REGIONS = {
+    "push loop": (["d eps true push 1 B d"], None),
+    "id loop": (["d eps true id d"], None),
+    "set loop": (["d eps eq A set B d", "d eps eq B set A d"], None),
+    "down and up loops": (["d eps true down d", "d eps true up 1 d"], None),
+    "two-state cycle": (["d eps true down e", "e eps true up 1 d"], None),
+    "cycle further on": (["d eps true down e", "e eps true id e'", "e' eps true up 1 e"], None),
+    "down loop": (["d eps true down d", "d eps eq @ push 2 B e"], (2, 1)),
+    "up loop": (["d eps true up 1 d", "d eps true down e", "e eps true push 1 B e'"], (3, 1)),
+    "diamond": (["d eps true push 1 B e", "d eps true down e'", "e eps true down e'",
+                 "e' eps true push 2 A e''"], (4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(REGIONS))
+def test_only_bounded_dead_regions_are_pruned(name):
+    rows, bound = REGIONS[name]
+    tsa = dead_region_tsa(rows)
+    table = tsa_mod._tsa_rows(tsa)
+    assert table.ahead("d", "a") == bound
+    entry = table["q", "@", "a"]
+    assert [row[-1] for row in entry] == [bound]  # the eps push into d carries it
+    for steps in range(1, 16):
+        for vertices in range(1, 6):
+            opts = SearchOptions(max_steps=steps, max_vertices=vertices)
+            assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)), (steps, vertices)
+
+
+def test_look_ahead_table_on_the_fixtures():
+    table = tsa_mod._tsa_rows(anbmcndm_tsa())
+    assert table.ahead("q1", "a") == (8, 2)  # every state after q0, pushing BB and MB
+    table = tsa_mod._tsa_rows(abcd_tsa())
+    assert table.ahead("q1", "a") == (4, 0)
+    wpz = fixture_wpz_tsa()
+    table = tsa_mod._tsa_rows(wpz)
+    for letter in ("t", "T"):
+        assert set(wpz.states) - table.live(letter) == {"qf"}
+        assert table.ahead("qf", letter) == (1, 0)
+    assert table.live(table.END) == set(wpz.states)
+    # a free search's rows carry no bound
+    assert all(row[-1] is None for q in wpz.states for lab in ("@", "t")
+               for row in table[q, lab, table.ANY_LETTER])
+
+
+def test_shortest_accepted_does_not_prune_at_its_length_bound():
+    tsa = parse_tsa(LENGTH_BOUND_TSA)
+    table = tsa_mod._tsa_rows(tsa)
+    assert table.ahead("q1", table.END) == (1, 0)  # dead at the end: its one row reads
+    assert [row[-1] for row in table["q0", "@", table.END]] == [(1, 0)]
+    got = shortest_accepted(tsa, 0)
+    assert outcome(got) == outcome(ref_shortest_accepted(tsa, 0)) == ("NotFound", "budget")
+
+
+def late_dead_tsa(detour):
+    """Two ways into one dead configuration (y1, the tree {@, 1: A}, the
+    pointer at the root): the eps push into x1, which is dead, and a
+    detour of `detour` live eps steps and then a push and a down.  The
+    reference meets y1 first through x1, at depth 2."""
+    live = [f"l{i}" for i in range(detour + 1)] + ["lp"]
+    lines = ["tsa", "states: " + " ".join(live) + " x1 y1 y2 f", "initial: l0", "final: f",
+             "labels: A B", "alphabet: a"]
+    lines += [f"trans: {q} a eq B id f" for q in live]  # reading rows that never fire
+    lines += ["trans: l0 eps true push 1 A x1", "trans: x1 eps true down y1",
+              "trans: y1 eps true id y2"]
+    lines += [f"trans: l{i} eps true id l{i + 1}" for i in range(detour)]
+    lines += [f"trans: l{detour} eps true push 1 A lp", "trans: lp eps true down y1"]
+    return parse_tsa("\n".join(lines) + "\n")
+
+
+def test_dead_configuration_met_late_keeps_the_reference_answer():
+    # x1 (r = 3, p = 0, a tree of 2) is pruned at depth 1 when 1 + 3 * 3 <
+    # max_steps.  The detour of 8 meets y1 again at depth 10, too deep to
+    # prune, and y2 lies at depth 11.  The reference drops that y1 as seen,
+    # so at 11 steps it answers `exhausted`; a search that only prunes would
+    # expand it and stop at the step budget.
+    tsa = late_dead_tsa(8)
+    for steps in range(8, 16):
+        opts = SearchOptions(max_steps=steps)
+        want = "budget" if steps < 10 else "exhausted"
+        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+
+
+class CountingRows:
+    """A dispatch table that counts its lookups, one per expanded node."""
+
+    def __init__(self, table):
+        self.table, self.lookups = table, 0
+        self.readers, self.END, self.ANY_LETTER = table.readers, table.END, table.ANY_LETTER
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self.table[key]
+
+
+def expanded(tsa, w, look_ahead):
+    rows = CountingRows(tsa_mod._tsa_rows(tsa))
+    found = tsa_mod._search(tsa, rows, w, len(w), SearchOptions(), look_ahead=look_ahead)
+    assert not isinstance(found, tsa_mod.NotFound)
+    return rows.lookups
+
+
+def test_look_ahead_makes_the_anbmcndm_search_linear():
+    # at each a and b an eps push starts a branch that walks down the whole
+    # branch before it dies: quadratic without the look-ahead
+    tsa = anbmcndm_tsa()
+    counts = {}
+    for n in (25, 50):
+        w = "a" * n + "b" * n + "c" * n + "d" * n
+        counts[n] = expanded(tsa, w, True), expanded(tsa, w, False)
+    assert counts == {25: (213, 1094), 50: (413, 3419)}  # 4n + 13 nodes against about 1.4n^2
