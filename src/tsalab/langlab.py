@@ -187,7 +187,7 @@ def _runs(word: str) -> list[tuple[str, int]]:
 
 def _letters(k: int) -> tuple[str, ...]:
     if k > 26:
-        raise ValueError("at most 26 indexed letters supported")
+        raise InputError("at most 26 indexed letters supported")
     return tuple(chr(ord("a") + i) for i in range(k))
 
 

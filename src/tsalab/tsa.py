@@ -1003,43 +1003,17 @@ def normalize_child_indices(tsa: Tsa) -> Tsa:
 
 
 def _compose_stationary(t1: Transition, t2: Transition) -> Transition | None:
-    """The composite transition required by the standardisation table for a
-    composable pair of stationary eps-transitions, or None if no row matches.
-    """
-    p1, f1 = t1.pred, t1.instr
-    p2, f2 = t2.pred, t2.instr
-
-    def mk(pred, instr):
-        return Transition(t1.src, None, pred, instr, t2.dst)
-
-    if p1.kind == "true" and p2.kind == "true":
-        f3 = f1 if f2.kind == "id" else f2
-        return mk(p2, f3)
-    if p1.kind == "true" and p2.kind == "eq":
-        c = p2.label
-        if f1.kind == "id" and f2.kind == "id":
-            return mk(p2, f1)
-        if f1.kind == "set" and f1.label == c and f2.kind == "id":
-            return mk(p1, f1)
-        if f1.kind == "id" and f2.kind != "id":
-            return mk(p2, f2)
-        if f1.kind == "set" and f1.label == c and f2.kind != "id":
-            return mk(p1, f2)
+    """The one stationary eps-transition that does t1 then t2, or None when
+    the pair never fires.  t2 tests the label t1 leaves behind: the label t1
+    sets, or else the label t1 tested (unknown after `true` with `id`).  The
+    composite tests t1's predicate, or t2's when t1 runs `id` under `true`,
+    and runs t2's instruction when that sets a label, else t1's."""
+    left = t1.instr.label if t1.instr.kind == "set" else t1.pred.label
+    if t2.pred.kind == "eq" and left is not None and left != t2.pred.label:
         return None
-    if p1.kind == "eq" and p2.kind == "true":
-        if f2.kind == "id":
-            return mk(p1, f1)
-        return None
-    # both eq
-    c, d = p1.label, p2.label
-    if c == d:
-        # the table's duplicated rows collapse to: f1 preserves the label
-        if f1.kind == "id" or (f1.kind == "set" and f1.label == c):
-            return mk(p1, f2)
-        return None
-    if f1.kind == "set" and f1.label == d:
-        return mk(p1, f1 if f2.kind == "id" else f2)
-    return None
+    free = t1.pred.kind == "true" and t1.instr.kind == "id"
+    instr = t2.instr if t2.instr.kind == "set" else t1.instr
+    return Transition(t1.src, None, t2.pred if free else t1.pred, instr, t2.dst)
 
 
 def standardise(tsa: Tsa) -> Tsa:

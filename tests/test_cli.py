@@ -354,6 +354,7 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "f2f2", "--n-max", "0"],
     ["experiment", "f2f2", "--m-max", "0"],
     ["experiment", "sm", "--m", "two"],  # not a number at all
+    ["experiment", "sm", "--m", "13"],  # s_13 needs 27 indexed letters
     ["rational", "--wp", "wpz", "--regex", "a", "--word", "T"],  # 'a' is not a group letter
     ["analyze", "swap", "abcd", "--k", "2", "--word1", "aabbccdd", "--vertex1", "1",
      "--word2", "aabbccdd", "--vertex2", "1.1.1"],  # the two vertices' history arrays differ

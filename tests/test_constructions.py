@@ -106,8 +106,6 @@ def test_standardise_keeps_the_language_and_needs_only_proper_runs_on_random_tsa
         want = verdicts(tsa, opts)
         accepted += compare(verdicts(std, opts), want)
         # closed under composing stationary eps pairs, it accepts its
-        # language with runs that never take two such steps in a row.  The
-        # table has no composite for `eq c` then `true` with `set`, so a
-        # machine whose words need that pair fails this; none of these does.
-        proper +=compare(verdicts(std, proper_opts), want)
+        # language with runs that never take two such steps in a row
+        proper += compare(verdicts(std, proper_opts), want)
     assert accepted > 800 and proper > 800 and changed > 25

@@ -26,7 +26,7 @@ from tsalab.convert import (
 )
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import eps_free, parse_fsa, regex_to_fsa, tsa_fsa_product
-from tsalab.analysis import collect_upsets
+from tsalab.analysis import collect_upsets, history_array, single_swap
 from tsalab.tsa import (
     BudgetExceeded,
     ReplayMismatch,
@@ -294,6 +294,31 @@ def test_collect_upsets_matches_reference_on_random_machines():
             assert got == upsets(ref_collect_upsets, tsa, words, opts), (opt_name, render_tsa(tsa))
             kinds.add((bool(got[0]), bool(got[3])))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_single_swap_splices_replay_on_random_machines():
+    # the Substitution Lemma on random machines: two vertices of proper root
+    # runs with equal history arrays swap their u-factors, and the spliced
+    # run must replay as an accepting run of the spliced word, which
+    # `accepts` then accepts unless a budget cuts its search
+    opts = SearchOptions(proper_only=True, max_steps=12, max_vertices=5)
+    words = list(words_upto("ab", 4))
+    pairs = moved = 0
+    for tsa in random_tsas(7, 1500):
+        by_array = {}
+        for w in words:
+            res = accepts(tsa, w, opts)
+            for nu in sorted(res.final().ts.dom) if res else ():
+                if nu:
+                    by_array.setdefault(history_array(res, nu), []).append((res, nu))
+        for runs in list(by_array.values())[:12]:
+            for (r1, v1), (r2, v2) in itertools.product(runs, runs):
+                rep = single_swap(r1, v1, r2, v2)
+                assert rep.spliced_replay_ok, (r1.word, v1, r2.word, v2, render_tsa(tsa))
+                assert rep.accepted or rep.search_reason == "budget", (rep.word, render_tsa(tsa))
+                pairs += 1
+                moved += rep.word != r1.word
+    assert pairs > 1500 and moved > 1000
 
 
 PUSHES = 33

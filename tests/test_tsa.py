@@ -544,6 +544,57 @@ def test_standardise_identity_row():
     assert T("q1", None, PRED_TRUE, instr_id(), "q3").core() in {t.core() for t in out.delta}
 
 
+STATIONARY = [(p, f) for p in (PRED_TRUE, pred_eq("A"), pred_eq("B"), pred_eq("@"))
+              for f in (instr_id(), instr_set("A"), instr_set("B"))]
+DEPTH_ONE = [TreeStack({(): "@"}, ())] + [TreeStack({(): "@", (1,): c}, p)
+                                          for c in "AB" for p in ((), (1,))]
+
+
+def _step_or_none(tsa, cfg, t):
+    try:
+        return step(tsa, "", cfg, t)
+    except NotApplicable:
+        return None
+
+
+def test_standardise_composes_every_stationary_cell():
+    # each pair of stationary eps rows over labels A and B gets the one
+    # composite that does both, checked through `step` on every tree stack
+    # of depth <= 1: it applies exactly where the pair does, with the same
+    # result
+    T = Transition
+    fired = set()
+    for (p1, f1), (p2, f2) in itertools.product(STATIONARY, STATIONARY):
+        t1, t2 = T("q1", None, p1, f1, "q2"), T("q2", None, p2, f2, "q3")
+        tsa = Tsa(("q1", "q2", "q3"), ("A", "B"), ("a",), "q1", (t1, t2), frozenset({"q3"}))
+        composite = standardise(tsa).delta[2:]  # at most q1 -> q3
+        for ts in DEPTH_ONE:
+            cfg = Configuration("q1", ts, 0)
+            mid = _step_or_none(tsa, cfg, t1)
+            want = None if mid is None else _step_or_none(tsa, mid, t2)
+            got = _step_or_none(tsa, cfg, composite[0]) if composite else None
+            assert len(composite) <= 1 and got == want, (str(t1), str(t2), ts)
+            if want is not None:
+                fired.add((t1, t2))
+    assert len(fired) == 60
+
+
+def test_standardise_composes_eq_then_true_with_set():
+    # `eq A` with `id`, then `true` with `set B`: the only accepting run of
+    # the empty word takes both in a row, so without their composite the
+    # standardised machine has no proper run
+    tsa = parse_tsa("tsa\nstates: q0 q1 q2 q3 q4\ninitial: q0\nfinal: q4\nlabels: A B\n"
+                    "alphabet: a\n"
+                    "trans: q0 eps true push 1 A q1\n"
+                    "trans: q1 eps eq A id q2\n"
+                    "trans: q2 eps true set B q3\n"
+                    "trans: q3 eps eq B down q4\n")
+    std = standardise(tsa)
+    assert accepts(tsa, "")
+    assert accepts(std, "", SearchOptions(proper_only=True))
+    assert [str(t) for t in std.delta[len(tsa.delta):]] == ["q1 eps eq A set B q3"]
+
+
 def test_abcd_already_standardised():
     tsa = abcd_tsa()
     assert is_standardised(tsa)
