@@ -11,7 +11,6 @@ from .treestack import (
     Instruction,
     Predicate,
     TreeStack,
-    above_below,
     format_address,
     parse_address,
     pred_eval,
@@ -32,7 +31,6 @@ from .tsa import (
     enumerate_words,
     is_k_restricted,
     is_proper,
-    is_standardised,
     make_root_accepting,
     normalize_child_indices,
     parse_tsa,

@@ -149,10 +149,15 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
                     SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
     if isinstance(found, NotFound):
         return found
-    # the path's vertices are inserted bottom first and only the top is
-    # ever deleted, so a tree's labels in insertion order are its stack
-    steps = [(tidx, PdaConfig(state, tuple(dom.values()), pos))
-             for state, pos, dom, *_, tidx in found[1:]]
+    stack = (ROOT_LABEL,)
+    steps = []
+    for state, pos, *_, tidx in found[1:]:  # each stack from the actions along the path
+        act = pda.delta[tidx].action
+        if act.kind == "pop":
+            stack = stack[:-1]
+        elif act.pushed is not None:
+            stack += (act.pushed,)
+        steps.append((tidx, PdaConfig(state, stack, pos)))
     return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
 
 

@@ -40,10 +40,6 @@ class PointerAtRoot(TreeStackError):
     pass
 
 
-class AddressMissing(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class Instruction:
     """One of id / push_n(c) / up_n / down / set(c).
@@ -233,19 +229,6 @@ def pred_eval(ts: TreeStack, pred: Predicate) -> bool:
     if pred.kind == "true":
         return True
     return ts.pointer_label == pred.label
-
-
-def above_below(ts: TreeStack, nu: Address) -> tuple[set[Address], set[Address]]:
-    """Partition the domain into (above, below) relative to a non-root
-    vertex nu: above = addresses with nu as a prefix (nu included)."""
-    if nu == ROOT:
-        raise ValueError("above/below is relative to a non-root vertex")
-    if nu not in ts.dom:
-        raise AddressMissing(f"{nu} not in domain")
-    depth = len(nu)
-    above = {a for a in ts.dom if a[:depth] == nu}
-    below = set(ts.dom) - above
-    return above, below
 
 
 def format_address(addr: Address) -> str:

@@ -304,13 +304,6 @@ _ID, _PUSH, _UP, _DOWN, _SET, _POP = range(6)
 _KIND_CODE = {"id": _ID, "push": _PUSH, "up": _UP, "down": _DOWN, "set": _SET, "pop": _POP}
 
 
-def _entry_hash(a, b) -> int:
-    """Hash of one (address id, label or count) entry.  A tree's hash and a
-    vfb map's hash are the XOR of their entries' hashes (Zobrist style), so a
-    step updates them in O(1); equal hashes are always re-checked exactly."""
-    return hash((a, b))
-
-
 class Dispatch(dict):
     """A machine's delta as the rows `_search` reads, keyed by (control
     state, pointer label, letter key).  A row is (delta index, letter or
@@ -323,7 +316,8 @@ class Dispatch(dict):
     room to read; or ANY_LETTER, which keeps every row, for free reading.
     Each entry holds exactly the rows of its state whose letter and
     predicate can match, in delta order, and is built the first time it is
-    asked for.  `readers` holds the states with a reading row.
+    asked for.  `readers` holds the states with a reading row, and `degree`
+    is the largest child index of a push or up row (0 if there is none).
 
     For a fixed letter key, a letter or END, the table also looks ahead.  A
     state is dead for the key when no eps path of the control graph,
@@ -347,6 +341,8 @@ class Dispatch(dict):
         self.by_state = by_state
         self.readers = readers
         self.finals = finals
+        self.degree = max((row[4] for rows in by_state.values() for row in rows
+                           if row[3] in (_PUSH, _UP)), default=0)
         self.eps_moves = {q: [(row[3], row[6]) for row in rows if row[1] is None]
                           for q, rows in by_state.items()}  # state -> (kind code, target)
         self.lives: dict[str | None, frozenset[str]] = {}  # letter key -> live(letter)
@@ -455,7 +451,7 @@ def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> R
     found = _search(tsa, _tsa_rows(tsa), w, max_len, opts)
     if isinstance(found, NotFound):
         return found
-    tidxs = [node[9] for node in found[1:]]
+    tidxs = [node[-1] for node in found[1:]]
     if w is None:  # the word is the letters the run reads
         w = "".join(tsa.delta[i].inp or "" for i in tidxs)
     return replay(tsa, w, tidxs)
@@ -469,12 +465,11 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     the witness is therefore the lexicographically least shortest run.
     A configuration's children come from the machine's `Dispatch` table:
     the transitions of its state whose letter and predicate match the next
-    letter and the pointer's label, in delta order.  Inside the search an
-    address is an int id interned per search by (parent id, child index),
-    a tree stack is an {id: label} dict plus a pointer id, and the vfb
-    counts are an {id: count} dict.  The memo key holds XOR hashes of the
-    tree and of the vfb counts, kept up to date incrementally; a hash hit
-    compares the dicts exactly, so the memoisation is exact.  A child that
+    letter and the pointer's label, in delta order.  Inside the search a
+    tree stack and its vfb counts are a zipper focused at the pointer whose
+    vertices and contexts are interned as int ids, so each step costs the
+    same whatever the size of the tree and equal ids mean equal
+    configurations: the memoisation is exact.  A child that
     enters a dead region, a part of the control graph from which no eps
     path reads the next letter (or, at the end of the word, reaches a final
     state), is dropped when no budget can cut off anything below it, so
@@ -648,7 +643,7 @@ def _arena_path(nodes, me: int) -> list[int]:
     path = []
     while me >= 0:
         path.append(me)
-        me = nodes[me][8]
+        me = nodes[me][-2]
     return path[::-1]
 
 
@@ -666,6 +661,17 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     outside walk mode counts as cut off at every node whose state has a
     reading row, before any predicate is tested.  Returns NotFound, or the
     arena nodes from the initial one to the first accepting one.
+
+    A tree stack is held as a zipper focused at the pointer (Huet 1997),
+    hash-consed for the one search.  A vertex is (label, vfb count, child
+    ids...), one child slot per index up to `rows.degree` and 0 for an
+    empty slot; a context is (parent context, id of the parent vertex with
+    the hole slot emptied, hole index), and 0 is the root's.  Each is
+    interned as an int id when first made, so two tree stacks are equal
+    exactly when their focus and context ids are, and the memo key is
+    (state, position, focus id, context id, stationary bit).  Push, up,
+    down, set and pop each build and look up at most three small tuples,
+    whatever the size of the tree.  The vfb counts are 0 unless k is set.
 
     In walk mode a node's position is a prefix id of `walk`, so the BFS is
     over (configuration, read prefix) pairs, and a reading step extends a
@@ -707,23 +713,27 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     proper = opts.proper_only
     root_only = opts.accept_mode == "root"
     finals = machine.finals
-    eh = _entry_hash
     readers, END, ANY_LETTER = rows.readers, rows.END, rows.ANY_LETTER
 
-    ids: dict[tuple[int, int], int] = {}  # (parent id, child index) -> id
-    up_of = [-1]  # parent id per id; the root is id 0
-    # arena of (state, pos or prefix id, {id: label}, pointer id, {id: vfb
-    # count} or None when k is None, tree hash, vfb hash, stationary flag if
-    # proper, parent node, delta index)
-    nodes = [(machine.initial, 0, {0: ROOT_LABEL}, 0, None if k is None else {}, 0, 0, False, -1, -1)]
+    # the hash-consing tables of this search: id -> vertex or context, and
+    # back; id 0 is an empty child slot and the root's context
+    empty = (0,) * rows.degree  # the child slots of a leaf
+    verts: list[tuple] = [(), (ROOT_LABEL, 0) + empty]
+    vid: dict[tuple, int] = {verts[1]: 1}
+    ctxs: list[tuple] = [()]
+    cid: dict[tuple, int] = {}
+    leaves: dict[str, int] = {}  # label -> id of the leaf a push makes
+    fresh = 0 if k is None else 1  # the vfb count of a pushed vertex
+    # arena of (state, pos or prefix id, focus id, context id, stationary
+    # flag if proper, tree size, parent node, delta index)
+    nodes = [(machine.initial, 0, 1, 0, False, 1, -1, -1)]
     if machine.initial in finals:
         if walk is None:
             if max_len == 0 or free:
                 return nodes
         elif walk.target[0]:  # no budget applies to the initial configuration
             walk.accept(0, [])
-    seen = {(machine.initial, 0, 0, 0, 0, False): 0}  # memo key -> first node
-    more: dict[tuple, list[int]] = {}  # memo key -> later nodes, on hash collisions
+    seen = {nodes[0][:5]}  # memo keys
     frontier = [0]
     depth = 0
     cut = False
@@ -739,10 +749,10 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
         depth += 1
         next_frontier: list[int] = []
         for node_idx in frontier:
-            state, pos, dom, ptr, vfb, th, vh, was_stat, _, _ = nodes[node_idx]
+            state, pos, focus, ctx, was_stat, size, _, _ = nodes[node_idx]
             if walk is not None and not pending[pos]:
                 continue  # every target through this prefix has its witness
-            lab = dom[ptr]
+            v = verts[focus]
             if not free:
                 letter = w[pos] if pos < max_len else END
             elif (pos if walk is None else len(words[pos])) < max_len:
@@ -751,7 +761,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 letter = END
                 if walk is None and state in readers:
                     cut = True  # a reading row, whatever its predicate, meets the length bound
-            for tidx, inp, _, kind, n, nlab, dst, stat, ahead in rows[state, lab, letter]:
+            for tidx, inp, _, kind, n, nlab, dst, stat, ahead in rows[state, v[0], letter]:
                 if was_stat and stat:
                     continue
                 if inp is None:
@@ -762,74 +772,73 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                     npos = walk.child(pos, inp)
                     if npos is None:
                         continue
-                ndom, nptr, nth = dom, ptr, th
+                nfocus, nctx, nsize = focus, ctx, size
                 if kind == _PUSH:
-                    nptr = ids.get((ptr, n))
-                    if nptr is None:
-                        nptr = ids[(ptr, n)] = len(up_of)
-                        up_of.append(ptr)
-                    elif nptr in dom:
+                    if v[n + 1] or k == 0:  # k = 0 bars the visit from below a push makes
                         continue
-                    ndom = dom.copy()
-                    ndom[nptr] = nlab
-                    nth = th ^ eh(nptr, nlab)
+                    nfocus = leaves.get(nlab)
+                    if nfocus is None:
+                        leaf = (nlab, fresh) + empty
+                        nfocus = leaves[nlab] = vid.get(leaf) or _intern(vid, verts, leaf)
+                    nc = (ctx, focus, n)
+                    nctx = cid.get(nc) or _intern(cid, ctxs, nc)
+                    nsize += 1
                 elif kind == _UP:
-                    nptr = ids.get((ptr, n))
-                    if nptr is None or nptr not in dom:
+                    nfocus = v[n + 1]
+                    if not nfocus:
                         continue
+                    if k is not None:
+                        nv = [*verts[nfocus]]  # one more visit from below
+                        nv[1] += 1
+                        if nv[1] > k:
+                            continue
+                        nv = tuple(nv)
+                        nfocus = vid.get(nv) or _intern(vid, verts, nv)
+                    nv = [*v]  # v with its child n taken out
+                    nv[n + 1] = 0
+                    nv = tuple(nv)
+                    nc = (ctx, vid.get(nv) or _intern(vid, verts, nv), n)
+                    nctx = cid.get(nc) or _intern(cid, ctxs, nc)
                 elif kind == _ID:
                     pass
-                elif ptr == 0:  # down, set and pop need a non-root pointer
+                elif not ctx:  # down, set and pop need a non-root pointer
                     continue
                 elif kind == _DOWN:
-                    nptr = up_of[ptr]
+                    nctx, parent, hn = ctxs[ctx]
+                    nv = [*verts[parent]]  # the parent with the focus put back
+                    nv[hn + 1] = focus
+                    nv = tuple(nv)
+                    nfocus = vid.get(nv) or _intern(vid, verts, nv)
                 elif kind == _SET:
-                    ndom = dom.copy()
-                    ndom[ptr] = nlab
-                    nth = th ^ eh(ptr, lab) ^ eh(ptr, nlab)
+                    nv = (nlab,) + v[1:]
+                    nfocus = vid.get(nv) or _intern(vid, verts, nv)
                 else:  # pop: the pointer is the top of a one-path tree
-                    nptr = up_of[ptr]
-                    ndom = dom.copy()
-                    del ndom[ptr]
-                    nth = th ^ eh(ptr, lab)
-                nvfb, nvh = vfb, vh
-                if k is not None and (kind == _PUSH or kind == _UP):
-                    c = vfb.get(nptr, 0) + 1
-                    if c > k:
-                        continue
-                    nvfb = vfb.copy()
-                    nvfb[nptr] = c
-                    nvh = vh ^ eh(nptr, c)
-                    if c > 1:
-                        nvh ^= eh(nptr, c - 1)
+                    nctx, nfocus, _ = ctxs[ctx]
+                    nsize -= 1
                 if walk is None:
-                    if len(ndom) > max_vertices:
+                    if nsize > max_vertices:
                         cut = True
                         continue
                     if ahead is not None and look_ahead:
                         r, p = ahead  # dst is dead here: drop it if no budget can cut below it
-                        if len(ndom) + p <= max_vertices and depth + r * (len(ndom) + p + 1) < max_steps:
+                        if nsize + p <= max_vertices and depth + r * (nsize + p + 1) < max_steps:
                             pruned = True
                             continue
-                elif len(ndom) > vcap[npos] and walk.vertex_cut(npos, len(ndom)):
+                elif nsize > vcap[npos] and walk.vertex_cut(npos, nsize):
                     continue
                 stat = stat and proper
-                key = (dst, npos, nth, nptr, nvh, stat)
-                me = len(nodes)
-                first = seen.get(key)
-                if first is None:
-                    seen[key] = me
-                elif _seen_exactly(nodes, first, more.get(key), ndom, nvfb):
+                before = len(seen)  # one hash per memo insert: add, then see if it grew
+                seen.add((dst, npos, nfocus, nctx, stat))
+                if len(seen) == before:
                     continue
-                else:
-                    more.setdefault(key, []).append(me)
-                nodes.append((dst, npos, ndom, nptr, nvfb, nth, nvh, stat, node_idx, tidx))
-                if dst in finals and (nptr == 0 or not root_only):
+                me = len(nodes)
+                nodes.append((dst, npos, nfocus, nctx, stat, nsize, node_idx, tidx))
+                if dst in finals and (not nctx or not root_only):
                     if walk is None:
                         if free or npos == max_len:
                             return [nodes[i] for i in _arena_path(nodes, me)]
-                    elif walk.takes(npos, depth, len(ndom)):
-                        walk.accept(npos, [(i, nodes[i][9]) for i in _arena_path(nodes, me)[1:]])
+                    elif walk.takes(npos, depth, nsize):
+                        walk.accept(npos, [(i, nodes[i][-1]) for i in _arena_path(nodes, me)[1:]])
                         if not pending[npos]:
                             continue
                 next_frontier.append(me)
@@ -840,14 +849,12 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     return NotFound("budget" if cut else "exhausted")
 
 
-def _seen_exactly(nodes, first, later, dom, vfb) -> bool:
-    """Whether a node under the same memo key has this exact tree and vfb
-    map; state, position, pointer and stationary flag are in the key."""
-    for j in (first, *later) if later else (first,):
-        node = nodes[j]
-        if (node[2] is dom or node[2] == dom) and node[4] == vfb:
-            return True
-    return False
+def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
+    """Give x the next id of a hash-consing table: `ids` maps each tuple to
+    its id and `table` each id to its tuple."""
+    i = ids[x] = len(table)
+    table.append(x)
+    return i
 
 
 def _execute(tsa: Tsa, runs: Iterable[tuple[str, Iterable[tuple[object, int]]]]) -> list[RunTrace]:
@@ -920,7 +927,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     reaches prunes all its words, and the accepted words' witnesses are
     re-executed by `_Walk.witnesses`, each arena node once.  The walk
     holds the configurations of all live prefixes at once, so it needs more
-    memory than one search per word: on wpz at max_len 8, 15.8 MB traced
+    memory than one search per word: on wpz at max_len 8, 9.0 MB traced
     (tracemalloc).
     """
     walk = _Walk(tsa, opts, max_len)
@@ -1007,13 +1014,18 @@ def _compose_stationary(t1: Transition, t2: Transition) -> Transition | None:
     the pair never fires.  t2 tests the label t1 leaves behind: the label t1
     sets, or else the label t1 tested (unknown after `true` with `id`).  The
     composite tests t1's predicate, or t2's when t1 runs `id` under `true`,
-    and runs t2's instruction when that sets a label, else t1's."""
+    and runs t2's instruction when that sets a label, else t1's.  A
+    composite that sets a label under `eq @` is None too: `set` fails at
+    the root."""
     left = t1.instr.label if t1.instr.kind == "set" else t1.pred.label
     if t2.pred.kind == "eq" and left is not None and left != t2.pred.label:
         return None
     free = t1.pred.kind == "true" and t1.instr.kind == "id"
+    pred = t2.pred if free else t1.pred
     instr = t2.instr if t2.instr.kind == "set" else t1.instr
-    return Transition(t1.src, None, t2.pred if free else t1.pred, instr, t2.dst)
+    if pred.label == ROOT_LABEL and instr.kind == "set":
+        return None
+    return Transition(t1.src, None, pred, instr, t2.dst)
 
 
 def standardise(tsa: Tsa) -> Tsa:
@@ -1039,11 +1051,6 @@ def standardise(tsa: Tsa) -> Tsa:
                     have.add(t3.core())
                     changed = True
     return replace(tsa, delta=tuple(delta))
-
-
-def is_standardised(tsa: Tsa) -> bool:
-    """Whether delta is closed already: standardising adds nothing."""
-    return len(standardise(tsa).delta) == len(tsa.delta)
 
 
 def is_proper(trace: RunTrace) -> bool:

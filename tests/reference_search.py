@@ -8,7 +8,7 @@ visit-from-below counts as a sorted tuple in each arena node, beside its
 `Configuration`, and memoises on the canonical `TreeStack.key()`, so a
 step costs time in the size of the tree.  The PDA search keeps the stack
 as a tuple and memoises on whole configurations.  Both are slow but
-plain; test_search_core.py checks the interned-address search core
+plain; test_search_core.py checks the hash-consed search core
 against them configuration by configuration.  The enumeration and the
 up-set collection run `accepts` once per word, the plain form of the
 core's walk over read prefixes; test_search_core.py diffs the two word

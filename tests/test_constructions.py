@@ -18,6 +18,7 @@ from strategies import random_fsa, random_pdas, random_tsas
 
 from tsalab.convert import pda_accepts, pda_to_tsa1
 from tsalab.langlab import fsa_accepts, tsa_fsa_product
+from tsalab.treestack import ROOT_LABEL
 from tsalab.tsa import (
     SearchOptions,
     accepts_each,
@@ -109,3 +110,11 @@ def test_standardise_keeps_the_language_and_needs_only_proper_runs_on_random_tsa
         # language with runs that never take two such steps in a row
         proper += compare(verdicts(std, proper_opts), want)
     assert accepted > 800 and proper > 800 and changed > 25
+
+
+def test_standardise_adds_no_set_under_eq_root_on_random_tsas():
+    # `set` fails at the root, so such a composite never fires; machines
+    # 396, 902 and 965 once gained nothing else
+    for tsa in random_tsas(5, 1000):
+        added = standardise(tsa).delta[len(tsa.delta):]
+        assert not [str(t) for t in added if t.pred.label == ROOT_LABEL and t.instr.kind == "set"]

@@ -1,4 +1,4 @@
-"""Differential tests: the interned-address search core, behind `accepts`,
+"""Differential tests: the hash-consed search core, behind `accepts`,
 `shortest_accepted`, `pda_accepts` and `enumerate_words`, against the
 plain reference searches in reference_search.py.
 
@@ -8,7 +8,12 @@ enumeration, the same words and the same budget words in the same order.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -351,44 +356,64 @@ def test_budgets_depend_on_the_word_length():
     assert got == upsets(ref_collect_upsets, tsa, words, None)
 
 
-def test_hash_collisions_fall_back_to_exact_equality(monkeypatch):
-    queries = [(name, w, opts)
-               for name in ("abcd", "anbmcndm", "wpz")
-               for w in words_upto("".join(MACHINES[name]().alphabet), 4)
-               for opts in (OPTIONS["default"], OPTIONS["k2"], OPTIONS["proper"])]
-    queries += [("abcd", abcd_word(m), OPTIONS["k2"]) for m in range(1, 9)]
-    queries += [("wpz", "t" * n + "T" * n, OPTIONS["default"]) for n in range(1, 6)]
-    machines = {name: make() for name, make in MACHINES.items()}
-    expected = [outcome(accepts(machines[n], w, o)) for n, w, o in queries]
-    expected_short = [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()]
-    expected_words = [enumerate_words(m, 4, OPTIONS["k2"]) for m in machines.values()]
-    pdas = {name: make() for name, make in PDAS.items()}
-    pda_queries = [(name, w, budgets)
-                   for name, pda in pdas.items()
-                   for w in words_upto("".join(pda.alphabet), 5)
-                   for budgets in PDA_BUDGETS.values()]
-    expected_pda = [outcome(ref_pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries]
+# Pairs of configurations that differ only below the pointer.  In each
+# machine the search meets the one that cannot go on first, at the same
+# state and position as the one that can, so a memo key that merged the
+# two would drop the accepting branch and answer `exhausted`.
+MEMO_TSAS = {
+    # {1: A, 1.1: C} against {1: B, 1.1: C}, the pointer at 1.1
+    "label-below-the-pointer": (None, """
+trans: q0 eps true push 1 A q1
+trans: q0 eps true push 1 B q1
+trans: q1 eps true push 1 C q2
+trans: q2 eps true down q3
+trans: q3 eps eq B down f
+"""),
+    # {1: A}, the pointer at the root, with vertex 1 entered from below
+    # twice (at depth 4) against once (at depth 5); one more up needs once
+    "vfb-count": (2, """
+trans: q0 eps true push 1 A q1
+trans: q1 eps true down d1
+trans: d1 eps true up 1 u1
+trans: u1 eps true down q2
+trans: q1 eps true id i1
+trans: i1 eps true id i2
+trans: i2 eps true id i3
+trans: i3 eps true down q2
+trans: q2 eps true up 1 q3
+trans: q3 eps true down f
+"""),
+    # {1: A} against {2: A}, the pointer at the root
+    "child-slot": (None, """
+trans: q0 eps true push 1 A q1
+trans: q0 eps true push 2 A q1
+trans: q1 eps true down q2
+trans: q2 eps true up 2 q3
+trans: q3 eps true down f
+"""),
+}
 
-    distinct = 0
-    seen_exactly = tsa_mod._seen_exactly
 
-    def counting(*args):
-        nonlocal distinct
-        same = seen_exactly(*args)
-        distinct += not same
-        return same
+def memo_tsa(rows):
+    """The TSA of these trans lines over the states they name, q0 initial
+    and f final."""
+    states = dict.fromkeys(["q0"] + [tok for line in rows.split("\n") if line
+                                     for tok in (line.split()[1], line.split()[-1])])
+    head = ["tsa", "states: " + " ".join(states), "initial: q0", "final: f",
+            "labels: A B C", "alphabet: a"]
+    return parse_tsa("\n".join(head) + rows)
 
-    # every entry hashes to 0, so configurations that differ only in their
-    # tree or vfb counts share one memo key
-    monkeypatch.setattr(tsa_mod, "_entry_hash", lambda a, b: 0)
-    monkeypatch.setattr(tsa_mod, "_seen_exactly", counting)
-    assert [outcome(accepts(machines[n], w, o)) for n, w, o in queries] == expected
-    assert [outcome(shortest_accepted(m, 5, OPTIONS["k2"])) for m in machines.values()] == expected_short
-    assert [enumerate_words(m, 4, OPTIONS["k2"]) for m in machines.values()] == expected_words
-    assert distinct > 0  # configurations told apart only by the exact check
-    tsa_distinct = distinct
-    assert [outcome(pda_accepts(pdas[n], w, **b)) for n, w, b in pda_queries] == expected_pda
-    assert distinct > tsa_distinct  # stacks of one height told apart the same way
+
+@pytest.mark.parametrize("name", list(MEMO_TSAS))
+def test_memo_keeps_configurations_apart_that_differ_below_the_pointer(name):
+    k, rows = MEMO_TSAS[name]
+    tsa = memo_tsa(rows)
+    opts = SearchOptions(k=k)
+    want = ref_accepts(tsa, "", opts)
+    assert want
+    assert outcome(accepts(tsa, "", opts)) == outcome(want)
+    assert outcome(accepts_each(tsa, [""], opts)[""]) == outcome(want)
+    assert enumerate_words(tsa, 0, opts) == {""}
 
 
 # The length bound of `shortest_accepted` cuts the search off (`budget`) at
@@ -727,6 +752,7 @@ class CountingRows:
     def __init__(self, table):
         self.table, self.lookups = table, 0
         self.readers, self.END, self.ANY_LETTER = table.readers, table.END, table.ANY_LETTER
+        self.degree = table.degree
 
     def __getitem__(self, key):
         self.lookups += 1
@@ -749,3 +775,47 @@ def test_look_ahead_makes_the_anbmcndm_search_linear():
         w = "a" * n + "b" * n + "c" * n + "d" * n
         counts[n] = expanded(tsa, w, True), expanded(tsa, w, False)
     assert counts == {25: (213, 1094), 50: (413, 3419)}  # 4n + 13 nodes against about 1.4n^2
+
+
+# Memory gates.  A search holds each configuration as a focus and a context
+# id into tables shared by the whole search, so its memory grows with the
+# number of configurations, not with that number times the tree size.
+
+def traced_peak(search):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_abcd_search_memory_grows_linearly():
+    tsa, opts = abcd_tsa(), SearchOptions(k=2)
+    rows = tsa_mod._tsa_rows(tsa)
+    accepts(tsa, abcd_word(2), opts)  # fills the dispatch table outside the traced calls
+    peak = {}
+    for m in (200, 400):
+        w = abcd_word(m)
+        peak[m] = traced_peak(lambda: tsa_mod._search(tsa, rows, w, len(w), opts))
+    assert peak[400] < 3 * peak[200], peak
+
+
+ROUND_TRIP_UNDER_LIMIT = """
+import resource, sys
+limit = 200 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from tsalab.convert import fixture_wpz_pda, pda_accepts, pda_to_tsa1, tsa1_to_pda
+pda = tsa1_to_pda(pda_to_tsa1(fixture_wpz_pda()))
+print(bool(pda_accepts(pda, "t" * 14 + "T" * 14)))
+"""
+
+
+def test_round_trip_pda_search_fits_in_200_mb():
+    src = str(Path(tsa_mod.__file__).parent.parent)  # the tsalab these tests import
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP_UNDER_LIMIT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "True\n"

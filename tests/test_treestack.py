@@ -3,13 +3,11 @@ from hypothesis import given, strategies as st
 
 from tsalab.treestack import (
     ROOT,
-    AddressMissing,
     PointerAtRoot,
     PushTargetExists,
     TreeStack,
     TreeStackError,
     UpTargetMissing,
-    above_below,
     format_address,
     instr_down,
     instr_id,
@@ -91,34 +89,6 @@ def test_exactly_one_eq_holds():
     ts = ts_apply(ts_init(), instr_push(1, "*"))
     labels = ["@", "*", "#"]
     assert sum(pred_eval(ts, pred_eq(x)) for x in labels) == 1
-
-
-def test_above_below_simple():
-    ts = ts_init()
-    for addr, lab in [((1,), "*"), ((1, 1), "*"), ((1, 1, 1), "#")]:
-        ts = TreeStack({**ts.dom, addr: lab}, addr)
-    above, below = above_below(ts, (1, 1))
-    assert above == {(1, 1), (1, 1, 1)}
-    assert below == {ROOT, (1,)}
-
-
-def test_above_below_branching():
-    dom = {ROOT: "@", (1,): "*", (1, 2): "x", (1, 4): "x", (1, 6): "x", (3,): "x"}
-    ts = TreeStack(dom, ROOT)
-    above, below = above_below(ts, (1,))
-    assert above == {(1,), (1, 2), (1, 4), (1, 6)}
-    assert below == {ROOT, (3,)}
-    # the vertex itself always counts as above
-    for nu in [(1,), (3,), (1, 2)]:
-        a, _ = above_below(ts, nu)
-        assert nu in a
-
-
-def test_above_below_missing():
-    with pytest.raises(AddressMissing):
-        above_below(ts_init(), (7,))
-    with pytest.raises(ValueError):
-        above_below(ts_init(), ROOT)
 
 
 def test_address_rendering():

@@ -40,7 +40,6 @@ from tsalab.tsa import (
     is_accepting_run,
     is_k_restricted,
     is_proper,
-    is_standardised,
     make_root_accepting,
     normalize_child_indices,
     parse_tsa,
@@ -576,6 +575,8 @@ def test_standardise_composes_every_stationary_cell():
             assert len(composite) <= 1 and got == want, (str(t1), str(t2), ts)
             if want is not None:
                 fired.add((t1, t2))
+        # and no composite for a pair that never fires
+        assert bool(composite) == ((t1, t2) in fired), (str(t1), str(t2))
     assert len(fired) == 60
 
 
@@ -597,7 +598,6 @@ def test_standardise_composes_eq_then_true_with_set():
 
 def test_abcd_already_standardised():
     tsa = abcd_tsa()
-    assert is_standardised(tsa)
     assert standardise(tsa).delta == tsa.delta
 
 
@@ -609,7 +609,6 @@ def test_standardise_idempotent_and_language_preserving():
     tsa = _toy([loader, t1, t2])
     once = standardise(tsa)
     assert standardise(once).delta == once.delta
-    assert is_standardised(once)
     assert set(tsa.delta) <= set(once.delta)
     o = SearchOptions(accept_mode="any")
     for L in range(6):
