@@ -81,7 +81,6 @@ from .convert import (
 from .langlab import (
     Fsa,
     GroupAlphabet,
-    ParikhVector,
     WordOracle,
     build_Bw,
     erasing_hom,
@@ -90,12 +89,10 @@ from .langlab import (
     fsa_accepts,
     gap_check,
     oracle,
-    parikh,
     parse_fsa,
     rational_membership,
     regex_to_fsa,
     tsa_fsa_product,
-    type_p,
 )
 from . import fixtures
 

@@ -205,7 +205,6 @@ def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
 @dataclass
 class SwapReport:
     word: str
-    history: HistoryArray
     accepted: bool
     search_reason: str | None  # None if accepted, else "budget"/"exhausted"
     spliced_replay_ok: bool
@@ -247,31 +246,7 @@ def single_swap(trace_w: RunTrace, nu: Address,
         replay_ok = False
 
     res = accepts(trace_w.tsa, word, SearchOptions())
-    return SwapReport(word, h1, bool(res), None if res else res.reason, replay_ok)
-
-
-@dataclass(frozen=True)
-class MarkedWord:
-    """A word with a set of distinguished positions (0-based internally,
-    shown 1-based in reports)."""
-
-    word: str
-    marks: frozenset[int]
-
-    def __post_init__(self):
-        if not all(0 <= i < len(self.word) for i in self.marks):
-            raise ValueError("marks must index into the word")
-
-    @property
-    def marked_count(self) -> int:
-        return len(self.marks)
-
-    def render_marks(self) -> str:
-        return " ".join(str(i + 1) for i in sorted(self.marks))
-
-
-def mark_all(word: str) -> MarkedWord:
-    return MarkedWord(word, frozenset(range(len(word))))
+    return SwapReport(word, bool(res), None if res else res.reason, replay_ok)
 
 
 @dataclass
@@ -416,7 +391,7 @@ class AtvBoundsReport:
 
 
 def check_atv_bounds(trace: RunTrace, mu: int,
-                     marks: "set[int] | MarkedWord | None" = None,
+                     marks: set[int] | None = None,
                      lam: int | None = None) -> AtvBoundsReport:
     """Per-vertex letter-count bounds for runs satisfying the strong
     condition (no stationary factor reads more than mu*|C|*|Q| letters).
@@ -425,9 +400,12 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     mu*k*D*|Q|, leaves by mu*k*|C|*|Q|, where k is the maximum
     visit-from-below count of this run.  With `marks` and `lam` given, the
     report also lists the lambda-singular vertices (those outside whose
-    subtree fewer than lam marked letters are read).
+    subtree fewer than lam marked letters are read); `marks` are 0-based
+    positions of the word.
     """
     _check_trace(trace)
+    if marks is not None and not all(0 <= i < len(trace.word) for i in marks):
+        raise InputError("marks must index into the word")
     tsa = trace.tsa
     D = degree(tsa).value
     if D == 0:
@@ -466,8 +444,6 @@ def check_atv_bounds(trace: RunTrace, mu: int,
 
     singular = None
     if marks is not None and lam is not None:
-        if isinstance(marks, MarkedWord):
-            marks = marks.marks
         # marked letters read inside T_nu are those of its u factors,
         # w[pos[l]:pos[m]]; `before[i]` counts the marked letters before i
         before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))

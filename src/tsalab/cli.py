@@ -163,7 +163,7 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     tsa = load_tsa(args.machine)
-    if args.follow:
+    if args.follow is not None:
         # replay a named transition sequence instead of searching; show
         # where it jams if it does
         names = args.follow.split(",")
@@ -308,11 +308,11 @@ def cmd_analyze(args) -> int:
         words = Path(args.words_file).read_text().split()
         ups = analysis.collect_upsets(tsa, words, search_options(args))
         block = ["command=analyze.upsets", f"words={len(words)}"]
+        weights = ups.max_total_lengths()
         for h in sorted(ups.entries, key=lambda h: (h.s, h.labels, h.states)):
             tuples = sorted(ups.entries[h])
             block.append(f"array=({' '.join(h.labels)} | {' '.join(h.states)})")
-            block.append(f"  tuples={len(tuples)} max_total_len="
-                         f"{max(sum(map(len, t)) for t in tuples)}")
+            block.append(f"  tuples={len(tuples)} max_total_len={weights[h]}")
             for t in tuples[: args.show]:
                 block.append("  u=(" + ", ".join(map(show, t)) + ")")
         if ups.budget_failures:

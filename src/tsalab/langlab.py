@@ -1,8 +1,8 @@
-"""Language laboratory: Parikh vectors, the gap test for semi-linear
-Parikh images, structural sample-language oracles, finite automata with
-a small regex front end, the TSA x FSA product, inverse-path automata,
-the bounded rational-subset membership pipeline, erasing homomorphisms
-and the direct-product free-group experiment.
+"""Language laboratory: the gap test for semi-linear Parikh images,
+structural sample-language oracles, finite automata with a small regex
+front end, the TSA x FSA product, inverse-path automata, the bounded
+rational-subset membership pipeline, erasing homomorphisms and the
+direct-product free-group experiment.
 
 Group alphabets write inverses with a trailing apostrophe (a' for the
 inverse of a), so words over them are tokenised rather than indexed.
@@ -56,24 +56,7 @@ def tokenize(word: str | Sequence[str], alphabet: Sequence[str] | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Parikh vectors and the gap test
-
-@dataclass(frozen=True)
-class ParikhVector:
-    alphabet: tuple[str, ...]
-    counts: tuple[int, ...]
-
-    def __add__(self, other: "ParikhVector") -> "ParikhVector":
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("cannot add vectors over different alphabets")
-        return ParikhVector(self.alphabet, tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-
-def parikh(word: str | Sequence[str], alphabet: Sequence[str]) -> ParikhVector:
-    toks = tokenize(word, alphabet)
-    alpha = tuple(alphabet)
-    return ParikhVector(alpha, tuple(toks.count(a) for a in alpha))
-
+# the gap test
 
 @dataclass
 class GapReport:
@@ -300,39 +283,6 @@ def wp_f2xf2(word: str | Sequence[str]) -> bool:
     return not ab and not cd
 
 
-def type_p(word: str, p: int, scheme: str = "ambm", zero_bound: int | None = None) -> bool:
-    """Word types from the block-language arguments.
-
-    scheme "ambm": type p >= 1 means a factor a b^p a or b a^p b occurs;
-    type 0 means the word lies in a*b* or b*a*.  scheme "abm": type p >= 1
-    means a factor a b^p a occurs; type 0 means the word is b^s a b^t with
-    s, t below zero_bound."""
-    if scheme not in ("ambm", "abm"):
-        raise ValueError("scheme must be 'ambm' or 'abm'")
-    if p >= 1:
-        if "a" + "b" * p + "a" in word:
-            return True
-        if scheme == "ambm" and "b" + "a" * p + "b" in word:
-            return True
-        return False
-    if scheme == "ambm":
-        return _is_block(word, "a", "b") or _is_block(word, "b", "a")
-    if zero_bound is None:
-        raise ValueError("type 0 in the 'abm' scheme needs zero_bound")
-    if word.count("a") != 1:
-        return False
-    s = len(word.split("a")[0])
-    t = len(word.split("a")[1])
-    return set(word) <= {"a", "b"} and s < zero_bound and t < zero_bound
-
-
-def _is_block(word: str, x: str, y: str) -> bool:
-    i = 0
-    while i < len(word) and word[i] == x:
-        i += 1
-    return all(ch == y for ch in word[i:])
-
-
 # ---------------------------------------------------------------------------
 # finite automata
 
@@ -389,15 +339,6 @@ def eps_free(fsa: Fsa) -> Fsa:
                         delta.append(edge)
     finals = frozenset(q for q in fsa.states if closures[q] & fsa.finals)
     return Fsa(fsa.states, fsa.alphabet, tuple(delta), fsa.initial, finals)
-
-
-def fsa_enumerate(fsa: Fsa, max_len: int) -> set[tuple[str, ...]]:
-    out = set()
-    for n in range(max_len + 1):
-        for toks in itertools.product(fsa.alphabet, repeat=n):
-            if fsa_accepts(fsa, toks):
-                out.add(toks)
-    return out
 
 
 # regex front end: concatenation, |, *, +, grouping; letters may carry '

@@ -123,12 +123,11 @@ class TreeStack:
 
     __slots__ = ("dom", "pointer", "_key")
 
-    def __init__(self, dom: Mapping[Address, str], pointer: Address, _validate: bool = True):
+    def __init__(self, dom: Mapping[Address, str], pointer: Address):
         object.__setattr__(self, "dom", dict(dom))
         object.__setattr__(self, "pointer", pointer)
         object.__setattr__(self, "_key", None)
-        if _validate:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeStack is immutable")
@@ -192,7 +191,7 @@ class TreeStack:
 
 def ts_init() -> TreeStack:
     """The initial tree stack: a lone root with the pointer on it."""
-    return TreeStack({ROOT: ROOT_LABEL}, ROOT, _validate=False)
+    return TreeStack({ROOT: ROOT_LABEL}, ROOT)
 
 
 def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:

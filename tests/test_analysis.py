@@ -25,7 +25,6 @@ from tsalab.analysis import (
     check_U_switchable,
     check_atv_bounds,
     collect_upsets,
-    mark_all,
     find_pumpable,
     history_array,
     level1_arrays,
@@ -38,6 +37,7 @@ from tsalab.analysis import (
 from tsalab.convert import fixture_wpz_tsa
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_run, updown_demo_tsa
 from tsalab.langlab import oracle
+from tsalab.treestack import InputError
 from tsalab.tsa import ReplayMismatch, SearchOptions, accepts, replay
 
 K2 = SearchOptions(k=2)
@@ -367,25 +367,19 @@ def test_atv_degree_zero_rejected():
 
 
 def test_lambda_singular_reporting(abcd_traces):
-    from tsalab.analysis import mark_all
-
     tr = abcd_traces[2]
-    marked = mark_all(abcd_word(2))
-    rep = check_atv_bounds(tr, 1, marks=marked, lam=1)
+    rep = check_atv_bounds(tr, 1, marks=set(range(len(abcd_word(2)))), lam=1)
     # the root reads nothing outside its own subtree, so it is singular
     assert () in rep.lambda_singular
     # the deepest vertex sees almost all letters read outside its subtree
     assert (1, 1, 1) not in rep.lambda_singular
 
 
-def test_marked_word_rendering():
-    from tsalab.analysis import MarkedWord
-
-    mw = MarkedWord("abbba", frozenset({0, 2, 4}))
-    assert mw.marked_count == 3
-    assert mw.render_marks() == "1 3 5"  # 1-based in reports
-    with pytest.raises(ValueError):
-        MarkedWord("ab", frozenset({5}))
+def test_marks_outside_the_word_are_refused(abcd_traces):
+    tr = abcd_traces[2]  # 8 letters
+    for marks in ({100}, {-1}, {0, 8}):
+        with pytest.raises(InputError, match="marks must index into the word"):
+            check_atv_bounds(tr, 1, marks=marks, lam=1)
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -676,7 +670,7 @@ def test_bounds_report_every_witness_matches_scans(all_traces):
         rep = check_atv_bounds(tr, mu)
         assert {r.vertex: r.letters for r in rep.vertices} == {
             nu: letters.get(nu, 0) for nu in tr.final().ts.dom}
-        marksets = [set(mark_all(tr.word).marks),
+        marksets = [set(range(len(tr.word))),
                     {i for i in range(len(tr.word)) if rng.random() < 0.5}]
         for marks in marksets:
             for lam in range(4):

@@ -375,6 +375,7 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "gaps", "--family", "alpha:inf"],
     ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
     ["fixtures", "abcd", "--pda"],  # only wpz has a PDA
+    ["trace", "ks", "--word", "tT", "--follow", ""],  # no transition has the empty name
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
     files = {

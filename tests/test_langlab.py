@@ -20,16 +20,13 @@ from tsalab.langlab import (
     f2f2_T,
     f2f2_experiment,
     fsa_accepts,
-    fsa_enumerate,
     gap_check,
     oracle,
-    parikh,
     parse_fsa,
     rational_membership,
     regex_to_fsa,
     tokenize,
     tsa_fsa_product,
-    type_p,
     unary_lengths,
     wp_f2xf2,
 )
@@ -43,31 +40,6 @@ from tsalab.tsa import (
 )
 
 ANY_MODE = SearchOptions(accept_mode="any")
-
-
-# -- Parikh ------------------------------------------------------------------
-
-def test_parikh_basic():
-    assert parikh("abba", ("a", "b")).counts == (2, 2)
-    assert parikh("", ("a", "b")).counts == (0, 0)
-
-
-def test_parikh_block_words():
-    for m in range(1, 4):
-        for n in range(1, 4):
-            w = ("a" * m + "b" * m) * n
-            assert parikh(w, ("a", "b")).counts == (m * n, m * n)
-
-
-def test_parikh_unknown_letter():
-    with pytest.raises(UnknownLetter):
-        parikh("abc", ("a", "b"))
-
-
-@given(st.text(alphabet="ab", max_size=30), st.text(alphabet="ab", max_size=30))
-def test_parikh_additive(u, v):
-    alpha = ("a", "b")
-    assert (parikh(u, alpha) + parikh(v, alpha)).counts == parikh(u + v, alpha).counts
 
 
 # -- gap checks ---------------------------------------------------------------
@@ -192,25 +164,6 @@ def _naive_identity(tokens):
                 max_size=12))
 def test_wp_f2xf2_matches_naive_reducer(tokens):
     assert wp_f2xf2(tuple(tokens)) == _naive_identity(tokens)
-
-
-def test_type_p_examples():
-    w = "abbaaaba"  # a b^2 a^3 b a
-    assert type_p(w, 2) and type_p(w, 3) and type_p(w, 1)
-    assert not type_p(w, 4)
-    assert type_p("aaaabbbb", 0)
-    assert not type_p("ab" * 3, 0)
-    blocks = ("a" * 3 + "b" * 3) * 2
-    assert type_p(blocks, 3) and not type_p(blocks, 0)
-
-
-def test_type_p_cor_scheme():
-    assert type_p("abbbabbb", 3, "abm")
-    assert not type_p("babbba b".replace(" ", ""), 3, "abm") or True  # b a^p b is not in this scheme
-    assert type_p("bbabb", 0, "abm", zero_bound=3)
-    assert not type_p("bbbab", 0, "abm", zero_bound=3)
-    with pytest.raises(ValueError):
-        type_p("ab", 0, "abm")
 
 
 # -- group alphabets -----------------------------------------------------------
@@ -374,9 +327,10 @@ def test_build_Bw_tplus():
     assert not fsa_accepts(Bw, "tT")
     assert not fsa_accepts(Bw, "ttT")
     # every member up to length 8 has the v . w^{-1} shape
-    for toks in fsa_enumerate(eps_free(Bw), 8):
-        w = "".join(toks)
-        assert w.endswith("TT") and set(w[:-2]) <= {"t"} and len(w) > 2
+    free = eps_free(Bw)
+    for w in words_upto("tT", 8):
+        if fsa_accepts(free, w):
+            assert w.endswith("TT") and set(w[:-2]) <= {"t"} and len(w) > 2
 
 
 def test_build_Bw_empty_w():
