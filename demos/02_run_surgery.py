@@ -54,7 +54,7 @@ print(f"  l={l1.ls} m={l1.ms} child={l1.ns}")
 print("\nPumping: the a* machine sits at the root while reading, so any")
 print("long enough word pumps:")
 tr = accepts(astar_tsa(), "aaaaa", SearchOptions(accept_mode="any"))
-pump = find_pumpable(tr, 1, SearchOptions(accept_mode="any"))
+pump = find_pumpable(tr, 1)
 print(f"  x={pump.x!r} y={pump.y!r} z={pump.z!r}; "
       f"re-accepted at exponents {sorted(pump.verified)}: "
       f"{all(pump.verified.values())}")

@@ -48,7 +48,6 @@ from .mcfg import (
     mcfg_member,
     parse_mcfg,
     productive_nonterminals,
-    rank,
 )
 from .analysis import (
     EmpiricalUpSet,

@@ -331,14 +331,14 @@ def _stationary_segments(trace: RunTrace):
     return segs
 
 
-def find_pumpable(trace: RunTrace, m: int,
-                  opts: SearchOptions | None = None) -> PumpResult | None:
+def find_pumpable(trace: RunTrace, m: int) -> PumpResult | None:
     """Extract a pumpable factor from a long stationary stretch.
 
     If the pointer rests at one vertex for more than m*|C|*|Q| consecutive
     transitions, a (label, state) pair repeats m+1 times inside the first
     m*|C|*|Q|+1 of them; the input read between the first and last repeat
-    is the pump.  Returns None when no stretch is long enough.
+    is the pump, checked by `accepts` in any mode under default budgets.
+    Returns None when no stretch is long enough.
     """
     if m < 1:
         raise InputError("m must be >= 1")
@@ -365,9 +365,8 @@ def find_pumpable(trace: RunTrace, m: int,
         x = trace.word[: pos[j1]]
         y = trace.word[pos[j1]: pos[jm]]
         z = trace.word[pos[jm]:]
-        # each pumped word gets the default budgets for its own length
-        local = replace(opts or SearchOptions(accept_mode="any"), max_steps=None, max_vertices=None)
-        verified = {n: bool(accepts(tsa, x + y * n + z, local)) for n in (0, 2, 3)}
+        any_mode = SearchOptions(accept_mode="any")
+        verified = {n: bool(accepts(tsa, x + y * n + z, any_mode)) for n in (0, 2, 3)}
         return PumpResult(x, y, z, nu, verified)
     return None
 

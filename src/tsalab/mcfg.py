@@ -15,6 +15,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
+from .treestack import InputError
 from .tsa import Names, ParseError, read_sections
 
 # tokens of this shape are always variables in head fields
@@ -81,11 +82,6 @@ def _head_variables(rule: McfgRule) -> list[str]:
     return [tok for argument in rule.head_args for kind, tok in argument if kind == "v"]
 
 
-def rank(mcfg: Mcfg) -> int:
-    """The grammar's rank: the largest nonterminal rank."""
-    return max(r for _, r in mcfg.ranks)
-
-
 def parse_mcfg(text: str) -> Mcfg:
     """Parse the grammar file format: `rule: A(f1, f2) <- B(x1, x2), ...`
     with whitespace-separated tokens inside fields and empty fields for eps.
@@ -95,6 +91,8 @@ def parse_mcfg(text: str) -> Mcfg:
     raw_rules: list[tuple[int, str]] = []
     for lineno, key, rest, _ in read_sections(text, "mcfg"):
         if key == "start":
+            if start is not None:
+                raise ParseError("start is declared twice", lineno)
             start, start_line = rest.strip(), lineno
         elif key == "rule":
             raw_rules.append((lineno, rest.strip()))
@@ -172,31 +170,26 @@ def parse_mcfg(text: str) -> Mcfg:
     return Mcfg(tuple(ranks.items()), tuple(terminals), tuple(rule for _, rule in rules), start)
 
 
-def _bounded_rule(rule: McfgRule) -> tuple:
-    """The rule compiled for `derivable_tuples`: its head nonterminal, the
-    number of terminal letters in its head, one (nonterminal, kept
-    components) pool key per body position, and its head arguments as
-    pieces, each a terminal string or a (body position, index among that
-    position's kept components) slot."""
+def _rule_args(rule: McfgRule) -> tuple:
+    """The head arguments in the form both engines read: per argument, its
+    leading terminals, then one (slot, terminals that follow it) pair per
+    variable, where a slot is the variable's (body position, component)."""
     slot = {v: (p, c) for p, (_, vs) in enumerate(rule.body) for c, v in enumerate(vs)}
-    used = {tok for argument in rule.head_args for kind, tok in argument if kind == "v"}
-    kept = [[c for c, v in enumerate(vs) if v in used] for _, vs in rule.body]
-    args, const = [], 0
+    args = []
     for argument in rule.head_args:
-        pieces = []
+        pre, parts = "", []
         for kind, tok in argument:
             if kind == "v":
-                p, c = slot[tok]
-                pieces.append((p, kept[p].index(c)))
+                parts.append((slot[tok], ""))
+            elif parts:
+                parts[-1] = (parts[-1][0], parts[-1][1] + tok)
             else:
-                pieces.append(tok)
-                const += len(tok)
-        args.append(tuple(pieces))
-    body = tuple((nt, tuple(cs)) for (nt, _), cs in zip(rule.body, kept))
-    return rule.head, const, body, tuple(args)
+                pre += tok
+        args.append((pre, tuple(parts)))
+    return tuple(args)
 
 
-_weight = itemgetter(0)  # of a (weight, projection) pool entry
+_weight = itemgetter(0)  # of a (weight, tuple) pool entry
 
 
 def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str, ...]]]:
@@ -207,60 +200,53 @@ def derivable_tuples(mcfg: Mcfg, max_total_len: int) -> dict[str, set[tuple[str,
     fires a rule only on body combinations that take a tuple first derived
     in round r-1.  The positions before that one take older tuples and the
     positions after it take any, so no combination is joined twice.  A
-    tuple adds to the head only the components the head keeps, so a pool
-    holds each distinct projection onto those once, sorted by its letters,
-    and a join stops at the first projection that no longer fits in the
-    bound less the rule's own letters.
-    The bound also cuts components that a deleting rule drops later;
-    `mcfg_enumerate` avoids that by enumerating the `non_deleting`
-    grammar."""
+    pool holds a nonterminal's tuples sorted by their letters, and a join
+    stops at the first tuple that no longer fits in the bound less the
+    rule's own letters.  A deleting grammar raises `InputError`: the bound
+    would also cut the components its rules drop, so rewrite it with
+    `non_deleting` first, as `mcfg_enumerate` does."""
+    if non_deleting(mcfg) is not mcfg:
+        raise InputError("derivable_tuples takes a non-deleting grammar; "
+                         "rewrite it with non_deleting first")
     values: dict[str, set[tuple[str, ...]]] = {nt: set() for nt, _ in mcfg.ranks}
     newest: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in values}
     rules = []
-    for head, const, body, args in map(_bounded_rule, mcfg.rules):
-        if body:
-            rules.append((head, const, body, args))
+    for rule in mcfg.rules:
+        args = _rule_args(rule)
+        const = sum(len(pre) + sum(len(post) for _, post in parts) for pre, parts in args)
+        if rule.body:
+            rules.append((rule.head, const, tuple(nt for nt, _ in rule.body), args))
         elif const <= max_total_len:
-            tup = tuple("".join(arg) for arg in args)
-            if tup not in values[head]:
-                values[head].add(tup)
-                newest[head].append(tup)
-    # a pool is a list of (weight, projection) pairs in order of weight,
-    # one per distinct projection of a tuple onto the kept components; per
-    # pool key, the projections older than the last round
-    older = {key: [] for _, _, body, _ in rules for key in body}
-    ranks = dict(mcfg.ranks)
-    projected = {key: set() for key in older if len(key[1]) < ranks[key[0]]}
-    while any(newest[nt] for nt, _ in older):  # else no join has a new tuple
+            tup = tuple(pre for pre, _ in args)
+            if tup not in values[rule.head]:
+                values[rule.head].add(tup)
+                newest[rule.head].append(tup)
+    # a pool is a list of (weight, tuple) pairs in order of weight; per
+    # body nonterminal, the tuples older than the last round
+    older = {nt: [] for _, _, body, _ in rules for nt in body}
+    while any(newest[nt] for nt in older):  # else no join has a new tuple
         fresh: dict[str, list[tuple[str, ...]]] = {nt: [] for nt in values}
-        pools = {}  # pool key -> (older, newest, all)
-        for key, old in older.items():
-            nt, kept = key
-            tuples = newest[nt]
-            if key in projected:  # distinct tuples can share a projection
-                seen = projected[key]
-                tuples = [p for p in dict.fromkeys(tuple(tup[c] for c in kept) for tup in tuples)
-                          if p not in seen]
-                seen.update(tuples)
-            new = sorted([(sum(map(len, tup)), tup) for tup in tuples], key=_weight)
+        pools = {}  # nonterminal -> (older, newest, all)
+        for nt, old in older.items():
+            new = sorted([(sum(map(len, tup)), tup) for tup in newest[nt]], key=_weight)
             # sorting the two sorted runs only merges them
-            pools[key] = (old, new, sorted(old + new, key=_weight) if new else old)
+            pools[nt] = (old, new, sorted(old + new, key=_weight) if new else old)
         for head, const, body, args in rules:
             for i in range(len(body)):
-                chosen = [pools[key][0 if p < i else 1 if p == i else 2]
-                          for p, key in enumerate(body)]
+                chosen = [pools[nt][0 if p < i else 1 if p == i else 2]
+                          for p, nt in enumerate(body)]
                 if all(chosen):
                     _bounded_join(args, chosen, max_total_len - const, values[head], fresh[head])
-        older = {key: pool[2] for key, pool in pools.items()}
+        older = {nt: pool[2] for nt, pool in pools.items()}
         newest = fresh
     return values
 
 
 def _bounded_join(args: tuple, pools: list, budget: int, seen: set, found: list):
     """Add to `seen` and `found` the head tuples (built from the head
-    arguments `args`) not in `seen` of every combination of one entry per
-    pool whose weights sum to at most the budget; each pool is sorted by
-    weight."""
+    arguments `args`, in `_rule_args` form) not in `seen` of every
+    combination of one entry per pool whose weights sum to at most the
+    budget; each pool is sorted by weight."""
     n = len(pools)
     rest = [0] * n  # the least weight the later positions add
     for k in range(n - 2, -1, -1):
@@ -276,8 +262,8 @@ def _bounded_join(args: tuple, pools: list, budget: int, seen: set, found: list)
             if k + 1 < n:
                 walk(k + 1, left - weight)
                 continue
-            out = tuple("".join([piece if isinstance(piece, str) else combo[piece[0]][piece[1]]
-                                 for piece in arg]) for arg in args)
+            out = tuple(pre + "".join([combo[p][c] + post for (p, c), post in parts])
+                        for pre, parts in args)
             if out not in seen:
                 seen.add(out)
                 found.append(out)
@@ -342,33 +328,22 @@ def mcfg_enumerate(mcfg: Mcfg, max_total_len: int) -> set[str]:
 
 
 # A non-deleting rule compiled for `mcfg_member`: head nonterminal, body
-# nonterminals, head arguments and join plans.  A slot is a body variable
-# as (body position, component).  Each head argument is its leading
-# terminals plus (slot, terminals that follow it) pairs.  `plans[p]` orders
-# the other body positions for an item that fills position p: each step
-# (position, component, anchor slot, gap, side) looks the component up by
-# its start, gap characters after the anchor ends (side "start"); by its
-# end, gap characters before the anchor starts ("end"); or among all items
-# of the nonterminal (None).  A namedtuple, because defining a dataclass
-# adds about a millisecond to every import of this module.
+# nonterminals, head arguments in `_rule_args` form and join plans.
+# `plans[p]` orders the other body positions for an item that fills
+# position p: each step (position, component, anchor slot, gap, side)
+# looks the component up by its start, gap characters after the anchor
+# ends (side "start"); by its end, gap characters before the anchor starts
+# ("end"); or among all items of the nonterminal (None).  A namedtuple,
+# because defining a dataclass adds about a millisecond to every import of
+# this module.
 _ChartRule = namedtuple("_ChartRule", "head body args plans")
 
 
 def _chart_rule(rule: McfgRule) -> _ChartRule:
-    slot = {v: (p, c) for p, (_, vs) in enumerate(rule.body) for c, v in enumerate(vs)}
-    args = []
-    adjacent = []  # (slot a, slot b, gap): b starts gap characters after a ends
-    for argument in rule.head_args:
-        pre, parts = "", []
-        for kind, tok in argument:
-            if kind == "v":
-                parts.append((slot[tok], ""))
-            elif parts:
-                parts[-1] = (parts[-1][0], parts[-1][1] + tok)
-            else:
-                pre += tok
-        args.append((pre, tuple(parts)))
-        adjacent += [(a, b, len(gap)) for (a, gap), (b, _) in zip(parts, parts[1:])]
+    args = _rule_args(rule)
+    # (slot a, slot b, gap): b starts gap characters after a ends
+    adjacent = [(a, b, len(gap)) for _, parts in args
+                for (a, gap), (b, _) in zip(parts, parts[1:])]
     n = len(rule.body)
     plans = []
     for p in range(n):
@@ -385,7 +360,7 @@ def _chart_rule(rule: McfgRule) -> _ChartRule:
             plan.append(step)
             bound.add(step[0])
         plans.append(tuple(plan))
-    return _ChartRule(rule.head, tuple(nt for nt, _ in rule.body), tuple(args), tuple(plans))
+    return _ChartRule(rule.head, tuple(nt for nt, _ in rule.body), args, tuple(plans))
 
 
 def mcfg_member(mcfg: Mcfg, w: str) -> bool:

@@ -167,7 +167,7 @@ def swap_splices() -> list[Record]:
 def pump_checks() -> list[Record]:
     """Criterion 12."""
     ast = fixtures.astar_tsa()
-    res = analysis.find_pumpable(accepts(ast, "aaaaa", ANY), 1, ANY)
+    res = analysis.find_pumpable(accepts(ast, "aaaaa", ANY), 1)
     bound = len(ast.labels) * len(ast.states)
     tsa = fixtures.abcd_tsa()
     quiet = all(analysis.find_pumpable(accepts(tsa, abcd_word(m), K2), 1) is None

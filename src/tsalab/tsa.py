@@ -1149,14 +1149,14 @@ def read_sections(text: str, header: str) -> list[tuple[int, str, str, str | Non
 def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: bool = True):
     """The sections the TSA, PDA and FSA formats share.  Returns (lists,
     initial, trans): lists maps states, final, alphabet and each extra key
-    (labels, stack; '@' is implicit there) to its tokens.  A state, symbol
-    or letter declared twice is refused, and the initial and final states
-    are checked against the declared ones; with `letters`, alphabet
-    symbols must be single characters.  trans yields (line, src,
-    inp, middle tokens, dst, name) per transition, inp None for eps and name
-    the line's comment, checking each line as it goes, so that errors come
-    in file order: at least three tokens, a declared source and target, and
-    an input that is eps or an alphabet letter."""
+    (labels, stack; '@' is implicit there) to its tokens.  A second initial
+    line, or a state, symbol or letter declared twice, is refused, and the
+    initial and final states are checked against the declared ones; with
+    `letters`, alphabet symbols must be single characters.  trans yields
+    (line, src, inp, middle tokens, dst, name) per transition, inp None for
+    eps and name the line's comment, checking each line as it goes, so that
+    errors come in file order: at least three tokens, a declared source and
+    target, and an input that is eps or an alphabet letter."""
     lists: dict[str, list[str]] = {key: [] for key in ("states", "final", "alphabet", *extra)}
     named: list[tuple[int, str]] = []  # (line, state) for initial and finals
     initial = None
@@ -1168,6 +1168,8 @@ def read_machine(text: str, header: str, extra: tuple[str, ...] = (), letters: b
         elif key == "initial":
             if len(toks) != 1:
                 raise ParseError("initial takes one state", lineno)
+            if initial is not None:
+                raise ParseError("initial is declared twice", lineno)
             initial = toks[0]
             named.append((lineno, initial))
         elif key not in lists:

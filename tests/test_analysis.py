@@ -298,7 +298,7 @@ def test_upsets_share_key_and_provenance_replays():
 def test_pumpable_on_astar():
     tsa = astar_tsa()
     tr = accepts(tsa, "a" * 5, SearchOptions(accept_mode="any"))
-    res = find_pumpable(tr, 1, SearchOptions(accept_mode="any"))
+    res = find_pumpable(tr, 1)
     assert res is not None
     bound = len(tsa.labels) * len(tsa.states)
     assert 1 <= len(res.y) <= bound

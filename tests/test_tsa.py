@@ -85,6 +85,7 @@ HEAD = "tsa\nstates: q0 q1\ninitial: q0\nalphabet: a\n"
     (HEAD + "final: q1\nlabels: X @\n", ParseError, 6),  # @ is the root's label
     ("tsa\nstates: q0\ninitial: q9\n", UnknownState, 3),  # undeclared initial
     ("tsa\nstates: q0\ninitial:\n", ParseError, 3),
+    ("tsa\nstates: q0 q1\ninitial: q0\ninitial: q1\n", ParseError, 4),  # initial twice
     ("tsa\nstates: q0 q1\nstates: q1\ninitial: q0\n", ParseError, 3),  # a state twice
     (HEAD + "final: q1\nlabels: X Y X\n", ParseError, 6),  # a label twice
     (HEAD + "final: q1\nalphabet: b a\n", ParseError, 6),  # a letter twice
