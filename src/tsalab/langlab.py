@@ -5,7 +5,10 @@ rational-subset membership pipeline, erasing homomorphisms and the
 direct-product free-group experiment.
 
 Group alphabets write inverses with a trailing apostrophe (a' for the
-inverse of a), so words over them are tokenised rather than indexed.
+inverse of a); tokenize splits a word over one into letters.  wp_f2xf2
+validates a string once, with one regular expression that refuses
+exactly what tokenize refuses (and then raises tokenize's UnknownLetter),
+rewrites each x' as the capital X and reduces one-character strings.
 """
 
 from __future__ import annotations
@@ -148,9 +151,6 @@ WPZ_ALPHABET = group_alphabet(("t", "T"))
 F2F2_ALPHABET = group_alphabet(("a", "a'"), ("b", "b'"), ("c", "c'"), ("d", "d'"))
 
 
-_F2F2_INVERSE = F2F2_ALPHABET._inverse
-
-
 # ---------------------------------------------------------------------------
 # sample-language oracles
 
@@ -174,13 +174,36 @@ def _letters(k: int) -> tuple[str, ...]:
     return tuple(chr(ord("a") + i) for i in range(k))
 
 
+# the parameters of each oracle: (required, optional)
+_ORACLE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "s_m": (("m",), ()),
+    "ambm_n": ((), ()),
+    "ab_m_n": ((), ()),
+    "l_k_nonincreasing": (("k",), ()),
+    "unary": (("family",), ("alpha",)),
+    "wp_z": ((), ()),
+    "wp_f2xf2": ((), ()),
+}
+
+
 def oracle(name: str, **params) -> WordOracle:
     """Structural pattern oracles for the sample languages.
 
     Names: s_m(m), ambm_n, ab_m_n, l_k_nonincreasing(k),
-    unary(family in pow2|square|alpha|nlogn), wp_z, wp_f2xf2.
-    Indexed letters a_1, a_2, ... are written a, b, c, ...
+    unary(family in pow2|square|alpha|nlogn, alpha > 1 for alpha), wp_z,
+    wp_f2xf2.  Indexed letters a_1, a_2, ... are written a, b, c, ...
+    An unknown name or a missing, unknown or bad parameter is refused
+    here, by InputError, not at the first call.
     """
+    if name not in _ORACLE_PARAMS:
+        raise InputError(f"unknown oracle {name!r}: expected one of {sorted(_ORACLE_PARAMS)}")
+    required, optional = _ORACLE_PARAMS[name]
+    missing = [p for p in required if p not in params]
+    unknown = sorted(set(params) - {*required, *optional})
+    if missing or unknown:
+        raise InputError(f"oracle {name!r} takes {list(required)}, optionally {list(optional)}: "
+                         f"missing {missing}, unknown {unknown}")
+
     if name == "s_m":
         m = params["m"]
         letters = _letters(2 * m + 1)
@@ -238,6 +261,7 @@ def oracle(name: str, **params) -> WordOracle:
     if name == "unary":
         family = params["family"]
         alpha = params.get("alpha")
+        unary_lengths(family, 1, alpha=alpha)  # refuses an unknown family, or alpha <= 1
 
         def member(w: str) -> bool:
             if set(w) - {"a"}:
@@ -250,9 +274,7 @@ def oracle(name: str, **params) -> WordOracle:
                 return n >= 1 and r * r == n
             if family == "alpha":
                 return n in set(unary_lengths("alpha", max(2, 2 * n), alpha=alpha))
-            if family == "nlogn":
-                return n in set(unary_lengths("nlogn", max(2, 4 * n + 4)))
-            raise ValueError(f"unknown family {family!r}")
+            return n in set(unary_lengths("nlogn", max(2, 4 * n + 4)))
 
         return WordOracle(name, ("a",), member)
 
@@ -266,21 +288,49 @@ def oracle(name: str, **params) -> WordOracle:
     if name == "wp_f2xf2":
         return WordOracle(name, F2F2_ALPHABET.letters, wp_f2xf2)
 
-    raise ValueError(f"unknown oracle {name!r}")
+    raise AssertionError(f"oracle {name!r} has parameters but no membership")
+
+
+# wp_f2xf2 writes each inverse x' as the capital X, so that a word over
+# F2F2_ALPHABET is a string with one character per letter.  _F2F2_WORD
+# matches exactly the strings that tokenize splits into letters of
+# F2F2_ALPHABET.  A factor is the table that deletes the other factor's
+# letters, and the factor's adjacent inverse pairs.
+_F2F2_WORD = re.compile(r"(?:[abcd]'?)*")
+_F2F2_AB = (str.maketrans("", "", "cdCD"), ("aA", "Aa", "bB", "Bb"))
+_F2F2_CD = (str.maketrans("", "", "abAB"), ("cC", "Cc", "dD", "Dd"))
+_SWAPCASE = {ch: ch.swapcase() for ch in "abcdABCD"}
+
+
+def _factor_trivial(word: str, drop: dict[int, None], pairs: tuple[str, ...]) -> bool:
+    """Does the projection of a word (inverses written as capitals) onto a
+    factor freely reduce to the identity?  Deleting the factor's adjacent
+    inverse pairs first is a C-level pass that leaves the stack little to
+    do."""
+    word = word.translate(drop)
+    for pair in pairs:
+        word = word.replace(pair, "")
+    stack: list[str] = []
+    for ch in word:
+        if stack and stack[-1] == _SWAPCASE[ch]:
+            stack.pop()
+        else:
+            stack.append(ch)
+    return not stack
 
 
 def wp_f2xf2(word: str | Sequence[str]) -> bool:
     """Identity test in the direct product of two rank-2 free groups:
-    freely reduce the {a,b} and {c,d} projections, each on its own stack."""
-    ab: list[str] = []
-    cd: list[str] = []
-    for tok in tokenize(word, F2F2_ALPHABET.letters):
-        stack = ab if tok[0] in "ab" else cd
-        if stack and stack[-1] == _F2F2_INVERSE[tok]:
-            stack.pop()
-        else:
-            stack.append(tok)
-    return not ab and not cd
+    freely reduce the {a,b} and {c,d} projections, each on its own stack.
+    A word is refused, by tokenize's UnknownLetter, before any rewriting,
+    so a capital in the input is never read as an inverse."""
+    if isinstance(word, str):
+        if not _F2F2_WORD.fullmatch(word):
+            tokenize(word, F2F2_ALPHABET.letters)  # raises UnknownLetter
+    else:
+        word = "".join(tokenize(word, F2F2_ALPHABET.letters))
+    word = word.replace("a'", "A").replace("b'", "B").replace("c'", "C").replace("d'", "D")
+    return _factor_trivial(word, *_F2F2_AB) and _factor_trivial(word, *_F2F2_CD)
 
 
 # ---------------------------------------------------------------------------

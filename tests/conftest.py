@@ -1,8 +1,29 @@
-"""Shared structural oracles.  These are written directly from the
-language definitions and never call the machinery they are used to check.
+"""Shared structural oracles, and the acceptance Stopwatch.  The oracles
+are written directly from the language definitions and never call the
+machinery they are used to check.
 """
 
 import itertools
+import time
+
+
+class Stopwatch:
+    def __init__(self, criterion, limit_s):
+        self.criterion = criterion
+        self.limit = limit_s
+
+    def __enter__(self):
+        self.t0 = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        dt = time.monotonic() - self.t0
+        status = "PASS" if exc_type is None else "FAIL"
+        print(f"criterion {self.criterion}: {status} ({dt:.2f}s, limit {self.limit}s)")
+        self.fast_enough = dt < self.limit
+        if exc_type is None:
+            assert self.fast_enough, f"criterion {self.criterion} exceeded {self.limit}s"
+        return False
 
 
 def abcd_word(m: int) -> str:

@@ -1,16 +1,19 @@
 """Reference F2 x F2 experiment: every test word is built as a token list,
-checked with the token-level `wp_f2xf2` and erased with `erasing_hom`, one
-word at a time, with the contract of `f2f2_experiment`.  It is slow but
+checked with the token-level `ref_wp_f2xf2` and erased with `erasing_hom`,
+one word at a time, with the contract of `f2f2_experiment`.  It is slow but
 plain; test_langlab.py checks the block-exponent experiment against it
 report field by report field.  `ref_tokenize` is the index loop that
-`tokenize` replaced.
+`tokenize` replaced, and `ref_wp_f2xf2` the token loop that the string
+kernel `wp_f2xf2` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from tsalab.langlab import F2F2_PSI, F2F2Report, _eqs_hold, erasing_hom, wp_f2xf2
+from collections.abc import Sequence
+
+from tsalab.langlab import F2F2_ALPHABET, F2F2_PSI, F2F2Report, _eqs_hold, erasing_hom, tokenize
 
 
 def ref_tokenize(word: str) -> tuple[str, ...]:
@@ -26,6 +29,20 @@ def ref_tokenize(word: str) -> tuple[str, ...]:
             toks.append(ch)
             i += 1
     return tuple(toks)
+
+
+def ref_wp_f2xf2(word: str | Sequence[str]) -> bool:
+    """Freely reduce the {a,b} and {c,d} projections token by token, each
+    on its own stack; refuse a word exactly as `tokenize` does."""
+    ab: list[str] = []
+    cd: list[str] = []
+    for tok in tokenize(word, F2F2_ALPHABET.letters):
+        stack = ab if tok[0] in "ab" else cd
+        if stack and stack[-1] == F2F2_ALPHABET.inverse(tok):
+            stack.pop()
+        else:
+            stack.append(tok)
+    return not ab and not cd
 
 
 def t_word_tokens(xs, ys, ps, qs) -> list[str]:
@@ -64,7 +81,7 @@ def ref_f2f2_experiment(n_max: int = 3, m_max: int = 3) -> F2F2Report:
     for n, t, xs, ys, ps, qs in all_tuples(n_max, m_max):
         total += 1
         toks = t_word_tokens(xs, ys, ps, qs)
-        wp = wp_f2xf2(toks)
+        wp = ref_wp_f2xf2(toks)
         eqs = _eqs_hold(xs, ys, ps, qs)
         all_equal = len({*xs, *ys, *ps, *qs}) == 1 and n == t
         if not (wp == eqs == all_equal):

@@ -10,36 +10,16 @@ that half is asserted as stated and marked xfail.  See the README note.
 """
 
 import random
-import time
 
 import pytest
 
-from conftest import abcd_oracle, abcd_word, anbmcndm_oracle, counting_wpz_oracle, words_upto
+from conftest import Stopwatch, abcd_oracle, abcd_word, anbmcndm_oracle, counting_wpz_oracle, words_upto
 
 from tsalab import analysis, convert, langlab, mcfg, suites
 from tsalab.fixtures import abcd_tsa, updown_demo_run, updown_demo_tsa
 from tsalab.tsa import SearchOptions, accepts, replay, visited_from_below_counts
 
 K2 = SearchOptions(k=2)
-
-
-class Stopwatch:
-    def __init__(self, criterion, limit_s):
-        self.criterion = criterion
-        self.limit = limit_s
-
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        dt = time.monotonic() - self.t0
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"criterion {self.criterion}: {status} ({dt:.2f}s, limit {self.limit}s)")
-        self.fast_enough = dt < self.limit
-        if exc_type is None:
-            assert self.fast_enough, f"criterion {self.criterion} exceeded {self.limit}s"
-        return False
 
 
 def assert_passes(records):

@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import counting_wpz_oracle, words_upto
-from reference_f2f2 import all_tuples, ref_f2f2_experiment, ref_tokenize, t_word_tokens
+from conftest import Stopwatch, counting_wpz_oracle, words_upto
+from reference_f2f2 import all_tuples, ref_f2f2_experiment, ref_tokenize, ref_wp_f2xf2, t_word_tokens
 
 from tsalab.convert import fixture_wpz_tsa
 from tsalab.fixtures import abcd_tsa
@@ -30,6 +30,7 @@ from tsalab.langlab import (
     unary_lengths,
     wp_f2xf2,
 )
+from tsalab.treestack import InputError
 from tsalab.tsa import (
     ParseError,
     SearchOptions,
@@ -120,6 +121,21 @@ def test_unary_oracles():
     assert not oracle("unary", family="square")("a" * 8)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("nope", {}),
+    ("unary", {"family": "cube"}),
+    ("unary", {"family": "alpha"}),
+    ("unary", {"family": "alpha", "alpha": 1}),
+    ("unary", {}),
+    ("s_m", {}),
+    ("l_k_nonincreasing", {}),
+    ("s_m", {"m": 2, "k": 3}),
+])
+def test_oracle_refuses_bad_arguments_when_built(name, params):
+    with pytest.raises(InputError):
+        oracle(name, **params)
+
+
 def test_wpz_oracle():
     o = oracle("wp_z")
     for w in words_upto("tT", 6):
@@ -164,6 +180,44 @@ def _naive_identity(tokens):
                 max_size=12))
 def test_wp_f2xf2_matches_naive_reducer(tokens):
     assert wp_f2xf2(tuple(tokens)) == _naive_identity(tokens)
+
+
+F2F2_LETTERS = st.sampled_from(F2F2_ALPHABET.letters)
+# "A" is not a letter (only the kernel writes a' so), and "", "ab", "'"
+# and "a''" are not tokens
+NOT_LETTERS = st.sampled_from(["A", "", "ab", "'", "a''"])
+
+
+def _verdict(wp, word):
+    try:
+        return wp(word)
+    except UnknownLetter as exc:
+        return "UnknownLetter", str(exc)
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(alphabet="abcd'ABx\n", max_size=16),
+    st.lists(F2F2_LETTERS, max_size=16).map("".join),
+    st.lists(st.one_of(F2F2_LETTERS, NOT_LETTERS), max_size=10).map(tuple),
+    st.lists(F2F2_LETTERS, max_size=16).map(tuple),
+))
+def test_wp_f2xf2_matches_token_loop(word):
+    """The string kernel gives the token loop's answer, or raises its
+    UnknownLetter with the same message."""
+    assert _verdict(wp_f2xf2, word) == _verdict(ref_wp_f2xf2, word)
+
+
+@pytest.mark.parametrize("label,word", [
+    ("a^n c^n a'^n c'^n", "a" * 50_000 + "c" * 50_000 + "a'" * 50_000 + "c'" * 50_000),
+    ("(ab)^n (b'a')^n", "ab" * 50_000 + "b'a'" * 50_000),
+])
+def test_wp_f2xf2_is_linear(label, word):
+    """Two 300,000-character members with n = 50,000 pairs to cancel each
+    way: a reduction that cancels one pair per pass over the word is
+    quadratic on the first."""
+    with Stopwatch(f"wp_f2xf2 on {label}", 2.0):
+        assert wp_f2xf2(word)
 
 
 # -- group alphabets -----------------------------------------------------------
