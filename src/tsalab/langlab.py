@@ -13,6 +13,7 @@ rewrites each x' as the capital X and reduces one-character strings.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -111,6 +112,23 @@ def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[i
     if family == "nlogn":
         return sorted({int(n * math.log(n)) for n in range(2, n_max + 2)})
     raise InputError(f"bad family {family!r}: unknown family {family!r}")
+
+
+def _floor_pow(k: int, alpha: float) -> float:
+    """int(k ** alpha), the alpha family's k-th length, or inf where the
+    power overflows."""
+    try:
+        return int(k ** alpha)
+    except OverflowError:
+        return math.inf
+
+
+def _in_sample(n: int, lo: int, length: Callable[[int], float]) -> bool:
+    """Whether n = length(k) for some k >= lo, by a binary search over k.
+    `length` is one of `unary_lengths`' formulas: non-decreasing in k, and
+    at least n by k = max(lo, n, 3)."""
+    ks = range(lo, max(lo, n, 3) + 1)
+    return length(ks[bisect.bisect_left(ks, n, key=length)]) == n
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +291,8 @@ def oracle(name: str, **params) -> WordOracle:
                 r = math.isqrt(n)
                 return n >= 1 and r * r == n
             if family == "alpha":
-                return n in set(unary_lengths("alpha", max(2, 2 * n), alpha=alpha))
-            return n in set(unary_lengths("nlogn", max(2, 4 * n + 4)))
+                return _in_sample(n, 1, lambda k: _floor_pow(k, alpha))
+            return _in_sample(n, 2, lambda k: int(k * math.log(k)))
 
         return WordOracle(name, ("a",), member)
 

@@ -118,75 +118,157 @@ def pred_eq(label: str) -> Predicate:
 
 class TreeStack:
     """Immutable tree stack: a finite prefix-closed address->label map
-    plus a pointer into it.  All mutating operations return new values.
+    plus a pointer into it.  All operations return new values.
+
+    Held as a persistent zipper focused at the pointer (Huet 1997, *The
+    Zipper*): the pointer's label, its children as child index ->
+    (label, children), and a context, None at the root and otherwise the
+    list [parent context, parent label, parent children, hole index,
+    address or None].  The parent's children may hold a stale entry at the
+    hole, which `down` replaces.  No child map is ever mutated once built,
+    so tree stacks share them freely.  So `ts_apply`, `pointer_label` and
+    `len` cost the same at any depth.  `dom` and `key()` are built on first
+    use and cached; the pointer address is built once per context and
+    cached in its last slot, so a run's pointer path costs one tuple per
+    push or up.
     """
 
-    __slots__ = ("dom", "pointer", "_key")
+    __slots__ = ("_label", "_kids", "_ctx", "_size", "_dom", "_key")
 
     def __init__(self, dom: Mapping[Address, str], pointer: Address):
-        object.__setattr__(self, "dom", dict(dom))
-        object.__setattr__(self, "pointer", pointer)
-        object.__setattr__(self, "_key", None)
-        self._validate()
+        dom = dict(dom)
+        _validate(dom, pointer)
+        kids: dict[Address, dict] = {a: {} for a in dom}
+        for a, label in dom.items():
+            if a != ROOT:
+                kids[a[:-1]][a[-1]] = (label, kids[a])
+        label, ctx = ROOT_LABEL, None
+        for j, i in enumerate(pointer, start=1):
+            ctx = [ctx, label, kids[pointer[:j - 1]], i, pointer[:j]]
+            label = dom[pointer[:j]]
+        self._label, self._kids, self._ctx = label, kids[pointer], ctx
+        self._size, self._dom, self._key = len(dom), dom, None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeStack is immutable")
+    @property
+    def dom(self) -> dict[Address, str]:
+        """Address -> label; built on first use and cached."""
+        d = self._dom
+        if d is None:
+            d = self._dom = self._build_dom()
+        return d
 
-    def _validate(self):
-        if ROOT not in self.dom or self.dom[ROOT] != ROOT_LABEL:
-            raise ValueError("root must be present and labelled @")
-        for addr, label in self.dom.items():
-            if addr != ROOT and label == ROOT_LABEL:
-                raise ValueError(f"non-root vertex {addr} labelled @")
-            if any(i < 1 for i in addr):
-                raise ValueError(f"address {addr} has an index < 1")
-            if addr != ROOT and addr[:-1] not in self.dom:
-                raise ValueError(f"domain not prefix-closed at {addr}")
-        if self.pointer not in self.dom:
-            raise ValueError(f"pointer {self.pointer} not in domain")
+    def _root(self) -> tuple[str, dict]:
+        """The root's (label, children), the focus written back into each
+        parent on the way up."""
+        label, kids, c = self._label, self._kids, self._ctx
+        while c is not None:
+            kids = {**c[2], c[3]: (label, kids)}
+            label, c = c[1], c[0]
+        return label, kids
+
+    def _build_dom(self) -> dict[Address, str]:
+        dom = {}
+        todo = [(ROOT, *self._root())]
+        while todo:
+            a, label, kids = todo.pop()
+            dom[a] = label
+            todo += [(a + (i,), *node) for i, node in kids.items()]
+        return dom
+
+    @property
+    def pointer(self) -> Address:
+        c = self._ctx
+        if c is None:
+            return ROOT
+        return c[4] or _address(c)
+
+    @property
+    def pointer_label(self) -> str:
+        return self._label
+
+    def label_at(self, addr: Address) -> str:
+        """The label at addr; the pointer's own address is answered from
+        the focus, without building `dom`."""
+        if addr == self.pointer:
+            return self._label
+        return self.dom[addr]
 
     def key(self):
-        """Canonical hashable form, used for search memoisation."""
+        """Canonical hashable form, compared by `==` and `hash`; built on
+        first use and cached.  The tree in preorder, children by index, each
+        vertex as (child index, label, child count), the root's index 0;
+        then the pointer.  It builds no address but the pointer's, so it
+        costs the same per vertex whatever the depth of the tree."""
         k = self._key
         if k is None:
-            k = (tuple(sorted(self.dom.items())), self.pointer)
-            object.__setattr__(self, "_key", k)
+            out = []
+            todo = [(0, *self._root())]
+            while todo:
+                i, label, kids = todo.pop()
+                out += (i, label, len(kids))
+                while kids:  # down the first child; its siblings wait on the stack
+                    if len(kids) > 1:
+                        first, *rest = sorted(kids)
+                        todo += [(j, *kids[j]) for j in reversed(rest)]
+                    else:
+                        (first,) = kids
+                    label, kids = kids[first]
+                    out += (first, label, len(kids))
+            k = self._key = (tuple(out), self.pointer)
         return k
 
     def __eq__(self, other):
-        return isinstance(other, TreeStack) and self.key() == other.key()
+        if self is other:
+            return True
+        return (isinstance(other, TreeStack) and self._size == other._size
+                and self._label == other._label and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
 
-    def label_at(self, addr: Address) -> str:
-        return self.dom[addr]
-
-    @property
-    def pointer_label(self) -> str:
-        return self.dom[self.pointer]
-
     def __len__(self):
-        return len(self.dom)
+        return self._size
 
     def __repr__(self):
         return f"TreeStack({render_tree_stack(self)})"
 
-    def _moved(self, pointer: Address) -> "TreeStack":
-        ts = TreeStack.__new__(TreeStack)
-        object.__setattr__(ts, "dom", self.dom)  # shared: moves never mutate
-        object.__setattr__(ts, "pointer", pointer)
-        object.__setattr__(ts, "_key", None)
-        return ts
 
-    def _rewritten(self, addr: Address, label: str, pointer: Address) -> "TreeStack":
-        dom = dict(self.dom)
-        dom[addr] = label
-        ts = TreeStack.__new__(TreeStack)
-        object.__setattr__(ts, "dom", dom)
-        object.__setattr__(ts, "pointer", pointer)
-        object.__setattr__(ts, "_key", None)
-        return ts
+def _validate(dom: dict[Address, str], pointer: Address) -> None:
+    if ROOT not in dom or dom[ROOT] != ROOT_LABEL:
+        raise ValueError("root must be present and labelled @")
+    for addr, label in dom.items():
+        if addr != ROOT and label == ROOT_LABEL:
+            raise ValueError(f"non-root vertex {addr} labelled @")
+        if any(i < 1 for i in addr):
+            raise ValueError(f"address {addr} has an index < 1")
+        if addr != ROOT and addr[:-1] not in dom:
+            raise ValueError(f"domain not prefix-closed at {addr}")
+    if pointer not in dom:
+        raise ValueError(f"pointer {pointer} not in domain")
+
+
+def _address(ctx: list) -> Address:
+    """The address of a context's hole, built from the nearest ancestor
+    context that has its address and cached in every context on the way."""
+    chain = []
+    while ctx is not None and ctx[4] is None:
+        chain.append(ctx)
+        ctx = ctx[0]
+    a = ROOT if ctx is None else ctx[4]
+    for ctx in reversed(chain):
+        a = ctx[4] = a + (ctx[3],)
+    return a
+
+
+_NO_KIDS: dict = {}  # a new leaf's children; never mutated
+_new = object.__new__
+
+
+def _zipper(label: str, kids: dict, ctx: list | None, size: int) -> TreeStack:
+    ts = _new(TreeStack)
+    ts._label, ts._kids, ts._ctx = label, kids, ctx
+    ts._size, ts._dom, ts._key = size, None, None
+    return ts
 
 
 def ts_init() -> TreeStack:
@@ -200,28 +282,35 @@ def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
     Raises PushTargetExists / UpTargetMissing / PointerAtRoot when the
     partial function is undefined, the one applicability rule (`tsa.step`
     turns them into NotApplicable); no instruction ever removes a vertex.
+    Each case reads only the focus's children and the context: a push or
+    up opens a context, a down writes the focus back into its parent's
+    child map (a new map only when the focus changed since it was opened).
     """
     k = instr.kind
     if k == "id":
         return ts
     if k == "push":
-        target = ts.pointer + (instr.n,)
-        if target in ts.dom:
-            raise PushTargetExists(f"push target {target} already exists")
-        return ts._rewritten(target, instr.label, target)
+        n = instr.n
+        if n in ts._kids:
+            raise PushTargetExists(f"push target {ts.pointer + (n,)} already exists")
+        return _zipper(instr.label, _NO_KIDS, [ts._ctx, ts._label, ts._kids, n, None], ts._size + 1)
     if k == "up":
-        target = ts.pointer + (instr.n,)
-        if target not in ts.dom:
-            raise UpTargetMissing(f"up target {target} missing")
-        return ts._moved(target)
+        n = instr.n
+        child = ts._kids.get(n)
+        if child is None:
+            raise UpTargetMissing(f"up target {ts.pointer + (n,)} missing")
+        return _zipper(child[0], child[1], [ts._ctx, ts._label, ts._kids, n, None], ts._size)
+    c = ts._ctx
+    if c is None:
+        raise PointerAtRoot(f"{k} at the root")
     if k == "down":
-        if ts.pointer == ROOT:
-            raise PointerAtRoot("down at the root")
-        return ts._moved(ts.pointer[:-1])
+        kids, hole = c[2], c[3]
+        old = kids.get(hole)
+        if old is None or old[1] is not ts._kids or old[0] != ts._label:
+            kids = {**kids, hole: (ts._label, ts._kids)}
+        return _zipper(c[1], kids, c[0], ts._size)
     # set
-    if ts.pointer == ROOT:
-        raise PointerAtRoot("set at the root")
-    return ts._rewritten(ts.pointer, instr.label, ts.pointer)
+    return _zipper(instr.label, ts._kids, c, ts._size)
 
 
 def pred_eval(ts: TreeStack, pred: Predicate) -> bool:

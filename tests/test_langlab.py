@@ -121,6 +121,17 @@ def test_unary_oracles():
     assert not oracle("unary", family="square")("a" * 8)
 
 
+@pytest.mark.parametrize("family,alpha", [("alpha", 1.01), ("alpha", 1.5), ("alpha", 2.5),
+                                          ("nlogn", None)])
+def test_unary_oracle_matches_length_sample(family, alpha):
+    # membership is a binary search over k, not a rebuilt sample per call;
+    # the first 3000 lengths of each sample cover every n <= 3000
+    o = oracle("unary", family=family, **({"alpha": alpha} if alpha else {}))
+    sample = set(unary_lengths(family, 3000, alpha=alpha))
+    assert [n for n in range(3001) if o("a" * n)] == sorted(n for n in sample if n <= 3000)
+    assert not o("b") and not o("ab")
+
+
 @pytest.mark.parametrize("name,params", [
     ("nope", {}),
     ("unary", {"family": "cube"}),

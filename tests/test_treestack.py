@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_treestack import ref_ts_apply, ref_ts_init
+
 from tsalab.treestack import (
     ROOT,
     PointerAtRoot,
@@ -153,3 +155,46 @@ def test_push_down_restores_pointer(n, c):
     back = ts_apply(there, instr_down())
     assert back.pointer == ts.pointer
     assert there.pointer in back.dom
+
+
+# the zipper against the dict-of-addresses reference it replaced
+
+MAX_DEPTH = 40
+
+
+def _same(z, ref):
+    """The zipper z and the reference agree on everything a caller reads."""
+    assert z.dom == ref.dom
+    assert z.pointer == ref.pointer
+    assert z.pointer_label == ref.pointer_label
+    assert len(z) == len(ref)
+    assert all(z.label_at(a) == label for a, label in ref.dom.items())
+    with pytest.raises(KeyError):
+        z.label_at(ref.pointer + (4,))  # child indices are 1-3
+    rebuilt = TreeStack(ref.dom, ref.pointer)
+    assert z.key() == rebuilt.key() and z == rebuilt and hash(z) == hash(rebuilt)
+
+
+# each instruction repeated 1-20 times, so that push and up bursts reach depth 40
+_bursts = st.lists(st.tuples(_instr, st.integers(1, 20)), max_size=40)
+
+
+@given(_bursts)
+def test_zipper_matches_reference(bursts):
+    z, ref = ts_init(), ref_ts_init()
+    lazy = ts_init()  # the same steps, read only at the end: no address or dom cached
+    prev, prev_key = z, ref.key()
+    for ins in (ins for ins, times in bursts for _ in range(times)):
+        if ins.kind in ("push", "up") and len(ref.pointer) == MAX_DEPTH:
+            continue
+        try:
+            want = ref_ts_apply(ref, ins)
+        except TreeStackError as e:
+            with pytest.raises(type(e)):
+                ts_apply(z, ins)
+            continue
+        z, ref, lazy = ts_apply(z, ins), want, ts_apply(lazy, ins)
+        _same(z, ref)
+        assert (z == prev) == (z.key() == prev.key()) == (ref.key() == prev_key)
+        prev, prev_key = z, ref.key()
+    _same(lazy, ref)

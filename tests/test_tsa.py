@@ -20,6 +20,7 @@ from tsalab.convert import (
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
+from tsalab import treestack
 from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
     BadIndex,
@@ -293,6 +294,24 @@ def test_replay_bad_last_step():
     with pytest.raises(ReplayMismatch) as e:
         replay(tsa, "aabbccdd", seq)
     assert e.value.step_index == 13
+
+
+def test_deep_replay_builds_no_dom_and_no_address(monkeypatch):
+    # a step reads only the zipper's focus and context, so replaying the
+    # abcd member with m = 200 (a path of 201 vertices below the root)
+    # builds no `dom` and no pointer address: a count, not a time, that
+    # fails on a step whose cost grows with the depth of the tree
+    tsa, w = abcd_tsa(), abcd_word(200)
+    tidxs = accepts(tsa, w, K2).transition_indices()
+    built = []
+    build_dom, address = TreeStack._build_dom, treestack._address
+    monkeypatch.setattr(TreeStack, "_build_dom", lambda ts: built.append("dom") or build_dom(ts))
+    monkeypatch.setattr(treestack, "_address", lambda ctx: built.append("address") or address(ctx))
+    tr = replay(tsa, w, tidxs)
+    assert built == [] and len(tr) == 805
+    monkeypatch.undo()
+    final = replay_trace(tr)
+    assert final == tr.final() and final.ts.pointer == () and len(final.ts) == 202
 
 
 def test_replay_trace_reports_the_first_bad_step():
