@@ -90,7 +90,7 @@ class Pda:
 
     def __post_init__(self):
         check_machine(self.states, self.alphabet, self.initial, self.finals,
-                      ((t.src, t.inp, t.dst) for t in self.delta))
+                      ((t.src, t.inp, t.dst) for t in self.delta), self.stack)
         gamma = set(self.stack) | {ROOT_LABEL}
         for t in self.delta:
             if t.action.top not in gamma:

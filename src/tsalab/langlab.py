@@ -14,6 +14,7 @@ rewrites each x' as the capital X and reduces one-character strings.
 from __future__ import annotations
 
 import bisect
+import inspect
 import itertools
 import math
 import re
@@ -96,39 +97,43 @@ def gap_check(lengths: Sequence[int], m_max: int) -> GapReport:
     return GapReport("gap-divergent (sample)" if ok else "inconclusive", thresholds)
 
 
-def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[int]:
-    """Length samples for the unary gap families."""
-    if family == "pow2":
-        return [2 ** n for n in range(1, n_max + 1)]
-    if family == "square":
-        return [n * n for n in range(1, n_max + 1)]
-    if family == "alpha":
-        if alpha is None or not alpha > 1:  # also refuses nan
-            raise InputError("alpha family needs alpha > 1")
+# the unary gap families: (first index, (k, alpha) -> the k-th length).  Each
+# length is non-decreasing in k and at least k once k >= 3; only alpha's
+# float power can overflow.
+_UNARY_FAMILIES: dict[str, tuple[int, Callable[[int, float], int]]] = {
+    "pow2": (1, lambda k, alpha: 2 ** k),
+    "square": (1, lambda k, alpha: k * k),
+    "alpha": (1, lambda k, alpha: int(k ** alpha)),
+    "nlogn": (2, lambda k, alpha: int(k * math.log(k))),
+}
+
+
+def _unary_family(family: str, alpha: float | None) -> tuple[int, Callable[[int], int]]:
+    """(first index, k -> length) of a unary family, the length inf where
+    it overflows; InputError for an unknown family or a bad alpha."""
+    if not isinstance(family, str) or family not in _UNARY_FAMILIES:
+        raise InputError(f"bad family {family!r}: unknown family {family!r}")
+    if family == "alpha" and not (isinstance(alpha, (int, float)) and alpha > 1):  # also refuses nan
+        raise InputError("alpha family needs alpha > 1")
+    first, length = _UNARY_FAMILIES[family]
+
+    def size(k: int) -> float:
         try:
-            return sorted({int(n ** alpha) for n in range(1, n_max + 1)})
+            return length(k, alpha)
         except OverflowError:
-            raise InputError(f"n ** alpha overflows for alpha={alpha}, n <= {n_max}") from None
-    if family == "nlogn":
-        return sorted({int(n * math.log(n)) for n in range(2, n_max + 2)})
-    raise InputError(f"bad family {family!r}: unknown family {family!r}")
+            return math.inf
+
+    return first, size
 
 
-def _floor_pow(k: int, alpha: float) -> float:
-    """int(k ** alpha), the alpha family's k-th length, or inf where the
-    power overflows."""
-    try:
-        return int(k ** alpha)
-    except OverflowError:
-        return math.inf
-
-
-def _in_sample(n: int, lo: int, length: Callable[[int], float]) -> bool:
-    """Whether n = length(k) for some k >= lo, by a binary search over k.
-    `length` is one of `unary_lengths`' formulas: non-decreasing in k, and
-    at least n by k = max(lo, n, 3)."""
-    ks = range(lo, max(lo, n, 3) + 1)
-    return length(ks[bisect.bisect_left(ks, n, key=length)]) == n
+def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[int]:
+    """Length samples for the unary gap families: the family's lengths at
+    its first n_max indices, sorted, each once."""
+    first, size = _unary_family(family, alpha)
+    lengths = sorted({size(k) for k in range(first, first + n_max)})
+    if math.inf in lengths:
+        raise InputError(f"n ** alpha overflows for alpha={alpha}, n <= {n_max}")
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -186,127 +191,121 @@ def _runs(word: str) -> list[tuple[str, int]]:
     return [(ch, sum(1 for _ in grp)) for ch, grp in itertools.groupby(word)]
 
 
+def _count(name: str, value: int, least: int) -> int:
+    """A count parameter, refused unless an int >= least (bool is no int)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
 def _letters(k: int) -> tuple[str, ...]:
     if k > 26:
         raise InputError("at most 26 indexed letters supported")
     return tuple(chr(ord("a") + i) for i in range(k))
 
 
-# the parameters of each oracle: (required, optional)
-_ORACLE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "s_m": (("m",), ()),
-    "ambm_n": ((), ()),
-    "ab_m_n": ((), ()),
-    "l_k_nonincreasing": (("k",), ()),
-    "unary": (("family",), ("alpha",)),
-    "wp_z": ((), ()),
-    "wp_f2xf2": ((), ()),
+def _s_m(m: int):
+    letters = _letters(2 * _count("m", m, 0) + 1)
+
+    def member(w: str) -> bool:
+        runs = _runs(w)
+        return not w or (tuple(ch for ch, _ in runs) == letters
+                         and len({n for _, n in runs}) == 1)
+
+    return letters, member
+
+
+def _ab_blocks(w: str) -> list[int]:
+    """The run lengths of a word in (a+ b+)+, or [] for any other word."""
+    runs = _runs(w)
+    if len(runs) % 2 or any(ch != "ab"[i % 2] for i, (ch, _) in enumerate(runs)):
+        return []
+    return [n for _, n in runs]
+
+
+def _ambm_n():
+    return ("a", "b"), lambda w: len(set(_ab_blocks(w))) == 1
+
+
+def _ab_m_n():
+    def member(w: str) -> bool:
+        blocks = _ab_blocks(w)
+        return set(blocks[::2]) == {1} and len(set(blocks[1::2])) == 1
+
+    return ("a", "b"), member
+
+
+def _l_k_nonincreasing(k: int):
+    letters = _letters(_count("k", k, 1))
+
+    def member(w: str) -> bool:
+        # non-increasing exponents mean the word is a block prefix
+        # a^n1 b^n2 ... with n1 >= n2 >= ... >= 1 (zeros only at the end)
+        runs = _runs(w)
+        counts = [n for _, n in runs]
+        return (tuple(ch for ch, _ in runs) == letters[: len(runs)]
+                and all(a >= b for a, b in zip(counts, counts[1:])))
+
+    return letters, member
+
+
+def _unary(family: str, alpha: float | None = None):
+    first, size = _unary_family(family, alpha)
+
+    def member(w: str) -> bool:
+        # a binary search for the least k with size(k) >= n, among
+        # first..max(first, n, 3), where size reaches n
+        if set(w) - {"a"}:
+            return False
+        n = len(w)
+        ks = range(first, max(first, n, 3) + 1)
+        return size(ks[bisect.bisect_left(ks, n, key=size)]) == n
+
+    return ("a",), member
+
+
+def _wp_z():
+    def member(w: str) -> bool:
+        toks = tokenize(w, ("t", "T"))
+        return toks.count("t") == toks.count("T")
+
+    return ("t", "T"), member
+
+
+# each oracle's builder: its parameters are the oracle's, and it returns
+# (alphabet, membership)
+_ORACLES: dict[str, Callable[..., tuple[tuple[str, ...], Callable[[str], bool]]]] = {
+    "s_m": _s_m,
+    "ambm_n": _ambm_n,
+    "ab_m_n": _ab_m_n,
+    "l_k_nonincreasing": _l_k_nonincreasing,
+    "unary": _unary,
+    "wp_z": _wp_z,
+    "wp_f2xf2": lambda: (F2F2_ALPHABET.letters, wp_f2xf2),
 }
 
 
 def oracle(name: str, **params) -> WordOracle:
     """Structural pattern oracles for the sample languages.
 
-    Names: s_m(m), ambm_n, ab_m_n, l_k_nonincreasing(k),
-    unary(family in pow2|square|alpha|nlogn, alpha > 1 for alpha), wp_z,
-    wp_f2xf2.  Indexed letters a_1, a_2, ... are written a, b, c, ...
-    An unknown name or a missing, unknown or bad parameter is refused
-    here, by InputError, not at the first call.
+    The parameters of an oracle are those of its builder in `_ORACLES`.
+    Indexed letters a_1, a_2, ... are written a, b, c, ...  An unknown
+    name or a missing, unknown or bad parameter is refused here, by
+    InputError, not at the first call.
     """
-    if name not in _ORACLE_PARAMS:
-        raise InputError(f"unknown oracle {name!r}: expected one of {sorted(_ORACLE_PARAMS)}")
-    required, optional = _ORACLE_PARAMS[name]
+    if name not in _ORACLES:
+        raise InputError(f"unknown oracle {name!r}: expected one of {sorted(_ORACLES)}")
+    build = _ORACLES[name]
+    signature = inspect.signature(build).parameters.values()
+    required = [p.name for p in signature if p.default is p.empty]
+    optional = [p.name for p in signature if p.default is not p.empty]
     missing = [p for p in required if p not in params]
     unknown = sorted(set(params) - {*required, *optional})
     if missing or unknown:
-        raise InputError(f"oracle {name!r} takes {list(required)}, optionally {list(optional)}: "
+        raise InputError(f"oracle {name!r} takes {required}, optionally {optional}: "
                          f"missing {missing}, unknown {unknown}")
-
-    if name == "s_m":
-        m = params["m"]
-        letters = _letters(2 * m + 1)
-
-        def member(w: str) -> bool:
-            runs = _runs(w)
-            if not w:
-                return True
-            if len(runs) != len(letters):
-                return False
-            return (tuple(ch for ch, _ in runs) == letters
-                    and len({n for _, n in runs}) == 1)
-
-        return WordOracle(name, letters, member)
-
-    if name == "ambm_n":
-        def member(w: str) -> bool:
-            runs = _runs(w)
-            if len(runs) < 2 or len(runs) % 2:
-                return False
-            if any(ch != "ab"[i % 2] for i, (ch, _) in enumerate(runs)):
-                return False
-            return len({n for _, n in runs}) == 1
-
-        return WordOracle(name, ("a", "b"), member)
-
-    if name == "ab_m_n":
-        def member(w: str) -> bool:
-            runs = _runs(w)
-            if len(runs) < 2 or len(runs) % 2:
-                return False
-            if any(ch != "ab"[i % 2] for i, (ch, _) in enumerate(runs)):
-                return False
-            if any(n != 1 for i, (_, n) in enumerate(runs) if i % 2 == 0):
-                return False
-            return len({n for i, (_, n) in enumerate(runs) if i % 2}) == 1
-
-        return WordOracle(name, ("a", "b"), member)
-
-    if name == "l_k_nonincreasing":
-        k = params["k"]
-        letters = _letters(k)
-
-        def member(w: str) -> bool:
-            # non-increasing exponents mean the word is a block prefix
-            # a^n1 b^n2 ... with n1 >= n2 >= ... >= 1 (zeros only at the end)
-            runs = _runs(w)
-            if tuple(ch for ch, _ in runs) != letters[: len(runs)]:
-                return False
-            counts = [n for _, n in runs]
-            return all(a >= b for a, b in zip(counts, counts[1:]))
-
-        return WordOracle(name, letters, member)
-
-    if name == "unary":
-        family = params["family"]
-        alpha = params.get("alpha")
-        unary_lengths(family, 1, alpha=alpha)  # refuses an unknown family, or alpha <= 1
-
-        def member(w: str) -> bool:
-            if set(w) - {"a"}:
-                return False
-            n = len(w)
-            if family == "pow2":
-                return n >= 1 and (n & (n - 1)) == 0
-            if family == "square":
-                r = math.isqrt(n)
-                return n >= 1 and r * r == n
-            if family == "alpha":
-                return _in_sample(n, 1, lambda k: _floor_pow(k, alpha))
-            return _in_sample(n, 2, lambda k: int(k * math.log(k)))
-
-        return WordOracle(name, ("a",), member)
-
-    if name == "wp_z":
-        def member(w: str) -> bool:
-            toks = tokenize(w, ("t", "T"))
-            return toks.count("t") == toks.count("T")
-
-        return WordOracle(name, ("t", "T"), member)
-
-    if name == "wp_f2xf2":
-        return WordOracle(name, F2F2_ALPHABET.letters, wp_f2xf2)
-
-    raise AssertionError(f"oracle {name!r} has parameters but no membership")
+    alphabet, member = build(**params)
+    return WordOracle(name, alphabet, member)
 
 
 # wp_f2xf2 writes each inverse x' as the capital X, so that a word over

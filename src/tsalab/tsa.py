@@ -106,15 +106,18 @@ class Transition:
 
 
 def check_machine(states: Sequence[str], alphabet: Sequence[str], initial: str,
-                  finals: frozenset[str], edges: Iterable[tuple[str, str | None, str]]) -> None:
+                  finals: frozenset[str], edges: Iterable[tuple[str, str | None, str]],
+                  symbols: Sequence[str] = ()) -> None:
     """The well-formedness that Tsa, Pda and Fsa share, as ValueError: no
-    state declared twice, declared initial and final states, and every edge
+    state, letter or stack symbol (a TSA's labels, a PDA's stack alphabet)
+    declared twice, declared initial and final states, and every edge
     (source, letter or None for eps, target) joining declared states and
     reading a letter of the alphabet."""
+    for kind, names in (("state", states), ("letter", alphabet), ("stack symbol", symbols)):
+        if len(set(names)) < len(names):
+            twice = next(x for i, x in enumerate(names) if x in names[:i])
+            raise ValueError(f"{kind} {twice!r} is declared twice")
     declared = set(states)
-    if len(declared) < len(states):
-        twice = next(q for i, q in enumerate(states) if q in states[:i])
-        raise ValueError(f"state {twice!r} is declared twice")
     if initial not in declared:
         raise ValueError(f"initial state {initial!r} not declared")
     if not finals <= declared:
@@ -163,7 +166,7 @@ class Tsa:
 
     def __post_init__(self):
         check_machine(self.states, self.alphabet, self.initial, self.finals,
-                      ((t.src, t.inp, t.dst) for t in self.delta))
+                      ((t.src, t.inp, t.dst) for t in self.delta), self.labels)
         labels = set(self.labels)
         if ROOT_LABEL in labels:
             raise ValueError("@ is reserved for the root and cannot be in C")
@@ -289,6 +292,8 @@ class SearchOptions:
     def __post_init__(self):
         if self.accept_mode not in ("root", "any"):
             raise ValueError("accept_mode must be 'root' or 'any'")
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"k must be None or >= 0, got {self.k}")
 
 
 def default_max_steps(machine, word_len: int) -> int:
@@ -940,6 +945,8 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     memory than one search per word: on wpz at max_len 8, 9.0 MB traced
     (tracemalloc).
     """
+    if max_len < 0:
+        return set()
     walk = _Walk(tsa, opts, max_len)
     _search(tsa, _tsa_rows(tsa), None, max_len, opts, walk)
     found = set(walk.witnesses(tsa))

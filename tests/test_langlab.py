@@ -122,7 +122,7 @@ def test_unary_oracles():
 
 
 @pytest.mark.parametrize("family,alpha", [("alpha", 1.01), ("alpha", 1.5), ("alpha", 2.5),
-                                          ("nlogn", None)])
+                                          ("nlogn", None), ("pow2", None), ("square", None)])
 def test_unary_oracle_matches_length_sample(family, alpha):
     # membership is a binary search over k, not a rebuilt sample per call;
     # the first 3000 lengths of each sample cover every n <= 3000
@@ -141,6 +141,10 @@ def test_unary_oracle_matches_length_sample(family, alpha):
     ("s_m", {}),
     ("l_k_nonincreasing", {}),
     ("s_m", {"m": 2, "k": 3}),
+    ("s_m", {"m": -1}),  # an empty alphabet
+    ("s_m", {"m": 2.5}),
+    ("s_m", {"m": True}),
+    ("l_k_nonincreasing", {"k": 0}),  # an empty alphabet
 ])
 def test_oracle_refuses_bad_arguments_when_built(name, params):
     with pytest.raises(InputError):

@@ -19,7 +19,7 @@ from tsalab.convert import (
 )
 from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import Fsa, parse_fsa
-from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, parse_mcfg
+from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, mcfg_enumerate, parse_mcfg
 from tsalab import treestack
 from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
@@ -97,35 +97,43 @@ def test_parse_tsa_errors_carry_line_numbers(text, error, line):
     assert exc.value.line == line
 
 
-def _tsa(states, initial, finals, edges):
+def _tsa(states, initial, finals, edges, alphabet=("a",), symbols=("X",)):
     delta = tuple(Transition(src, inp, PRED_TRUE, instr_id(), dst) for src, inp, dst in edges)
-    return Tsa(states, ("X",), ("a",), initial, delta, frozenset(finals))
+    return Tsa(states, symbols, alphabet, initial, delta, frozenset(finals))
 
 
-def _pda(states, initial, finals, edges):
+def _pda(states, initial, finals, edges, alphabet=("a",), symbols=("A",)):
     delta = tuple(PdaTransition(src, inp, PdaAction("push", "@", None), dst)
                   for src, inp, dst in edges)
-    return Pda(states, ("a",), ("A",), initial, delta, frozenset(finals))
+    return Pda(states, alphabet, symbols, initial, delta, frozenset(finals))
 
 
-def _fsa(states, initial, finals, edges):
-    return Fsa(states, ("a",), tuple(edges), initial, frozenset(finals))
+def _fsa(states, initial, finals, edges, alphabet=("a",)):
+    return Fsa(states, alphabet, tuple(edges), initial, frozenset(finals))
 
 
 ILL_FORMED = {
-    "state-twice": ((("q", "p", "q"), "q", {"q"}, ()), "'q' is declared twice"),
+    "state-twice": ((("q", "p", "q"), "q", {"q"}, ()), "state 'q' is declared twice"),
     "initial": ((("q",), "r", {"q"}, ()), "initial state 'r' not declared"),
     "final": ((("q",), "q", {"r"}, ()), r"final states \['r'\] not declared"),
     "endpoint": ((("q",), "q", {"q"}, [("q", "a", "r")]), "endpoint not declared"),
     "letter": ((("q",), "q", {"q"}, [("q", "b", "q")]), "input letter 'b' not in alphabet"),
+    "letter-twice": ((("q",), "q", {"q"}, (), ("a", "b", "a")), "letter 'a' is declared twice"),
+    # a TSA's labels and a PDA's stack alphabet; an FSA has no stack
+    "symbol-twice": ((("q",), "q", {"q"}, (), ("a",), ("X", "Y", "X")),
+                     "stack symbol 'X' is declared twice"),
 }
+MAKERS = {"tsa": _tsa, "pda": _pda, "fsa": _fsa}
 
 
-@pytest.mark.parametrize("make", [_tsa, _pda, _fsa], ids=["tsa", "pda", "fsa"])
-@pytest.mark.parametrize("parts, message", ILL_FORMED.values(), ids=ILL_FORMED)
+@pytest.mark.parametrize("make, parts, message", [
+    pytest.param(make, parts, message, id=f"{case}-{kind}")
+    for case, (parts, message) in ILL_FORMED.items() for kind, make in MAKERS.items()
+    if kind != "fsa" or case != "symbol-twice"])
 def test_machines_share_one_well_formedness_check(make, parts, message):
-    # Tsa, Pda and Fsa validate through tsa.check_machine; a state declared
-    # twice would otherwise merge with itself in every construction
+    # Tsa, Pda and Fsa validate through tsa.check_machine, as read_machine
+    # does for machine files; a name declared twice would otherwise merge
+    # with itself in every construction and inflate |C| in the bounds
     with pytest.raises(ValueError, match=message):
         make(*parts)
     make(("q", "p"), "q", {"q"}, [("q", "a", "p"), ("p", None, "q")])  # well formed
@@ -394,6 +402,20 @@ def test_enumerate_matches_oracle():
 
 def test_enumerate_empty_word_only():
     assert enumerate_words(abcd_tsa(), 0, K2) == {""}
+
+
+def test_a_negative_length_bound_enumerates_nothing():
+    assert enumerate_words(abcd_tsa(), -1, K2) == set()
+    assert mcfg_enumerate(parse_mcfg(EXAMPLE_ABCD), -1) == set()
+
+
+def test_search_options_refuse_a_negative_k():
+    # under k = -1 accepts found a wpz run that is_accepting_run refused
+    # under the same options, as no vertex can be visited -1 times
+    with pytest.raises(ValueError, match="k must be None or >= 0"):
+        SearchOptions(k=-1)
+    with pytest.raises(ValueError, match="k must be None or >= 0"):
+        replace(K2, k=-1)
 
 
 def recount_vfb(trace):
