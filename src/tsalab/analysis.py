@@ -275,8 +275,9 @@ class EmpiricalUpSet:
 
 
 def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None) -> EmpiricalUpSet:
-    """Run every word, then file each non-root vertex's u-tuple under its
-    history array, all read off one crossing pass per witness.  Witness
+    """Run each distinct word once, in first-seen order, then file each
+    non-root vertex's u-tuple under its history array, all read off one
+    crossing pass per witness.  Witness
     runs are proper (the definitions require it); a word without one goes
     to `budget_failures` or `rejected` by the reason its search stopped.
     The runs come from one walk over the prefixes of the words
@@ -284,7 +285,7 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
     are the runs `accepts` gives."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
-    words = list(words)
+    words = list(dict.fromkeys(words))
     runs = accepts_each(tsa, words, opts)
     for w in words:
         res = runs[w]
@@ -463,7 +464,7 @@ def substitution_bound(mu: int, lam: int, k: int, C_size: int, Q_size: int,
     it is never computed here (finiteness is not observable from samples).
     """
     if min(mu, lam, k, C_size, Q_size, D, M_est) < 0:
-        raise ValueError("arguments must be non-negative")
+        raise InputError("arguments must be non-negative")
     n_lambda = (D + 1) * (mu * k * C_size * Q_size + lam) + D * M_est
     n_mu = (D + 1) * (mu * k * C_size * Q_size + mu) + D * M_est
     return n_lambda, n_mu

@@ -62,18 +62,21 @@ def at_least(lo: int):
     return count
 
 
-def load_tsa(source: str) -> Tsa:
-    """A machine argument is a file path or a built-in fixture name."""
+def load_machine(source: str, pda: bool = False):
+    """A machine argument is a file path or a built-in fixture name: a TSA,
+    or a PDA when `pda` is set."""
+    parse, table = ((convert.parse_pda, fixtures.PDA_FILES) if pda
+                    else (parse_tsa, fixtures.TSA_FILES))
     p = Path(source)
     if p.exists():
-        return parse_tsa(p.read_text())
-    if source in fixtures.TSA_FILES:
-        return parse_tsa(fixtures.TSA_FILES[source])
+        return parse(p.read_text())
+    if source in table:
+        return parse(table[source])
     raise InputError(f"no such file or fixture: {source}")
 
 
 def search_options(args) -> SearchOptions:
-    max_steps = getattr(args, "max_steps", None)
+    max_steps = args.max_steps
     env = os.environ.get("TSALAB_MAX_STEPS")
     if max_steps is None and env:
         try:  # parsed as --max-steps is
@@ -81,10 +84,10 @@ def search_options(args) -> SearchOptions:
         except (ValueError, argparse.ArgumentTypeError):
             raise InputError(f"TSALAB_MAX_STEPS must be a number, got {env!r}") from None
     return SearchOptions(
-        k=getattr(args, "k", None),
+        k=args.k,
         accept_mode=getattr(args, "accept_mode", "root"),
         max_steps=max_steps,
-        max_vertices=getattr(args, "max_vertices", None),
+        max_vertices=args.max_vertices,
         proper_only=getattr(args, "proper", False),
     )
 
@@ -142,7 +145,7 @@ def emit(args, human: str | None, block: list[str]):
 # commands
 
 def cmd_run(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     opts = search_options(args)
     res = accepts(tsa, args.word, opts)
     block = (["command=run", f"word={show(args.word)}"]
@@ -162,7 +165,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     if args.follow is not None:
         # replay a named transition sequence instead of searching; show
         # where it jams if it does
@@ -194,7 +197,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     opts = search_options(args)
     try:
         words = enumerate_words(tsa, args.max_len, opts)
@@ -212,7 +215,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_standardise(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     out = standardise(tsa)
     if not args.porcelain:
         print(f"# was standardised: {str(len(out.delta) == len(tsa.delta)).lower()}; "
@@ -222,7 +225,7 @@ def cmd_standardise(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     d = degree(tsa)
     block = ["command=degree",
              "delta_set=" + " ".join(str(i) for i in sorted(d.delta_set)),
@@ -274,7 +277,7 @@ def _factor_lines(f: analysis.NuFactorisation) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    tsa = load_tsa(args.machine)
+    tsa = load_machine(args.machine)
     sub = args.analyze_cmd
     if sub in ("updown", "factorise", "history"):
         trace = _witness(tsa, args.word, args)
@@ -362,12 +365,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.convert_cmd == "pda2tsa":
-        pda = convert.parse_pda(Path(args.file).read_text())
+        pda = load_machine(args.file, pda=True)
         tsa = convert.pda_to_tsa1(pda)
         print(render_tsa(make_root_accepting(tsa) if args.root_drain else tsa), end="")
         return 0
     # tsa2pda
-    tsa = load_tsa(args.file)
+    tsa = load_machine(args.file)
     print(convert.render_pda(convert.tsa1_to_pda(tsa)), end="")
     return 0
 
@@ -420,7 +423,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_rational(args) -> int:
-    wp = load_tsa(args.wp)
+    wp = load_machine(args.wp)
     fsa = langlab.regex_to_fsa(args.regex, wp.alphabet)
     pairing = langlab.WPZ_ALPHABET if set(wp.alphabet) == {"t", "T"} else None
     if pairing is None:
@@ -450,38 +453,35 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable output only")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_search_flags(sp, word=True):
+    def searching(group, name, word=True, modes=False, **kw):
+        """A searching subcommand: its machine, --word unless it takes none,
+        the budget flags and, with `modes`, the accept-mode flags (analyze
+        always takes a proper run to the root)."""
+        sp = group.add_parser(name, **kw)
+        sp.add_argument("machine")
         if word:
             sp.add_argument("--word", required=True)
         sp.add_argument("--k", type=at_least(0), default=None)
         sp.add_argument("--max-steps", dest="max_steps", type=at_least(0), default=None)
         sp.add_argument("--max-vertices", dest="max_vertices", type=at_least(1), default=None)
+        if modes:
+            sp.add_argument("--accept-mode", dest="accept_mode",
+                            choices=("root", "any"), default="root")
+            sp.add_argument("--proper", action="store_true")
+        return sp
 
-    def add_mode_flags(sp):  # analyze always takes a proper run to the root
-        sp.add_argument("--accept-mode", dest="accept_mode",
-                        choices=("root", "any"), default="root")
-        sp.add_argument("--proper", action="store_true")
-
-    sp = sub.add_parser("run", help="search for an accepting run")
-    sp.add_argument("machine")
-    add_search_flags(sp)
-    add_mode_flags(sp)
+    sp = searching(sub, "run", modes=True, help="search for an accepting run")
     sp.add_argument("--trace", action="store_true")
     sp.set_defaults(func=cmd_run)
 
-    sp = sub.add_parser("trace", help="print the witness run as a table")
-    sp.add_argument("machine")
-    add_search_flags(sp)
-    add_mode_flags(sp)
+    sp = searching(sub, "trace", modes=True, help="print the witness run as a table")
     sp.add_argument("--follow", default=None,
                     help="comma-separated transition names to replay instead of searching")
     sp.set_defaults(func=cmd_trace)
 
-    sp = sub.add_parser("enumerate", help="all accepted words up to a length")
-    sp.add_argument("machine")
+    sp = searching(sub, "enumerate", word=False, modes=True,
+                   help="all accepted words up to a length")
     sp.add_argument("--max-len", type=at_least(0), required=True)
-    add_search_flags(sp, word=False)
-    add_mode_flags(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("standardise", help="close delta under stationary composition")
@@ -494,65 +494,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_degree)
 
     sp = sub.add_parser("mcfg", help="grammar operations")
+    sp.set_defaults(func=cmd_mcfg)
     msub = sp.add_subparsers(dest="mcfg_cmd", required=True)
     me = msub.add_parser("enumerate")
     me.add_argument("grammar")
     me.add_argument("--max-len", type=at_least(0), required=True)
-    me.set_defaults(func=cmd_mcfg)
     mm = msub.add_parser("member")
     mm.add_argument("grammar")
     mm.add_argument("--word", required=True)
-    mm.set_defaults(func=cmd_mcfg)
     mp = msub.add_parser("empty")
     mp.add_argument("grammar")
-    mp.set_defaults(func=cmd_mcfg)
 
     sp = sub.add_parser("analyze", help="run analysis")
+    sp.set_defaults(func=cmd_analyze)
     asub = sp.add_subparsers(dest="analyze_cmd", required=True)
     for name in ("updown", "factorise", "history"):
-        ap = asub.add_parser(name)
-        ap.add_argument("machine")
-        add_search_flags(ap)
+        ap = searching(asub, name)
         ap.add_argument("--vertex", required=True)
-        ap.set_defaults(func=cmd_analyze)
-    ap = asub.add_parser("level1")
-    ap.add_argument("machine")
-    add_search_flags(ap)
-    ap.set_defaults(func=cmd_analyze)
-    ap = asub.add_parser("upsets")
-    ap.add_argument("machine")
+    searching(asub, "level1")
+    ap = searching(asub, "upsets", word=False)
     ap.add_argument("--words-file", dest="words_file", required=True)
     ap.add_argument("--show", type=at_least(0), default=5)
-    add_search_flags(ap, word=False)
-    ap.set_defaults(func=cmd_analyze)
-    ap = asub.add_parser("swap")
-    ap.add_argument("machine")
+    ap = searching(asub, "swap", word=False)
     ap.add_argument("--word1", required=True)
     ap.add_argument("--vertex1", required=True)
     ap.add_argument("--word2", required=True)
     ap.add_argument("--vertex2", required=True)
-    add_search_flags(ap, word=False)
-    ap.set_defaults(func=cmd_analyze)
-    ap = asub.add_parser("pump")
-    ap.add_argument("machine")
-    add_search_flags(ap)
+    ap = searching(asub, "pump")
     ap.add_argument("--m", type=at_least(1), default=1)
-    ap.set_defaults(func=cmd_analyze)
-    ap = asub.add_parser("bounds")
-    ap.add_argument("machine")
-    add_search_flags(ap)
+    ap = searching(asub, "bounds")
     ap.add_argument("--mu", type=at_least(1), default=1)
-    ap.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("convert", help="PDA <-> 1-TSA translations")
+    sp.set_defaults(func=cmd_convert)
     csub = sp.add_subparsers(dest="convert_cmd", required=True)
     cp = csub.add_parser("pda2tsa")
     cp.add_argument("file")
     cp.add_argument("--root-drain", action="store_true")
-    cp.set_defaults(func=cmd_convert)
     ct = csub.add_parser("tsa2pda")
     ct.add_argument("file")
-    ct.set_defaults(func=cmd_convert)
 
     sp = sub.add_parser("fixtures", help="print a built-in machine")
     sp.add_argument("name", choices=sorted(fixtures.TSA_FILES))
@@ -560,23 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fixtures)
 
     sp = sub.add_parser("experiment", help="reproducible experiment bundles")
+    sp.set_defaults(func=cmd_experiment)
     esub = sp.add_subparsers(dest="experiment_cmd", required=True)
     ef = esub.add_parser("f2f2")
     ef.add_argument("--n-max", dest="n_max", type=at_least(1), default=3)
     ef.add_argument("--m-max", dest="m_max", type=at_least(1), default=3)
-    ef.set_defaults(func=cmd_experiment)
     eg = esub.add_parser("gaps")
     eg.add_argument("--family", required=True,
                     help="pow2 | square | nlogn | alpha:<a>")
     eg.add_argument("--n", type=at_least(1), default=30)
     eg.add_argument("--m-max", dest="m_max", type=at_least(1), default=50)
-    eg.set_defaults(func=cmd_experiment)
     for name in ("sm", "ambm"):
         ex = esub.add_parser(name)
         if name == "sm":
             ex.add_argument("--m", type=at_least(1), default=2)
         ex.add_argument("--i-max", dest="i_max", type=at_least(0), default=5)
-        ex.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("rational", help="bounded rational-subset membership")
     sp.add_argument("--wp", required=True, help="word-problem machine (file or fixture)")

@@ -26,6 +26,7 @@ from .tsa import (
     Names,
     NotFound,
     ParseError,
+    ReplayMismatch,
     SearchOptions,
     Transition,
     Tsa,
@@ -143,20 +144,38 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     vertex budgets.  As in `accepts`, a configuration whose state can
     neither read the next letter nor accept through eps moves is dropped
     when no budget can cut off anything below it, which changes no
-    answer."""
+    answer.  The witness is the path's delta indices re-executed by
+    `_pda_replay`, so a search-core bug raises ReplayMismatch."""
     moves = (_move(t.action) for t in pda.delta)
     found = _search(pda, search_rows(pda, moves), w, len(w),
                     SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
     if isinstance(found, NotFound):
         return found
-    stack = (ROOT_LABEL,)
+    return _pda_replay(pda, w, found)
+
+
+def _pda_replay(pda: Pda, w: str, tidxs) -> PdaTrace:
+    """Re-execute a run of `pda` on `w` from its delta indices.  Raises
+    ReplayMismatch at the first step that does not apply, numbered from 1:
+    its source state, input letter or stack top is not the configuration's."""
+    state, stack, pos = pda.initial, (ROOT_LABEL,), 0
     steps = []
-    for state, pos, *_, tidx in found[1:]:  # each stack from the actions along the path
-        act = pda.delta[tidx].action
+    for j, tidx in enumerate(tidxs, start=1):
+        t = pda.delta[tidx]
+        if t.src != state:
+            raise ReplayMismatch(j, f"state is {state}, not {t.src}")
+        if t.inp is not None:
+            if w[pos:pos + 1] != t.inp:
+                raise ReplayMismatch(j, f"input at {pos} is not {t.inp}")
+            pos += 1
+        act = t.action
+        if stack[-1] != act.top:
+            raise ReplayMismatch(j, f"stack top is {stack[-1]}, not {act.top}")
         if act.kind == "pop":
             stack = stack[:-1]
         elif act.pushed is not None:
             stack += (act.pushed,)
+        state = t.dst
         steps.append((tidx, PdaConfig(state, stack, pos)))
     return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
 

@@ -184,6 +184,11 @@ class WordOracle:
     membership: Callable[[str], bool]
 
     def __call__(self, word: str) -> bool:
+        """Membership; a word with a letter outside `alphabet` is no member."""
+        try:
+            tokenize(word, self.alphabet)
+        except UnknownLetter:
+            return False
         return bool(self.membership(word))
 
 
@@ -255,8 +260,6 @@ def _unary(family: str, alpha: float | None = None):
     def member(w: str) -> bool:
         # a binary search for the least k with size(k) >= n, among
         # first..max(first, n, 3), where size reaches n
-        if set(w) - {"a"}:
-            return False
         n = len(w)
         ks = range(first, max(first, n, 3) + 1)
         return size(ks[bisect.bisect_left(ks, n, key=size)]) == n
@@ -265,11 +268,7 @@ def _unary(family: str, alpha: float | None = None):
 
 
 def _wp_z():
-    def member(w: str) -> bool:
-        toks = tokenize(w, ("t", "T"))
-        return toks.count("t") == toks.count("T")
-
-    return ("t", "T"), member
+    return ("t", "T"), lambda w: w.count("t") == w.count("T")
 
 
 # each oracle's builder: its parameters are the oracle's, and it returns
@@ -545,7 +544,7 @@ def tsa_fsa_product(tsa: Tsa, fsa: Fsa) -> Tsa:
     k-restricted witnesses stay k-restricted.  The state of the pair (q, f)
     is `q&f`, primed by `Names` if another pair already has that name."""
     if fsa.has_eps():
-        raise ValueError("run eps_free() on the FSA first")
+        raise InputError("run eps_free() on the FSA first")
     if set(fsa.alphabet) != set(tsa.alphabet):
         raise AlphabetMismatch(f"tsa alphabet {tsa.alphabet} != fsa alphabet {fsa.alphabet}")
 

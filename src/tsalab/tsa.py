@@ -460,13 +460,12 @@ def _tsa_rows(tsa: Tsa) -> Dispatch:
 
 
 def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
-    """`_search` on a TSA.  The witness is the arena path re-executed by
-    `replay`, so a search-core bug raises ReplayMismatch rather than
+    """`_search` on a TSA.  The witness is the path's delta indices
+    re-executed by `replay`, so a search-core bug raises ReplayMismatch rather than
     returning a run the step semantics do not allow."""
-    found = _search(tsa, _tsa_rows(tsa), w, max_len, opts)
-    if isinstance(found, NotFound):
-        return found
-    tidxs = [node[-1] for node in found[1:]]
+    tidxs = _search(tsa, _tsa_rows(tsa), w, max_len, opts)
+    if isinstance(tidxs, NotFound):
+        return tidxs
     if w is None:  # the word is the letters the run reads
         w = "".join(tsa.delta[i].inp or "" for i in tidxs)
     return replay(tsa, w, tidxs)
@@ -489,8 +488,8 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     path reads the next letter (or, at the end of the word, reaches a final
     state), is dropped when no budget can cut off anything below it, so
     every witness and every NotFound reason is the one the plain search
-    gives (`_search`).  The witness is the arena path re-executed by
-    `replay`.
+    gives (`_search`).  The witness is the path `_search` found,
+    re-executed by `replay`.
     NotFound("budget") means the search was cut off, NotFound("exhausted")
     that the bounded space was fully explored.
     """
@@ -675,7 +674,8 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     while a free search has room to read.  Without that room a free search
     outside walk mode counts as cut off at every node whose state has a
     reading row, before any predicate is tested.  Returns NotFound, or the
-    arena nodes from the initial one to the first accepting one.
+    delta indices of the steps from the initial configuration to the first
+    accepting one ([] when the initial configuration accepts).
 
     A tree stack is held as a zipper focused at the pointer (Huet 1997),
     hash-consed for the one search.  A vertex is (label, vfb count, child
@@ -745,7 +745,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     if machine.initial in finals:
         if walk is None:
             if max_len == 0 or free:
-                return nodes
+                return []
         elif walk.target[0]:  # no budget applies to the initial configuration
             walk.accept(0, [])
     seen = {nodes[0][:5]}  # memo keys
@@ -851,7 +851,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 if dst in finals and (not nctx or not root_only):
                     if walk is None:
                         if free or npos == max_len:
-                            return [nodes[i] for i in _arena_path(nodes, me)]
+                            return [nodes[i][-1] for i in _arena_path(nodes, me)[1:]]
                     elif walk.takes(npos, depth, nsize):
                         walk.accept(npos, [(i, nodes[i][-1]) for i in _arena_path(nodes, me)[1:]])
                         if not pending[npos]:

@@ -323,10 +323,10 @@ def ref_enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOpti
 
 
 def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> EmpiricalUpSet:
-    """`collect_upsets` with one `accepts` search per word."""
+    """`collect_upsets` with one `accepts` search per distinct word."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
-    for w in words:
+    for w in dict.fromkeys(words):
         res = accepts(tsa, w, opts)
         if not res:
             (out.budget_failures if res.reason == "budget" else out.rejected).append(w)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from conftest import (
 import tsalab.analysis as analysis_mod
 from tsalab.analysis import (
     ArityMismatch,
+    EmpiricalUpSet,
     EmptyLevel1,
     HistoryMismatch,
     StrongConditionViolated,
@@ -275,6 +277,14 @@ def test_collect_upsets_keeps_rejected_words_apart_from_budget_cuts():
     assert cut.budget_failures == [abcd_word(2)] and not cut.rejected
 
 
+def test_collect_upsets_files_each_distinct_word_once():
+    twice = collect_upsets(fixture_wpz_tsa(), ["tT", "tT", "tt", "tt"])
+    once = collect_upsets(fixture_wpz_tsa(), ["tT", "tt"])
+    assert twice.rejected == ["tt"]
+    for f in fields(EmpiricalUpSet):
+        assert getattr(twice, f.name) == getattr(once, f.name), f.name
+
+
 def test_upsets_share_key_and_provenance_replays():
     from tsalab.tsa import replay_trace
 
@@ -386,6 +396,11 @@ def test_marks_outside_the_word_are_refused(abcd_traces):
 
 def test_bound_formula_pinned_value():
     assert substitution_bound(1, 1, 2, 2, 5, 1, 0) == (42, 42)
+
+
+def test_bound_formula_refuses_a_negative_argument():
+    with pytest.raises(InputError):
+        substitution_bound(1, 1, 2, 2, 5, -1, 0)
 
 
 def test_bound_formula_degree_zero_collapse():

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import itertools
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import tsalab
+import tsalab.cli as cli
 import tsalab.tsa as tsa_mod
-from tsalab.cli import main
+from tsalab.cli import build_parser, main
 from tsalab.treestack import InputError, TreeStackError
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_WPZ
 
@@ -66,10 +68,14 @@ WRITER_GOLDENS += [
     (["fixtures", "wpz", "--pda"], "fixture_wpz.pda"),
     (["convert", "pda2tsa", "--root-drain", str(GOLDEN / "fixture_wpz.pda")],
      "wpz_pda2tsa_root_drain.tsa"),
+    (["convert", "pda2tsa", "--root-drain", "wpz"], "wpz_pda2tsa_root_drain.tsa"),
 ]
+# a case is named after its golden; a later case on the same golden adds its last argument
+WRITER_IDS = [g if [h for _, h in WRITER_GOLDENS].index(g) == i else f"{g}-{argv[-1]}"
+              for i, (argv, g) in enumerate(WRITER_GOLDENS)]
 
 
-@pytest.mark.parametrize("argv, golden", WRITER_GOLDENS, ids=[g for _, g in WRITER_GOLDENS])
+@pytest.mark.parametrize("argv, golden", WRITER_GOLDENS, ids=WRITER_IDS)
 def test_writers_match_goldens(argv, golden):
     code, out = run_cli(*argv)
     assert code == 0
@@ -590,6 +596,29 @@ def test_fixtures_help_lists_each_name_once():
     assert code == 0
     choices = out[out.index("{") + 1:out.index("}")].split(",")
     assert choices == ["abcd", "anbmcndm", "astar", "ks", "updown", "wpz"]
+
+
+def leaf_handlers(parser, handler=None, path=()):
+    """Every leaf command of the parser tree, as (argv prefix, handler).
+    A leaf's handler is the nearest `func` default on its path, the one
+    argparse leaves in the namespace."""
+    handler = parser.get_default("func") or handler
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, handler
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from leaf_handlers(sub, handler, path + (name,))
+
+
+LEAVES = list(leaf_handlers(build_parser()))
+
+
+@pytest.mark.parametrize("path, handler", LEAVES, ids=[" ".join(p) for p, _ in LEAVES])
+def test_every_leaf_resolves_to_its_handler_and_has_help(path, handler):
+    assert handler is getattr(cli, f"cmd_{path[0]}")
+    code, out = run_cli(*path, "--help")
+    assert code == 0 and out.startswith(f"usage: tsalab {' '.join(path)} ")
 
 
 def test_experiment_gaps():

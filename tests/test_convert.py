@@ -7,6 +7,7 @@ from conftest import counting_wpz_oracle, words_upto
 from tsalab.convert import (
     NotOneTsa,
     PdaAction,
+    _pda_replay,
     box,
     fixture_ks_tsa,
     fixture_wpz_pda,
@@ -23,6 +24,7 @@ from tsalab.treestack import ROOT_LABEL, instr_down, instr_id, instr_push, pred_
 from tsalab.tsa import (
     NotApplicable,
     ParseError,
+    ReplayMismatch,
     SearchOptions,
     Transition,
     UnknownState,
@@ -48,6 +50,19 @@ def test_wpz_pda_accepts_example_word():
 def test_wpz_pda_accepts_epsilon_via_final_push():
     res = pda_accepts(fixture_wpz_pda(), "")
     assert res and [i for i, _ in res.steps] == [6]  # just the final eps-push
+
+
+@pytest.mark.parametrize("word, tidxs, reason", [
+    ("tT", [0, 1], "input at 1 is not t"),  # tt reads t where the word has T
+    ("tT", [0, 2], "stack top is t, not @"),  # T@ needs the bottom on top
+    ("t", [6, 0], "state is qf, not q"),  # fin leaves q for good
+])
+def test_pda_replay_refuses_a_step_that_does_not_apply(word, tidxs, reason):
+    pda = fixture_wpz_pda()
+    assert _pda_replay(pda, "tT", [0, 5, 6]).steps == pda_accepts(pda, "tT").steps
+    with pytest.raises(ReplayMismatch) as e:
+        _pda_replay(pda, word, tidxs)
+    assert e.value.step_index == 2 and str(e.value) == f"step 2: {reason}"
 
 
 def test_wpz_pda_rejects_unbalanced():

@@ -151,6 +151,25 @@ def test_oracle_refuses_bad_arguments_when_built(name, params):
         oracle(name, **params)
 
 
+# each oracle, with its parameters and a member
+ORACLE_MEMBERS = [
+    ("s_m", {"m": 1}, "abc"),
+    ("ambm_n", {}, "ab"),
+    ("ab_m_n", {}, "abb"),
+    ("l_k_nonincreasing", {"k": 2}, "aab"),
+    ("unary", {"family": "pow2"}, "aa"),
+    ("wp_z", {}, "tT"),
+    ("wp_f2xf2", {}, "aa'"),
+]
+
+
+@pytest.mark.parametrize("name, params, member", ORACLE_MEMBERS, ids=[n for n, _, _ in ORACLE_MEMBERS])
+def test_oracles_answer_false_on_a_foreign_letter(name, params, member):
+    o = oracle(name, **params)
+    assert o(member)
+    assert not o("xyz") and not o(member + "x")
+
+
 def test_wpz_oracle():
     o = oracle("wp_z")
     for w in words_upto("tT", 6):
@@ -349,7 +368,7 @@ def test_product_with_universal_fsa_is_identity():
 
 def test_product_requires_eps_free():
     tsa = abcd_tsa()
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         tsa_fsa_product(tsa, regex_to_fsa("a*b*c*d*", tsa.alphabet))
 
 

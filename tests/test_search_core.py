@@ -261,7 +261,7 @@ UPSET_OPTIONS = ("default", "k1", "k2", "k2-steps", "vertices")
 def test_collect_upsets_matches_reference(name):
     tsa = MACHINES[name]()
     words = list(words_for(name, tsa))
-    words += words[::7]  # a word listed twice is filed twice
+    words += words[::7]  # a word listed twice is filed once
     for opt_name in UPSET_OPTIONS:
         opts = OPTIONS[opt_name]
         got = upsets(collect_upsets, tsa, words, opts)
