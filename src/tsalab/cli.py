@@ -64,11 +64,12 @@ def at_least(lo: int):
 
 def load_machine(source: str, pda: bool = False):
     """A machine argument is a file path or a built-in fixture name: a TSA,
-    or a PDA when `pda` is set."""
+    or a PDA when `pda` is set.  A file of that name comes first; a
+    directory does not hide a fixture."""
     parse, table = ((convert.parse_pda, fixtures.PDA_FILES) if pda
                     else (parse_tsa, fixtures.TSA_FILES))
     p = Path(source)
-    if p.exists():
+    if p.is_file():
         return parse(p.read_text())
     if source in table:
         return parse(table[source])

@@ -331,8 +331,9 @@ class Dispatch(dict):
     room to read; or ANY_LETTER, which keeps every row, for free reading.
     Each entry holds exactly the rows of its state whose letter and
     predicate can match, in delta order, and is built the first time it is
-    asked for.  `readers` holds the states with a reading row, and `degree`
-    is the largest child index of a push or up row (0 if there is none).
+    asked for.  `readers` holds the states with a reading row, `degree`
+    is the largest child index of a push or up row (0 if there is none),
+    and `up_free` tells whether there is no up row.
 
     For a fixed letter key, a letter or END, the table also looks ahead.  A
     state is dead for the key when no eps path of the control graph,
@@ -358,6 +359,7 @@ class Dispatch(dict):
         self.finals = finals
         self.degree = max((row[4] for rows in by_state.values() for row in rows
                            if row[3] in (_PUSH, _UP)), default=0)
+        self.up_free = all(row[3] != _UP for rows in by_state.values() for row in rows)
         self.eps_moves = {q: [(row[3], row[6]) for row in rows if row[1] is None]
                           for q, rows in by_state.items()}  # state -> (kind code, target)
         self.lives: dict[str | None, frozenset[str]] = {}  # letter key -> live(letter)
@@ -474,25 +476,38 @@ def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> R
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
     """Search for an accepting run of `tsa` on `w`.
 
-    Breadth-first over configurations, children in delta order, with
-    memoisation on (state, position, tree stack[, vfb][, properness bit]);
-    the witness is therefore the lexicographically least shortest run.
-    A configuration's children come from the machine's `Dispatch` table:
-    the transitions of its state whose letter and predicate match the next
-    letter and the pointer's label, in delta order.  Inside the search a
-    tree stack and its vfb counts are a zipper focused at the pointer whose
-    vertices and contexts are interned as int ids, so each step costs the
-    same whatever the size of the tree and equal ids mean equal
-    configurations: the memoisation is exact.  A child that
-    enters a dead region, a part of the control graph from which no eps
-    path reads the next letter (or, at the end of the word, reaches a final
-    state), is dropped when no budget can cut off anything below it, so
-    every witness and every NotFound reason is the one the plain search
-    gives (`_search`).  The witness is the path `_search` found,
+    The answer is that of a breadth-first search over configurations,
+    children in delta order, with memoisation on (state, position, tree
+    stack[, vfb][, properness bit]): the witness is the lexicographically
+    least shortest run, and NotFound("budget") means the search was cut
+    off, NotFound("exhausted") that the bounded space was fully explored.
+
+    On a machine with no `up` row, without proper_only, the answer comes
+    first from entry/exit summaries (`_summaries`): a vertex is then
+    entered once and left at most once, so runs are context-free, and
+    Knuth's lightest derivation gives the least run of each fact in
+    polynomial time.  A witness stands when it fits both budgets; a "no"
+    stands as `exhausted` when no run prefix can reach either budget.
+    Otherwise, or on any other machine or options, the search itself runs
+    (`_search`).  A configuration's children come from the machine's
+    `Dispatch` table: the transitions of its state whose letter and
+    predicate match the next letter and the pointer's label, in delta
+    order.  Inside the search a tree stack and its vfb counts are a zipper
+    focused at the pointer whose vertices and contexts are interned as int
+    ids, so each step costs the same whatever the size of the tree and
+    equal ids mean equal configurations: the memoisation is exact.  A
+    child that enters a dead region, a part of the control graph from
+    which no eps path reads the next letter (or, at the end of the word,
+    reaches a final state), is dropped when no budget can cut off anything
+    below it, so every witness and every NotFound reason is the one the
+    plain search gives.  Either way the witness is a list of delta indices
     re-executed by `replay`.
-    NotFound("budget") means the search was cut off, NotFound("exhausted")
-    that the bounded space was fully explored.
     """
+    rows = _tsa_rows(tsa)
+    if rows.up_free and not opts.proper_only:
+        found = _summaries(tsa, rows, w, opts)
+        if found is not None:
+            return found if isinstance(found, NotFound) else replay(tsa, w, found)
     return _tsa_search(tsa, w, len(w), opts)
 
 
@@ -870,6 +885,194 @@ def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
     i = ids[x] = len(table)
     table.append(x)
     return i
+
+
+def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
+    """`accepts` on a TSA with no `up` row, without proper_only, by
+    entry/exit summaries.  Returns the delta indices of the witness that
+    `_search` gives, NotFound("exhausted") where `_search` gives that, or
+    None where a budget might cut `_search`, whose answer is then needed.
+
+    Without `up` a vertex is entered once, by its push (the root at the
+    start), and left at most once, by a down, so what a run does inside a
+    vertex depends only on how the vertex was entered.  The facts:
+      - an entry (state, label, position), given an int id; the root's is
+        (initial, @, 0) and has id 0;
+      - a local fact (entry id, state, label, used child slots as a bit
+        set, position): the run from the entry got there without leaving
+        the vertex, finished child visits included;
+      - an exit (entry id, state, position): the vertex was left by a down
+        into that state at that position;
+      - an opening (entry id): the run from the initial configuration to
+        the entry, the root's empty and, in any mode only, each other
+        entry's derived too; and the goal (None).
+    `id` and `set` extend a local fact, `down` ends it in an exit, and
+    `push n B` with slot n free (and k != 0: k = 0 bars the visit from
+    below a push makes) opens the entry (target, B, position) and joins
+    the local fact with each exit of that entry.  The goal is a final
+    local fact at the end of the word, of the root in root mode, or of
+    any opened entry after its opening in any mode.
+
+    A fact's weight is its run's delta indices, ordered by length and then
+    lexicographically.  Concatenation is monotone in that order and a
+    rule's conclusion weighs at least each premise, so Knuth's lightest
+    derivation (Knuth 1977) gives each fact its least run when it is first
+    popped from the queue, entries opened late included, since their
+    local facts start from the empty run.  The goal's least run is the
+    lexicographically least shortest accepting run: `_search`'s witness,
+    if it fits both budgets (its length and 1 + its pushes), since a TSA
+    tree never shrinks.  With no goal the facts are saturated, and one
+    longest-path pass over their derivations bounds every run prefix: the
+    most steps and the most pushes of an opening plus a local fact of its
+    entry.  Each rule adds a step, so a cycle of facts is unbounded.  If
+    no run prefix reaches either budget, `_search` cannot be cut and
+    answers `exhausted`."""
+    from heapq import heappop, heappush  # here, so that importing tsalab stays as quick
+
+    n = len(w)
+    max_steps, max_vertices = search_budgets(tsa, opts, n)
+    end = rows.END
+    root_only = opts.accept_mode == "root"
+    pushing = opts.k != 0
+    finals = tsa.finals
+    entries = {(tsa.initial, ROOT_LABEL, 0): 0}
+    waiting: list[list] = [[]]  # entry id -> (pushing local fact, run with the push, label, slots after)
+    exits: list[list] = [[]]  # entry id -> (exit, run) of each popped exit
+    root = (0, tsa.initial, ROOT_LABEL, 0, 0)
+    best: dict = {root: ()}  # fact -> least run offered so far
+    queue = [(0, (), 0, root)]  # (length, run, tie-break, fact)
+    tick = itertools.count(1)
+    derived: list[tuple] = []  # (conclusion, *premises) per rule firing
+    opened = {0: ()}  # entry id -> the run of its opening; in root mode only the root's
+    accepting: dict[int, list] = {}  # entry id -> runs of its final local facts at the end of w
+    sites: dict[int, list] = {}  # in any mode: entry id -> (run to a push, entry it opens)
+
+    def offer(fact, run):
+        old = best.get(fact)
+        if old is None or len(run) < len(old) or len(run) == len(old) and run < old:
+            best[fact] = run
+            heappush(queue, (len(run), run, next(tick), fact))
+
+    while queue:
+        _, run, _, fact = heappop(queue)
+        if best[fact] is not run:
+            continue  # a heavier run of a fact popped before
+        if fact is None:  # the goal
+            pushes = sum(tsa.delta[i].instr.kind == "push" for i in run)
+            return list(run) if len(run) <= max_steps and 1 + pushes <= max_vertices else None
+        if type(fact) is int:  # an opening
+            opened[fact] = run
+            for local in accepting.get(fact, ()):
+                offer(None, run + local)
+            for site, e2 in sites.get(fact, ()):
+                offer(e2, run + site)
+            continue
+        if len(fact) == 3:  # an exit
+            exits[fact[0]].append((fact, run))
+            for local, before, lab, used in waiting[fact[0]]:
+                joined = (local[0], fact[1], lab, used, fact[2])
+                derived.append((joined, local, fact))
+                offer(joined, before + run)
+            continue
+        e, p, lab, used, j = fact
+        if j == n and p in finals and (not e or not root_only):
+            accepting.setdefault(e, []).append(run)
+            if e in opened:
+                offer(None, opened[e] + run)
+        for tidx, inp, _, kind, c, nlab, dst, _, _ in rows[p, lab, w[j] if j < n else end]:
+            nj = j if inp is None else j + 1
+            nrun = run + (tidx,)
+            if kind == _PUSH:
+                bit = 1 << c
+                if used & bit or not pushing:
+                    continue
+                e2 = entries.get((dst, nlab, nj))
+                if e2 is None:
+                    e2 = entries[dst, nlab, nj] = len(waiting)
+                    waiting.append([])
+                    exits.append([])
+                    start = (e2, dst, nlab, 0, nj)
+                    best[start] = ()
+                    heappush(queue, (0, (), next(tick), start))
+                derived.append((e2, e, fact))  # the opening of e2 through this push
+                if not root_only:
+                    sites.setdefault(e, []).append((nrun, e2))
+                    if e in opened:
+                        offer(e2, opened[e] + nrun)
+                waiting[e2].append((fact, nrun, lab, used | bit))
+                for out, orun in exits[e2]:
+                    joined = (e, out[1], lab, used | bit, out[2])
+                    derived.append((joined, fact, out))
+                    offer(joined, nrun + orun)
+                continue
+            if kind == _ID:
+                nxt = (e, dst, lab, used, nj)
+            elif not e:  # down and set need a non-root pointer
+                continue
+            elif kind == _DOWN:
+                nxt = (e, dst, nj)
+            else:  # set
+                nxt = (e, dst, nlab, used, nj)
+            derived.append((nxt, fact))
+            offer(nxt, nrun)
+
+    bound = _longest_prefix(derived, [(e, q, lab, 0, j) for (q, lab, j), e in entries.items()])
+    if bound is not None and bound[0] < max_steps and 1 + bound[1] <= max_vertices:
+        return NotFound("exhausted")
+    return None
+
+
+def _longest_prefix(derived: list[tuple], starts: list[tuple]) -> tuple[int, int] | None:
+    """(most steps, most pushes) of a run prefix, from the saturated facts
+    of `_summaries`.  `derived` holds each rule firing as (conclusion,
+    *premises): one premise for `id`, `set` and `down`, which add a step,
+    and two for a push, joined with an exit or opening an entry, which add
+    a step and a push.  `starts` are the entries' first local facts and 0
+    the root's opening, whose runs are empty; an opening's fact is its
+    entry id.  One pass in topological order by Kahn's algorithm; None if
+    the facts have a cycle, since a cycle repeats without end."""
+    into: dict = {}  # fact -> the firings into it not yet counted
+    uses: dict = {}  # fact -> the firings it is a premise of
+    for i, (concl, *premises) in enumerate(derived):
+        into[concl] = into.get(concl, 0) + 1
+        for p in premises:
+            if p in uses:
+                uses[p].append(i)
+            else:
+                uses[p] = [i]
+    need = [len(firing) - 1 for firing in derived]  # premises not yet final
+    most = dict.fromkeys([0, *starts], (0, 0))  # fact -> (most steps, most pushes)
+    ready = [f for f in most if f not in into]
+    done = 0
+    while ready:
+        done += 1
+        for i in uses.get(ready.pop(), ()):
+            need[i] -= 1
+            if need[i]:
+                continue
+            firing = derived[i]
+            if len(firing) == 2:
+                steps, pushes = most[firing[1]]
+            else:
+                (s1, p1), (s2, p2) = most[firing[1]], most[firing[2]]
+                steps, pushes = s1 + s2, p1 + p2 + 1
+            concl = firing[0]
+            old = most.get(concl)
+            if old is None:
+                most[concl] = (steps + 1, pushes)
+            elif steps >= old[0] or pushes > old[1]:
+                most[concl] = (max(old[0], steps + 1), max(old[1], pushes))
+            into[concl] -= 1
+            if not into[concl]:
+                ready.append(concl)
+    if done < len(most):
+        return None  # a cycle: some fact never became ready
+    steps = pushes = 0
+    for f, (s, p) in most.items():
+        if type(f) is tuple and len(f) == 5:  # a local fact, after its entry's opening
+            s0, p0 = most[f[0]]
+            steps, pushes = max(steps, s0 + s), max(pushes, p0 + p)
+    return steps, pushes
 
 
 def _execute(tsa: Tsa, runs: Iterable[tuple[str, Iterable[tuple[object, int]]]]) -> list[RunTrace]:

@@ -213,6 +213,15 @@ def test_follow_exits_as_run_does(tmp_path, machine, word, follow, flags, code):
     assert run_cli("run", machine, "--word", word, *flags)[0] == code
 
 
+def test_machine_argument_is_a_file_before_a_fixture(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wpz").mkdir()  # a directory does not hide the fixture
+    assert run_cli("run", "wpz", "--word", "tT")[0] == 0
+    (tmp_path / "abcd").write_text(FOLLOW_MACHINES["offroot"])  # a file does
+    assert run_cli("run", "abcd", "--word", "abcd")[0] == 1
+    assert run_cli("run", "abcd", "--word", "a", "--accept-mode", "any")[0] == 0
+
+
 @pytest.mark.parametrize("machine, argv, line", [
     ("abcd", ["--word", "aabbccdd", "--k", "2"], "max_vfb=2"),
     ("offroot", ["--word", "a", "--accept-mode", "any"], "max_vfb=1"),  # ends at vertex 1

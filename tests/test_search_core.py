@@ -13,11 +13,12 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import abcd_word, words_upto
+from conftest import abcd_word, counting_wpz_oracle, words_upto
 
 import tsalab.tsa as tsa_mod
 from tsalab.convert import (
@@ -509,6 +510,96 @@ def test_pda_accepts_matches_reference_on_random_machines():
     assert reasons == {"RunTrace", "exhausted", "budget"}
 
 
+# Entry/exit summaries.  On a TSA with no `up` row, `accepts` without
+# proper_only answers from `tsa._summaries` where no budget can cut the BFS,
+# and calls the BFS (`tsa._search`) where one might.
+
+def counted_searches(monkeypatch):
+    """Patch `tsa._search` to count its calls; returns the one-item count."""
+    calls = [0]
+    search = tsa_mod._search
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tsa_mod, "_search", counting)
+    return calls
+
+
+SUMMARY_OPTIONS = [SearchOptions(k=k, accept_mode=mode, **budgets)
+                   for mode in ("root", "any") for k in (None, 0, 1, 2)
+                   for budgets in ({}, {"max_steps": 6, "max_vertices": 3})]
+
+
+def test_summaries_match_reference_on_random_up_free_machines(monkeypatch):
+    # Under the default budgets a random machine that pushes on eps steps
+    # makes trees without end, which the BFS and the reference explore up
+    # to 80 vertices for seconds or minutes a word (see RANDOM_OPTIONS); the
+    # 63 up-free machines of seed 2 have none that takes half a second.
+    calls = counted_searches(monkeypatch)
+    machines = [tsa for tsa in random_tsas(2, 200) if tsa_mod._tsa_rows(tsa).up_free]
+    words = list(words_upto("ab", 4))
+    answers = Counter()  # (answered by the summaries, outcome kind) -> cases
+    for tsa in machines:
+        for opts in SUMMARY_OPTIONS:
+            for w in words:
+                before = calls[0]
+                got = accepts(tsa, w, opts)
+                assert outcome(got) == outcome(ref_accepts(tsa, w, opts)), (w, opts, render_tsa(tsa))
+                answers[calls[0] == before, outcome(got)[0] if got else got.reason] += 1
+    by_summaries = sum(n for (summaries, _), n in answers.items() if summaries)
+    assert by_summaries > 0.9 * sum(answers.values()), answers
+    assert answers[True, "RunTrace"] and answers[True, "exhausted"] and answers[False, "budget"]
+    assert not answers[True, "budget"]  # the summaries never answer `budget`
+
+
+def test_summaries_answer_every_short_wpz_word(monkeypatch):
+    calls = counted_searches(monkeypatch)
+    wpz = fixture_wpz_tsa()
+    got = {w: accepts(wpz, w) for w in words_upto("tT", 10)}
+    assert len(got) == 2047 and calls[0] == 0
+    assert {w for w, res in got.items() if res} == {w for w in got if counting_wpz_oracle(w)}
+    for w in words_upto("tT", 8):  # the BFS's own witnesses and reasons
+        assert outcome(got[w]) == outcome(tsa_mod._tsa_search(wpz, w, len(w), SearchOptions())), w
+
+
+ID_LOOP_TSA = """tsa
+states: q f
+initial: q
+final: f
+labels: A
+alphabet: a
+trans: q eps true id q
+trans: q a true id q
+"""
+
+ENDLESS_PUSH_TSA = """tsa
+states: q f
+initial: q
+final: f
+labels: A
+alphabet: a
+trans: q eps true push 1 A q
+"""
+
+
+@pytest.mark.parametrize("text, word, opts", [
+    (ID_LOOP_TSA, "aa", SearchOptions(max_steps=1)),
+    (ENDLESS_PUSH_TSA, "a", SearchOptions()),
+], ids=["eps-id-loop", "endless-eps-push"])
+def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, opts):
+    tsa = parse_tsa(text)
+    rows = tsa_mod._tsa_rows(tsa)
+    # a cycle counts as unbounded, whatever the budgets
+    assert tsa_mod._summaries(tsa, rows, word, opts) is None
+    assert tsa_mod._summaries(tsa, rows, word, SearchOptions()) is None
+    calls = counted_searches(monkeypatch)
+    assert outcome(accepts(tsa, word, opts)) == outcome(ref_accepts(tsa, word, opts)) \
+        == ("NotFound", "budget")
+    assert calls[0] == 1
+
+
 # The walk re-executes each arena node once and shares its configuration
 # among the witnesses through it; each witness must still be the run that
 # `replay` makes of its word and transition indices.
@@ -609,6 +700,12 @@ def test_searches_with_any_options_share_one_dispatch_table():
 # final state).  `accepts` and `pda_accepts` drop a configuration entering
 # a dead state's bounded region only when no budget can cut below it:
 # `size + p <= max_vertices` and `depth + r * (size + p + 1) < max_steps`.
+# `accepts` answers most of these up-free machines from its summaries, so
+# the tests ask the BFS behind it too.
+
+def bfs_accepts(tsa, w, opts):
+    return tsa_mod._tsa_search(tsa, w, len(w), opts)
+
 
 def dead_region_tsa(region):
     """q reads `a` only under eq A, which never holds at the root; its eps
@@ -643,7 +740,8 @@ def test_dead_region_that_pushes_is_kept_under_a_tight_vertex_budget():
     for vertices in (2, 3, 4):  # the tree of 2 vertices, 2 + p, and more
         opts = SearchOptions(max_vertices=vertices)
         want = "budget" if vertices < 3 else "exhausted"
-        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+        assert outcome(accepts(tsa, "a", opts)) == outcome(bfs_accepts(tsa, "a", opts)) \
+            == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
     pda = parse_pda(PUSHING_PDA)
     for stack in (2, 3, 4):
         want = "budget" if stack < 3 else "exhausted"
@@ -657,7 +755,8 @@ def test_dead_region_is_kept_under_a_tight_step_budget():
     for steps in range(1, 12):
         opts = SearchOptions(max_steps=steps)
         want = "budget" if steps < 3 else "exhausted"  # e is reached at depth 2
-        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+        assert outcome(accepts(tsa, "a", opts)) == outcome(bfs_accepts(tsa, "a", opts)) \
+            == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
         assert outcome(pda_accepts(pda, "a", max_steps=steps)) == ("NotFound", want)
         assert outcome(ref_pda_accepts(pda, "a", max_steps=steps)) == ("NotFound", want)
 
@@ -689,7 +788,9 @@ def test_only_bounded_dead_regions_are_pruned(name):
     for steps in range(1, 16):
         for vertices in range(1, 6):
             opts = SearchOptions(max_steps=steps, max_vertices=vertices)
-            assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)), (steps, vertices)
+            want = outcome(ref_accepts(tsa, "a", opts))
+            assert outcome(accepts(tsa, "a", opts)) == outcome(bfs_accepts(tsa, "a", opts)) == want, \
+                (steps, vertices)
 
 
 def test_look_ahead_table_on_the_fixtures():
@@ -743,11 +844,13 @@ def test_dead_configuration_met_late_keeps_the_reference_answer():
     for steps in range(8, 16):
         opts = SearchOptions(max_steps=steps)
         want = "budget" if steps < 10 else "exhausted"
-        assert outcome(accepts(tsa, "a", opts)) == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
+        assert outcome(accepts(tsa, "a", opts)) == outcome(bfs_accepts(tsa, "a", opts)) \
+            == outcome(ref_accepts(tsa, "a", opts)) == ("NotFound", want)
 
 
 class CountingRows:
-    """A dispatch table that counts its lookups, one per expanded node."""
+    """A dispatch table that counts its lookups: one per node the BFS
+    expands, one per local fact the summaries pop."""
 
     def __init__(self, table):
         self.table, self.lookups = table, 0
@@ -775,6 +878,18 @@ def test_look_ahead_makes_the_anbmcndm_search_linear():
         w = "a" * n + "b" * n + "c" * n + "d" * n
         counts[n] = expanded(tsa, w, True), expanded(tsa, w, False)
     assert counts == {25: (213, 1094), 50: (413, 3419)}  # 4n + 13 nodes against about 1.4n^2
+
+
+def test_summary_facts_grow_linearly_on_wpz():
+    # one dispatch lookup per local fact: 7n + 7 on t^n T^n (357 and 707),
+    # where the BFS makes about twice the configurations per step of n
+    wpz = fixture_wpz_tsa()
+    facts = {}
+    for n in (50, 100):
+        rows = CountingRows(tsa_mod._tsa_rows(wpz))
+        assert tsa_mod._summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
+        facts[n] = rows.lookups
+    assert facts[100] < 2.2 * facts[50], facts
 
 
 # Memory gates.  A search holds each configuration as a focus and a context
@@ -812,10 +927,31 @@ print(bool(pda_accepts(pda, "t" * 14 + "T" * 14)))
 """
 
 
-def test_round_trip_pda_search_fits_in_200_mb():
-    src = str(Path(tsa_mod.__file__).parent.parent)  # the tsalab these tests import
+def run_under_limit(code: str) -> str:
+    """The standard output of `code`, run in a fresh process on the
+    tsalab these tests import; it must exit 0."""
+    src = str(Path(tsa_mod.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", ROUND_TRIP_UNDER_LIMIT], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "True\n"
+    return proc.stdout
+
+
+def test_round_trip_pda_search_fits_in_200_mb():
+    assert run_under_limit(ROUND_TRIP_UNDER_LIMIT) == "True\n"
+
+
+SUMMARIES_UNDER_LIMIT = """
+import resource
+limit = 200 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from tsalab.convert import fixture_wpz_tsa
+from tsalab.tsa import accepts
+print(len(accepts(fixture_wpz_tsa(), "t" * 100 + "T" * 100)))
+"""
+
+
+def test_deep_wpz_member_fits_in_200_mb():
+    # the BFS needs 565 MB for t^16 T^16; the summaries answer t^100 T^100
+    assert run_under_limit(SUMMARIES_UNDER_LIMIT) == "403\n"
