@@ -204,6 +204,8 @@ def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
 
 @dataclass
 class SwapReport:
+    """The spliced word of `single_swap`, its search outcome and its replay."""
+
     word: str
     accepted: bool
     search_reason: str | None  # None if accepted, else "budget"/"exhausted"
@@ -304,6 +306,8 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
 
 @dataclass
 class PumpResult:
+    """A pump x y z of `find_pumpable` at a vertex, checked for a few n."""
+
     x: str
     y: str
     z: str
@@ -374,6 +378,8 @@ def find_pumpable(trace: RunTrace, m: int) -> PumpResult | None:
 
 @dataclass
 class VertexBound:
+    """One vertex's letter count against its `check_atv_bounds` bound."""
+
     vertex: Address
     kind: str  # "root" | "leaf" | "interior"
     letters: int
@@ -383,6 +389,8 @@ class VertexBound:
 
 @dataclass
 class AtvBoundsReport:
+    """Every vertex's letter count against its bound, by `check_atv_bounds`."""
+
     k: int
     mu: int
     vertices: list[VertexBound]
@@ -472,6 +480,8 @@ def substitution_bound(mu: int, lam: int, k: int, C_size: int, Q_size: int,
 
 @dataclass
 class SwitchReport:
+    """Each tuple of `check_U_switchable` with its word and verdict."""
+
     results: list[tuple[tuple[str, ...], str, bool]]  # (tuple, word, in language)
 
     @property
@@ -500,6 +510,8 @@ def check_U_switchable(oracle: Callable[[str], bool],
 
 @dataclass
 class WeakPumpReport:
+    """Each exponent of `weak_pump_verify` with its word and verdict."""
+
     results: list[tuple[int, str, bool]]  # (i, word, in language)
 
     @property

@@ -70,6 +70,8 @@ class PdaAction:
 
 @dataclass(frozen=True)
 class PdaTransition:
+    """(source, letter or None for eps, action, target) and a display name."""
+
     src: str
     inp: str | None
     action: PdaAction
@@ -82,6 +84,8 @@ class PdaTransition:
 
 @dataclass(frozen=True)
 class Pda:
+    """A pushdown automaton; the bottom symbol @ is implicit in `stack`."""
+
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     stack: tuple[str, ...]  # Gamma without the implicit bottom symbol
@@ -100,15 +104,25 @@ class Pda:
                 raise ValueError(f"stack symbol {t.action.pushed!r} not declared")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdaConfig:
+    """A point of a PDA run: control state, stack and input position."""
+
     state: str
     stack: tuple[str, ...]  # bottom first; stack[0] == @ always
     pos: int
 
 
+# `_pda_replay` fills each new PdaConfig through its slot descriptors, as
+# `tsa._run` does a Configuration, skipping the frozen __init__
+_new_config = object.__new__
+_set_state, _set_stack, _set_pos = (PdaConfig.__dict__[f].__set__ for f in ("state", "stack", "pos"))
+
+
 @dataclass
 class PdaTrace:
+    """A recorded PDA run: per step, the delta index and the configuration."""
+
     pda: Pda
     word: str
     steps: list[tuple[int, PdaConfig]]
@@ -176,7 +190,11 @@ def _pda_replay(pda: Pda, w: str, tidxs) -> PdaTrace:
         elif act.pushed is not None:
             stack += (act.pushed,)
         state = t.dst
-        steps.append((tidx, PdaConfig(state, stack, pos)))
+        cfg = _new_config(PdaConfig)
+        _set_state(cfg, state)
+        _set_stack(cfg, stack)
+        _set_pos(cfg, pos)
+        steps.append((tidx, cfg))
     return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
 
 

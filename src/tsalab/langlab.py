@@ -65,6 +65,8 @@ def tokenize(word: str | Sequence[str], alphabet: Sequence[str] | None = None) -
 
 @dataclass
 class GapReport:
+    """The verdict of `gap_check` and its threshold for each m."""
+
     verdict: str  # "gap-divergent (sample)" | "inconclusive"
     thresholds: dict[int, int | None]  # m -> least sample value past which gaps exceed m
 
@@ -141,6 +143,8 @@ def unary_lengths(family: str, n_max: int, alpha: float | None = None) -> list[i
 
 @dataclass(frozen=True)
 class GroupAlphabet:
+    """Group letters paired with their inverses by an involution."""
+
     letters: tuple[str, ...]
     pairing: tuple[tuple[str, str], ...]  # letter -> inverse letter
     _inverse: dict[str, str] = field(init=False, repr=False, compare=False)
@@ -179,6 +183,8 @@ F2F2_ALPHABET = group_alphabet(("a", "a'"), ("b", "b'"), ("c", "c'"), ("d", "d'"
 
 @dataclass(frozen=True)
 class WordOracle:
+    """A named membership test over an alphabet."""
+
     name: str
     alphabet: tuple[str, ...]
     membership: Callable[[str], bool]
@@ -354,6 +360,8 @@ def wp_f2xf2(word: str | Sequence[str]) -> bool:
 
 @dataclass(frozen=True)
 class Fsa:
+    """A finite automaton; an edge is (source, letter or None, target)."""
+
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     delta: tuple[tuple[str, str | None, str], ...]  # (src, letter or None, dst)
@@ -632,6 +640,8 @@ F2F2_PSI = {"a": "a", "b": "b",
 
 @dataclass
 class F2F2Report:
+    """The counts, disagreements and psi image of `f2f2_experiment`."""
+
     n_max: int
     m_max: int
     total: int

@@ -40,6 +40,8 @@ Token = tuple[str, str]
 
 @dataclass(frozen=True)
 class McfgRule:
+    """A rule head(head_args) <- body; a body entry is (nonterminal, vars)."""
+
     head: str
     head_args: tuple[tuple[Token, ...], ...]
     body: tuple[tuple[str, tuple[str, ...]], ...]
@@ -60,6 +62,8 @@ class McfgRule:
 
 @dataclass(frozen=True)
 class Mcfg:
+    """A multiple context-free grammar: ranks, terminals, rules, start."""
+
     ranks: tuple[tuple[str, int], ...]  # nonterminal -> rank, insertion order
     terminals: tuple[str, ...]
     rules: tuple[McfgRule, ...]
@@ -363,6 +367,23 @@ def _chart_rule(rule: McfgRule) -> _ChartRule:
     return _ChartRule(rule.head, tuple(nt for nt, _ in rule.body), args, tuple(plans))
 
 
+def _compiled(mcfg: Mcfg) -> tuple[str, list[_ChartRule], dict[str, list[tuple[_ChartRule, int]]]]:
+    """The grammar as `mcfg_member` reads it: the start symbol of
+    `non_deleting(mcfg)`, its rules compiled by `_chart_rule`, and each
+    nonterminal's triggers (rule, body position it fills).  Cached on the
+    grammar, one form for every query on it, since grammars are immutable."""
+    compiled = mcfg.__dict__.get("_compiled")
+    if compiled is None:
+        g = non_deleting(mcfg)
+        rules = [_chart_rule(rule) for rule in g.rules]
+        triggers: dict[str, list[tuple[_ChartRule, int]]] = {}
+        for rule in rules:
+            for p, nt in enumerate(rule.body):
+                triggers.setdefault(nt, []).append((rule, p))
+        compiled = mcfg.__dict__["_compiled"] = (g.start, rules, triggers)
+    return compiled
+
+
 def mcfg_member(mcfg: Mcfg, w: str) -> bool:
     """Whether the grammar derives w: an agenda-driven chart over span
     tuples (Seki et al. 1991; Kallmeyer 2010), polynomial in |w|
@@ -375,12 +396,7 @@ def mcfg_member(mcfg: Mcfg, w: str) -> bool:
     chart indexes items by (A, component, start) and (A, component, end),
     so a join looks up only the items adjacent to the one that fired it.
     Deleting rules are first rewritten by `non_deleting`."""
-    g = non_deleting(mcfg)
-    rules = [_chart_rule(rule) for rule in g.rules]
-    triggers: dict[str, list[tuple[_ChartRule, int]]] = defaultdict(list)
-    for rule in rules:
-        for p, nt in enumerate(rule.body):
-            triggers[nt].append((rule, p))
+    start, rules, triggers = _compiled(mcfg)
     by_start: dict[tuple[str, int, int], list] = defaultdict(list)
     by_end: dict[tuple[str, int, int], list] = defaultdict(list)
     by_nt: dict[str, list] = defaultdict(list)
@@ -436,7 +452,7 @@ def mcfg_member(mcfg: Mcfg, w: str) -> bool:
     for rule in rules:
         if not rule.body:
             conclude(rule, [])
-    goal = (g.start, ((0, len(w)),))
+    goal = (start, ((0, len(w)),))
     while agenda and goal not in seen:
         nt, item_spans = agenda.pop()
         for c, (i, j) in enumerate(item_spans):

@@ -314,9 +314,7 @@ def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
 
 
 def pred_eval(ts: TreeStack, pred: Predicate) -> bool:
-    if pred.kind == "true":
-        return True
-    return ts.pointer_label == pred.label
+    return pred.kind == "true" or ts._label == pred.label
 
 
 def format_address(addr: Address) -> str:

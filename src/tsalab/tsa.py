@@ -157,6 +157,8 @@ class Names:
 
 @dataclass(frozen=True)
 class Tsa:
+    """A tree stack automaton: states, labels, letters, initial, delta, finals."""
+
     states: tuple[str, ...]
     labels: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -191,7 +193,7 @@ class Configuration:
     pos: int
 
 
-# `step` fills a new Configuration through its slot descriptors, which is
+# `_run` fills each new Configuration through its slot descriptors, which is
 # about three times cheaper than the frozen __init__'s object.__setattr__ calls
 _new_configuration = object.__new__
 _set_state, _set_ts, _set_pos = (Configuration.__dict__[f].__set__ for f in ("state", "ts", "pos"))
@@ -201,26 +203,43 @@ def initial_configuration(tsa: Tsa) -> Configuration:
     return Configuration(tsa.initial, ts_init(), 0)
 
 
+def _run(w: str, cfg: Configuration, moves: Iterable[tuple[object, Transition]], out: list) -> None:
+    """The one definition of a TSA step, over a sequence of them: from cfg,
+    apply each move (tag, transition) in turn and append (tag, the
+    configuration it produced) to `out`.  Raises NotApplicable at the
+    first move that does not apply, with the failing check: "state
+    mismatch", "input mismatch", "PredicateFails", or "InstructionFails"
+    where `ts_apply` refuses the instruction.  The moves before it are then
+    the last ones `out` received."""
+    state, ts, pos = cfg.state, cfg.ts, cfg.pos
+    n = len(w)
+    for tag, t in moves:
+        if state != t.src:
+            raise NotApplicable("state mismatch")
+        if t.inp is not None:
+            if pos >= n or w[pos] != t.inp:
+                raise NotApplicable("input mismatch")
+            pos += 1
+        if not pred_eval(ts, t.pred):
+            raise NotApplicable("PredicateFails")
+        try:
+            ts = ts_apply(ts, t.instr)
+        except TreeStackError:
+            raise NotApplicable("InstructionFails") from None
+        state = t.dst
+        nxt = _new_configuration(Configuration)
+        _set_state(nxt, state)
+        _set_ts(nxt, ts)
+        _set_pos(nxt, pos)
+        out.append((tag, nxt))
+
+
 def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
-    """Apply one transition; raises NotApplicable with the failing check:
-    "state mismatch", "input mismatch", "PredicateFails", or
-    "InstructionFails" where `ts_apply` refuses the instruction."""
-    if cfg.state != t.src:
-        raise NotApplicable("state mismatch")
-    if t.inp is not None:
-        if cfg.pos >= len(w) or w[cfg.pos] != t.inp:
-            raise NotApplicable("input mismatch")
-    if not pred_eval(cfg.ts, t.pred):
-        raise NotApplicable("PredicateFails")
-    try:
-        ts = ts_apply(cfg.ts, t.instr)
-    except TreeStackError:
-        raise NotApplicable("InstructionFails") from None
-    nxt = _new_configuration(Configuration)
-    _set_state(nxt, t.dst)
-    _set_ts(nxt, ts)
-    _set_pos(nxt, cfg.pos if t.inp is None else cfg.pos + 1)
-    return nxt
+    """Apply one transition: `_run` on the one move.  Raises NotApplicable
+    with the failing check, as `_run` does."""
+    out: list = []
+    _run(w, cfg, ((None, t),), out)
+    return out[0][1]
 
 
 def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transition]:
@@ -283,6 +302,8 @@ class NotFound:
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """A search's k, accept mode, step and vertex budgets, and proper_only."""
+
     k: int | None = None
     accept_mode: str = "root"  # "root" | "any"
     max_steps: int | None = None
@@ -658,11 +679,10 @@ class _Walk:
 
     def witnesses(self, tsa: Tsa) -> dict[str, RunTrace]:
         """Every accepted target's witness: its arena path re-executed
-        through `step` by `_execute`, with the arena node ids as step ids.
-        So each arena node is executed once, and witnesses with a common
-        prefix share its Configurations.  An arena node's read prefix is a
-        prefix of every target through it, so its step reads the same
-        letter for each of them."""
+        through `_run` by `_execute`.  So each arena node is executed once,
+        and witnesses with a common prefix share its Configurations.  An
+        arena node's read prefix is a prefix of every target through it,
+        so its step reads the same letter for each of them."""
         traces = _execute(tsa, [(self.words[p], run) for p, run in self.accepted.items()])
         return {trace.word: trace for trace in traces}
 
@@ -890,8 +910,9 @@ def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
 def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
     """`accepts` on a TSA with no `up` row, without proper_only, by
     entry/exit summaries.  Returns the delta indices of the witness that
-    `_search` gives, NotFound("exhausted") where `_search` gives that, or
-    None where a budget might cut `_search`, whose answer is then needed.
+    `_search` gives, NotFound("exhausted") or NotFound("budget") where
+    `_search` gives that, or None where a budget might cut `_search`,
+    whose answer is then needed.
 
     Without `up` a vertex is entered once, by its push (the root at the
     start), and left at most once, by a down, so what a run does inside a
@@ -926,7 +947,9 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
     most steps and the most pushes of an opening plus a local fact of its
     entry.  Each rule adds a step, so a cycle of facts is unbounded.  If
     no run prefix reaches either budget, `_search` cannot be cut and
-    answers `exhausted`."""
+    answers `exhausted`.  If a cycle passes through an opening
+    (`_reopens`), the tree grows without end along one run prefix, so
+    `_search` is cut and answers `budget`."""
     from heapq import heappop, heappush  # here, so that importing tsalab stays as quick
 
     n = len(w)
@@ -1017,7 +1040,9 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
             offer(nxt, nrun)
 
     bound = _longest_prefix(derived, [(e, q, lab, 0, j) for (q, lab, j), e in entries.items()])
-    if bound is not None and bound[0] < max_steps and 1 + bound[1] <= max_vertices:
+    if bound is None:  # a cycle of facts
+        return NotFound("budget") if _reopens(derived) else None
+    if bound[0] < max_steps and 1 + bound[1] <= max_vertices:
         return NotFound("exhausted")
     return None
 
@@ -1075,42 +1100,82 @@ def _longest_prefix(derived: list[tuple], starts: list[tuple]) -> tuple[int, int
     return steps, pushes
 
 
-def _execute(tsa: Tsa, runs: Iterable[tuple[str, Iterable[tuple[object, int]]]]) -> list[RunTrace]:
-    """Re-execute runs from the initial configuration through `step`.  A
-    run is (word, steps), each step a (step id, delta index) pair; a step id
-    names one step from one configuration, so runs that share a step id
-    share its step: it is executed once, by the first run that has it, and
-    the later ones take its Configuration.  Raises ReplayMismatch at the
-    first step that does not apply, numbered from 1 along its run."""
+def _replay_from(tsa: Tsa, word: str, cfg: Configuration, tidxs: list[int], steps: list) -> None:
+    """Run delta indices from cfg through `_run`, appending (delta index,
+    configuration) to `steps`.  Raises ReplayMismatch at the first step
+    that does not apply or names no transition, numbered from 1 along
+    `steps`."""
+    delta = tsa.delta
+    good = len(tidxs)
+    if tidxs and (min(tidxs) < 0 or max(tidxs) >= len(delta)):
+        good = next(j for j, i in enumerate(tidxs) if not 0 <= i < len(delta))
+    try:
+        _run(word, cfg, zip(tidxs, map(delta.__getitem__, tidxs[:good])), steps)
+    except NotApplicable as e:
+        raise ReplayMismatch(len(steps) + 1, e.reason) from None
+    if good < len(tidxs):
+        raise ReplayMismatch(len(steps) + 1, f"no transition #{tidxs[good] + 1}")
+
+
+def _reopens(derived: list[tuple]) -> bool:
+    """Whether the saturated facts of `_summaries` have a cycle of openings:
+    an entry whose run pushes, through entries it opens, into an entry
+    equal to it (the same state, label and position).  An opening is a
+    premise only of openings, so this is a strongly connected component
+    of the facts that holds an opening.  From the entry the cycle then
+    repeats without end and without reading a letter, and each round adds
+    a vertex, so the tree grows without bound along one run prefix: with
+    no goal the search can only stop at a budget.  A cycle of `id` or
+    `set` firings alone repeats its configurations, so the search may
+    still exhaust; it is not this."""
+    from graphlib import CycleError, TopologicalSorter  # here, as heapq in `_summaries`
+
+    opened_from: dict[int, set[int]] = {}  # entry id -> the entries whose runs open it
+    for concl, *premises in derived:
+        if type(concl) is int:
+            opened_from.setdefault(concl, set()).add(premises[0])
+    try:
+        TopologicalSorter(opened_from).prepare()
+    except CycleError:
+        return True
+    return False
+
+
+def _execute(tsa: Tsa, runs: Iterable[tuple[str, list[tuple[int, int]]]]) -> list[RunTrace]:
+    """Re-execute runs from the initial configuration through `_run`.  A
+    run is (word, steps), each step an (arena node id, delta index) pair.
+    A node's path from the initial node is fixed, so a run that has a node
+    has the whole path to it: each node is executed once, by the first run
+    that has it, and a later run takes the steps up to the last node it
+    shares and runs the rest from that node's configuration.  Raises
+    ReplayMismatch at the first step that does not apply, numbered from 1
+    along its run."""
     init = initial_configuration(tsa)
-    done: dict = {}  # step id -> the configuration it produced
+    done: dict = {}  # node id -> the steps of the run that executed it
     traces = []
     for word, run in runs:
-        cfg = init
-        steps = []
-        for j, (sid, tidx) in enumerate(run, start=1):
-            nxt = done.get(sid)
-            if nxt is None:
-                if not 0 <= tidx < len(tsa.delta):
-                    raise ReplayMismatch(j, f"no transition #{tidx + 1}")
-                try:
-                    nxt = done[sid] = step(tsa, word, cfg, tsa.delta[tidx])
-                except NotApplicable as e:
-                    raise ReplayMismatch(j, e.reason) from None
-            cfg = nxt
-            steps.append((tidx, cfg))
+        shared = len(run)
+        while shared and run[shared - 1][0] not in done:
+            shared -= 1
+        steps = done[run[shared - 1][0]][:shared] if shared else []
+        _replay_from(tsa, word, steps[-1][1] if steps else init,
+                     [tidx for _, tidx in run[shared:]], steps)
+        done.update(dict.fromkeys([node for node, _ in run[shared:]], steps))
         traces.append(RunTrace(tsa, word, steps, init))
     return traces
 
 
 def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
-    """Re-execute a transition index sequence from the initial configuration:
-    `_execute` on one run, whose steps share nothing.
+    """Re-execute a transition index sequence from the initial configuration
+    through `_run`.
 
-    Raises ReplayMismatch at the first inapplicable step; the final
-    configuration is trace.final().
+    Raises ReplayMismatch at the first step that does not apply or names
+    no transition; the final configuration is trace.final().
     """
-    return _execute(tsa, [(word, enumerate(tidx_seq))])[0]
+    init = initial_configuration(tsa)
+    steps: list = []
+    _replay_from(tsa, word, init, list(tidx_seq), steps)
+    return RunTrace(tsa, word, steps, init)
 
 
 def replay_trace(trace: RunTrace) -> Configuration:
@@ -1203,6 +1268,8 @@ def is_accepting_run(trace: RunTrace, opts: SearchOptions = SearchOptions()) -> 
 
 @dataclass(frozen=True)
 class Degree:
+    """The child indices that a TSA's pushes use, and their number."""
+
     delta_set: frozenset[int]
     value: int
 

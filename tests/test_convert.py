@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -7,6 +7,7 @@ from conftest import counting_wpz_oracle, words_upto
 from tsalab.convert import (
     NotOneTsa,
     PdaAction,
+    PdaConfig,
     _pda_replay,
     box,
     fixture_ks_tsa,
@@ -63,6 +64,20 @@ def test_pda_replay_refuses_a_step_that_does_not_apply(word, tidxs, reason):
     with pytest.raises(ReplayMismatch) as e:
         _pda_replay(pda, word, tidxs)
     assert e.value.step_index == 2 and str(e.value) == f"step 2: {reason}"
+
+
+def test_pda_replay_configs_equal_constructed_ones():
+    # _pda_replay fills its PdaConfigs through slot descriptors, past the
+    # frozen __init__; they must still be ordinary frozen PdaConfigs
+    pda = fixture_wpz_pda()
+    res = pda_accepts(pda, "ttTtTT")
+    for _, cfg in res.steps:
+        made = PdaConfig(cfg.state, cfg.stack, cfg.pos)
+        assert cfg == made and hash(cfg) == hash(made) and repr(cfg) == repr(made)
+        with pytest.raises(FrozenInstanceError):
+            cfg.pos = 0
+    assert res.final() == PdaConfig("qf", ("@",), 6)
+    assert not hasattr(res.final(), "__dict__")
 
 
 def test_wpz_pda_rejects_unbalanced():

@@ -23,6 +23,7 @@ from tsalab.mcfg import (
     parse_mcfg,
     productive_nonterminals,
 )
+from tsalab import mcfg as mcfg_mod
 from tsalab.treestack import InputError
 from tsalab.tsa import ParseError
 
@@ -132,6 +133,24 @@ def test_member():
     assert mcfg_member(g, "")
     assert not mcfg_member(g, "abdc")
     assert not mcfg_member(g, "aabbccd")
+
+
+@pytest.mark.parametrize("text", [EXAMPLE_WPZ, DELETING], ids=["wpz", "deleting"])
+def test_member_compiles_each_grammar_once(monkeypatch, text):
+    # the compiled grammar is cached on the Mcfg, so a second query on the
+    # same grammar compiles nothing and answers as a fresh grammar does
+    words = list(words_upto("tTa", 5))
+    fresh = {w: mcfg_member(parse_mcfg(text), w) for w in words}
+    g = parse_mcfg(text)
+    compiled = []
+    chart_rule = mcfg_mod._chart_rule
+    monkeypatch.setattr(mcfg_mod, "_chart_rule", lambda rule: compiled.append(rule) or chart_rule(rule))
+    first = {w: mcfg_member(g, w) for w in words}
+    rules = len(compiled)
+    assert rules == len(non_deleting(g).rules)
+    second = {w: mcfg_member(g, w) for w in words}
+    assert len(compiled) == rules and first == second == fresh
+    assert g == parse_mcfg(text)  # the cache is no part of the grammar's value
 
 
 def test_deleting_rules_allowed():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import abcd_word, counting_wpz_oracle, words_upto
+from conftest import Stopwatch, abcd_word, counting_wpz_oracle, words_upto
 
 import tsalab.tsa as tsa_mod
 from tsalab.convert import (
@@ -551,7 +551,7 @@ def test_summaries_match_reference_on_random_up_free_machines(monkeypatch):
     by_summaries = sum(n for (summaries, _), n in answers.items() if summaries)
     assert by_summaries > 0.9 * sum(answers.values()), answers
     assert answers[True, "RunTrace"] and answers[True, "exhausted"] and answers[False, "budget"]
-    assert not answers[True, "budget"]  # the summaries never answer `budget`
+    assert not answers[True, "budget"]  # no case here saturates with a cycle of openings
 
 
 def test_summaries_answer_every_short_wpz_word(monkeypatch):
@@ -584,20 +584,56 @@ trans: q eps true push 1 A q
 """
 
 
-@pytest.mark.parametrize("text, word, opts", [
-    (ID_LOOP_TSA, "aa", SearchOptions(max_steps=1)),
-    (ENDLESS_PUSH_TSA, "a", SearchOptions()),
+@pytest.mark.parametrize("text, word, opts, summary, searches", [
+    (ID_LOOP_TSA, "aa", SearchOptions(max_steps=1), None, 1),
+    (ENDLESS_PUSH_TSA, "a", SearchOptions(), "budget", 0),
 ], ids=["eps-id-loop", "endless-eps-push"])
-def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, opts):
+def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, opts, summary,
+                                                       searches):
     tsa = parse_tsa(text)
     rows = tsa_mod._tsa_rows(tsa)
-    # a cycle counts as unbounded, whatever the budgets
-    assert tsa_mod._summaries(tsa, rows, word, opts) is None
-    assert tsa_mod._summaries(tsa, rows, word, SearchOptions()) is None
+    # a cycle counts as unbounded, whatever the budgets.  An id loop repeats
+    # its configurations, so the BFS may exhaust and gives the answer; a push
+    # loop grows the tree without end, so the summaries answer `budget`
+    for budgets in (opts, SearchOptions()):
+        got = tsa_mod._summaries(tsa, rows, word, budgets)
+        assert (got if got is None else got.reason) == summary
     calls = counted_searches(monkeypatch)
     assert outcome(accepts(tsa, word, opts)) == outcome(ref_accepts(tsa, word, opts)) \
         == ("NotFound", "budget")
-    assert calls[0] == 1
+    assert calls[0] == searches
+
+
+# up-free machine 24 of random_tsas(1, 60): t1 pushes on eps without end, so
+# the BFS could only stop at a budget, which took it seconds on "aaab"
+PUSH_CYCLE_TSA = """tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: A
+alphabet: a b
+trans: q1 eps eq @ set A q1
+trans: q0 eps true push 2 A q0
+trans: q0 a eq A push 1 A q0
+trans: q0 a eq A set A q0
+trans: q0 eps true set A q1
+trans: q1 a eq A down q1
+"""
+
+
+def test_a_cycle_of_openings_answers_budget_without_the_bfs(monkeypatch):
+    tsa = parse_tsa(PUSH_CYCLE_TSA)
+    calls = counted_searches(monkeypatch)
+    with Stopwatch("budget on a cycle of openings", 1.0):
+        for mode in ("root", "any"):
+            got = accepts(tsa, "aaab", SearchOptions(accept_mode=mode))
+            assert outcome(got) == ("NotFound", "budget"), mode
+    assert calls[0] == 0
+    monkeypatch.undo()
+    for mode in ("root", "any"):  # budgets tight enough for the BFS and the reference
+        opts = SearchOptions(accept_mode=mode, max_steps=6, max_vertices=3)
+        assert outcome(accepts(tsa, "aaab", opts)) == outcome(ref_accepts(tsa, "aaab", opts)) \
+            == outcome(tsa_mod._tsa_search(tsa, "aaab", 4, opts)) == ("NotFound", "budget")
 
 
 # The walk re-executes each arena node once and shares its configuration

@@ -21,6 +21,7 @@ from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown
 from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, mcfg_enumerate, parse_mcfg
 from tsalab import treestack
+import tsalab.tsa as tsa_mod
 from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
 from tsalab.tsa import (
     BadIndex,
@@ -34,6 +35,7 @@ from tsalab.tsa import (
     Tsa,
     UnknownState,
     accepts,
+    accepts_each,
     applicable_transitions,
     degree,
     enumerate_words,
@@ -254,7 +256,7 @@ AT_ROOT = initial_configuration(STEP_TSA)
 ABOVE_CHILD = Configuration("q0", TreeStack({(): "@", (1,): "X"}, ()), 0)  # pointer at the root
 
 
-@pytest.mark.parametrize("word, cfg, tidx, reason", [
+REFUSALS = [
     ("a", replace(AT_ROOT, state="q1"), 0, "state mismatch"),
     ("", AT_ROOT, 0, "input mismatch"),
     ("", AT_ROOT, 1, "PredicateFails"),
@@ -262,11 +264,72 @@ ABOVE_CHILD = Configuration("q0", TreeStack({(): "@", (1,): "X"}, ()), 0)  # poi
     ("", AT_ROOT, 3, "InstructionFails"),  # up to a missing child
     ("", AT_ROOT, 4, "InstructionFails"),  # down at the root
     ("", AT_ROOT, 5, "InstructionFails"),  # set at the root
-])
+]
+
+
+@pytest.mark.parametrize("word, cfg, tidx, reason", REFUSALS)
 def test_step_refusal_reasons(word, cfg, tidx, reason):
     with pytest.raises(NotApplicable) as e:
         step(STEP_TSA, word, cfg, STEP_TSA.delta[tidx])
     assert e.value.reason == reason
+
+
+# STEP_TSA with three moves that reach the configurations of REFUSALS:
+# delta indices 6 and 7 push and come back down (ABOVE_CHILD), 8 only
+# changes state
+REACHING_TSA = replace(STEP_TSA, delta=STEP_TSA.delta + parse_tsa("""tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: X
+alphabet: a
+trans: q0 eps true push 1 X q0
+trans: q0 eps true down q0
+trans: q0 eps true id q1
+""").delta)
+
+
+@pytest.mark.parametrize("word, cfg, tidx, reason", REFUSALS)
+def test_replay_refusal_reasons(word, cfg, tidx, reason):
+    # the table of `step`'s refusals, met along a replayed run
+    prefix = next(p for p in ([], [8], [6, 7]) if replay(REACHING_TSA, word, p).final() == cfg)
+    with pytest.raises(ReplayMismatch) as e:
+        replay(REACHING_TSA, word, prefix + [tidx])
+    j = len(prefix) + 1
+    assert (e.value.step_index, str(e.value)) == (j, f"step {j}: {reason}")
+
+
+@pytest.mark.parametrize("bad", [-1, 9], ids=["negative", "len-delta"])
+def test_replay_refuses_an_index_outside_delta(bad):
+    tsa = abcd_tsa()
+    assert len(tsa.delta) == 9
+    for seq, j in (([0, bad], 2), ([bad, 0], 1)):
+        with pytest.raises(ReplayMismatch) as e:
+            replay(tsa, "aabbccdd", seq)
+        assert str(e.value) == f"step {j}: no transition #{bad + 1}"
+    with pytest.raises(ReplayMismatch) as e:  # a step before it that does not apply comes first
+        replay(tsa, "aabbccdd", [3, bad])
+    assert str(e.value) == "step 1: state mismatch"
+
+
+def test_witnesses_do_not_go_through_step(monkeypatch):
+    # every witness is re-executed by `_run`, so a `step` that always
+    # raises leaves accepts, replay and the walk's witnesses as they were
+    tsa, wpz = abcd_tsa(), fixture_wpz_tsa()
+    before = (accepts(tsa, "aabbccdd", K2), accepts(wpz, "ttTtTT"),
+              accepts_each(wpz, ["tT", "ttTT", "tTtT"]))
+
+    def broken(*args):
+        raise RuntimeError("step called")
+
+    monkeypatch.setattr(tsa_mod, "step", broken)
+    after = (accepts(tsa, "aabbccdd", K2), accepts(wpz, "ttTtTT"),
+             accepts_each(wpz, ["tT", "ttTT", "tTtT"]))
+    assert [r.steps for r in after[:2]] == [r.steps for r in before[:2]]
+    assert {w: r.steps for w, r in after[2].items()} == {w: r.steps for w, r in before[2].items()}
+    assert replay(tsa, "aabbccdd", before[0].transition_indices()).steps == before[0].steps
+    with pytest.raises(RuntimeError, match="step called"):
+        applicable_transitions(tsa, "a", initial_configuration(tsa))
 
 
 def test_applicable_transitions_let_no_tree_stack_error_out():

@@ -7,7 +7,7 @@ Each n runs in its own child process under 1024 MB of address space
 script), so a second checkout can be measured the same way.  The n default to 12, 14, 16 and 100.  Prints one JSON line per n:
 the wall time of the one `accepts` call, the child's max RSS, and the
 result: the witness length, the NotFound reason, or MemoryError when the
-search ran out of the limit.
+search ran out of the limit.  Exits 1 if a child fails any other way.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ def main() -> int:
     ap.add_argument("n", type=int, nargs="*", default=[12, 14, 16, 100])
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    failed = False
     for n in args.n:
         proc = subprocess.run([sys.executable, "-c", CHILD, str(n)],
                               capture_output=True, text=True, env=env)
         if proc.returncode:
+            failed = True
             print(json.dumps({"n": n, "error": proc.stderr.strip().splitlines()[-1:]}))
         else:
             print(proc.stdout.strip())
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
