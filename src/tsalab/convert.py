@@ -171,11 +171,15 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
 def _pda_replay(pda: Pda, w: str, tidxs) -> PdaTrace:
     """Re-execute a run of `pda` on `w` from its delta indices.  Raises
     ReplayMismatch at the first step that does not apply, numbered from 1:
-    its source state, input letter or stack top is not the configuration's."""
+    its index names no transition, or its source state, input letter or
+    stack top is not the configuration's."""
+    delta = pda.delta
     state, stack, pos = pda.initial, (ROOT_LABEL,), 0
     steps = []
     for j, tidx in enumerate(tidxs, start=1):
-        t = pda.delta[tidx]
+        if not 0 <= tidx < len(delta):
+            raise ReplayMismatch(j, f"no transition #{tidx + 1}")
+        t = delta[tidx]
         if t.src != state:
             raise ReplayMismatch(j, f"state is {state}, not {t.src}")
         if t.inp is not None:

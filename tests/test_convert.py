@@ -66,6 +66,19 @@ def test_pda_replay_refuses_a_step_that_does_not_apply(word, tidxs, reason):
     assert e.value.step_index == 2 and str(e.value) == f"step 2: {reason}"
 
 
+@pytest.mark.parametrize("bad", [-7, 7], ids=["negative", "len-delta"])
+def test_pda_replay_refuses_an_index_outside_delta(bad):
+    pda = fixture_wpz_pda()
+    assert len(pda.delta) == 7
+    for seq, j in (([0, bad, 6], 2), ([bad, 5, 6], 1)):
+        with pytest.raises(ReplayMismatch) as e:
+            _pda_replay(pda, "tT", seq)
+        assert str(e.value) == f"step {j}: no transition #{bad + 1}"
+    with pytest.raises(ReplayMismatch) as e:  # a step before it that does not apply comes first
+        _pda_replay(pda, "tT", [1, bad])
+    assert str(e.value) == "step 1: stack top is @, not t"
+
+
 def test_pda_replay_configs_equal_constructed_ones():
     # _pda_replay fills its PdaConfigs through slot descriptors, past the
     # frozen __init__; they must still be ordinary frozen PdaConfigs

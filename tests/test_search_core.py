@@ -636,6 +636,35 @@ def test_a_cycle_of_openings_answers_budget_without_the_bfs(monkeypatch):
             == outcome(tsa_mod._tsa_search(tsa, "aaab", 4, opts)) == ("NotFound", "budget")
 
 
+# Two pushes enter (e, B, 0), where a run accepts in any mode: delta index 4,
+# from the entry y, found first, and delta index 3, from the root, found after
+# e's accepting exit was popped.  The least run, [1, 3], goes through the later
+# push, so that push must join with the accepting exit already found.
+TWO_PUSH_TSA = """tsa
+states: r0 r1 r2 y e
+initial: r0
+final: e
+labels: A B
+alphabet: a
+trans: r0 eps true id r1
+trans: r0 eps true id r2
+trans: r1 eps true push 1 A y
+trans: r2 eps true push 1 B e
+trans: y eps true push 1 B e
+"""
+
+
+@pytest.mark.parametrize("mode, witness", [("any", [1, 3]), ("root", None)])
+def test_a_push_found_late_joins_an_accepting_exit(monkeypatch, mode, witness):
+    tsa, opts = parse_tsa(TWO_PUSH_TSA), SearchOptions(accept_mode=mode)
+    calls = counted_searches(monkeypatch)
+    got = accepts(tsa, "", opts)
+    assert calls[0] == 0
+    assert (got.transition_indices() if got else None) == witness
+    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "", 0, opts)) \
+        == outcome(ref_accepts(tsa, "", opts))
+
+
 # The walk re-executes each arena node once and shares its configuration
 # among the witnesses through it; each witness must still be the run that
 # `replay` makes of its word and transition indices.

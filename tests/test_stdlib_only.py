@@ -1,8 +1,11 @@
 """The runtime is stdlib-only: every module under src/tsalab imports only
 tsalab itself or a module of the standard library, function-level imports
-included."""
+included.  Importing tsalab loads none of the modules that only a search
+imports inside a function."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,23 @@ def test_runtime_imports_only_tsalab_and_the_stdlib():
                for name in imported(ast.parse(path.read_text(), str(path)))
                if name != "tsalab" and name not in sys.stdlib_module_names]
     assert outside == []
+
+
+LOADED_BY_IMPORT = """
+import sys
+before = set(sys.modules)
+import tsalab
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_neither_heapq_nor_graphlib():
+    # `_summaries`, `_reopens` and `Dispatch._region_bound` import them inside
+    # the function, so that importing tsalab stays as quick
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY_IMPORT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(proc.stdout.split())
+    assert "tsalab.tsa" in loaded
+    assert not loaded & {"heapq", "graphlib"}, sorted(loaded)
