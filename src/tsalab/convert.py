@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .treestack import (
     ROOT_LABEL,
     InputError,
+    Instruction,
     instr_down,
     instr_id,
     instr_push,
@@ -26,7 +27,7 @@ from .tsa import (
     Names,
     NotFound,
     ParseError,
-    ReplayMismatch,
+    RunTrace,
     SearchOptions,
     Transition,
     Tsa,
@@ -35,6 +36,7 @@ from .tsa import (
     parse_tsa,
     read_machine,
     render_machine,
+    replay,
     search_rows,
 )
 
@@ -43,54 +45,23 @@ class NotOneTsa(InputError):
     """The source automaton has an up transition, so it is not a 1-TSA."""
 
 
-@dataclass(frozen=True)
-class PdaAction:
-    """push(z, s): applicable when the top is z, pushes s (None = nothing).
-    pop(t): applicable when the top is t, removes it.  t and s never equal
-    the bottom symbol."""
-
-    kind: str  # "push" | "pop"
-    top: str
-    pushed: str | None = None  # only for push; None means s = eps
-
-    def __post_init__(self):
-        if self.kind not in ("push", "pop"):
-            raise ValueError(f"bad action kind {self.kind!r}")
-        if self.kind == "pop" and self.top == ROOT_LABEL:
-            raise ValueError("pop never targets the bottom symbol")
-        if self.kind == "push" and self.pushed == ROOT_LABEL:
-            raise ValueError("push never adds the bottom symbol")
-
-    def __str__(self):
-        if self.kind == "pop":
-            return f"pop {self.top}"
-        s = self.pushed if self.pushed is not None else "-"
-        return f"push {self.top} {s}"
-
-
-@dataclass(frozen=True)
-class PdaTransition:
-    """(source, letter or None for eps, action, target) and a display name."""
-
-    src: str
-    inp: str | None
-    action: PdaAction
-    dst: str
-    name: str | None = None
-
-    def core(self):
-        return (self.src, self.inp, self.action, self.dst)
+_POP = Instruction("pop")
 
 
 @dataclass(frozen=True)
 class Pda:
-    """A pushdown automaton; the bottom symbol @ is implicit in `stack`."""
+    """A pushdown automaton; the bottom symbol @ is implicit in `stack`.
+
+    Its transitions are TSA transitions on a tree that is one path, the
+    stack, bottom at the root, each under `eq z` for the stack top z:
+    `push z s` is `push 1 s`, `push z -` is `id`, and `pop z` is the
+    tree-stack `pop`, which never pops the bottom."""
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     stack: tuple[str, ...]  # Gamma without the implicit bottom symbol
     initial: str
-    delta: tuple[PdaTransition, ...]
+    delta: tuple[Transition, ...]
     finals: frozenset[str]
 
     def __post_init__(self):
@@ -98,108 +69,37 @@ class Pda:
                       ((t.src, t.inp, t.dst) for t in self.delta), self.stack)
         gamma = set(self.stack) | {ROOT_LABEL}
         for t in self.delta:
-            if t.action.top not in gamma:
-                raise ValueError(f"stack symbol {t.action.top!r} not declared")
-            if t.action.pushed is not None and t.action.pushed not in gamma:
-                raise ValueError(f"stack symbol {t.action.pushed!r} not declared")
+            kind, z = t.instr.kind, t.pred.label
+            if t.pred.kind != "eq" or kind not in ("push", "id", "pop") or t.instr.n not in (None, 1):
+                raise ValueError(f"{t.pred} {t.instr} is not a PDA move")
+            for symbol in (z, t.instr.label):
+                if symbol is not None and symbol not in gamma:
+                    raise ValueError(f"stack symbol {symbol!r} not declared")
+            if kind == "pop" and z == ROOT_LABEL:
+                raise ValueError("pop never targets the bottom symbol")
 
-
-@dataclass(frozen=True, slots=True)
-class PdaConfig:
-    """A point of a PDA run: control state, stack and input position."""
-
-    state: str
-    stack: tuple[str, ...]  # bottom first; stack[0] == @ always
-    pos: int
-
-
-# `_pda_replay` fills each new PdaConfig through its slot descriptors, as
-# `tsa._run` does a Configuration, skipping the frozen __init__
-_new_config = object.__new__
-_set_state, _set_stack, _set_pos = (PdaConfig.__dict__[f].__set__ for f in ("state", "stack", "pos"))
-
-
-@dataclass
-class PdaTrace:
-    """A recorded PDA run: per step, the delta index and the configuration."""
-
-    pda: Pda
-    word: str
-    steps: list[tuple[int, PdaConfig]]
-    initial: PdaConfig
-
-    def transition_indices(self):
-        return [i for i, _ in self.steps]
-
-    def final(self) -> PdaConfig:
-        return self.steps[-1][1] if self.steps else self.initial
-
-
-def _move(act: PdaAction) -> tuple:
-    """An action as a move on the stack's path: (predicate label,
-    instruction kind, child index, new label)."""
-    if act.kind == "pop":
-        return act.top, "pop", None, None
-    if act.pushed is None:
-        return act.top, "id", None, None
-    return act.top, "push", 1, act.pushed
+    transition_display = Tsa.transition_display
 
 
 def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
-                max_stack: int | None = None) -> PdaTrace | NotFound:
+                max_stack: int | None = None) -> RunTrace | NotFound:
     """Search for an accepting run of `pda` on `w`, with the TSA search core
-    (`tsa._search`) on a tree that is one path: the stack, bottom at the
-    root.  `push z s` pushes s to child 1 under eq z, `push z -` is id under
-    eq z, and `pop t` moves down under eq t, deleting the vertex it leaves.
-    So the contract is the TSA one: deterministic given delta order, the
-    lexicographically least shortest witness, NotFound carrying "budget" or
-    "exhausted".  max_steps bounds the run length and max_stack the stack
-    height, bottom included; they default to the TSA search's step and
-    vertex budgets.  As in `accepts`, a configuration whose state can
-    neither read the next letter nor accept through eps moves is dropped
-    when no budget can cut off anything below it, which changes no
-    answer.  The witness is the path's delta indices re-executed by
-    `_pda_replay`, so a search-core bug raises ReplayMismatch."""
-    moves = (_move(t.action) for t in pda.delta)
-    found = _search(pda, search_rows(pda, moves), w, len(w),
+    (`tsa._search`) on its one-path tree.  So the contract is the TSA one:
+    deterministic given delta order, the lexicographically least shortest
+    witness, NotFound carrying "budget" or "exhausted".  max_steps bounds
+    the run length and max_stack the stack height, bottom included; they
+    default to the TSA search's step and vertex budgets.  As in `accepts`,
+    a configuration whose state can neither read the next letter nor
+    accept through eps moves is dropped when no budget can cut off
+    anything below it, which changes no answer.  The witness is the path's
+    delta indices re-executed by `replay`, so a search-core bug raises
+    ReplayMismatch; its configurations hold the stack as a path
+    `TreeStack`."""
+    found = _search(pda, search_rows(pda), w, len(w),
                     SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
     if isinstance(found, NotFound):
         return found
-    return _pda_replay(pda, w, found)
-
-
-def _pda_replay(pda: Pda, w: str, tidxs) -> PdaTrace:
-    """Re-execute a run of `pda` on `w` from its delta indices.  Raises
-    ReplayMismatch at the first step that does not apply, numbered from 1:
-    its index names no transition, or its source state, input letter or
-    stack top is not the configuration's."""
-    delta = pda.delta
-    state, stack, pos = pda.initial, (ROOT_LABEL,), 0
-    steps = []
-    for j, tidx in enumerate(tidxs, start=1):
-        if not 0 <= tidx < len(delta):
-            raise ReplayMismatch(j, f"no transition #{tidx + 1}")
-        t = delta[tidx]
-        if t.src != state:
-            raise ReplayMismatch(j, f"state is {state}, not {t.src}")
-        if t.inp is not None:
-            if w[pos:pos + 1] != t.inp:
-                raise ReplayMismatch(j, f"input at {pos} is not {t.inp}")
-            pos += 1
-        act = t.action
-        if stack[-1] != act.top:
-            raise ReplayMismatch(j, f"stack top is {stack[-1]}, not {act.top}")
-        if act.kind == "pop":
-            stack = stack[:-1]
-        elif act.pushed is not None:
-            stack += (act.pushed,)
-        state = t.dst
-        cfg = _new_config(PdaConfig)
-        _set_state(cfg, state)
-        _set_stack(cfg, stack)
-        _set_pos(cfg, pos)
-        steps.append((tidx, cfg))
-    return PdaTrace(pda, w, steps, PdaConfig(pda.initial, (ROOT_LABEL,), 0))
+    return replay(pda, w, found)
 
 
 def box(symbol: str) -> str:
@@ -230,7 +130,7 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
     nonbottom = tuple(tsa.labels)
 
     names = Names(tsa.states)
-    out: list[PdaTransition] = []
+    out: list[Transition] = []
     for t in tsa.delta:
         kind = t.instr.kind
         if t.pred.kind == "eq":
@@ -241,20 +141,18 @@ def tsa1_to_pda(tsa: Tsa) -> Pda:
             zs = gamma
         for z in zs:
             if kind == "push":
-                out.append(PdaTransition(t.src, t.inp, PdaAction("push", z, t.instr.label), t.dst))
+                out.append(Transition(t.src, t.inp, pred_eq(z), instr_push(1, t.instr.label), t.dst))
+            elif kind == "id":
+                out.append(Transition(t.src, t.inp, pred_eq(z), t.instr, t.dst))
+            elif z == ROOT_LABEL:
+                continue  # down and set never fire with the pointer at the root
             elif kind == "down":
-                if z == ROOT_LABEL:
-                    continue  # down with the pointer at the root never fires
-                out.append(PdaTransition(t.src, t.inp, PdaAction("pop", z), t.dst))
-            elif kind == "set":
-                if z == ROOT_LABEL:
-                    continue  # set at the root never fires
+                out.append(Transition(t.src, t.inp, pred_eq(z), _POP, t.dst))
+            else:  # set
                 mid = names.tag((t.dst, z), f"{t.dst}^({z})")
-                out.append(PdaTransition(t.src, t.inp, PdaAction("pop", z), mid))
+                out.append(Transition(t.src, t.inp, pred_eq(z), _POP, mid))
                 for y in gamma:
-                    out.append(PdaTransition(mid, None, PdaAction("push", y, t.instr.label), t.dst))
-            else:  # id
-                out.append(PdaTransition(t.src, t.inp, PdaAction("push", z, None), t.dst))
+                    out.append(Transition(mid, None, pred_eq(y), instr_push(1, t.instr.label), t.dst))
 
     return Pda(
         states=(*tsa.states, *names.added),
@@ -286,9 +184,9 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
                       instr_push(1, box(ROOT_LABEL)), pda.initial, name="s0")]
 
     for pidx, t in enumerate(pda.delta, start=1):
-        act = t.action
-        if act.kind == "push" and act.pushed is not None:
-            z, s = act.top, act.pushed
+        kind, z = t.instr.kind, t.pred.label
+        if kind == "push":
+            s = t.instr.label
             up_ = names.tag((t.dst, "u"), f"{t.dst}^(u)")
             st_ = names.tag((t.dst, "push", s), f"{t.dst}^({s})")
             out.append(Transition(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_,
@@ -299,17 +197,16 @@ def pda_to_tsa1(pda: Pda) -> Tsa:
                                   name=f"p{pidx}.3"))
             out.append(Transition(st_, None, pred_eq(box(z)), instr_push(1, s), up_,
                                   name=f"p{pidx}.4"))
-        elif act.kind == "pop":
-            y = act.top
+        elif kind == "pop":
             dn = names.tag((t.dst, "d"), f"{t.dst}^(d)")
-            out.append(Transition(t.src, t.inp, pred_eq(box(y)), instr_down(), dn,
+            out.append(Transition(t.src, t.inp, pred_eq(box(z)), instr_down(), dn,
                                   name=f"p{pidx}.5"))
-            out.append(Transition(dn, None, pred_eq(box(y)), instr_down(), dn,
+            out.append(Transition(dn, None, pred_eq(box(z)), instr_down(), dn,
                                   name=f"p{pidx}.6"))
-            out.append(Transition(dn, None, pred_eq(y), instr_down(), t.dst,
+            out.append(Transition(dn, None, pred_eq(z), instr_down(), t.dst,
                                   name=f"p{pidx}.7"))
         else:  # push(z, eps)
-            out.append(Transition(t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst,
+            out.append(Transition(t.src, t.inp, pred_eq(box(z)), instr_id(), t.dst,
                                   name=f"p{pidx}.*"))
 
     return Tsa(
@@ -337,18 +234,17 @@ def parse_pda(text: str) -> Pda:
             z, s = act_toks[1], act_toks[2]
             if z not in gamma and z != ROOT_LABEL:
                 raise ParseError(f"unknown stack symbol {z!r}", lineno)
-            pushed = None if s == "-" else s
-            if pushed is not None and pushed not in gamma:
+            if s != "-" and s not in gamma:
                 raise ParseError(f"unknown stack symbol {s!r}", lineno)
-            action = PdaAction("push", z, pushed)
+            instr = instr_id() if s == "-" else instr_push(1, s)
         elif len(act_toks) == 2 and act_toks[0] == "pop":
-            tsym = act_toks[1]
-            if tsym not in gamma:
-                raise ParseError(f"unknown stack symbol {tsym!r}", lineno)
-            action = PdaAction("pop", tsym)
+            z = act_toks[1]
+            if z not in gamma:
+                raise ParseError(f"unknown stack symbol {z!r}", lineno)
+            instr = _POP
         else:
             raise ParseError(f"bad action {' '.join(act_toks)!r}", lineno)
-        delta.append(PdaTransition(src, inp, action, dst, name=name))
+        delta.append(Transition(src, inp, pred_eq(z), instr, dst, name=name))
     return Pda(tuple(states), tuple(alphabet), tuple(stack), initial,
                tuple(delta), frozenset(finals))
 
@@ -356,7 +252,15 @@ def parse_pda(text: str) -> Pda:
 def render_pda(pda: Pda) -> str:
     """Serialise a Pda in the file format; parse_pda(render_pda(p)) == p,
     and a Pda the format cannot carry raises InputError."""
-    return render_machine(pda, "pda", ("stack", pda.stack), lambda t: str(t.action), parse_pda)
+    return render_machine(pda, "pda", ("stack", pda.stack), _action, parse_pda)
+
+
+def _action(t: Transition) -> str:
+    """A PDA transition's action as the file writes it."""
+    z, instr = t.pred.label, t.instr
+    if instr.kind == "pop":
+        return f"pop {z}"
+    return f"push {z} {instr.label if instr.kind == 'push' else '-'}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tree stacks: rooted labelled trees with a pointer, plus the five
 partial instructions (id, push, up, down, set) and the two predicates
-(true, eq) that drive a tree stack automaton.
+(true, eq) that drive a tree stack automaton, and a PDA's pop.
 
 Addresses are tuples of positive ints; the root is the empty tuple.
 The root label is the reserved symbol ``@`` and never occurs elsewhere.
@@ -42,18 +42,19 @@ class PointerAtRoot(TreeStackError):
 
 @dataclass(frozen=True)
 class Instruction:
-    """One of id / push_n(c) / up_n / down / set(c).
+    """One of id / push_n(c) / up_n / down / set(c), or a PDA's pop: down,
+    deleting the leaf it leaves (`Tsa` refuses it).
 
     ``n`` is the child index (>= 1) for push/up, ``label`` the new label
     for push/set; unused fields are None.
     """
 
-    kind: str  # "id" | "push" | "up" | "down" | "set"
+    kind: str  # "id" | "push" | "up" | "down" | "set" | "pop"
     n: int | None = None
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("id", "push", "up", "down", "set"):
+        if self.kind not in ("id", "push", "up", "down", "set", "pop"):
             raise ValueError(f"unknown instruction kind {self.kind!r}")
         if self.kind in ("push", "up"):
             if self.n is None or self.n < 1:
@@ -125,9 +126,9 @@ class TreeStack:
     (label, children), and a context, None at the root and otherwise the
     list [parent context, parent label, parent children, hole index,
     address or None].  The parent's children may hold a stale entry at the
-    hole, which `down` replaces.  No child map is ever mutated once built,
-    so tree stacks share them freely.  So `ts_apply`, `pointer_label` and
-    `len` cost the same at any depth.  `dom` and `key()` are built on first
+    hole, which `down` replaces and `pop` drops.  No child map is ever
+    mutated once built, so tree stacks share them freely.  So `ts_apply`,
+    `pointer_label` and `len` cost the same at any depth.  `dom` and `key()` are built on first
     use and cached; the pointer address is built once per context and
     cached in its last slot, so a run's pointer path costs one tuple per
     push or up.
@@ -280,11 +281,13 @@ def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
     """Apply one instruction, returning a new tree stack.
 
     Raises PushTargetExists / UpTargetMissing / PointerAtRoot when the
-    partial function is undefined, the one applicability rule (`tsa.step`
-    turns them into NotApplicable); no instruction ever removes a vertex.
-    Each case reads only the focus's children and the context: a push or
-    up opens a context, a down writes the focus back into its parent's
-    child map (a new map only when the focus changed since it was opened).
+    partial function is undefined, and TreeStackError for a pop at a vertex
+    with children: the one applicability rule (`tsa.step` turns them into
+    NotApplicable).  Only pop removes a vertex.  Each case reads only the
+    focus's children and the context: a push or up opens a context, a down
+    writes the focus back into its parent's child map (a new map only when
+    the focus changed since it was opened), and a pop leaves the focus out
+    of it.
     """
     k = instr.kind
     if k == "id":
@@ -309,6 +312,13 @@ def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
         if old is None or old[1] is not ts._kids or old[0] != ts._label:
             kids = {**kids, hole: (ts._label, ts._kids)}
         return _zipper(c[1], kids, c[0], ts._size)
+    if k == "pop":
+        if ts._kids:
+            raise TreeStackError(f"pop at {ts.pointer}, which has children")
+        kids, hole = c[2], c[3]
+        if hole in kids:  # the stale entry an up left
+            kids = {i: child for i, child in kids.items() if i != hole}
+        return _zipper(c[1], kids, c[0], ts._size - 1)
     # set
     return _zipper(instr.label, ts._kids, c, ts._size)
 

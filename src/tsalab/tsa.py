@@ -173,6 +173,8 @@ class Tsa:
         if ROOT_LABEL in labels:
             raise ValueError("@ is reserved for the root and cannot be in C")
         for t in self.delta:
+            if t.instr.kind == "pop":
+                raise ValueError("pop is a PDA's: a TSA tree never shrinks")
             if t.pred.kind == "eq" and t.pred.label != ROOT_LABEL and t.pred.label not in labels:
                 raise ValueError(f"predicate label {t.pred.label!r} not declared")
             if t.instr.label is not None and t.instr.label not in labels:
@@ -204,9 +206,10 @@ def initial_configuration(tsa: Tsa) -> Configuration:
 
 
 def _run(w: str, cfg: Configuration, moves: Iterable[tuple[object, Transition]], out: list) -> None:
-    """The one definition of a TSA step, over a sequence of them: from cfg,
-    apply each move (tag, transition) in turn and append (tag, the
-    configuration it produced) to `out`.  Raises NotApplicable at the
+    """The one definition of a step, a TSA's or a PDA's (a `convert.Pda`
+    runs on a one-path tree), over a sequence of them: from cfg, apply
+    each move (tag, transition) in turn and append (tag, the configuration
+    it produced) to `out`.  Raises NotApplicable at the
     first move that does not apply, with the failing check: "state
     mismatch", "input mismatch", "PredicateFails", or "InstructionFails"
     where `ts_apply` refuses the instruction.  The moves before it are then
@@ -259,7 +262,9 @@ def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transit
 @dataclass
 class RunTrace:
     """A recorded run: the word, the initial configuration and, per step,
-    the delta index applied and the configuration it produced."""
+    the delta index applied and the configuration it produced.  `tsa` is
+    the machine that ran: a Tsa, or the Pda for `convert.pda_accepts`,
+    whose stack is the tree's one path."""
 
     tsa: Tsa
     word: str
@@ -335,7 +340,7 @@ def search_budgets(machine, opts: SearchOptions, word_len: int) -> tuple[int, in
 
 
 # instruction kinds as small ints for the search's inner loop; "pop" is a
-# PDA's: down, deleting the vertex it leaves (the top of a one-path tree)
+# PDA's (see `Instruction`)
 _ID, _PUSH, _UP, _DOWN, _SET, _POP = range(6)
 _KIND_CODE = {"id": _ID, "push": _PUSH, "up": _UP, "down": _DOWN, "set": _SET, "pop": _POP}
 
@@ -453,34 +458,28 @@ class Dispatch(dict):
         return len(region), pushes[start]
 
 
-def search_rows(machine, moves) -> Dispatch:
-    """machine.delta as the `Dispatch` table `_search` reads.  `moves`
-    gives one (predicate label or None, instruction kind, child index, new
-    label) per transition; the kinds are a TSA's plus "pop".  Cached on
-    the machine, one table for every search on it, since machines are
-    immutable and `_search` ignores the stationary-eps flags unless
-    proper_only is set."""
+def search_rows(machine) -> Dispatch:
+    """machine.delta, a Tsa's or a Pda's, as the `Dispatch` table `_search`
+    reads.  Cached on the machine, one table for every search on it, since
+    machines are immutable and `_search` ignores the stationary-eps flags
+    unless proper_only is set."""
     table = machine.__dict__.get("_search_rows")
     if table is None:
         rows = {q: [] for q in machine.states}
-        for tidx, (t, (plab, kind, n, nlab)) in enumerate(zip(machine.delta, moves)):
-            stat = t.inp is None and kind in ("id", "set")
-            rows[t.src].append((tidx, t.inp, plab, _KIND_CODE[kind], n, nlab, t.dst, stat))
+        for tidx, t in enumerate(machine.delta):
+            instr = t.instr
+            rows[t.src].append((tidx, t.inp, t.pred.label, _KIND_CODE[instr.kind], instr.n,
+                                instr.label, t.dst, t.is_stationary_eps()))
         readers = frozenset(t.src for t in machine.delta if t.inp is not None)
         table = machine.__dict__["_search_rows"] = Dispatch(rows, readers, machine.finals)
     return table
-
-
-def _tsa_rows(tsa: Tsa) -> Dispatch:
-    moves = ((t.pred.label, t.instr.kind, t.instr.n, t.instr.label) for t in tsa.delta)
-    return search_rows(tsa, moves)
 
 
 def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
     """`_search` on a TSA.  The witness is the path's delta indices
     re-executed by `replay`, so a search-core bug raises ReplayMismatch rather than
     returning a run the step semantics do not allow."""
-    tidxs = _search(tsa, _tsa_rows(tsa), w, max_len, opts)
+    tidxs = _search(tsa, search_rows(tsa), w, max_len, opts)
     if isinstance(tidxs, NotFound):
         return tidxs
     if w is None:  # the word is the letters the run reads
@@ -518,7 +517,7 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     plain search gives.  Either way the witness is a list of delta indices
     re-executed by `replay`.
     """
-    rows = _tsa_rows(tsa)
+    rows = search_rows(tsa)
     if rows.up_free and not opts.proper_only:
         found = _summaries(tsa, rows, w, opts)
         if found is not None:
@@ -1151,7 +1150,7 @@ def _execute(tsa: Tsa, runs: Iterable[tuple[str, list[tuple[int, int]]]]) -> lis
 
 def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
     """Re-execute a transition index sequence from the initial configuration
-    through `_run`.
+    through `_run`; `tsa` may also be a `convert.Pda`.
 
     Raises ReplayMismatch at the first step that does not apply or names
     no transition; the final configuration is trace.final().
@@ -1200,7 +1199,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     if max_len < 0:
         return set()
     walk = _Walk(tsa, opts, max_len)
-    _search(tsa, _tsa_rows(tsa), None, max_len, opts, walk)
+    _search(tsa, search_rows(tsa), None, max_len, opts, walk)
     found = set(walk.witnesses(tsa))
     budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
@@ -1223,7 +1222,7 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     if not words:
         return {}
     walk = _Walk(tsa, opts, max(map(len, words)), words)
-    _search(tsa, _tsa_rows(tsa), None, walk.max_len, opts, walk)
+    _search(tsa, search_rows(tsa), None, walk.max_len, opts, walk)
     found = walk.witnesses(tsa)
     return {w: found[w] if w in found else NotFound("budget" if walk.was_cut(w) else "exhausted")
             for w in words}

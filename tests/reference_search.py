@@ -7,9 +7,10 @@ Every TSA step rebuilds the tree stack through `ts_apply`, keeps the
 visit-from-below counts as a sorted tuple in each arena node, beside its
 `Configuration`, and memoises on the canonical `TreeStack.key()`, so a
 step costs time in the size of the tree.  The PDA search keeps the stack
-as a tuple and memoises on whole configurations.  Both are slow but
-plain; test_search_core.py checks the hash-consed search core
-against them configuration by configuration.  The enumeration and the
+as a tuple and memoises on (state, stack, position); only the returned
+witness holds it as the path `TreeStack` that `pda_accepts` gives.  Both
+are slow but plain; test_search_core.py checks the hash-consed search
+core against them configuration by configuration.  The enumeration and the
 up-set collection run `accepts` once per word, the plain form of the
 core's walk over read prefixes; test_search_core.py diffs the two word
 list by word list.
@@ -21,8 +22,8 @@ import itertools
 from dataclasses import replace
 
 from tsalab.analysis import EmpiricalUpSet, _crossings, _factorise, _history_from_pairs
-from tsalab.convert import Pda, PdaConfig, PdaTrace, PdaTransition
-from tsalab.treestack import ROOT, ROOT_LABEL, TreeStackError, pred_eval, ts_apply
+from tsalab.convert import Pda
+from tsalab.treestack import ROOT, ROOT_LABEL, TreeStack, TreeStackError, pred_eval, ts_apply
 from tsalab.tsa import (
     BudgetExceeded,
     Configuration,
@@ -232,25 +233,32 @@ def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOp
     return NotFound("budget" if cut else "exhausted")
 
 
-def pda_step(pda: Pda, w: str, cfg: PdaConfig, t: PdaTransition) -> PdaConfig | None:
-    """Apply one transition, or None if it is not applicable."""
-    if cfg.state != t.src:
+def pda_step(pda: Pda, w: str, cfg: tuple, t: Transition) -> tuple | None:
+    """Apply one transition to cfg = (state, stack as a tuple, bottom
+    first, position), or None if it is not applicable."""
+    state, stack, pos = cfg
+    if state != t.src:
         return None
-    if t.inp is not None and (cfg.pos >= len(w) or w[cfg.pos] != t.inp):
+    if t.inp is not None and (pos >= len(w) or w[pos] != t.inp):
         return None
-    top = cfg.stack[-1]
-    act = t.action
-    if act.top != top:
+    if t.pred.label != stack[-1]:
         return None
-    if act.kind == "pop":
-        stack = cfg.stack[:-1]
-    else:
-        stack = cfg.stack if act.pushed is None else cfg.stack + (act.pushed,)
-    return PdaConfig(t.dst, stack, cfg.pos + (0 if t.inp is None else 1))
+    if t.instr.kind == "pop":
+        stack = stack[:-1]
+    elif t.instr.kind == "push":
+        stack += (t.instr.label,)
+    return (t.dst, stack, pos + (0 if t.inp is None else 1))
+
+
+def path_configuration(cfg: tuple) -> Configuration:
+    """The configuration with its stack as a one-path tree, top at the pointer."""
+    state, stack, pos = cfg
+    dom = {(1,) * i: symbol for i, symbol in enumerate(stack)}
+    return Configuration(state, TreeStack(dom, (1,) * (len(stack) - 1)), pos)
 
 
 def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
-                    max_stack: int | None = None) -> PdaTrace | NotFound:
+                    max_stack: int | None = None) -> RunTrace | NotFound:
     """BFS acceptance search mirroring the TSA engine's contract:
     deterministic given delta order, shortest witness, NotFound carries
     "budget" or "exhausted"."""
@@ -258,13 +266,13 @@ def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
         max_steps = default_max_steps(pda, len(w))
     if max_stack is None:
         max_stack = default_max_vertices(len(w))
-    init = PdaConfig(pda.initial, (ROOT_LABEL,), 0)
+    init = (pda.initial, (ROOT_LABEL,), 0)
 
     def accepting(cfg):
-        return cfg.pos == len(w) and cfg.state in pda.finals
+        return cfg[2] == len(w) and cfg[0] in pda.finals
 
     if accepting(init):
-        return PdaTrace(pda, w, [], init)
+        return RunTrace(pda, w, [], path_configuration(init))
     nodes = [(init, -1, -1)]
     visited = {init}
     frontier = [0]
@@ -282,7 +290,7 @@ def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
                 nxt = pda_step(pda, w, cfg, t)
                 if nxt is None or nxt in visited:
                     continue
-                if len(nxt.stack) > max_stack:
+                if len(nxt[1]) > max_stack:
                     cut = True
                     continue
                 visited.add(nxt)
@@ -293,10 +301,10 @@ def ref_pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
                     idx = me
                     while idx > 0:
                         c, parent, ti = nodes[idx]
-                        steps.append((ti, c))
+                        steps.append((ti, path_configuration(c)))
                         idx = parent
                     steps.reverse()
-                    return PdaTrace(pda, w, steps, init)
+                    return RunTrace(pda, w, steps, path_configuration(init))
                 nxt_frontier.append(me)
         frontier = nxt_frontier
     return NotFound("budget" if cut else "exhausted")

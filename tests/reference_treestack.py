@@ -3,9 +3,10 @@ replaced, kept as the slow-path reference for the differential tests.
 
 A tree stack is a dict from address tuples to labels plus a pointer
 address.  Every step hashes the pointer's address, as long as the tree is
-deep, and every push or set copies the whole dict.  `ref_ts_apply` raises
-the library's `PushTargetExists`, `UpTargetMissing` and `PointerAtRoot`
-where the instruction does not apply.
+deep, and every push, set or pop copies the whole dict.  `ref_ts_apply`
+raises the library's `PushTargetExists`, `UpTargetMissing` and
+`PointerAtRoot`, and a plain `TreeStackError` for a pop at a vertex with
+children, where the instruction does not apply.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from tsalab.treestack import (
     Instruction,
     PointerAtRoot,
     PushTargetExists,
+    TreeStackError,
     UpTargetMissing,
 )
 
@@ -64,4 +66,10 @@ def ref_ts_apply(ts: RefTreeStack, instr: Instruction) -> RefTreeStack:
         raise PointerAtRoot(f"{k} at the root")
     if k == "down":
         return RefTreeStack(ts.dom, ts.pointer[:-1])
+    if k == "pop":
+        if any(a[:-1] == ts.pointer for a in ts.dom if a):
+            raise TreeStackError(f"pop at {ts.pointer}, which has children")
+        dom = dict(ts.dom)
+        del dom[ts.pointer]
+        return RefTreeStack(dom, ts.pointer[:-1])
     return RefTreeStack({**ts.dom, ts.pointer: instr.label}, ts.pointer)  # set

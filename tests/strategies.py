@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 
-from tsalab.convert import Pda, PdaAction, PdaTransition
+from tsalab.convert import Pda
 from tsalab.langlab import Fsa
-from tsalab.treestack import ROOT_LABEL, Instruction, Predicate
+from tsalab.treestack import ROOT_LABEL, Instruction, Predicate, pred_eq
 from tsalab.tsa import Transition, Tsa
 
 KINDS = ("id", "push", "up", "down", "set")
@@ -69,13 +69,15 @@ def random_pda(rng: random.Random) -> Pda:
     stack = ["A", "u"][: rng.randint(1, 2)]  # `u` is also the push ladder's tag
     delta = []
     for i in range(rng.randint(2, 9)):
+        # this draw order fixes the machines random_pdas(seed, n) gives,
+        # which the seeds in the tests were chosen on
         if rng.random() < 0.35:
-            action = PdaAction("pop", rng.choice(stack))
+            top, instr = rng.choice(stack), Instruction("pop")
         else:
-            action = PdaAction("push", rng.choice(stack + [ROOT_LABEL]),
-                               rng.choice(stack + [None]))
-        delta.append(PdaTransition(rng.choice(states), rng.choice((None, "a", "b")), action,
-                                   rng.choice(states), name=f"t{i}"))
+            top, pushed = rng.choice(stack + [ROOT_LABEL]), rng.choice(stack + [None])
+            instr = Instruction("id") if pushed is None else Instruction("push", 1, pushed)
+        delta.append(Transition(rng.choice(states), rng.choice((None, "a", "b")), pred_eq(top),
+                                instr, rng.choice(states), name=f"t{i}"))
     finals = frozenset(rng.sample(states, rng.randint(1, 2)))
     return Pda(tuple(states), ("a", "b"), tuple(stack), states[0], tuple(delta), finals)
 

@@ -6,9 +6,7 @@ from conftest import counting_wpz_oracle, words_upto
 
 from tsalab.convert import (
     NotOneTsa,
-    PdaAction,
-    PdaConfig,
-    _pda_replay,
+    Pda,
     box,
     fixture_ks_tsa,
     fixture_wpz_pda,
@@ -21,8 +19,19 @@ from tsalab.convert import (
     tsa1_to_pda,
 )
 from tsalab.fixtures import abcd_tsa
-from tsalab.treestack import ROOT_LABEL, instr_down, instr_id, instr_push, pred_eq
+from tsalab.treestack import (
+    PRED_TRUE,
+    ROOT_LABEL,
+    Instruction,
+    TreeStack,
+    instr_down,
+    instr_id,
+    instr_push,
+    pred_eq,
+    ts_init,
+)
 from tsalab.tsa import (
+    Configuration,
     NotApplicable,
     ParseError,
     ReplayMismatch,
@@ -54,15 +63,15 @@ def test_wpz_pda_accepts_epsilon_via_final_push():
 
 
 @pytest.mark.parametrize("word, tidxs, reason", [
-    ("tT", [0, 1], "input at 1 is not t"),  # tt reads t where the word has T
-    ("tT", [0, 2], "stack top is t, not @"),  # T@ needs the bottom on top
-    ("t", [6, 0], "state is qf, not q"),  # fin leaves q for good
+    ("tT", [0, 1], "input mismatch"),  # tt reads t where the word has T
+    ("tT", [0, 2], "PredicateFails"),  # T@ tests eq @, and t is on top
+    ("t", [6, 0], "state mismatch"),  # fin leaves q for good
 ])
 def test_pda_replay_refuses_a_step_that_does_not_apply(word, tidxs, reason):
     pda = fixture_wpz_pda()
-    assert _pda_replay(pda, "tT", [0, 5, 6]).steps == pda_accepts(pda, "tT").steps
+    assert replay(pda, "tT", [0, 5, 6]).steps == pda_accepts(pda, "tT").steps
     with pytest.raises(ReplayMismatch) as e:
-        _pda_replay(pda, word, tidxs)
+        replay(pda, word, tidxs)
     assert e.value.step_index == 2 and str(e.value) == f"step 2: {reason}"
 
 
@@ -72,24 +81,26 @@ def test_pda_replay_refuses_an_index_outside_delta(bad):
     assert len(pda.delta) == 7
     for seq, j in (([0, bad, 6], 2), ([bad, 5, 6], 1)):
         with pytest.raises(ReplayMismatch) as e:
-            _pda_replay(pda, "tT", seq)
+            replay(pda, "tT", seq)
         assert str(e.value) == f"step {j}: no transition #{bad + 1}"
     with pytest.raises(ReplayMismatch) as e:  # a step before it that does not apply comes first
-        _pda_replay(pda, "tT", [1, bad])
-    assert str(e.value) == "step 1: stack top is @, not t"
+        replay(pda, "tT", [1, bad])
+    assert str(e.value) == "step 1: PredicateFails"
 
 
 def test_pda_replay_configs_equal_constructed_ones():
-    # _pda_replay fills its PdaConfigs through slot descriptors, past the
-    # frozen __init__; they must still be ordinary frozen PdaConfigs
+    # `tsa._run` fills its Configurations through slot descriptors, past
+    # the frozen __init__; they must still be ordinary frozen Configurations,
+    # the stack a path TreeStack equal to one built from its addresses
     pda = fixture_wpz_pda()
     res = pda_accepts(pda, "ttTtTT")
     for _, cfg in res.steps:
-        made = PdaConfig(cfg.state, cfg.stack, cfg.pos)
+        made = Configuration(cfg.state, TreeStack(cfg.ts.dom, cfg.ts.pointer), cfg.pos)
         assert cfg == made and hash(cfg) == hash(made) and repr(cfg) == repr(made)
         with pytest.raises(FrozenInstanceError):
             cfg.pos = 0
-    assert res.final() == PdaConfig("qf", ("@",), 6)
+    assert [len(cfg.ts) for _, cfg in res.steps] == [2, 3, 2, 3, 2, 1, 1]
+    assert res.final() == Configuration("qf", ts_init(), 6)
     assert not hasattr(res.final(), "__dict__")
 
 
@@ -99,10 +110,24 @@ def test_wpz_pda_rejects_unbalanced():
 
 
 def test_pda_never_pops_bottom():
+    with pytest.raises(ValueError, match="bottom"):
+        Pda(("q",), ("t",), ("t",), "q",
+            (Transition("q", "t", pred_eq("@"), Instruction("pop"), "q"),), frozenset())
     with pytest.raises(ValueError):
-        PdaAction("pop", "@")
-    with pytest.raises(ValueError):
-        PdaAction("push", "t", "@")
+        instr_push(1, "@")
+
+
+@pytest.mark.parametrize("pred, instr, message", [
+    (PRED_TRUE, instr_id(), "not a PDA move"),  # a move tests the stack top
+    (pred_eq("t"), instr_push(2, "t"), "not a PDA move"),  # the stack is child 1's path
+    (pred_eq("t"), instr_down(), "not a PDA move"),  # down keeps the vertex: pop it
+    (pred_eq("t"), Instruction("set", label="t"), "not a PDA move"),
+    (pred_eq("X"), instr_id(), "stack symbol 'X' not declared"),
+    (pred_eq("t"), instr_push(1, "X"), "stack symbol 'X' not declared"),
+])
+def test_pda_refuses_a_row_that_is_not_a_stack_move(pred, instr, message):
+    with pytest.raises(ValueError, match=message):
+        Pda(("q",), ("t",), ("t",), "q", (Transition("q", "t", pred, instr, "q"),), frozenset())
 
 
 @pytest.mark.parametrize("action", ["push t @", "pop @", "push X t"])
@@ -148,7 +173,7 @@ def test_tsa1_to_pda_down_true_expands():
     id_eq = [t for t in tsa.delta if t.instr.kind == "id" and t.pred.kind == "eq"
              and t.pred.label != "@"]
     for t in id_eq:
-        assert any(p.src == t.src and p.action == PdaAction("push", t.pred.label, None)
+        assert any(p.src == t.src and p.pred == t.pred and p.instr == instr_id()
                    for p in pda.delta)
 
 
@@ -161,10 +186,40 @@ def test_tsa1_to_pda_true_variants():
                Transition("q0", None, PRED_TRUE, instr_id(), "q1")),
               frozenset({"q1"}))
     pda = tsa1_to_pda(tsa)
-    pops = {t.action.top for t in pda.delta if t.action.kind == "pop"}
+    pops = {t.pred.label for t in pda.delta if t.instr.kind == "pop"}
     assert pops == {"x", "y"}  # pop never targets the bottom
-    id_tops = {t.action.top for t in pda.delta if t.action.kind == "push" and t.action.pushed is None}
+    id_tops = {t.pred.label for t in pda.delta if t.instr.kind == "id"}
     assert id_tops == {"x", "y", "@"}
+
+
+# down and set never fire at the root, so tsa1_to_pda drops their eq @
+# rows: a PDA never pops the bottom
+ROOT_ROWS_TSA = """tsa
+states: q0 q1 q2
+initial: q0
+final: q2
+labels: A
+alphabet: a b
+trans: q0 a eq @ down q2
+trans: q0 b eq @ set A q2
+trans: q0 a eq @ push 1 A q1
+trans: q1 b eq A set A q1
+trans: q1 a eq A down q2
+"""
+
+
+def test_tsa1_to_pda_drops_down_and_set_at_the_root():
+    tsa = parse_tsa(ROOT_ROWS_TSA)
+    pda = tsa1_to_pda(tsa)
+    assert not any(t.instr.kind == "pop" and t.pred.label == ROOT_LABEL for t in pda.delta)
+    assert not any(t.src == "q0" and t.dst == "q2" for t in pda.delta)
+    accepted = set()
+    for w in words_upto("ab", 4):
+        got = bool(pda_accepts(pda, w))
+        assert got == bool(accepts(tsa, w, ANY)), w
+        if got:
+            accepted.add(w)
+    assert accepted == {"aa", "aba", "abba"}
 
 
 def test_pda_to_tsa1_shape():
@@ -289,9 +344,9 @@ def simulation_run(pda, tsa, ptrace):
     checkpoints: list[tuple[str, str]] = []
     for (tidx, pcfg) in ptrace.steps:
         t = pda.delta[tidx]
-        act = t.action
-        if act.kind == "push" and act.pushed is not None:
-            z, s = act.top, act.pushed
+        z = t.pred.label
+        if t.instr.kind == "push":
+            s = t.instr.label
             up_, st_ = tag(t.dst, "u"), tag(t.dst, s)
             if cfg.ts.pointer + (1,) not in cfg.ts.dom:
                 steps = [(t.src, t.inp, pred_eq(box(z)), instr_push(1, s), up_)]
@@ -304,20 +359,19 @@ def simulation_run(pda, tsa, ptrace):
             for args in steps:
                 cfg, idx = apply(cfg, *args)
                 out.append(idx)
-        elif act.kind == "pop":
-            y = act.top
+        elif t.instr.kind == "pop":
             dn = tag(t.dst, "d")
-            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(y)), instr_down(), dn)
+            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(z)), instr_down(), dn)
             out.append(idx)
-            while cfg.ts.pointer_label == box(y):
-                cfg, idx = apply(cfg, dn, None, pred_eq(box(y)), instr_down(), dn)
+            while cfg.ts.pointer_label == box(z):
+                cfg, idx = apply(cfg, dn, None, pred_eq(box(z)), instr_down(), dn)
                 out.append(idx)
-            cfg, idx = apply(cfg, dn, None, pred_eq(y), instr_down(), t.dst)
+            cfg, idx = apply(cfg, dn, None, pred_eq(z), instr_down(), t.dst)
             out.append(idx)
         else:  # push(z, eps)
-            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(act.top)), instr_id(), t.dst)
+            cfg, idx = apply(cfg, t.src, t.inp, pred_eq(box(z)), instr_id(), t.dst)
             out.append(idx)
-        checkpoints.append((cfg.ts.pointer_label, box(pcfg.stack[-1])))
+        checkpoints.append((cfg.ts.pointer_label, box(pcfg.ts.pointer_label)))
     return out, checkpoints
 
 

@@ -489,6 +489,20 @@ def test_rational_universal(wpz_tsa):
         assert prod_ok
 
 
+def test_rational_membership_of_a_two_final_fsa(wpz_tsa):
+    # build_Bw joins the two finals by eps edges into one new final state
+    two = parse_fsa("fsa\nstates: s0 s1 s2\ninitial: s0\nfinal: s1 s2\nalphabet: t T\n"
+                    "trans: s0 t s1\ntrans: s1 t s2\n")
+    one = parse_fsa("fsa\nstates: s0 s1 f\ninitial: s0\nfinal: f\nalphabet: t T\n"
+                    "trans: s0 t f\ntrans: s0 t s1\ntrans: s1 t f\n")
+    verdicts = {}
+    for w in ["", "t", "tt", "ttt", "T", "tT"]:
+        a, b = (rational_membership(wpz_tsa, B, w, WPZ_ALPHABET, max_len=8) for B in (two, one))
+        assert (a.verdict, a.reason, a.witness) == (b.verdict, b.reason, b.witness), w
+        verdicts[w] = a.verdict
+    assert verdicts == {"": "no", "t": "yes", "tt": "yes", "ttt": "no", "T": "no", "tT": "no"}
+
+
 # -- erasing homomorphism and the experiment -------------------------------------------
 
 def test_erasing_hom():

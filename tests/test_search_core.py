@@ -538,7 +538,7 @@ def test_summaries_match_reference_on_random_up_free_machines(monkeypatch):
     # to 80 vertices for seconds or minutes a word (see RANDOM_OPTIONS); the
     # 63 up-free machines of seed 2 have none that takes half a second.
     calls = counted_searches(monkeypatch)
-    machines = [tsa for tsa in random_tsas(2, 200) if tsa_mod._tsa_rows(tsa).up_free]
+    machines = [tsa for tsa in random_tsas(2, 200) if tsa_mod.search_rows(tsa).up_free]
     words = list(words_upto("ab", 4))
     answers = Counter()  # (answered by the summaries, outcome kind) -> cases
     for tsa in machines:
@@ -591,7 +591,7 @@ trans: q eps true push 1 A q
 def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, opts, summary,
                                                        searches):
     tsa = parse_tsa(text)
-    rows = tsa_mod._tsa_rows(tsa)
+    rows = tsa_mod.search_rows(tsa)
     # a cycle counts as unbounded, whatever the budgets.  An id loop repeats
     # its configurations, so the BFS may exhaust and gives the answer; a push
     # loop grows the tree without end, so the summaries answer `budget`
@@ -665,6 +665,36 @@ def test_a_push_found_late_joins_an_accepting_exit(monkeypatch, mode, witness):
         == outcome(ref_accepts(tsa, "", opts))
 
 
+# Two runs of length 2 accept "a" in any mode: [2, 1] (push A, then down
+# into the root) and [4, 0] (id into q1, then push A), and [4, 0] is
+# offered to the goal first.  The witness is the lexicographically least
+# run, so the queue must order runs of one length by their delta indices,
+# not by when they were offered.
+TIE_TSA = """tsa
+states: q0 q1
+initial: q0
+final: q1
+labels: A
+alphabet: a b
+trans: q1 a eq @ push 1 A q1  # t0
+trans: q0 eps eq A down q1  # t1
+trans: q0 a true push 1 A q0  # t2
+trans: q1 b eq @ down q1  # t3
+trans: q0 eps eq @ id q1  # t4
+trans: q1 b eq @ push 1 A q0  # t5
+trans: q1 b eq A set A q1  # t6
+"""
+
+
+def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
+    tsa, opts = parse_tsa(TIE_TSA), SearchOptions(accept_mode="any")
+    calls = counted_searches(monkeypatch)
+    got = accepts(tsa, "a", opts)
+    assert calls[0] == 0
+    assert got.names() == ["t2", "t1"]
+    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "a", 1, opts))
+
+
 # The walk re-executes each arena node once and shares its configuration
 # among the witnesses through it; each witness must still be the run that
 # `replay` makes of its word and transition indices.
@@ -720,7 +750,7 @@ def test_tampered_shared_step_raises_where_replay_does():
     tsa = fixture_wpz_tsa()
     opts = SearchOptions()
     walk = tsa_mod._Walk(tsa, opts, 6)
-    tsa_mod._search(tsa, tsa_mod._tsa_rows(tsa), None, 6, opts, walk)
+    tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, 6, opts, walk)
     runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its steps
     on = {}  # arena node id -> the words whose witness steps through it
     for w, run in runs.items():
@@ -749,10 +779,10 @@ def test_tampered_shared_step_raises_where_replay_does():
 def test_searches_with_any_options_share_one_dispatch_table():
     tsa = abcd_tsa()
     enumerate_words(tsa, 4, SearchOptions(k=2))
-    table = tsa_mod._tsa_rows(tsa)
+    table = tsa_mod.search_rows(tsa)
     entries = dict(table)
     collect_upsets(tsa, [abcd_word(1), abcd_word(2)], SearchOptions(k=2))  # proper runs
-    assert tsa_mod._tsa_rows(tsa) is table
+    assert tsa_mod.search_rows(tsa) is table
     assert entries and all(table[key] is rows for key, rows in entries.items())
     # every eps row that keeps the pointer carries its flag, whatever the options
     rows = [row for q in tsa.states for row in table.by_state[q]]
@@ -800,7 +830,7 @@ trans: d eps push A B e
 
 def test_dead_region_that_pushes_is_kept_under_a_tight_vertex_budget():
     tsa = dead_region_tsa(PUSHING_REGION)
-    table = tsa_mod._tsa_rows(tsa)
+    table = tsa_mod.search_rows(tsa)
     assert table.ahead("d", "a") == (2, 1) and table.ahead("q", "a") is None
     for vertices in (2, 3, 4):  # the tree of 2 vertices, 2 + p, and more
         opts = SearchOptions(max_vertices=vertices)
@@ -846,7 +876,7 @@ REGIONS = {
 def test_only_bounded_dead_regions_are_pruned(name):
     rows, bound = REGIONS[name]
     tsa = dead_region_tsa(rows)
-    table = tsa_mod._tsa_rows(tsa)
+    table = tsa_mod.search_rows(tsa)
     assert table.ahead("d", "a") == bound
     entry = table["q", "@", "a"]
     assert [row[-1] for row in entry] == [bound]  # the eps push into d carries it
@@ -859,12 +889,12 @@ def test_only_bounded_dead_regions_are_pruned(name):
 
 
 def test_look_ahead_table_on_the_fixtures():
-    table = tsa_mod._tsa_rows(anbmcndm_tsa())
+    table = tsa_mod.search_rows(anbmcndm_tsa())
     assert table.ahead("q1", "a") == (8, 2)  # every state after q0, pushing BB and MB
-    table = tsa_mod._tsa_rows(abcd_tsa())
+    table = tsa_mod.search_rows(abcd_tsa())
     assert table.ahead("q1", "a") == (4, 0)
     wpz = fixture_wpz_tsa()
-    table = tsa_mod._tsa_rows(wpz)
+    table = tsa_mod.search_rows(wpz)
     for letter in ("t", "T"):
         assert set(wpz.states) - table.live(letter) == {"qf"}
         assert table.ahead("qf", letter) == (1, 0)
@@ -876,7 +906,7 @@ def test_look_ahead_table_on_the_fixtures():
 
 def test_shortest_accepted_does_not_prune_at_its_length_bound():
     tsa = parse_tsa(LENGTH_BOUND_TSA)
-    table = tsa_mod._tsa_rows(tsa)
+    table = tsa_mod.search_rows(tsa)
     assert table.ahead("q1", table.END) == (1, 0)  # dead at the end: its one row reads
     assert [row[-1] for row in table["q0", "@", table.END]] == [(1, 0)]
     got = shortest_accepted(tsa, 0)
@@ -928,7 +958,7 @@ class CountingRows:
 
 
 def expanded(tsa, w, look_ahead):
-    rows = CountingRows(tsa_mod._tsa_rows(tsa))
+    rows = CountingRows(tsa_mod.search_rows(tsa))
     found = tsa_mod._search(tsa, rows, w, len(w), SearchOptions(), look_ahead=look_ahead)
     assert not isinstance(found, tsa_mod.NotFound)
     return rows.lookups
@@ -951,7 +981,7 @@ def test_summary_facts_grow_linearly_on_wpz():
     wpz = fixture_wpz_tsa()
     facts = {}
     for n in (50, 100):
-        rows = CountingRows(tsa_mod._tsa_rows(wpz))
+        rows = CountingRows(tsa_mod.search_rows(wpz))
         assert tsa_mod._summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
         facts[n] = rows.lookups
     assert facts[100] < 2.2 * facts[50], facts
@@ -973,7 +1003,7 @@ def traced_peak(search):
 
 def test_abcd_search_memory_grows_linearly():
     tsa, opts = abcd_tsa(), SearchOptions(k=2)
-    rows = tsa_mod._tsa_rows(tsa)
+    rows = tsa_mod.search_rows(tsa)
     accepts(tsa, abcd_word(2), opts)  # fills the dispatch table outside the traced calls
     peak = {}
     for m in (200, 400):
@@ -1020,3 +1050,18 @@ print(len(accepts(fixture_wpz_tsa(), "t" * 100 + "T" * 100)))
 def test_deep_wpz_member_fits_in_200_mb():
     # the BFS needs 565 MB for t^16 T^16; the summaries answer t^100 T^100
     assert run_under_limit(SUMMARIES_UNDER_LIMIT) == "403\n"
+
+
+DEEP_PDA_UNDER_LIMIT = """
+import resource
+limit = 200 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from tsalab.convert import fixture_wpz_pda, pda_accepts
+print(len(pda_accepts(fixture_wpz_pda(), "t" * 10000 + "T" * 10000)))
+"""
+
+
+def test_deep_pda_witness_fits_in_200_mb():
+    # the witness holds 20,001 configurations whose stacks share their
+    # paths; a stack copied per step would need 783 MB here
+    assert run_under_limit(DEEP_PDA_UNDER_LIMIT) == "20001\n"

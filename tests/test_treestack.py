@@ -5,6 +5,7 @@ from reference_treestack import ref_ts_apply, ref_ts_init
 
 from tsalab.treestack import (
     ROOT,
+    Instruction,
     PointerAtRoot,
     PushTargetExists,
     TreeStack,
@@ -24,6 +25,8 @@ from tsalab.treestack import (
     ts_apply,
     ts_init,
 )
+
+POP = Instruction("pop")  # a PDA's instruction; no TSA runs it
 
 
 def test_init_is_forced():
@@ -77,6 +80,33 @@ def test_push_collision_and_up_missing():
     assert ts_apply(ts, instr_up(1)).pointer == (1,)
 
 
+def test_pop_deletes_the_leaf_it_leaves():
+    ts = ts_apply(ts_apply(ts_init(), instr_push(1, "*")), instr_push(2, "#"))
+    out = ts_apply(ts, POP)
+    assert out.dom == {ROOT: "@", (1,): "*"} and out.pointer == (1,) and len(out) == 2
+    assert ts_apply(out, instr_push(2, "+")).dom[(1, 2)] == "+"  # the slot is free again
+
+
+def test_pop_refuses_the_root_and_a_vertex_with_children():
+    with pytest.raises(PointerAtRoot):
+        ts_apply(ts_init(), POP)
+    ts = ts_apply(ts_apply(ts_init(), instr_push(1, "*")), instr_push(1, "#"))
+    with pytest.raises(TreeStackError):
+        ts_apply(ts_apply(ts, instr_down()), POP)
+
+
+def test_pop_after_up_drops_the_stale_entry():
+    # up leaves the parent's child map holding the vertex it enters; a set
+    # makes that entry stale, and pop must drop it, not write it back
+    ts = ts_apply(ts_apply(ts_init(), instr_push(3, "*")), instr_down())
+    there = ts_apply(ts_apply(ts, instr_up(3)), instr_set("#"))
+    out = ts_apply(there, POP)
+    assert out.dom == {ROOT: "@"} and out.pointer == ROOT and len(out) == 1
+    assert out == ts_init()
+    with pytest.raises(UpTargetMissing):
+        ts_apply(out, instr_up(3))
+
+
 def test_pred_eval():
     ts = ts_apply(ts_init(), instr_push(1, "*"))
     assert pred_eval(ts, pred_eq("*"))
@@ -122,6 +152,7 @@ def test_validation_rejects_bad_trees():
 _instr = st.one_of(
     st.just(instr_id()),
     st.just(instr_down()),
+    st.just(POP),
     st.builds(instr_push, st.integers(1, 3), st.sampled_from(["x", "y"])),
     st.builds(instr_up, st.integers(1, 3)),
     st.builds(instr_set, st.sampled_from(["x", "y"])),
@@ -141,9 +172,12 @@ def test_instruction_walk_invariants(instrs):
         assert all(lab != "@" for a, lab in nxt.dom.items() if a != ROOT)
         assert all(a == ROOT or a[:-1] in nxt.dom for a in nxt.dom)
         assert nxt.pointer in nxt.dom
-        # vertices are never removed; only push adds one
-        assert set(ts.dom) <= set(nxt.dom)
-        assert len(nxt) == size + (1 if ins.kind == "push" else 0)
+        # only push adds a vertex, and only pop removes one: the one it leaves
+        if ins.kind == "pop":
+            assert set(nxt.dom) == set(ts.dom) - {ts.pointer}
+        else:
+            assert set(ts.dom) <= set(nxt.dom)
+        assert len(nxt) == size + (ins.kind == "push") - (ins.kind == "pop")
         size = len(nxt)
         ts = nxt
 

@@ -9,8 +9,6 @@ from strategies import random_tsas
 
 from tsalab.convert import (
     Pda,
-    PdaAction,
-    PdaTransition,
     fixture_ks_tsa,
     fixture_wpz_pda,
     fixture_wpz_tsa,
@@ -80,6 +78,17 @@ def test_parse_bad_index():
         parse_tsa(text)
 
 
+def test_tsa_refuses_a_pop_row():
+    # a TSA tree never shrinks: pop is a PDA's instruction, in no TSA file
+    pop = Transition("q0", "a", pred_eq("X"), treestack.Instruction("pop"), "q0")
+    with pytest.raises(ValueError, match="pop"):
+        Tsa(("q0",), ("X",), ("a",), "q0", (pop,), frozenset())
+    text = "tsa\nstates: q0\ninitial: q0\nfinal: q0\nlabels: X\nalphabet: a\ntrans: q0 a eq X pop q0\n"
+    with pytest.raises(ParseError, match="bad instruction 'pop'") as exc:
+        parse_tsa(text)
+    assert exc.value.line == 7
+
+
 HEAD = "tsa\nstates: q0 q1\ninitial: q0\nalphabet: a\n"
 
 
@@ -105,8 +114,7 @@ def _tsa(states, initial, finals, edges, alphabet=("a",), symbols=("X",)):
 
 
 def _pda(states, initial, finals, edges, alphabet=("a",), symbols=("A",)):
-    delta = tuple(PdaTransition(src, inp, PdaAction("push", "@", None), dst)
-                  for src, inp, dst in edges)
+    delta = tuple(Transition(src, inp, pred_eq("@"), instr_id(), dst) for src, inp, dst in edges)
     return Pda(states, alphabet, symbols, initial, delta, frozenset(finals))
 
 
@@ -190,8 +198,8 @@ def tsa_with(label="X", letter="a", name=None):
 
 def pda_with(symbol="A", letter="a", name=None):
     # '@' may only be declared: no action pushes the bottom symbol
-    action = PdaAction("push", "@", symbol if symbol != "@" else None)
-    p = PdaTransition("q", letter, action, "q", name=name)
+    instr = instr_push(1, symbol) if symbol != "@" else instr_id()
+    p = Transition("q", letter, pred_eq("@"), instr, "q", name=name)
     return Pda(("q",), (letter,), (symbol,), "q", (p,), frozenset({"q"}))
 
 

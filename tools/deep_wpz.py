@@ -1,13 +1,16 @@
-"""Time `accepts(wpz, t^n T^n)` in a fresh process for each n.
+"""Time `accepts(wpz, t^n T^n)` and `pda_accepts(wpz PDA, t^n T^n)` in a
+fresh process each, for each n.
 
     python3 tools/deep_wpz.py [--src DIR] [n ...]
 
-Each n runs in its own child process under 1024 MB of address space
+Each call runs in its own child process under 1024 MB of address space
 (RLIMIT_AS) and imports tsalab from DIR (default: the src/ beside this
-script), so a second checkout can be measured the same way.  The n default to 12, 14, 16 and 100.  Prints one JSON line per n:
-the wall time of the one `accepts` call, the child's max RSS, and the
-result: the witness length, the NotFound reason, or MemoryError when the
-search ran out of the limit.  Exits 1 if a child fails any other way.
+script), so a second checkout can be measured the same way.  The n
+default to 12, 14, 16 and 100.  Prints two JSON lines per n, marked
+`"machine": "tsa"` and `"machine": "pda"`: the wall time of the one call,
+the child's max RSS, and the result: the witness length, the NotFound
+reason, or MemoryError when the search ran out of the limit.  Exits 1 if
+a child fails any other way.
 """
 
 from __future__ import annotations
@@ -22,20 +25,21 @@ CHILD = """
 import json, resource, sys, time
 limit = 1024 << 20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from tsalab.convert import fixture_wpz_tsa
+from tsalab.convert import fixture_wpz_pda, fixture_wpz_tsa, pda_accepts
 from tsalab.tsa import accepts
-n = int(sys.argv[1])
-wpz, w = fixture_wpz_tsa(), "t" * n + "T" * n
+machine, n = sys.argv[1], int(sys.argv[2])
+search, wpz = (accepts, fixture_wpz_tsa()) if machine == "tsa" else (pda_accepts, fixture_wpz_pda())
+w = "t" * n + "T" * n
 t0 = time.perf_counter()
 try:
-    res = accepts(wpz, w)
-    result = len(res) if res else res.reason
+    res = search(wpz, w)
+    result = len(res.steps) if res else res.reason
 except MemoryError:
     result = "MemoryError"
 wall = time.perf_counter() - t0
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"n": n, "wall_s": round(wall, 6), "max_rss_mb": round(rss_kb / 1024, 1),
-                  "result": result}))
+print(json.dumps({"machine": machine, "n": n, "wall_s": round(wall, 6),
+                  "max_rss_mb": round(rss_kb / 1024, 1), "result": result}))
 """
 
 
@@ -48,13 +52,15 @@ def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     failed = False
     for n in args.n:
-        proc = subprocess.run([sys.executable, "-c", CHILD, str(n)],
-                              capture_output=True, text=True, env=env)
-        if proc.returncode:
-            failed = True
-            print(json.dumps({"n": n, "error": proc.stderr.strip().splitlines()[-1:]}))
-        else:
-            print(proc.stdout.strip())
+        for machine in ("tsa", "pda"):
+            proc = subprocess.run([sys.executable, "-c", CHILD, machine, str(n)],
+                                  capture_output=True, text=True, env=env)
+            if proc.returncode:
+                failed = True
+                print(json.dumps({"machine": machine, "n": n,
+                                  "error": proc.stderr.strip().splitlines()[-1:]}))
+            else:
+                print(proc.stdout.strip())
     return 1 if failed else 0
 
 
