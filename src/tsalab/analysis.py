@@ -433,14 +433,14 @@ def check_atv_bounds(trace: RunTrace, mu: int,
 
     counts = visited_from_below_counts(trace)
     k = max(counts.values(), default=0)
-    tree = trace.final().ts
-    children: dict[Address, int] = {a: 0 for a in tree.dom}
-    for a in tree.dom:
+    dom = trace.final().ts.dom
+    children: dict[Address, int] = {a: 0 for a in dom}
+    for a in dom:
         if a != ROOT:
             children[a[:-1]] += 1
 
     rows = []
-    for nu in sorted(tree.dom):
+    for nu in sorted(dom):
         if nu == ROOT:
             kind, bound = "root", mu * k * D * Q
         elif children[nu] == 0:
@@ -457,7 +457,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
         before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))
         cross = _crossings(trace)
         cross[ROOT] = [(0, len(trace.steps))]  # every letter is read inside T_root
-        singular = [nu for nu in sorted(tree.dom)
+        singular = [nu for nu in sorted(dom)
                     if before[-1] - sum(before[pos[m]] - before[pos[l]]
                                         for l, m in cross[nu]) < lam]
 

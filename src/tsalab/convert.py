@@ -31,13 +31,11 @@ from .tsa import (
     SearchOptions,
     Transition,
     Tsa,
-    _search,
+    _tsa_search,
     check_machine,
     parse_tsa,
     read_machine,
     render_machine,
-    replay,
-    search_rows,
 )
 
 
@@ -95,11 +93,8 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     delta indices re-executed by `replay`, so a search-core bug raises
     ReplayMismatch; its configurations hold the stack as a path
     `TreeStack`."""
-    found = _search(pda, search_rows(pda), w, len(w),
-                    SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
-    if isinstance(found, NotFound):
-        return found
-    return replay(pda, w, found)
+    return _tsa_search(pda, w, len(w),
+                       SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
 
 
 def box(symbol: str) -> str:

@@ -655,31 +655,13 @@ class F2F2Report:
         return not self.mismatches and self.psi_image == self.psi_expected
 
 
-def _free_reduces_runs(runs: Iterable[tuple[str, int]]) -> bool:
-    """Does a run-length word reduce to the identity?  Each run is
-    (generator, signed exponent); runs of one generator merge on the
-    stack and cancel when their exponents sum to zero."""
-    stack: list[tuple[str, int]] = []
-    for gen, e in runs:
-        if stack and stack[-1][0] == gen:
-            e += stack.pop()[1]
-            if not e:
-                continue
-        stack.append((gen, e))
-    return not stack
-
-
-def _wp_blocks(xs, ys, ps, qs) -> bool:
-    """wp_f2xf2 of the test word with block exponents xs, ys (positive
-    part) and ps, qs (inverse part, ps one entry longer), computed on its
-    two projections as run-length words:
-    a^x1 b^y1 ... b'^p0 a'^q1 b'^p1 ... a'^qt  and
-    c^x1 d^y1 ... d'^q1 c'^p1 ... d'^qt c'^pt."""
-    ab = [r for x, y in zip(xs, ys) for r in (("a", x), ("b", y))]
-    cd = [r for x, y in zip(xs, ys) for r in (("c", x), ("d", y))]
-    ab += [r for p, q in zip(ps[:-1], qs) for r in (("b", -p), ("a", -q))]
-    cd += [r for q, p in zip(qs, ps[1:]) for r in (("d", -q), ("c", -p))]
-    return _free_reduces_runs(ab) and _free_reduces_runs(cd)
+def _test_word(xs, ys, ps, qs) -> str:
+    """The test word with block exponents xs, ys (positive part) and ps, qs
+    (inverse part, ps one entry longer): (ca)^x1 (db)^y1 ... (b')^p0
+    (d'a')^q1 (c'b')^p1 ... (d'a')^qt (c')^pt."""
+    inv = "".join("c'b'" * p + "d'a'" * q for p, q in zip(ps[1:], qs[1:]))
+    return ("".join("ca" * x + "db" * y for x, y in zip(xs, ys))
+            + "b'" * ps[0] + "d'a'" * qs[0] + inv + "c'" * ps[-1])
 
 
 def _eqs_hold(xs, ys, ps, qs) -> bool:
@@ -733,13 +715,14 @@ def f2f2_experiment(n_max: int = 3, m_max: int = 3) -> F2F2Report:
                 for ys in by_sum[n].get(s, ()):
                     for ps in ps_by_sum[t].get(s, ()):
                         for qs in by_sum[t].get(s, ()):
-                            wp = _wp_blocks(xs, ys, ps, qs)
+                            word = _test_word(xs, ys, ps, qs)
+                            wp = wp_f2xf2(word)
                             eqs = _eqs_hold(xs, ys, ps, qs)
                             all_equal = len({*xs, *ys, *ps, *qs}) == 1 and n == t
                             if not (wp == eqs == all_equal):
                                 mismatches.append(((n, t, xs, ys, ps, qs), wp, eqs, all_equal))
                             if wp:
                                 members += 1
-                                psi_image.add("".join("a" * x + "b" * y for x, y in zip(xs, ys)))
+                                psi_image.add(erasing_hom(word, F2F2_PSI))
     expected = {("a" * m + "b" * m) * n for m in range(1, m_max + 1) for n in range(1, n_max + 1)}
     return F2F2Report(n_max, m_max, total, members, mismatches, psi_image, expected)

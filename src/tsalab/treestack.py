@@ -128,16 +128,15 @@ class TreeStack:
     address or None].  The parent's children may hold a stale entry at the
     hole, which `down` replaces and `pop` drops.  No child map is ever
     mutated once built, so tree stacks share them freely.  So `ts_apply`,
-    `pointer_label` and `len` cost the same at any depth.  `dom` and `key()` are built on first
-    use and cached; the pointer address is built once per context and
-    cached in its last slot, so a run's pointer path costs one tuple per
-    push or up.
+    `pointer_label` and `len` cost the same at any depth.  `dom` and
+    `key()` are built on each call; the pointer address is built once per
+    context and cached in its last slot, so a run's pointer path costs one
+    tuple per push or up.
     """
 
-    __slots__ = ("_label", "_kids", "_ctx", "_size", "_dom", "_key")
+    __slots__ = ("_label", "_kids", "_ctx", "_size")
 
     def __init__(self, dom: Mapping[Address, str], pointer: Address):
-        dom = dict(dom)
         _validate(dom, pointer)
         kids: dict[Address, dict] = {a: {} for a in dom}
         for a, label in dom.items():
@@ -147,16 +146,12 @@ class TreeStack:
         for j, i in enumerate(pointer, start=1):
             ctx = [ctx, label, kids[pointer[:j - 1]], i, pointer[:j]]
             label = dom[pointer[:j]]
-        self._label, self._kids, self._ctx = label, kids[pointer], ctx
-        self._size, self._dom, self._key = len(dom), dom, None
+        self._label, self._kids, self._ctx, self._size = label, kids[pointer], ctx, len(dom)
 
     @property
     def dom(self) -> dict[Address, str]:
-        """Address -> label; built on first use and cached."""
-        d = self._dom
-        if d is None:
-            d = self._dom = self._build_dom()
-        return d
+        """Address -> label; built on each call."""
+        return self._build_dom()
 
     def _root(self) -> tuple[str, dict]:
         """The root's (label, children), the focus written back into each
@@ -196,27 +191,24 @@ class TreeStack:
 
     def key(self):
         """Canonical hashable form, compared by `==` and `hash`; built on
-        first use and cached.  The tree in preorder, children by index, each
-        vertex as (child index, label, child count), the root's index 0;
+        each call.  The tree in preorder, children by index, each vertex
+        as (child index, label, child count), the root's index 0;
         then the pointer.  It builds no address but the pointer's, so it
         costs the same per vertex whatever the depth of the tree."""
-        k = self._key
-        if k is None:
-            out = []
-            todo = [(0, *self._root())]
-            while todo:
-                i, label, kids = todo.pop()
-                out += (i, label, len(kids))
-                while kids:  # down the first child; its siblings wait on the stack
-                    if len(kids) > 1:
-                        first, *rest = sorted(kids)
-                        todo += [(j, *kids[j]) for j in reversed(rest)]
-                    else:
-                        (first,) = kids
-                    label, kids = kids[first]
-                    out += (first, label, len(kids))
-            k = self._key = (tuple(out), self.pointer)
-        return k
+        out = []
+        todo = [(0, *self._root())]
+        while todo:
+            i, label, kids = todo.pop()
+            out += (i, label, len(kids))
+            while kids:  # down the first child; its siblings wait on the stack
+                if len(kids) > 1:
+                    first, *rest = sorted(kids)
+                    todo += [(j, *kids[j]) for j in reversed(rest)]
+                else:
+                    (first,) = kids
+                label, kids = kids[first]
+                out += (first, label, len(kids))
+        return tuple(out), self.pointer
 
     def __eq__(self, other):
         if self is other:
@@ -234,7 +226,7 @@ class TreeStack:
         return f"TreeStack({render_tree_stack(self)})"
 
 
-def _validate(dom: dict[Address, str], pointer: Address) -> None:
+def _validate(dom: Mapping[Address, str], pointer: Address) -> None:
     if ROOT not in dom or dom[ROOT] != ROOT_LABEL:
         raise ValueError("root must be present and labelled @")
     for addr, label in dom.items():
@@ -267,8 +259,7 @@ _new = object.__new__
 
 def _zipper(label: str, kids: dict, ctx: list | None, size: int) -> TreeStack:
     ts = _new(TreeStack)
-    ts._label, ts._kids, ts._ctx = label, kids, ctx
-    ts._size, ts._dom, ts._key = size, None, None
+    ts._label, ts._kids, ts._ctx, ts._size = label, kids, ctx, size
     return ts
 
 

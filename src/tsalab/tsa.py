@@ -476,9 +476,10 @@ def search_rows(machine) -> Dispatch:
 
 
 def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
-    """`_search` on a TSA.  The witness is the path's delta indices
-    re-executed by `replay`, so a search-core bug raises ReplayMismatch rather than
-    returning a run the step semantics do not allow."""
+    """`_search` on a TSA or a PDA (`convert.Pda`).  The witness is the
+    path's delta indices re-executed by `replay`, so a search-core bug
+    raises ReplayMismatch rather than returning a run the step semantics
+    do not allow."""
     tidxs = _search(tsa, search_rows(tsa), w, max_len, opts)
     if isinstance(tidxs, NotFound):
         return tidxs

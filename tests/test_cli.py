@@ -49,6 +49,32 @@ def test_run_budget_exit_two():
     assert "result=reject:budget" in out
 
 
+def test_run_trace_prints_the_block_then_the_table():
+    # the README's example
+    code, out = run_cli("run", "abcd", "--word", "aabbccdd", "--k", "2", "--trace")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[1] == "command=run" and lines[10] == "max_vfb=2"
+    table = lines[11:]
+    assert len(table) == 15 and table[0].startswith("Transition | State")
+    assert [c.strip() for c in table[-1].split("|")] == [
+        "s9", "q4", "(eps=@, 1=STAR, 1.1=STAR, 1.1.1=HASH; ptr=eps)", "eps"]
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["trace", "abcd", "--word", "abc", "--k", "2"], 1, "result=reject:exhausted"),
+    (["trace", "abcd", "--word", "abc", "--k", "2", "--max-steps", "3"], 2,
+     "result=reject:budget"),
+    (["analyze", "pump", "abcd", "--word", "aabbccdd", "--k", "2", "--m", "1"], 0,
+     "result=none"),
+    (["rational", "--wp", "abcd", "--regex", "a", "--word", "a"], 3,
+     "tsalab: only the t/T group alphabet is built in; supply a wp machine over t T"),
+], ids=["trace-exhausted", "trace-budget", "pump-none", "rational-not-wpz"])
+def test_exit_code_and_outcome_line(capsys, argv, code, line):
+    got, out = run_cli(*argv)
+    assert got == code and line in (out + capsys.readouterr().err).splitlines()
+
+
 def test_run_porcelain_only_block():
     code, out = run_cli("--porcelain", "run", "abcd", "--word", "abcd")
     assert code == 0
@@ -292,9 +318,15 @@ def test_standardise_command(tmp_path):
 
 
 def test_degree_command():
+    from tsalab.fixtures import abcd_tsa
+    from tsalab.tsa import parse_tsa
+
     code, out = run_cli("degree", "abcd")
     assert code == 0
     assert "degree=1" in out and "delta_set=1" in out
+    code, out = run_cli("degree", "abcd", "--normalize")
+    assert code == 0
+    assert parse_tsa(out[out.index("\ntsa\n") + 1:]) == abcd_tsa()
 
 
 def test_mcfg_commands(tmp_path):

@@ -543,13 +543,12 @@ def test_f2f2_balance_lemma():
     """A test word whose letter exponent sums differ satisfies none of the
     three predicates; the experiment only counts such words.  Balance of
     the letters is balance of the five exponent sums it groups by."""
-    from tsalab.langlab import _eqs_hold, _wp_blocks
+    from tsalab.langlab import _eqs_hold
 
     unbalanced = 0
     for n, t, xs, ys, ps, qs in all_tuples(2, 2):
         toks = t_word_tokens(xs, ys, ps, qs)
         wp = wp_f2xf2(toks)
-        assert _wp_blocks(xs, ys, ps, qs) == wp
         balanced = all(toks.count(x) == toks.count(x + "'") for x in "abcd")
         assert balanced == (sum(xs) == sum(ys) == sum(qs) == sum(ps[:-1]) == sum(ps[1:]))
         if not balanced:
@@ -558,3 +557,46 @@ def test_f2f2_balance_lemma():
             assert not _eqs_hold(xs, ys, ps, qs)
             assert not (len({*xs, *ys, *ps, *qs}) == 1 and n == t)
     assert 0 < unbalanced < 800
+
+
+def test_f2f2_test_word_matches_token_reference():
+    """The experiment's word builder spells the reference's tokens, and
+    every test word lies in the regular language T."""
+    from tsalab.langlab import _test_word
+
+    T = f2f2_T()
+    for _, _, xs, ys, ps, qs in all_tuples(2, 2):
+        word = _test_word(xs, ys, ps, qs)
+        assert word == "".join(t_word_tokens(xs, ys, ps, qs))
+        assert fsa_accepts(T, word)
+
+
+def test_f2f2_experiment_judges_each_balanced_word_once(monkeypatch):
+    from tsalab import langlab
+
+    balanced = sum(sum(xs) == sum(ys) == sum(qs) == sum(ps[:-1]) == sum(ps[1:])
+                   for _, _, xs, ys, ps, qs in all_tuples(2, 2))
+    calls = {"wp_f2xf2": 0, "erasing_hom": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(langlab, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(langlab, name, counted)
+    rep = f2f2_experiment(2, 2)
+    assert calls == {"wp_f2xf2": balanced, "erasing_hom": rep.members}
+    assert 0 < balanced < rep.total
+
+
+def test_f2f2_experiment_records_a_disagreement(monkeypatch):
+    """A predicate that is wrong on one balanced tuple lands in the report's
+    mismatches, and criterion 9's checks fail."""
+    from tsalab import langlab, suites
+
+    eqs_hold = langlab._eqs_hold
+    wrong = ((1, 2), (2, 1), (1, 2, 1), (2, 1))  # balanced, not a member
+    monkeypatch.setattr(langlab, "_eqs_hold",
+                        lambda *t: (t == wrong) != eqs_hold(*t))
+    rep = f2f2_experiment(2, 2)
+    assert rep.mismatches == [((2, 2, *wrong), False, True, False)]
+    assert not rep.ok
+    assert not suites.f2f2_checks(rep)[0][1]

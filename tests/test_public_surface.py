@@ -12,7 +12,6 @@ INIT = ROOT / "src" / "tsalab" / "__init__.py"
 # exports that only tests call today, each with the reason it stays
 KEEP = {
     "check_U_switchable": "the switchability checks of ROADMAP item 7",
-    "erasing_hom": "the grammar reductions of ROADMAP item 9",
     "f2f2_T": "the grammar reductions of ROADMAP item 9",
     "fsa_accepts": "the judge of ROADMAP item 9's grammar-automaton products",
     "parse_fsa": "the FSA file format the README documents",
