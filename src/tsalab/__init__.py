@@ -36,7 +36,6 @@ from .tsa import (
     parse_tsa,
     render_tsa,
     replay,
-    shortest_accepted,
     standardise,
     step,
     visited_from_below_counts,
@@ -91,7 +90,6 @@ from .langlab import (
     parse_fsa,
     rational_membership,
     regex_to_fsa,
-    tsa_fsa_product,
 )
 from . import fixtures
 

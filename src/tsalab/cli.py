@@ -430,15 +430,13 @@ def cmd_rational(args) -> int:
     if pairing is None:
         raise InputError("only the t/T group alphabet is built in; "
                        "supply a wp machine over t T")
-    ans = langlab.rational_membership(wp, fsa, args.word, pairing, max_len=args.budget)
+    ans = langlab.rational_membership(wp, fsa, args.word, pairing)
     block = ["command=rational", f"word={show(args.word)}", f"regex={args.regex}",
-             f"budget={args.budget}", f"verdict={ans.verdict}"]
+             f"verdict={ans.verdict}"]
     if ans.witness is not None:
         block.append(f"witness={show(ans.witness)}")
-    if ans.reason:
-        block.append(f"reason={ans.reason}")
     emit(args, ans.verdict, block)
-    return 0 if ans.verdict == "yes" else search_exit(ans.reason)
+    return 0 if ans.verdict == "yes" else 1
 
 
 def cmd_suite(args) -> int:
@@ -557,11 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
             ex.add_argument("--m", type=at_least(1), default=2)
         ex.add_argument("--i-max", dest="i_max", type=at_least(0), default=5)
 
-    sp = sub.add_parser("rational", help="bounded rational-subset membership")
+    sp = sub.add_parser("rational", help="rational-subset membership")
     sp.add_argument("--wp", required=True, help="word-problem machine (file or fixture)")
     sp.add_argument("--regex", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--budget", type=at_least(0), default=12)
     sp.set_defaults(func=cmd_rational)
 
     sp = sub.add_parser("suite", help="named acceptance bundles")

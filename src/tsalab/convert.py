@@ -93,8 +93,8 @@ def pda_accepts(pda: Pda, w: str, max_steps: int | None = None,
     delta indices re-executed by `replay`, so a search-core bug raises
     ReplayMismatch; its configurations hold the stack as a path
     `TreeStack`."""
-    return _tsa_search(pda, w, len(w),
-                       SearchOptions(accept_mode="any", max_steps=max_steps, max_vertices=max_stack))
+    return _tsa_search(pda, w, SearchOptions(accept_mode="any", max_steps=max_steps,
+                                             max_vertices=max_stack))
 
 
 def box(symbol: str) -> str:

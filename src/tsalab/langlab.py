@@ -1,7 +1,7 @@
 """Language laboratory: the gap test for semi-linear Parikh images,
 structural sample-language oracles, finite automata with a small regex
-front end, the TSA x FSA product, inverse-path automata, the bounded
-rational-subset membership pipeline, erasing homomorphisms and the
+front end, inverse-path automata, rational-subset membership decided on
+their product with a word-problem machine, erasing homomorphisms and the
 direct-product free-group experiment.
 
 Group alphabets write inverses with a trailing apostrophe (a' for the
@@ -27,11 +27,12 @@ from .tsa import (
     ParseError,
     RunTrace,
     SearchOptions,
-    Transition,
     Tsa,
+    _summaries,
     check_machine,
     read_machine,
-    shortest_accepted,
+    replay,
+    search_rows,
 )
 
 
@@ -371,9 +372,6 @@ class Fsa:
     def __post_init__(self):
         check_machine(self.states, self.alphabet, self.initial, self.finals, self.delta)
 
-    def has_eps(self) -> bool:
-        return any(sym is None for _, sym, _ in self.delta)
-
 
 def _eps_closure(fsa: Fsa, states: set[str]) -> set[str]:
     out = set(states)
@@ -543,36 +541,7 @@ def parse_fsa(text: str) -> Fsa:
 
 
 # ---------------------------------------------------------------------------
-# TSA x FSA product and the rational-subset pipeline
-
-def tsa_fsa_product(tsa: Tsa, fsa: Fsa) -> Tsa:
-    """Intersection automaton: FSA tracks the letters the TSA reads.
-
-    The FSA must be eps-free; the tree stack component is untouched, so
-    k-restricted witnesses stay k-restricted.  The state of the pair (q, f)
-    is `q&f`, primed by `Names` if another pair already has that name."""
-    if fsa.has_eps():
-        raise InputError("run eps_free() on the FSA first")
-    if set(fsa.alphabet) != set(tsa.alphabet):
-        raise AlphabetMismatch(f"tsa alphabet {tsa.alphabet} != fsa alphabet {fsa.alphabet}")
-
-    names = Names()
-    pair = {(q, f): names.new(f"{q}&{f}") for q in tsa.states for f in fsa.states}
-    delta = []
-    for t in tsa.delta:
-        if t.inp is None:
-            for f in fsa.states:
-                delta.append(Transition(pair[t.src, f], None, t.pred, t.instr,
-                                        pair[t.dst, f], name=t.name))
-        else:
-            for src, sym, dst in fsa.delta:
-                if sym == t.inp:
-                    delta.append(Transition(pair[t.src, src], t.inp, t.pred, t.instr,
-                                            pair[t.dst, dst], name=t.name))
-    finals = frozenset(pair[q, f] for q in tsa.finals for f in fsa.finals)
-    return Tsa(tuple(names.added), tsa.labels, tsa.alphabet, pair[tsa.initial, fsa.initial],
-               tuple(delta), finals)
-
+# rational-subset membership
 
 def build_Bw(fsa: Fsa, w: str | Sequence[str], pairing: GroupAlphabet) -> Fsa:
     """Attach a path reading the inverse word of w after the accept state:
@@ -598,29 +567,54 @@ def build_Bw(fsa: Fsa, w: str | Sequence[str], pairing: GroupAlphabet) -> Fsa:
 
 @dataclass
 class RationalAnswer:
-    """The answer of `rational_membership`, with the witness word and its
-    run on the product for yes, and the search's NotFound reason otherwise."""
+    """The answer of `rational_membership`, with the witness word and the
+    machine's run on it for yes."""
 
-    verdict: str  # "yes" | "no" | "unknown"
+    verdict: str  # "yes" | "no"
     witness: str | None = None
     trace: RunTrace | None = None
-    reason: str | None = None  # for no and unknown: "exhausted" | "budget"
 
 
-def rational_membership(wp_tsa: Tsa, fsa: Fsa, w: str, pairing: GroupAlphabet,
-                        max_len: int = 12) -> RationalAnswer:
+def rational_membership(wp_tsa: Tsa, fsa: Fsa, w: str, pairing: GroupAlphabet) -> RationalAnswer:
     """Does the group element of w lie in the rational subset the FSA
-    describes?  Searches WP x (B . w^{-1}) for any accepted word up to
-    max_len.  A witness proves yes.  An exhausted search proves no: no step,
-    vertex or length-bound cut happened, and the length bound cuts at every
-    reading state it reaches, so the product's language is empty.  A budget
-    cut leaves the answer unknown."""
+    describes?  Exactly when the word-problem machine accepts a word of
+    B . w^{-1} (`build_Bw`).  Entry/exit summaries (`tsa._summaries`)
+    decide that with B . w^{-1}, made deterministic by the subset
+    construction, as their positions: the Bar-Hillel, Perles and Shamir
+    (1961) product, built on the fly.  The facts are finite, so they
+    saturate, and no budget applies.  A yes carries the least accepting
+    run, re-executed by `replay`, and its word, checked by `fsa_accepts`.
+    The machine must have no `up` row (a PDA's translation has none);
+    InputError refuses one with `up`, AlphabetMismatch an FSA over another
+    alphabet."""
+    if set(fsa.alphabet) != set(wp_tsa.alphabet):
+        raise AlphabetMismatch(f"tsa alphabet {wp_tsa.alphabet} != fsa alphabet {fsa.alphabet}")
+    rows = search_rows(wp_tsa)
+    if not rows.up_free:
+        raise InputError("rational membership needs a word-problem machine with no up row")
     bw = eps_free(build_Bw(fsa, w, pairing))
-    product = tsa_fsa_product(wp_tsa, bw)
-    res = shortest_accepted(product, max_len, SearchOptions())
-    if res:
-        return RationalAnswer("yes", witness=res.word, trace=res)
-    return RationalAnswer("no" if res.reason == "exhausted" else "unknown", reason=res.reason)
+    subsets = [frozenset({bw.initial})]  # position j: the states some word leads B . w^-1 to
+    number = {subsets[0]: 0}
+    at: list[tuple] = []
+    while len(at) < len(subsets):
+        j, here = len(at), subsets[len(at)]
+        moves: dict = {None: j}
+        for letter in bw.alphabet:
+            there = frozenset(dst for src, x, dst in bw.delta if x == letter and src in here)
+            if there:
+                if there not in number:
+                    number[there] = len(subsets)
+                    subsets.append(there)
+                moves[letter] = number[there]
+        at.append((rows.ANY_LETTER if len(moves) > 1 else rows.END, moves,
+                   not here.isdisjoint(bw.finals)))
+    run, _, _ = _summaries(wp_tsa, rows, at, SearchOptions())
+    if run is None:
+        return RationalAnswer("no")
+    word = "".join(wp_tsa.delta[i].inp or "" for i in run)
+    if not fsa_accepts(bw, word):
+        raise AssertionError(f"the witness {word!r} is not a word of B . w^-1")
+    return RationalAnswer("yes", word, replay(wp_tsa, word, run))
 
 
 # ---------------------------------------------------------------------------

@@ -354,12 +354,12 @@ class Dispatch(dict):
     row of each state in delta order.  The letter key is the next letter of
     a fixed word, which keeps the eps rows and the rows that read that letter;
     END, which keeps the eps rows, at the end of a fixed word or of the
-    room to read; or ANY_LETTER, which keeps every row, for free reading.
-    Each entry holds exactly the rows of its state whose letter and
-    predicate can match, in delta order, and is built the first time it is
-    asked for.  `readers` holds the states with a reading row, `degree`
-    is the largest child index of a push or up row (0 if there is none),
-    and `up_free` tells whether there is no up row.
+    room to read; or ANY_LETTER, which keeps every row, where more than one
+    letter may be read.  Each entry holds exactly the rows of its state
+    whose letter and predicate can match, in delta order, and is built the
+    first time it is asked for.  `degree` is the largest child index of a
+    push or up row (0 if there is none), and `up_free` tells whether there
+    is no up row.
 
     For a fixed letter key, a letter or END, the table also looks ahead.  A
     state is dead for the key when no eps path of the control graph,
@@ -377,11 +377,9 @@ class Dispatch(dict):
     END = None
     ANY_LETTER = ""  # no letter is the empty string
 
-    def __init__(self, by_state: dict[str, list[tuple]], readers: frozenset[str],
-                 finals: frozenset[str]):
+    def __init__(self, by_state: dict[str, list[tuple]], finals: frozenset[str]):
         super().__init__()
         self.by_state = by_state
-        self.readers = readers
         self.finals = finals
         self.degree = max((row[4] for rows in by_state.values() for row in rows
                            if row[3] in (_PUSH, _UP)), default=0)
@@ -470,22 +468,17 @@ def search_rows(machine) -> Dispatch:
             instr = t.instr
             rows[t.src].append((tidx, t.inp, t.pred.label, _KIND_CODE[instr.kind], instr.n,
                                 instr.label, t.dst, t.is_stationary_eps()))
-        readers = frozenset(t.src for t in machine.delta if t.inp is not None)
-        table = machine.__dict__["_search_rows"] = Dispatch(rows, readers, machine.finals)
+        table = machine.__dict__["_search_rows"] = Dispatch(rows, machine.finals)
     return table
 
 
-def _tsa_search(tsa: Tsa, w: str | None, max_len: int, opts: SearchOptions) -> RunTrace | NotFound:
+def _tsa_search(tsa: Tsa, w: str, opts: SearchOptions) -> RunTrace | NotFound:
     """`_search` on a TSA or a PDA (`convert.Pda`).  The witness is the
     path's delta indices re-executed by `replay`, so a search-core bug
     raises ReplayMismatch rather than returning a run the step semantics
     do not allow."""
-    tidxs = _search(tsa, search_rows(tsa), w, max_len, opts)
-    if isinstance(tidxs, NotFound):
-        return tidxs
-    if w is None:  # the word is the letters the run reads
-        w = "".join(tsa.delta[i].inp or "" for i in tidxs)
-    return replay(tsa, w, tidxs)
+    tidxs = _search(tsa, search_rows(tsa), w, opts)
+    return tidxs if isinstance(tidxs, NotFound) else replay(tsa, w, tidxs)
 
 
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
@@ -520,20 +513,10 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     """
     rows = search_rows(tsa)
     if rows.up_free and not opts.proper_only:
-        found = _summaries(tsa, rows, w, opts)
+        found = _word_summaries(tsa, rows, w, opts)
         if found is not None:
             return found if isinstance(found, NotFound) else replay(tsa, w, found)
-    return _tsa_search(tsa, w, len(w), opts)
-
-
-def shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
-    """Find an accepting run over *some* word of length <= max_len.
-
-    Same search as `accepts`, but reading transitions extend the word
-    instead of matching a fixed one.  Used for emptiness-style questions
-    (e.g. the rational-subset pipeline).
-    """
-    return _tsa_search(tsa, None, max_len, opts)
+    return _tsa_search(tsa, w, opts)
 
 
 class _Walk:
@@ -690,19 +673,15 @@ def _arena_path(nodes, me: int) -> list[int]:
     return path[::-1]
 
 
-def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, walk: _Walk | None = None,
+def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | None = None,
             look_ahead: bool = True):
-    """The BFS core behind `accepts` (w given, max_len == len(w)),
-    `shortest_accepted` (w None: read any word of length <= max_len),
-    `convert.pda_accepts`, and `enumerate_words` and `accepts_each` (w None
-    and a `walk` whose longest target has length max_len: read toward its
-    targets).  `machine` has initial, finals and states; `rows` is its
-    `Dispatch` table from `search_rows`, so a node scans only the rows
-    whose letter and predicate match, keyed by its state, its pointer's
-    label and its letter key: the next letter of w, END, or ANY_LETTER
-    while a free search has room to read.  Without that room a free search
-    outside walk mode counts as cut off at every node whose state has a
-    reading row, before any predicate is tested.  Returns NotFound, or the
+    """The BFS core behind `accepts` and `convert.pda_accepts` (the word w
+    given), and `enumerate_words` and `accepts_each` (w None and a `walk`:
+    read toward its targets).  `machine` has initial, finals and states;
+    `rows` is its `Dispatch` table from `search_rows`, so a node scans only
+    the rows whose letter and predicate match, keyed by its state, its
+    pointer's label and its letter key: the next letter of w, END, or
+    ANY_LETTER while the walk has room to read.  Returns NotFound, or the
     delta indices of the steps from the initial configuration to the first
     accepting one ([] when the initial configuration accepts).
 
@@ -744,20 +723,18 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     configuration first met below a dropped one may be met again later
     along another path, too deep to drop, and reach the step budget from
     there.  So a search that has dropped a child and reaches max_steps is
-    run again without the look-ahead.  A free search never drops a child:
-    its length bound and the walk's per-length budgets are cuts of their
-    own."""
-    max_steps, max_vertices = search_budgets(machine, opts, max_len)
-    free = w is None
-    look_ahead = look_ahead and not free
-    pruned = False
+    run again without the look-ahead.  The walk never drops a child: its
+    per-length budgets are cuts of their own."""
+    max_len = len(w) if walk is None else walk.max_len
     if walk is not None:
         words, pending, vcap = walk.words, walk.pending, walk.vcap
+    max_steps, max_vertices = search_budgets(machine, opts, max_len)
+    pruned = False
     k = opts.k
     proper = opts.proper_only
     root_only = opts.accept_mode == "root"
     finals = machine.finals
-    readers, END, ANY_LETTER = rows.readers, rows.END, rows.ANY_LETTER
+    END, ANY_LETTER = rows.END, rows.ANY_LETTER
 
     # the hash-consing tables of this search: id -> vertex or context, and
     # back; id 0 is an empty child slot and the root's context
@@ -773,7 +750,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
     nodes = [(machine.initial, 0, 1, 0, False, 1, -1, -1)]
     if machine.initial in finals:
         if walk is None:
-            if max_len == 0 or free:
+            if max_len == 0:
                 return []
         elif walk.target[0]:  # no budget applies to the initial configuration
             walk.accept(0, [])
@@ -787,7 +764,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
             frontier = walk.step_cut(nodes, frontier, depth)
         if depth >= max_steps:
             if pruned:  # a dead configuration may have been met late: ask without pruning
-                return _search(machine, rows, w, max_len, opts, look_ahead=False)
+                return _search(machine, rows, w, opts, look_ahead=False)
             cut = True
             break
         depth += 1
@@ -797,14 +774,10 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
             if walk is not None and not pending[pos]:
                 continue  # every target through this prefix has its witness
             v = verts[focus]
-            if not free:
+            if walk is None:
                 letter = w[pos] if pos < max_len else END
-            elif (pos if walk is None else len(words[pos])) < max_len:
-                letter = ANY_LETTER
             else:
-                letter = END
-                if walk is None and state in readers:
-                    cut = True  # a reading row, whatever its predicate, meets the length bound
+                letter = ANY_LETTER if len(words[pos]) < max_len else END
             for tidx, inp, _, kind, n, nlab, dst, stat, ahead in rows[state, v[0], letter]:
                 if was_stat and stat:
                     continue
@@ -879,7 +852,7 @@ def _search(machine, rows, w: str | None, max_len: int, opts: SearchOptions, wal
                 nodes.append((dst, npos, nfocus, nctx, stat, nsize, node_idx, tidx))
                 if dst in finals and (not nctx or not root_only):
                     if walk is None:
-                        if free or npos == max_len:
+                        if npos == max_len:
                             return [nodes[i][-1] for i in _arena_path(nodes, me)[1:]]
                     elif walk.takes(npos, depth, nsize):
                         walk.accept(npos, [(i, nodes[i][-1]) for i in _arena_path(nodes, me)[1:]])
@@ -901,12 +874,50 @@ def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
     return i
 
 
-def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
-    """`accepts` on a TSA with no `up` row, without proper_only, by
-    entry/exit summaries.  Returns the delta indices of the witness that
-    `_search` gives, NotFound("exhausted") or NotFound("budget") where
-    `_search` gives that, or None where a budget might cut `_search`,
-    whose answer is then needed.
+def _word_summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
+    """`accepts` on a TSA with no `up` row, without proper_only:
+    `_summaries` over w as a path, and the budget rules.  Returns the delta
+    indices of `_search`'s witness, NotFound("exhausted") or
+    NotFound("budget") where `_search` gives that, or None where a budget
+    might cut `_search`, whose answer is then needed.
+
+    The goal's run is `_search`'s witness if it fits both budgets (its
+    length and 1 + its pushes), since a TSA tree never shrinks.  With no
+    goal, one longest-path pass over the derivations of the saturated
+    facts bounds every run prefix: the most steps and pushes of an opening
+    plus a local fact of its entry.  Each rule adds a step, so a cycle of
+    facts is unbounded.  If no run prefix reaches either budget, `_search`
+    answers `exhausted`.  If a cycle passes through an opening
+    (`_reopens`), the tree grows without end along one run prefix, and
+    `_search` answers `budget`."""
+    n = len(w)
+    path = [(x, {None: j, x: j + 1}, False) for j, x in enumerate(w)]
+    path.append((rows.END, {None: n}, True))
+    run, derived, entries = _summaries(tsa, rows, path, opts)
+    max_steps, max_vertices = search_budgets(tsa, opts, n)
+    if run is not None:
+        pushes = sum(tsa.delta[i].instr.kind == "push" for i in run)
+        return list(run) if len(run) <= max_steps and 1 + pushes <= max_vertices else None
+    bound = _longest_prefix(derived, [(e, q, lab, 0, j) for (q, lab, j), e in entries.items()])
+    if bound is None:  # a cycle of facts
+        return NotFound("budget") if _reopens(derived) else None
+    if bound[0] < max_steps and 1 + bound[1] <= max_vertices:
+        return NotFound("exhausted")
+    return None
+
+
+def _summaries(tsa: Tsa, rows, at: list[tuple], opts: SearchOptions) -> tuple[tuple | None, list, dict]:
+    """The least accepting run of a TSA with no `up` row, without
+    proper_only, on the words of a deterministic position automaton, by
+    entry/exit summaries.  Position j is `at[j]` = (letter key, moves,
+    end): its `Dispatch` letter key (a letter, END or ANY_LETTER), a dict
+    from each letter it reads to the next position and from None (eps) to
+    j, and whether a run may accept at j.  Position 0 is the start.  A
+    fixed word is a path (`_word_summaries`); `langlab.rational_membership`
+    passes a deterministic B . w^-1.  Returns the goal's run of delta
+    indices, or None once the facts saturate without it, with `derived`
+    (each rule firing as (conclusion, *premises), an entry id standing for
+    its opening) and `entries`.
 
     Without `up` a vertex is entered once, by its push (the root at the
     start), and left by at most one exit, so what a run does inside a
@@ -917,36 +928,28 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
         set, position): the run from the entry got there without leaving
         the vertex, finished child visits included;
       - an exit (entry id, state, position): the vertex was left by a down
-        into that state at that position or, as (entry id, None, n), by
-        acceptance inside it at the end of the word.
+        into that state at that position or, as (entry id, None,
+        position), by acceptance inside it at an end position.
     `id` and `set` extend a local fact, `down` ends it in an exit, and a
-    final local fact at position n gives an accepting exit (in root mode
-    only the root's).  `push n B` with slot n free (and k != 0: k = 0 bars
-    the visit from below a push makes) enters (target, B, position) and
-    joins the local fact with each exit of that entry; an accepting exit
-    gives the parent's.  The goal is the root's accepting exit.
+    final local fact at an end position gives an accepting exit there (in
+    root mode only the root's).  `push n B` with slot n free (and k != 0:
+    k = 0 bars the visit from below a push makes) enters (target, B,
+    position) and joins the local fact with each exit of that entry; an
+    accepting exit gives the parent's.  The goal is the root's accepting
+    exit.  A position that reads several letters takes all their rows in
+    one ANY_LETTER lookup and skips the rows of letters it does not read,
+    so each local fact costs one `Dispatch` lookup, as on a fixed word.
 
     A fact's weight is its run's delta indices, ordered by length and then
     lexicographically.  Concatenation is monotone in that order and a
     rule's conclusion weighs at least each premise, so Knuth's lightest
     derivation (Knuth 1977) gives each fact its least run when it is first
     popped from the queue, entries found late included, since their local
-    facts start from the empty run.  The goal's least run is the
-    lexicographically least shortest accepting run: `_search`'s witness,
-    if it fits both budgets (its length and 1 + its pushes), since a TSA
-    tree never shrinks.  With no goal the facts are saturated, and one
-    longest-path pass over their derivations bounds every run prefix: the
-    most steps and pushes of an opening (a run to an entry, kept only in
-    `derived`) plus a local fact of its entry.  Each rule adds a step, so
-    a cycle of facts is unbounded.  If no run prefix reaches either budget,
-    `_search` cannot be cut and answers `exhausted`.  If a cycle passes
-    through an opening (`_reopens`), the tree grows without end along one
-    run prefix, so `_search` is cut and answers `budget`."""
+    facts start from the empty run.  So the goal's run is the
+    lexicographically least shortest accepting run on the automaton's
+    words, and without a goal the finitely many facts saturate."""
     from heapq import heappop, heappush  # here, so that importing tsalab stays as quick
 
-    n = len(w)
-    max_steps, max_vertices = search_budgets(tsa, opts, n)
-    end = rows.END
     root_only = opts.accept_mode == "root"
     pushing = opts.k != 0
     finals = tsa.finals
@@ -956,7 +959,7 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
     best: dict = {}  # fact -> least run offered so far
     queue: list = []  # (length, run, tie-break, fact)
     tick = itertools.count()
-    derived: list[tuple] = []  # (conclusion, *premises) per rule firing; an entry id is its opening
+    derived: list[tuple] = []
 
     def offer(fact, run):
         old = best.get(fact)
@@ -967,7 +970,7 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
     def join(site, out, orun):  # a push's local fact with an exit of the entry it pushed into
         local, before, lab, used = site
         if out[1] is None:  # an accepting exit gives the parent's
-            joined = (local[0], None, n)
+            joined = (local[0], None, out[2])
         else:
             joined = (local[0], out[1], lab, used, out[2])
             derived.append((joined, local, out))
@@ -980,17 +983,19 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
             continue  # a heavier run of a fact popped before
         if len(fact) == 3:  # an exit
             if not fact[0]:  # the goal: a down never leaves the root
-                pushes = sum(tsa.delta[i].instr.kind == "push" for i in run)
-                return list(run) if len(run) <= max_steps and 1 + pushes <= max_vertices else None
+                return run, derived, entries
             exits[fact[0]].append((fact, run))
             for site in waiting[fact[0]]:
                 join(site, fact, run)
             continue
         e, p, lab, used, j = fact
-        if j == n and p in finals and (not e or not root_only):
-            offer((e, None, n), run)
-        for tidx, inp, _, kind, c, nlab, dst, _, _ in rows[p, lab, w[j] if j < n else end]:
-            nj = j if inp is None else j + 1
+        key, moves, end = at[j]
+        if end and p in finals and (not e or not root_only):
+            offer((e, None, j), run)
+        for tidx, inp, _, kind, c, nlab, dst, _, _ in rows[p, lab, key]:
+            nj = moves.get(inp)
+            if nj is None:
+                continue  # a letter this position does not read
             nrun = run + (tidx,)
             if kind == _PUSH:
                 bit = 1 << c
@@ -1018,13 +1023,7 @@ def _summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFo
                 nxt = (e, dst, nlab, used, nj)
             derived.append((nxt, fact))
             offer(nxt, nrun)
-
-    bound = _longest_prefix(derived, [(e, q, lab, 0, j) for (q, lab, j), e in entries.items()])
-    if bound is None:  # a cycle of facts
-        return NotFound("budget") if _reopens(derived) else None
-    if bound[0] < max_steps and 1 + bound[1] <= max_vertices:
-        return NotFound("exhausted")
-    return None
+    return None, derived, entries
 
 
 def _longest_prefix(derived: list[tuple], starts: list[tuple]) -> tuple[int, int] | None:
@@ -1042,9 +1041,10 @@ def _longest_prefix(derived: list[tuple], starts: list[tuple]) -> tuple[int, int
     # against 66-92 ms (2 cores, Python 3.11.7)
     into: dict = {}  # fact -> the firings into it not yet counted
     uses: dict = {}  # fact -> the firings it is a premise of
-    for i, (concl, *premises) in enumerate(derived):
+    for i, firing in enumerate(derived):  # indexed, not star-unpacked: no list per firing
+        concl = firing[0]
         into[concl] = into.get(concl, 0) + 1
-        for p in premises:
+        for p in firing[1:]:
             if p in uses:
                 uses[p].append(i)
             else:
@@ -1200,7 +1200,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     if max_len < 0:
         return set()
     walk = _Walk(tsa, opts, max_len)
-    _search(tsa, search_rows(tsa), None, max_len, opts, walk)
+    _search(tsa, search_rows(tsa), None, opts, walk)
     found = set(walk.witnesses(tsa))
     budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
@@ -1223,7 +1223,7 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     if not words:
         return {}
     walk = _Walk(tsa, opts, max(map(len, words)), words)
-    _search(tsa, search_rows(tsa), None, walk.max_len, opts, walk)
+    _search(tsa, search_rows(tsa), None, opts, walk)
     found = walk.witnesses(tsa)
     return {w: found[w] if w in found else NotFound("budget" if walk.was_cut(w) else "exhausted")
             for w in words}

@@ -1,5 +1,5 @@
 """Reference searches: a plain tuple-keyed breadth-first search with the
-contract of `accepts` and `shortest_accepted`, a plain PDA search with the
+contract of `accepts`, a plain PDA search with the
 contract of `pda_accepts`, and `enumerate_words` as one `accepts` search
 per word.
 
@@ -147,90 +147,6 @@ def _trace_from_arena(tsa, w, nodes, idx) -> RunTrace:
         idx = parent
     steps.reverse()
     return RunTrace(tsa, w, steps, nodes[0][0])
-
-
-def ref_shortest_accepted(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
-    """Find an accepting run over *some* word of length <= max_len.
-
-    Same BFS discipline as `accepts`, but reading transitions extend the
-    word instead of matching a fixed one.  Used for emptiness-style
-    questions (e.g. the rational-subset pipeline).
-    """
-    max_steps = opts.max_steps if opts.max_steps is not None else default_max_steps(tsa, max_len)
-    max_vertices = opts.max_vertices if opts.max_vertices is not None else default_max_vertices(max_len)
-
-    init = initial_configuration(tsa)
-
-    def key(cfg: Configuration, vfb: tuple, was_stat: bool):
-        parts = [cfg.state, cfg.pos, cfg.ts.key()]
-        if opts.k is not None:
-            parts.append(vfb)
-        if opts.proper_only:
-            parts.append(was_stat)
-        return tuple(parts)
-
-    def accepting(cfg):
-        if cfg.state not in tsa.finals:
-            return False
-        return opts.accept_mode == "any" or cfg.ts.pointer == ROOT
-
-    if accepting(init):
-        return RunTrace(tsa, "", [], init)
-
-    nodes: list[tuple[Configuration, tuple, int, int, bool, str]] = [(init, (), -1, -1, False, "")]
-    visited = {key(init, (), False)}
-    frontier = [0]
-    depth = 0
-    cut = False
-    by_src = _outgoing(tsa)
-    while frontier:
-        if depth >= max_steps:
-            cut = True
-            break
-        depth += 1
-        next_frontier = []
-        for node_idx in frontier:
-            cfg, cfg_vfb, _, _, was_stat, word = nodes[node_idx]
-            for tidx, t in by_src[cfg.state]:
-                if t.inp is not None and cfg.pos >= max_len:
-                    cut = True
-                    continue
-                if not pred_eval(cfg.ts, t.pred):
-                    continue
-                ts = _applied(cfg.ts, t.instr)
-                if ts is None:
-                    continue
-                stat = t.is_stationary_eps()
-                if opts.proper_only and was_stat and stat:
-                    continue
-                vfb = cfg_vfb
-                if t.instr.kind in ("push", "up"):
-                    vfb = _bump_vfb(vfb, ts.pointer)
-                    if opts.k is not None and dict(vfb)[ts.pointer] > opts.k:
-                        continue
-                if len(ts) > max_vertices:
-                    cut = True
-                    continue
-                nxt = Configuration(t.dst, ts, cfg.pos + (0 if t.inp is None else 1))
-                kk = key(nxt, vfb, stat)
-                if kk in visited:
-                    continue
-                visited.add(kk)
-                nw = word if t.inp is None else word + t.inp
-                nodes.append((nxt, vfb, node_idx, tidx, stat, nw))
-                me = len(nodes) - 1
-                if accepting(nxt):
-                    steps = []
-                    idx = me
-                    while idx > 0:
-                        c, _, parent, ti, _, _ = nodes[idx]
-                        steps.append((ti, c))
-                        idx = parent
-                    steps.reverse()
-                    return RunTrace(tsa, nw, steps, init)
-                next_frontier.append(me)
-        frontier = next_frontier
-    return NotFound("budget" if cut else "exhausted")
 
 
 def pda_step(pda: Pda, w: str, cfg: tuple, t: Transition) -> tuple | None:

@@ -8,11 +8,11 @@ their tree without end on eps steps, so every search over them needs a
 step and a vertex budget.
 
 A PDA has the same states, alphabet and transition counts, 1-2 stack
-symbols, and pushes (of a symbol or of nothing) and pops.  An FSA has 1-3
-states over {a, b} and no eps edges.  With `shaped`, some state names
-take the shapes of the names the constructions add (`q0^(u)`, `q0_dn`,
-`q0&r0`, and `r0&r1` in an FSA), so a construction that does not check
-its new names against the old ones merges states.
+symbols, and pushes (of a symbol or of nothing) and pops.  With
+`shaped`, some state names take the shapes of the names the
+constructions add (`q0^(u)`, `q0_dn`) or of a product state (`q0&r0`),
+so a construction that does not check its new names against the old
+ones merges states.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 
 from tsalab.convert import Pda
-from tsalab.langlab import Fsa
 from tsalab.treestack import ROOT_LABEL, Instruction, Predicate, pred_eq
 from tsalab.tsa import Transition, Tsa
 
@@ -86,10 +85,3 @@ def random_pdas(seed: int, count: int) -> list[Pda]:
     rng = random.Random(seed)
     return [random_pda(rng) for _ in range(count)]
 
-
-def random_fsa(rng: random.Random) -> Fsa:
-    states = ["r0", "r1", "r0&r1"][: rng.randint(1, 3)]
-    delta = {(rng.choice(states), rng.choice("ab"), rng.choice(states))
-             for _ in range(rng.randint(1, 5))}
-    finals = frozenset(rng.sample(states, rng.randint(1, len(states))))
-    return Fsa(tuple(states), ("a", "b"), tuple(sorted(delta)), states[0], finals)

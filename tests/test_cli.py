@@ -69,7 +69,8 @@ def test_run_trace_prints_the_block_then_the_table():
      "result=none"),
     (["rational", "--wp", "abcd", "--regex", "a", "--word", "a"], 3,
      "tsalab: only the t/T group alphabet is built in; supply a wp machine over t T"),
-], ids=["trace-exhausted", "trace-budget", "pump-none", "rational-not-wpz"])
+    (["rational", "--wp", "wpz", "--regex", "t+", "--word", "T"], 1, "verdict=no"),
+], ids=["trace-exhausted", "trace-budget", "pump-none", "rational-not-wpz", "rational-no"])
 def test_exit_code_and_outcome_line(capsys, argv, code, line):
     got, out = run_cli(*argv)
     assert got == code and line in (out + capsys.readouterr().err).splitlines()
@@ -417,7 +418,7 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["run", "abcd", "--word", "ab", "--max-vertices", "0"],  # the root alone is one vertex
     ["run", "abcd", "--word", "ab", "--k", "-1"],
     ["analyze", "upsets", "abcd", "--words-file", "{words}", "--show", "-1"],
-    ["rational", "--wp", "wpz", "--regex", "t+", "--word", "T", "--budget", "-1"],
+    ["rational", "--wp", "{up}", "--regex", "t+", "--word", "T"],  # a wp machine with an up row
     ["experiment", "gaps", "--family", "alpha:nan"],
     ["experiment", "gaps", "--family", "alpha:inf"],
     ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
@@ -436,6 +437,8 @@ def test_bad_input_exits_three(tmp_path, capsys, argv):
                              "trans: q t true push 1 - q\n"),
         "grammar": ("abcd.mcfg", EXAMPLE_ABCD),
         "words": ("words.txt", "abcd\n"),
+        "up": ("up.tsa", "tsa\nstates: q\ninitial: q\nfinal: q\nlabels: X\nalphabet: t T\n"
+                         "trans: q t true push 1 X q\ntrans: q T eq @ up 1 q\n"),
     }
     paths = {"missing": tmp_path / "missing"}
     for key, (name, text) in files.items():
@@ -684,14 +687,12 @@ def test_experiment_pumps():
 
 
 def test_rational_command():
-    code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "tt",
-                        "--budget", "8")
+    code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "tt")
     assert code == 0 and "verdict=yes" in out and "witness=ttTT" in out
-    code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "T",
-                        "--budget", "8")
-    assert code == 2 and "verdict=unknown" in out and "reason=budget" in out
+    code, out = run_cli("rational", "--wp", "wpz", "--regex", "t+", "--word", "T")
+    assert code == 1 and "verdict=no" in out.splitlines()
     code, out = run_cli("--porcelain", "rational", "--wp", "wpz", "--regex", "tT", "--word", "t")
-    assert code == 1 and "verdict=no\nreason=exhausted\n" in out
+    assert code == 1 and out.endswith("verdict=no\n")
 
 
 def test_suite_unknown_name():

@@ -10,14 +10,12 @@ transitions.
 `tsa1_to_pda` is left out: it treats a TSA's `down` as a pop, which
 changes the language of machines that push into a slot again."""
 
-import random
 from dataclasses import replace
 
 from conftest import words_upto
-from strategies import random_fsa, random_pdas, random_tsas
+from strategies import random_pdas, random_tsas
 
 from tsalab.convert import pda_accepts, pda_to_tsa1
-from tsalab.langlab import fsa_accepts, tsa_fsa_product
 from tsalab.treestack import ROOT_LABEL
 from tsalab.tsa import (
     SearchOptions,
@@ -71,20 +69,6 @@ def test_make_root_accepting_keeps_the_language_of_random_tsas():
         got = verdicts(root, SearchOptions(max_steps=22, max_vertices=4))
         accepted += compare(got, want)
     assert accepted > 2000 and primed > 200
-
-
-def test_tsa_fsa_product_is_the_intersection_on_random_machines():
-    rng = random.Random(3)
-    opts = SearchOptions(accept_mode="any", max_steps=10, max_vertices=4)
-    accepted = primed = 0
-    for tsa in random_tsas(3, 2000, shaped=True):
-        fsa = random_fsa(rng)
-        prod = tsa_fsa_product(tsa, fsa)
-        primed += any(q.endswith("'") for q in prod.states)
-        want = {w: (known and fsa_accepts(fsa, w)) if known is not None else None
-                for w, known in verdicts(tsa, opts).items()}
-        accepted += compare(verdicts(prod, opts), want)
-    assert accepted > 1000 and primed > 50
 
 
 def test_normalize_child_indices_keeps_the_language_of_random_tsas():

@@ -7,8 +7,8 @@ from conftest import Stopwatch, counting_wpz_oracle, words_upto
 from reference_f2f2 import all_tuples, ref_f2f2_experiment, ref_tokenize, ref_wp_f2xf2, t_word_tokens
 
 from tsalab.convert import fixture_wpz_tsa
-from tsalab.fixtures import abcd_tsa
 from tsalab.langlab import (
+    AlphabetMismatch,
     F2F2_ALPHABET,
     F2F2_PSI,
     GroupAlphabet,
@@ -26,21 +26,16 @@ from tsalab.langlab import (
     rational_membership,
     regex_to_fsa,
     tokenize,
-    tsa_fsa_product,
     unary_lengths,
     wp_f2xf2,
 )
 from tsalab.treestack import InputError
 from tsalab.tsa import (
     ParseError,
-    SearchOptions,
     UnknownState,
     accepts,
-    enumerate_words,
     parse_tsa,
 )
-
-ANY_MODE = SearchOptions(accept_mode="any")
 
 
 # -- gap checks ---------------------------------------------------------------
@@ -325,7 +320,7 @@ def test_fsa_parse_errors_carry_line_numbers(text, error, line):
 def test_eps_free_preserves_language():
     f = regex_to_fsa("(ab)*c|d+")
     g = eps_free(f)
-    assert not g.has_eps()
+    assert all(sym is not None for _, sym, _ in g.delta)
     for n in range(5):
         for tup in itertools.product("abcd", repeat=n):
             assert fsa_accepts(f, tup) == fsa_accepts(g, tup)
@@ -338,71 +333,6 @@ def test_f2f2_T_membership():
     # m = n = 2 uniform word is in T
     w = ("ca" * 2 + "db" * 2) * 2 + "b'" * 2 + ("d'a'" * 2 + "c'b'" * 2) * 1 + "d'a'" * 2 + "c'" * 2
     assert fsa_accepts(T, tokenize(w))
-
-
-# -- products --------------------------------------------------------------------
-
-def test_product_with_block_regex():
-    tsa = abcd_tsa()
-    f = eps_free(regex_to_fsa("a*b*c*d*", tsa.alphabet))
-    prod = tsa_fsa_product(tsa, f)
-    assert (enumerate_words(prod, 8, SearchOptions(k=2))
-            == enumerate_words(tsa, 8, SearchOptions(k=2)))
-
-
-def test_product_with_aplus_is_empty():
-    tsa = abcd_tsa()
-    f = eps_free(regex_to_fsa("a+", tsa.alphabet))
-    prod = tsa_fsa_product(tsa, f)
-    assert enumerate_words(prod, 8, SearchOptions(k=2)) == set()
-
-
-def test_product_with_universal_fsa_is_identity():
-    tsa = abcd_tsa()
-    univ = parse_fsa("fsa\nstates: u\ninitial: u\nfinal: u\nalphabet: a b c d\n"
-                     "trans: u a u\ntrans: u b u\ntrans: u c u\ntrans: u d u\n")
-    prod = tsa_fsa_product(tsa, univ)
-    assert (enumerate_words(prod, 8, SearchOptions(k=2))
-            == enumerate_words(tsa, 8, SearchOptions(k=2)))
-
-
-def test_product_requires_eps_free():
-    tsa = abcd_tsa()
-    with pytest.raises(InputError):
-        tsa_fsa_product(tsa, regex_to_fsa("a*b*c*d*", tsa.alphabet))
-
-
-def test_product_soundness_both_components():
-    tsa = abcd_tsa()
-    f = eps_free(regex_to_fsa("(abcd)|(ab)", tsa.alphabet))
-    prod = tsa_fsa_product(tsa, f)
-    for w in words_upto("abcd", 6):
-        both = bool(accepts(tsa, w, SearchOptions(k=2))) and fsa_accepts(f, w)
-        assert bool(accepts(prod, w, SearchOptions(k=2))) == both, w
-
-
-def test_product_primes_a_pair_name_already_made():
-    # (a&b, c) and (a, b&c) are both `a&b&c`: unprimed, the product merges
-    # the final pair with the initial one and accepts the empty word
-    tsa = parse_tsa("tsa\nstates: a a&b\ninitial: a\nfinal: a&b\nlabels: X\n"
-                    "alphabet: x y\ntrans: a x true id a&b\n")
-    fsa = parse_fsa("fsa\nstates: b&c c\ninitial: b&c\nfinal: c\nalphabet: x y\n"
-                    "trans: b&c x c\ntrans: c y c\n")
-    prod = tsa_fsa_product(tsa, fsa)
-    for w in words_upto("xy", 4):
-        both = bool(accepts(tsa, w, ANY_MODE)) and fsa_accepts(fsa, w)
-        assert bool(accepts(prod, w, ANY_MODE)) == both, w
-    assert prod.states == ("a&b&c", "a&c", "a&b&b&c", "a&b&c'")
-
-
-def test_product_preserves_k_restriction():
-    from tsalab.tsa import visited_from_below_counts
-
-    tsa = abcd_tsa()
-    f = eps_free(regex_to_fsa("a*b*c*d*", tsa.alphabet))
-    prod = tsa_fsa_product(tsa, f)
-    res = accepts(prod, "aabbccdd", SearchOptions(k=2))
-    assert res and max(visited_from_below_counts(res).values()) == 2
 
 
 # -- B_w ---------------------------------------------------------------------------
@@ -454,39 +384,35 @@ def wpz_tsa():
 
 def test_rational_yes_tt(wpz_tsa):
     B = regex_to_fsa("t+", ("t", "T"))
-    ans = rational_membership(wpz_tsa, B, "tt", WPZ_ALPHABET, max_len=8)
+    ans = rational_membership(wpz_tsa, B, "tt", WPZ_ALPHABET)
     assert ans.verdict == "yes"
     assert ans.witness == "ttTT"
-    # the witness replays on the product machine by construction
-    assert ans.trace is not None and ans.trace.word == "ttTT"
+    # the witness is the machine's own run, re-executed by replay
+    assert ans.trace is not None and ans.trace.word == "ttTT" and ans.trace.tsa is wpz_tsa
 
 
-def test_rational_unknown_T(wpz_tsa):
+def test_rational_no_T(wpz_tsa):
     B = regex_to_fsa("t+", ("t", "T"))
-    ans = rational_membership(wpz_tsa, B, "T", WPZ_ALPHABET, max_len=8)
-    assert ans.verdict == "unknown"
-    assert ans.reason == "budget"
+    ans = rational_membership(wpz_tsa, B, "T", WPZ_ALPHABET)
+    assert (ans.verdict, ans.witness, ans.trace) == ("no", None, None)
 
 
 def test_rational_no_when_the_search_is_exhausted(wpz_tsa):
-    # tT is the identity and t is not, so no word of the product exists,
-    # and the search sees every configuration it can reach
+    # tT is the identity and t is not, so the machine accepts no word of
+    # B . t^-1, and the summaries saturate without a goal
     B = regex_to_fsa("tT", ("t", "T"))
     ans = rational_membership(wpz_tsa, B, "t", WPZ_ALPHABET)
-    assert (ans.verdict, ans.reason, ans.witness) == ("no", "exhausted", None)
+    assert (ans.verdict, ans.witness, ans.trace) == ("no", None, None)
 
 
 def test_rational_universal(wpz_tsa):
     B = regex_to_fsa("(t|T)*", ("t", "T"))
     for w in ["tt", "tT", "T"]:
-        ans = rational_membership(wpz_tsa, B, w, WPZ_ALPHABET, max_len=10)
+        ans = rational_membership(wpz_tsa, B, w, WPZ_ALPHABET)
         assert ans.verdict == "yes"
-        # the defining witness w . w^{-1} is itself accepted by the product
-        from tsalab.langlab import build_Bw as _b
-        prod_ok = accepts(
-            tsa_fsa_product(wpz_tsa, eps_free(_b(B, w, WPZ_ALPHABET))),
-            w + "".join(WPZ_ALPHABET.inverse_word(w)))
-        assert prod_ok
+        # the defining witness w . w^{-1} is a word of B . w^-1 that the machine accepts
+        ww = w + "".join(WPZ_ALPHABET.inverse_word(w))
+        assert fsa_accepts(build_Bw(B, w, WPZ_ALPHABET), ww) and accepts(wpz_tsa, ww)
 
 
 def test_rational_membership_of_a_two_final_fsa(wpz_tsa):
@@ -497,10 +423,26 @@ def test_rational_membership_of_a_two_final_fsa(wpz_tsa):
                     "trans: s0 t f\ntrans: s0 t s1\ntrans: s1 t f\n")
     verdicts = {}
     for w in ["", "t", "tt", "ttt", "T", "tT"]:
-        a, b = (rational_membership(wpz_tsa, B, w, WPZ_ALPHABET, max_len=8) for B in (two, one))
-        assert (a.verdict, a.reason, a.witness) == (b.verdict, b.reason, b.witness), w
+        a, b = (rational_membership(wpz_tsa, B, w, WPZ_ALPHABET) for B in (two, one))
+        assert (a.verdict, a.witness) == (b.verdict, b.witness), w
         verdicts[w] = a.verdict
     assert verdicts == {"": "no", "t": "yes", "tt": "yes", "ttt": "no", "T": "no", "tT": "no"}
+
+
+def test_rational_membership_refuses_an_fsa_over_another_alphabet(wpz_tsa):
+    with pytest.raises(AlphabetMismatch):
+        rational_membership(wpz_tsa, regex_to_fsa("t+", ("t", "T", "a")), "t", WPZ_ALPHABET)
+
+
+# a machine over t and T with an up row: its runs are not context-free
+UP_TSA = ("tsa\nstates: q\ninitial: q\nfinal: q\nlabels: X\nalphabet: t T\n"
+          "trans: q t true push 1 X q\ntrans: q T eq @ up 1 q\n")
+
+
+def test_rational_membership_refuses_a_machine_with_up():
+    with pytest.raises(InputError, match="no up row"):
+        rational_membership(parse_tsa(UP_TSA), regex_to_fsa("t+", ("t", "T")), "t",
+                            WPZ_ALPHABET)
 
 
 # -- erasing homomorphism and the experiment -------------------------------------------

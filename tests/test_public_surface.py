@@ -13,7 +13,6 @@ INIT = ROOT / "src" / "tsalab" / "__init__.py"
 KEEP = {
     "check_U_switchable": "the switchability checks of ROADMAP item 7",
     "f2f2_T": "the grammar reductions of ROADMAP item 9",
-    "fsa_accepts": "the judge of ROADMAP item 9's grammar-automaton products",
     "parse_fsa": "the FSA file format the README documents",
     "substitution_bound": "the Substitution Lemma's constants: criterion 11, ROADMAP item 5",
 }

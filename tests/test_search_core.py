@@ -1,6 +1,6 @@
 """Differential tests: the hash-consed search core, behind `accepts`,
-`shortest_accepted`, `pda_accepts` and `enumerate_words`, against the
-plain reference searches in reference_search.py.
+`pda_accepts` and `enumerate_words`, against the plain reference searches
+in reference_search.py.
 
 Both must return the same result for every query: the same witness,
 configuration by configuration, or the same NotFound reason; for an
@@ -14,12 +14,14 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import Stopwatch, abcd_word, counting_wpz_oracle, words_upto
 
+import tsalab.langlab as langlab_mod
 import tsalab.tsa as tsa_mod
 from tsalab.convert import (
     fixture_ks_tsa,
@@ -31,12 +33,13 @@ from tsalab.convert import (
     tsa1_to_pda,
 )
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
-from tsalab.langlab import eps_free, parse_fsa, regex_to_fsa, tsa_fsa_product
+from tsalab.langlab import WPZ_ALPHABET, eps_free, parse_fsa, rational_membership, regex_to_fsa
 from tsalab.analysis import collect_upsets, history_array, single_swap
 from tsalab.tsa import (
     BudgetExceeded,
     ReplayMismatch,
     SearchOptions,
+    Tsa,
     accepts,
     accepts_each,
     default_max_vertices,
@@ -44,7 +47,6 @@ from tsalab.tsa import (
     parse_tsa,
     render_tsa,
     replay,
-    shortest_accepted,
 )
 
 from reference_search import (
@@ -52,7 +54,6 @@ from reference_search import (
     ref_collect_upsets,
     ref_enumerate_words,
     ref_pda_accepts,
-    ref_shortest_accepted,
 )
 from strategies import random_pdas, random_tsas
 
@@ -192,25 +193,32 @@ def test_deep_members_match_reference(k):
     assert diff_accepts(anbmcndm_tsa(), words, opts) >= {"RunTrace", "exhausted"}
 
 
-@pytest.mark.parametrize("opt_name", list(OPTIONS))
-def test_shortest_accepted_matches_reference(opt_name):
-    opts = OPTIONS[opt_name]
-    for make in MACHINES.values():
-        tsa = make()
-        for max_len in range(7):
-            got = shortest_accepted(tsa, max_len, opts)
-            want = ref_shortest_accepted(tsa, max_len, opts)
-            assert outcome(got) == outcome(want), (tsa.initial, max_len)
-
-
 UNIVERSAL_FSA = ("fsa\nstates: u\ninitial: u\nfinal: u\nalphabet: a b c d\n"
                  "trans: u a u\ntrans: u b u\ntrans: u c u\ntrans: u d u\n")
 
-# abcd intersected with regular languages, as in test_langlab.py
+
+def product(tsa, fsa):
+    """The TSA whose runs are the runs of `tsa` with the eps-free `fsa`
+    tracking the letters they read: state (q, f) is named `q&f`, and
+    each transition keeps its name, so that a witness reads as the
+    machine's."""
+    pair = {(q, f): f"{q}&{f}" for q in tsa.states for f in fsa.states}
+    delta = []
+    for t in tsa.delta:
+        moves = ([(f, f) for f in fsa.states] if t.inp is None
+                 else [(src, dst) for src, x, dst in fsa.delta if x == t.inp])
+        delta += [replace(t, src=pair[t.src, src], dst=pair[t.dst, dst]) for src, dst in moves]
+    finals = frozenset(pair[q, f] for q in tsa.finals for f in fsa.finals)
+    return Tsa(tuple(pair.values()), tsa.labels, tsa.alphabet, pair[tsa.initial, fsa.initial],
+               tuple(delta), finals)
+
+
+# abcd intersected with regular languages: the walk over machines whose
+# reading rows fan out over several FSA states
 PRODUCTS = {
-    "abcd-blocks": lambda: tsa_fsa_product(abcd_tsa(), eps_free(regex_to_fsa("a*b*c*d*", "abcd"))),
-    "abcd-a-plus": lambda: tsa_fsa_product(abcd_tsa(), eps_free(regex_to_fsa("a+", "abcd"))),
-    "abcd-universal": lambda: tsa_fsa_product(abcd_tsa(), parse_fsa(UNIVERSAL_FSA)),
+    "abcd-blocks": lambda: product(abcd_tsa(), eps_free(regex_to_fsa("a*b*c*d*", "abcd"))),
+    "abcd-a-plus": lambda: product(abcd_tsa(), eps_free(regex_to_fsa("a+", "abcd"))),
+    "abcd-universal": lambda: product(abcd_tsa(), parse_fsa(UNIVERSAL_FSA)),
 }
 
 # budgets small enough to cut some of the searches off
@@ -417,12 +425,10 @@ def test_memo_keeps_configurations_apart_that_differ_below_the_pointer(name):
     assert enumerate_words(tsa, 0, opts) == {""}
 
 
-# The length bound of `shortest_accepted` cuts the search off (`budget`) at
-# a node whose state has any reading transition, before that transition's
-# predicate is tested: here q1's only reading transition tests eq B under a
-# pointer labelled A.  A search that tested the predicate first would
-# answer `exhausted`.
-LENGTH_BOUND_TSA = """tsa
+# q1's only reading transition tests eq B under a pointer labelled A, so
+# it never fires: q1 is dead at the end of the word, and its look-ahead
+# bound rides on q0's eps push.
+DEAD_READER_TSA = """tsa
 states: q0 q1 qf
 initial: q0
 final: qf
@@ -433,13 +439,12 @@ trans: q1 a eq B id qf
 """
 
 
-def test_length_bound_cut_comes_before_the_predicate():
-    tsa = parse_tsa(LENGTH_BOUND_TSA)
+def test_a_reading_row_whose_predicate_fails_exhausts():
+    tsa = parse_tsa(DEAD_READER_TSA)
+    table = tsa_mod.search_rows(tsa)
+    assert table.ahead("q1", table.END) == (1, 0)  # dead at the end: its one row reads
+    assert [row[-1] for row in table["q0", "@", table.END]] == [(1, 0)]
     for opts in (SearchOptions(), SearchOptions(accept_mode="any"), SearchOptions(k=1)):
-        got = shortest_accepted(tsa, 0, opts)
-        assert outcome(got) == ("NotFound", "budget")
-        assert outcome(got) == outcome(ref_shortest_accepted(tsa, 0, opts))
-        # a fixed word has no length bound to meet
         assert outcome(accepts(tsa, "", opts)) == ("NotFound", "exhausted")
         assert outcome(ref_accepts(tsa, "", opts)) == ("NotFound", "exhausted")
 
@@ -473,17 +478,15 @@ def test_witness_follows_delta_order_among_equal_runs():
         tsa = delta_order_tsa(q_rows)
         first = next(row[-1] for row in q_rows if not row.endswith("0"))
         on_a = ref_accepts(tsa, "a", opts)
-        for got, want in ((accepts(tsa, "a", opts), on_a),
-                          (accepts_each(tsa, ["a"], opts)["a"], on_a),
-                          (shortest_accepted(tsa, 1, opts), ref_shortest_accepted(tsa, 1, opts))):
-            assert outcome(got) == outcome(want)
+        for got in (accepts(tsa, "a", opts), accepts_each(tsa, ["a"], opts)["a"]):
+            assert outcome(got) == outcome(on_a)
             assert [name[-1] for name in got.names()] == [first, first]
 
 
 # Random machines against the references, query by query.  Both sides have
 # the same budgets, so every answer is compared, budget cuts included.
 
-def test_accepts_and_shortest_accepted_match_reference_on_random_machines():
+def test_accepts_matches_reference_on_random_machines():
     words = list(words_upto("ab", 3))
     kinds = set()
     for tsa in random_tsas(15, 1000):
@@ -492,13 +495,7 @@ def test_accepts_and_shortest_accepted_match_reference_on_random_machines():
                 got = accepts(tsa, w, opts)
                 assert outcome(got) == outcome(ref_accepts(tsa, w, opts)), (w, opt_name, render_tsa(tsa))
                 kinds.add(outcome(got)[0] if got else got.reason)
-            for max_len in range(4):
-                got = shortest_accepted(tsa, max_len, opts)
-                want = ref_shortest_accepted(tsa, max_len, opts)
-                assert outcome(got) == outcome(want), (max_len, opt_name, render_tsa(tsa))
-                kinds.add(("shortest", outcome(got)[0] if got else got.reason))
-    assert kinds == {"RunTrace", "exhausted", "budget",
-                     ("shortest", "RunTrace"), ("shortest", "exhausted"), ("shortest", "budget")}
+    assert kinds == {"RunTrace", "exhausted", "budget"}
 
 
 def test_pda_accepts_matches_reference_on_random_machines():
@@ -561,7 +558,7 @@ def test_summaries_answer_every_short_wpz_word(monkeypatch):
     assert len(got) == 2047 and calls[0] == 0
     assert {w for w, res in got.items() if res} == {w for w in got if counting_wpz_oracle(w)}
     for w in words_upto("tT", 8):  # the BFS's own witnesses and reasons
-        assert outcome(got[w]) == outcome(tsa_mod._tsa_search(wpz, w, len(w), SearchOptions())), w
+        assert outcome(got[w]) == outcome(tsa_mod._tsa_search(wpz, w, SearchOptions())), w
 
 
 ID_LOOP_TSA = """tsa
@@ -596,7 +593,7 @@ def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, 
     # its configurations, so the BFS may exhaust and gives the answer; a push
     # loop grows the tree without end, so the summaries answer `budget`
     for budgets in (opts, SearchOptions()):
-        got = tsa_mod._summaries(tsa, rows, word, budgets)
+        got = tsa_mod._word_summaries(tsa, rows, word, budgets)
         assert (got if got is None else got.reason) == summary
     calls = counted_searches(monkeypatch)
     assert outcome(accepts(tsa, word, opts)) == outcome(ref_accepts(tsa, word, opts)) \
@@ -633,7 +630,7 @@ def test_a_cycle_of_openings_answers_budget_without_the_bfs(monkeypatch):
     for mode in ("root", "any"):  # budgets tight enough for the BFS and the reference
         opts = SearchOptions(accept_mode=mode, max_steps=6, max_vertices=3)
         assert outcome(accepts(tsa, "aaab", opts)) == outcome(ref_accepts(tsa, "aaab", opts)) \
-            == outcome(tsa_mod._tsa_search(tsa, "aaab", 4, opts)) == ("NotFound", "budget")
+            == outcome(tsa_mod._tsa_search(tsa, "aaab", opts)) == ("NotFound", "budget")
 
 
 # Two pushes enter (e, B, 0), where a run accepts in any mode: delta index 4,
@@ -661,7 +658,7 @@ def test_a_push_found_late_joins_an_accepting_exit(monkeypatch, mode, witness):
     got = accepts(tsa, "", opts)
     assert calls[0] == 0
     assert (got.transition_indices() if got else None) == witness
-    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "", 0, opts)) \
+    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "", opts)) \
         == outcome(ref_accepts(tsa, "", opts))
 
 
@@ -692,7 +689,7 @@ def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
     got = accepts(tsa, "a", opts)
     assert calls[0] == 0
     assert got.names() == ["t2", "t1"]
-    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "a", 1, opts))
+    assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "a", opts))
 
 
 # The walk re-executes each arena node once and shares its configuration
@@ -750,7 +747,7 @@ def test_tampered_shared_step_raises_where_replay_does():
     tsa = fixture_wpz_tsa()
     opts = SearchOptions()
     walk = tsa_mod._Walk(tsa, opts, 6)
-    tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, 6, opts, walk)
+    tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, opts, walk)
     runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its steps
     on = {}  # arena node id -> the words whose witness steps through it
     for w, run in runs.items():
@@ -799,7 +796,7 @@ def test_searches_with_any_options_share_one_dispatch_table():
 # the tests ask the BFS behind it too.
 
 def bfs_accepts(tsa, w, opts):
-    return tsa_mod._tsa_search(tsa, w, len(w), opts)
+    return tsa_mod._tsa_search(tsa, w, opts)
 
 
 def dead_region_tsa(region):
@@ -899,18 +896,9 @@ def test_look_ahead_table_on_the_fixtures():
         assert set(wpz.states) - table.live(letter) == {"qf"}
         assert table.ahead("qf", letter) == (1, 0)
     assert table.live(table.END) == set(wpz.states)
-    # a free search's rows carry no bound
+    # the walk's rows carry no bound
     assert all(row[-1] is None for q in wpz.states for lab in ("@", "t")
                for row in table[q, lab, table.ANY_LETTER])
-
-
-def test_shortest_accepted_does_not_prune_at_its_length_bound():
-    tsa = parse_tsa(LENGTH_BOUND_TSA)
-    table = tsa_mod.search_rows(tsa)
-    assert table.ahead("q1", table.END) == (1, 0)  # dead at the end: its one row reads
-    assert [row[-1] for row in table["q0", "@", table.END]] == [(1, 0)]
-    got = shortest_accepted(tsa, 0)
-    assert outcome(got) == outcome(ref_shortest_accepted(tsa, 0)) == ("NotFound", "budget")
 
 
 def late_dead_tsa(detour):
@@ -949,8 +937,8 @@ class CountingRows:
 
     def __init__(self, table):
         self.table, self.lookups = table, 0
-        self.readers, self.END, self.ANY_LETTER = table.readers, table.END, table.ANY_LETTER
-        self.degree = table.degree
+        self.END, self.ANY_LETTER = table.END, table.ANY_LETTER
+        self.degree, self.up_free = table.degree, table.up_free
 
     def __getitem__(self, key):
         self.lookups += 1
@@ -959,7 +947,7 @@ class CountingRows:
 
 def expanded(tsa, w, look_ahead):
     rows = CountingRows(tsa_mod.search_rows(tsa))
-    found = tsa_mod._search(tsa, rows, w, len(w), SearchOptions(), look_ahead=look_ahead)
+    found = tsa_mod._search(tsa, rows, w, SearchOptions(), look_ahead=look_ahead)
     assert not isinstance(found, tsa_mod.NotFound)
     return rows.lookups
 
@@ -982,9 +970,33 @@ def test_summary_facts_grow_linearly_on_wpz():
     facts = {}
     for n in (50, 100):
         rows = CountingRows(tsa_mod.search_rows(wpz))
-        assert tsa_mod._summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
+        assert tsa_mod._word_summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
         facts[n] = rows.lookups
     assert facts[100] < 2.2 * facts[50], facts
+
+
+def test_summaries_look_up_each_local_fact_once_on_an_fsa(monkeypatch):
+    # B . w^-1 for (tt|TT)* and w = t has positions that read both t and T;
+    # they take every row in one ANY_LETTER lookup, so the eps rows run
+    # once per local fact and not once per letter.  The answer is no, so
+    # the facts saturate and every local fact offered is popped once.
+    wpz = fixture_wpz_tsa()
+    rows = CountingRows(tsa_mod.search_rows(wpz))
+    seen = {}
+
+    def recording(tsa, table, at, opts):
+        seen["at"], seen["out"] = at, tsa_mod._summaries(tsa, table, at, opts)
+        return seen["out"]
+
+    monkeypatch.setattr(langlab_mod, "search_rows", lambda machine: rows)
+    monkeypatch.setattr(langlab_mod, "_summaries", recording)
+    ans = rational_membership(wpz, regex_to_fsa("(tt|TT)*", "tT"), "t", WPZ_ALPHABET)
+    assert ans.verdict == "no"
+    assert any(moves.keys() == {None, "t", "T"} for _, moves, _ in seen["at"])
+    _, derived, entries = seen["out"]
+    facts = {concl for concl, *_ in derived if type(concl) is tuple and len(concl) == 5}
+    facts |= {(e, q, lab, 0, j) for (q, lab, j), e in entries.items()}
+    assert rows.lookups == len(facts)
 
 
 # Memory gates.  A search holds each configuration as a focus and a context
@@ -1008,7 +1020,7 @@ def test_abcd_search_memory_grows_linearly():
     peak = {}
     for m in (200, 400):
         w = abcd_word(m)
-        peak[m] = traced_peak(lambda: tsa_mod._search(tsa, rows, w, len(w), opts))
+        peak[m] = traced_peak(lambda: tsa_mod._search(tsa, rows, w, opts))
     assert peak[400] < 3 * peak[200], peak
 
 

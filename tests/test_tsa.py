@@ -47,7 +47,6 @@ from tsalab.tsa import (
     render_tsa,
     replay,
     replay_trace,
-    shortest_accepted,
     standardise,
     step,
     visited_from_below_counts,
@@ -788,14 +787,6 @@ def test_make_root_accepting_no_finals():
     tsa = Tsa(("q0",), ("x",), ("a",), "q0", (), frozenset())
     out = make_root_accepting(tsa)
     assert not accepts(out, "", SearchOptions(accept_mode="root"))
-
-
-def test_shortest_accepted():
-    res = shortest_accepted(abcd_tsa(), 8, K2)
-    assert res and res.word == ""
-    tsa = astar_tsa()
-    res = shortest_accepted(tsa, 3, SearchOptions(accept_mode="any"))
-    assert res and res.word == ""
 
 
 def test_two_branch_machine_matches_grammar():
