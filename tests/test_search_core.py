@@ -692,6 +692,70 @@ def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
     assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "a", opts))
 
 
+# Summaries over the prefix trie.  On a TSA with no `up` row,
+# `enumerate_words` without proper_only answers from `tsa._trie_words`
+# where no budget can cut the walk, and runs the walk where one might.
+
+TRIE_OPTIONS = [SearchOptions(k=k, accept_mode=mode, **budgets)
+                for mode in ("root", "any") for k in (None, 0, 1)
+                for budgets in ({}, {"max_steps": 6, "max_vertices": 3})]
+
+
+def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machines(monkeypatch):
+    # the machines of `test_summaries_match_reference_on_random_up_free_machines`:
+    # under the default budgets the walk on a machine that pushes on eps
+    # steps without end explores trees of up to 80 vertices for seconds a
+    # call, and none of these 63 does
+    machines = [tsa for tsa in random_tsas(2, 200) if tsa_mod.search_rows(tsa).up_free]
+    trie_words = tsa_mod._trie_words
+    answered = []
+
+    def recording(*args):
+        runs = trie_words(*args)
+        answered.append(runs is not None)
+        return runs
+
+    cases = Counter()  # (answered from the trie, words found, budget words listed) -> cases
+    for tsa in machines:
+        for opts in TRIE_OPTIONS:
+            answered.clear()
+            monkeypatch.setattr(tsa_mod, "_trie_words", recording)
+            got = enumeration(enumerate_words, tsa, 4, opts)
+            monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+            walk = enumeration(enumerate_words, tsa, 4, opts)
+            monkeypatch.undo()
+            assert got == walk == enumeration(ref_enumerate_words, tsa, 4, opts), \
+                (opts, render_tsa(tsa))
+            assert len(answered) == 1
+            cases[answered[0], bool(got[0]), got[1] is not None] += 1
+    from_trie = sum(n for (trie, _, _), n in cases.items() if trie)
+    assert from_trie > 0.9 * sum(cases.values()), cases
+    assert cases[True, True, False] and cases[True, False, False] and cases[False, True, True]
+    assert not any(budget for (trie, _, budget) in cases if trie)  # the trie never lists one
+
+
+# "" is accepted at once and "a" is not.  The search of "a" also meets the
+# eps pushes at "", whose tree of 4 vertices is over a budget of 3, so "a"
+# is a budget word, although no run prefix at node "a" pushes.
+SHORT_NODE_TSA = """tsa
+states: q p1 p2 p3 s
+initial: q
+final: q
+labels: A
+alphabet: a
+trans: q eps true push 1 A p1
+trans: p1 eps true push 1 A p2
+trans: p2 eps true push 1 A p3
+trans: q a true id s
+"""
+
+
+def test_trie_bound_of_a_length_counts_the_shorter_nodes():
+    tsa, opts = parse_tsa(SHORT_NODE_TSA), SearchOptions(max_vertices=3)
+    got = enumeration(enumerate_words, tsa, 1, opts)
+    assert got == ({""}, ["a"]) == enumeration(ref_enumerate_words, tsa, 1, opts)
+
+
 # The walk re-executes each arena node once and shares its configuration
 # among the witnesses through it; each witness must still be the run that
 # `replay` makes of its word and transition indices.
@@ -712,6 +776,15 @@ def walk_witnesses(monkeypatch, call):
     return made
 
 
+def walk_enumeration(tsa, max_len, opts=SearchOptions()):
+    """`_search` in walk mode over every word up to max_len, as
+    `enumerate_words` runs it where the trie of summaries cannot answer,
+    and the witnesses it re-executes."""
+    walk = tsa_mod._Walk(tsa, opts, max_len)
+    tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, opts, walk)
+    return walk.witnesses(tsa)
+
+
 def assert_replays(tsa, traces):
     for w, trace in traces.items():
         assert outcome(trace) == outcome(replay(tsa, w, trace.transition_indices())), w
@@ -719,7 +792,7 @@ def assert_replays(tsa, traces):
 
 def test_shared_witnesses_equal_replay_on_wpz(monkeypatch):
     tsa = fixture_wpz_tsa()
-    made = walk_witnesses(monkeypatch, lambda: enumerate_words(tsa, 8))
+    made = walk_witnesses(monkeypatch, lambda: walk_enumeration(tsa, 8))
     assert len(made) == 99
     assert_replays(tsa, made)
     steps = [cfg for trace in made.values() for _, cfg in trace.steps]
@@ -734,7 +807,7 @@ def test_shared_witnesses_equal_replay_on_random_machines(monkeypatch):
     accepted = 0
     for tsa in random_tsas(17, 300):
         for opts in RANDOM_OPTIONS.values():
-            made = walk_witnesses(monkeypatch, lambda: enumeration(enumerate_words, tsa, 4, opts))
+            made = walk_witnesses(monkeypatch, lambda: walk_enumeration(tsa, 4, opts))
             assert_replays(tsa, made)
             each = {w: t for w, t in accepts_each(tsa, words[::-1], opts).items() if t}
             assert_replays(tsa, each)
@@ -973,6 +1046,20 @@ def test_summary_facts_grow_linearly_on_wpz():
         assert tsa_mod._word_summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
         facts[n] = rows.lookups
     assert facts[100] < 2.2 * facts[50], facts
+
+
+def test_trie_enumeration_grows_with_the_trie_on_wpz(monkeypatch):
+    # one dispatch lookup per local fact: 2,047 and 8,205 at max_len 8 and
+    # 10, 4.0x for the 4x words, where the walk's nodes grow 7.1x from
+    # max_len 6 to 8.  A fallback to the walk fails the ratio too
+    wpz = fixture_wpz_tsa()
+    lookups = {}
+    for n in (8, 10):
+        rows = CountingRows(tsa_mod.search_rows(wpz))
+        monkeypatch.setattr(tsa_mod, "search_rows", lambda machine: rows)
+        assert len(enumerate_words(wpz, n)) == sum(counting_wpz_oracle(w) for w in words_upto("tT", n))
+        lookups[n] = rows.lookups
+    assert lookups[10] <= 4.4 * lookups[8], lookups
 
 
 def test_summaries_look_up_each_local_fact_once_on_an_fsa(monkeypatch):
