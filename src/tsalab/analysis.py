@@ -185,21 +185,24 @@ class HistoryArray:
         return "(" + " ".join(self.labels) + " | " + " ".join(self.states) + ")"
 
 
-def _history_from_pairs(configs: Sequence[Configuration], nu: Address,
-                        pairs: Sequence[tuple[int, int]]) -> HistoryArray:
-    labels = []  # (c1u, c1d, ..., csu, csd)
+def _history_from_pairs(configs: Sequence[Configuration], pairs: Sequence[tuple[int, int]]
+                        ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (labels, states) of a vertex's history array from its up-down
+    pairs: (c1u, c1d, ..., csu, csd) and the states beside them.  The
+    pointer sits at the vertex at both indices of each pair, so every label
+    is the focus label."""
+    labels = []
     states = []
     for l, m in pairs:
-        labels.append(configs[l].ts.label_at(nu))
-        labels.append(configs[m].ts.label_at(nu))
-        states.append(configs[l].state)
-        states.append(configs[m].state)
-    return HistoryArray(tuple(labels), tuple(states))
+        up, down = configs[l], configs[m]
+        labels += (up.ts.pointer_label, down.ts.pointer_label)
+        states += (up.state, down.state)
+    return tuple(labels), tuple(states)
 
 
 def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
     udv = up_down_vector(trace, nu)
-    return _history_from_pairs(trace.configurations(), nu, udv.pairs)
+    return HistoryArray(*_history_from_pairs(trace.configurations(), udv.pairs))
 
 
 @dataclass
@@ -224,8 +227,8 @@ def single_swap(trace_w: RunTrace, nu: Address,
         raise InputError("runs must come from the same automaton")
     v1 = up_down_vector(trace_w, nu).pairs
     v2 = up_down_vector(trace_w2, nu2).pairs
-    h1 = _history_from_pairs(trace_w.configurations(), nu, v1)
-    h2 = _history_from_pairs(trace_w2.configurations(), nu2, v2)
+    h1 = HistoryArray(*_history_from_pairs(trace_w.configurations(), v1))
+    h2 = HistoryArray(*_history_from_pairs(trace_w2.configurations(), v2))
     if h1 != h2:
         raise HistoryMismatch(f"history arrays differ: {h1} != {h2}")
     f1 = _factorise(trace_w.word, _positions(trace_w), v1)
@@ -284,11 +287,16 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
     to `budget_failures` or `rejected` by the reason its search stopped.
     The runs come from one walk over the prefixes of the words
     (`accepts_each`), each word under the budgets of its own length, and
-    are the runs `accepts` gives."""
+    are the runs `accepts` gives.  A vertex is filed under its plain
+    (labels, states) pair, with its u-tuple sliced from the positions of
+    its up-down pairs; one `HistoryArray` per distinct pair is made when
+    `entries` and `provenance` are filled, in the order `insert` would
+    have filled them."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     words = list(dict.fromkeys(words))
     runs = accepts_each(tsa, words, opts)
+    filed: dict[tuple, list[tuple[str, Address]]] = {}  # ((labels, states), u-tuple) -> provenance
     for w in words:
         res = runs[w]
         if not res:
@@ -297,10 +305,17 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
         out.traces[w] = res
         assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
-        pos = [c.pos for c in configs]
         for nu, pairs in sorted(_crossings(res).items()):
-            h = _history_from_pairs(configs, nu, pairs)
-            out.insert(h, _factorise(w, pos, pairs).u_tuple(), w, nu)
+            us = tuple([w[configs[l].pos:configs[m].pos] for l, m in pairs])
+            filed.setdefault((_history_from_pairs(configs, pairs), us), []).append((w, nu))
+    arrays: dict[tuple, HistoryArray] = {}
+    for (key, us), where in filed.items():
+        h = arrays.get(key)
+        if h is None:
+            h = arrays[key] = HistoryArray(*key)
+            out.entries[h] = set()
+        out.entries[h].add(us)
+        out.provenance[h, us] = where
     return out
 
 
@@ -574,8 +589,7 @@ def level1_arrays(trace: RunTrace) -> Level1Arrays:
         raise EmptyLevel1("the run never leaves the root")
     ls, ms, ns = zip(*cols)
     configs = trace.configurations()
-    history = [_history_from_pairs(configs, (n,), [(l, m)]) for l, m, n in cols]
-    return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(trace), list(zip(ls, ms))),
-                        tuple(x for h in history for x in h.labels),
-                        tuple(x for h in history for x in h.states),
-                        tuple(n for n in ns for _ in (0, 1)))
+    pairs = list(zip(ls, ms))
+    labels, states = _history_from_pairs(configs, pairs)
+    return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(trace), pairs),
+                        labels, states, tuple(n for n in ns for _ in (0, 1)))

@@ -1071,10 +1071,13 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
     return None, derived, entries
 
 
-def _longest_prefix(derived: _Derivation) -> dict | None:
+def _longest_prefix(derived: _Derivation, cyclic: list[int] | None = None) -> dict | None:
     """Per position j, (most steps, most pushes) of a run prefix that
     ends at a local fact at j, from the saturated facts of `_summaries`;
-    None if the facts have a cycle, since a cycle repeats without end.  A
+    None if the facts have a cycle, since a cycle repeats without end.
+    Given `cyclic`, a list, a cycle instead puts there the ids of the
+    facts on or after one, which no order reaches, and the maxima count
+    only the local facts whose own and entry's opening were ordered.  A
     firing with one premise (`id`, `set`, `down`) adds a step, and one
     with two (a push joined with an exit, or opening an entry) adds a step
     and a push.  A local fact counts from its entry and an opening from
@@ -1119,10 +1122,14 @@ def _longest_prefix(derived: _Derivation) -> dict | None:
             into[c] -= 1
             if not into[c]:
                 ready.append(c)
-    if done < n:
-        return None  # a cycle: some fact never became ready
-    most: dict = {}
     opening = derived.opening
+    if done < n:  # a cycle: some fact never became ready
+        if cyclic is None:
+            return None
+        cyclic += [i for i in range(n) if into[i]]
+        facts = [None if into[i] or type(f) is tuple and len(f) == 5 and into[opening[f[0]]] else f
+                 for i, f in enumerate(facts)]
+    most: dict = {}
     for i, f in enumerate(facts):
         if type(f) is tuple and len(f) == 5:  # a local fact, after its entry's opening
             o = opening[f[0]]
@@ -1168,26 +1175,30 @@ class _Trie(dict):
         return "".join(reversed(letters))
 
 
-def _trie_words(tsa: Tsa, rows, max_len: int, opts: SearchOptions) -> dict[str, tuple] | None:
+def _trie_words(tsa: Tsa, rows, max_len: int,
+                opts: SearchOptions) -> tuple[dict[str, tuple], list[str]] | None:
     """`enumerate_words` on a TSA with no `up` row, without proper_only:
     `_summaries` over the `_Trie` of the words up to max_len, with every
     goal wanted, and the budget rules of `_word_summaries` for each
     length.  Returns each accepted word's run of delta indices, the walk's
-    witness, or None where a budget might cut the walk, whose answer is
-    then needed.
+    witness, with the words the walk would list as cut by a budget, or
+    None where a budget might cut the walk, whose answer is then needed.
 
-    A fact at a node depends only on the node's word, so a node's goal run
-    is the least run of its word, as on the word's own path.  That run is
-    the witness if it fits the budgets of the word's length.  A word with
-    no goal is rejected, with no cut, when the facts have no cycle and
-    every run prefix that ends at a node no longer than the word fits
-    those budgets (`_longest_prefix`): the word's own search meets only
-    the nodes of its prefixes."""
+    A fact at a node depends only on the facts at the node's prefixes, so
+    a node's goal run is the least run of its word, as on the word's own
+    path, and a cycle of facts lies at one node.  A goal run is the
+    witness if it fits the budgets of the word's length.  A word with no
+    goal is rejected, with no cut, when no fact at its prefixes lies on or
+    after a cycle and every run prefix that ends at a node no longer than
+    the word fits those budgets (`_longest_prefix`): the word's own search
+    meets only the nodes of its prefixes.  It is cut by a budget when a
+    cycle of openings lies at one of its prefixes (`_reopens`), and any
+    other cycle there leaves the answer to the walk."""
     from bisect import bisect_right  # here, as heapq in `_summaries`
 
     trie = _Trie(tsa.alphabet, max_len)
     goals: dict[int, tuple] = {}
-    derived = _summaries(tsa, rows, trie, opts, goals)[1]
+    _, derived, entries = _summaries(tsa, rows, trie, opts, goals)
     budgets = [search_budgets(tsa, opts, n) for n in range(max_len + 1)]
     runs = {}
     accepted = [0] * (max_len + 1)  # accepted words of each length
@@ -1200,21 +1211,39 @@ def _trie_words(tsa: Tsa, rows, max_len: int, opts: SearchOptions) -> dict[str, 
         accepted[len(w)] += 1
     a = len(tsa.alphabet)
     rejecting = [n for n in range(max_len + 1) if accepted[n] < a ** n]
-    if rejecting:
-        most = _longest_prefix(derived)
-        if most is None:
-            return None
-        steps, pushes = [0] * (max_len + 1), [0] * (max_len + 1)  # most at nodes of each length
-        for j, (s, p) in most.items():
-            n = bisect_right(trie.starts, j) - 1
-            steps[n], pushes[n] = max(steps[n], s), max(pushes[n], p)
-        for n in range(1, max_len + 1):  # ... and at nodes no longer
-            steps[n], pushes[n] = max(steps[n - 1], steps[n]), max(pushes[n - 1], pushes[n])
-        for n in rejecting:
-            max_steps, max_vertices = budgets[n]
-            if steps[n] >= max_steps or 1 + pushes[n] > max_vertices:
+    if not rejecting:
+        return runs, []
+    cyclic: list[int] = []
+    most = _longest_prefix(derived, cyclic)
+    steps, pushes = [0] * (max_len + 1), [0] * (max_len + 1)  # most at nodes of each length
+    for j, (s, p) in most.items():
+        n = bisect_right(trie.starts, j) - 1
+        steps[n], pushes[n] = max(steps[n], s), max(pushes[n], p)
+    for n in range(1, max_len + 1):  # ... and at nodes no longer
+        steps[n], pushes[n] = max(steps[n - 1], steps[n]), max(pushes[n - 1], pushes[n])
+    fits = [s < max_steps and 1 + p <= max_vertices
+            for s, p, (max_steps, max_vertices) in zip(steps, pushes, budgets)]
+    if not cyclic:
+        return (runs, []) if all(fits[n] for n in rejecting) else None
+    # each rejected word by the cycles at its prefixes: 2 a cycle of
+    # openings, 1 another, 0 none
+    at_entry = [j for _, _, j in entries]  # entry id -> its node
+    facts = derived.facts
+    cycles = dict.fromkeys([at_entry[f] if type(f) is int else f[-1]
+                            for f in map(facts.__getitem__, cyclic)], 1)
+    cycles.update(dict.fromkeys(map(at_entry.__getitem__, _reopens(derived)), 2))
+    below = [0] * trie.starts[-1]  # node -> the worst cycle at its prefixes
+    budget_words = []
+    for n in range(max_len + 1):
+        for j in range(trie.starts[n], trie.starts[n + 1]):
+            below[j] = c = max(below[(j - 1) // a] if j else 0, cycles.get(j, 0))
+            if j in goals:
+                continue
+            if c == 2:
+                budget_words.append(trie.word(j))
+            elif c or not fits[n]:
                 return None
-    return runs
+    return runs, budget_words
 
 
 def _run_prefixes(runs: dict[str, tuple]) -> list[tuple[str, list[tuple[int, int]]]]:
@@ -1250,12 +1279,13 @@ def _replay_from(tsa: Tsa, word: str, cfg: Configuration, tidxs: list[int], step
         raise ReplayMismatch(len(steps) + 1, f"no transition #{tidxs[good] + 1}")
 
 
-def _reopens(derived: _Derivation) -> bool:
-    """Whether the saturated facts of `_summaries` have a cycle of openings:
-    an entry whose run pushes, through entries it opens, into an entry
-    equal to it (the same state, label and position).  An opening is a
-    premise only of openings, so this is a strongly connected component
-    of the facts that holds an opening.  From the entry the cycle then
+def _reopens(derived: _Derivation) -> set[int]:
+    """The entries whose openings lie on or after a cycle of openings in
+    the saturated facts of `_summaries`: an entry whose run pushes, through
+    entries it opens, into an entry equal to it (the same state, label and
+    position), and every entry opened from one.  An opening is a premise
+    only of openings, so such a cycle is a strongly connected component of
+    the facts that holds an opening.  From the entry the cycle then
     repeats without end and without reading a letter, and each round adds
     a vertex, so the tree grows without bound along one run prefix: with
     no goal the search can only stop at a budget.  A cycle of `id` or
@@ -1267,11 +1297,17 @@ def _reopens(derived: _Derivation) -> bool:
     for concl, *premises in derived:
         if type(concl) is int:
             opened_from.setdefault(concl, set()).add(premises[0])
+    order = TopologicalSorter(opened_from)
     try:
-        TopologicalSorter(opened_from).prepare()
-    except CycleError:
-        return True
-    return False
+        order.prepare()
+    except CycleError:  # get_ready still gives every entry no cycle blocks
+        ordered = set()
+        while order.is_active():
+            ready = order.get_ready()
+            order.done(*ready)
+            ordered.update(ready)
+        return set(opened_from).difference(ordered)
+    return set()
 
 
 def _execute(tsa: Tsa, runs: Iterable[tuple[str, list[tuple[int, int]]]]) -> list[RunTrace]:
@@ -1343,8 +1379,9 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     max_len (`_trie_words`): each fact is derived once, at the node of the
     word it has read, and the root's accepting exit at a node is that
     word's least run.  A witness stands when it fits the budgets of its
-    word's length, and a word without one is rejected when no run prefix
-    on the trie's nodes up to its length can reach them.  The witnesses
+    word's length.  A word without one is rejected when no run prefix on
+    the trie's nodes up to its length can reach them, and is a budget
+    word when a cycle of openings lies at one of its prefixes.  The witnesses
     are re-executed together through `_execute`, each shared run prefix
     once.  Otherwise, or on any other machine or options, one
     breadth-first walk over (configuration, read prefix) pairs runs, with
@@ -1360,9 +1397,13 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
         return set()
     rows = search_rows(tsa)
     if rows.up_free and not opts.proper_only:
-        runs = _trie_words(tsa, rows, max_len, opts)
-        if runs is not None:
-            return {trace.word for trace in _execute(tsa, _run_prefixes(runs))}
+        answer = _trie_words(tsa, rows, max_len, opts)
+        if answer is not None:
+            runs, budget_words = answer
+            found = {trace.word for trace in _execute(tsa, _run_prefixes(runs))}
+            if budget_words:
+                raise BudgetExceeded(found, budget_words)
+            return found
     walk = _Walk(tsa, opts, max_len)
     _search(tsa, rows, None, opts, walk)
     found = set(walk.witnesses(tsa))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from tsalab.analysis import EmpiricalUpSet, _crossings, _factorise, _history_from_pairs
+from tsalab.analysis import EmpiricalUpSet, HistoryArray, _crossings, _factorise
 from tsalab.convert import Pda
 from tsalab.treestack import ROOT, ROOT_LABEL, TreeStack, TreeStackError, pred_eval, ts_apply
 from tsalab.tsa import (
@@ -247,7 +247,9 @@ def ref_enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOpti
 
 
 def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> EmpiricalUpSet:
-    """`collect_upsets` with one `accepts` search per distinct word."""
+    """`collect_upsets` with one `accepts` search per distinct word, each
+    vertex filed through `EmpiricalUpSet.insert` under a `HistoryArray`
+    whose labels are read at the vertex's address."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     for w in dict.fromkeys(words):
@@ -260,6 +262,8 @@ def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> Empiric
         configs = res.configurations()
         pos = [c.pos for c in configs]
         for nu, pairs in sorted(_crossings(res).items()):
-            h = _history_from_pairs(configs, nu, pairs)
+            at = [i for pair in pairs for i in pair]  # each arrival and each return, in order
+            h = HistoryArray(tuple(configs[i].ts.label_at(nu) for i in at),
+                             tuple(configs[i].state for i in at))
             out.insert(h, _factorise(w, pos, pairs).u_tuple(), w, nu)
     return out

@@ -18,6 +18,7 @@ from tsalab.analysis import (
     ArityMismatch,
     EmpiricalUpSet,
     EmptyLevel1,
+    HistoryArray,
     HistoryMismatch,
     StrongConditionViolated,
     TraceNotAtRoot,
@@ -709,3 +710,29 @@ def test_collect_upsets_matches_per_vertex_reference(witnesses):
                 provenance.setdefault((h, us), []).append((w, nu))
         assert ups.entries == entries
         assert ups.provenance == provenance
+
+
+def counted_arrays(monkeypatch):
+    """Patch `analysis.HistoryArray` with a factory that counts the arrays
+    it makes and makes them of the real class; returns the one-item count."""
+    made = [0]
+
+    def counting(*args, **kwargs):
+        made[0] += 1
+        return HistoryArray(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "HistoryArray", counting)
+    return made
+
+
+# a count gate: `collect_upsets` files each vertex under a plain (labels,
+# states) pair and makes one `HistoryArray` per distinct pair, where one per
+# filed vertex would make 206 and 970
+@pytest.mark.parametrize("max_len, arrays", [(6, 11), (8, 13)])
+def test_collect_upsets_makes_each_history_array_once(monkeypatch, max_len, arrays):
+    wpz = fixture_wpz_tsa()
+    members = [w for w in words_upto("tT", max_len) if counting_wpz_oracle(w)]
+    made = counted_arrays(monkeypatch)
+    ups = collect_upsets(wpz, members)
+    assert made[0] == len(ups.entries) == arrays
+    assert all(type(h) is HistoryArray for h in ups.entries)

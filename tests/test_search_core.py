@@ -277,6 +277,21 @@ def test_collect_upsets_matches_reference(name):
         assert got == upsets(ref_collect_upsets, tsa, words, opts), opt_name
 
 
+@pytest.mark.parametrize("name", list(MACHINES))
+def test_collect_upsets_fills_in_the_order_of_insert(name):
+    # the reference files every vertex through `EmpiricalUpSet.insert`;
+    # the dicts must come out in the same order, and each set of u-tuples
+    # must have been built by the same insertions
+    tsa = MACHINES[name]()
+    words = list(words_for(name, tsa))
+    got = collect_upsets(tsa, words, OPTIONS["k2"])
+    want = ref_collect_upsets(tsa, words, OPTIONS["k2"])
+    assert list(got.traces) == list(want.traces)
+    assert list(got.entries) == list(want.entries)
+    assert [list(us) for us in got.entries.values()] == [list(us) for us in want.entries.values()]
+    assert list(got.provenance.items()) == list(want.provenance.items())
+
+
 # Random machines (tests/strategies.py).  Every option set bounds both
 # budgets: an unbounded random machine can grow its tree on eps steps until
 # memory runs out.
@@ -732,6 +747,32 @@ def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machi
     assert from_trie > 0.9 * sum(cases.values()), cases
     assert cases[True, True, False] and cases[True, False, False] and cases[False, True, True]
     assert not any(budget for (trie, _, budget) in cases if trie)  # the trie never lists one
+
+
+# Up-free machines 24, 25, 42, 55, 57 and 83 of random_tsas(1, 300) and
+# PUSH_CYCLE_TSA have a cycle of openings in their trie facts.  Under the
+# default budgets the walk grows trees of up to 80 vertices on them, for
+# seconds a call (13-15 s on PUSH_CYCLE_TSA at max_len 4), where `accepts`
+# answers each word from its summaries in a few ms; so must the trie.
+def test_trie_answers_a_cycle_of_openings_without_the_walk(monkeypatch):
+    up_free = [tsa for tsa in random_tsas(1, 300) if tsa_mod.search_rows(tsa).up_free]
+    assert len(up_free) == 104
+    machines = [up_free[i] for i in (24, 25, 42, 55, 57, 83)] + [parse_tsa(PUSH_CYCLE_TSA)]
+    listed = 0
+    for tsa in machines:
+        for mode in ("root", "any"):
+            opts = SearchOptions(accept_mode=mode)
+            trie = tsa_mod._Trie(tsa.alphabet, 4)
+            derived = tsa_mod._summaries(tsa, tsa_mod.search_rows(tsa), trie, opts, {})[1]
+            assert tsa_mod._reopens(derived), (mode, render_tsa(tsa))
+            calls = counted_searches(monkeypatch)
+            with Stopwatch("enumerate_words on a cycle of openings", 1.0):
+                got = enumeration(enumerate_words, tsa, 4, opts)
+            monkeypatch.undo()
+            assert calls[0] == 0, (mode, render_tsa(tsa))
+            assert got == enumeration(ref_enumerate_words, tsa, 4, opts), (mode, render_tsa(tsa))
+            listed += len(got[1] or ())
+    assert listed > 200
 
 
 # "" is accepted at once and "a" is not.  The search of "a" also meets the
