@@ -183,11 +183,24 @@ class TreeStack:
         return self._label
 
     def label_at(self, addr: Address) -> str:
-        """The label at addr; the pointer's own address is answered from
-        the focus, without building `dom`."""
-        if addr == self.pointer:
-            return self._label
-        return self.dom[addr]
+        """The label at addr, KeyError if addr is not in the domain.  It
+        climbs from the focus to the deepest common ancestor of addr and
+        the pointer, then descends to addr, so it costs the depth of the
+        two addresses and never builds `dom`.  The only stale entry in a
+        context's children is at its hole, which the descent never takes:
+        it leaves the ancestor by an index other than the pointer's."""
+        pointer = self.pointer
+        k = 0
+        for i, j in zip(addr, pointer):
+            if i != j:
+                break
+            k += 1
+        label, kids, c = self._label, self._kids, self._ctx
+        for _ in range(len(pointer) - k):
+            label, kids, c = c[1], c[2], c[0]
+        for i in addr[k:]:
+            label, kids = kids[i]
+        return label
 
     def key(self):
         """Canonical hashable form, compared by `==` and `hash`; built on

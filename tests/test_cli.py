@@ -424,20 +424,6 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
     ["fixtures", "abcd", "--pda"],  # only wpz has a PDA
     ["trace", "ks", "--word", "tT", "--follow", ""],  # no transition has the empty name
-], ids=[
-    "mcfg-member-missing-file", "pda2tsa-missing-file", "upsets-missing-words-file",
-    "run-missing-machine", "suite-unknown", "follow-unknown-name", "gaps-alpha-not-a-number",
-    "gaps-unknown-family", "run-no-word", "unknown-command", "tsa2pda-not-a-1-tsa",
-    "updown-bad-address", "updown-vertex-not-in-tree", "level1-never-leaves-root",
-    "bounds-degree-0", "pump-m-0", "bounds-mu-negative", "gaps-n-0", "gaps-m-max-0",
-    "sm-m-negative", "sm-m-0", "sm-i-max-negative", "ambm-i-max-negative", "f2f2-n-max-0",
-    "f2f2-m-max-0", "sm-m-not-a-number", "sm-m-13", "rational-regex-not-group-letter",
-    "swap-arrays-differ", "rational-word-not-group-letter", "bounds-stationary-too-long",
-    "pda2tsa-box-label", "tsa2pda-dash-label", "follow-not-applicable", "follow-s1-twice",
-    "enumerate-max-len-negative", "mcfg-enumerate-max-len-negative", "run-max-steps-negative",
-    "run-max-vertices-0", "run-k-negative", "upsets-show-negative", "rational-wp-up-row",
-    "gaps-alpha-nan", "gaps-alpha-inf", "gaps-alpha-overflows", "fixtures-no-pda",
-    "follow-empty-name"
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):
     files = {
