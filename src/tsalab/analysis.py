@@ -71,11 +71,6 @@ def _check_trace(trace: RunTrace):
         raise TraceNotAtRoot("analysis needs the run to finish at the root")
 
 
-def _pointers(trace: RunTrace) -> list[Address]:
-    """rho_0 .. rho_r."""
-    return [c.ts.pointer for c in trace.configurations()]
-
-
 def _positions(trace: RunTrace) -> list[int]:
     """Input positions after 0 .. r steps."""
     return [c.pos for c in trace.configurations()]
@@ -96,8 +91,9 @@ class UpDownVector:
         return tuple(x for pair in self.pairs for x in pair)
 
 
-def _crossings(trace: RunTrace) -> dict[Address, list[tuple[int, int]]]:
-    """Every up-down vector of the run from one walk over the pointer path.
+def _crossings(configs: Sequence[Configuration]) -> dict[Address, list[tuple[int, int]]]:
+    """Every up-down vector of the run through configs (its
+    `configurations()`) from one walk over the pointer path.
 
     A step that lengthens the pointer address opens a pair (l, _) at the
     vertex it enters; one that shortens it closes the open pair at the
@@ -106,7 +102,7 @@ def _crossings(trace: RunTrace) -> dict[Address, list[tuple[int, int]]]:
     entered from below: the non-root vertices of the final tree.  The
     trace must have passed `_check_trace`, so every pair is closed."""
     out: dict[Address, list[tuple[int, int]]] = {}
-    rho = _pointers(trace)
+    rho = [c.ts.pointer for c in configs]
     opened = []
     for j in range(1, len(rho)):
         if len(rho[j]) > len(rho[j - 1]):
@@ -119,7 +115,7 @@ def _crossings(trace: RunTrace) -> dict[Address, list[tuple[int, int]]]:
 def up_down_vector(trace: RunTrace, nu: Address) -> UpDownVector:
     """Indices of the transitions crossing the edge (parent(nu), nu)."""
     _check_trace(trace)
-    pairs = _crossings(trace).get(nu)
+    pairs = _crossings(trace.configurations()).get(nu)
     if pairs is None:
         raise VertexNotInFinalTree(f"{format_address(nu)} is not a non-root vertex of the run's final tree")
     return UpDownVector(tuple(pairs))
@@ -305,7 +301,7 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
         out.traces[w] = res
         assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
-        for nu, pairs in sorted(_crossings(res).items()):
+        for nu, pairs in sorted(_crossings(configs).items()):
             us = tuple([w[configs[l].pos:configs[m].pos] for l, m in pairs])
             filed.setdefault((_history_from_pairs(configs, pairs), us), []).append((w, nu))
     arrays: dict[tuple, HistoryArray] = {}
@@ -338,7 +334,7 @@ def _stationary_segments(trace: RunTrace):
     pointer in place, as (first step, last step, vertex)."""
     segs = []
     start = None
-    rho = _pointers(trace)
+    rho = [c.ts.pointer for c in trace.configurations()]
     for j, (tidx, _) in enumerate(trace.steps, start=1):
         stat = trace.tsa.delta[tidx].instr.kind in ("id", "set")
         if stat and start is None:
@@ -470,7 +466,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
         # marked letters read inside T_nu are those of its u factors,
         # w[pos[l]:pos[m]]; `before[i]` counts the marked letters before i
         before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))
-        cross = _crossings(trace)
+        cross = _crossings(trace.configurations())
         cross[ROOT] = [(0, len(trace.steps))]  # every letter is read inside T_root
         singular = [nu for nu in sorted(dom)
                     if before[-1] - sum(before[pos[m]] - before[pos[l]]
@@ -583,12 +579,12 @@ class Level1Arrays:
 
 def level1_arrays(trace: RunTrace) -> Level1Arrays:
     _check_trace(trace)
-    cols = sorted((l, m, nu[0]) for nu, pairs in _crossings(trace).items() if len(nu) == 1
+    configs = trace.configurations()
+    cols = sorted((l, m, nu[0]) for nu, pairs in _crossings(configs).items() if len(nu) == 1
                   for l, m in pairs)
     if not cols:
         raise EmptyLevel1("the run never leaves the root")
     ls, ms, ns = zip(*cols)
-    configs = trace.configurations()
     pairs = list(zip(ls, ms))
     labels, states = _history_from_pairs(configs, pairs)
     return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(trace), pairs),

@@ -532,9 +532,8 @@ class _Walk:
     `reach[p]` is the length of the longest target through p; a node at p
     whose tree or depth is over that length's budgets is in no target's
     search, and `_search` drops it.  `_search` fills `accepted` (target
-    prefix id -> its witness's steps, each an (arena node id, delta index)
-    pair) and `cut` (prefix id -> the lengths n whose search a budget cut
-    at that prefix)."""
+    prefix id -> its witness's delta indices) and `cut` (prefix id -> the
+    lengths n whose search a budget cut at that prefix)."""
 
     def __init__(self, machine, opts: SearchOptions, max_len: int,
                  words: Iterable[str] | None = None):
@@ -556,7 +555,7 @@ class _Walk:
         self.reach = [max_len if self.every else 0]
         self.vcap = [self.vertices[0]]  # vertex budget of the prefix's own length
         self.kids: dict[tuple[int, str], int] = {}
-        self.accepted: dict[int, list[tuple[int, int]]] = {}
+        self.accepted: dict[int, list[int]] = {}
         self.cut: dict[int, set[int]] = {}
         for w in dict.fromkeys(words or ()):
             p = 0
@@ -598,7 +597,7 @@ class _Walk:
         n = len(self.words[p])
         return depth <= self.steps[n] and size <= self.vertices[n]
 
-    def accept(self, p: int, run: list[tuple[int, int]]) -> None:
+    def accept(self, p: int, run: list[int]) -> None:
         self.accepted[p] = run
         while p >= 0:
             self.pending[p] -= 1
@@ -655,22 +654,17 @@ class _Walk:
         return out
 
     def witnesses(self, tsa: Tsa) -> dict[str, RunTrace]:
-        """Every accepted target's witness: its arena path re-executed
-        through `_run` by `_execute`.  So each arena node is executed once,
-        and witnesses with a common prefix share its Configurations.  An
-        arena node's read prefix is a prefix of every target through it,
-        so its step reads the same letter for each of them."""
-        traces = _execute(tsa, [(self.words[p], run) for p, run in self.accepted.items()])
-        return {trace.word: trace for trace in traces}
+        """Every accepted target's witness, re-executed by `_execute`."""
+        return _execute(tsa, {self.words[p]: run for p, run in self.accepted.items()})
 
 
-def _arena_path(nodes, me: int) -> list[int]:
-    """The arena node ids from the initial node to node me."""
-    path = []
-    while me >= 0:
-        path.append(me)
+def _arena_run(nodes, me: int) -> list[int]:
+    """The delta indices of the steps from the initial node to node me."""
+    run = []
+    while me:  # node 0, the initial node, is the only one without a step
+        run.append(nodes[me][-1])
         me = nodes[me][-2]
-    return path[::-1]
+    return run[::-1]
 
 
 def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | None = None,
@@ -705,8 +699,9 @@ def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | Non
     length n only while its depth and tree fit n's budgets.  A TSA tree
     never shrinks, so such a node lies on a path that fits them too and
     is in the search of every length-n word through its prefix.  So a
-    target's witness is its first accepting node that fits its length, and
-    each budget cut is recorded on a (prefix, length) pair where that
+    target's witness is its first accepting node that fits its length,
+    stored in `walk.accepted` as the delta indices a fixed word returns,
+    and each budget cut is recorded on a (prefix, length) pair where that
     length's search would make it.  The walk returns None.
 
     With a fixed word (`accepts`, `pda_accepts`) and `look_ahead`, a child
@@ -853,9 +848,9 @@ def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | Non
                 if dst in finals and (not nctx or not root_only):
                     if walk is None:
                         if npos == max_len:
-                            return [nodes[i][-1] for i in _arena_path(nodes, me)[1:]]
+                            return _arena_run(nodes, me)
                     elif walk.takes(npos, depth, nsize):
-                        walk.accept(npos, [(i, nodes[i][-1]) for i in _arena_path(nodes, me)[1:]])
+                        walk.accept(npos, _arena_run(nodes, me))
                         if not pending[npos]:
                             continue
                 next_frontier.append(me)
@@ -1246,23 +1241,7 @@ def _trie_words(tsa: Tsa, rows, max_len: int,
     return runs, budget_words
 
 
-def _run_prefixes(runs: dict[str, tuple]) -> list[tuple[str, list[tuple[int, int]]]]:
-    """Each (word, run of delta indices) as the (word, steps) that
-    `_execute` takes: a step is (node id, delta index), and a node id
-    stands for the run prefix that ends at that step.  A run prefix fixes
-    the letters it reads, so its steps are the same for every word."""
-    node: dict[tuple[int, int], int] = {}
-    out = []
-    for w, run in runs.items():
-        p, steps = -1, []
-        for tidx in run:
-            p = node.setdefault((p, tidx), len(node))
-            steps.append((p, tidx))
-        out.append((w, steps))
-    return out
-
-
-def _replay_from(tsa: Tsa, word: str, cfg: Configuration, tidxs: list[int], steps: list) -> None:
+def _replay_from(tsa: Tsa, word: str, cfg: Configuration, tidxs: Sequence[int], steps: list) -> None:
     """Run delta indices from cfg through `_run`, appending (delta index,
     configuration) to `steps`.  Raises ReplayMismatch at the first step
     that does not apply or names no transition, numbered from 1 along
@@ -1310,28 +1289,29 @@ def _reopens(derived: _Derivation) -> set[int]:
     return set()
 
 
-def _execute(tsa: Tsa, runs: Iterable[tuple[str, list[tuple[int, int]]]]) -> list[RunTrace]:
-    """Re-execute runs from the initial configuration through `_run`.  A
-    run is (word, steps), each step a (node id, delta index) pair: an
-    arena node of the walk, or a run prefix (`_run_prefixes`).  A node's
-    path from the initial node is fixed, so a run that has a node
-    has the whole path to it: each node is executed once, by the first run
-    that has it, and a later run takes the steps up to the last node it
-    shares and runs the rest from that node's configuration.  Raises
-    ReplayMismatch at the first step that does not apply, numbered from 1
-    along its run."""
+def _execute(tsa: Tsa, runs: dict[str, Sequence[int]]) -> dict[str, RunTrace]:
+    """Re-execute each word's run of delta indices from the initial
+    configuration through `_run`, each shared run prefix once, so runs
+    with a common prefix share its Configurations.  The runs go in
+    lexicographic order, where the longest prefix a run shares with any
+    run before it is the one it shares with the run just before it: the
+    run takes that run's steps up to there and runs the rest from the
+    configuration they reach.  A run prefix fixes the letters it reads, so
+    its steps are the same for every word whose witness it begins.
+    Raises ReplayMismatch at the first step that does not apply, numbered
+    from 1 along its run."""
     init = initial_configuration(tsa)
-    done: dict = {}  # node id -> the steps of the run that executed it
-    traces = []
-    for word, run in runs:
-        shared = len(run)
-        while shared and run[shared - 1][0] not in done:
-            shared -= 1
-        steps = done[run[shared - 1][0]][:shared] if shared else []
-        _replay_from(tsa, word, steps[-1][1] if steps else init,
-                     [tidx for _, tidx in run[shared:]], steps)
-        done.update(dict.fromkeys([node for node, _ in run[shared:]], steps))
-        traces.append(RunTrace(tsa, word, steps, init))
+    traces = {}
+    steps: list = []  # the steps of the run before
+    for word, run in sorted(runs.items(), key=lambda item: item[1]):
+        shared = 0
+        for tidx, (done, _) in zip(run, steps):
+            if tidx != done:
+                break
+            shared += 1
+        steps = steps[:shared]
+        _replay_from(tsa, word, steps[-1][1] if steps else init, run[shared:], steps)
+        traces[word] = RunTrace(tsa, word, steps, init)
     return traces
 
 
@@ -1388,7 +1368,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     every word up to max_len as a target, each under the budgets of its
     own length: `_search` in walk mode.  A prefix that no configuration
     reaches prunes all its words, and the accepted words' witnesses are
-    re-executed by `_Walk.witnesses`, each arena node once.  The walk
+    re-executed by `_Walk.witnesses`, each shared run prefix once.  The walk
     holds the configurations of all live prefixes at once and grows
     faster than the words: on wpz, about 8x in time for each two letters
     against the trie's 4x.
@@ -1400,7 +1380,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
         answer = _trie_words(tsa, rows, max_len, opts)
         if answer is not None:
             runs, budget_words = answer
-            found = {trace.word for trace in _execute(tsa, _run_prefixes(runs))}
+            found = set(_execute(tsa, runs))
             if budget_words:
                 raise BudgetExceeded(found, budget_words)
             return found
@@ -1419,7 +1399,7 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     breadth-first walk over (configuration, read prefix) pairs whose
     reading steps follow the prefixes of the words: `_search` in walk
     mode, each word under the budgets of its own length.  The witnesses
-    are re-executed by `_Walk.witnesses`, each arena node once, so
+    are re-executed by `_Walk.witnesses`, each shared run prefix once, so
     witnesses with a common prefix share its Configurations.  The walk
     holds the configurations of all live prefixes at once, so it needs
     more memory than one search per word, less what the words' shared

@@ -261,7 +261,7 @@ def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> Empiric
         assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
         pos = [c.pos for c in configs]
-        for nu, pairs in sorted(_crossings(res).items()):
+        for nu, pairs in sorted(_crossings(configs).items()):
             at = [i for pair in pairs for i in pair]  # each arrival and each return, in order
             h = HistoryArray(tuple(configs[i].ts.label_at(nu) for i in at),
                              tuple(configs[i].state for i in at))

@@ -41,7 +41,7 @@ from tsalab.convert import fixture_wpz_tsa
 from tsalab.fixtures import abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_run, updown_demo_tsa
 from tsalab.langlab import oracle
 from tsalab.treestack import InputError
-from tsalab.tsa import ReplayMismatch, SearchOptions, accepts, replay
+from tsalab.tsa import ReplayMismatch, RunTrace, SearchOptions, accepts, enumerate_words, replay
 
 K2 = SearchOptions(k=2)
 
@@ -284,6 +284,19 @@ def test_collect_upsets_files_each_distinct_word_once():
     assert twice.rejected == ["tt"]
     for f in fields(EmpiricalUpSet):
         assert getattr(twice, f.name) == getattr(once, f.name), f.name
+
+
+def test_collect_upsets_builds_each_witness_configurations_once(monkeypatch):
+    wpz = fixture_wpz_tsa()
+    members = sorted(enumerate_words(wpz, 8))
+    calls = []
+    configurations = RunTrace.configurations
+    monkeypatch.setattr(RunTrace, "configurations",
+                        lambda trace: calls.append(trace) or configurations(trace))
+    for n, want in ((6, 29), (8, 99)):
+        calls.clear()
+        ups = collect_upsets(wpz, [w for w in members if len(w) <= n])
+        assert len(ups.traces) == len(calls) == want, n
 
 
 def test_upsets_share_key_and_provenance_replays():

@@ -418,11 +418,13 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     ["run", "abcd", "--word", "ab", "--max-vertices", "0"],  # the root alone is one vertex
     ["run", "abcd", "--word", "ab", "--k", "-1"],
     ["analyze", "upsets", "abcd", "--words-file", "{words}", "--show", "-1"],
-    ["rational", "--wp", "{up}", "--regex", "t+", "--word", "T"],  # a wp machine with an up row
-    ["experiment", "gaps", "--family", "alpha:nan"],
-    ["experiment", "gaps", "--family", "alpha:inf"],
-    ["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
-    ["fixtures", "abcd", "--pda"],  # only wpz has a PDA
+    pytest.param(["rational", "--wp", "{up}", "--regex", "t+", "--word", "T"],
+                 id="rational-wp-with-up-row"),
+    pytest.param(["experiment", "gaps", "--family", "alpha:nan"], id="gaps-alpha-nan"),
+    pytest.param(["experiment", "gaps", "--family", "alpha:inf"], id="gaps-alpha-inf"),
+    pytest.param(["experiment", "gaps", "--family", "alpha:1000"],  # 30 ** 1000 overflows a float
+                 id="gaps-alpha-overflows-float"),
+    pytest.param(["fixtures", "abcd", "--pda"], id="fixtures-pda-without-one"),  # only wpz has a PDA
     ["trace", "ks", "--word", "tT", "--follow", ""],  # no transition has the empty name
 ])
 def test_bad_input_exits_three(tmp_path, capsys, argv):

@@ -797,9 +797,9 @@ def test_trie_bound_of_a_length_counts_the_shorter_nodes():
     assert got == ({""}, ["a"]) == enumeration(ref_enumerate_words, tsa, 1, opts)
 
 
-# The walk re-executes each arena node once and shares its configuration
-# among the witnesses through it; each witness must still be the run that
-# `replay` makes of its word and transition indices.
+# `_execute` re-executes each shared run prefix once and shares its
+# configurations among the witnesses that begin with it; each witness must
+# still be the run that `replay` makes of its word and transition indices.
 
 def walk_witnesses(monkeypatch, call):
     """The witnesses a walk re-executes while `call()` runs."""
@@ -857,32 +857,65 @@ def test_shared_witnesses_equal_replay_on_random_machines(monkeypatch):
     assert accepted > 0
 
 
+def run_steps(monkeypatch, call):
+    """What `call()` returns and the number of `_run` steps it takes."""
+    steps = [0]
+    run = tsa_mod._run
+
+    def counting(w, cfg, moves, out):
+        before = len(out)
+        try:
+            run(w, cfg, moves, out)
+        finally:
+            steps[0] += len(out) - before
+
+    monkeypatch.setattr(tsa_mod, "_run", counting)
+    got = call()
+    monkeypatch.undo()
+    return got, steps[0]
+
+
+def test_witnesses_run_each_shared_prefix_once(monkeypatch):
+    # wpz's 99 members up to length 8 have witnesses of 2,039 steps in all,
+    # and 926 distinct run prefixes: the trie's runs and the walk's each
+    # take 926 steps
+    tsa = fixture_wpz_tsa()
+    assert tsa_mod.search_rows(tsa).up_free  # enumerate_words answers from the trie
+    members, steps = run_steps(monkeypatch, lambda: enumerate_words(tsa, 8))
+    assert len(members) == 99 and steps == 926
+    for opts in (SearchOptions(), SearchOptions(proper_only=True),
+                 SearchOptions(proper_only=True, accept_mode="any")):
+        each, steps = run_steps(monkeypatch, lambda: accepts_each(tsa, sorted(members), opts))
+        assert all(each.values()) and sum(len(t.steps) for t in each.values()) == 2039
+        prefixes = {tuple(t.transition_indices()[:j])
+                    for t in each.values() for j in range(1, len(t.steps) + 1)}
+        assert steps == len(prefixes) == 926, opts
+
+
 def test_tampered_shared_step_raises_where_replay_does():
     tsa = fixture_wpz_tsa()
     opts = SearchOptions()
     walk = tsa_mod._Walk(tsa, opts, 6)
     tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, opts, walk)
-    runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its steps
-    on = {}  # arena node id -> the words whose witness steps through it
+    runs = {walk.words[p]: run for p, run in walk.accepted.items()}  # word -> its delta indices
+    on = {}  # run prefix -> the words whose witness begins with it
     for w, run in runs.items():
-        for node, _ in run:
-            on.setdefault(node, []).append(w)
-    # the deepest arena node on more than one witness, past the first step
-    depth = {node: j for run in runs.values() for j, (node, _) in enumerate(run, start=1)}
-    shared = max((node for node, words in on.items() if len(words) > 1 and depth[node] > 1),
-                 key=depth.get)
-    j = depth[shared]
-    # a transition from another state cannot apply at the tampered node
-    src = tsa.delta[runs[on[shared][0]][j - 2][1]].dst
+        for j in range(1, len(run) + 1):
+            on.setdefault(tuple(run[:j]), []).append(w)
+    # the longest run prefix on more than one witness, past the first step
+    shared = max((u for u, words in on.items() if len(words) > 1 and len(u) > 1), key=len)
+    j = len(shared)
+    # a transition from another state cannot apply at the tampered step
+    src = tsa.delta[shared[-2]].dst
     bad = next(i for i, t in enumerate(tsa.delta) if t.src != src)
     for w in on[shared]:
-        runs[w][j - 1] = (shared, bad)
+        runs[w][j - 1] = bad
     with pytest.raises(ReplayMismatch) as shared_error:
         walk.witnesses(tsa)
     assert shared_error.value.step_index == j
     for w in on[shared]:
         with pytest.raises(ReplayMismatch) as replay_error:
-            replay(tsa, w, [tidx for _, tidx in runs[w]])
+            replay(tsa, w, runs[w])
         assert replay_error.value.step_index == j
         assert str(replay_error.value) == str(shared_error.value)
 
