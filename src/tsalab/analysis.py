@@ -11,7 +11,7 @@ root; that is the setting in which the definitions make sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Sequence
 
 from .treestack import ROOT, Address, InputError, format_address
@@ -104,10 +104,10 @@ def _crossings(configs: Sequence[Configuration]) -> dict[Address, list[tuple[int
     out: dict[Address, list[tuple[int, int]]] = {}
     rho = [c.ts.pointer for c in configs]
     opened = []
-    for j in range(1, len(rho)):
-        if len(rho[j]) > len(rho[j - 1]):
+    for j, (before, after) in enumerate(pairwise(map(len, rho)), start=1):
+        if after > before:
             opened.append(j)
-        elif len(rho[j]) < len(rho[j - 1]):
+        elif after < before:
             out.setdefault(rho[j - 1], []).append((opened.pop(), j - 1))
     return out
 
@@ -299,8 +299,8 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
             (out.budget_failures if res.reason == "budget" else out.rejected).append(w)
             continue
         out.traces[w] = res
-        assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
+        assert is_proper(res) and configs[-1].ts.pointer == ROOT  # else a search bug
         for nu, pairs in sorted(_crossings(configs).items()):
             us = tuple([w[configs[l].pos:configs[m].pos] for l, m in pairs])
             filed.setdefault((_history_from_pairs(configs, pairs), us), []).append((w, nu))

@@ -173,10 +173,7 @@ class TreeStack:
 
     @property
     def pointer(self) -> Address:
-        c = self._ctx
-        if c is None:
-            return ROOT
-        return c[4] or _address(c)
+        return _pointer(self._ctx)
 
     @property
     def pointer_label(self) -> str:
@@ -253,6 +250,11 @@ def _validate(dom: Mapping[Address, str], pointer: Address) -> None:
         raise ValueError(f"pointer {pointer} not in domain")
 
 
+def _pointer(ctx: list | None) -> Address:
+    """The pointer address of a zipper with context ctx."""
+    return ROOT if ctx is None else ctx[4] or _address(ctx)
+
+
 def _address(ctx: list) -> Address:
     """The address of a context's hole, built from the nearest ancestor
     context that has its address and cached in every context on the way."""
@@ -282,11 +284,22 @@ def ts_init() -> TreeStack:
 
 
 def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
-    """Apply one instruction, returning a new tree stack.
+    """Apply one instruction, returning a new tree stack (`ts` itself for
+    `id`): `_apply` on the zipper's fields.  Raises what `_apply` raises."""
+    if instr.kind == "id":
+        return ts
+    return _zipper(*_apply(ts._label, ts._kids, ts._ctx, ts._size, instr))
+
+
+def _apply(label: str, kids: dict, ctx: list | None, size: int,
+           instr: Instruction) -> tuple[str, dict, list | None, int]:
+    """The one definition of an instruction, on a zipper's four fields
+    (focus label, focus children, context, vertex count): the fields of
+    the tree stack it gives.
 
     Raises PushTargetExists / UpTargetMissing / PointerAtRoot when the
     partial function is undefined, and TreeStackError for a pop at a vertex
-    with children: the one applicability rule (`tsa.step` turns them into
+    with children: the one applicability rule (`tsa._run` turns them into
     NotApplicable).  Only pop removes a vertex.  Each case reads only the
     focus's children and the context: a push or up opens a context, a down
     writes the focus back into its parent's child map (a new map only when
@@ -295,40 +308,44 @@ def ts_apply(ts: TreeStack, instr: Instruction) -> TreeStack:
     """
     k = instr.kind
     if k == "id":
-        return ts
+        return label, kids, ctx, size
     if k == "push":
         n = instr.n
-        if n in ts._kids:
-            raise PushTargetExists(f"push target {ts.pointer + (n,)} already exists")
-        return _zipper(instr.label, _NO_KIDS, [ts._ctx, ts._label, ts._kids, n, None], ts._size + 1)
+        if n in kids:
+            raise PushTargetExists(f"push target {_pointer(ctx) + (n,)} already exists")
+        return instr.label, _NO_KIDS, [ctx, label, kids, n, None], size + 1
     if k == "up":
         n = instr.n
-        child = ts._kids.get(n)
+        child = kids.get(n)
         if child is None:
-            raise UpTargetMissing(f"up target {ts.pointer + (n,)} missing")
-        return _zipper(child[0], child[1], [ts._ctx, ts._label, ts._kids, n, None], ts._size)
-    c = ts._ctx
-    if c is None:
+            raise UpTargetMissing(f"up target {_pointer(ctx) + (n,)} missing")
+        return child[0], child[1], [ctx, label, kids, n, None], size
+    if ctx is None:
         raise PointerAtRoot(f"{k} at the root")
     if k == "down":
-        kids, hole = c[2], c[3]
-        old = kids.get(hole)
-        if old is None or old[1] is not ts._kids or old[0] != ts._label:
-            kids = {**kids, hole: (ts._label, ts._kids)}
-        return _zipper(c[1], kids, c[0], ts._size)
+        parent_kids, hole = ctx[2], ctx[3]
+        old = parent_kids.get(hole)
+        if old is None or old[1] is not kids or old[0] != label:
+            parent_kids = {**parent_kids, hole: (label, kids)}
+        return ctx[1], parent_kids, ctx[0], size
     if k == "pop":
-        if ts._kids:
-            raise TreeStackError(f"pop at {ts.pointer}, which has children")
-        kids, hole = c[2], c[3]
-        if hole in kids:  # the stale entry an up left
-            kids = {i: child for i, child in kids.items() if i != hole}
-        return _zipper(c[1], kids, c[0], ts._size - 1)
+        if kids:
+            raise TreeStackError(f"pop at {_pointer(ctx)}, which has children")
+        parent_kids, hole = ctx[2], ctx[3]
+        if hole in parent_kids:  # the stale entry an up left
+            parent_kids = {i: child for i, child in parent_kids.items() if i != hole}
+        return ctx[1], parent_kids, ctx[0], size - 1
     # set
-    return _zipper(instr.label, ts._kids, c, ts._size)
+    return instr.label, kids, ctx, size
 
 
 def pred_eval(ts: TreeStack, pred: Predicate) -> bool:
-    return pred.kind == "true" or ts._label == pred.label
+    return _holds(ts._label, pred)
+
+
+def _holds(label: str, pred: Predicate) -> bool:
+    """The one definition of a predicate, on the focus label."""
+    return pred.kind == "true" or label == pred.label
 
 
 def format_address(addr: Address) -> str:

@@ -30,10 +30,10 @@ from .treestack import (
     instr_set,
     instr_up,
     pred_eq,
-    pred_eval,
-    ts_apply,
+    ts_apply,  # unused here: `_run` calls `_apply`; perfbench's tracer wraps `tsa.ts_apply`
     ts_init,
 )
+from .treestack import _apply, _holds, _zipper
 
 
 class ParseError(InputError):
@@ -195,8 +195,9 @@ class Configuration:
     pos: int
 
 
-# `_run` fills each new Configuration through its slot descriptors, which is
-# about three times cheaper than the frozen __init__'s object.__setattr__ calls
+# `_configurations` fills each new Configuration through its slot
+# descriptors, which is about three times cheaper than the frozen
+# __init__'s object.__setattr__ calls
 _new_configuration = object.__new__
 _set_state, _set_ts, _set_pos = (Configuration.__dict__[f].__set__ for f in ("state", "ts", "pos"))
 
@@ -205,16 +206,40 @@ def initial_configuration(tsa: Tsa) -> Configuration:
     return Configuration(tsa.initial, ts_init(), 0)
 
 
-def _run(w: str, cfg: Configuration, moves: Iterable[tuple[object, Transition]], out: list) -> None:
+def _record(cfg: Configuration) -> tuple:
+    """cfg as a step record with no tag: (None, state, focus label, focus
+    children, context, vertex count, position)."""
+    ts = cfg.ts
+    return None, cfg.state, ts._label, ts._kids, ts._ctx, ts._size, cfg.pos
+
+
+def _configurations(records: Iterable[tuple]) -> list[tuple[object, Configuration]]:
+    """(tag, Configuration) for each step record (tag, state, label, kids,
+    ctx, size, pos), the tree stack rebuilt from the record's zipper fields."""
+    out = []
+    for tag, state, label, kids, ctx, size, pos in records:
+        cfg = _new_configuration(Configuration)
+        _set_state(cfg, state)
+        _set_ts(cfg, _zipper(label, kids, ctx, size))
+        _set_pos(cfg, pos)
+        out.append((tag, cfg))
+    return out
+
+
+def _run(w: str, at: tuple, moves: Iterable[tuple[object, Transition]], out: list) -> None:
     """The one definition of a step, a TSA's or a PDA's (a `convert.Pda`
-    runs on a one-path tree), over a sequence of them: from cfg, apply
-    each move (tag, transition) in turn and append (tag, the configuration
-    it produced) to `out`.  Raises NotApplicable at the
-    first move that does not apply, with the failing check: "state
-    mismatch", "input mismatch", "PredicateFails", or "InstructionFails"
-    where `ts_apply` refuses the instruction.  The moves before it are then
-    the last ones `out` received."""
-    state, ts, pos = cfg.state, cfg.ts, cfg.pos
+    runs on a one-path tree), over a sequence of them: from the step
+    record `at` (see `_configurations`), apply each move (tag, transition)
+    in turn and append the record (tag, state, label, kids, ctx, size, pos)
+    of the configuration it produced to `out`.  The tree stack stays in
+    the zipper's four fields, run through `treestack._holds` and
+    `treestack._apply`, so a step builds no object but its record and the
+    context a push or up opens.  Raises NotApplicable at the first move
+    that does not apply, with the failing check: "state mismatch", "input
+    mismatch", "PredicateFails", or "InstructionFails" where `_apply`
+    refuses the instruction.  The moves before it are then the last ones
+    `out` received."""
+    _, state, label, kids, ctx, size, pos = at
     n = len(w)
     for tag, t in moves:
         if state != t.src:
@@ -223,26 +248,23 @@ def _run(w: str, cfg: Configuration, moves: Iterable[tuple[object, Transition]],
             if pos >= n or w[pos] != t.inp:
                 raise NotApplicable("input mismatch")
             pos += 1
-        if not pred_eval(ts, t.pred):
+        if not _holds(label, t.pred):
             raise NotApplicable("PredicateFails")
         try:
-            ts = ts_apply(ts, t.instr)
+            label, kids, ctx, size = _apply(label, kids, ctx, size, t.instr)
         except TreeStackError:
             raise NotApplicable("InstructionFails") from None
         state = t.dst
-        nxt = _new_configuration(Configuration)
-        _set_state(nxt, state)
-        _set_ts(nxt, ts)
-        _set_pos(nxt, pos)
-        out.append((tag, nxt))
+        out.append((tag, state, label, kids, ctx, size, pos))
 
 
 def step(tsa: Tsa, w: str, cfg: Configuration, t: Transition) -> Configuration:
-    """Apply one transition: `_run` on the one move.  Raises NotApplicable
-    with the failing check, as `_run` does."""
+    """Apply one transition: `_run` on the one move, its record built into
+    a Configuration.  Raises NotApplicable with the failing check, as
+    `_run` does."""
     out: list = []
-    _run(w, cfg, ((None, t),), out)
-    return out[0][1]
+    _run(w, _record(cfg), ((None, t),), out)
+    return _configurations(out)[0][1]
 
 
 def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transition]:
@@ -259,32 +281,79 @@ def applicable_transitions(tsa: Tsa, w: str, cfg: Configuration) -> list[Transit
     return out
 
 
-@dataclass
 class RunTrace:
     """A recorded run: the word, the initial configuration and, per step,
     the delta index applied and the configuration it produced.  `tsa` is
     the machine that ran: a Tsa, or the Pda for `convert.pda_accepts`,
-    whose stack is the tree's one path."""
+    whose stack is the tree's one path.
 
-    tsa: Tsa
-    word: str
-    steps: list[tuple[int, Configuration]]
-    initial: Configuration
+    A trace that `_run` checked keeps its step records, and `steps` builds
+    the (delta index, Configuration) list from them on first read, then
+    keeps only that list; the length, the delta indices and `final()` read
+    the records.  A trace made from a list of steps keeps that list as its
+    records, since both start each row with the delta index.  `==`
+    compares tsa, word, steps and initial."""
+
+    def __init__(self, tsa: Tsa, word: str, steps: list[tuple[int, Configuration]],
+                 initial: Configuration):
+        self.tsa, self.word, self.initial = tsa, word, initial
+        self._records = self._steps = steps
+        self._base = None
+
+    @classmethod
+    def _checked(cls, tsa, word: str, records: list[tuple], initial: Configuration,
+                 base: tuple[RunTrace, int] | None = None) -> RunTrace:
+        """The trace of `_run`'s records.  With base (trace, j), the first j
+        records are that trace's, and its first j steps will be too."""
+        trace = cls.__new__(cls)
+        trace.tsa, trace.word, trace.initial = tsa, word, initial
+        trace._records, trace._steps, trace._base = records, None, base
+        return trace
+
+    @property
+    def steps(self) -> list[tuple[int, Configuration]]:
+        if self._steps is None:
+            todo = [self]  # this trace and the unbuilt bases it takes steps from
+            while todo[-1]._base is not None and todo[-1]._base[0]._steps is None:
+                todo.append(todo[-1]._base[0])
+            for trace in reversed(todo):
+                base, shared = trace._base or (None, 0)
+                steps = base._steps[:shared] if base else []
+                steps += _configurations(trace._records[shared:])
+                trace._records = trace._steps = steps
+                trace._base = None
+        return self._steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.tsa, self.word, self.steps, self.initial)
+                == (other.tsa, other.word, other.steps, other.initial))
+
+    __hash__ = None  # compared by value and mutable, so unhashable
+
+    def __repr__(self):
+        return (f"RunTrace(tsa={self.tsa!r}, word={self.word!r}, steps={self.steps!r}, "
+                f"initial={self.initial!r})")
 
     def __len__(self):
-        return len(self.steps)
+        return len(self._records)
 
     def __bool__(self):
         return True  # an empty accepting run is still a result
 
     def transition_indices(self) -> list[int]:
-        return [i for i, _ in self.steps]
+        return [r[0] for r in self._records]
 
     def names(self) -> list[str]:
-        return [self.tsa.transition_display(i) for i, _ in self.steps]
+        return [self.tsa.transition_display(r[0]) for r in self._records]
 
     def final(self) -> Configuration:
-        return self.steps[-1][1] if self.steps else self.initial
+        if not self._records:
+            return self.initial
+        if self._steps is None:  # build the last configuration only
+            return _configurations(self._records[-1:])[0][1]
+        return self._steps[-1][1]
 
     def configurations(self) -> list[Configuration]:
         """Configurations c_0 .. c_r (initial first)."""
@@ -1241,21 +1310,21 @@ def _trie_words(tsa: Tsa, rows, max_len: int,
     return runs, budget_words
 
 
-def _replay_from(tsa: Tsa, word: str, cfg: Configuration, tidxs: Sequence[int], steps: list) -> None:
-    """Run delta indices from cfg through `_run`, appending (delta index,
-    configuration) to `steps`.  Raises ReplayMismatch at the first step
-    that does not apply or names no transition, numbered from 1 along
-    `steps`."""
+def _replay_from(tsa: Tsa, word: str, at: tuple, tidxs: Sequence[int], records: list) -> None:
+    """Run delta indices from the step record `at` through `_run`,
+    appending their records to `records`.  Raises ReplayMismatch at the
+    first step that does not apply or names no transition, numbered from
+    1 along `records`."""
     delta = tsa.delta
     good = len(tidxs)
     if tidxs and (min(tidxs) < 0 or max(tidxs) >= len(delta)):
         good = next(j for j, i in enumerate(tidxs) if not 0 <= i < len(delta))
     try:
-        _run(word, cfg, zip(tidxs, map(delta.__getitem__, tidxs[:good])), steps)
+        _run(word, at, zip(tidxs, map(delta.__getitem__, tidxs[:good])), records)
     except NotApplicable as e:
-        raise ReplayMismatch(len(steps) + 1, e.reason) from None
+        raise ReplayMismatch(len(records) + 1, e.reason) from None
     if good < len(tidxs):
-        raise ReplayMismatch(len(steps) + 1, f"no transition #{tidxs[good] + 1}")
+        raise ReplayMismatch(len(records) + 1, f"no transition #{tidxs[good] + 1}")
 
 
 def _reopens(derived: _Derivation) -> set[int]:
@@ -1291,27 +1360,30 @@ def _reopens(derived: _Derivation) -> set[int]:
 
 def _execute(tsa: Tsa, runs: dict[str, Sequence[int]]) -> dict[str, RunTrace]:
     """Re-execute each word's run of delta indices from the initial
-    configuration through `_run`, each shared run prefix once, so runs
-    with a common prefix share its Configurations.  The runs go in
-    lexicographic order, where the longest prefix a run shares with any
-    run before it is the one it shares with the run just before it: the
-    run takes that run's steps up to there and runs the rest from the
-    configuration they reach.  A run prefix fixes the letters it reads, so
-    its steps are the same for every word whose witness it begins.
-    Raises ReplayMismatch at the first step that does not apply, numbered
-    from 1 along its run."""
+    configuration through `_run`, each shared run prefix once.  The runs
+    go in lexicographic order, where the longest prefix a run shares with
+    any run before it is the one it shares with the run just before it:
+    the run takes that run's records up to there and runs the rest from
+    the last record they keep.  Its trace has the trace before as its
+    base, so when its steps are read it takes the shared ones from there,
+    and runs with a common prefix share its Configurations.  A run prefix
+    fixes the letters it reads, so its steps are the same for every word
+    whose witness it begins.  Raises ReplayMismatch at the first step that
+    does not apply, numbered from 1 along its run."""
     init = initial_configuration(tsa)
     traces = {}
-    steps: list = []  # the steps of the run before
+    records: list = []  # the records of the run before
+    before = None  # and its trace
     for word, run in sorted(runs.items(), key=lambda item: item[1]):
         shared = 0
-        for tidx, (done, _) in zip(run, steps):
-            if tidx != done:
+        for tidx, record in zip(run, records):
+            if tidx != record[0]:
                 break
             shared += 1
-        steps = steps[:shared]
-        _replay_from(tsa, word, steps[-1][1] if steps else init, run[shared:], steps)
-        traces[word] = RunTrace(tsa, word, steps, init)
+        records = records[:shared]
+        _replay_from(tsa, word, records[-1] if records else _record(init), run[shared:], records)
+        before = traces[word] = RunTrace._checked(tsa, word, records, init,
+                                                  (before, shared) if shared else None)
     return traces
 
 
@@ -1320,12 +1392,14 @@ def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
     through `_run`; `tsa` may also be a `convert.Pda`.
 
     Raises ReplayMismatch at the first step that does not apply or names
-    no transition; the final configuration is trace.final().
+    no transition, so the whole run is checked before it returns; the
+    trace's steps are built when first read, and the final configuration
+    is trace.final().
     """
     init = initial_configuration(tsa)
-    steps: list = []
-    _replay_from(tsa, word, init, list(tidx_seq), steps)
-    return RunTrace(tsa, word, steps, init)
+    records: list = []
+    _replay_from(tsa, word, _record(init), list(tidx_seq), records)
+    return RunTrace._checked(tsa, word, records, init)
 
 
 def replay_trace(trace: RunTrace) -> Configuration:
@@ -1344,7 +1418,7 @@ def replay_trace(trace: RunTrace) -> Configuration:
     if failed:
         raise failed
     if again.final().pos != len(trace.word):
-        raise ReplayMismatch(len(trace.steps), "word not fully consumed")
+        raise ReplayMismatch(len(trace), "word not fully consumed")
     return again.final()
 
 
@@ -1512,7 +1586,7 @@ def standardise(tsa: Tsa) -> Tsa:
 def is_proper(trace: RunTrace) -> bool:
     """No two consecutive steps may both be stationary eps-transitions."""
     prev = False
-    for tidx, _ in trace.steps:
+    for tidx in trace.transition_indices():
         stat = trace.tsa.delta[tidx].is_stationary_eps()
         if stat and prev:
             return False

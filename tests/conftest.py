@@ -1,6 +1,7 @@
-"""Shared structural oracles, and the acceptance Stopwatch.  The oracles
-are written directly from the language definitions and never call the
-machinery they are used to check.
+"""Shared structural oracles, the acceptance Stopwatch and a counter of
+the Configurations a trace builds.  The oracles are written directly from
+the language definitions and never call the machinery they are used to
+check.
 """
 
 import itertools
@@ -64,3 +65,19 @@ def crossing_recorder(moves, nu):
     for l, m in zip(ups, downs):
         out.extend((l, m))
     return tuple(out)
+
+
+def count_configurations(monkeypatch) -> list[int]:
+    """A one-item list that counts, from this call on, the Configurations
+    `tsa._configurations` builds from step records."""
+    import tsalab.tsa as tsa_mod
+
+    built = [0]
+    new = tsa_mod._new_configuration
+
+    def counting(cls):
+        built[0] += 1
+        return new(cls)
+
+    monkeypatch.setattr(tsa_mod, "_new_configuration", counting)
+    return built

@@ -376,11 +376,13 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mcfg", "member", "{missing}", "--word", "a"],
-    ["convert", "pda2tsa", "{missing}"],
-    ["analyze", "upsets", "abcd", "--words-file", "{missing}"],
-    ["run", "{missing}", "--word", "a"],  # neither a file nor a fixture
-    ["suite", "nope"],
+    pytest.param(["mcfg", "member", "{missing}", "--word", "a"], id="mcfg-member-missing-file"),
+    pytest.param(["convert", "pda2tsa", "{missing}"], id="pda2tsa-missing-file"),
+    pytest.param(["analyze", "upsets", "abcd", "--words-file", "{missing}"],
+                 id="upsets-missing-words-file"),
+    pytest.param(["run", "{missing}", "--word", "a"],  # neither a file nor a fixture
+                 id="run-missing-machine"),
+    pytest.param(["suite", "nope"], id="suite-unknown"),
     ["trace", "ks", "--word", "tT", "--follow", "s1.@,nope"],
     ["experiment", "gaps", "--family", "alpha:x"],
     ["experiment", "gaps", "--family", "cubes"],

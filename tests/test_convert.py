@@ -89,9 +89,10 @@ def test_pda_replay_refuses_an_index_outside_delta(bad):
 
 
 def test_pda_replay_configs_equal_constructed_ones():
-    # `tsa._run` fills its Configurations through slot descriptors, past
-    # the frozen __init__; they must still be ordinary frozen Configurations,
-    # the stack a path TreeStack equal to one built from its addresses
+    # `tsa._configurations` fills a trace's Configurations through slot
+    # descriptors, past the frozen __init__; they must still be ordinary
+    # frozen Configurations, the stack a path TreeStack equal to one built
+    # from its addresses
     pda = fixture_wpz_pda()
     res = pda_accepts(pda, "ttTtTT")
     for _, cfg in res.steps:

@@ -14,7 +14,9 @@ KEEP = {
     "check_U_switchable": "the switchability checks of ROADMAP item 7",
     "f2f2_T": "the grammar reductions of ROADMAP item 9",
     "parse_fsa": "the FSA file format the README documents",
+    "pred_eval": "the tree-stack API the README documents; `_run` calls the field-level definitions they wrap",
     "substitution_bound": "the Substitution Lemma's constants: criterion 11, ROADMAP item 5",
+    "ts_apply": "the tree-stack API the README documents; `_run` calls the field-level definitions they wrap",
 }
 
 

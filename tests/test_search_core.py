@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Stopwatch, abcd_word, counting_wpz_oracle, words_upto
+from conftest import Stopwatch, abcd_word, count_configurations, counting_wpz_oracle, words_upto
 
 import tsalab.langlab as langlab_mod
 import tsalab.tsa as tsa_mod
@@ -890,6 +890,20 @@ def test_witnesses_run_each_shared_prefix_once(monkeypatch):
         prefixes = {tuple(t.transition_indices()[:j])
                     for t in each.values() for j in range(1, len(t.steps) + 1)}
         assert steps == len(prefixes) == 926, opts
+
+
+def test_shared_witnesses_build_each_configuration_on_first_read(monkeypatch):
+    # `_execute`'s traces build their steps when first read, each taking
+    # the shared ones from the trace of the run before: enumerate_words
+    # reads none, and reading all 99 witnesses of wpz up to length 8, the
+    # last first, builds one Configuration per distinct run prefix
+    built = count_configurations(monkeypatch)
+    tsa = fixture_wpz_tsa()
+    members = enumerate_words(tsa, 8)
+    each = accepts_each(tsa, sorted(members))
+    assert len(members) == 99 and built[0] == 0
+    assert sum(len(each[w].steps) for w in sorted(members, reverse=True)) == 2039
+    assert built[0] == 926
 
 
 def test_tampered_shared_step_raises_where_replay_does():

@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import abcd_oracle, abcd_word, words_upto
-from strategies import random_tsas
+from conftest import abcd_oracle, abcd_word, count_configurations, words_upto
+from reference_treestack import ref_ts_apply, ref_ts_init
+from strategies import random_pdas, random_tsas
 
 from tsalab.convert import (
     Pda,
@@ -13,14 +14,16 @@ from tsalab.convert import (
     fixture_wpz_pda,
     fixture_wpz_tsa,
     parse_pda,
+    pda_accepts,
     render_pda,
 )
-from tsalab.fixtures import ABCD_FILE, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
+from tsalab.fixtures import ABCD_FILE, TSA_FILES, abcd_tsa, anbmcndm_tsa, astar_tsa, updown_demo_tsa
 from tsalab.langlab import Fsa, parse_fsa
 from tsalab.mcfg import EXAMPLE_ABCD, EXAMPLE_ANBMCNDM, mcfg_enumerate, parse_mcfg
 from tsalab import treestack
 import tsalab.tsa as tsa_mod
-from tsalab.treestack import PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up, pred_eq
+from tsalab.treestack import (PRED_TRUE, TreeStack, instr_down, instr_id, instr_push, instr_set, instr_up,
+                              pred_eq, render_tree_stack)
 from tsalab.tsa import (
     BadIndex,
     Configuration,
@@ -390,6 +393,62 @@ def test_deep_replay_builds_no_dom_and_no_address(monkeypatch):
     monkeypatch.undo()
     final = replay_trace(tr)
     assert final == tr.final() and final.ts.pointer == () and len(final.ts) == 202
+
+
+def assert_steps_are_the_step_chain(trace):
+    """trace.steps, built on first read from the records `_run` kept, equal
+    the chain of `step` calls from the initial configuration, and each
+    tree stack renders as the dict-of-addresses reference along the run."""
+    machine, word = trace.tsa, trace.word
+    cfg, ref, chain, refs = trace.initial, ref_ts_init(), [], []
+    for tidx in trace.transition_indices():
+        t = machine.delta[tidx]
+        cfg, ref = step(machine, word, cfg, t), ref_ts_apply(ref, t.instr)
+        chain.append((tidx, cfg))
+        refs.append(render_tree_stack(ref))
+    assert trace.steps == chain
+    assert [render_tree_stack(c.ts) for _, c in trace.steps] == refs
+    assert trace.final() == (chain[-1][1] if chain else trace.initial)
+
+
+def test_lazy_steps_equal_the_step_chain():
+    fixtures = [parse_tsa(text) for text in TSA_FILES.values()]
+    witnesses = 0
+    for mode in ("root", "any"):
+        opts = SearchOptions(accept_mode=mode)
+        for tsa, n in [(tsa, 4) for tsa in fixtures] + [(tsa, 3) for tsa in random_tsas(3, 60)]:
+            for w in words_upto(tsa.alphabet, n):
+                trace = accepts(tsa, w, opts)
+                if trace:
+                    assert_steps_are_the_step_chain(trace)
+                    witnesses += 1
+        for pda in [fixture_wpz_pda()] + random_pdas(3, 60):
+            for w in words_upto(pda.alphabet, 4):
+                trace = tsa_mod._tsa_search(pda, w, opts)
+                if trace:
+                    assert_steps_are_the_step_chain(trace)
+                    witnesses += 1
+    for trace in (accepts(abcd_tsa(), "aabbccdd", K2), accepts(fixture_wpz_tsa(), "ttTtTT"),
+                  pda_accepts(fixture_wpz_pda(), "tTttTT")):
+        assert_steps_are_the_step_chain(trace)
+    assert witnesses > 300
+
+
+def test_witnesses_build_their_configurations_on_first_read(monkeypatch):
+    built = count_configurations(monkeypatch)
+    runs = [accepts(abcd_tsa(), "a" * 40 + "b" * 40 + "c" * 40 + "d" * 40, K2),
+            pda_accepts(fixture_wpz_pda(), "t" * 100 + "T" * 100)]
+    assert all(runs) and built[0] == 0
+    for run in runs:  # the verdict, the length, the indices and names read the records
+        assert len(run) == len(run.transition_indices()) == len(run.names()) > 150
+    assert built[0] == 0
+    for run in runs:
+        built[0] = 0
+        run.final()
+        assert built[0] == 1  # the last configuration only
+        built[0] = 0
+        run.steps, run.steps
+        assert built[0] == len(run)  # once, on the first read
 
 
 def test_replay_trace_reports_the_first_bad_step():

@@ -48,7 +48,7 @@ try:
         result = len(collect_upsets(wpz, members).entries)
     else:
         res = (pda_accepts if machine == "pda" else accepts)(wpz, "t" * n + "T" * n)
-        result = len(res.steps) if res else res.reason
+        result = len(res) if res else res.reason  # the verdict and length, as callers see them
 except MemoryError:
     result = "MemoryError"
 wall = time.perf_counter() - t0
