@@ -11,12 +11,11 @@ root; that is the setting in which the definitions make sense.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .treestack import ROOT, Address, InputError, format_address
+from .treestack import ROOT, Address, InputError, _pointer, format_address
 from .tsa import (
-    Configuration,
     ReplayMismatch,
     RunTrace,
     SearchOptions,
@@ -64,16 +63,20 @@ class StrongConditionViolated(InputError):
         super().__init__(f"stationary factor too long at {format_address(vertex)}")
 
 
-def _check_trace(trace: RunTrace):
+def _check_trace(trace: RunTrace) -> list[tuple]:
+    """The trace's step records (`RunTrace._run_records`), once the run is
+    checked to be proper and to finish at the root."""
     if not is_proper(trace):
         raise TraceNotProper("analysis needs a proper run")
-    if trace.final().ts.pointer != ROOT:
+    records = trace._run_records()
+    if _pointer(records[-1][4]) != ROOT:
         raise TraceNotAtRoot("analysis needs the run to finish at the root")
+    return records
 
 
-def _positions(trace: RunTrace) -> list[int]:
-    """Input positions after 0 .. r steps."""
-    return [c.pos for c in trace.configurations()]
+def _positions(records: Sequence[tuple]) -> list[int]:
+    """Input positions after 0 .. r steps, from the run's step records."""
+    return [r[6] for r in records]
 
 
 @dataclass(frozen=True)
@@ -91,34 +94,47 @@ class UpDownVector:
         return tuple(x for pair in self.pairs for x in pair)
 
 
-def _crossings(configs: Sequence[Configuration]) -> dict[Address, list[tuple[int, int]]]:
-    """Every up-down vector of the run through configs (its
-    `configurations()`) from one walk over the pointer path.
+def _turns(machine) -> list[int]:
+    """Per delta index, how its instruction moves the pointer: 1 up to a
+    child (push, up), -1 down to the parent (down, pop), 0 not at all."""
+    return [(k in ("push", "up")) - (k in ("down", "pop")) for k in (t.instr.kind for t in machine.delta)]
 
-    A step that lengthens the pointer address opens a pair (l, _) at the
-    vertex it enters; one that shortens it closes the open pair at the
-    vertex it leaves with m = step - 1.  The open pairs are the edges from
-    the root to the pointer, so they form a stack.  Keys are the vertices
-    entered from below: the non-root vertices of the final tree.  The
-    trace must have passed `_check_trace`, so every pair is closed."""
+
+def _crossings(records: Sequence[tuple], turns: Sequence[int]) -> dict[Address, list[tuple[int, int]]]:
+    """Every up-down vector of a run from one pass over its step records
+    (`RunTrace._run_records`), with `turns` its machine's `_turns`.
+
+    A step whose delta index pushes or goes up opens a pair (l, _) at the
+    vertex it enters; one that goes down or pops closes the open pair at
+    the vertex it leaves with m = step - 1.  The open pairs are the edges
+    from the root to the pointer, so they form a stack.  The vertex left
+    is the pointer of the record before the step, read off that record's
+    zipper context (`treestack._pointer`, built once per context and
+    cached there).  Keys are the vertices entered from below: the non-root
+    vertices of the final tree.  The trace must have passed
+    `_check_trace`, so every pair is closed."""
     out: dict[Address, list[tuple[int, int]]] = {}
-    rho = [c.ts.pointer for c in configs]
     opened = []
-    for j, (before, after) in enumerate(pairwise(map(len, rho)), start=1):
-        if after > before:
+    for j in range(1, len(records)):
+        turn = turns[records[j][0]]
+        if turn > 0:
             opened.append(j)
-        elif after < before:
-            out.setdefault(rho[j - 1], []).append((opened.pop(), j - 1))
+        elif turn:
+            out.setdefault(_pointer(records[j - 1][4]), []).append((opened.pop(), j - 1))
     return out
+
+
+def _pairs_at(trace: RunTrace, records: Sequence[tuple], nu: Address) -> list[tuple[int, int]]:
+    """The up-down pairs of vertex nu, from `_crossings`."""
+    pairs = _crossings(records, _turns(trace.tsa)).get(nu)
+    if pairs is None:
+        raise VertexNotInFinalTree(f"{format_address(nu)} is not a non-root vertex of the run's final tree")
+    return pairs
 
 
 def up_down_vector(trace: RunTrace, nu: Address) -> UpDownVector:
     """Indices of the transitions crossing the edge (parent(nu), nu)."""
-    _check_trace(trace)
-    pairs = _crossings(trace.configurations()).get(nu)
-    if pairs is None:
-        raise VertexNotInFinalTree(f"{format_address(nu)} is not a non-root vertex of the run's final tree")
-    return UpDownVector(tuple(pairs))
+    return UpDownVector(tuple(_pairs_at(trace, _check_trace(trace), nu)))
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,8 @@ def _factorise(w: str, pos: Sequence[int], pairs: Sequence[tuple[int, int]]) -> 
 
 
 def nu_factorisation(trace: RunTrace, nu: Address) -> NuFactorisation:
-    udv = up_down_vector(trace, nu)
-    return _factorise(trace.word, _positions(trace), udv.pairs)
+    records = _check_trace(trace)
+    return _factorise(trace.word, _positions(records), _pairs_at(trace, records, nu))
 
 
 @dataclass(frozen=True)
@@ -181,24 +197,24 @@ class HistoryArray:
         return "(" + " ".join(self.labels) + " | " + " ".join(self.states) + ")"
 
 
-def _history_from_pairs(configs: Sequence[Configuration], pairs: Sequence[tuple[int, int]]
+def _history_from_pairs(records: Sequence[tuple], pairs: Sequence[tuple[int, int]]
                         ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The (labels, states) of a vertex's history array from its up-down
-    pairs: (c1u, c1d, ..., csu, csd) and the states beside them.  The
-    pointer sits at the vertex at both indices of each pair, so every label
-    is the focus label."""
+    pairs and the run's step records: (c1u, c1d, ..., csu, csd) and the
+    states beside them.  The pointer sits at the vertex at both indices of
+    each pair, so every label is the record's focus label."""
     labels = []
     states = []
     for l, m in pairs:
-        up, down = configs[l], configs[m]
-        labels += (up.ts.pointer_label, down.ts.pointer_label)
-        states += (up.state, down.state)
+        up, down = records[l], records[m]
+        labels += (up[2], down[2])
+        states += (up[1], down[1])
     return tuple(labels), tuple(states)
 
 
 def history_array(trace: RunTrace, nu: Address) -> HistoryArray:
-    udv = up_down_vector(trace, nu)
-    return HistoryArray(*_history_from_pairs(trace.configurations(), udv.pairs))
+    records = _check_trace(trace)
+    return HistoryArray(*_history_from_pairs(records, _pairs_at(trace, records, nu)))
 
 
 @dataclass
@@ -221,14 +237,16 @@ def single_swap(trace_w: RunTrace, nu: Address,
     """
     if trace_w.tsa is not trace_w2.tsa and trace_w.tsa != trace_w2.tsa:
         raise InputError("runs must come from the same automaton")
-    v1 = up_down_vector(trace_w, nu).pairs
-    v2 = up_down_vector(trace_w2, nu2).pairs
-    h1 = HistoryArray(*_history_from_pairs(trace_w.configurations(), v1))
-    h2 = HistoryArray(*_history_from_pairs(trace_w2.configurations(), v2))
+    r1 = _check_trace(trace_w)
+    v1 = _pairs_at(trace_w, r1, nu)
+    r2 = _check_trace(trace_w2)
+    v2 = _pairs_at(trace_w2, r2, nu2)
+    h1 = HistoryArray(*_history_from_pairs(r1, v1))
+    h2 = HistoryArray(*_history_from_pairs(r2, v2))
     if h1 != h2:
         raise HistoryMismatch(f"history arrays differ: {h1} != {h2}")
-    f1 = _factorise(trace_w.word, _positions(trace_w), v1)
-    f2 = _factorise(trace_w2.word, _positions(trace_w2), v2)
+    f1 = _factorise(trace_w.word, _positions(r1), v1)
+    f2 = _factorise(trace_w2.word, _positions(r2), v2)
     word = f1.substitute(f2.u_tuple())
 
     # explicit splice: follow R up to each arrival, then R' strictly above
@@ -278,20 +296,23 @@ class EmpiricalUpSet:
 def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None) -> EmpiricalUpSet:
     """Run each distinct word once, in first-seen order, then file each
     non-root vertex's u-tuple under its history array, all read off one
-    crossing pass per witness.  Witness
-    runs are proper (the definitions require it); a word without one goes
-    to `budget_failures` or `rejected` by the reason its search stopped.
-    The runs come from one walk over the prefixes of the words
-    (`accepts_each`), each word under the budgets of its own length, and
-    are the runs `accepts` gives.  A vertex is filed under its plain
-    (labels, states) pair, with its u-tuple sliced from the positions of
-    its up-down pairs; one `HistoryArray` per distinct pair is made when
-    `entries` and `provenance` are filled, in the order `insert` would
-    have filled them."""
+    crossing pass over each witness's step records (`_crossings`), so no
+    Configuration is built.  Witness runs are proper (the definitions
+    require it); a word without one goes to `budget_failures` or `rejected`
+    by the reason its search stopped.  The runs come from `accepts_each`,
+    each word under the budgets of its own length, and are the runs
+    `accepts` gives: on a machine with no `up` row, or at k <= 1, from
+    entry/exit summaries over the trie of the words' prefixes, and
+    otherwise from one walk over those prefixes.  A vertex is filed under
+    its plain (labels, states) pair, with its u-tuple sliced from the
+    positions of its up-down pairs; one `HistoryArray` per distinct pair is
+    made when `entries` and `provenance` are filled, in the order `insert`
+    would have filled them."""
     opts = replace(opts or SearchOptions(), accept_mode="root", proper_only=True)
     out = EmpiricalUpSet()
     words = list(dict.fromkeys(words))
     runs = accepts_each(tsa, words, opts)
+    turns = _turns(tsa)
     filed: dict[tuple, list[tuple[str, Address]]] = {}  # ((labels, states), u-tuple) -> provenance
     for w in words:
         res = runs[w]
@@ -299,11 +320,11 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
             (out.budget_failures if res.reason == "budget" else out.rejected).append(w)
             continue
         out.traces[w] = res
-        configs = res.configurations()
-        assert is_proper(res) and configs[-1].ts.pointer == ROOT  # else a search bug
-        for nu, pairs in sorted(_crossings(configs).items()):
-            us = tuple([w[configs[l].pos:configs[m].pos] for l, m in pairs])
-            filed.setdefault((_history_from_pairs(configs, pairs), us), []).append((w, nu))
+        records = res._run_records()
+        assert is_proper(res) and _pointer(records[-1][4]) == ROOT  # else a search bug
+        for nu, pairs in sorted(_crossings(records, turns).items()):
+            us = tuple([w[records[l][6]:records[m][6]] for l, m in pairs])
+            filed.setdefault((_history_from_pairs(records, pairs), us), []).append((w, nu))
     arrays: dict[tuple, HistoryArray] = {}
     for (key, us), where in filed.items():
         h = arrays.get(key)
@@ -358,11 +379,10 @@ def find_pumpable(trace: RunTrace, m: int) -> PumpResult | None:
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    _check_trace(trace)
+    pos = _positions(_check_trace(trace))
     tsa = trace.tsa
     threshold = m * len(tsa.labels) * len(tsa.states)
     configs = trace.configurations()
-    pos = _positions(trace)
     for a, b, nu in _stationary_segments(trace):
         if b - a + 1 <= threshold:
             continue
@@ -422,7 +442,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     subtree fewer than lam marked letters are read); `marks` are 0-based
     positions of the word.
     """
-    _check_trace(trace)
+    records = _check_trace(trace)
     if marks is not None and not all(0 <= i < len(trace.word) for i in marks):
         raise InputError("marks must index into the word")
     tsa = trace.tsa
@@ -430,7 +450,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     if D == 0:
         raise InputError("bounds assume positive degree (at least one push)")
     C, Q = len(tsa.labels), len(tsa.states)
-    pos = _positions(trace)
+    pos = _positions(records)
 
     # strong condition first; the stationary factors also give the letters
     # read at each vertex
@@ -466,7 +486,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
         # marked letters read inside T_nu are those of its u factors,
         # w[pos[l]:pos[m]]; `before[i]` counts the marked letters before i
         before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))
-        cross = _crossings(trace.configurations())
+        cross = _crossings(records, _turns(tsa))
         cross[ROOT] = [(0, len(trace.steps))]  # every letter is read inside T_root
         singular = [nu for nu in sorted(dom)
                     if before[-1] - sum(before[pos[m]] - before[pos[l]]
@@ -578,14 +598,13 @@ class Level1Arrays:
 
 
 def level1_arrays(trace: RunTrace) -> Level1Arrays:
-    _check_trace(trace)
-    configs = trace.configurations()
-    cols = sorted((l, m, nu[0]) for nu, pairs in _crossings(configs).items() if len(nu) == 1
-                  for l, m in pairs)
+    records = _check_trace(trace)
+    cols = sorted((l, m, nu[0]) for nu, pairs in _crossings(records, _turns(trace.tsa)).items()
+                  if len(nu) == 1 for l, m in pairs)
     if not cols:
         raise EmptyLevel1("the run never leaves the root")
     ls, ms, ns = zip(*cols)
     pairs = list(zip(ls, ms))
-    labels, states = _history_from_pairs(configs, pairs)
-    return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(trace), pairs),
+    labels, states = _history_from_pairs(records, pairs)
+    return Level1Arrays(ls, ms, ns, _factorise(trace.word, _positions(records), pairs),
                         labels, states, tuple(n for n in ns for _ in (0, 1)))

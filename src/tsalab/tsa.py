@@ -10,6 +10,8 @@ golden-trace tests depend on that.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -206,11 +208,11 @@ def initial_configuration(tsa: Tsa) -> Configuration:
     return Configuration(tsa.initial, ts_init(), 0)
 
 
-def _record(cfg: Configuration) -> tuple:
-    """cfg as a step record with no tag: (None, state, focus label, focus
-    children, context, vertex count, position)."""
+def _record(cfg: Configuration, tag=None) -> tuple:
+    """cfg as a step record: (tag, state, focus label, focus children,
+    context, vertex count, position)."""
     ts = cfg.ts
-    return None, cfg.state, ts._label, ts._kids, ts._ctx, ts._size, cfg.pos
+    return tag, cfg.state, ts._label, ts._kids, ts._ctx, ts._size, cfg.pos
 
 
 def _configurations(records: Iterable[tuple]) -> list[tuple[object, Configuration]]:
@@ -291,8 +293,9 @@ class RunTrace:
     the (delta index, Configuration) list from them on first read, then
     keeps only that list; the length, the delta indices and `final()` read
     the records.  A trace made from a list of steps keeps that list as its
-    records, since both start each row with the delta index.  `==`
-    compares tsa, word, steps and initial."""
+    records, since both start each row with the delta index.
+    `_run_records` gives the full records either way, for run analysis.
+    `==` compares tsa, word, steps and initial."""
 
     def __init__(self, tsa: Tsa, word: str, steps: list[tuple[int, Configuration]],
                  initial: Configuration):
@@ -358,6 +361,17 @@ class RunTrace:
     def configurations(self) -> list[Configuration]:
         """Configurations c_0 .. c_r (initial first)."""
         return [self.initial] + [c for _, c in self.steps]
+
+    def _run_records(self) -> list[tuple]:
+        """The step records of c_0 .. c_r (see `_configurations`): the
+        initial configuration's, tagged None, then each step's, tagged with
+        its delta index.  A trace that `_run` checked gives its records
+        while its steps are unbuilt; once they are built, and for a trace
+        made from a list of steps, the records are read off the steps'
+        configurations.  So run analysis builds no Configuration."""
+        if self._steps is None:
+            return [_record(self.initial), *self._records]
+        return [_record(self.initial), *(_record(cfg, tidx) for tidx, cfg in self._steps)]
 
 
 class NotFound:
@@ -528,8 +542,8 @@ class Dispatch(dict):
 def search_rows(machine) -> Dispatch:
     """machine.delta, a Tsa's or a Pda's, as the `Dispatch` table `_search`
     reads.  Cached on the machine, one table for every search on it, since
-    machines are immutable and `_search` ignores the stationary-eps flags
-    unless proper_only is set."""
+    machines are immutable and `_search` and `_summaries` ignore the
+    stationary-eps flags unless proper_only is set."""
     table = machine.__dict__.get("_search_rows")
     if table is None:
         rows = {q: [] for q in machine.states}
@@ -538,6 +552,27 @@ def search_rows(machine) -> Dispatch:
             rows[t.src].append((tidx, t.inp, t.pred.label, _KIND_CODE[instr.kind], instr.n,
                                 instr.label, t.dst, t.is_stationary_eps()))
         table = machine.__dict__["_search_rows"] = Dispatch(rows, machine.finals)
+    return table
+
+
+def _summary_rows(tsa: Tsa, opts: SearchOptions) -> Dispatch | None:
+    """The `Dispatch` table that `_summaries` reads for a search of `tsa`
+    under opts, or None where an `up` row may fire: the machine's own
+    table when it has no up row, and at k <= 1 its table without the up
+    rows, with the same delta indices.  At k = 1 a pushed vertex already
+    has its one visit from below, so an up into it would make a second,
+    and at k = 0 nothing is pushed; so no up fires there, and the search
+    of the whole table meets the runs of the table without them.  Cached
+    on the machine beside `search_rows`."""
+    rows = search_rows(tsa)
+    if rows.up_free:
+        return rows
+    if opts.k is None or opts.k > 1:
+        return None
+    table = tsa.__dict__.get("_summary_rows")
+    if table is None:
+        table = tsa.__dict__["_summary_rows"] = Dispatch(
+            {q: [row for row in by if row[3] != _UP] for q, by in rows.by_state.items()}, tsa.finals)
     return table
 
 
@@ -559,14 +594,16 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     least shortest run, and NotFound("budget") means the search was cut
     off, NotFound("exhausted") that the bounded space was fully explored.
 
-    On a machine with no `up` row, without proper_only, the answer comes
-    first from entry/exit summaries (`_summaries`): a vertex is then
-    entered once and left at most once, so runs are context-free, and
+    On a machine with no `up` row, or on any machine at k <= 1, where no
+    `up` row fires (`_summary_rows`), the answer comes first from
+    entry/exit summaries (`_summaries`), proper_only or not: a vertex is
+    then entered once and left at most once, so runs are context-free, and
     Knuth's lightest derivation gives the least run of each fact in
     polynomial time.  A witness stands when it fits both budgets; a "no"
-    stands as `exhausted` when no run prefix can reach either budget.
+    stands as `exhausted` when no run prefix can reach either budget, and
+    as `budget` when a cycle of openings grows the tree without end.
     Otherwise, or on any other machine or options, the search itself runs
-    (`_search`).  A configuration's children come from the machine's
+    (`_search`) on the whole table.  A configuration's children come from the machine's
     `Dispatch` table: the transitions of its state whose letter and
     predicate match the next letter and the pointer's label, in delta
     order.  Inside the search a tree stack and its vfb counts are a zipper
@@ -580,8 +617,8 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     plain search gives.  Either way the witness is a list of delta indices
     re-executed by `replay`.
     """
-    rows = search_rows(tsa)
-    if rows.up_free and not opts.proper_only:
+    rows = _summary_rows(tsa, opts)
+    if rows is not None:
         found = _word_summaries(tsa, rows, w, opts)
         if found is not None:
             return found if isinstance(found, NotFound) else replay(tsa, w, found)
@@ -939,8 +976,8 @@ def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
 
 
 def _word_summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
-    """`accepts` on a TSA with no `up` row, without proper_only:
-    `_summaries` over w as a path, and the budget rules.  Returns the delta
+    """`accepts` on a TSA whose `_summary_rows` are `rows`: `_summaries`
+    over w as a path, and the budget rules.  Returns the delta
     indices of `_search`'s witness, NotFound("exhausted") or
     NotFound("budget") where `_search` gives that, or None where a budget
     might cut `_search`, whose answer is then needed.
@@ -993,14 +1030,16 @@ class _Derivation:
 
 def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
                goals: dict | None = None) -> tuple[tuple | None, _Derivation, dict]:
-    """The least accepting run of a TSA with no `up` row, without
-    proper_only, on the words of a deterministic position automaton, by
-    entry/exit summaries.  Position j is `at[j]` = (letter key, moves,
-    end): its `Dispatch` letter key (a letter, END or ANY_LETTER), a dict
-    from each letter it reads to the next position and from None (eps) to
-    j, and whether a run may accept at j.  Position 0 is the start.  A
-    fixed word is a path (`_word_summaries`), the words up to a length are
-    a `_Trie` (`_trie_words`), and `langlab.rational_membership` passes a
+    """The least accepting run of a TSA on the words of a deterministic
+    position automaton, by entry/exit summaries, where `rows` has no `up`
+    row: the machine's own table when it has none, or at k <= 1 its table
+    without them (`_summary_rows`).  Position j is `at[j]` = (letter key,
+    moves, end): its `Dispatch` letter key (a letter, END or ANY_LETTER), a
+    dict from each letter it reads to the next position and from None
+    (eps) to j, and whether a run may accept at j.  Position 0 is the
+    start.  A fixed word is a path (`_word_summaries`), the words up to a
+    length are a `_Trie` and a list of words a `_WordTrie` (both
+    `_trie_words`), and `langlab.rational_membership` passes a
     deterministic B . w^-1.  Returns the goal's run of delta indices, or
     None once the facts saturate without it, with the `_Derivation` of
     the facts and `entries`.  Given `goals`, a dict, every goal is wanted:
@@ -1014,13 +1053,19 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
         (initial, @, 0) and has id 0;
       - a local fact (entry id, state, label, used child slots as a bit
         set, position): the run from the entry got there without leaving
-        the vertex, finished child visits included;
+        the vertex, finished child visits included.  Bit 0 of the set,
+        which no child index uses, is the stationary bit: with proper_only
+        it tells whether the run's last step was a stationary eps row
+        (`Transition.is_stationary_eps`), and without it is 0;
       - an exit (entry id, state, position): the vertex was left by a down
         into that state at that position or, as (entry id, None,
         position), by acceptance inside it at an end position.
-    `id` and `set` extend a local fact, `down` ends it in an exit, and a
-    final local fact at an end position gives an accepting exit there (in
-    root mode only the root's).  `push n B` with slot n free (and k != 0:
+    `id` and `set` extend a local fact and set its stationary bit to the
+    row's, `down` ends it in an exit, and a final local fact at an end
+    position gives an accepting exit there (in root mode only the root's).
+    With the bit set, no stationary eps row fires (a proper run has no two
+    in a row); an entry's first local fact, after a push, and a join,
+    after a down, have it clear.  `push n B` with slot n free (and k != 0:
     k = 0 bars the visit from below a push makes) enters (target, B,
     position) and joins the local fact with each exit of that entry; an
     accepting exit gives the parent's.  A goal is the root's accepting
@@ -1043,6 +1088,7 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
 
     root_only = opts.accept_mode == "root"
     pushing = opts.k != 0
+    proper = opts.proper_only
     finals = tsa.finals
     entries: dict = {}
     waiting: list[list] = []  # entry id -> (pushing local fact's id, its entry, run with the push, label, slots after)
@@ -1105,7 +1151,9 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
         key, moves, end = at[j]
         if end and p in finals and (not e or not root_only):
             offer((e, None, j), run)
-        for tidx, inp, _, kind, c, nlab, dst, _, _ in rows[p, lab, key]:
+        for tidx, inp, _, kind, c, nlab, dst, stat, _ in rows[p, lab, key]:
+            if used & 1 and stat:
+                continue  # a second stationary eps step in a row
             nj = moves.get(inp)
             if nj is None:
                 continue  # a letter this position does not read
@@ -1118,19 +1166,19 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
                 if e2 is None:
                     e2 = enter(dst, nlab, nj)
                 firings.append((opening[e2], opening[e], i))  # the opening of e2 through this push
-                site = (i, e, nrun, lab, used | bit)
+                site = (i, e, nrun, lab, used & ~1 | bit)  # a join ends in a down
                 waiting[e2].append(site)
                 for out, oi, orun in exits[e2]:
                     join(site, out, oi, orun)
                 continue
             if kind == _ID:
-                nxt = (e, dst, lab, used, nj)
+                nxt = (e, dst, lab, used & ~1 | (stat and proper), nj)
             elif not e:  # down and set need a non-root pointer
                 continue
             elif kind == _DOWN:
                 nxt = (e, dst, nj)
             else:  # set
-                nxt = (e, dst, nlab, used, nj)
+                nxt = (e, dst, nlab, used & ~1 | (stat and proper), nj)
             firings.append((offer(nxt, nrun), i))
     return None, derived, entries
 
@@ -1210,10 +1258,12 @@ class _Trie(dict):
     """Every word of length <= max_len over an alphabet of a letters, as
     the positions of `_summaries`: "" is node 0, and word u + x, x the
     i-th letter, is node a * u + i + 1, so the nodes of each length come in
-    itertools.product order.  Every node is an end position.  A node
-    shorter than max_len reads each letter in one ANY_LETTER lookup, and a
-    node of length max_len reads nothing (END).  A node is made the first
-    time it is asked for, so only the words some fact reaches are made."""
+    itertools.product order.  Every node is an end position, and a target
+    of `_trie_words`: `per_length[n]` counts the targets of length n.  A
+    node shorter than max_len reads each letter in one ANY_LETTER lookup,
+    and a node of length max_len reads nothing (END).  A node is made the
+    first time it is asked for, so only the words some fact reaches are
+    made."""
 
     def __init__(self, alphabet: Sequence[str], max_len: int):
         super().__init__()
@@ -1221,6 +1271,9 @@ class _Trie(dict):
         self.starts = [0]  # the first node of each length, and one past the last
         for _ in range(max_len + 1):
             self.starts.append(self.starts[-1] * len(alphabet) + 1)
+        self.size = self.starts[-1]
+        self.targets = range(self.size)
+        self.per_length = [len(alphabet) ** n for n in range(max_len + 1)]
 
     def __missing__(self, j: int):
         if j >= self.starts[self.max_len]:
@@ -1231,6 +1284,12 @@ class _Trie(dict):
             at = self[j] = (Dispatch.ANY_LETTER, moves, True)
         return at
 
+    def parent(self, j: int) -> int:
+        return (j - 1) // len(self.alphabet)
+
+    def length(self, j: int) -> int:
+        return bisect_right(self.starts, j) - 1
+
     def word(self, j: int) -> str:
         letters = []
         while j:
@@ -1239,49 +1298,95 @@ class _Trie(dict):
         return "".join(reversed(letters))
 
 
-def _trie_words(tsa: Tsa, rows, max_len: int,
+class _WordTrie(dict):
+    """The prefixes of given words, as the positions of `_summaries`: ""
+    is node 0, and each new prefix gets the next id, so a node comes after
+    its parent.  A node's letter key is its one next letter, ANY_LETTER
+    when it has several, or END when it has none, and only a given word's
+    node is an end position.  `targets` lists the given words' nodes, in
+    the order of the words, and `per_length[n]` counts those of length n."""
+
+    def __init__(self, words: Sequence[str]):
+        super().__init__()
+        self.words, self.parents, self.depth = [""], [0], [0]
+        kids: list[dict] = [{}]  # node -> letter -> child node
+        self.targets = []
+        for w in words:
+            j = 0
+            for x in w:
+                c = kids[j].get(x)
+                if c is None:
+                    c = kids[j][x] = len(self.words)
+                    self.words.append(self.words[j] + x)
+                    self.parents.append(j)
+                    self.depth.append(self.depth[j] + 1)
+                    kids.append({})
+                j = c
+            self.targets.append(j)
+        ends = set(self.targets)
+        for j, moves in enumerate(kids):
+            key = (Dispatch.END if not moves else Dispatch.ANY_LETTER if len(moves) > 1
+                   else next(iter(moves)))
+            moves[None] = j
+            self[j] = (key, moves, j in ends)
+        self.size = len(self.words)
+        self.max_len = max(self.depth)
+        self.per_length = [0] * (self.max_len + 1)
+        for j in self.targets:
+            self.per_length[self.depth[j]] += 1
+
+    def parent(self, j: int) -> int:
+        return self.parents[j]
+
+    def length(self, j: int) -> int:
+        return self.depth[j]
+
+    def word(self, j: int) -> str:
+        return self.words[j]
+
+
+def _trie_words(tsa: Tsa, rows, trie: _Trie | _WordTrie,
                 opts: SearchOptions) -> tuple[dict[str, tuple], list[str]] | None:
-    """`enumerate_words` on a TSA with no `up` row, without proper_only:
-    `_summaries` over the `_Trie` of the words up to max_len, with every
-    goal wanted, and the budget rules of `_word_summaries` for each
-    length.  Returns each accepted word's run of delta indices, the walk's
-    witness, with the words the walk would list as cut by a budget, or
-    None where a budget might cut the walk, whose answer is then needed.
+    """`accepts` on every target word of a trie of positions at once, on a
+    TSA whose `_summary_rows` are `rows`: `_summaries` over the trie, with
+    every goal wanted, and the budget rules of `_word_summaries` for each
+    length.  `enumerate_words` passes the `_Trie` of every word up to
+    max_len, and `accepts_each` the `_WordTrie` of its words.  Returns each
+    accepted target's run of delta indices, the walk's witness, with the
+    targets the walk would find cut by a budget, in target order, or None
+    where a budget might cut the walk, whose answer is then needed.
 
     A fact at a node depends only on the facts at the node's prefixes, so
     a node's goal run is the least run of its word, as on the word's own
     path, and a cycle of facts lies at one node.  A goal run is the
-    witness if it fits the budgets of the word's length.  A word with no
+    witness if it fits the budgets of the word's length.  A target with no
     goal is rejected, with no cut, when no fact at its prefixes lies on or
     after a cycle and every run prefix that ends at a node no longer than
     the word fits those budgets (`_longest_prefix`): the word's own search
     meets only the nodes of its prefixes.  It is cut by a budget when a
     cycle of openings lies at one of its prefixes (`_reopens`), and any
     other cycle there leaves the answer to the walk."""
-    from bisect import bisect_right  # here, as heapq in `_summaries`
-
-    trie = _Trie(tsa.alphabet, max_len)
     goals: dict[int, tuple] = {}
     _, derived, entries = _summaries(tsa, rows, trie, opts, goals)
+    max_len, length = trie.max_len, trie.length
     budgets = [search_budgets(tsa, opts, n) for n in range(max_len + 1)]
     runs = {}
-    accepted = [0] * (max_len + 1)  # accepted words of each length
+    accepted = [0] * (max_len + 1)  # accepted targets of each length
     for j, run in goals.items():
-        w = trie.word(j)
-        max_steps, max_vertices = budgets[len(w)]
+        n = length(j)
+        max_steps, max_vertices = budgets[n]
         if len(run) > max_steps or 1 + _pushes(tsa, run) > max_vertices:
             return None
-        runs[w] = run
-        accepted[len(w)] += 1
-    a = len(tsa.alphabet)
-    rejecting = [n for n in range(max_len + 1) if accepted[n] < a ** n]
+        runs[trie.word(j)] = run
+        accepted[n] += 1
+    rejecting = [n for n in range(max_len + 1) if accepted[n] < trie.per_length[n]]
     if not rejecting:
         return runs, []
     cyclic: list[int] = []
     most = _longest_prefix(derived, cyclic)
     steps, pushes = [0] * (max_len + 1), [0] * (max_len + 1)  # most at nodes of each length
     for j, (s, p) in most.items():
-        n = bisect_right(trie.starts, j) - 1
+        n = length(j)
         steps[n], pushes[n] = max(steps[n], s), max(pushes[n], p)
     for n in range(1, max_len + 1):  # ... and at nodes no longer
         steps[n], pushes[n] = max(steps[n - 1], steps[n]), max(pushes[n - 1], pushes[n])
@@ -1289,24 +1394,24 @@ def _trie_words(tsa: Tsa, rows, max_len: int,
             for s, p, (max_steps, max_vertices) in zip(steps, pushes, budgets)]
     if not cyclic:
         return (runs, []) if all(fits[n] for n in rejecting) else None
-    # each rejected word by the cycles at its prefixes: 2 a cycle of
-    # openings, 1 another, 0 none
+    # each node by the cycles at its prefixes: 2 a cycle of openings, 1
+    # another, 0 none
     at_entry = [j for _, _, j in entries]  # entry id -> its node
     facts = derived.facts
     cycles = dict.fromkeys([at_entry[f] if type(f) is int else f[-1]
                             for f in map(facts.__getitem__, cyclic)], 1)
     cycles.update(dict.fromkeys(map(at_entry.__getitem__, _reopens(derived)), 2))
-    below = [0] * trie.starts[-1]  # node -> the worst cycle at its prefixes
+    below = [0] * trie.size  # node -> the worst cycle at its prefixes
+    for j in range(trie.size):  # each node after its parent
+        below[j] = max(below[trie.parent(j)] if j else 0, cycles.get(j, 0))
     budget_words = []
-    for n in range(max_len + 1):
-        for j in range(trie.starts[n], trie.starts[n + 1]):
-            below[j] = c = max(below[(j - 1) // a] if j else 0, cycles.get(j, 0))
-            if j in goals:
-                continue
-            if c == 2:
-                budget_words.append(trie.word(j))
-            elif c or not fits[n]:
-                return None
+    for j in trie.targets:
+        if j in goals:
+            continue
+        if below[j] == 2:
+            budget_words.append(trie.word(j))
+        elif below[j] or not fits[length(j)]:
+            return None
     return runs, budget_words
 
 
@@ -1428,11 +1533,12 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     search of any word would be cut off rather than exhausted; it lists
     those words by length, each length in itertools.product order.
 
-    On a machine with no `up` row, without proper_only, the words come
-    first from entry/exit summaries over the trie of every word up to
-    max_len (`_trie_words`): each fact is derived once, at the node of the
-    word it has read, and the root's accepting exit at a node is that
-    word's least run.  A witness stands when it fits the budgets of its
+    On a machine with no `up` row, or at k <= 1 (`_summary_rows`),
+    proper_only or not, the words come first from entry/exit summaries
+    over the trie of every word up to max_len (`_trie_words` on a
+    `_Trie`): each fact is derived once, at the node of the word it has
+    read, and the root's accepting exit at a node is that word's least
+    run.  A witness stands when it fits the budgets of its
     word's length.  A word without one is rejected when no run prefix on
     the trie's nodes up to its length can reach them, and is a budget
     word when a cycle of openings lies at one of its prefixes.  The witnesses
@@ -1449,9 +1555,9 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     """
     if max_len < 0:
         return set()
-    rows = search_rows(tsa)
-    if rows.up_free and not opts.proper_only:
-        answer = _trie_words(tsa, rows, max_len, opts)
+    rows = _summary_rows(tsa, opts)
+    if rows is not None:
+        answer = _trie_words(tsa, rows, _Trie(tsa.alphabet, max_len), opts)
         if answer is not None:
             runs, budget_words = answer
             found = set(_execute(tsa, runs))
@@ -1459,7 +1565,7 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
                 raise BudgetExceeded(found, budget_words)
             return found
     walk = _Walk(tsa, opts, max_len)
-    _search(tsa, rows, None, opts, walk)
+    _search(tsa, search_rows(tsa), None, opts, walk)
     found = set(walk.witnesses(tsa))
     budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
@@ -1469,18 +1575,33 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
 
 def accepts_each(tsa: Tsa, words: Iterable[str],
                  opts: SearchOptions = SearchOptions()) -> dict[str, RunTrace | NotFound]:
-    """`accepts(tsa, w, opts)` for every word w of `words`, from one
-    breadth-first walk over (configuration, read prefix) pairs whose
-    reading steps follow the prefixes of the words: `_search` in walk
-    mode, each word under the budgets of its own length.  The witnesses
-    are re-executed by `_Walk.witnesses`, each shared run prefix once, so
-    witnesses with a common prefix share its Configurations.  The walk
-    holds the configurations of all live prefixes at once, so it needs
-    more memory than one search per word, less what the words' shared
-    prefixes share."""
+    """`accepts(tsa, w, opts)` for every word w of `words`, each word under
+    the budgets of its own length.  On a machine with no `up` row, or at
+    k <= 1 (`_summary_rows`), proper_only or not, the answers come first
+    from entry/exit summaries over the trie of the words' prefixes
+    (`_trie_words` on a `_WordTrie`): a node reads only the letters its
+    words go on with, and only a given word's node is an end, so each fact
+    is derived once for every word through its node, under the budget
+    rules of `enumerate_words`.  The runs are re-executed together through
+    `_execute`.  Otherwise, or where a budget might cut the walk, one
+    breadth-first walk over (configuration, read prefix) pairs runs, whose
+    reading steps follow the prefixes of the words: `_search` in walk mode.
+    Its witnesses are re-executed by `_Walk.witnesses`.  Either way each
+    shared run prefix runs once, so witnesses with a common prefix share
+    its Configurations.  The walk holds the configurations of all live
+    prefixes at once, so it needs more memory than one search per word,
+    less what the words' shared prefixes share."""
     words = list(dict.fromkeys(words))
     if not words:
         return {}
+    rows = _summary_rows(tsa, opts)
+    if rows is not None:
+        answer = _trie_words(tsa, rows, _WordTrie(words), opts)
+        if answer is not None:
+            runs, budget_words = answer
+            found, cut = _execute(tsa, runs), set(budget_words)
+            return {w: found[w] if w in found else NotFound("budget" if w in cut else "exhausted")
+                    for w in words}
     walk = _Walk(tsa, opts, max(map(len, words)), words)
     _search(tsa, search_rows(tsa), None, opts, walk)
     found = walk.witnesses(tsa)
@@ -1585,13 +1706,9 @@ def standardise(tsa: Tsa) -> Tsa:
 
 def is_proper(trace: RunTrace) -> bool:
     """No two consecutive steps may both be stationary eps-transitions."""
-    prev = False
-    for tidx in trace.transition_indices():
-        stat = trace.tsa.delta[tidx].is_stationary_eps()
-        if stat and prev:
-            return False
-        prev = stat
-    return True
+    stationary = [t.is_stationary_eps() for t in trace.tsa.delta]
+    flags = [stationary[tidx] for tidx in trace.transition_indices()]
+    return not any(map(operator.and_, flags, flags[1:]))
 
 
 def make_root_accepting(tsa: Tsa) -> Tsa:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
-from tsalab.analysis import EmpiricalUpSet, HistoryArray, _crossings, _factorise
+from tsalab.analysis import EmpiricalUpSet, HistoryArray, _factorise
 from tsalab.convert import Pda
 from tsalab.treestack import ROOT, ROOT_LABEL, TreeStack, TreeStackError, pred_eval, ts_apply
 from tsalab.tsa import (
@@ -246,6 +246,23 @@ def ref_enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOpti
     return found
 
 
+def ref_crossings(configs) -> dict:
+    """Every up-down vector of the run through configs (its
+    `configurations()`), from the lengths of the pointer addresses: a step
+    that lengthens the address opens a pair (l, _) at the vertex it
+    enters, and one that shortens it closes the innermost open pair at the
+    vertex it leaves, with m = step - 1."""
+    out: dict = {}
+    rho = [c.ts.pointer for c in configs]
+    opened = []
+    for j in range(1, len(rho)):
+        if len(rho[j]) > len(rho[j - 1]):
+            opened.append(j)
+        elif len(rho[j]) < len(rho[j - 1]):
+            out.setdefault(rho[j - 1], []).append((opened.pop(), j - 1))
+    return out
+
+
 def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> EmpiricalUpSet:
     """`collect_upsets` with one `accepts` search per distinct word, each
     vertex filed through `EmpiricalUpSet.insert` under a `HistoryArray`
@@ -261,7 +278,7 @@ def ref_collect_upsets(tsa, words, opts: SearchOptions | None = None) -> Empiric
         assert is_proper(res) and res.final().ts.pointer == ROOT  # else a search bug
         configs = res.configurations()
         pos = [c.pos for c in configs]
-        for nu, pairs in sorted(_crossings(configs).items()):
+        for nu, pairs in sorted(ref_crossings(configs).items()):
             at = [i for pair in pairs for i in pair]  # each arrival and each return, in order
             h = HistoryArray(tuple(configs[i].ts.label_at(nu) for i in at),
                              tuple(configs[i].state for i in at))

@@ -8,6 +8,7 @@ from conftest import (
     abcd_oracle,
     abcd_word,
     anbmcndm_oracle,
+    count_configurations,
     counting_wpz_oracle,
     crossing_recorder,
     words_upto,
@@ -286,17 +287,20 @@ def test_collect_upsets_files_each_distinct_word_once():
         assert getattr(twice, f.name) == getattr(once, f.name), f.name
 
 
-def test_collect_upsets_builds_each_witness_configurations_once(monkeypatch):
+def test_collect_upsets_builds_no_configuration(monkeypatch):
+    # the crossings, history arrays and u-tuples are read off the witnesses'
+    # step records, so no trace builds its steps
     wpz = fixture_wpz_tsa()
     members = sorted(enumerate_words(wpz, 8))
     calls = []
     configurations = RunTrace.configurations
     monkeypatch.setattr(RunTrace, "configurations",
                         lambda trace: calls.append(trace) or configurations(trace))
+    built = count_configurations(monkeypatch)
     for n, want in ((6, 29), (8, 99)):
-        calls.clear()
         ups = collect_upsets(wpz, [w for w in members if len(w) <= n])
-        assert len(ups.traces) == len(calls) == want, n
+        assert len(ups.traces) == want and len(ups.entries) > 10, n
+        assert calls == [] and built[0] == 0, n
 
 
 def test_upsets_share_key_and_provenance_replays():

@@ -797,6 +797,132 @@ def test_trie_bound_of_a_length_counts_the_shorter_nodes():
     assert got == ({""}, ["a"]) == enumeration(ref_enumerate_words, tsa, 1, opts)
 
 
+# Proper runs and word lists on the summaries.  A local fact carries a
+# stationary bit, bit 0 of its used child slots, so `accepts` and
+# `enumerate_words` with proper_only answer up-free machines from the
+# summaries too; and `accepts_each` runs them over the trie of its words'
+# prefixes (`tsa._WordTrie`), with the walk where a budget might cut it.
+
+def verdict(res):
+    """A search result as its delta indices or its NotFound reason."""
+    return res.transition_indices() if res else res.reason
+
+
+PROPER_OPTIONS = [SearchOptions(proper_only=True, k=k, accept_mode=mode, **budgets)
+                  for mode in ("root", "any") for k in (None, 1)
+                  for budgets in ({}, {"max_steps": 6, "max_vertices": 3})]
+
+
+def test_proper_summaries_match_the_bfs_on_random_up_free_machines(monkeypatch):
+    # the machines of `test_summaries_match_reference_on_random_up_free_machines`,
+    # whose BFS takes no second under the default budgets
+    calls = counted_searches(monkeypatch)
+    words = list(words_upto("ab", 4))
+    answers = Counter()  # (answered by the summaries, verdict kind) -> cases
+    differs = 0  # cases whose proper answer is not the plain one
+    for tsa in random_tsas(2, 200):
+        if not tsa_mod.search_rows(tsa).up_free:
+            continue
+        for opts in PROPER_OPTIONS:
+            for w in words:
+                before = calls[0]
+                got = verdict(accepts(tsa, w, opts))
+                answers[calls[0] == before, type(got) is list or got] += 1
+                assert got == verdict(tsa_mod._tsa_search(tsa, w, opts)), (w, opts, render_tsa(tsa))
+                differs += got != verdict(accepts(tsa, w, replace(opts, proper_only=False)))
+    by_summaries = sum(n for (summaries, _), n in answers.items() if summaries)
+    assert by_summaries > 0.9 * sum(answers.values()), answers
+    assert answers[True, True] and answers[True, "exhausted"] and answers[False, "budget"]
+    assert differs > 50, differs
+
+
+def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monkeypatch):
+    words = list(words_upto("ab", 4))
+    words = words[::-1] + words[::3]  # any order, some words twice
+    trie_words = tsa_mod._trie_words
+    answered = []
+
+    def recording(*args):
+        runs = trie_words(*args)
+        answered.append(runs is not None)
+        return runs
+
+    cases = Counter()  # (answered from the trie, verdict kind) -> words
+    for tsa in random_tsas(2, 200):  # as in the test above
+        if not tsa_mod.search_rows(tsa).up_free:
+            continue
+        for opts in (SearchOptions(proper_only=True), PROPER_OPTIONS[-1], SearchOptions()):
+            monkeypatch.setattr(tsa_mod, "_trie_words", recording)
+            got = accepts_each(tsa, words, opts)
+            ups = upsets(collect_upsets, tsa, words, opts)
+            monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+            walk = accepts_each(tsa, words, opts)
+            assert upsets(collect_upsets, tsa, words, opts) == ups, (opts, render_tsa(tsa))
+            monkeypatch.undo()
+            assert {w: outcome(r) for w, r in got.items()} \
+                == {w: outcome(r) for w, r in walk.items()}, (opts, render_tsa(tsa))
+            for res in got.values():
+                cases[answered[-2], bool(res) or res.reason] += 1
+    from_trie = sum(n for (trie, _), n in cases.items() if trie)
+    assert from_trie > 0.9 * sum(cases.values()), cases
+    assert cases[True, True] and cases[True, "exhausted"] and cases[False, "budget"]
+
+
+def test_wpz_upsets_from_the_trie_equal_the_walks(monkeypatch):
+    wpz = fixture_wpz_tsa()
+    members = [w for w in words_upto("tT", 8) if counting_wpz_oracle(w)]
+    got = collect_upsets(wpz, members)
+    monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+    walk = collect_upsets(wpz, members)
+    assert len(got.traces) == 99 and not got.rejected and not got.budget_failures
+    assert list(got.traces.items()) == list(walk.traces.items())
+    assert list(got.entries) == list(walk.entries)
+    assert [list(us) for us in got.entries.values()] == [list(us) for us in walk.entries.values()]
+    assert list(got.provenance.items()) == list(walk.provenance.items())
+
+
+# At k <= 1 no `up` row fires, since a pushed vertex already has its one
+# visit from below.  So `accepts`, `enumerate_words` and `accepts_each`
+# answer a machine with up rows at k <= 1 from the summaries of its table
+# without them (`tsa._summary_rows`); the BFS keeps the whole table.
+
+def test_k1_summaries_match_the_bfs_on_random_machines_with_up(monkeypatch):
+    # machine 174 of random_tsas(2, 200) is left out: its BFS runs out of
+    # memory (ROADMAP item 20), and the next test gives its answer
+    calls = counted_searches(monkeypatch)
+    words = list(words_upto("ab", 3))
+    answers = Counter()  # (answered by the summaries, verdict kind) -> cases
+    for seed in (1, 2):
+        for i, tsa in enumerate(random_tsas(seed, 200)):
+            if tsa_mod.search_rows(tsa).up_free or (seed, i) == (2, 174):
+                continue
+            for mode in ("root", "any"):
+                opts = SearchOptions(k=1, accept_mode=mode)
+                want = {}
+                for w in words:
+                    before = calls[0]
+                    got = verdict(accepts(tsa, w, opts))
+                    answers[calls[0] == before, type(got) is list or got] += 1
+                    want[w] = verdict(tsa_mod._tsa_search(tsa, w, opts))
+                    assert got == want[w], (w, mode, i, render_tsa(tsa))
+                assert {w: verdict(r) for w, r in accepts_each(tsa, words, opts).items()} == want
+                found = enumeration(enumerate_words, tsa, 3, opts)
+                assert found[0] == {w for w, v in want.items() if type(v) is list}
+                assert found[1] in (None, [w for w in words if want[w] == "budget"]), (mode, i)
+    by_summaries = sum(n for (summaries, _), n in answers.items() if summaries)
+    assert by_summaries > 0.9 * sum(answers.values()), answers
+    assert answers[True, True] and answers[True, "exhausted"] and answers[True, "budget"]
+
+
+def test_k1_answers_machine_174_without_the_bfs(monkeypatch):
+    tsa = random_tsas(2, 200)[174]
+    assert not tsa_mod.search_rows(tsa).up_free
+    calls = counted_searches(monkeypatch)
+    with Stopwatch("machine 174 on b at k = 1", 0.1):
+        got = accepts(tsa, "b", SearchOptions(k=1))
+    assert outcome(got) == ("NotFound", "budget") and calls[0] == 0
+
+
 # `_execute` re-executes each shared run prefix once and shares its
 # configurations among the witnesses that begin with it; each witness must
 # still be the run that `replay` makes of its word and transition indices.
@@ -1246,6 +1372,24 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from tsalab.convert import fixture_wpz_pda, pda_accepts
 print(len(pda_accepts(fixture_wpz_pda(), "t" * 10000 + "T" * 10000)))
 """
+
+
+UPSETS_UNDER_LIMIT = """
+import itertools, resource
+limit = 200 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from tsalab.analysis import collect_upsets
+from tsalab.convert import fixture_wpz_tsa
+members = ["".join(t) for n in range(0, 15, 2) for t in itertools.product("tT", repeat=n)
+           if t.count("t") == t.count("T")]
+print(len(collect_upsets(fixture_wpz_tsa(), members).entries))
+"""
+
+
+def test_wpz_upsets_to_length_14_fit_in_200_mb():
+    # 4,707 members; the walk over their prefixes reached 209 MB max RSS
+    # here, and the summaries over their trie take 85 MB
+    assert run_under_limit(UPSETS_UNDER_LIMIT) == "13\n"
 
 
 def test_deep_pda_witness_fits_in_200_mb():
