@@ -836,6 +836,40 @@ def test_proper_summaries_match_the_bfs_on_random_up_free_machines(monkeypatch):
     assert differs > 50, differs
 
 
+# t0 and t3 are stationary eps steps, with a push and a down between them:
+# the join after the down clears the bit that t0 set, so t3 may fire.  t4
+# and t5 are two stationary eps steps in a row, which a proper run never
+# takes, so under proper_only "" is not accepted
+STATIONARY_TSA = """tsa
+states: q q1 r s f g h
+initial: q
+final: f h
+labels: A
+alphabet: a
+trans: q eps true id q1  # t0
+trans: q1 eps true push 1 A r  # t1
+trans: r a true down s  # t2
+trans: s eps true id f  # t3
+trans: q eps eq @ id g  # t4
+trans: g eps eq @ id h  # t5
+"""
+
+
+@pytest.mark.parametrize("word, plain, proper", [
+    ("a", ["t0", "t1", "t2", "t3"], ["t0", "t1", "t2", "t3"]),
+    ("", ["t4", "t5"], "exhausted"),
+])
+def test_a_join_clears_the_stationary_bit(monkeypatch, word, plain, proper):
+    tsa = parse_tsa(STATIONARY_TSA)
+    calls = counted_searches(monkeypatch)
+    for opts, want in ((SearchOptions(), plain), (SearchOptions(proper_only=True), proper)):
+        got = accepts(tsa, word, opts)
+        assert (got.names() if got else got.reason) == want
+        assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, word, opts))
+        assert outcome(accepts_each(tsa, ["a", ""], opts)[word]) == outcome(got)
+    assert calls[0] == 2  # the two `_tsa_search` calls; the summaries answered the rest
+
+
 def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monkeypatch):
     words = list(words_upto("ab", 4))
     words = words[::-1] + words[::3]  # any order, some words twice
