@@ -350,21 +350,22 @@ class PumpResult:
         return self.x + self.y * n + self.z
 
 
-def _stationary_segments(trace: RunTrace):
+def _stationary_segments(records: Sequence[tuple], turns: Sequence[int]):
     """Maximal runs of consecutive steps whose instruction keeps the
-    pointer in place, as (first step, last step, vertex)."""
+    pointer in place, as (first step, last step, vertex), from the run's
+    step records, with `turns` its machine's `_turns`: the vertex is the
+    pointer of the record before the first step."""
     segs = []
     start = None
-    rho = [c.ts.pointer for c in trace.configurations()]
-    for j, (tidx, _) in enumerate(trace.steps, start=1):
-        stat = trace.tsa.delta[tidx].instr.kind in ("id", "set")
+    for j in range(1, len(records)):
+        stat = not turns[records[j][0]]
         if stat and start is None:
             start = j
         elif not stat and start is not None:
-            segs.append((start, j - 1, rho[start - 1]))
+            segs.append((start, j - 1, _pointer(records[start - 1][4])))
             start = None
     if start is not None:
-        segs.append((start, len(trace.steps), rho[start - 1]))
+        segs.append((start, len(records) - 1, _pointer(records[start - 1][4])))
     return segs
 
 
@@ -379,18 +380,18 @@ def find_pumpable(trace: RunTrace, m: int) -> PumpResult | None:
     """
     if m < 1:
         raise InputError("m must be >= 1")
-    pos = _positions(_check_trace(trace))
+    records = _check_trace(trace)
+    pos = _positions(records)
     tsa = trace.tsa
     threshold = m * len(tsa.labels) * len(tsa.states)
-    configs = trace.configurations()
-    for a, b, nu in _stationary_segments(trace):
+    for a, b, nu in _stationary_segments(records, _turns(tsa)):
         if b - a + 1 <= threshold:
             continue
         window = range(a, a + threshold + 1)
         seen: dict[tuple[str, str], list[int]] = {}
         hit = None
-        for j in window:
-            pair = (configs[j].ts.label_at(nu), configs[j].state)
+        for j in window:  # the pointer rests at nu, so its label is the focus label
+            pair = (records[j][2], records[j][1])
             seen.setdefault(pair, []).append(j)
             if len(seen[pair]) == m + 1:
                 hit = seen[pair]
@@ -456,7 +457,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
     # read at each vertex
     seg_threshold = mu * C * Q
     letters_at: dict[Address, int] = {}
-    for a, b, nu in _stationary_segments(trace):
+    for a, b, nu in _stationary_segments(records, _turns(tsa)):
         letters = pos[b] - pos[a - 1]
         if letters > seg_threshold:
             raise StrongConditionViolated(nu)
@@ -487,7 +488,7 @@ def check_atv_bounds(trace: RunTrace, mu: int,
         # w[pos[l]:pos[m]]; `before[i]` counts the marked letters before i
         before = list(accumulate((i in marks for i in range(pos[-1])), initial=0))
         cross = _crossings(records, _turns(tsa))
-        cross[ROOT] = [(0, len(trace.steps))]  # every letter is read inside T_root
+        cross[ROOT] = [(0, len(trace))]  # every letter is read inside T_root
         singular = [nu for nu in sorted(dom)
                     if before[-1] - sum(before[pos[m]] - before[pos[l]]
                                         for l, m in cross[nu]) < lam]

@@ -35,7 +35,7 @@ from .treestack import (
     ts_apply,  # unused here: `_run` calls `_apply`; perfbench's tracer wraps `tsa.ts_apply`
     ts_init,
 )
-from .treestack import _apply, _holds, _zipper
+from .treestack import _apply, _holds, _pointer, _zipper
 
 
 class ParseError(InputError):
@@ -596,14 +596,15 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
 
     On a machine with no `up` row, or on any machine at k <= 1, where no
     `up` row fires (`_summary_rows`), the answer comes first from
-    entry/exit summaries (`_summaries`), proper_only or not: a vertex is
-    then entered once and left at most once, so runs are context-free, and
-    Knuth's lightest derivation gives the least run of each fact in
-    polynomial time.  A witness stands when it fits both budgets; a "no"
-    stands as `exhausted` when no run prefix can reach either budget, and
-    as `budget` when a cycle of openings grows the tree without end.
-    Otherwise, or on any other machine or options, the search itself runs
-    (`_search`) on the whole table.  A configuration's children come from the machine's
+    entry/exit summaries, proper_only or not: `_trie_words` on the
+    one-word `_WordTrie` of w.  A vertex is then entered once and left at
+    most once, so runs are context-free, and Knuth's lightest derivation
+    gives the least run of each fact in polynomial time.  A witness stands
+    when it fits both budgets; a "no" stands as `exhausted` when no run
+    prefix can reach either budget, and as `budget` when a cycle of
+    openings grows the tree without end.  Otherwise w is undecided, and on
+    any other machine or options the search itself runs (`_search`) on
+    the whole table.  A configuration's children come from the machine's
     `Dispatch` table: the transitions of its state whose letter and
     predicate match the next letter and the pointer's label, in delta
     order.  Inside the search a tree stack and its vfb counts are a zipper
@@ -619,9 +620,11 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     """
     rows = _summary_rows(tsa, opts)
     if rows is not None:
-        found = _word_summaries(tsa, rows, w, opts)
-        if found is not None:
-            return found if isinstance(found, NotFound) else replay(tsa, w, found)
+        runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie([w]), opts)
+        if runs:
+            return replay(tsa, w, runs[w])
+        if not undecided:
+            return NotFound("budget" if budget_words else "exhausted")
     return _tsa_search(tsa, w, opts)
 
 
@@ -975,36 +978,6 @@ def _intern(ids: dict[tuple, int], table: list[tuple], x: tuple) -> int:
     return i
 
 
-def _word_summaries(tsa: Tsa, rows, w: str, opts: SearchOptions) -> list[int] | NotFound | None:
-    """`accepts` on a TSA whose `_summary_rows` are `rows`: `_summaries`
-    over w as a path, and the budget rules.  Returns the delta
-    indices of `_search`'s witness, NotFound("exhausted") or
-    NotFound("budget") where `_search` gives that, or None where a budget
-    might cut `_search`, whose answer is then needed.
-
-    The goal's run is `_search`'s witness if it fits both budgets (its
-    length and 1 + its pushes), since a TSA tree never shrinks.  With no
-    goal, one longest-path pass over the derivations of the saturated
-    facts bounds every run prefix (`_longest_prefix`).  Each rule adds a
-    step, so a cycle of facts is unbounded.  If no run prefix reaches
-    either budget, `_search` answers `exhausted`.  If a cycle passes
-    through an opening (`_reopens`), the tree grows without end along one
-    run prefix, and `_search` answers `budget`."""
-    n = len(w)
-    path = [(x, {None: j, x: j + 1}, False) for j, x in enumerate(w)]
-    path.append((rows.END, {None: n}, True))
-    run, derived, _ = _summaries(tsa, rows, path, opts)
-    max_steps, max_vertices = search_budgets(tsa, opts, n)
-    if run is not None:
-        return list(run) if len(run) <= max_steps and 1 + _pushes(tsa, run) <= max_vertices else None
-    most = _longest_prefix(derived)
-    if most is None:  # a cycle of facts
-        return NotFound("budget") if _reopens(derived) else None
-    if all(s < max_steps and 1 + p <= max_vertices for s, p in most.values()):
-        return NotFound("exhausted")
-    return None
-
-
 def _pushes(tsa: Tsa, run: Sequence[int]) -> int:
     """The pushes of a run of delta indices."""
     return sum(tsa.delta[i].instr.kind == "push" for i in run)
@@ -1037,14 +1010,15 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
     moves, end): its `Dispatch` letter key (a letter, END or ANY_LETTER), a
     dict from each letter it reads to the next position and from None
     (eps) to j, and whether a run may accept at j.  Position 0 is the
-    start.  A fixed word is a path (`_word_summaries`), the words up to a
-    length are a `_Trie` and a list of words a `_WordTrie` (both
-    `_trie_words`), and `langlab.rational_membership` passes a
-    deterministic B . w^-1.  Returns the goal's run of delta indices, or
-    None once the facts saturate without it, with the `_Derivation` of
-    the facts and `entries`.  Given `goals`, a dict, every goal is wanted:
-    the loop records each position's goal run there and runs on until the
-    facts saturate.
+    start.  The words up to a length are a `_Trie`, and a list of words,
+    a fixed word among them, a `_WordTrie` (both `_trie_words`);
+    `langlab.rational_membership` passes a deterministic B . w^-1.
+    Returns the goal's run of delta indices, or None once the facts
+    saturate without it, with the `_Derivation` of the facts and
+    `entries`.  Given `goals`, a dict, the goal of every target of `at`
+    (`at.targets`) is wanted: the loop records each position's goal run
+    there and stops once every target has one, or else when the facts
+    saturate.
 
     Without `up` a vertex is entered once, by its push (the root at the
     start), and left by at most one exit, so what a run does inside a
@@ -1139,10 +1113,11 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
         if len(fact) == 3:  # an exit
             e = fact[0]
             if not e:  # a goal: a down never leaves the root
-                if goals is None:
-                    return run, derived, entries
-                goals[fact[2]] = run
-                continue
+                if goals is not None:
+                    goals[fact[2]] = run
+                    if len(goals) < len(at.targets):
+                        continue
+                return run, derived, entries
             exits[e].append((fact, i, run))
             for site in waiting[e]:
                 join(site, fact, i, run)
@@ -1183,20 +1158,20 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
     return None, derived, entries
 
 
-def _longest_prefix(derived: _Derivation, cyclic: list[int] | None = None) -> dict | None:
+def _longest_prefix(derived: _Derivation) -> tuple[dict, list[int]]:
     """Per position j, (most steps, most pushes) of a run prefix that
-    ends at a local fact at j, from the saturated facts of `_summaries`;
-    None if the facts have a cycle, since a cycle repeats without end.
-    Given `cyclic`, a list, a cycle instead puts there the ids of the
-    facts on or after one, which no order reaches, and the maxima count
-    only the local facts whose own and entry's opening were ordered.  A
-    firing with one premise (`id`, `set`, `down`) adds a step, and one
-    with two (a push joined with an exit, or opening an entry) adds a step
-    and a push.  A local fact counts from its entry and an opening from
-    the start, so a run prefix ending at a local fact takes the maxima of
-    both.  The facts no firing derives, the root's opening and each
-    entry's first local fact among them, start from the empty run.  One
-    pass over the int ids in topological order, by Kahn's algorithm."""
+    ends at a local fact at j, from the saturated facts of `_summaries`,
+    and the ids of the facts on or after a cycle of facts.  A cycle
+    repeats without end and no order reaches those facts, so the maxima
+    count only the local facts whose own and entry's opening were
+    ordered.  A firing with one premise (`id`, `set`, `down`) adds a
+    step, and one with two (a push joined with an exit, or opening an
+    entry) adds a step and a push.  A local fact counts from its entry
+    and an opening from the start, so a run prefix ending at a local fact
+    takes the maxima of both.  The facts no firing derives, the root's
+    opening and each entry's first local fact among them, start from the
+    empty run.  One pass over the int ids in topological order, by Kahn's
+    algorithm."""
     # Kahn's loop by hand, not graphlib as in `_reopens`: it counts each firing's
     # premises down as it orders the facts, and a graphlib version made `accepts`
     # on the 200 wpz non-members of search seed 1, rounds 0-19, take 113-167 ms
@@ -1235,10 +1210,8 @@ def _longest_prefix(derived: _Derivation, cyclic: list[int] | None = None) -> di
             if not into[c]:
                 ready.append(c)
     opening = derived.opening
-    if done < n:  # a cycle: some fact never became ready
-        if cyclic is None:
-            return None
-        cyclic += [i for i in range(n) if into[i]]
+    cyclic = [i for i in range(n) if into[i]] if done < n else []  # the facts never ready
+    if cyclic:
         facts = [None if into[i] or type(f) is tuple and len(f) == 5 and into[opening[f[0]]] else f
                  for i, f in enumerate(facts)]
     most: dict = {}
@@ -1251,15 +1224,15 @@ def _longest_prefix(derived: _Derivation, cyclic: list[int] | None = None) -> di
                 most[f[4]] = (s, p)
             elif s > old[0] or p > old[1]:
                 most[f[4]] = (max(old[0], s), max(old[1], p))
-    return most
+    return most, cyclic
 
 
 class _Trie(dict):
     """Every word of length <= max_len over an alphabet of a letters, as
     the positions of `_summaries`: "" is node 0, and word u + x, x the
-    i-th letter, is node a * u + i + 1, so the nodes of each length come in
-    itertools.product order.  Every node is an end position, and a target
-    of `_trie_words`: `per_length[n]` counts the targets of length n.  A
+    i-th letter, is node a * u + i + 1, so a node comes after its parent
+    and the nodes of each length come in itertools.product order.  Every
+    node is an end position and one of the `targets` of `_trie_words`.  A
     node shorter than max_len reads each letter in one ANY_LETTER lookup,
     and a node of length max_len reads nothing (END).  A node is made the
     first time it is asked for, so only the words some fact reaches are
@@ -1267,16 +1240,15 @@ class _Trie(dict):
 
     def __init__(self, alphabet: Sequence[str], max_len: int):
         super().__init__()
-        self.alphabet, self.max_len = alphabet, max_len
+        self.alphabet = alphabet
         self.starts = [0]  # the first node of each length, and one past the last
         for _ in range(max_len + 1):
             self.starts.append(self.starts[-1] * len(alphabet) + 1)
         self.size = self.starts[-1]
         self.targets = range(self.size)
-        self.per_length = [len(alphabet) ** n for n in range(max_len + 1)]
 
     def __missing__(self, j: int):
-        if j >= self.starts[self.max_len]:
+        if j >= self.starts[-2]:
             at = self[j] = (Dispatch.END, {None: j}, True)
         else:
             moves = dict(zip(self.alphabet, itertools.count(len(self.alphabet) * j + 1)))
@@ -1301,118 +1273,104 @@ class _Trie(dict):
 class _WordTrie(dict):
     """The prefixes of given words, as the positions of `_summaries`: ""
     is node 0, and each new prefix gets the next id, so a node comes after
-    its parent.  A node's letter key is its one next letter, ANY_LETTER
-    when it has several, or END when it has none, and only a given word's
-    node is an end position.  `targets` lists the given words' nodes, in
-    the order of the words, and `per_length[n]` counts those of length n."""
+    its parent (`parents`).  A node's letter key is its one next letter,
+    ANY_LETTER when it has several, or END when it has none, and only a
+    given word's node is an end position.  `words` maps each given word's
+    node to the word, and its nodes, in the order of the words, are the
+    `targets` of `_trie_words`.  A fixed word is the one-word trie, a path."""
 
-    def __init__(self, words: Sequence[str]):
+    def __init__(self, words: Iterable[str]):
         super().__init__()
-        self.words, self.parents, self.depth = [""], [0], [0]
+        self.parents = [0]
+        self.words: dict[int, str] = {}
         kids: list[dict] = [{}]  # node -> letter -> child node
-        self.targets = []
         for w in words:
             j = 0
             for x in w:
                 c = kids[j].get(x)
                 if c is None:
-                    c = kids[j][x] = len(self.words)
-                    self.words.append(self.words[j] + x)
+                    c = kids[j][x] = len(kids)
                     self.parents.append(j)
-                    self.depth.append(self.depth[j] + 1)
                     kids.append({})
                 j = c
-            self.targets.append(j)
-        ends = set(self.targets)
+            self.words.setdefault(j, w)
         for j, moves in enumerate(kids):
             key = (Dispatch.END if not moves else Dispatch.ANY_LETTER if len(moves) > 1
                    else next(iter(moves)))
             moves[None] = j
-            self[j] = (key, moves, j in ends)
-        self.size = len(self.words)
-        self.max_len = max(self.depth)
-        self.per_length = [0] * (self.max_len + 1)
-        for j in self.targets:
-            self.per_length[self.depth[j]] += 1
+            self[j] = (key, moves, j in self.words)
+        self.size = len(kids)
+        self.targets = list(self.words)
 
     def parent(self, j: int) -> int:
         return self.parents[j]
 
     def length(self, j: int) -> int:
-        return self.depth[j]
+        return len(self.words[j])
 
     def word(self, j: int) -> str:
         return self.words[j]
 
 
 def _trie_words(tsa: Tsa, rows, trie: _Trie | _WordTrie,
-                opts: SearchOptions) -> tuple[dict[str, tuple], list[str]] | None:
+                opts: SearchOptions) -> tuple[dict[str, tuple], list[str], list[str]]:
     """`accepts` on every target word of a trie of positions at once, on a
     TSA whose `_summary_rows` are `rows`: `_summaries` over the trie, with
-    every goal wanted, and the budget rules of `_word_summaries` for each
-    length.  `enumerate_words` passes the `_Trie` of every word up to
-    max_len, and `accepts_each` the `_WordTrie` of its words.  Returns each
-    accepted target's run of delta indices, the walk's witness, with the
-    targets the walk would find cut by a budget, in target order, or None
-    where a budget might cut the walk, whose answer is then needed.
+    the goal of every target wanted, and the budget rules, each target
+    decided on its own under the budgets of its length.  `enumerate_words`
+    passes the `_Trie` of every word up to max_len, `accepts_each` the
+    `_WordTrie` of its words and `accepts` that of its one word.  Returns
+    each accepted target's run of delta indices, the search's witness;
+    the targets whose search a budget cuts; and the undecided targets,
+    where a budget might cut the search, whose answer is then needed; the
+    last two in target order.  Every other target is rejected.
 
     A fact at a node depends only on the facts at the node's prefixes, so
     a node's goal run is the least run of its word, as on the word's own
     path, and a cycle of facts lies at one node.  A goal run is the
-    witness if it fits the budgets of the word's length.  A target with no
-    goal is rejected, with no cut, when no fact at its prefixes lies on or
-    after a cycle and every run prefix that ends at a node no longer than
-    the word fits those budgets (`_longest_prefix`): the word's own search
-    meets only the nodes of its prefixes.  It is cut by a budget when a
-    cycle of openings lies at one of its prefixes (`_reopens`), and any
-    other cycle there leaves the answer to the walk."""
+    witness if it fits both budgets (its length and 1 + its pushes), since
+    a TSA tree never shrinks.  For a target with no goal, one pass over
+    the nodes, each after its parent, carries the most steps and pushes
+    of a run prefix at the node's prefixes (`_longest_prefix`) and the
+    worst cycle of facts there: 2 a cycle of openings (`_reopens`), 1
+    another, 0 none.  A word's own search meets only its prefixes.  At a
+    cycle of openings the tree grows without end along one run prefix, so
+    the target is cut by a budget.  With no cycle, and every run prefix
+    under both budgets, it is rejected with no cut.  Otherwise, a cycle of
+    `id` or `set` firings or a prefix that may reach a budget, it is
+    undecided."""
     goals: dict[int, tuple] = {}
     _, derived, entries = _summaries(tsa, rows, trie, opts, goals)
-    max_len, length = trie.max_len, trie.length
-    budgets = [search_budgets(tsa, opts, n) for n in range(max_len + 1)]
-    runs = {}
-    accepted = [0] * (max_len + 1)  # accepted targets of each length
-    for j, run in goals.items():
-        n = length(j)
-        max_steps, max_vertices = budgets[n]
-        if len(run) > max_steps or 1 + _pushes(tsa, run) > max_vertices:
-            return None
-        runs[trie.word(j)] = run
-        accepted[n] += 1
-    rejecting = [n for n in range(max_len + 1) if accepted[n] < trie.per_length[n]]
-    if not rejecting:
-        return runs, []
-    cyclic: list[int] = []
-    most = _longest_prefix(derived, cyclic)
-    steps, pushes = [0] * (max_len + 1), [0] * (max_len + 1)  # most at nodes of each length
-    for j, (s, p) in most.items():
-        n = length(j)
-        steps[n], pushes[n] = max(steps[n], s), max(pushes[n], p)
-    for n in range(1, max_len + 1):  # ... and at nodes no longer
-        steps[n], pushes[n] = max(steps[n - 1], steps[n]), max(pushes[n - 1], pushes[n])
-    fits = [s < max_steps and 1 + p <= max_vertices
-            for s, p, (max_steps, max_vertices) in zip(steps, pushes, budgets)]
-    if not cyclic:
-        return (runs, []) if all(fits[n] for n in rejecting) else None
-    # each node by the cycles at its prefixes: 2 a cycle of openings, 1
-    # another, 0 none
-    at_entry = [j for _, _, j in entries]  # entry id -> its node
-    facts = derived.facts
-    cycles = dict.fromkeys([at_entry[f] if type(f) is int else f[-1]
-                            for f in map(facts.__getitem__, cyclic)], 1)
-    cycles.update(dict.fromkeys(map(at_entry.__getitem__, _reopens(derived)), 2))
-    below = [0] * trie.size  # node -> the worst cycle at its prefixes
-    for j in range(trie.size):  # each node after its parent
-        below[j] = max(below[trie.parent(j)] if j else 0, cycles.get(j, 0))
-    budget_words = []
+    if len(goals) < len(trie.targets):
+        most, cyclic = _longest_prefix(derived)
+        cycles = {}  # node -> the worst cycle of facts at it
+        if cyclic:
+            at_entry = [j for _, _, j in entries]  # entry id -> its node
+            facts = derived.facts
+            cycles = dict.fromkeys([at_entry[f] if type(f) is int else f[-1]
+                                    for f in map(facts.__getitem__, cyclic)], 1)
+            cycles.update(dict.fromkeys(map(at_entry.__getitem__, _reopens(derived)), 2))
+        # node -> the most steps, the most pushes and the worst cycle at its prefixes
+        steps, pushes, worst = [0] * trie.size, [0] * trie.size, [0] * trie.size
+        for j in range(trie.size):  # each node after its parent
+            i = trie.parent(j) if j else 0
+            s, p = most.get(j, (0, 0))
+            steps[j], pushes[j] = max(steps[i], s), max(pushes[i], p)
+            worst[j] = max(worst[i], cycles.get(j, 0))
+    runs, budget_words, undecided = {}, [], []
     for j in trie.targets:
-        if j in goals:
-            continue
-        if below[j] == 2:
+        max_steps, max_vertices = search_budgets(tsa, opts, trie.length(j))
+        run = goals.get(j)
+        if run is not None:
+            if len(run) <= max_steps and 1 + _pushes(tsa, run) <= max_vertices:
+                runs[trie.word(j)] = run
+            else:
+                undecided.append(trie.word(j))
+        elif worst[j] == 2:
             budget_words.append(trie.word(j))
-        elif below[j] or not fits[length(j)]:
-            return None
-    return runs, budget_words
+        elif worst[j] or steps[j] >= max_steps or 1 + pushes[j] > max_vertices:
+            undecided.append(trie.word(j))
+    return runs, budget_words, undecided
 
 
 def _replay_from(tsa: Tsa, word: str, at: tuple, tidxs: Sequence[int], records: list) -> None:
@@ -1538,12 +1496,12 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     over the trie of every word up to max_len (`_trie_words` on a
     `_Trie`): each fact is derived once, at the node of the word it has
     read, and the root's accepting exit at a node is that word's least
-    run.  A witness stands when it fits the budgets of its
-    word's length.  A word without one is rejected when no run prefix on
-    the trie's nodes up to its length can reach them, and is a budget
-    word when a cycle of openings lies at one of its prefixes.  The witnesses
-    are re-executed together through `_execute`, each shared run prefix
-    once.  Otherwise, or on any other machine or options, one
+    run.  A witness stands when it fits the budgets of its word's length.
+    A word without one is rejected when no cycle of facts lies at its
+    prefixes and no run prefix there can reach those budgets, and is a
+    budget word when a cycle of openings lies there.  The witnesses are
+    re-executed together through `_execute`, each shared run prefix once.
+    If any word is left undecided, or on any other machine or options, one
     breadth-first walk over (configuration, read prefix) pairs runs, with
     every word up to max_len as a target, each under the budgets of its
     own length: `_search` in walk mode.  A prefix that no configuration
@@ -1557,9 +1515,8 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
         return set()
     rows = _summary_rows(tsa, opts)
     if rows is not None:
-        answer = _trie_words(tsa, rows, _Trie(tsa.alphabet, max_len), opts)
-        if answer is not None:
-            runs, budget_words = answer
+        runs, budget_words, undecided = _trie_words(tsa, rows, _Trie(tsa.alphabet, max_len), opts)
+        if not undecided:
             found = set(_execute(tsa, runs))
             if budget_words:
                 raise BudgetExceeded(found, budget_words)
@@ -1581,40 +1538,44 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
     from entry/exit summaries over the trie of the words' prefixes
     (`_trie_words` on a `_WordTrie`): a node reads only the letters its
     words go on with, and only a given word's node is an end, so each fact
-    is derived once for every word through its node, under the budget
-    rules of `enumerate_words`.  The runs are re-executed together through
-    `_execute`.  Otherwise, or where a budget might cut the walk, one
-    breadth-first walk over (configuration, read prefix) pairs runs, whose
-    reading steps follow the prefixes of the words: `_search` in walk mode.
-    Its witnesses are re-executed by `_Walk.witnesses`.  Either way each
-    shared run prefix runs once, so witnesses with a common prefix share
-    its Configurations.  The walk holds the configurations of all live
+    is derived once for every word through its node, and each word is
+    decided on its own under the budget rules of `enumerate_words`.  The
+    runs are re-executed together through `_execute`.  The words it leaves
+    undecided, where a budget might cut their search, and every word on
+    any other machine or options, go to one breadth-first walk over
+    (configuration, read prefix) pairs, whose reading steps follow the
+    prefixes of those words: `_search` in walk mode.  Its witnesses are
+    re-executed by `_Walk.witnesses`.  Either way each shared run prefix
+    runs once, so witnesses with a common prefix share its Configurations.  The walk holds the configurations of all live
     prefixes at once, so it needs more memory than one search per word,
     less what the words' shared prefixes share."""
     words = list(dict.fromkeys(words))
     if not words:
         return {}
     rows = _summary_rows(tsa, opts)
-    if rows is not None:
-        answer = _trie_words(tsa, rows, _WordTrie(words), opts)
-        if answer is not None:
-            runs, budget_words = answer
-            found, cut = _execute(tsa, runs), set(budget_words)
-            return {w: found[w] if w in found else NotFound("budget" if w in cut else "exhausted")
-                    for w in words}
-    walk = _Walk(tsa, opts, max(map(len, words)), words)
-    _search(tsa, search_rows(tsa), None, opts, walk)
-    found = walk.witnesses(tsa)
-    return {w: found[w] if w in found else NotFound("budget" if walk.was_cut(w) else "exhausted")
+    if rows is None:
+        found, cut, undecided = {}, set(), words
+    else:
+        runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie(words), opts)
+        found, cut = _execute(tsa, runs), set(budget_words)
+    if undecided:
+        walk = _Walk(tsa, opts, max(map(len, undecided)), undecided)
+        _search(tsa, search_rows(tsa), None, opts, walk)
+        found.update(walk.witnesses(tsa))
+        cut.update(filter(walk.was_cut, undecided))
+    return {w: found[w] if w in found else NotFound("budget" if w in cut else "exhausted")
             for w in words}
 
 
 def visited_from_below_counts(trace: RunTrace) -> dict[Address, int]:
     """How many times the run entered each address from its parent: the
     steps that lengthen the pointer address (push or up), counted by the
-    address entered, in address order."""
-    rho = [c.ts.pointer for c in trace.configurations()]
-    return dict(sorted(Counter(b for a, b in zip(rho, rho[1:]) if len(b) > len(a)).items()))
+    address entered, in address order.  Read off the step records
+    (`RunTrace._run_records`): the address a push or up record's context
+    enters."""
+    enters = [t.instr.kind in ("push", "up") for t in trace.tsa.delta]
+    entered = (_pointer(r[4]) for r in trace._run_records()[1:] if enters[r[0]])
+    return dict(sorted(Counter(entered).items()))
 
 
 def is_k_restricted(trace: RunTrace, k: int) -> bool:

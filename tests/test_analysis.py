@@ -303,6 +303,23 @@ def test_collect_upsets_builds_no_configuration(monkeypatch):
         assert calls == [] and built[0] == 0, n
 
 
+def test_run_analysis_reads_step_records(monkeypatch):
+    # the visit-from-below counts, the stationary segments and the pumping
+    # window are read off the step records; `check_atv_bounds` builds the
+    # final configuration only, for its tree's vertices
+    from tsalab.tsa import is_k_restricted, visited_from_below_counts
+
+    abcd = accepts(abcd_tsa(), abcd_word(3), K2)
+    astar = accepts(astar_tsa(), "a" * 5, SearchOptions(accept_mode="any"))
+    built = count_configurations(monkeypatch)
+    counts = visited_from_below_counts(abcd)
+    assert max(counts.values()) == 2 and is_k_restricted(abcd, 2) and not is_k_restricted(abcd, 1)
+    assert find_pumpable(astar, 1) is not None
+    assert built[0] == 0
+    assert check_atv_bounds(abcd, 1).k == 2
+    assert built[0] == 1
+
+
 def test_upsets_share_key_and_provenance_replays():
     from tsalab.tsa import replay_trace
 

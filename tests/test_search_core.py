@@ -608,8 +608,8 @@ def test_a_cycle_of_facts_leaves_the_answer_to_the_bfs(monkeypatch, text, word, 
     # its configurations, so the BFS may exhaust and gives the answer; a push
     # loop grows the tree without end, so the summaries answer `budget`
     for budgets in (opts, SearchOptions()):
-        got = tsa_mod._word_summaries(tsa, rows, word, budgets)
-        assert (got if got is None else got.reason) == summary
+        got = tsa_mod._trie_words(tsa, rows, tsa_mod._WordTrie([word]), budgets)
+        assert got == (({}, [word], []) if summary == "budget" else ({}, [], [word]))
     calls = counted_searches(monkeypatch)
     assert outcome(accepts(tsa, word, opts)) == outcome(ref_accepts(tsa, word, opts)) \
         == ("NotFound", "budget")
@@ -707,6 +707,12 @@ def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
     assert outcome(got) == outcome(tsa_mod._tsa_search(tsa, "a", opts))
 
 
+def all_undecided(tsa, rows, trie, opts):
+    """A stand-in for `tsa._trie_words` that decides no target, so the
+    walk answers every word."""
+    return {}, [], [trie.word(j) for j in trie.targets]
+
+
 # Summaries over the prefix trie.  On a TSA with no `up` row,
 # `enumerate_words` without proper_only answers from `tsa._trie_words`
 # where no budget can cut the walk, and runs the walk where one might.
@@ -726,9 +732,9 @@ def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machi
     answered = []
 
     def recording(*args):
-        runs = trie_words(*args)
-        answered.append(runs is not None)
-        return runs
+        answer = trie_words(*args)
+        answered.append(not answer[2])  # no undecided words
+        return answer
 
     cases = Counter()  # (answered from the trie, words found, budget words listed) -> cases
     for tsa in machines:
@@ -736,7 +742,7 @@ def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machi
             answered.clear()
             monkeypatch.setattr(tsa_mod, "_trie_words", recording)
             got = enumeration(enumerate_words, tsa, 4, opts)
-            monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
             walk = enumeration(enumerate_words, tsa, 4, opts)
             monkeypatch.undo()
             assert got == walk == enumeration(ref_enumerate_words, tsa, 4, opts), \
@@ -877,9 +883,9 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
     answered = []
 
     def recording(*args):
-        runs = trie_words(*args)
-        answered.append(runs is not None)
-        return runs
+        answer = trie_words(*args)
+        answered.append(not answer[2])  # no undecided words
+        return answer
 
     cases = Counter()  # (answered from the trie, verdict kind) -> words
     for tsa in random_tsas(2, 200):  # as in the test above
@@ -889,7 +895,7 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
             monkeypatch.setattr(tsa_mod, "_trie_words", recording)
             got = accepts_each(tsa, words, opts)
             ups = upsets(collect_upsets, tsa, words, opts)
-            monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
             walk = accepts_each(tsa, words, opts)
             assert upsets(collect_upsets, tsa, words, opts) == ups, (opts, render_tsa(tsa))
             monkeypatch.undo()
@@ -902,11 +908,46 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
     assert cases[True, True] and cases[True, "exhausted"] and cases[False, "budget"]
 
 
+def test_accepts_each_walks_only_the_undecided_words(monkeypatch):
+    # the machines, words and options of the test above: the trie decides
+    # each word on its own, and the walk gets the words it leaves undecided
+    words = list(words_upto("ab", 4))
+    words = words[::-1] + words[::3]
+    trie_words, walk = tsa_mod._trie_words, tsa_mod._Walk
+    undecided, walked = [], []
+
+    def recording(*args):
+        answer = trie_words(*args)
+        undecided.append(answer[2])
+        return answer
+
+    class RecordingWalk(walk):
+        def __init__(self, machine, opts, max_len, words=None):
+            walked.append(list(words))
+            super().__init__(machine, opts, max_len, words)
+
+    monkeypatch.setattr(tsa_mod, "_trie_words", recording)
+    monkeypatch.setattr(tsa_mod, "_Walk", RecordingWalk)
+    handed = []
+    for tsa in random_tsas(2, 200):
+        if not tsa_mod.search_rows(tsa).up_free:
+            continue
+        for opts in (SearchOptions(proper_only=True), PROPER_OPTIONS[-1], SearchOptions()):
+            undecided.clear()
+            walked.clear()
+            accepts_each(tsa, words, opts)
+            assert len(undecided) == 1, (opts, render_tsa(tsa))
+            assert walked == [undecided[0]] if undecided[0] else walked == [], (opts, render_tsa(tsa))
+            handed += walked
+    # 8 walks get 40 words, where handing each the whole list gives 8 x 31
+    assert (len(handed), sum(map(len, handed))) == (8, 40), handed
+
+
 def test_wpz_upsets_from_the_trie_equal_the_walks(monkeypatch):
     wpz = fixture_wpz_tsa()
     members = [w for w in words_upto("tT", 8) if counting_wpz_oracle(w)]
     got = collect_upsets(wpz, members)
-    monkeypatch.setattr(tsa_mod, "_trie_words", lambda *args: None)  # the walk alone
+    monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
     walk = collect_upsets(wpz, members)
     assert len(got.traces) == 99 and not got.rejected and not got.budget_failures
     assert list(got.traces.items()) == list(walk.traces.items())
@@ -1291,7 +1332,9 @@ def test_summary_facts_grow_linearly_on_wpz():
     facts = {}
     for n in (50, 100):
         rows = CountingRows(tsa_mod.search_rows(wpz))
-        assert tsa_mod._word_summaries(wpz, rows, "t" * n + "T" * n, SearchOptions())
+        w = "t" * n + "T" * n
+        runs, _, _ = tsa_mod._trie_words(wpz, rows, tsa_mod._WordTrie([w]), SearchOptions())
+        assert list(runs) == [w]
         facts[n] = rows.lookups
     assert facts[100] < 2.2 * facts[50], facts
 

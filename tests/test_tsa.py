@@ -548,14 +548,15 @@ def test_search_options_refuse_a_negative_k():
 
 
 def recount_vfb(trace):
-    """The visit-from-below counts recounted from the run's push and up
-    steps, by the address each enters: the reference for the counts that
-    `visited_from_below_counts` reads off the pointer path."""
+    """The visit-from-below counts recounted from the pointer path of the
+    run's configurations, by the address each step that lengthens it
+    enters: the reference for the counts that `visited_from_below_counts`
+    reads off the push and up step records."""
     counts = {}
-    for tidx, cfg in trace.steps:
-        if trace.tsa.delta[tidx].instr.kind in ("push", "up"):
-            addr = cfg.ts.pointer
-            counts[addr] = counts.get(addr, 0) + 1
+    rho = [cfg.ts.pointer for cfg in trace.configurations()]
+    for a, b in zip(rho, rho[1:]):
+        if len(b) > len(a):
+            counts[b] = counts.get(b, 0) + 1
     return counts
 
 
