@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -632,9 +631,11 @@ class _Walk:
     """The targets of one `_search` walk and their read prefixes, as a
     trie: a prefix id is interned by (parent id, letter), "" is id 0, and
     only prefixes of targets are interned.  The targets are every word of
-    length <= max_len over the machine's alphabet, or, given `words`, those
-    words.  Each length n keeps the budgets of `accepts` on a word of
-    length n: `steps[n]` and `vertices[n]`.
+    length <= max_len over the machine's alphabet, interned only as the
+    walk reaches them (`enumerate_words` where an `up` row may fire), or,
+    given `words`, those words (`_each`'s undecided words, or all of them
+    where an `up` row may fire).  Each length n keeps the budgets of
+    `accepts` on a word of length n: `steps[n]` and `vertices[n]`.
 
     `pending[p]` counts the targets through prefix p (p included) that
     have no witness yet; `_search` drops a prefix once it reaches 0.
@@ -762,9 +763,10 @@ class _Walk:
                               if c is not None]
         return out
 
-    def witnesses(self, tsa: Tsa) -> dict[str, RunTrace]:
-        """Every accepted target's witness, re-executed by `_execute`."""
-        return _execute(tsa, {self.words[p]: run for p, run in self.accepted.items()})
+    def runs(self) -> dict[str, tuple[int, ...]]:
+        """Every accepted target's witness, as a tuple of delta indices, as
+        `_trie_words` gives them, so that `_execute` sorts both together."""
+        return {self.words[p]: tuple(run) for p, run in self.accepted.items()}
 
 
 def _arena_run(nodes, me: int) -> list[int]:
@@ -1010,8 +1012,8 @@ def _summaries(tsa: Tsa, rows, at, opts: SearchOptions,
     moves, end): its `Dispatch` letter key (a letter, END or ANY_LETTER), a
     dict from each letter it reads to the next position and from None
     (eps) to j, and whether a run may accept at j.  Position 0 is the
-    start.  The words up to a length are a `_Trie`, and a list of words,
-    a fixed word among them, a `_WordTrie` (both `_trie_words`);
+    start.  A list of words, every word up to a length and a fixed word
+    among them, is a `_WordTrie` (`_trie_words`);
     `langlab.rational_membership` passes a deterministic B . w^-1.
     Returns the goal's run of delta indices, or None once the facts
     saturate without it, with the `_Derivation` of the facts and
@@ -1227,49 +1229,6 @@ def _longest_prefix(derived: _Derivation) -> tuple[dict, list[int]]:
     return most, cyclic
 
 
-class _Trie(dict):
-    """Every word of length <= max_len over an alphabet of a letters, as
-    the positions of `_summaries`: "" is node 0, and word u + x, x the
-    i-th letter, is node a * u + i + 1, so a node comes after its parent
-    and the nodes of each length come in itertools.product order.  Every
-    node is an end position and one of the `targets` of `_trie_words`.  A
-    node shorter than max_len reads each letter in one ANY_LETTER lookup,
-    and a node of length max_len reads nothing (END).  A node is made the
-    first time it is asked for, so only the words some fact reaches are
-    made."""
-
-    def __init__(self, alphabet: Sequence[str], max_len: int):
-        super().__init__()
-        self.alphabet = alphabet
-        self.starts = [0]  # the first node of each length, and one past the last
-        for _ in range(max_len + 1):
-            self.starts.append(self.starts[-1] * len(alphabet) + 1)
-        self.size = self.starts[-1]
-        self.targets = range(self.size)
-
-    def __missing__(self, j: int):
-        if j >= self.starts[-2]:
-            at = self[j] = (Dispatch.END, {None: j}, True)
-        else:
-            moves = dict(zip(self.alphabet, itertools.count(len(self.alphabet) * j + 1)))
-            moves[None] = j
-            at = self[j] = (Dispatch.ANY_LETTER, moves, True)
-        return at
-
-    def parent(self, j: int) -> int:
-        return (j - 1) // len(self.alphabet)
-
-    def length(self, j: int) -> int:
-        return bisect_right(self.starts, j) - 1
-
-    def word(self, j: int) -> str:
-        letters = []
-        while j:
-            j, i = divmod(j - 1, len(self.alphabet))
-            letters.append(self.alphabet[i])
-        return "".join(reversed(letters))
-
-
 class _WordTrie(dict):
     """The prefixes of given words, as the positions of `_summaries`: ""
     is node 0, and each new prefix gets the next id, so a node comes after
@@ -1277,7 +1236,11 @@ class _WordTrie(dict):
     ANY_LETTER when it has several, or END when it has none, and only a
     given word's node is an end position.  `words` maps each given word's
     node to the word, and its nodes, in the order of the words, are the
-    `targets` of `_trie_words`.  A fixed word is the one-word trie, a path."""
+    `targets` of `_trie_words`.  A fixed word is the one-word trie, a
+    path.  Every word up to a length, by length and each length in
+    itertools.product order (`enumerate_words`), is the full trie: its
+    nodes, all of them ends, come in that order, and each node shorter
+    than the length reads every letter in one ANY_LETTER lookup."""
 
     def __init__(self, words: Iterable[str]):
         super().__init__()
@@ -1302,28 +1265,19 @@ class _WordTrie(dict):
         self.size = len(kids)
         self.targets = list(self.words)
 
-    def parent(self, j: int) -> int:
-        return self.parents[j]
 
-    def length(self, j: int) -> int:
-        return len(self.words[j])
-
-    def word(self, j: int) -> str:
-        return self.words[j]
-
-
-def _trie_words(tsa: Tsa, rows, trie: _Trie | _WordTrie,
+def _trie_words(tsa: Tsa, rows, trie: _WordTrie,
                 opts: SearchOptions) -> tuple[dict[str, tuple], list[str], list[str]]:
-    """`accepts` on every target word of a trie of positions at once, on a
-    TSA whose `_summary_rows` are `rows`: `_summaries` over the trie, with
-    the goal of every target wanted, and the budget rules, each target
-    decided on its own under the budgets of its length.  `enumerate_words`
-    passes the `_Trie` of every word up to max_len, `accepts_each` the
-    `_WordTrie` of its words and `accepts` that of its one word.  Returns
-    each accepted target's run of delta indices, the search's witness;
-    the targets whose search a budget cuts; and the undecided targets,
-    where a budget might cut the search, whose answer is then needed; the
-    last two in target order.  Every other target is rejected.
+    """`accepts` on every target word of a `_WordTrie` at once, on a TSA
+    whose `_summary_rows` are `rows`: `_summaries` over the trie, with the
+    goal of every target wanted, and the budget rules, each target decided
+    on its own under the budgets of its length.  `_each` passes the trie
+    of its words (for `enumerate_words`, every word up to max_len) and
+    `accepts` that of its one word.  Returns each accepted target's run of
+    delta indices, the search's witness; the targets whose search a budget
+    cuts; and the undecided targets, where a budget might cut the search,
+    whose answer is then needed; the last two in target order.  Every
+    other target is rejected.
 
     A fact at a node depends only on the facts at the node's prefixes, so
     a node's goal run is the least run of its word, as on the word's own
@@ -1353,23 +1307,24 @@ def _trie_words(tsa: Tsa, rows, trie: _Trie | _WordTrie,
         # node -> the most steps, the most pushes and the worst cycle at its prefixes
         steps, pushes, worst = [0] * trie.size, [0] * trie.size, [0] * trie.size
         for j in range(trie.size):  # each node after its parent
-            i = trie.parent(j) if j else 0
+            i = trie.parents[j]
             s, p = most.get(j, (0, 0))
             steps[j], pushes[j] = max(steps[i], s), max(pushes[i], p)
             worst[j] = max(worst[i], cycles.get(j, 0))
     runs, budget_words, undecided = {}, [], []
     for j in trie.targets:
-        max_steps, max_vertices = search_budgets(tsa, opts, trie.length(j))
+        w = trie.words[j]
+        max_steps, max_vertices = search_budgets(tsa, opts, len(w))
         run = goals.get(j)
         if run is not None:
             if len(run) <= max_steps and 1 + _pushes(tsa, run) <= max_vertices:
-                runs[trie.word(j)] = run
+                runs[w] = run
             else:
-                undecided.append(trie.word(j))
+                undecided.append(w)
         elif worst[j] == 2:
-            budget_words.append(trie.word(j))
+            budget_words.append(w)
         elif worst[j] or steps[j] >= max_steps or 1 + pushes[j] > max_vertices:
-            undecided.append(trie.word(j))
+            undecided.append(w)
     return runs, budget_words, undecided
 
 
@@ -1485,6 +1440,41 @@ def replay_trace(trace: RunTrace) -> Configuration:
     return again.final()
 
 
+def _each(tsa: Tsa, words: list[str],
+          opts: SearchOptions) -> tuple[dict[str, RunTrace], set[str]]:
+    """`accepts(tsa, w, opts)` for every word w of `words`, distinct, each
+    under the budgets of its own length: the accepted words' traces, and
+    the words whose search a budget cuts.  Every other word is rejected.
+
+    On a machine with no `up` row, or at k <= 1 (`_summary_rows`),
+    proper_only or not, the answers come first from entry/exit summaries
+    over the trie of the words' prefixes (`_trie_words` on a `_WordTrie`):
+    a node reads only the letters its words go on with, and only a given
+    word's node is an end, so each fact is derived once for every word
+    through its node, and each word is decided on its own.  The words it
+    leaves undecided, where a budget might cut their search, and every
+    word on any other machine or options, go to one breadth-first walk
+    over (configuration, read prefix) pairs, whose reading steps follow
+    the prefixes of those words: `_search` in walk mode (`_Walk`).  A word
+    the walk accepts is not cut, though a cut may be recorded at its
+    prefix for a run that the witness does not take.  The trie's runs and
+    the walk's witnesses are re-executed together through `_execute`,
+    each shared run prefix once, so witnesses with a common prefix share
+    its Configurations."""
+    rows = _summary_rows(tsa, opts)
+    if rows is None:
+        runs, cut, undecided = {}, set(), words
+    else:
+        runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie(words), opts)
+        cut = set(budget_words)
+    if undecided:
+        walk = _Walk(tsa, opts, max(map(len, undecided)), undecided)
+        _search(tsa, search_rows(tsa), None, opts, walk)
+        runs.update(walk.runs())
+        cut.update(w for w in undecided if w not in runs and walk.was_cut(w))
+    return _execute(tsa, runs), cut
+
+
 def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions()) -> set[str]:
     """All words of length <= max_len that `accepts` accepts within the
     budgets.  Raises BudgetExceeded (carrying the partial result) if the
@@ -1492,39 +1482,33 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     those words by length, each length in itertools.product order.
 
     On a machine with no `up` row, or at k <= 1 (`_summary_rows`),
-    proper_only or not, the words come first from entry/exit summaries
-    over the trie of every word up to max_len (`_trie_words` on a
-    `_Trie`): each fact is derived once, at the node of the word it has
-    read, and the root's accepting exit at a node is that word's least
-    run.  A witness stands when it fits the budgets of its word's length.
-    A word without one is rejected when no cycle of facts lies at its
-    prefixes and no run prefix there can reach those budgets, and is a
-    budget word when a cycle of openings lies there.  The witnesses are
-    re-executed together through `_execute`, each shared run prefix once.
-    If any word is left undecided, or on any other machine or options, one
-    breadth-first walk over (configuration, read prefix) pairs runs, with
-    every word up to max_len as a target, each under the budgets of its
-    own length: `_search` in walk mode.  A prefix that no configuration
-    reaches prunes all its words, and the accepted words' witnesses are
-    re-executed by `_Walk.witnesses`, each shared run prefix once.  The walk
-    holds the configurations of all live prefixes at once and grows
-    faster than the words: on wpz, about 8x in time for each two letters
-    against the trie's 4x.
+    proper_only or not, the list of every word up to max_len, by length
+    and in itertools.product order, goes to `_each`: the summaries over
+    its full trie, where each fact is derived once, at the node of the
+    word it has read, decide each word under its length's budgets
+    (`_trie_words`), and only the undecided words go to the walk.  On any
+    other machine or options, one breadth-first walk over (configuration,
+    read prefix) pairs runs with every word up to max_len as a target,
+    each under the budgets of its own length, and interns only the
+    prefixes it reaches: `_search` in walk mode.  The walk holds the
+    configurations of all live prefixes at once and grows faster than the
+    words: on wpz, about 8x in time for each two letters against the
+    trie's 4x.  Either way the witnesses are re-executed through
+    `_execute`, each shared run prefix once.
     """
     if max_len < 0:
         return set()
-    rows = _summary_rows(tsa, opts)
-    if rows is not None:
-        runs, budget_words, undecided = _trie_words(tsa, rows, _Trie(tsa.alphabet, max_len), opts)
-        if not undecided:
-            found = set(_execute(tsa, runs))
-            if budget_words:
-                raise BudgetExceeded(found, budget_words)
-            return found
-    walk = _Walk(tsa, opts, max_len)
-    _search(tsa, search_rows(tsa), None, opts, walk)
-    found = set(walk.witnesses(tsa))
-    budget_words = walk.budget_words(tsa.alphabet, found)
+    if _summary_rows(tsa, opts) is not None:
+        words = ["".join(letters) for n in range(max_len + 1)
+                 for letters in itertools.product(tsa.alphabet, repeat=n)]
+        traces, cut = _each(tsa, words, opts)
+        found = set(traces)
+        budget_words = [w for w in words if w in cut]
+    else:
+        walk = _Walk(tsa, opts, max_len)
+        _search(tsa, search_rows(tsa), None, opts, walk)
+        found = set(_execute(tsa, walk.runs()))
+        budget_words = walk.budget_words(tsa.alphabet, found)
     if budget_words:
         raise BudgetExceeded(found, budget_words)
     return found
@@ -1533,37 +1517,19 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
 def accepts_each(tsa: Tsa, words: Iterable[str],
                  opts: SearchOptions = SearchOptions()) -> dict[str, RunTrace | NotFound]:
     """`accepts(tsa, w, opts)` for every word w of `words`, each word under
-    the budgets of its own length.  On a machine with no `up` row, or at
-    k <= 1 (`_summary_rows`), proper_only or not, the answers come first
-    from entry/exit summaries over the trie of the words' prefixes
-    (`_trie_words` on a `_WordTrie`): a node reads only the letters its
-    words go on with, and only a given word's node is an end, so each fact
-    is derived once for every word through its node, and each word is
-    decided on its own under the budget rules of `enumerate_words`.  The
-    runs are re-executed together through `_execute`.  The words it leaves
-    undecided, where a budget might cut their search, and every word on
-    any other machine or options, go to one breadth-first walk over
-    (configuration, read prefix) pairs, whose reading steps follow the
-    prefixes of those words: `_search` in walk mode.  Its witnesses are
-    re-executed by `_Walk.witnesses`.  Either way each shared run prefix
-    runs once, so witnesses with a common prefix share its Configurations.  The walk holds the configurations of all live
-    prefixes at once, so it needs more memory than one search per word,
-    less what the words' shared prefixes share."""
+    the budgets of its own length, by `_each`: the summaries over the trie
+    of the words' prefixes on a machine with no `up` row or at k <= 1,
+    and one walk over the words they leave undecided, or over every word
+    on any other machine or options.  Each shared run prefix runs once,
+    so witnesses with a common prefix share its Configurations.  The walk
+    holds the configurations of all live prefixes at once, so it needs
+    more memory than one search per word, less what the words' shared
+    prefixes share."""
     words = list(dict.fromkeys(words))
     if not words:
         return {}
-    rows = _summary_rows(tsa, opts)
-    if rows is None:
-        found, cut, undecided = {}, set(), words
-    else:
-        runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie(words), opts)
-        found, cut = _execute(tsa, runs), set(budget_words)
-    if undecided:
-        walk = _Walk(tsa, opts, max(map(len, undecided)), undecided)
-        _search(tsa, search_rows(tsa), None, opts, walk)
-        found.update(walk.witnesses(tsa))
-        cut.update(filter(walk.was_cut, undecided))
-    return {w: found[w] if w in found else NotFound("budget" if w in cut else "exhausted")
+    traces, cut = _each(tsa, words, opts)
+    return {w: traces[w] if w in traces else NotFound("budget" if w in cut else "exhausted")
             for w in words}
 
 

@@ -383,11 +383,12 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     pytest.param(["run", "{missing}", "--word", "a"],  # neither a file nor a fixture
                  id="run-missing-machine"),
     pytest.param(["suite", "nope"], id="suite-unknown"),
-    ["trace", "ks", "--word", "tT", "--follow", "s1.@,nope"],
-    ["experiment", "gaps", "--family", "alpha:x"],
-    ["experiment", "gaps", "--family", "cubes"],
-    ["run", "abcd"],  # usage error: --word is required
-    ["frobnicate"],
+    pytest.param(["trace", "ks", "--word", "tT", "--follow", "s1.@,nope"],
+                 id="trace-follow-unknown-name"),
+    pytest.param(["experiment", "gaps", "--family", "alpha:x"], id="gaps-alpha-not-a-number"),
+    pytest.param(["experiment", "gaps", "--family", "cubes"], id="gaps-unknown-family"),
+    pytest.param(["run", "abcd"], id="run-without-word"),  # usage error: --word is required
+    pytest.param(["frobnicate"], id="unknown-command"),
     ["convert", "tsa2pda", "abcd"],  # not a 1-TSA: it has up transitions
     ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "x.y"],
     ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "7"],  # not in the tree

@@ -710,12 +710,12 @@ def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
 def all_undecided(tsa, rows, trie, opts):
     """A stand-in for `tsa._trie_words` that decides no target, so the
     walk answers every word."""
-    return {}, [], [trie.word(j) for j in trie.targets]
+    return {}, [], [trie.words[j] for j in trie.targets]
 
 
 # Summaries over the prefix trie.  On a TSA with no `up` row,
 # `enumerate_words` without proper_only answers from `tsa._trie_words`
-# where no budget can cut the walk, and runs the walk where one might.
+# where no budget can cut the walk, and walks the words where one might.
 
 TRIE_OPTIONS = [SearchOptions(k=k, accept_mode=mode, **budgets)
                 for mode in ("root", "any") for k in (None, 0, 1)
@@ -768,7 +768,7 @@ def test_trie_answers_a_cycle_of_openings_without_the_walk(monkeypatch):
     for tsa in machines:
         for mode in ("root", "any"):
             opts = SearchOptions(accept_mode=mode)
-            trie = tsa_mod._Trie(tsa.alphabet, 4)
+            trie = tsa_mod._WordTrie(words_upto(tsa.alphabet, 4))
             derived = tsa_mod._summaries(tsa, tsa_mod.search_rows(tsa), trie, opts, {})[1]
             assert tsa_mod._reopens(derived), (mode, render_tsa(tsa))
             calls = counted_searches(monkeypatch)
@@ -909,8 +909,10 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
 
 
 def test_accepts_each_walks_only_the_undecided_words(monkeypatch):
-    # the machines, words and options of the test above: the trie decides
-    # each word on its own, and the walk gets the words it leaves undecided
+    # the trie decides each word on its own, and each walk gets exactly the
+    # words it leaves undecided: in `accepts_each` on the machines, words
+    # and options of the test above, and in `enumerate_words` at max_len 4
+    # on those machines under TRIE_OPTIONS
     words = list(words_upto("ab", 4))
     words = words[::-1] + words[::3]
     trie_words, walk = tsa_mod._trie_words, tsa_mod._Walk
@@ -923,24 +925,32 @@ def test_accepts_each_walks_only_the_undecided_words(monkeypatch):
 
     class RecordingWalk(walk):
         def __init__(self, machine, opts, max_len, words=None):
-            walked.append(list(words))
+            walked.append(list(words_upto(machine.alphabet, max_len) if words is None else words))
             super().__init__(machine, opts, max_len, words)
 
     monkeypatch.setattr(tsa_mod, "_trie_words", recording)
     monkeypatch.setattr(tsa_mod, "_Walk", RecordingWalk)
-    handed = []
+    calls = {"accepts_each": ((SearchOptions(proper_only=True), PROPER_OPTIONS[-1], SearchOptions()),
+                              lambda tsa, opts: accepts_each(tsa, words, opts)),
+             "enumerate_words": (TRIE_OPTIONS,
+                                 lambda tsa, opts: enumeration(enumerate_words, tsa, 4, opts))}
+    handed = {name: [] for name in calls}
     for tsa in random_tsas(2, 200):
         if not tsa_mod.search_rows(tsa).up_free:
             continue
-        for opts in (SearchOptions(proper_only=True), PROPER_OPTIONS[-1], SearchOptions()):
-            undecided.clear()
-            walked.clear()
-            accepts_each(tsa, words, opts)
-            assert len(undecided) == 1, (opts, render_tsa(tsa))
-            assert walked == [undecided[0]] if undecided[0] else walked == [], (opts, render_tsa(tsa))
-            handed += walked
-    # 8 walks get 40 words, where handing each the whole list gives 8 x 31
-    assert (len(handed), sum(map(len, handed))) == (8, 40), handed
+        for name, (options, call) in calls.items():
+            for opts in options:
+                undecided.clear()
+                walked.clear()
+                call(tsa, opts)
+                assert len(undecided) == 1, (name, opts, render_tsa(tsa))
+                assert walked == ([undecided[0]] if undecided[0] else []), (name, opts, render_tsa(tsa))
+                handed[name] += walked
+    # `accepts_each`'s 8 walks get 40 words, where handing each the whole
+    # list gives 8 x 31; `enumerate_words`' 36 walks get 238, where walking
+    # every word up to max_len gives 36 x 31
+    assert {name: (len(h), sum(map(len, h))) for name, h in handed.items()} \
+        == {"accepts_each": (8, 40), "enumerate_words": (36, 238)}, handed
 
 
 def test_wpz_upsets_from_the_trie_equal_the_walks(monkeypatch):
@@ -1002,29 +1012,13 @@ def test_k1_answers_machine_174_without_the_bfs(monkeypatch):
 # configurations among the witnesses that begin with it; each witness must
 # still be the run that `replay` makes of its word and transition indices.
 
-def walk_witnesses(monkeypatch, call):
-    """The witnesses a walk re-executes while `call()` runs."""
-    made = {}
-    witnesses = tsa_mod._Walk.witnesses
-
-    def recording(walk, tsa):
-        out = witnesses(walk, tsa)
-        made.update(out)
-        return out
-
-    monkeypatch.setattr(tsa_mod._Walk, "witnesses", recording)
-    call()
-    monkeypatch.undo()
-    return made
-
-
 def walk_enumeration(tsa, max_len, opts=SearchOptions()):
     """`_search` in walk mode over every word up to max_len, as
-    `enumerate_words` runs it where the trie of summaries cannot answer,
-    and the witnesses it re-executes."""
+    `enumerate_words` runs it where an `up` row may fire, and its
+    witnesses re-executed by `_execute`."""
     walk = tsa_mod._Walk(tsa, opts, max_len)
     tsa_mod._search(tsa, tsa_mod.search_rows(tsa), None, opts, walk)
-    return walk.witnesses(tsa)
+    return tsa_mod._execute(tsa, walk.runs())
 
 
 def assert_replays(tsa, traces):
@@ -1032,9 +1026,9 @@ def assert_replays(tsa, traces):
         assert outcome(trace) == outcome(replay(tsa, w, trace.transition_indices())), w
 
 
-def test_shared_witnesses_equal_replay_on_wpz(monkeypatch):
+def test_shared_witnesses_equal_replay_on_wpz():
     tsa = fixture_wpz_tsa()
-    made = walk_witnesses(monkeypatch, lambda: walk_enumeration(tsa, 8))
+    made = walk_enumeration(tsa, 8)
     assert len(made) == 99
     assert_replays(tsa, made)
     steps = [cfg for trace in made.values() for _, cfg in trace.steps]
@@ -1044,12 +1038,12 @@ def test_shared_witnesses_equal_replay_on_wpz(monkeypatch):
     assert {w: outcome(t) for w, t in each.items()} == {w: outcome(t) for w, t in made.items()}
 
 
-def test_shared_witnesses_equal_replay_on_random_machines(monkeypatch):
+def test_shared_witnesses_equal_replay_on_random_machines():
     words = list(words_upto("ab", 4))
     accepted = 0
     for tsa in random_tsas(17, 300):
         for opts in RANDOM_OPTIONS.values():
-            made = walk_witnesses(monkeypatch, lambda: walk_enumeration(tsa, 4, opts))
+            made = walk_enumeration(tsa, 4, opts)
             assert_replays(tsa, made)
             each = {w: t for w, t in accepts_each(tsa, words[::-1], opts).items() if t}
             assert_replays(tsa, each)
@@ -1126,7 +1120,7 @@ def test_tampered_shared_step_raises_where_replay_does():
     for w in on[shared]:
         runs[w][j - 1] = bad
     with pytest.raises(ReplayMismatch) as shared_error:
-        walk.witnesses(tsa)
+        tsa_mod._execute(tsa, walk.runs())
     assert shared_error.value.step_index == j
     for w in on[shared]:
         with pytest.raises(ReplayMismatch) as replay_error:
