@@ -302,8 +302,9 @@ def collect_upsets(tsa, words: Iterable[str], opts: SearchOptions | None = None)
     by the reason its search stopped.  The runs come from `accepts_each`,
     each word under the budgets of its own length, and are the runs
     `accepts` gives: on a machine with no `up` row, or at k <= 1, from
-    entry/exit summaries over the trie of the words' prefixes, and
-    otherwise from one walk over those prefixes.  A vertex is filed under
+    entry/exit summaries over the trie of the words' prefixes, and for
+    each word they leave undecided, or every word on any other machine,
+    from its own search.  A vertex is filed under
     its plain (labels, states) pair, with its u-tuple sliced from the
     positions of its up-down pairs; one `HistoryArray` per distinct pair is
     made when `entries` and `provenance` are filled, in the order `insert`

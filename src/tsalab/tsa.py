@@ -585,7 +585,8 @@ def _tsa_search(tsa: Tsa, w: str, opts: SearchOptions) -> RunTrace | NotFound:
 
 
 def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace | NotFound:
-    """Search for an accepting run of `tsa` on `w`.
+    """Search for an accepting run of `tsa` on `w`: `accepts_each` on the
+    one word, so the answer comes from `_each`.
 
     The answer is that of a breadth-first search over configurations,
     children in delta order, with memoisation on (state, position, tree
@@ -615,38 +616,26 @@ def accepts(tsa: Tsa, w: str, opts: SearchOptions = SearchOptions()) -> RunTrace
     reaches a final state), is dropped when no budget can cut off anything
     below it, so every witness and every NotFound reason is the one the
     plain search gives.  Either way the witness is a list of delta indices
-    re-executed by `replay`.
+    re-executed by `_execute`.
     """
-    rows = _summary_rows(tsa, opts)
-    if rows is not None:
-        runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie([w]), opts)
-        if runs:
-            return replay(tsa, w, runs[w])
-        if not undecided:
-            return NotFound("budget" if budget_words else "exhausted")
-    return _tsa_search(tsa, w, opts)
+    return accepts_each(tsa, [w], opts)[w]
 
 
 class _Walk:
-    """The targets of one `_search` walk and their read prefixes, as a
-    trie: a prefix id is interned by (parent id, letter), "" is id 0, and
-    only prefixes of targets are interned.  The targets are every word of
-    length <= max_len over the machine's alphabet, interned only as the
-    walk reaches them (`enumerate_words` where an `up` row may fire), or,
-    given `words`, those words (`_each`'s undecided words, or all of them
-    where an `up` row may fire).  Each length n keeps the budgets of
-    `accepts` on a word of length n: `steps[n]` and `vertices[n]`.
+    """The targets of the `_search` walk behind `enumerate_words` and their
+    read prefixes, as a trie: a prefix id is interned by (parent id,
+    letter), "" is id 0.  The targets are every word of length <= max_len
+    over the machine's alphabet, interned only as the walk reaches them.
+    Each length n keeps the budgets of `accepts` on a word of length n:
+    `steps[n]` and `vertices[n]`.
 
     `pending[p]` counts the targets through prefix p (p included) that
     have no witness yet; `_search` drops a prefix once it reaches 0.
-    `reach[p]` is the length of the longest target through p; a node at p
-    whose tree or depth is over that length's budgets is in no target's
-    search, and `_search` drops it.  `_search` fills `accepted` (target
-    prefix id -> its witness's delta indices) and `cut` (prefix id -> the
-    lengths n whose search a budget cut at that prefix)."""
+    `_search` fills `accepted` (target prefix id -> its witness's delta
+    indices) and `cut` (prefix id -> the lengths n whose search a budget
+    cut at that prefix)."""
 
-    def __init__(self, machine, opts: SearchOptions, max_len: int,
-                 words: Iterable[str] | None = None):
+    def __init__(self, machine, opts: SearchOptions, max_len: int):
         self.max_len = max_len
         budgets = [search_budgets(machine, opts, n) for n in range(max_len + 1)]
         self.steps = [s for s, _ in budgets]
@@ -654,58 +643,37 @@ class _Walk:
         self.step_ends: dict[int, list[int]] = {}  # depth -> lengths whose step budget ends there
         for n, s in enumerate(self.steps):
             self.step_ends.setdefault(s, []).append(n)
-        self.every = words is None
-        if self.every:  # the targets through a prefix of length m
-            a = len(machine.alphabet)
-            self.through = [sum(a ** j for j in range(max_len - m + 1)) for m in range(max_len + 1)]
+        a = len(machine.alphabet)  # the targets through a prefix of length m
+        self.through = [sum(a ** j for j in range(max_len - m + 1)) for m in range(max_len + 1)]
         self.words = [""]  # prefix per id
         self.up = [-1]  # parent id per id
-        self.target = [self.every]
-        self.pending = [self.through[0] if self.every else 0]
-        self.reach = [max_len if self.every else 0]
+        self.pending = [self.through[0]]
         self.vcap = [self.vertices[0]]  # vertex budget of the prefix's own length
         self.kids: dict[tuple[int, str], int] = {}
         self.accepted: dict[int, list[int]] = {}
         self.cut: dict[int, set[int]] = {}
-        for w in dict.fromkeys(words or ()):
-            p = 0
-            self.pending[0] += 1
-            self.reach[0] = max(self.reach[0], len(w))
-            for x in w:
-                p = self.kids.get((p, x)) or self._intern(p, x)
-                self.pending[p] += 1
-                self.reach[p] = max(self.reach[p], len(w))
-            self.target[p] = True
-
-    def _intern(self, p: int, letter: str) -> int:
-        c = self.kids[(p, letter)] = len(self.words)
-        u = self.words[p] + letter
-        self.words.append(u)
-        self.up.append(p)
-        self.target.append(self.every)
-        self.pending.append(self.through[len(u)] if self.every else 0)
-        self.reach.append(self.max_len if self.every else 0)
-        self.vcap.append(self.vertices[len(u)])
-        return c
 
     def child(self, p: int, letter: str) -> int | None:
-        """The id of prefix p + letter, or None if no target without a
-        witness goes through it."""
+        """The id of prefix p + letter, or None if it is longer than max_len
+        or every target through it has a witness."""
         c = self.kids.get((p, letter))
         if c is None:
-            if not self.every or len(self.words[p]) >= self.max_len:
+            if len(self.words[p]) >= self.max_len:
                 return None
-            c = self._intern(p, letter)
+            c = self.kids[(p, letter)] = len(self.words)
+            u = self.words[p] + letter
+            self.words.append(u)
+            self.up.append(p)
+            self.pending.append(self.through[len(u)])
+            self.vcap.append(self.vertices[len(u)])
         return c if self.pending[c] else None
 
     def takes(self, p: int, depth: int, size: int) -> bool:
         """Whether an accepting node at prefix p, at this depth and with a
         tree of this size, is the witness of target p: p has none yet and
         the node is inside the budgets of p's length."""
-        if not self.target[p] or p in self.accepted:
-            return False
         n = len(self.words[p])
-        return depth <= self.steps[n] and size <= self.vertices[n]
+        return p not in self.accepted and depth <= self.steps[n] and size <= self.vertices[n]
 
     def accept(self, p: int, run: list[int]) -> None:
         self.accepted[p] = run
@@ -720,34 +688,25 @@ class _Walk:
         n's search never takes, its parent being over n's budgets, repeats
         a cut for n already recorded on a prefix of p, so it changes no
         word's answer."""
-        for n in range(len(self.words[p]), self.reach[p] + 1):
+        for n in range(len(self.words[p]), self.max_len + 1):
             if self.vertices[n] < size:
                 self.cut.setdefault(p, set()).add(n)
-        return size > self.vertices[self.reach[p]]
+        return size > self.vertices[self.max_len]
 
-    def step_cut(self, nodes, frontier: list[int], depth: int) -> list[int]:
+    def step_cut(self, nodes, frontier: list[int], depth: int) -> None:
         """Record the step-budget cut of every length whose budget ends at
-        this depth on the prefixes of the frontier nodes, and return the
-        frontier without the nodes that no longer count for any length.
-        A cut for n at a node over n's vertex budget repeats the vertex cut
-        on its path, and no length-n word goes through a prefix longer than
-        n, so neither changes a word's answer."""
+        this depth on the prefixes of the frontier nodes.  A cut for n at a
+        node over n's vertex budget repeats the vertex cut on its path, and
+        no length-n word goes through a prefix longer than n, so neither
+        changes a word's answer.  The walk itself stops at the longest
+        length's step budget, `_search`'s max_steps."""
         for n in self.step_ends[depth]:
             for i in frontier:
                 self.cut.setdefault(nodes[i][1], set()).add(n)
-        return [i for i in frontier if self.steps[self.reach[nodes[i][1]]] > depth]
-
-    def was_cut(self, w: str) -> bool:
-        """Whether the search of target w was cut at w or a prefix of it."""
-        ids = [0]
-        for x in w:
-            ids.append(self.kids[(ids[-1], x)])
-        return any(len(w) in self.cut.get(p, ()) for p in ids)
 
     def budget_words(self, alphabet: Sequence[str], found: set[str]) -> list[str]:
         """The words outside `found` whose search was cut at them or a
-        prefix, by length, each length in itertools.product order.  For a
-        walk over every word up to max_len."""
+        prefix, by length, each length in itertools.product order."""
         out = []
         for n in range(self.max_len + 1):
             stack = [0] if self.cut else []
@@ -763,10 +722,9 @@ class _Walk:
                               if c is not None]
         return out
 
-    def runs(self) -> dict[str, tuple[int, ...]]:
-        """Every accepted target's witness, as a tuple of delta indices, as
-        `_trie_words` gives them, so that `_execute` sorts both together."""
-        return {self.words[p]: tuple(run) for p, run in self.accepted.items()}
+    def runs(self) -> dict[str, list[int]]:
+        """Every accepted target's witness, by its word."""
+        return {self.words[p]: run for p, run in self.accepted.items()}
 
 
 def _arena_run(nodes, me: int) -> list[int]:
@@ -780,15 +738,16 @@ def _arena_run(nodes, me: int) -> list[int]:
 
 def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | None = None,
             look_ahead: bool = True):
-    """The BFS core behind `accepts` and `convert.pda_accepts` (the word w
-    given), and `enumerate_words` and `accepts_each` (w None and a `walk`:
-    read toward its targets).  `machine` has initial, finals and states;
-    `rows` is its `Dispatch` table from `search_rows`, so a node scans only
-    the rows whose letter and predicate match, keyed by its state, its
-    pointer's label and its letter key: the next letter of w, END, or
-    ANY_LETTER while the walk has room to read.  Returns NotFound, or the
-    delta indices of the steps from the initial configuration to the first
-    accepting one ([] when the initial configuration accepts).
+    """The BFS core behind `accepts`, `accepts_each` and
+    `convert.pda_accepts` (the word w given), and `enumerate_words` (w None
+    and a `walk`: read toward every word up to walk.max_len).  `machine`
+    has initial, finals and states; `rows` is its `Dispatch` table from
+    `search_rows`, so a node scans only the rows whose letter and predicate
+    match, keyed by its state, its pointer's label and its letter key: the
+    next letter of w, END, or ANY_LETTER while the walk has room to read.
+    Returns NotFound, or the delta indices of the steps from the initial
+    configuration to the first accepting one ([] when the initial
+    configuration accepts).
 
     A tree stack is held as a zipper focused at the pointer (Huet 1997),
     hash-consed for the one search.  A vertex is (label, vfb count, child
@@ -858,7 +817,7 @@ def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | Non
         if walk is None:
             if max_len == 0:
                 return []
-        elif walk.target[0]:  # no budget applies to the initial configuration
+        else:  # no budget applies to the initial configuration
             walk.accept(0, [])
     seen = {nodes[0][:5]}  # memo keys
     frontier = [0]
@@ -867,7 +826,7 @@ def _search(machine, rows, w: str | None, opts: SearchOptions, walk: _Walk | Non
 
     while frontier:
         if walk is not None and depth in walk.step_ends:
-            frontier = walk.step_cut(nodes, frontier, depth)
+            walk.step_cut(nodes, frontier, depth)
         if depth >= max_steps:
             if pruned:  # a dead configuration may have been met late: ask without pruning
                 return _search(machine, rows, w, opts, look_ahead=False)
@@ -1388,6 +1347,8 @@ def _execute(tsa: Tsa, runs: dict[str, Sequence[int]]) -> dict[str, RunTrace]:
     fixes the letters it reads, so its steps are the same for every word
     whose witness it begins.  Raises ReplayMismatch at the first step that
     does not apply, numbered from 1 along its run."""
+    if not runs:
+        return {}
     init = initial_configuration(tsa)
     traces = {}
     records: list = []  # the records of the run before
@@ -1414,10 +1375,7 @@ def replay(tsa: Tsa, word: str, tidx_seq: Sequence[int]) -> RunTrace:
     trace's steps are built when first read, and the final configuration
     is trace.final().
     """
-    init = initial_configuration(tsa)
-    records: list = []
-    _replay_from(tsa, word, _record(init), list(tidx_seq), records)
-    return RunTrace._checked(tsa, word, records, init)
+    return _execute(tsa, {word: list(tidx_seq)})[word]
 
 
 def replay_trace(trace: RunTrace) -> Configuration:
@@ -1451,14 +1409,11 @@ def _each(tsa: Tsa, words: list[str],
     over the trie of the words' prefixes (`_trie_words` on a `_WordTrie`):
     a node reads only the letters its words go on with, and only a given
     word's node is an end, so each fact is derived once for every word
-    through its node, and each word is decided on its own.  The words it
-    leaves undecided, where a budget might cut their search, and every
-    word on any other machine or options, go to one breadth-first walk
-    over (configuration, read prefix) pairs, whose reading steps follow
-    the prefixes of those words: `_search` in walk mode (`_Walk`).  A word
-    the walk accepts is not cut, though a cut may be recorded at its
-    prefix for a run that the witness does not take.  The trie's runs and
-    the walk's witnesses are re-executed together through `_execute`,
+    through its node, and each word is decided on its own.  Each word they
+    leave undecided, where a budget might cut its search, and every word
+    on any other machine or options, gets its own breadth-first search
+    (`_search` on the word), with the look-ahead.  The summaries' runs and
+    the searches' witnesses are re-executed together through `_execute`,
     each shared run prefix once, so witnesses with a common prefix share
     its Configurations."""
     rows = _summary_rows(tsa, opts)
@@ -1467,11 +1422,12 @@ def _each(tsa: Tsa, words: list[str],
     else:
         runs, budget_words, undecided = _trie_words(tsa, rows, _WordTrie(words), opts)
         cut = set(budget_words)
-    if undecided:
-        walk = _Walk(tsa, opts, max(map(len, undecided)), undecided)
-        _search(tsa, search_rows(tsa), None, opts, walk)
-        runs.update(walk.runs())
-        cut.update(w for w in undecided if w not in runs and walk.was_cut(w))
+    for w in undecided:
+        run = _search(tsa, search_rows(tsa), w, opts)
+        if not isinstance(run, NotFound):
+            runs[w] = tuple(run)  # as `_trie_words` gives them, so that `_execute` sorts both
+        elif run.reason == "budget":
+            cut.add(w)
     return _execute(tsa, runs), cut
 
 
@@ -1486,13 +1442,13 @@ def enumerate_words(tsa: Tsa, max_len: int, opts: SearchOptions = SearchOptions(
     and in itertools.product order, goes to `_each`: the summaries over
     its full trie, where each fact is derived once, at the node of the
     word it has read, decide each word under its length's budgets
-    (`_trie_words`), and only the undecided words go to the walk.  On any
+    (`_trie_words`), and each undecided word gets its own search.  On any
     other machine or options, one breadth-first walk over (configuration,
     read prefix) pairs runs with every word up to max_len as a target,
     each under the budgets of its own length, and interns only the
-    prefixes it reaches: `_search` in walk mode.  The walk holds the
-    configurations of all live prefixes at once and grows faster than the
-    words: on wpz, about 8x in time for each two letters against the
+    prefixes it reaches: `_search` in walk mode (`_Walk`).  The walk holds
+    the configurations of all live prefixes at once and grows faster than
+    the words: on wpz, about 8x in time for each two letters against the
     trie's 4x.  Either way the witnesses are re-executed through
     `_execute`, each shared run prefix once.
     """
@@ -1518,13 +1474,10 @@ def accepts_each(tsa: Tsa, words: Iterable[str],
                  opts: SearchOptions = SearchOptions()) -> dict[str, RunTrace | NotFound]:
     """`accepts(tsa, w, opts)` for every word w of `words`, each word under
     the budgets of its own length, by `_each`: the summaries over the trie
-    of the words' prefixes on a machine with no `up` row or at k <= 1,
-    and one walk over the words they leave undecided, or over every word
-    on any other machine or options.  Each shared run prefix runs once,
-    so witnesses with a common prefix share its Configurations.  The walk
-    holds the configurations of all live prefixes at once, so it needs
-    more memory than one search per word, less what the words' shared
-    prefixes share."""
+    of the words' prefixes on a machine with no `up` row or at k <= 1, and
+    one search for each word they leave undecided, or for every word on
+    any other machine or options.  Each shared run prefix runs once, so
+    witnesses with a common prefix share its Configurations."""
     words = list(dict.fromkeys(words))
     if not words:
         return {}

@@ -12,8 +12,8 @@ witness holds it as the path `TreeStack` that `pda_accepts` gives.  Both
 are slow but plain; test_search_core.py checks the hash-consed search
 core against them configuration by configuration.  The enumeration and the
 up-set collection run `accepts` once per word, the plain form of the
-core's walk over read prefixes; test_search_core.py diffs the two word
-list by word list.
+core's summaries, per-word searches and enumeration walk;
+test_search_core.py diffs the two word list by word list.
 """
 
 from __future__ import annotations

@@ -389,11 +389,16 @@ def test_malformed_file_exits_three(tmp_path, capsys, argv, name, text, line):
     pytest.param(["experiment", "gaps", "--family", "cubes"], id="gaps-unknown-family"),
     pytest.param(["run", "abcd"], id="run-without-word"),  # usage error: --word is required
     pytest.param(["frobnicate"], id="unknown-command"),
-    ["convert", "tsa2pda", "abcd"],  # not a 1-TSA: it has up transitions
-    ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "x.y"],
-    ["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "7"],  # not in the tree
-    ["analyze", "level1", "astar", "--word", ""],  # the run never leaves the root
-    ["analyze", "bounds", "astar", "--word", "a"],  # degree 0: no push
+    pytest.param(["convert", "tsa2pda", "abcd"],  # not a 1-TSA: it has up transitions
+                 id="tsa2pda-not-a-1-tsa"),
+    pytest.param(["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "x.y"],
+                 id="updown-vertex-not-an-address"),
+    pytest.param(["analyze", "updown", "abcd", "--word", "abcd", "--vertex", "7"],  # not in the tree
+                 id="updown-vertex-not-in-tree"),
+    pytest.param(["analyze", "level1", "astar", "--word", ""],  # the run never leaves the root
+                 id="level1-run-stays-at-root"),
+    pytest.param(["analyze", "bounds", "astar", "--word", "a"],  # degree 0: no push
+                 id="bounds-degree-zero"),
     ["analyze", "pump", "astar", "--word", "aaa", "--m", "0"],
     ["analyze", "bounds", "abcd", "--word", "abcd", "--mu", "-1"],
     ["experiment", "gaps", "--family", "pow2", "--n", "0"],

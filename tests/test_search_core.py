@@ -709,13 +709,14 @@ def test_runs_of_one_length_tie_by_their_delta_indices(monkeypatch):
 
 def all_undecided(tsa, rows, trie, opts):
     """A stand-in for `tsa._trie_words` that decides no target, so the
-    walk answers every word."""
+    BFS answers every word."""
     return {}, [], [trie.words[j] for j in trie.targets]
 
 
 # Summaries over the prefix trie.  On a TSA with no `up` row,
 # `enumerate_words` without proper_only answers from `tsa._trie_words`
-# where no budget can cut the walk, and walks the words where one might.
+# where no budget can cut a word's search, and searches the words where
+# one might.
 
 TRIE_OPTIONS = [SearchOptions(k=k, accept_mode=mode, **budgets)
                 for mode in ("root", "any") for k in (None, 0, 1)
@@ -724,7 +725,7 @@ TRIE_OPTIONS = [SearchOptions(k=k, accept_mode=mode, **budgets)
 
 def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machines(monkeypatch):
     # the machines of `test_summaries_match_reference_on_random_up_free_machines`:
-    # under the default budgets the walk on a machine that pushes on eps
+    # under the default budgets the BFS on a machine that pushes on eps
     # steps without end explores trees of up to 80 vertices for seconds a
     # call, and none of these 63 does
     machines = [tsa for tsa in random_tsas(2, 200) if tsa_mod.search_rows(tsa).up_free]
@@ -742,10 +743,10 @@ def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machi
             answered.clear()
             monkeypatch.setattr(tsa_mod, "_trie_words", recording)
             got = enumeration(enumerate_words, tsa, 4, opts)
-            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
-            walk = enumeration(enumerate_words, tsa, 4, opts)
+            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the BFS alone
+            bfs = enumeration(enumerate_words, tsa, 4, opts)
             monkeypatch.undo()
-            assert got == walk == enumeration(ref_enumerate_words, tsa, 4, opts), \
+            assert got == bfs == enumeration(ref_enumerate_words, tsa, 4, opts), \
                 (opts, render_tsa(tsa))
             assert len(answered) == 1
             cases[answered[0], bool(got[0]), got[1] is not None] += 1
@@ -757,9 +758,9 @@ def test_trie_enumeration_matches_the_walk_and_reference_on_random_up_free_machi
 
 # Up-free machines 24, 25, 42, 55, 57 and 83 of random_tsas(1, 300) and
 # PUSH_CYCLE_TSA have a cycle of openings in their trie facts.  Under the
-# default budgets the walk grows trees of up to 80 vertices on them, for
-# seconds a call (13-15 s on PUSH_CYCLE_TSA at max_len 4), where `accepts`
-# answers each word from its summaries in a few ms; so must the trie.
+# default budgets the BFS grows trees of up to 80 vertices on them, for
+# seconds a call (13-15 s for the walk over every word of PUSH_CYCLE_TSA
+# up to max_len 4), where the summaries answer each word in a few ms.
 def test_trie_answers_a_cycle_of_openings_without_the_walk(monkeypatch):
     up_free = [tsa for tsa in random_tsas(1, 300) if tsa_mod.search_rows(tsa).up_free]
     assert len(up_free) == 104
@@ -807,7 +808,7 @@ def test_trie_bound_of_a_length_counts_the_shorter_nodes():
 # stationary bit, bit 0 of its used child slots, so `accepts` and
 # `enumerate_words` with proper_only answer up-free machines from the
 # summaries too; and `accepts_each` runs them over the trie of its words'
-# prefixes (`tsa._WordTrie`), with the walk where a budget might cut it.
+# prefixes (`tsa._WordTrie`), with a BFS for each word a budget might cut.
 
 def verdict(res):
     """A search result as its delta indices or its NotFound reason."""
@@ -895,12 +896,12 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
             monkeypatch.setattr(tsa_mod, "_trie_words", recording)
             got = accepts_each(tsa, words, opts)
             ups = upsets(collect_upsets, tsa, words, opts)
-            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
-            walk = accepts_each(tsa, words, opts)
+            monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the BFS alone
+            bfs = accepts_each(tsa, words, opts)
             assert upsets(collect_upsets, tsa, words, opts) == ups, (opts, render_tsa(tsa))
             monkeypatch.undo()
             assert {w: outcome(r) for w, r in got.items()} \
-                == {w: outcome(r) for w, r in walk.items()}, (opts, render_tsa(tsa))
+                == {w: outcome(r) for w, r in bfs.items()}, (opts, render_tsa(tsa))
             for res in got.values():
                 cases[answered[-2], bool(res) or res.reason] += 1
     from_trie = sum(n for (trie, _), n in cases.items() if trie)
@@ -908,28 +909,28 @@ def test_word_lists_from_the_trie_match_the_walk_on_random_up_free_machines(monk
     assert cases[True, True] and cases[True, "exhausted"] and cases[False, "budget"]
 
 
-def test_accepts_each_walks_only_the_undecided_words(monkeypatch):
-    # the trie decides each word on its own, and each walk gets exactly the
-    # words it leaves undecided: in `accepts_each` on the machines, words
-    # and options of the test above, and in `enumerate_words` at max_len 4
-    # on those machines under TRIE_OPTIONS
+def test_accepts_each_searches_only_the_undecided_words(monkeypatch):
+    # the trie decides each word on its own, and the fixed-word BFS runs on
+    # exactly the words it leaves undecided, in order: in `accepts_each` on
+    # the machines, words and options of the test above, and in
+    # `enumerate_words` at max_len 4 on those machines under TRIE_OPTIONS
     words = list(words_upto("ab", 4))
     words = words[::-1] + words[::3]
-    trie_words, walk = tsa_mod._trie_words, tsa_mod._Walk
-    undecided, walked = [], []
+    trie_words, search = tsa_mod._trie_words, tsa_mod._search
+    undecided, searched = [], []
 
     def recording(*args):
         answer = trie_words(*args)
         undecided.append(answer[2])
         return answer
 
-    class RecordingWalk(walk):
-        def __init__(self, machine, opts, max_len, words=None):
-            walked.append(list(words_upto(machine.alphabet, max_len) if words is None else words))
-            super().__init__(machine, opts, max_len, words)
+    def recording_search(machine, rows, w, opts, walk=None, look_ahead=True):
+        if look_ahead:  # a search run again without it is the same word's
+            searched.append(w)
+        return search(machine, rows, w, opts, walk, look_ahead)
 
     monkeypatch.setattr(tsa_mod, "_trie_words", recording)
-    monkeypatch.setattr(tsa_mod, "_Walk", RecordingWalk)
+    monkeypatch.setattr(tsa_mod, "_search", recording_search)
     calls = {"accepts_each": ((SearchOptions(proper_only=True), PROPER_OPTIONS[-1], SearchOptions()),
                               lambda tsa, opts: accepts_each(tsa, words, opts)),
              "enumerate_words": (TRIE_OPTIONS,
@@ -941,29 +942,49 @@ def test_accepts_each_walks_only_the_undecided_words(monkeypatch):
         for name, (options, call) in calls.items():
             for opts in options:
                 undecided.clear()
-                walked.clear()
+                searched.clear()
                 call(tsa, opts)
                 assert len(undecided) == 1, (name, opts, render_tsa(tsa))
-                assert walked == ([undecided[0]] if undecided[0] else []), (name, opts, render_tsa(tsa))
-                handed[name] += walked
-    # `accepts_each`'s 8 walks get 40 words, where handing each the whole
-    # list gives 8 x 31; `enumerate_words`' 36 walks get 238, where walking
-    # every word up to max_len gives 36 x 31
+                assert searched == undecided[0], (name, opts, render_tsa(tsa))
+                if searched:
+                    handed[name].append(list(searched))
+    # `accepts_each`'s 8 calls with an undecided word search 40 words, where
+    # searching the whole list gives 8 x 31; `enumerate_words`' 36 search
+    # 238, where searching every word up to max_len gives 36 x 31
     assert {name: (len(h), sum(map(len, h))) for name, h in handed.items()} \
         == {"accepts_each": (8, 40), "enumerate_words": (36, 238)}, handed
+
+
+def test_rejected_words_build_no_initial_configuration(monkeypatch):
+    # `_execute` with no run to re-execute returns at once, so a rejection,
+    # from the summaries (wpz) or from the BFS (abcd, with up rows), builds
+    # no tree stack
+    built = [0]
+    initial = tsa_mod.initial_configuration
+
+    def counting(tsa):
+        built[0] += 1
+        return initial(tsa)
+
+    monkeypatch.setattr(tsa_mod, "initial_configuration", counting)
+    for tsa, rejected in ((fixture_wpz_tsa(), ["T", "tTT", "Ttt"]), (abcd_tsa(), ["b", "ab", "abdc"])):
+        for w in rejected:
+            assert accepts(tsa, w).reason == "exhausted", w
+        assert not any(accepts_each(tsa, rejected).values())
+    assert built[0] == 0
 
 
 def test_wpz_upsets_from_the_trie_equal_the_walks(monkeypatch):
     wpz = fixture_wpz_tsa()
     members = [w for w in words_upto("tT", 8) if counting_wpz_oracle(w)]
     got = collect_upsets(wpz, members)
-    monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the walk alone
-    walk = collect_upsets(wpz, members)
+    monkeypatch.setattr(tsa_mod, "_trie_words", all_undecided)  # the BFS alone
+    bfs = collect_upsets(wpz, members)
     assert len(got.traces) == 99 and not got.rejected and not got.budget_failures
-    assert list(got.traces.items()) == list(walk.traces.items())
-    assert list(got.entries) == list(walk.entries)
-    assert [list(us) for us in got.entries.values()] == [list(us) for us in walk.entries.values()]
-    assert list(got.provenance.items()) == list(walk.provenance.items())
+    assert list(got.traces.items()) == list(bfs.traces.items())
+    assert list(got.entries) == list(bfs.entries)
+    assert [list(us) for us in got.entries.values()] == [list(us) for us in bfs.entries.values()]
+    assert list(got.provenance.items()) == list(bfs.provenance.items())
 
 
 # At k <= 1 no `up` row fires, since a pushed vertex already has its one
@@ -1072,8 +1093,8 @@ def run_steps(monkeypatch, call):
 
 def test_witnesses_run_each_shared_prefix_once(monkeypatch):
     # wpz's 99 members up to length 8 have witnesses of 2,039 steps in all,
-    # and 926 distinct run prefixes: the trie's runs and the walk's each
-    # take 926 steps
+    # and 926 distinct run prefixes: `enumerate_words` and each
+    # `accepts_each` take 926 steps
     tsa = fixture_wpz_tsa()
     assert tsa_mod.search_rows(tsa).up_free  # enumerate_words answers from the trie
     members, steps = run_steps(monkeypatch, lambda: enumerate_words(tsa, 8))

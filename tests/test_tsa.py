@@ -324,7 +324,7 @@ def test_replay_refuses_an_index_outside_delta(bad):
 
 def test_witnesses_do_not_go_through_step(monkeypatch):
     # every witness is re-executed by `_run`, so a `step` that always
-    # raises leaves accepts, replay and the walk's witnesses as they were
+    # raises leaves accepts, replay and accepts_each's witnesses as they were
     tsa, wpz = abcd_tsa(), fixture_wpz_tsa()
     before = (accepts(tsa, "aabbccdd", K2), accepts(wpz, "ttTtTT"),
               accepts_each(wpz, ["tT", "ttTT", "tTtT"]))
